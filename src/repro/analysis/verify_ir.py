@@ -45,8 +45,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir import expr as E
 from ..ir import stmt as S
-from ..ir.expr import EXPR_CHILDREN
-from ..ir.stmt import STMT_CHILDREN
 from ..ir.types import DataType, TypeCode
 from .findings import ERROR, WARNING, Finding, raise_on_errors
 
@@ -386,14 +384,8 @@ class _Verifier:
             finally:
                 self.in_intrinsic -= 1
             return
-        for attr in EXPR_CHILDREN.get(type(e), ()):
-            child = getattr(e, attr)
-            if isinstance(child, tuple):
-                for part in child:
-                    if isinstance(part, E.Expr):
-                        self.visit_expr(part)
-            elif isinstance(child, E.Expr):
-                self.visit_expr(child)
+        for child in e.children():
+            self.visit_expr(child)
 
     def visit_stmt(self, s: S.Stmt) -> None:
         if isinstance(s, S.Store):
@@ -488,22 +480,10 @@ class _Verifier:
             if s.else_case is not None:
                 self.visit_stmt(s.else_case)
             return
-        expr_attrs, stmt_attrs = STMT_CHILDREN.get(type(s), ((), ()))
-        for attr in expr_attrs:
-            child = getattr(s, attr)
-            if isinstance(child, tuple):
-                for part in child:
-                    if isinstance(part, E.Expr):
-                        self.visit_expr(part)
-            elif isinstance(child, E.Expr):
+        for child in s.children():
+            if isinstance(child, E.Expr):
                 self.visit_expr(child)
-        for attr in stmt_attrs:
-            child = getattr(s, attr)
-            if isinstance(child, tuple):
-                for part in child:
-                    if isinstance(part, S.Stmt):
-                        self.visit_stmt(part)
-            elif isinstance(child, S.Stmt):
+            else:
                 self.visit_stmt(child)
 
     def run(self, stmt: S.Stmt) -> List[Finding]:

@@ -133,19 +133,11 @@ class Encoder:
         return eclass
 
     def _seed_all_lanes(self, e: Expr) -> None:
-        import dataclasses
-
         term = encode_expr(e)
         eclass = self.egraph.add_term(term)
         self._seed_lanes(eclass, e.type.lanes)
-        for f in dataclasses.fields(e):
-            value = getattr(e, f.name)
-            if isinstance(value, Expr):
-                self._seed_all_lanes(value)
-            elif isinstance(value, tuple):
-                for item in value:
-                    if isinstance(item, Expr):
-                        self._seed_all_lanes(item)
+        for child in e.children():
+            self._seed_all_lanes(child)
 
     def stmt(self, s: Stmt) -> int:
         if isinstance(s, Store):

@@ -2,62 +2,32 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from .expr import Expr, Let, Load, Variable
-from .stmt import For, LetStmt, Stmt, Store
-from .visitor import IRMutator, IRVisitor, count_nodes
+from .stmt import Stmt, Store
+from .visitor import IRMutator, IRVisitor
 
 
 def expr_size(node) -> int:
     """Number of IR nodes (the paper's AST-size cost)."""
-    return count_nodes(node)
+    return node.size
 
 
-class _FreeVars(IRVisitor):
-    def __init__(self) -> None:
-        self.bound: Set[str] = set()
-        self.free: Set[str] = set()
-
-    def visit_Variable(self, node: Variable):
-        if node.name not in self.bound:
-            self.free.add(node.name)
-
-    def visit_Let(self, node: Let):
-        self.visit(node.value)
-        shadowed = node.name in self.bound
-        self.bound.add(node.name)
-        self.visit(node.body)
-        if not shadowed:
-            self.bound.discard(node.name)
-
-    def visit_LetStmt(self, node: LetStmt):
-        self.visit(node.value)
-        shadowed = node.name in self.bound
-        self.bound.add(node.name)
-        self.visit(node.body)
-        if not shadowed:
-            self.bound.discard(node.name)
-
-    def visit_For(self, node: For):
-        self.visit(node.min_expr)
-        self.visit(node.extent)
-        shadowed = node.name in self.bound
-        self.bound.add(node.name)
-        self.visit(node.body)
-        if not shadowed:
-            self.bound.discard(node.name)
-
-
-def free_variables(node) -> Set[str]:
-    visitor = _FreeVars()
-    visitor.visit(node)
-    return visitor.free
+def free_variables(node) -> FrozenSet[str]:
+    """Names of the variables ``node`` uses but does not bind."""
+    return node.free_vars
 
 
 class _Substitute(IRMutator):
     def __init__(self, mapping: Dict[str, Expr]):
         self.mapping = mapping
+
+    def mutate(self, node):
+        # a subtree none of the mapped names is free in cannot change
+        if node is None or self.mapping.keys().isdisjoint(node.free_vars):
+            return node
+        return super().mutate(node)
 
     def mutate_Variable(self, node: Variable):
         return self.mapping.get(node.name, node)

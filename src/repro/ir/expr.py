@@ -19,15 +19,88 @@ hashconses separately).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple, Union
+from typing import FrozenSet, List, Tuple, Union
 
 from .types import BOOL, DataType, Float, Int, TypeCode, promote
 
 ScalarValue = Union[int, float, bool]
 
 
+class fact:
+    """A derived value of an immutable node, computed on first read.
+
+    A non-data descriptor: the value is parked in the instance
+    ``__dict__`` under the descriptor's own name, so every later read is
+    a plain attribute hit.  Facts are not dataclass fields, so ``==``,
+    ``hash``, ``repr`` and ``dataclasses.replace`` never see them, and
+    :meth:`Node.__getstate__` keeps them out of pickles and copies.
+    """
+
+    #: every name a fact is stored under, on any node class
+    names: set = set()
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+        fact.names.add(name)
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        value = node.__dict__[self.name] = self.compute(node)
+        return value
+
+
+class Node:
+    """What :class:`Expr` and ``Stmt`` share: children and cached facts."""
+
+    #: names of the fields holding child nodes (or tuples of them), in
+    #: field order; every concrete class declares it, so generic
+    #: traversals never ask ``dataclasses`` per visit
+    _child_fields: Tuple[str, ...]
+
+    def children(self) -> List["Node"]:
+        """Child nodes in field order (tuples flattened, ``None`` skipped)."""
+        out: list = []
+        for name in self._child_fields:
+            value = getattr(self, name)
+            if isinstance(value, tuple):
+                out.extend(value)
+            elif value is not None:
+                out.append(value)
+        return out
+
+    @fact
+    def free_vars(self) -> FrozenSet[str]:
+        """Names of the variables this node uses but does not bind."""
+        out: FrozenSet[str] = frozenset()
+        for child in self.children():
+            free = child.free_vars
+            if not free <= out:  # share the child's set where it covers all
+                out = out | free if out else free
+        return out
+
+    def _free_vars_binding(self, name: str, body: "Node", *outer: "Node"):
+        """Free variables of a node that binds ``name`` within ``body``."""
+        return (body.free_vars - {name}).union(*[o.free_vars for o in outer])
+
+    @fact
+    def size(self) -> int:
+        """Number of IR nodes in this subtree (the paper's AST-size cost)."""
+        return 1 + sum(child.size for child in self.children())
+
+    def __getstate__(self):
+        state = self.__dict__
+        if fact.names.isdisjoint(state):
+            return state
+        return {k: v for k, v in state.items() if k not in fact.names}
+
+
 @dataclass(frozen=True)
-class Expr:
+class Expr(Node):
     """Base class for all IR expressions."""
 
     @property
@@ -114,6 +187,7 @@ class IntImm(Expr):
 
     value: int
     dtype: DataType = field(default=Int(32))
+    _child_fields = ()
 
     @property
     def type(self) -> DataType:
@@ -126,6 +200,7 @@ class FloatImm(Expr):
 
     value: float
     dtype: DataType = field(default=Float(32))
+    _child_fields = ()
 
     @property
     def type(self) -> DataType:
@@ -137,6 +212,7 @@ class StringImm(Expr):
     """A string immediate (used for intrinsic name arguments)."""
 
     value: str
+    _child_fields = ()
 
     @property
     def type(self) -> DataType:
@@ -151,10 +227,15 @@ class Variable(Expr):
 
     name: str
     dtype: DataType = field(default=Int(32))
+    _child_fields = ()
 
     @property
     def type(self) -> DataType:
         return self.dtype
+
+    @fact
+    def free_vars(self) -> FrozenSet[str]:
+        return frozenset((self.name,))
 
 
 @dataclass(frozen=True)
@@ -163,6 +244,7 @@ class Cast(Expr):
 
     dtype: DataType
     value: Expr
+    _child_fields = ("value",)
 
     def __post_init__(self) -> None:
         if self.dtype.lanes != self.value.type.lanes:
@@ -180,8 +262,9 @@ class _Binary(Expr):
 
     a: Expr
     b: Expr
+    _child_fields = ("a", "b")
 
-    @property
+    @fact
     def type(self) -> DataType:
         return promote(self.a.type, self.b.type)
 
@@ -205,8 +288,9 @@ Max = _binary_node("Max")
 class _Compare(Expr):
     a: Expr
     b: Expr
+    _child_fields = ("a", "b")
 
-    @property
+    @fact
     def type(self) -> DataType:
         return BOOL.with_lanes(promote(self.a.type, self.b.type).lanes)
 
@@ -231,8 +315,9 @@ Or = _compare_node("Or")
 @dataclass(frozen=True)
 class Not(Expr):
     value: Expr
+    _child_fields = ("value",)
 
-    @property
+    @fact
     def type(self) -> DataType:
         return BOOL.with_lanes(self.value.type.lanes)
 
@@ -244,8 +329,9 @@ class Select(Expr):
     condition: Expr
     true_value: Expr
     false_value: Expr
+    _child_fields = ("condition", "true_value", "false_value")
 
-    @property
+    @fact
     def type(self) -> DataType:
         return promote(self.true_value.type, self.false_value.type)
 
@@ -257,6 +343,7 @@ class Load(Expr):
     dtype: DataType
     name: str
     index: Expr
+    _child_fields = ("index",)
 
     def __post_init__(self) -> None:
         if self.dtype.lanes != self.index.type.lanes:
@@ -277,6 +364,7 @@ class Ramp(Expr):
     base: Expr
     stride: Expr
     count: int
+    _child_fields = ("base", "stride")
 
     def __post_init__(self) -> None:
         if self.count < 1:
@@ -287,7 +375,7 @@ class Ramp(Expr):
                 f"{self.stride.type}"
             )
 
-    @property
+    @fact
     def type(self) -> DataType:
         return promote(self.base.type, self.stride.type).widen_lanes(self.count)
 
@@ -298,12 +386,13 @@ class Broadcast(Expr):
 
     value: Expr
     count: int
+    _child_fields = ("value",)
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"broadcast count must be >= 1, got {self.count}")
 
-    @property
+    @fact
     def type(self) -> DataType:
         return self.value.type.widen_lanes(self.count)
 
@@ -321,6 +410,7 @@ class VectorReduce(Expr):
     op: str
     value: Expr
     result_lanes: int
+    _child_fields = ("value",)
 
     def __post_init__(self) -> None:
         if self.value.type.lanes % self.result_lanes != 0:
@@ -331,7 +421,7 @@ class VectorReduce(Expr):
         if self.op != "add":
             raise ValueError(f"unsupported reduce op {self.op!r}")
 
-    @property
+    @fact
     def type(self) -> DataType:
         return self.value.type.with_lanes(self.result_lanes)
 
@@ -353,6 +443,7 @@ class Call(Expr):
     name: str
     args: Tuple[Expr, ...]
     call_type: str = CallType.INTRINSIC
+    _child_fields = ("args",)
 
     @property
     def type(self) -> DataType:
@@ -366,10 +457,15 @@ class Let(Expr):
     name: str
     value: Expr
     body: Expr
+    _child_fields = ("value", "body")
 
-    @property
+    @fact
     def type(self) -> DataType:
         return self.body.type
+
+    @fact
+    def free_vars(self) -> FrozenSet[str]:
+        return self._free_vars_binding(self.name, self.body, self.value)
 
 
 @dataclass(frozen=True)
@@ -383,6 +479,7 @@ class Shuffle(Expr):
 
     vectors: Tuple[Expr, ...]
     indices: Tuple[int, ...]
+    _child_fields = ("vectors",)
 
     def __post_init__(self) -> None:
         total = sum(v.type.lanes for v in self.vectors)
@@ -390,40 +487,6 @@ class Shuffle(Expr):
             if not 0 <= i < total:
                 raise ValueError(f"shuffle index {i} out of range 0..{total-1}")
 
-    @property
+    @fact
     def type(self) -> DataType:
         return self.vectors[0].type.with_lanes(len(self.indices))
-
-
-#: Nodes a generic traversal must know about, keyed by child attributes.
-EXPR_CHILDREN = {
-    IntImm: (),
-    FloatImm: (),
-    StringImm: (),
-    Variable: (),
-    Cast: ("value",),
-    Add: ("a", "b"),
-    Sub: ("a", "b"),
-    Mul: ("a", "b"),
-    Div: ("a", "b"),
-    Mod: ("a", "b"),
-    Min: ("a", "b"),
-    Max: ("a", "b"),
-    EQ: ("a", "b"),
-    NE: ("a", "b"),
-    LT: ("a", "b"),
-    LE: ("a", "b"),
-    GT: ("a", "b"),
-    GE: ("a", "b"),
-    And: ("a", "b"),
-    Or: ("a", "b"),
-    Not: ("value",),
-    Select: ("condition", "true_value", "false_value"),
-    Load: ("index",),
-    Ramp: ("base", "stride"),
-    Broadcast: ("value",),
-    VectorReduce: ("value",),
-    Call: ("args",),
-    Let: ("value", "body"),
-    Shuffle: ("vectors",),
-}

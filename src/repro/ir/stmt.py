@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .expr import Expr
+from .expr import Expr, Node, fact
 from .types import DataType
 
 
@@ -49,7 +49,7 @@ class MemoryType(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Stmt:
+class Stmt(Node):
     """Base class for all IR statements."""
 
 
@@ -60,6 +60,7 @@ class Store(Stmt):
     name: str
     index: Expr
     value: Expr
+    _child_fields = ("index", "value")
 
     def __post_init__(self) -> None:
         if self.index.type.lanes != self.value.type.lanes:
@@ -79,6 +80,13 @@ class For(Stmt):
     extent: Expr
     kind: ForKind
     body: Stmt
+    _child_fields = ("min_expr", "extent", "body")
+
+    @fact
+    def free_vars(self):
+        return self._free_vars_binding(
+            self.name, self.body, self.min_expr, self.extent
+        )
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,7 @@ class Block(Stmt):
     """A sequence of statements."""
 
     stmts: Tuple[Stmt, ...]
+    _child_fields = ("stmts",)
 
     @staticmethod
     def make(stmts) -> Stmt:
@@ -112,6 +121,7 @@ class Allocate(Stmt):
     extents: Tuple[Expr, ...]
     memory_type: MemoryType
     body: Stmt
+    _child_fields = ("extents", "body")
 
 
 @dataclass(frozen=True)
@@ -119,6 +129,11 @@ class LetStmt(Stmt):
     name: str
     value: Expr
     body: Stmt
+    _child_fields = ("value", "body")
+
+    @fact
+    def free_vars(self):
+        return self._free_vars_binding(self.name, self.body, self.value)
 
 
 @dataclass(frozen=True)
@@ -126,6 +141,7 @@ class IfThenElse(Stmt):
     condition: Expr
     then_case: Stmt
     else_case: Optional[Stmt] = None
+    _child_fields = ("condition", "then_case", "else_case")
 
 
 @dataclass(frozen=True)
@@ -133,6 +149,7 @@ class Evaluate(Stmt):
     """Evaluate an expression for its side effects (e.g. ``tile_store``)."""
 
     value: Expr
+    _child_fields = ("value",)
 
 
 @dataclass(frozen=True)
@@ -142,6 +159,7 @@ class ProducerConsumer(Stmt):
     name: str
     is_producer: bool
     body: Stmt
+    _child_fields = ("body",)
 
 
 @dataclass(frozen=True)
@@ -155,17 +173,4 @@ class Provide(Stmt):
     name: str
     args: Tuple[Expr, ...]
     value: Expr
-
-
-#: Child statement/expression attributes for generic traversal.
-STMT_CHILDREN = {
-    Store: (("index", "value"), ()),
-    Provide: (("args", "value"), ()),
-    For: (("min_expr", "extent"), ("body",)),
-    Block: ((), ("stmts",)),
-    Allocate: (("extents",), ("body",)),
-    LetStmt: (("value",), ("body",)),
-    IfThenElse: (("condition",), ("then_case", "else_case")),
-    Evaluate: (("value",), ()),
-    ProducerConsumer: ((), ("body",)),
-}
+    _child_fields = ("args", "value")

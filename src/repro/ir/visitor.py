@@ -2,20 +2,11 @@
 
 Both the visitor and the mutator dispatch on the node's class name: define
 ``visit_Add`` / ``mutate_Load`` etc. on a subclass to intercept specific
-nodes; everything else is traversed generically via dataclass fields.
+nodes; everything else is traversed generically through the child fields
+each node class declares (``Node._child_fields``).
 """
 
 from __future__ import annotations
-
-import dataclasses
-from typing import Any
-
-from .expr import Expr
-from .stmt import Stmt
-
-
-def _is_node(value: Any) -> bool:
-    return isinstance(value, (Expr, Stmt))
 
 
 class IRVisitor:
@@ -28,14 +19,8 @@ class IRVisitor:
         return self.generic_visit(node)
 
     def generic_visit(self, node):
-        for f in dataclasses.fields(node):
-            value = getattr(node, f.name)
-            if _is_node(value):
-                self.visit(value)
-            elif isinstance(value, tuple):
-                for item in value:
-                    if _is_node(item):
-                        self.visit(item)
+        for child in node.children():
+            self.visit(child)
         return None
 
 
@@ -56,37 +41,24 @@ class IRMutator:
 
     def generic_mutate(self, node):
         changes = {}
-        for f in dataclasses.fields(node):
-            value = getattr(node, f.name)
-            if _is_node(value):
+        for name in node._child_fields:
+            value = getattr(node, name)
+            if isinstance(value, tuple):
+                new = tuple(self.mutate(v) for v in value)
+                if any(a is not b for a, b in zip(new, value)):
+                    changes[name] = new
+            elif value is not None:
                 new = self.mutate(value)
                 if new is not value:
-                    changes[f.name] = new
-            elif isinstance(value, tuple) and any(_is_node(v) for v in value):
-                new_items = tuple(
-                    self.mutate(v) if _is_node(v) else v for v in value
-                )
-                if any(a is not b for a, b in zip(new_items, value)):
-                    changes[f.name] = new_items
+                    changes[name] = new
         if not changes:
             return node
-        return dataclasses.replace(node, **changes)
+        cls = type(node)
+        values = {f: getattr(node, f) for f in cls.__dataclass_fields__}
+        values.update(changes)
+        return cls(**values)
 
 
-class NodeCounter(IRVisitor):
-    """Counts nodes, optionally filtered by a predicate."""
-
-    def __init__(self, predicate=None):
-        self.count = 0
-        self.predicate = predicate
-
-    def generic_visit(self, node):
-        if self.predicate is None or self.predicate(node):
-            self.count += 1
-        return super().generic_visit(node)
-
-
-def count_nodes(node, predicate=None) -> int:
-    counter = NodeCounter(predicate)
-    counter.visit(node)
-    return counter.count
+def count_nodes(node) -> int:
+    """Number of IR nodes in the subtree (the cached ``size`` fact)."""
+    return node.size

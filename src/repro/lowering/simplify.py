@@ -111,11 +111,10 @@ def _rewrite_once(e: Expr):
         and e.type.lanes == 1
         and e.type.is_int()
     ):
-        from ..ir import expr_size
         from .bounds import simplify_affine
 
         normalized = simplify_affine(e)
-        if expr_size(normalized) < expr_size(e):
+        if normalized.size < e.size:
             return normalized
     if isinstance(e, Shuffle) and len(e.vectors) == 1:
         if e.indices == tuple(range(e.vectors[0].type.lanes)):
@@ -159,6 +158,25 @@ def _fold_ramp_broadcast(e: Expr):
 
 
 class _Simplifier(IRMutator):
+    """Bottom-up rewriter that remembers which nodes it left alone.
+
+    A visit that returns its node unchanged proves the whole subtree is at
+    its fixpoint (``_rewrite_once`` depends on structure only), so later
+    rounds skip it and touch just the spines rebuilt by the round before.
+    """
+
+    def __init__(self) -> None:
+        #: id -> node; holding the node keeps its id from being reused
+        self.settled: dict = {}
+
+    def mutate(self, node):
+        if id(node) in self.settled:
+            return node
+        new = super().mutate(node)
+        if new is node and node is not None:
+            self.settled[id(node)] = node
+        return new
+
     def generic_mutate(self, node):
         node = super().generic_mutate(node)
         if isinstance(node, Expr):
@@ -170,20 +188,20 @@ class _Simplifier(IRMutator):
         return node
 
 
+def _simplify(node, max_rounds: int):
+    simplifier = _Simplifier()
+    for _ in range(max_rounds):
+        new = simplifier.mutate(node)
+        if new is node or new == node:
+            return new
+        node = new
+    return node
+
+
 def simplify_stmt(stmt: Stmt, max_rounds: int = 10) -> Stmt:
     """Simplify to a fixpoint (inner rewrites expose outer ones)."""
-    for _ in range(max_rounds):
-        new = _Simplifier().mutate(stmt)
-        if new is stmt or new == stmt:
-            return new
-        stmt = new
-    return stmt
+    return _simplify(stmt, max_rounds)
 
 
 def simplify_expr(e: Expr, max_rounds: int = 10) -> Expr:
-    for _ in range(max_rounds):
-        new = _Simplifier().mutate(e)
-        if new is e or new == e:
-            return new
-        e = new
-    return e
+    return _simplify(e, max_rounds)

@@ -19,7 +19,7 @@ loop variable produces the vector IR HARDBOILED consumes:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
 from ..ir import (
     Add,
@@ -53,7 +53,6 @@ from ..ir import (
     Variable,
     VectorReduce,
     as_int,
-    free_variables,
     is_const,
     make_add,
 )
@@ -127,15 +126,9 @@ class _VecSubst:
         self.var = var
         self.min_expr = min_expr
         self.n = extent
-        self._contains_cache: Dict[int, bool] = {}
 
     def contains_var(self, e) -> bool:
-        key = id(e)
-        cached = self._contains_cache.get(key)
-        if cached is None:
-            cached = self.var in free_variables(e)
-            self._contains_cache[key] = cached
-        return cached
+        return self.var in e.free_vars
 
     # -- expression widening -------------------------------------------------
 

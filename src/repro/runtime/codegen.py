@@ -41,7 +41,6 @@ import numpy as np
 
 from ..ir import expr as E
 from ..ir import stmt as S
-from ..ir.expr import EXPR_CHILDREN
 from ..ir.stmt import ForKind
 from ..ir.types import TypeCode
 from ..ir.analysis import free_variables
@@ -555,12 +554,7 @@ def _expr_calls(e: E.Expr):
         node = stack.pop()
         if isinstance(node, E.Call):
             yield node
-        for attr in EXPR_CHILDREN.get(type(node), ()):
-            child = getattr(node, attr)
-            if isinstance(child, tuple):
-                stack.extend(c for c in child if isinstance(c, E.Expr))
-            elif isinstance(child, E.Expr):
-                stack.append(child)
+        stack.extend(node.children())
 
 
 def _has_impure_call(e: E.Expr) -> bool:
@@ -1140,20 +1134,9 @@ def _expr_batched(e: E.Expr, stacked, var_batched: Dict[str, bool]) -> bool:
             for a in e.args
             if not isinstance(a, E.StringImm)
         )
-    for attr in EXPR_CHILDREN.get(type(e), ()):
-        child = getattr(e, attr)
-        if isinstance(child, tuple):
-            if any(
-                isinstance(c, E.Expr)
-                and _expr_batched(c, stacked, var_batched)
-                for c in child
-            ):
-                return True
-        elif isinstance(child, E.Expr) and _expr_batched(
-            child, stacked, var_batched
-        ):
-            return True
-    return False
+    return any(
+        _expr_batched(child, stacked, var_batched) for child in e.children()
+    )
 
 
 def _batched_allocations(stmt: S.Stmt, stacked_external) -> frozenset:

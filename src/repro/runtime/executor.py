@@ -18,6 +18,7 @@ A :class:`CompiledPipeline` can execute through either backend:
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from typing import Dict, FrozenSet, List, Optional, Sequence, Union
@@ -25,7 +26,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Union
 import numpy as np
 
 from ..frontend.func import Func, ImageParam
-from ..ir import as_int
+from ..ir import Call, CallType, DataType, as_int
+from ..lowering.build import reachable_funcs
 from ..lowering.pipeline import Lowered, lower
 from .buffer import Buffer
 from .counters import Counters
@@ -116,6 +118,13 @@ class CompiledPipeline:
         #: optional ArtifactStore persisting batched kernels across
         #: processes; wired by repro.service.compile.compile_lowered
         self.artifact_store = None
+
+    @functools.cached_property
+    def input_dtypes(self) -> Dict[str, DataType]:
+        """Declared dtype of every input image by name, so a request
+        keyed by name binds exactly like one keyed by ``ImageParam``
+        (walked on the first bind, not at compile time)."""
+        return _declared_inputs(self.lowered.output)
 
     @property
     def cache_key(self) -> str:
@@ -338,7 +347,7 @@ class CompiledPipeline:
             # instrumentation lives only in the interpreter
             mode = "interpret"
         # one wrapping + env rule shared with the plan path (plan.py)
-        buffers, _ = bind_inputs(inputs or {})
+        buffers, _ = bind_inputs(inputs or {}, self.input_dtypes)
         out = Buffer(
             self.output_name,
             self.output_dtype,
@@ -367,6 +376,23 @@ class CompiledPipeline:
                     f"{level}_unique", buf.store_footprint_bytes()
                 )
         return out.to_numpy()
+
+
+def _declared_inputs(output: Func) -> Dict[str, DataType]:
+    """``{image name: declared dtype}`` over the Func DAG under ``output``."""
+    found: Dict[str, DataType] = {}
+
+    def visit(node) -> None:
+        if isinstance(node, Call) and node.call_type == CallType.IMAGE:
+            found[node.name] = node.dtype
+        for child in node.children():
+            visit(child)
+
+    for func in reachable_funcs(output):
+        for stage in func.stages():
+            for expr in (stage.value, *stage.args):
+                visit(expr)
+    return found
 
 
 def compile_pipeline(

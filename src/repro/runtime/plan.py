@@ -60,22 +60,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .executor import CompiledPipeline
 
 
-def bind_inputs(inputs: dict):
+def bind_inputs(
+    inputs: dict, declared: Optional[Dict[str, DataType]] = None
+):
     """Wrap a request map into named buffers.
 
-    Keys are ``ImageParam`` objects (their declared dtype wins) or
-    buffer names.  Returns ``(buffers, entries)`` where each entry is
-    ``(key, buffer, array)`` in request order — the single input-
-    wrapping rule shared by ``CompiledPipeline.run`` and the plan's
-    bind step, so the two can never drift.
+    Keys are ``ImageParam`` objects or buffer names; either way the
+    declared dtype wins (``declared`` resolves names — numpy has no
+    bfloat16, so the array alone cannot say).  Returns ``(buffers,
+    entries)`` where each entry is ``(key, buffer, array)`` in request
+    order — the single input-wrapping rule shared by
+    ``CompiledPipeline.run`` and the plan's bind step, so the backends
+    can never drift.
     """
     from ..frontend.func import ImageParam
 
     buffers: Dict[str, Buffer] = {}
     entries = []
     for key, array in inputs.items():
-        name = key.name if isinstance(key, ImageParam) else str(key)
-        dtype = key.dtype if isinstance(key, ImageParam) else None
+        if isinstance(key, ImageParam):
+            name, dtype = key.name, key.dtype
+        else:
+            name = str(key)
+            dtype = declared.get(name) if declared else None
         array = np.asarray(array)
         buf = Buffer.from_numpy(name, array, dtype=dtype)
         buffers[name] = buf
@@ -278,7 +285,7 @@ class ExecutionPlan:
 
     def _bind(self, inputs: dict) -> None:
         """Full (slow-path) bind: wrap every input, derive the env."""
-        buffers, entries = bind_inputs(inputs)
+        buffers, entries = bind_inputs(inputs, self.pipeline.input_dtypes)
         out = Buffer(
             self.output_name,
             self.output_dtype,
@@ -460,7 +467,7 @@ class BatchedExecutionPlan:
         left over from the previous geometry.
         """
         first = requests[0]
-        buffers, entries = bind_inputs(first)
+        buffers, entries = bind_inputs(first, self.pipeline.input_dtypes)
         out = Buffer(
             self.output_name,
             self.output_dtype,

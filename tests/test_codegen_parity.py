@@ -86,3 +86,42 @@ class TestRealKernelsEmitted:
         # and the compiled path is still *correct*, not just self-consistent
         app = matmul.build("tensor", n=64)
         app.verify(backend="compile")
+
+
+class TestInputKeyParity:
+    """A request keyed by parameter *name* binds exactly like one keyed by
+    the ``ImageParam``: numpy has no bfloat16, so the declared dtype has
+    to come from the pipeline, not from the array (regression: the
+    interpreter raised ``AMXError`` on name-keyed bf16 inputs)."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            matmul.build_amx,
+            lambda: matmul.build_amx(layout="vnni"),
+            lambda: matmul.build_int8(tiles=1),
+        ],
+        ids=["bf16", "bf16_vnni", "int8"],
+    )
+    def test_name_keyed_equals_param_keyed_on_both_backends(self, build):
+        app = build()
+        pipeline = app.compile()
+        rng = np.random.default_rng(7)
+        by_param = {}
+        for param, array in app.inputs.items():
+            if array.dtype.kind == "f":
+                # not pre-rounded to bf16: ingest has to do the rounding
+                fresh = rng.standard_normal(array.shape).astype(array.dtype)
+            else:
+                fresh = rng.integers(-128, 128, array.shape).astype(array.dtype)
+            by_param[param] = fresh
+        by_name = {param.name: array for param, array in by_param.items()}
+        expected = pipeline.run(by_param, backend="interpret")
+        for backend in ("interpret", "compile"):
+            for inputs in (by_param, by_name):
+                np.testing.assert_array_equal(
+                    pipeline.run(inputs, backend=backend), expected
+                )
+                np.testing.assert_array_equal(
+                    pipeline.plan(backend=backend).run(inputs), expected
+                )

@@ -1,6 +1,8 @@
 """Cross-cutting property tests on the compiler's semantic invariants."""
 
 import numpy as np
+import pytest
+from conftest import SIMPLE_APP_IDS, SIMPLE_APPS, VARIANTS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,12 +15,15 @@ from repro.hardboiled import (
     supporting_rules,
 )
 from repro.hardboiled.encode import Encoder
+from repro.apps import dct_denoise, matmul, recursive_filter, resample
 from repro.ir import (
     Add,
     Broadcast,
     Cast,
+    Expr,
     Float,
     IntImm,
+    IRMutator,
     Load,
     Mul,
     Ramp,
@@ -26,7 +31,8 @@ from repro.ir import (
     print_expr,
 )
 from repro.ir.types import BFloat, Int
-from repro.lowering.simplify import simplify_expr
+from repro.lowering import lower
+from repro.lowering.simplify import _rewrite_once, simplify_expr, simplify_stmt
 from repro.runtime import Buffer, Interpreter
 
 
@@ -34,8 +40,11 @@ from repro.runtime import Buffer, Interpreter
 
 
 @st.composite
-def index_vectors(draw, max_lanes=64):
-    """Random nested Ramp/Broadcast/arith integer index expressions."""
+def index_vectors(draw, max_lanes=64, variables=()):
+    """Random nested Ramp/Broadcast/arith integer index expressions.
+
+    Leaves are small constants, plus scalar ``variables`` when given
+    (such expressions cannot be evaluated without an environment)."""
 
     def go(depth, lanes_budget):
         choices = ["imm", "ramp", "broadcast"]
@@ -43,6 +52,8 @@ def index_vectors(draw, max_lanes=64):
             choices += ["add", "mul_const"]
         kind = draw(st.sampled_from(choices))
         if kind == "imm" or depth > 3:
+            if variables and draw(st.booleans()):
+                return Variable(draw(st.sampled_from(variables)))
             return IntImm(draw(st.integers(0, 7)))
         if kind == "ramp":
             base = go(depth + 1, lanes_budget // 2)
@@ -92,6 +103,73 @@ class TestSimplifierSoundness:
         before = evaluate(expr)
         after = evaluate(simplify_expr(expr))
         np.testing.assert_array_equal(before, after)
+
+
+def naive_simplify(node, max_rounds=10):
+    """The reference fixpoint: a fresh whole-tree walk every round, no
+    memory of what earlier rounds settled (what ``src/`` used to do)."""
+
+    class Walk(IRMutator):
+        def generic_mutate(self, node):
+            node = super().generic_mutate(node)
+            if isinstance(node, Expr):
+                for _ in range(8):
+                    rewritten = _rewrite_once(node)
+                    if rewritten is None:
+                        break
+                    node = rewritten
+            return node
+
+    for _ in range(max_rounds):
+        new = Walk().mutate(node)
+        if new == node:
+            return new
+        node = new
+    return node
+
+
+def _app_outputs():
+    """``(id, thunk -> output Func)`` for every app of tests/test_apps.py."""
+    for (module, params), name in zip(SIMPLE_APPS, SIMPLE_APP_IDS):
+        for v in VARIANTS:
+            yield f"{name}-{v}", lambda m=module, p=params, v=v: m.build(
+                v, **p
+            ).output
+    for v in VARIANTS:
+        yield f"resample-{v}", lambda v=v: resample.build_pass(
+            v, in_size=256, out_size=57, columns=32
+        ).output
+        yield f"recursive_filter-{v}", lambda v=v: recursive_filter.build(
+            v, samples=4096
+        ).fir_pipeline.lowered.output
+        yield f"dct_denoise-{v}", lambda v=v: dct_denoise.build(
+            v, num_tiles=8
+        ).pipeline.lowered.output
+    for layout in ("standard", "vnni"):
+        for preload in (False, True):
+            yield f"amx-{layout}-preload{int(preload)}", (
+                lambda la=layout, pre=preload: matmul.build_amx(
+                    layout=la, preload_b=pre
+                ).output
+            )
+
+
+class TestSimplifierEquivalence:
+    """The settled-node memo must not change what the simplifier returns."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(index_vectors(variables=("x", "y")))
+    def test_generated_expressions(self, expr):
+        assert simplify_expr(expr) == naive_simplify(expr)
+
+    @pytest.mark.parametrize(
+        "build_output",
+        [thunk for _, thunk in _app_outputs()],
+        ids=[name for name, _ in _app_outputs()],
+    )
+    def test_every_app(self, build_output):
+        stmt = lower(build_output(), simplify=False).stmt
+        assert simplify_stmt(stmt) == naive_simplify(stmt)
 
 
 class TestAxiomSoundness:

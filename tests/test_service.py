@@ -12,6 +12,7 @@ from conftest import build_requests
 
 from repro.apps import conv1d
 from repro.hardboiled import SelectionError
+from repro.ir.expr import fact
 from repro.lowering import lower
 from repro.service import (
     ArtifactKey,
@@ -136,6 +137,41 @@ class TestRoundTrip:
         warm.cache_dir = str(tmp_path)
         assert warm.report.artifact_cache == "hit"
         np.testing.assert_array_equal(cold_out, warm.run())
+
+    def test_cached_node_facts_stay_out_of_the_artifact(self, tmp_path):
+        """Selection and codegen read ``type``/``free_vars``/``size`` on
+        the statement they store; none of it may reach the disk, and a
+        restored statement answers the same questions."""
+
+        def walk(node):
+            yield node
+            for child in node.children():
+                yield from walk(child)
+
+        def stored_facts(stmt):
+            return {k for n in walk(stmt) for k in fact.names & vars(n).keys()}
+
+        def answers(stmt):
+            return [
+                (n.size, n.free_vars, getattr(n, "type", None))
+                for n in walk(stmt)
+            ]
+
+        store = ArtifactStore(tmp_path)
+        pipe, _ = compile_lowered(
+            lower(small_app().output), store, backend="compile"
+        )
+        live = pipe.lowered.stmt
+        expected = answers(live)
+        assert stored_facts(live) == {"size", "free_vars", "type"}
+        (digest,) = store.digests()
+        path = store.path_for(digest)
+        with open(path, "rb") as handle:
+            assert b"free_vars" not in handle.read()
+        assert b"free_vars" not in pickle.dumps(live)
+        restored = _read_payload(path).stmt
+        assert restored == live and not stored_facts(restored)
+        assert answers(restored) == expected
 
 
 class TestInvalidation:

@@ -235,6 +235,7 @@ class CompiledPipeline:
         backend: Optional[str] = None,
         batch_axis: Optional[bool] = None,
         on_error: str = "raise",
+        plan: Optional[ExecutionPlan] = None,
     ) -> List[np.ndarray]:
         """Run a batch of same-shaped requests, optionally in parallel.
 
@@ -256,8 +257,12 @@ class CompiledPipeline:
         in request order and are bit-identical across all three paths.
         ``workers=None`` picks ``min(len(requests), cpu_count)``;
         ``workers=1`` runs the batch on one plan in the calling thread.
-        Counters are not supported here — use :meth:`run` for
-        instrumented executions.
+        ``plan`` is that one plan, held by the caller across calls (a
+        serving worker's): the looped path then runs on it in the
+        calling thread instead of building plans per call, so its bound
+        buffers, arena and shuffle-operand memo stay warm from one
+        batch to the next.  Counters are not supported here — use
+        :meth:`run` for instrumented executions.
 
         ``on_error`` selects the failure policy.  ``"raise"`` (the
         default) propagates the first failure.  ``"return"`` isolates
@@ -276,6 +281,13 @@ class CompiledPipeline:
         mode = (
             _check_backend(backend) if backend is not None else self.backend
         )
+        if plan is not None:
+            if plan.pipeline is not self or plan.backend != mode:
+                raise ValueError(
+                    "plan= must be a plan of this pipeline on the"
+                    f" {mode!r} backend"
+                )
+            workers = 1  # a plan is not thread-safe
         requests = list(requests)
         if not requests:
             return []
@@ -304,17 +316,16 @@ class CompiledPipeline:
         results: List[Optional[np.ndarray]] = [None] * len(requests)
 
         def run_span(start: int, stop: int) -> None:
-            plan = self.plan(backend=mode)
+            span_plan = plan if plan is not None else self.plan(backend=mode)
             for i in range(start, stop):
                 try:
-                    results[i] = plan.run(requests[i])
+                    results[i] = span_plan.run(requests[i])
                 except Exception as exc:
                     if on_error == "raise":
                         raise
+                    # the failed run reset the plan's bound state, so
+                    # the next request starts from a clean bind
                     results[i] = RequestError(i, exc)
-                    # a failed run may leave the plan's buffers in a
-                    # partial state; rebuild it (cheap: cache hit)
-                    plan = self.plan(backend=mode)
 
         if workers == 1:
             run_span(0, len(requests))

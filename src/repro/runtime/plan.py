@@ -243,7 +243,8 @@ class ExecutionPlan:
     fingerprinting, no kernel-cache lookup, no environment rebuild, no
     ``Buffer`` revalidation, and no input copy for contiguous
     correctly-typed arrays.  A call whose input shapes or dtypes differ
-    transparently rebinds (``rebinds`` counts them).
+    transparently rebinds (``rebinds`` counts them), and so does the
+    call after a failed run, which also starts from an empty arena.
 
     Not thread-safe — one plan per worker thread.
     """
@@ -374,12 +375,23 @@ class ExecutionPlan:
             flat = np.zeros(self._out_size, dtype=self._out_np)
             result = flat.reshape(self._out_shape)
         self._out_buffer.data = flat
-        if self.kernel is not None:
-            fire("kernel.compile")
-            self.kernel(self._buffers, self._env, arena=self.arena)
-        else:
-            fire("kernel.interpret")
-            Interpreter(self._buffers, None).run(self.lowered.stmt, self._env)
+        try:
+            if self.kernel is not None:
+                fire("kernel.compile")
+                self.kernel(self._buffers, self._env, arena=self.arena)
+            else:
+                fire("kernel.interpret")
+                Interpreter(self._buffers, None).run(
+                    self.lowered.stmt, self._env
+                )
+        except BaseException:
+            # a failed run may leave the bound buffers and the arena in
+            # a partial state: drop both, so whoever holds this plan
+            # gets a clean bind on the next run (cheap: the kernel
+            # stays resolved)
+            self._out_buffer = None
+            self.arena = BufferArena(self.arena.memo_maxsize)
+            raise
         self.runs += 1
         return result
 

@@ -15,7 +15,14 @@ piece that turns the mixed stream into that shape:
   seconds (the deadline-based flush), then dispatches the whole bucket
   as one :meth:`~repro.service.supervisor.WorkerPool.submit_many`
   batch — one batch-axis kernel call per serving bucket, tensors over
-  shared memory;
+  shared memory.  The flusher thread does not poll: it sleeps until
+  the earliest deadline any bucket holds (a flush window closing, a
+  request budget expiring, a shed-control crossing) and is woken early
+  only by a submit that creates an earlier deadline or fills a bucket,
+  by a completion that frees in-flight budget, and by
+  ``drain``/``close`` — so a lone request is held ``flush_interval``
+  to within a scheduler tick, and an idle router does not wake at all
+  (``flusher_passes`` in :meth:`Router.stats` counts the passes);
 * every request carries a wall-clock **deadline budget** measured from
   submission: queue wait, bucket flush, pool dispatch, and worker
   execution all decrement the same budget, and a request whose budget
@@ -69,6 +76,8 @@ from .serve import RejectedError, ServerClosed, ShedError
 from .supervisor import DeadlineExceeded, WorkerPool
 
 __all__ = ["Router", "job_fingerprint", "shape_signature"]
+
+_NEVER = float("inf")  # a deadline that time alone never reaches
 
 
 def job_fingerprint(job: CompileJob) -> str:
@@ -139,6 +148,7 @@ class _Bucket:
         "last_done",
         "above_since",
         "shedding",
+        "next_expiry",
     )
 
     def __init__(self, key: tuple, job_key: str, window: int) -> None:
@@ -158,6 +168,10 @@ class _Bucket:
         self.last_done: Optional[float] = None
         self.above_since: Optional[float] = None  # CoDel: first over-target
         self.shedding = False  # CoDel: shedding best-effort arrivals
+        #: no queued entry expires before this (a lower bound: taking
+        #: or evicting the entry that set it leaves it early, which
+        #: costs one scan, never a late expiry)
+        self.next_expiry = _NEVER
 
     def qlen(self) -> int:
         return len(self.lanes[0]) + len(self.lanes[1])
@@ -198,7 +212,9 @@ class Router:
         (default 8).
     flush_interval:
         Deadline-based flush: a non-empty bucket is dispatched once its
-        oldest request has waited this long (seconds, default 0.005).
+        oldest request has waited this long (seconds, default 0.005) —
+        a lone request is held that long for company, and no longer
+        than a scheduler tick beyond it.
     max_pending:
         Admission bound on queued + in-flight requests across the
         whole router; beyond it :meth:`submit` raises
@@ -329,6 +345,10 @@ class Router:
         self.rejected = 0  # guarded-by: _mu
         self.shed = 0  # guarded-by: _mu
         self.expired = 0  # guarded-by: _mu
+        self.flusher_passes = 0  # guarded-by: _mu
+        #: the deadline the flusher is sleeping toward; a submit that
+        #: creates an earlier one wakes it
+        self._next_wake = _NEVER  # guarded-by: _mu
 
         self._wake = threading.Event()
         self._drained = threading.Event()
@@ -482,6 +502,9 @@ class Router:
                 raise RejectedError(
                     f"admission queue full ({self.max_pending} pending)"
                 )
+            if not bucket.qlen():
+                # an empty queue has no sojourn: never shed into it
+                self._shed_control_locked(bucket, now)
             if bucket.shedding and lane == 1:
                 self.shed += 1
                 bucket.shed += 1
@@ -511,14 +534,25 @@ class Router:
                 bucket.first_submit = now
             self.submitted += 1
             self._pending += 1
-            full = bucket.qlen() >= self.max_batch
+            due = _NEVER
+            if entry.expires_at is not None:
+                due = entry.expires_at
+                bucket.next_expiry = min(bucket.next_expiry, due)
+            if bucket.qlen() == 1:
+                # a new head starts the flush window and the shed clock
+                due = min(
+                    due,
+                    now + self.flush_interval,
+                    now + (self.shed_target or _NEVER),
+                )
+            wake = bucket.qlen() >= self.max_batch or due < self._next_wake
         if evicted is not None:
             evicted.future.set_exception(
                 ShedError(
                     "evicted from a full bucket by an interactive request"
                 )
             )
-        if full:
+        if wake:
             self._wake.set()
         return entry.future
 
@@ -593,7 +627,8 @@ class Router:
 
         Conservation invariant (checked by the chaos harness): at
         quiescence ``offered == completed + failed + rejected + shed +
-        expired`` and ``pending == 0``.
+        expired`` and ``pending == 0``.  ``flusher_passes`` counts the
+        flusher thread's wake-ups (none while the router is idle).
         """
         with self._mu:
             buckets = [
@@ -610,6 +645,7 @@ class Router:
                 "expired": self.expired,
                 "pending": self._pending,
                 "closed": self._closed,
+                "flusher_passes": self.flusher_passes,
             }
         summary["buckets"] = buckets
         summary["jobs"] = {
@@ -670,98 +706,126 @@ class Router:
         Their futures are resolved by the caller *outside* ``_mu`` —
         a done callback may grab arbitrary user locks.
         """
+        if bucket.next_expiry > now:
+            return []
         expired: List[_Entry] = []
+        bucket.next_expiry = _NEVER
         for lane in bucket.lanes:
-            if not any(
-                entry.expires_at is not None and entry.expires_at <= now
-                for entry in lane
-            ):
-                continue
             keep: List[_Entry] = []
             for entry in lane:
-                if entry.expires_at is not None and entry.expires_at <= now:
+                if entry.expires_at is None:
+                    keep.append(entry)
+                elif entry.expires_at <= now:
                     expired.append(entry)
                 else:
                     keep.append(entry)
-            lane.clear()
-            lane.extend(keep)
+                    bucket.next_expiry = min(
+                        bucket.next_expiry, entry.expires_at
+                    )
+            if len(keep) != len(lane):
+                lane.clear()
+                lane.extend(keep)
         if expired:
             self._pending -= len(expired)
             self.expired += len(expired)
             bucket.expired += len(expired)
         return expired
 
-    def _shed_control_locked(self, bucket: _Bucket, now: float) -> None:
+    def _shed_control_locked(self, bucket: _Bucket, now: float) -> float:
         """CoDel-style state update: head sojourn at/over target for a
         full interval turns shedding on; dropping under target turns it
-        off (and resets the interval clock)."""
+        off (and resets the interval clock).  Returns when the passing
+        of time alone next changes the state (``inf``: never)."""
         if self.shed_target is None:
-            return
+            return _NEVER
         head = bucket.head_queued_at()
-        if head is None or now - head < self.shed_target:
+        over_at = _NEVER if head is None else head + self.shed_target
+        if over_at > now:
             bucket.above_since = None
             bucket.shedding = False
-            return
+            return over_at
         if bucket.above_since is None:
             bucket.above_since = now
-        elif now - bucket.above_since >= self.shed_interval:
-            bucket.shedding = True
+        trip_at = bucket.above_since + self.shed_interval
+        if trip_at > now:
+            return trip_at
+        bucket.shedding = True
+        return _NEVER
 
     def _dispatch_budget_locked(self, job_key: str) -> int:
         return self.max_inflight - self._inflight.get(job_key, 0)
 
-    def _due_locked(self, now: float, closing: bool) -> List[_Bucket]:
-        """Buckets whose queue must dispatch now: full, aged past the
-        flush window, or a close is draining everything — and whose
-        pool still has in-flight budget (backpressure otherwise holds
-        the queue here, where sojourn shedding can see it)."""
-        due = []
-        for bucket in self._buckets.values():
-            if not bucket.qlen():
-                continue
-            if self._dispatch_budget_locked(bucket.job_key) <= 0:
-                continue
-            head = bucket.head_queued_at()
-            if (
-                closing
-                or bucket.qlen() >= self.max_batch
-                or now - head >= self.flush_interval
-            ):
-                due.append(bucket)
-        return due
+    def _flush_at_locked(
+        self, bucket: _Bucket, now: float, closing: bool
+    ) -> float:
+        """When this bucket's queue must dispatch: ``now`` once it is
+        full or a close is draining everything, else when its oldest
+        entry has aged past the flush window; ``inf`` while it is empty
+        or its pool has no in-flight budget (backpressure holds the
+        queue here, where sojourn shedding can see it, until
+        :meth:`_complete` frees budget and wakes the flusher)."""
+        if (
+            not bucket.qlen()
+            or self._dispatch_budget_locked(bucket.job_key) <= 0
+        ):
+            return _NEVER
+        if closing or bucket.qlen() >= self.max_batch:
+            return now
+        return bucket.head_queued_at() + self.flush_interval
 
     def _flush_loop(self) -> None:
-        poll = max(self.flush_interval / 2.0, 0.0005)
+        """One pass per wake-up, then sleep until the earliest deadline
+        any bucket holds — a flush window closing, a request expiring,
+        a shed-control crossing — unless ``_wake`` is set first: by a
+        submit that creates an earlier deadline, a completion that
+        frees in-flight budget, or ``drain``/``close``."""
+        wake_at = _NEVER
         while True:
-            self._wake.wait(timeout=poll)
+            self._wake.wait(
+                None
+                if wake_at == _NEVER
+                else max(0.0, wake_at - time.monotonic())
+            )
             self._wake.clear()
-            now = time.monotonic()
             expired_entries: List[_Entry] = []
+            drained = []
             with self._mu:
+                now = time.monotonic()
+                self.flusher_passes += 1
                 closing = self._closed
+                wake_at = _NEVER
                 for bucket in self._buckets.values():
                     expired_entries.extend(
                         self._expire_bucket_locked(bucket, now)
                     )
-                    self._shed_control_locked(bucket, now)
-                due = self._due_locked(now, closing)
-                drained = []
-                taken: Dict[str, int] = {}
-                for bucket in due:
-                    budget = self._dispatch_budget_locked(
-                        bucket.job_key
-                    ) - taken.get(bucket.job_key, 0)
-                    entries = bucket.take(budget) if budget > 0 else []
-                    if not entries:
-                        continue
-                    taken[bucket.job_key] = (
-                        taken.get(bucket.job_key, 0) + len(entries)
+                    flush_at = self._flush_at_locked(bucket, now, closing)
+                    if flush_at <= now:
+                        entries = bucket.take(
+                            self._dispatch_budget_locked(bucket.job_key)
+                        )
+                        self._inflight[bucket.job_key] = self._inflight.get(
+                            bucket.job_key, 0
+                        ) + len(entries)
+                        bucket.flushes += 1
+                        bucket.largest_flush = max(
+                            bucket.largest_flush, len(entries)
+                        )
+                        drained.append((bucket, entries))
+                        # emptied, or the budget is spent and the next
+                        # completion wakes the flusher
+                        flush_at = _NEVER
+                    # shed control runs after the take, so the state an
+                    # arrival meets is that of the queue it would join
+                    wake_at = min(
+                        wake_at,
+                        flush_at,
+                        bucket.next_expiry,
+                        self._shed_control_locked(bucket, now),
                     )
-                    bucket.flushes += 1
-                    bucket.largest_flush = max(
-                        bucket.largest_flush, len(entries)
-                    )
-                    drained.append((bucket, entries))
+                self._next_wake = wake_at
+                finished = closing and not any(
+                    bucket.qlen() for bucket in self._buckets.values()
+                )
             for entry in expired_entries:
                 entry.future.set_exception(
                     DeadlineExceeded(
@@ -770,21 +834,16 @@ class Router:
                 )
             for bucket, entries in drained:
                 self._dispatch(bucket, entries)
-            if closing and not drained:
-                with self._mu:
-                    empty = all(
-                        not bucket.qlen()
-                        for bucket in self._buckets.values()
-                    )
-                if empty:
-                    break
+            if finished:
+                break
         self._drained.set()
 
     def _dispatch(self, bucket: _Bucket, entries: List[_Entry]) -> None:
         """Hand one drained bucket to its pool (never under ``_mu``).
 
-        Entries are grouped by idempotence (a pool batch carries one
-        flag); each request's absolute expiry rides along, so budget
+        The flusher already counted the entries in flight when it took
+        them.  They are grouped by idempotence (a pool batch carries
+        one flag); each request's absolute expiry rides along, so budget
         already spent in the router keeps counting in the pool.  A
         pool-side rejection or close fails the affected entries with
         the pool's typed error.
@@ -794,10 +853,6 @@ class Router:
         for entry in entries:
             groups.setdefault(entry.idempotent, []).append(entry)
         for idempotent, group in groups.items():
-            with self._mu:
-                self._inflight[bucket.job_key] = (
-                    self._inflight.get(bucket.job_key, 0) + len(group)
-                )
             try:
                 pool_futures = pool.submit_many(
                     [entry.inputs for entry in group],
@@ -815,6 +870,7 @@ class Router:
                         bucket.rejected += len(group)
                 for entry in group:
                     entry.future.set_exception(exc)
+                self._wake.set()  # in-flight budget freed
                 continue
             for entry, pool_future in zip(group, pool_futures):
                 pool_future.add_done_callback(

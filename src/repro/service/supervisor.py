@@ -22,7 +22,13 @@ its own *process*, supervised over a duplex pipe:
   typed error;
 * workers **warm-start** from the shared artifact store
   (``cache_dir``), so a restart re-hydrates kernels instead of paying
-  saturation and codegen again.
+  saturation and codegen again;
+* a worker **keeps its execution state** for as long as it lives: one
+  :class:`~repro.runtime.plan.ExecutionPlan` (bound buffers, arena,
+  shuffle-operand memo) serves every singleton and every looped
+  fallback, beside the pipeline's persistent batch-axis plan, so a
+  served convolution builds its Toeplitz operand once per worker, not
+  once per request.
 
 Transport is split into two planes.  The **control plane** — request
 ids, shape/dtype metadata, slot indices, error reports — always rides
@@ -132,35 +138,33 @@ def _format_remote(exc: BaseException) -> tuple:
     return type(exc).__name__, str(exc), tb
 
 
-def _serve_batch(pipeline, rids, requests, resp_ring) -> dict:
-    """Run one batch in the worker and lay out the reply payload.
+def _serve_batch(plan, rids, requests, resp_ring) -> dict:
+    """Run one batch on the worker's plan and lay out the reply payload.
 
-    Singletons take the exact per-request :meth:`CompiledPipeline.run`
-    path; larger batches go through :meth:`run_many` (batch-axis kernel
-    with its transparent looped fallback) under ``on_error="return"``
-    so one poisoned request fails alone.  Successful outputs ride the
-    response ring when they fit (``"shm"``), the pipe otherwise
-    (``"inline"``); failures always ride the pipe (``"errs"``).
+    ``plan`` is the worker's :class:`~repro.runtime.plan.ExecutionPlan`,
+    alive as long as the process.  Every batch is one
+    :meth:`~repro.runtime.executor.CompiledPipeline.run_many` call on
+    it under ``on_error="return"``, so one poisoned request fails
+    alone: a singleton runs straight on the plan, a larger batch takes
+    the batch-axis kernel with the plan as its looped fallback.
+    Successful outputs ride the response ring when they fit
+    (``"shm"``), the pipe otherwise (``"inline"``); failures always
+    ride the pipe (``"errs"``); the plan's counters ride along
+    (``"plan"``) for :meth:`WorkerPool.stats`.
     """
     errs: List[tuple] = []
     ok: List[tuple] = []
-    if len(requests) == 1:
-        try:
-            ok.append((rids[0], pipeline.run(requests[0])))
-        except BaseException as exc:
-            errs.append((rids[0],) + _format_remote(exc))
+    try:
+        outputs = plan.pipeline.run_many(
+            requests,
+            batch_axis=None if len(requests) > 1 else False,
+            on_error="return",
+            plan=plan,
+        )
+    except BaseException as exc:
+        remote = _format_remote(exc)
+        errs = [(rid,) + remote for rid in rids]
     else:
-        try:
-            outputs = pipeline.run_many(
-                requests, workers=1, on_error="return"
-            )
-        except BaseException as exc:
-            remote = _format_remote(exc)
-            return {
-                "shm": None,
-                "inline": [],
-                "errs": [(rid,) + remote for rid in rids],
-            }
         for rid, output in zip(rids, outputs):
             if isinstance(output, RequestError):
                 errs.append((rid,) + _format_remote(output))
@@ -168,13 +172,18 @@ def _serve_batch(pipeline, rids, requests, resp_ring) -> dict:
                 ok.append((rid, output))
     shm_part = None
     if resp_ring is not None and ok:
-        plan = shm_transport.plan_frame([{"o": out} for _, out in ok])
-        if plan is not None:
-            slot = shm_transport.write_frame(resp_ring, plan)
+        frame = shm_transport.plan_frame([{"o": out} for _, out in ok])
+        if frame is not None:
+            slot = shm_transport.write_frame(resp_ring, frame)
             if slot is not None:
-                shm_part = (slot, [rid for rid, _ in ok], plan.meta)
+                shm_part = (slot, [rid for rid, _ in ok], frame.meta)
                 ok = []
-    return {"shm": shm_part, "inline": ok, "errs": errs}
+    return {
+        "shm": shm_part,
+        "inline": ok,
+        "errs": errs,
+        "plan": plan.stats(),
+    }
 
 
 def _worker_main(
@@ -244,6 +253,9 @@ def _worker_main(
         app = job.build_app()
         app.backend = backend
         pipeline = app.compile(cache_dir=cache_dir)
+        # the worker's execution state, bound once and kept for the
+        # process's lifetime (resolving the kernel is part of "ready")
+        plan = pipeline.plan()
         out_nbytes = int(
             np.prod(pipeline.output_extents, dtype=np.int64)
         ) * np.dtype(pipeline.output_dtype.to_numpy()).itemsize
@@ -299,10 +311,11 @@ def _worker_main(
                     )
                 )
                 continue
-        payload = _serve_batch(pipeline, rids, requests, resp_ring)
+        payload = _serve_batch(plan, rids, requests, resp_ring)
         if slot is not None:
             # the kernel may read zero-copy views until the run above
-            # returned; only now is the slot safe to hand back
+            # returned (the plan keeps them bound, unread, until its
+            # next ingest); only now is the slot safe to hand back
             req_ring.release(slot)
         send(("done", payload))
     stop_beat.set()
@@ -403,6 +416,7 @@ class _Worker:
         "resp_ring",
         "shm_state",  # "none" | "pending" | "ready" | "broken"
         "draining",
+        "plan_stats",
     )
 
     def __init__(self, wid, incarnation, process, conn, init_strikes, now):
@@ -420,6 +434,9 @@ class _Worker:
         self.req_ring: Optional[shm_transport.ShmRing] = None
         self.resp_ring: Optional[shm_transport.ShmRing] = None
         self.shm_state = "none"
+        #: the worker plan's counters as of its last reply (like every
+        #: field here, touched only under the pool's ``_mu``)
+        self.plan_stats: Optional[Dict[str, int]] = None
 
 
 def _jitter_fraction(req_id: int, attempt: int) -> float:
@@ -863,7 +880,9 @@ class WorkerPool:
             return list(self._events)
 
     def stats(self) -> Dict[str, object]:
-        """Recovery and throughput counters plus per-worker state."""
+        """Recovery and throughput counters plus per-worker state
+        (``"plan"``: the worker's execution-plan and arena counters as
+        of its last reply, ``None`` before the first)."""
         with self._mu:
             rings = [
                 ring.stats()
@@ -881,6 +900,7 @@ class WorkerPool:
                         "alive": worker.process.is_alive(),
                         "shm": worker.shm_state,
                         "draining": worker.draining,
+                        "plan": worker.plan_stats,
                     }
                     for worker in self._workers.values()
                 ],
@@ -1055,6 +1075,7 @@ class WorkerPool:
         batch, worker.batch = worker.batch, None
         if batch is None:  # stale reply from a reaped dispatch
             return
+        worker.plan_stats = payload.get("plan", worker.plan_stats)
         by_id = {request.id: request for request in batch.requests}
         outputs: Dict[int, np.ndarray] = {}
         shm_part = payload.get("shm")

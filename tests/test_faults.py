@@ -235,6 +235,29 @@ class TestRunManyIsolation:
             with pytest.raises(InjectedKernelError):
                 pipe.run_many(requests, batch_axis=True)
 
+    def test_caller_held_plan_survives_a_failed_request(self):
+        """``plan=``: the looped path runs on the caller's plan across
+        calls; a failed request resets it in place (rebind, empty
+        arena) and its neighbours and the next call stay right."""
+        pipe, requests, expected = vector_setup(count=5)
+        held = pipe.plan()
+        plan = FaultPlan(
+            specs=[FaultSpec("raise-in-kernel", visits=(2,))]
+        )
+        with faults.active(plan):
+            results = pipe.run_many(
+                requests, batch_axis=False, on_error="return", plan=held
+            )
+        assert isinstance(results[2], RequestError)
+        for i in (0, 1, 3, 4):
+            assert np.array_equal(results[i], expected[i])
+        again = pipe.run_many(requests, batch_axis=False, plan=held)
+        assert all(np.array_equal(r, e) for r, e in zip(again, expected))
+        assert held.stats()["runs"] == 9
+        assert held.stats()["rebinds"] == 2
+        with pytest.raises(ValueError, match="plan="):
+            pipe.run_many(requests, plan=vector_setup(count=1)[0].plan())
+
     def test_bad_on_error_rejected(self):
         pipe, requests, _ = vector_setup(count=2)
         with pytest.raises(ValueError, match="on_error"):

@@ -9,6 +9,8 @@ fault-injection harness crashes workers mid-bucket or corrupts
 shared-memory frames under the read path.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -424,11 +426,16 @@ class TestLifecycleHardening:
             max_batch=16,
             flush_interval=0.5,
         ) as router:
+            start = time.monotonic()
             future = router.submit(FAST_JOB, request, deadline=0.05)
             with pytest.raises(DeadlineExceeded) as excinfo:
                 future.result(timeout=60)
+            elapsed = time.monotonic() - start
             assert "before its bucket flushed" in str(excinfo.value)
             assert router.stats()["expired"] == 1
+        # on time: the flusher sleeps toward the expiry, not toward
+        # the (ten times later) end of the flush window
+        assert 0.05 <= elapsed <= 0.05 + 0.5 * 0.25
 
     def test_interactive_evicts_best_effort_at_bucket_cap(self, rng):
         """Two-class admission at the depth cap: best-effort arrivals
@@ -477,18 +484,24 @@ class TestLifecycleHardening:
             router.close()
 
     def test_sojourn_shedding_under_sustained_overload(self, rng):
-        """CoDel-style control: under 2x-style overload the bucket
-        sheds best-effort entries once head-of-queue wait stays above
-        target, while every interactive request still completes."""
-        import time
-
+        """CoDel-style control: under 3x overload the bucket sheds
+        best-effort entries once head-of-queue wait stays above target,
+        while every interactive request still completes — and once the
+        queue has drained, the very next best-effort arrival is
+        admitted (the shed state follows the queue, not the flusher's
+        next wake-up)."""
         from repro.service.serve import ShedError
 
         app = FAST_JOB.build_app()
-        requests = build_requests(app, 60, rng)
+        requests = build_requests(app, 61, rng)
         shed = 0
         interactive = []
         best_effort = []
+        # every kernel visit takes 6 ms, arrivals come every 2 ms: the
+        # overload does not depend on how fast the worker runs the job
+        slow_kernel = FaultPlan(
+            specs=[FaultSpec("hang-kernel", rate=1.0, seconds=0.006)]
+        )
         with Router(
             [FAST_JOB],
             workers=1,
@@ -497,8 +510,9 @@ class TestLifecycleHardening:
             flush_interval=0.001,
             shed_target=0.01,
             shed_interval=0.02,
+            fault_plan=slow_kernel,
         ) as router:
-            for index, request in enumerate(requests):
+            for index, request in enumerate(requests[:60]):
                 # paced open-loop arrivals: the stream outlives the
                 # service rate, so head-of-queue wait actually grows
                 time.sleep(0.002)
@@ -515,6 +529,14 @@ class TestLifecycleHardening:
                     continue
                 (interactive if priority == "interactive" else
                  best_effort).append(future)
+            (bucket,) = router.stats()["buckets"]
+            assert bucket["shedding"], "arrivals ended before the overload"
+            for future in interactive + best_effort:
+                future.exception(timeout=120)
+            late = router.submit(
+                FAST_JOB, requests[60], priority="best-effort"
+            )
+            best_effort.append(late)
             assert router.drain(timeout=120) is True
             stats = router.stats()
         assert shed >= 1, "overload never tripped the shedder"
@@ -588,3 +610,81 @@ class TestLifecycleHardening:
             worker["incarnation"] >= 1
             for worker in pool_stats["workers"]
         )
+
+
+class TestFlusherTiming:
+    """The flusher sleeps toward real deadlines instead of polling.
+    Upper bounds scale with ``flush_interval`` so a loaded runner has
+    tens of milliseconds of slack."""
+
+    FLUSH = 0.2
+
+    def test_lone_request_is_held_one_flush_interval(self, rng):
+        app = FAST_JOB.build_app()
+        requests = build_requests(app, 6, rng)
+        expected = _reference_outputs(FAST_JOB, requests, "compile")
+        with Router(
+            [FAST_JOB], workers=1, max_batch=16, flush_interval=self.FLUSH
+        ) as router:
+            router.run(FAST_JOB, requests[5])  # worker and rings warm
+            (pool,) = router.pools().values()
+            start = time.monotonic()
+            pool.run(requests[5])
+            round_trip = time.monotonic() - start
+            for request, reference in zip(requests[:5], expected):
+                start = time.monotonic()
+                result = router.run(FAST_JOB, request)
+                held = time.monotonic() - start
+                np.testing.assert_array_equal(result, reference)
+                # never early, and late by a scheduler tick — not by
+                # the up-to-half-an-interval a fixed poll adds
+                assert self.FLUSH <= held
+                assert held <= self.FLUSH * 1.25 + round_trip
+
+    def test_expiry_inside_the_flush_window_is_on_time(self, rng):
+        """A budget that runs out while an older entry holds the
+        bucket's flush window open: the expiry wakes the flusher at its
+        own time, and the older entry still flushes at its own."""
+        from repro.service.supervisor import DeadlineExceeded
+
+        app = FAST_JOB.build_app()
+        requests = build_requests(app, 2, rng)
+        expected = _reference_outputs(FAST_JOB, requests, "compile")
+        with Router(
+            [FAST_JOB], workers=1, max_batch=16, flush_interval=self.FLUSH
+        ) as router:
+            start = time.monotonic()
+            held = router.submit(FAST_JOB, requests[0])
+            doomed = router.submit(FAST_JOB, requests[1], deadline=0.05)
+            with pytest.raises(DeadlineExceeded) as excinfo:
+                doomed.result(timeout=60)
+            expired_after = time.monotonic() - start
+            assert "before its bucket flushed" in str(excinfo.value)
+            assert 0.05 <= expired_after <= 0.05 + self.FLUSH * 0.25
+            np.testing.assert_array_equal(
+                held.result(timeout=60), expected[0]
+            )
+            assert time.monotonic() - start >= self.FLUSH
+
+    def test_idle_router_makes_no_passes_and_still_shuts_down(self, rng):
+        app = FAST_JOB.build_app()
+        request = build_requests(app, 1, rng)[0]
+        (reference,) = _reference_outputs(FAST_JOB, [request], "compile")
+        router = Router([FAST_JOB], workers=1, flush_interval=0.005)
+        try:
+            time.sleep(0.5)
+            assert router.stats()["flusher_passes"] == 0
+            assert router.rolling_restart(timeout=120) == 1
+            assert router.stats()["flusher_passes"] == 0
+            np.testing.assert_array_equal(
+                router.run(FAST_JOB, request), reference
+            )
+            # the submit, the flush deadline, the completion — and a
+            # little slack, but nothing periodic
+            passes = router.stats()["flusher_passes"]
+            assert 1 <= passes <= 6
+            time.sleep(0.2)
+            assert router.stats()["flusher_passes"] == passes
+            assert router.drain(timeout=30) is True
+        finally:
+            router.close()

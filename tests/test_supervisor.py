@@ -5,9 +5,11 @@ all driven by the deterministic fault-injection harness."""
 import numpy as np
 import pytest
 
+from conftest import build_requests
 from repro.service import CompileJob, compile_one
 from repro.service.faults import KILL_EXIT_CODE, FaultPlan, FaultSpec
 from repro.service.serve import RejectedError, ServerClosed
+from repro.service.shm import available as shm_available
 from repro.service.supervisor import (
     DeadlineExceeded,
     RemoteError,
@@ -361,3 +363,125 @@ class TestLifecycleHardening:
             assert all(worker["ready"] for worker in stats["workers"])
         finally:
             pool.close()
+
+
+#: one job per accelerator, as the serving benchmark's catalog has them;
+#: the AMX job takes bf16 inputs, so its name-keyed requests only bind
+#: right through the declared dtypes
+PLAN_JOBS = {
+    "wmma": CompileJob.make("conv1d", "tensor", taps=8, rows=1),
+    "amx": CompileJob.make("matmul", None, builder="build_amx"),
+    "dp4a": CompileJob.make("matmul", None, builder="build_int8", tiles=2),
+}
+
+
+@pytest.fixture(scope="module")
+def plan_store(tmp_path_factory):
+    """An artifact store holding every PLAN_JOBS pipeline, so the
+    workers below warm-start instead of saturating."""
+    store = str(tmp_path_factory.mktemp("plan-store"))
+    for job in PLAN_JOBS.values():
+        result = compile_one(job, store, "host")
+        assert result.ok, result.error
+    return store
+
+
+def _local(job, store, count, rng):
+    """``(pipeline, requests)``: the job compiled in this process and
+    ``count`` name-keyed requests with fresh data for the first input."""
+    app = job.build_app()
+    app.backend = "compile"
+    return app.compile(cache_dir=store), build_requests(app, count, rng)
+
+
+class TestWorkerPlan:
+    """A worker serves on one execution plan for its whole life."""
+
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    @pytest.mark.parametrize("kind", sorted(PLAN_JOBS))
+    def test_singletons_stay_on_one_warm_plan(
+        self, kind, transport, plan_store, rng
+    ):
+        if transport == "shm" and not shm_available():
+            pytest.skip("host cannot back shared memory")
+        job = PLAN_JOBS[kind]
+        pipeline, requests = _local(job, plan_store, 20, rng)
+        local_plan = pipeline.plan()
+        for request in requests:
+            local_plan.run(request)
+        with WorkerPool(
+            job, workers=1, cache_dir=plan_store, transport=transport
+        ) as pool:
+            for request in requests:
+                assert np.array_equal(
+                    pool.run(request), pipeline.run(request)
+                )
+            (worker,) = pool.stats()["workers"]
+        # bound once, then steady state: the worker's counters are the
+        # ones an in-process plan shows for the same twenty requests
+        assert worker["plan"]["rebinds"] == 1
+        assert worker["plan"] == local_plan.stats()
+        # the weight-derived shuffle operands were built once
+        assert worker["plan"]["memo_hits"] > 0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FaultSpec("raise-in-kernel", visits=(1,)),
+            FaultSpec("alloc-fail", visits=(0,)),
+        ],
+        ids=["kernel.compile", "arena.alloc"],
+    )
+    def test_fault_fails_one_request_and_the_plan_rebinds(
+        self, spec, plan_store, rng
+    ):
+        job = PLAN_JOBS["wmma"]
+        pipeline, requests = _local(job, plan_store, 4, rng)
+        outcomes = []
+        with WorkerPool(
+            job,
+            workers=1,
+            cache_dir=plan_store,
+            fault_plan=FaultPlan(specs=[spec]),
+            retries=0,
+        ) as pool:
+            for request in requests:
+                try:
+                    outcomes.append(pool.run(request))
+                except RemoteError as exc:
+                    outcomes.append(exc)
+            stats = pool.stats()
+        (failed,) = [
+            index
+            for index, outcome in enumerate(outcomes)
+            if isinstance(outcome, RemoteError)
+        ]
+        assert failed == spec.visits[0]
+        assert outcomes[failed].kind.startswith("Injected")
+        for index, request in enumerate(requests):
+            if index != failed:
+                assert np.array_equal(outcomes[index], pipeline.run(request))
+        # the same process served all four; its plan rebound from
+        # scratch after the failed run
+        assert stats["crashes"] == 0 and stats["restarts"] == 0
+        (worker,) = stats["workers"]
+        assert worker["incarnation"] == 0
+        assert worker["plan"]["runs"] == 3
+        assert worker["plan"]["rebinds"] == 2
+
+    def test_shape_change_mid_stream_rebinds(self, plan_store, rng):
+        job = PLAN_JOBS["wmma"]
+        pipeline, requests = _local(job, plan_store, 4, rng)
+        for request in requests[2:]:
+            # one more image row than the pipeline reads
+            request["I"] = np.concatenate(
+                [request["I"], np.ones_like(request["I"])]
+            )
+        with WorkerPool(job, workers=1, cache_dir=plan_store) as pool:
+            for request in requests:
+                assert np.array_equal(
+                    pool.run(request), pipeline.run(request)
+                )
+            (worker,) = pool.stats()["workers"]
+        assert worker["plan"]["runs"] == 4
+        assert worker["plan"]["rebinds"] == 2

@@ -9,8 +9,11 @@ Sections:
 
 ``--all`` (also the default with no sections) runs everything.
 ``--fig6`` widens the app set from the quick pair to the full fig-6
-suite.  Exit status is 1 when any error-severity finding survives,
-0 otherwise (warnings never fail the gate).
+suite.  The ``kernels`` section also prints each kernel's loop report:
+which data-parallel loops run as one lane-vectorised pass, and why the
+others stayed Python loops.  Exit status is 1 when any
+error-severity finding survives, 0 otherwise (warnings never fail the
+gate).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import List
 from .findings import Finding, errors, format_findings, warnings
 from .lint_concurrency import lint_concurrency
 from .lint_rules import lint_rules
-from .sweep import FIG6_APPS, QUICK_APPS, sweep
+from .sweep import FIG6_APPS, QUICK_APPS, VARIANTS, _analyze
 
 
 def main(argv=None) -> int:
@@ -60,6 +63,7 @@ def main(argv=None) -> int:
         sections = {"rules", "concurrency", "ir", "kernels"}
 
     findings: List[Finding] = []
+    loops: List[tuple] = []
     if "rules" in sections:
         findings.extend(lint_rules())
     if "concurrency" in sections:
@@ -67,8 +71,11 @@ def main(argv=None) -> int:
     if sections & {"ir", "kernels"}:
         # one sweep covers both: verify_ir on the lowered/tensorized
         # statements and the kernel lint on their emitted source
-        apps = FIG6_APPS if args.fig6 else QUICK_APPS
-        findings.extend(sweep(apps))
+        for name, params in FIG6_APPS if args.fig6 else QUICK_APPS:
+            for variant in VARIANTS:
+                found, label, kernel = _analyze(name, params, variant)
+                findings.extend(found)
+                loops.extend((label,) + row for row in kernel.loops)
 
     if args.json:
         print(
@@ -76,8 +83,12 @@ def main(argv=None) -> int:
                 [f.__dict__ for f in findings], indent=2, sort_keys=True
             )
         )
-    elif findings:
-        print(format_findings(findings))
+    else:
+        if findings:
+            print(format_findings(findings))
+        if "kernels" in sections:
+            for label, var, extent, status in loops:
+                print(f"loop {label}: {var} x{extent}: {status}")
 
     n_errors = len(errors(findings))
     n_warnings = len(warnings(findings))

@@ -24,6 +24,15 @@ checks the invariants the emitter is supposed to maintain:
     Plans publish ``{name}.stride.{d}`` for ``d > 0`` per bound buffer
     (:func:`repro.runtime.plan.stride_env`) plus ``batch.size`` on the
     batched path; any other read raises ``KeyError`` at serve time.
+``kernels.lane-store``
+    Inside a lane region (``for _ in range(0, N, _LANES):`` — a block
+    loop emitted as one array pass) every store into a buffer bound
+    outside the region must carry its disjointness certificate, the
+    bare ``('lanes-disjoint', local, terms)`` constant the emitter
+    writes next to it, and the terms must re-check
+    (:func:`repro.runtime.codegen.lanes_disjoint`).  A lane store
+    without one means lanes may overwrite each other in an order the
+    serial loop never would.
 
 Interpreter-fallback kernels carry no source (``kernel.source is
 None``) and are skipped — there is nothing static to check.
@@ -216,6 +225,8 @@ def lint_kernel_source(
                         )
                     )
 
+    findings.extend(_lint_lane_stores(tree, context))
+
     for name, lineno in taken.items():
         if name not in given:
             findings.append(
@@ -240,6 +251,72 @@ def lint_kernel_source(
                     " this kernel produced",
                     "pair every give with the allocation that owns the"
                     " buffer",
+                )
+            )
+    return findings
+
+
+def _lint_lane_stores(tree: ast.AST, context: str) -> List[Finding]:
+    from ..runtime.codegen import lanes_disjoint
+
+    findings: List[Finding] = []
+    for region in ast.walk(tree):
+        if not (
+            isinstance(region, ast.For)
+            and isinstance(region.iter, ast.Call)
+            and _call_root(region.iter.func) == "range"
+            and len(region.iter.args) == 3
+            and isinstance(region.iter.args[2], ast.Name)
+            and region.iter.args[2].id == "_LANES"
+        ):
+            continue
+        bound = {"buffers"}  # the kernel's own name table, not a buffer
+        certified: dict = {}
+        stores: dict = {}
+        for node in ast.walk(region):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bound.add(target.id)
+                    elif isinstance(target, ast.Subscript) and isinstance(
+                        target.value, ast.Name
+                    ):
+                        stores.setdefault(target.value.id, node.lineno)
+            elif isinstance(node, ast.Expr):
+                value = node.value
+                if isinstance(value, ast.Tuple):
+                    try:
+                        tag, local, terms = ast.literal_eval(value)
+                    except ValueError:
+                        continue
+                    if tag == "lanes-disjoint":
+                        certified[local] = terms
+                elif (
+                    isinstance(value, ast.Call)
+                    and len(value.args) > 1
+                    and all(isinstance(a, ast.Name) for a in value.args[:2])
+                    and value.args[0].id == "_arena"
+                ):
+                    # a statement-level intrinsic call is a tile store
+                    stores.setdefault(value.args[1].id, node.lineno)
+        for local, lineno in stores.items():
+            if local in bound:
+                continue  # lane-private (or lane-invariant) scratch
+            terms = certified.get(local)
+            if terms is None:
+                problem = "carries no disjointness certificate"
+            elif not lanes_disjoint(terms):
+                problem = f"has a certificate that does not hold: {terms}"
+            else:
+                continue
+            findings.append(
+                Finding(
+                    "kernels.lane-store",
+                    ERROR,
+                    f"{context}:{lineno}",
+                    f"lane store through {local} into a shared buffer"
+                    f" {problem}",
+                    "emit per-lane stores only through _Emitter._certify",
                 )
             )
     return findings

@@ -5,7 +5,9 @@ pipeline — lower, verify the lowered IR, select instructions (tensor
 variant), verify the tensorized IR, compile the scalar kernel and lint
 its source against the plan's published env, then attempt the
 batch-axis kernel and lint that too.  ``sweep`` fans it over an app
-list; the CLI and the clean-run self-test are both built on it.
+list; the clean-run self-test is built on it.  The CLI walks the same
+table through ``_analyze``, which also hands back each scalar kernel,
+and prints its ``CompiledKernel.loops`` report next to the findings.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ def analyze_app(
     variant: str = "tensor",
 ) -> List[Finding]:
     """Run every applicable analyzer over one application."""
+    return _analyze(module_name, params, variant)[0]
+
+
+def _analyze(module_name: str, params: Optional[Dict], variant: str):
+    """:func:`analyze_app`, plus the app's label and scalar kernel."""
     import importlib
 
     from ..hardboiled import select_instructions
@@ -117,7 +124,7 @@ def analyze_app(
                 context=f"{label}/bkernel",
             )
         )
-    return findings
+    return findings, label, kernel
 
 
 def sweep(

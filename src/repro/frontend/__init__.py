@@ -11,7 +11,7 @@ from ..ir import (
     UInt,
 )
 from ..ir import builders as _builders
-from .func import Func, FuncRef, ImageParam, Stage
+from .func import Func, FuncRef, ImageParam, ScheduleError, Stage
 from .var import RDom, RVar, Var, to_expr
 
 
@@ -87,6 +87,7 @@ __all__ = [
     "MemoryType",
     "RDom",
     "RVar",
+    "ScheduleError",
     "Stage",
     "UInt",
     "Var",

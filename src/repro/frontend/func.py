@@ -35,6 +35,14 @@ from ..ir import (
 from .var import RDom, RVAR_REGISTRY as _RVAR_REGISTRY, RVar, Var, to_expr, unique_name
 
 
+class ScheduleError(ValueError):
+    """A scheduling directive that would change the algorithm's meaning."""
+
+
+#: loop kinds that run iterations concurrently — a race on a reduction
+_CONCURRENT_KINDS = (ForKind.PARALLEL, ForKind.GPU_BLOCK, ForKind.GPU_THREAD)
+
+
 @dataclass
 class Split:
     old: str
@@ -141,8 +149,19 @@ class Stage:
         return self
 
     def _set_kind(self, var, kind: ForKind, factor: Optional[int]) -> "Stage":
+        name = self.dims[self._dim_index(var)].var
+        root = name
+        for split in reversed(self.splits):
+            if root in (split.outer, split.inner):
+                root = split.old
+        if kind in _CONCURRENT_KINDS and root in self.rvars:
+            # Halide refuses this without allow_race_conditions: the
+            # iterations of a reduction update the same elements
+            raise ScheduleError(
+                f"cannot schedule reduction dimension {name!r} of"
+                f" {self.func.name!r} as {kind.value}: its iterations race"
+            )
         if factor is not None:
-            name = var.name if isinstance(var, (Var, RDom)) else str(var)
             inner = f"{name}.{kind.name.lower()[:1]}i"
             self.split(var, name, inner, factor)
             self.dims[self._dim_index(inner)].kind = kind

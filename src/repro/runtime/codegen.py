@@ -7,7 +7,10 @@ bounds check per IR node visit.  This module is the *fast* path: it
 walks the lowered statement once at compile time and emits plain Python
 source in which
 
-* serial/parallel/unrolled loops become native ``for`` loops,
+* serial/unrolled loops become native ``for`` loops; a ``gpu_block``
+  or ``parallel`` nest becomes *one* array pass with a leading lane
+  axis when its stores are provably disjoint (see ``_emit_lanes``),
+  and a native loop otherwise,
 * vector expressions become vectorized NumPy — a stride-1 ramp load
   turns into a slice ``data[base:base+n]``, a broadcast into
   ``np.full``, a constant-stride ramp into a precomputed ``np.arange``
@@ -35,6 +38,7 @@ fingerprint of the lowered statement.
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack, contextmanager
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -43,7 +47,9 @@ from ..ir import expr as E
 from ..ir import stmt as S
 from ..ir.stmt import ForKind
 from ..ir.types import TypeCode
-from ..ir.analysis import free_variables
+from ..ir.visitor import IRVisitor
+from ..ir.analysis import contains, free_variables
+from ..ir.printer import print_expr
 from ..hardboiled.intrinsics import (
     kway_interleave,
     multiphase_matrix,
@@ -134,9 +140,15 @@ def _give(arena, buf):
 
 
 def _tile_idx(arena, base, stride, rows, cols):
-    """``tile_index`` with the base-0 grid cached per geometry."""
+    """``tile_index`` with the base-0 grid cached per geometry.
+
+    A ``[N]`` vector of per-lane bases (see ``_Emitter._emit_lanes``)
+    yields the ``[N, rows*cols]`` stack of the lanes' index grids.
+    """
+    if isinstance(base, np.ndarray) and base.ndim:
+        base = base[:, None]
     if arena is None:
-        return tile_index(base, stride, rows, cols)
+        return tile_index(0, stride, rows, cols) + base
     return arena.tile_grid(stride, rows, cols) + base
 
 
@@ -547,8 +559,18 @@ PURE_INTRINSICS = set(MATH_INTRINSICS) | {
 }
 
 
+def _expr_nodes(e: E.Expr):
+    """Yield every node of an expression tree."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children())
+
+
 def _expr_calls(e: E.Expr):
-    """Yield every Call node in an expression tree."""
+    """Yield every Call node in an expression tree (its own loop:
+    kernels scan for calls far more often than for anything else)."""
     stack = [e]
     while stack:
         node = stack.pop()
@@ -559,6 +581,327 @@ def _expr_calls(e: E.Expr):
 
 def _has_impure_call(e: E.Expr) -> bool:
     return any(c.name not in PURE_INTRINSICS for c in _expr_calls(e))
+
+
+class _StmtVisitor(IRVisitor):
+    """Visits statements generically; a whole expression tree goes to
+    :meth:`scan` (a flat loop — per-node dispatch would dominate)."""
+
+    def visit(self, node):
+        if isinstance(node, E.Expr):
+            return self.scan(node)
+        return super().visit(node)
+
+    def scan(self, e: E.Expr) -> None:
+        raise NotImplementedError
+
+
+# -- leading-axis analysis -----------------------------------------------------
+#
+# A kernel value may carry one *leading axis*: the batch axis of a
+# batched kernel (compile_batched_stmt), or the lane axis of a
+# data-parallel loop that the per-request emitter runs as one array
+# pass (_Emitter._emit_lanes).  Either way the emitter decides
+# statically, with the one analysis below, which values vary along it.
+
+
+def _expr_batched(e: E.Expr, stacked, var_batched: Dict[str, bool]) -> bool:
+    """Does ``e`` vary along the leading axis?
+
+    An expression varies iff it transitively reads a stacked buffer or
+    a varying variable — a lane loop's own variable, or a let bound to
+    a varying value.  Serial loop variables and env-sourced scalars
+    are shared; intrinsic *stores* return a shared scalar zero whatever
+    their operands.
+    """
+    if isinstance(e, E.Variable):
+        return var_batched.get(e.name, False)
+    if isinstance(e, E.Load):
+        if e.name in stacked:
+            return True
+        return _expr_batched(e.index, stacked, var_batched)
+    if isinstance(e, E.Let):
+        value_b = _expr_batched(e.value, stacked, var_batched)
+        saved = var_batched.get(e.name)
+        var_batched[e.name] = value_b
+        try:
+            return _expr_batched(e.body, stacked, var_batched)
+        finally:
+            if saved is None:
+                var_batched.pop(e.name, None)
+            else:
+                var_batched[e.name] = saved
+    if isinstance(e, E.Call):
+        if e.name in _BATCHED_STORES:
+            return False
+        if any(
+            isinstance(a, E.StringImm) and a.value in stacked for a in e.args
+        ):
+            return True
+        return any(
+            _expr_batched(a, stacked, var_batched)
+            for a in e.args
+            if not isinstance(a, E.StringImm)
+        )
+    return any(
+        _expr_batched(child, stacked, var_batched) for child in e.children()
+    )
+
+
+def _batched_allocations(
+    stmt: S.Stmt, stacked_external, varying=()
+) -> frozenset:
+    """Widen Allocate scopes with the leading axis where needed.
+
+    Fixpoint over the statement: an allocated buffer becomes *stacked*
+    as soon as any value stored into it (plain Store or a store
+    intrinsic's tile operand), or the address it is stored at, varies.
+    Everything else — weight staging, shuffle-operand scratch — stays
+    shared.  ``varying`` names the variables that vary from the start
+    (a lane loop's).  Returns the full stacked set (externals plus
+    promoted allocations).
+    """
+    stacked = set(stacked_external)
+    allocated: Set[str] = set()
+    vb: Dict[str, bool] = dict.fromkeys(varying, True)
+
+    class Promote(_StmtVisitor):
+        changed = False
+
+        def mark(self, name: str, exprs) -> None:
+            if (
+                name in allocated
+                and name not in stacked
+                and any(_expr_batched(e, stacked, vb) for e in exprs)
+            ):
+                stacked.add(name)
+                self.changed = True
+
+        def scoped(self, name: str, varies: bool, body) -> None:
+            saved = vb.get(name)
+            vb[name] = varies
+            self.visit(body)
+            if saved is None:
+                vb.pop(name, None)
+            else:
+                vb[name] = saved
+
+        def visit_Allocate(self, s: S.Allocate) -> None:
+            allocated.add(s.name)
+            self.generic_visit(s)
+
+        def visit_For(self, s: S.For) -> None:
+            self.scoped(s.name, False, s.body)
+
+        def visit_LetStmt(self, s: S.LetStmt) -> None:
+            self.scan(s.value)
+            self.scoped(s.name, _expr_batched(s.value, stacked, vb), s.body)
+
+        def visit_Store(self, s: S.Store) -> None:
+            self.mark(s.name, (s.value, s.index))
+            self.generic_visit(s)
+
+        def scan(self, e: E.Expr) -> None:
+            for call in _expr_calls(e):
+                if call.name in _BATCHED_STORES and isinstance(
+                    call.args[0], E.StringImm
+                ):
+                    self.mark(call.args[0].value, call.args[1:])
+
+    while True:
+        walk = Promote()
+        walk.visit(stmt)
+        if not walk.changed:
+            return frozenset(stacked)
+
+
+# -- lane legality -------------------------------------------------------------
+
+#: loop kinds whose iterations the schedule declares independent
+_LANE_KINDS = (ForKind.GPU_BLOCK, ForKind.PARALLEL)
+
+#: lanes per array pass — bounds every lane-private ``[N, size]`` slab
+#: and gather temporary, however large the block grid is
+_LANES = 64
+
+
+def lanes_disjoint(terms) -> bool:
+    """Is ``sum(coef * v)`` injective over ``0 <= v < extent``?
+
+    ``terms`` holds one ``(coef, extent)`` per lane dimension, inner
+    serial loop and footprint axis of a store site.  Mixed-radix
+    sufficient condition: taken by ascending ``|coef|``, each
+    coefficient exceeds the largest sum the smaller terms can reach.
+    Distinct lanes then never write the same element.
+    """
+    reach = 0
+    for coef, extent in sorted((abs(c), n) for c, n in terms if n > 1):
+        if coef <= reach:
+            return False
+        reach += coef * (extent - 1)
+    return True
+
+
+def _affine(e: E.Expr, scale: int, names, coefs: Dict[str, int]) -> None:
+    """Add the coefficients of ``scale * e`` over ``names`` to ``coefs``.
+
+    Sub-expressions free of every name are offsets all lanes share and
+    drop out; anything else must be affine with constant coefficients.
+    """
+    if names.isdisjoint(e.free_vars):
+        return
+    if isinstance(e, E.Variable):
+        coefs[e.name] = coefs.get(e.name, 0) + scale
+    elif isinstance(e, (E.Add, E.Sub)):
+        _affine(e.a, scale, names, coefs)
+        _affine(e.b, scale if isinstance(e, E.Add) else -scale, names, coefs)
+    elif isinstance(e, E.Mul) and isinstance(e.a, E.IntImm):
+        _affine(e.b, scale * e.a.value, names, coefs)
+    elif isinstance(e, E.Mul) and isinstance(e.b, E.IntImm):
+        _affine(e.a, scale * e.b.value, names, coefs)
+    else:
+        raise CodegenError("store address is not affine in constants")
+
+
+class _BodyFacts(_StmtVisitor):
+    """What :func:`_prove_lanes` reads off a lane loop's body."""
+
+    def __init__(self, dims: Dict[str, int]) -> None:
+        self.dims = dims
+        #: extent of every variable in scope that a store address may
+        #: be affine in (None: bound, but with no constant range)
+        self.extents: Dict[str, Optional[int]] = dict(dims)
+        self.allocated: Set[str] = set()
+        self.loaded: Set[str] = set()
+        #: names bound by an expression-level Let anywhere in the body
+        self.opaque: Set[str] = set()
+        #: buffer -> [(scalar base, ((stride, count), ...) footprint,
+        #: the extents in scope at the site)]
+        self.sites: Dict[str, list] = {}
+
+    def site(self, name: str, base: E.Expr, axes: tuple) -> None:
+        self.sites.setdefault(name, []).append(
+            (base, axes, dict(self.extents))
+        )
+
+    def scoped(self, node, extent: Optional[int]) -> None:
+        if node.name in self.dims:
+            raise CodegenError(f"body rebinds lane variable {node.name!r}")
+        outer = self.extents.get(node.name, self)
+        self.extents[node.name] = extent
+        self.generic_visit(node)
+        if outer is self:
+            del self.extents[node.name]
+        else:
+            self.extents[node.name] = outer
+
+    def scan(self, e: E.Expr) -> None:
+        for node in _expr_nodes(e):
+            if isinstance(node, E.Load):
+                self.loaded.add(node.name)
+            elif isinstance(node, E.Let):
+                self.opaque.add(node.name)
+            elif isinstance(node, E.Call):
+                names = [
+                    a.value for a in node.args if isinstance(a, E.StringImm)
+                ]
+                if node.name in _BATCHED_STORES and names:
+                    base, stride, rows, cols = node.args[1:5]
+                    self.site(
+                        names.pop(0),
+                        base,
+                        ((stride, rows), (E.IntImm(1), cols)),
+                    )
+                self.loaded.update(names)
+
+    def visit_LetStmt(self, node: S.LetStmt) -> None:
+        self.scoped(node, None)
+
+    def visit_Allocate(self, node: S.Allocate) -> None:
+        self.allocated.add(node.name)
+        self.generic_visit(node)
+
+    def visit_For(self, node: S.For) -> None:
+        extent = None
+        if self.extents.keys().isdisjoint(node.min_expr.free_vars):
+            if node.kind is ForKind.GPU_LANE:
+                extent = 1
+            elif isinstance(node.extent, E.IntImm):
+                extent = node.extent.value
+        self.scoped(node, extent)
+
+    def visit_Store(self, node: S.Store) -> None:
+        index, axes = node.index, []
+        while index.type.lanes > 1:
+            if not isinstance(index, E.Ramp):
+                raise CodegenError(
+                    f"store index into {node.name!r} is not a ramp"
+                )
+            stride = index.stride
+            if isinstance(stride, E.Broadcast):
+                stride = stride.value
+            axes.append((stride, E.IntImm(index.count)))
+            index = index.base
+        self.site(node.name, index, tuple(axes))
+        self.generic_visit(node)
+
+
+def _prove_lanes(dims: Dict[str, int], body: S.Stmt) -> Dict[str, tuple]:
+    """Prove ``body`` may run once with ``dims`` (name -> extent) as lanes.
+
+    Iterations of the loop nest can only interact through buffers, so
+    it is enough that every buffer the body stores is either allocated
+    inside it (a lane then owns a private copy, or all lanes compute
+    one identical copy) or is never read in the body and written by a
+    single store site whose footprints — over every inner serial
+    iteration — are disjoint across lanes: its final contents cannot
+    depend on the order the lanes ran in.  Returns that site's
+    :func:`lanes_disjoint` terms per such buffer; raises
+    :class:`CodegenError` naming the obstacle otherwise.
+    """
+    facts = _BodyFacts(dims)
+    facts.visit(body)
+    proved: Dict[str, tuple] = {}
+    for name, found in facts.sites.items():
+        if name in facts.allocated:
+            continue
+        if name in facts.loaded:
+            raise CodegenError(
+                f"body loads {name!r}, which another lane stores"
+            )
+        if len(found) > 1:
+            raise CodegenError(f"{len(found)} store sites into {name!r}")
+        base, axes, extents = found[0]
+        extents.update(dict.fromkeys(facts.opaque))  # no constant range
+        if not all(
+            isinstance(stride, E.IntImm) and isinstance(count, E.IntImm)
+            for stride, count in axes
+        ):
+            raise CodegenError(f"symbolic store stride into {name!r}")
+        if contains(
+            base,
+            lambda n: isinstance(n, E.Call)
+            or isinstance(n, E.Load)
+            and (n.name in facts.allocated or n.name in facts.sites),
+        ):
+            raise CodegenError(f"data-dependent store into {name!r}")
+        coefs: Dict[str, int] = {}
+        _affine(base, 1, extents.keys(), coefs)
+        terms = [(stride.value, count.value) for stride, count in axes]
+        for var, coef in coefs.items():
+            if var in dims or not coef:
+                continue
+            if extents[var] is None:
+                raise CodegenError(
+                    f"store address into {name!r} follows {var!r},"
+                    " which has no constant range"
+                )
+            terms.append((coef, extents[var]))
+        terms.extend((coefs.get(var, 0), n) for var, n in dims.items())
+        if not lanes_disjoint(terms):
+            raise CodegenError(f"lane store footprints into {name!r} overlap")
+        proved[name] = tuple(terms)
+    return proved
 
 
 # -- the emitter ---------------------------------------------------------------
@@ -593,6 +936,42 @@ class _Emitter:
         self.copy_views = False
         #: element dtype of enclosing Allocates, for bf16 store rounding
         self._alloc_dtypes: Dict[str, object] = {}
+        #: python local holding the leading axis' length while one is
+        #: live (a lane loop's chunk, a batched kernel's ``_B``)
+        self.lead: Optional[str] = None
+        #: buffers holding ``[lead, size]`` data: every access gains
+        #: the leading axis (``data[:, index]``)
+        self.stacked: frozenset = frozenset()
+        #: IR variable name -> varies along the leading axis?
+        self.var_batched: Dict[str, bool] = {}
+        #: inside a lane loop: shared buffer -> lanes_disjoint terms of
+        #: its per-lane store.  None elsewhere — a batched kernel's
+        #: leading axis is the batch, which addresses nothing per row
+        self.proved: Optional[Dict[str, tuple]] = None
+        #: (variable, extent, "lanes" | why not) per data-parallel loop
+        self.loops: List[tuple] = []
+
+    def batched(self, e: E.Expr) -> bool:
+        """Does ``e`` vary along the live leading axis (if any)?"""
+        if self.lead is None:
+            return False
+        return _expr_batched(e, self.stacked, self.var_batched)
+
+    @contextmanager
+    def bind(self, name: str, local: str, varying: bool = False):
+        """Scope IR variable ``name`` to python ``local`` for a suite."""
+        tables = (self.scope, self.var_batched)
+        saved = [table.get(name) for table in tables]
+        self.scope[name] = local
+        self.var_batched[name] = varying
+        try:
+            yield
+        finally:
+            for table, old in zip(tables, saved):
+                if old is None:
+                    table.pop(name, None)
+                else:
+                    table[name] = old
 
     # -- small utilities ----------------------------------------------------
 
@@ -665,6 +1044,8 @@ class _Emitter:
         """Emit ``e`` guaranteed to evaluate to a 1-D array."""
         if e.type.lanes > 1:
             return self.emit(e)
+        if self.batched(e):
+            return f"_vec_b({self.emit(e)})"
         return f"_vec({self.emit(e)}, 1)"
 
     def _emit_IntImm(self, e: E.IntImm) -> str:
@@ -695,8 +1076,28 @@ class _Emitter:
             return f"_cast_f({value}, {np_dtype})"
         return f"_cast_i({value}, {np_dtype})"
 
+    def _operands(self, *operands: E.Expr) -> List[str]:
+        """The emitted operands of one pointwise node.
+
+        The IR lets a scalar operand broadcast against a vector one.  A
+        scalar that varies along the leading axis is an ``[N]`` array,
+        which numpy would line up with the vector's lanes instead — so
+        it is emitted as an ``[N, 1]`` column.
+        """
+        wide = any(x.type.lanes > 1 for x in operands)
+        return [
+            f"_vec_b({self.emit(x)})"
+            if wide and x.type.lanes == 1 and self.batched(x)
+            else self.emit(x)
+            for x in operands
+        ]
+
     def _binary(self, e, op: str) -> str:
-        return f"({self.emit(e.a)} {op} {self.emit(e.b)})"
+        a, b = self._operands(e.a, e.b)
+        return f"({a} {op} {b})"
+
+    def _pointwise(self, fn: str, *operands: E.Expr) -> str:
+        return f"{fn}({', '.join(self._operands(*operands))})"
 
     def _emit_Add(self, e):
         return self._binary(e, "+")
@@ -714,14 +1115,14 @@ class _Emitter:
 
     def _emit_Mod(self, e):
         if e.type.is_float():
-            return f"np.fmod({self.emit(e.a)}, {self.emit(e.b)})"
+            return self._pointwise("np.fmod", e.a, e.b)
         return self._binary(e, "%")
 
     def _emit_Min(self, e):
-        return f"np.minimum({self.emit(e.a)}, {self.emit(e.b)})"
+        return self._pointwise("np.minimum", e.a, e.b)
 
     def _emit_Max(self, e):
-        return f"np.maximum({self.emit(e.a)}, {self.emit(e.b)})"
+        return self._pointwise("np.maximum", e.a, e.b)
 
     def _emit_EQ(self, e):
         return self._binary(e, "==")
@@ -742,69 +1143,90 @@ class _Emitter:
         return self._binary(e, ">=")
 
     def _emit_And(self, e):
-        return f"np.logical_and({self.emit(e.a)}, {self.emit(e.b)})"
+        return self._pointwise("np.logical_and", e.a, e.b)
 
     def _emit_Or(self, e):
-        return f"np.logical_or({self.emit(e.a)}, {self.emit(e.b)})"
+        return self._pointwise("np.logical_or", e.a, e.b)
 
     def _emit_Not(self, e):
         return f"np.logical_not({self.emit(e.value)})"
 
     def _emit_Select(self, e: E.Select) -> str:
-        return (
-            f"np.where({self.emit(e.condition)}, "
-            f"{self.emit(e.true_value)}, {self.emit(e.false_value)})"
+        return self._pointwise(
+            "np.where", e.condition, e.true_value, e.false_value
         )
 
     def _emit_Ramp(self, e: E.Ramp) -> str:
+        base_b = self.batched(e.base)
+        if self.batched(e.stride):
+            raise CodegenError("varying ramp stride")
         if e.base.type.lanes == 1 and e.stride.type.lanes == 1:
             base = self.emit(e.base)
+            if base_b:  # per-lane bases: an [N, count] index block
+                self._per_lane("ramp addressing")
+                base = f"_vec_b({base})"
             if isinstance(e.stride, E.IntImm):
                 steps = self.const(np.arange(e.count) * e.stride.value)
                 return f"({base} + {steps})"
             steps = self.const(np.arange(e.count))
             return f"({base} + {steps} * {self.emit(e.stride)})"
+        if base_b:
+            raise CodegenError("varying base of a vector ramp")
         return f"_ramp({self.emit(e.base)}, {self.emit(e.stride)}, {e.count})"
 
     def _emit_Broadcast(self, e: E.Broadcast) -> str:
+        fn = "_bcast_b" if self.batched(e.value) else "_bcast"
         np_dtype = self.const(e.type.element_of().to_numpy())
-        return f"_bcast({self.emit(e.value)}, {e.count}, {np_dtype})"
+        return f"{fn}({self.emit(e.value)}, {e.count}, {np_dtype})"
 
     def _emit_VectorReduce(self, e: E.VectorReduce) -> str:
-        return f"_vred({self.emit_vector(e.value)}, {e.result_lanes})"
+        fn = "_vred_b" if self.batched(e.value) else "_vred"
+        return f"{fn}({self.emit_vector(e.value)}, {e.result_lanes})"
 
     def _emit_Shuffle(self, e: E.Shuffle) -> str:
+        varying = self.batched(e)
         indices = self.const(np.asarray(e.indices, dtype=np.int64))
+        if varying:
+            indices = f"..., {indices}"
         parts = [self.emit_vector(v) for v in e.vectors]
         if len(parts) == 1:
             return f"{parts[0]}[{indices}]"
+        if varying:
+            return f"_cat_b(({', '.join(parts)},))[{indices}]"
         return f"np.concatenate(({', '.join(parts)},))[{indices}]"
 
     def _emit_Let(self, e: E.Let) -> str:
+        varying = self.batched(e.value)
         value = self.emit(e.value)
         local = self.fresh("v")
         self.line(f"{local} = {value}")
-        saved = self.scope.get(e.name)
-        self.scope[e.name] = local
-        body = self.emit(e.body)
-        if saved is None:
-            del self.scope[e.name]
-        else:
-            self.scope[e.name] = saved
-        return body
+        with self.bind(e.name, local, varying):
+            return self.emit(e.body)
 
     def _emit_Load(self, e: E.Load) -> str:
         data = self.buf_data(e.name)
         idx = e.index
+        lead = ":, " if e.name in self.stacked else ""
+        if self.batched(idx):
+            if lead:
+                raise CodegenError("varying index into a stacked buffer")
+            self._per_lane("(data-dependent) load index")
+            # per-lane gather out of a shared buffer
+            return f"{data}[_idx({self.emit(idx)})]"
         if idx.type.lanes == 1:
-            return f"{data}[{self.emit(idx)}]"
-        sliced = self._try_slice(idx)
-        if sliced is not None:
-            code = f"{data}[{sliced}]"
-            if self.copy_views:
-                code = f"np.array({code})"
-            return code
-        return f"{data}[_idx({self.emit(idx)})]"
+            code = f"{data}[{lead}{self.emit(idx)}]"
+            if not lead:
+                return code
+        else:
+            sliced = self._try_slice(idx)
+            if sliced is None:
+                return f"{data}[{lead}_idx({self.emit(idx)})]"
+            code = f"{data}[{lead}{sliced}]"
+        # a view (slice, or a stacked buffer's column): copy it when
+        # the statement may mutate buffers mid-expression
+        if self.copy_views:
+            code = f"np.array({code})"
+        return code
 
     def _try_slice(self, idx: E.Expr) -> Optional[str]:
         """A basic-slice spelling for a scalar-base, const-stride ramp.
@@ -832,6 +1254,8 @@ class _Emitter:
         if math_fn is not None:
             return f"{math_fn}({self.emit(e.args[0])})"
         fn = VALUE_INTRINSICS.get(e.name)
+        if self.lead is not None:
+            fn = self._leading_axis_core(e, fn)
         if fn is not None:
             args = ["_arena"]
             for a in e.args:
@@ -844,6 +1268,92 @@ class _Emitter:
         self.needs_interp = True
         call = self.const(e)
         return f"_interp._eval_Call({call}, {self._env_dict(e)})"
+
+    def _leading_axis_core(self, e: E.Call, fn: Optional[Callable]):
+        """The core for intrinsic ``e`` under a live leading axis.
+
+        The ``_bv_*`` twin when the relevant operand or buffer carries
+        the axis; the scalar core otherwise — which, given a vector of
+        per-lane bases, gathers/scatters a shared buffer's ``[N,
+        rows*cols]`` tile stack (see :func:`_tile_idx`).  Raises
+        :class:`CodegenError` for what neither can express.
+        """
+        name = e.name
+        if fn is None:
+            # the interpreter cannot evaluate over a leading axis
+            raise CodegenError(f"intrinsic {name!r} has no batched emission")
+        arg_b = [
+            (not isinstance(a, E.StringImm)) and self.batched(a)
+            for a in e.args
+        ]
+        buf = e.args[0] if e.args else None
+        buf_stacked = (
+            isinstance(buf, E.StringImm) and buf.value in self.stacked
+        )
+        if name in _BATCHED_LOADS or name in _BATCHED_STORES:
+            store = name in _BATCHED_STORES
+            if any(arg_b[2:-1] if store else arg_b[2:]):
+                raise CodegenError("varying tile geometry")
+            if buf_stacked:
+                if arg_b[1]:
+                    raise CodegenError("varying base into a stacked buffer")
+                return (_BATCHED_STORES if store else _BATCHED_LOADS)[name]
+            if arg_b[1]:
+                self._per_lane("tile addressing")
+            if store and arg_b[1]:
+                self._certify(buf.value, self.buf_obj(buf.value))
+            elif store and arg_b[-1]:
+                raise CodegenError(f"{name} of batched tile into shared buffer")
+        elif name in _BATCHED_MATMULS:
+            if any(arg_b[3:]):
+                raise CodegenError("batched matmul geometry")
+            if any(arg_b[:3]):
+                return _BATCHED_MATMULS[name]
+        elif name == "wmma.fill.sync":
+            if arg_b[0] or arg_b[1]:
+                raise CodegenError("batched fill geometry")
+            if arg_b[2]:
+                return _bv_wmma_fill
+        elif name in _BATCHED_ELEMENTWISE:
+            if any(arg_b[1:]):
+                raise CodegenError("batched tile geometry")
+            if arg_b[0]:
+                return _BATCHED_ELEMENTWISE[name]
+        elif name in _SHUFFLE_CONSTRUCTORS:
+            # shared-by-construction: a per-request (or per-lane) source
+            # cannot feed a memoised shuffle-operand constructor
+            if buf_stacked or any(arg_b):
+                raise CodegenError(f"{name} over varying data cannot be batched")
+        elif name in ("tile_zero", "dp4a_zero"):
+            if any(arg_b):
+                raise CodegenError("batched tile geometry")
+        elif name in ("DP4A2Mem", "WMMA2Mem"):
+            pass  # identity either way
+        elif any(arg_b) or buf_stacked:
+            raise CodegenError(f"{name} cannot be batched")
+        return fn
+
+    def _per_lane(self, what: str) -> None:
+        """Gate an address that varies along the leading axis on that
+        axis being a lane loop's: its proof has shown no lane stores
+        what another loads.  The batch axis has no such proof, and a
+        request that addresses by its own data stays with the looped
+        per-request path."""
+        if self.proved is None:
+            raise CodegenError(f"batched {what}")
+
+    def _certify(self, name: str, local: str) -> None:
+        """Gate a per-lane address stored through ``local`` into shared
+        buffer ``name`` on its disjointness proof.
+
+        The certificate line is a bare constant — compiled away, but
+        kept in the source for ``lint_kernels`` to re-check.
+        """
+        self._per_lane("store index")
+        terms = self.proved.get(name)
+        if terms is None:
+            raise CodegenError(f"varying store address into shared {name!r}")
+        self.line(repr(("lanes-disjoint", local, terms)))
 
     def _env_dict(self, e: E.Expr) -> str:
         entries = []
@@ -881,6 +1391,14 @@ class _Emitter:
         self.line(code)
 
     def _exec_Store(self, stmt: S.Store) -> None:
+        lead = ":, " if stmt.name in self.stacked else ""
+        varying = self.batched(stmt.index)
+        if varying and lead:
+            raise CodegenError("varying index into a stacked buffer")
+        if not varying and not lead and self.batched(stmt.value):
+            raise CodegenError(
+                f"batched store into shared buffer {stmt.name!r}"
+            )
         self.copy_views = _has_impure_call(stmt.value) or _has_impure_call(
             stmt.index
         )
@@ -896,48 +1414,136 @@ class _Emitter:
         else:
             value = f"{self.store_wrap(stmt.name)}({value})"
         idx = stmt.index
-        if idx.type.lanes == 1:
-            self.line(f"{data}[{self.emit(idx)}] = {value}")
+        if varying:  # per-lane scatter into a shared buffer
+            self._certify(stmt.name, data)
+            target = None
+        elif idx.type.lanes == 1:
+            target = self.emit(idx)
         else:
-            sliced = self._try_slice(idx)
-            if sliced is not None:
-                self.line(f"{data}[{sliced}] = {value}")
-            else:
-                self.line(f"{data}[_idx({self.emit(idx)})] = {value}")
+            target = self._try_slice(idx)
+        if target is None:
+            target = f"_idx({self.emit(idx)})"
+        self.line(f"{data}[{lead}{target}] = {value}")
         self.copy_views = False
 
     def _exec_For(self, stmt: S.For) -> None:
+        if stmt.kind in _LANE_KINDS and self._try_lanes(stmt):
+            return
+        if self.batched(stmt.min_expr) or self.batched(stmt.extent):
+            raise CodegenError("batched loop bounds")
         var = self.fresh("x")
         lo = self.fresh("i")
         self.line(f"{lo} = {self.emit(stmt.min_expr)}")
-        saved = self.scope.get(stmt.name)
-        self.scope[stmt.name] = var
-        if stmt.kind is ForKind.GPU_LANE:
-            # warp-collective body: executes once (see the interpreter)
-            self.line(f"{var} = {lo}")
-            self.emit_stmt(stmt.body)
-        else:
-            extent = self.emit(stmt.extent)
-            self.line(f"for {var} in range({lo}, {lo} + {extent}):")
-            with self.block():
+        with self.bind(stmt.name, var):
+            if stmt.kind is ForKind.GPU_LANE:
+                # warp-collective body: executes once (see the interpreter)
+                self.line(f"{var} = {lo}")
                 self.emit_stmt(stmt.body)
-        if saved is None:
-            del self.scope[stmt.name]
-        else:
-            self.scope[stmt.name] = saved
+            else:
+                extent = self.emit(stmt.extent)
+                self.line(f"for {var} in range({lo}, {lo} + {extent}):")
+                with self.block():
+                    self.emit_stmt(stmt.body)
+
+    def _try_lanes(self, stmt: S.For) -> bool:
+        """Emit a data-parallel loop nest as one lane-vectorised pass.
+
+        Speculative: on any obstacle — in the legality proof or in the
+        emission of the body — the emitter is rolled back, the reason
+        is recorded in :attr:`loops`, and the caller emits the Python
+        loop (whose inner block loops then get their own attempt).
+        """
+
+        def row(loop: S.For, status: str) -> tuple:
+            extent = loop.extent
+            if isinstance(extent, E.IntImm):
+                return (loop.name, extent.value, status)
+            return (loop.name, print_expr(extent), status)
+
+        if self.lead is not None:
+            # a value carries one leading axis: the batch, or outer lanes
+            self.loops.append(row(stmt, "leading axis already taken"))
+            return False
+        nest = [stmt]
+        while (
+            isinstance(nest[-1].body, S.For)
+            and nest[-1].body.kind in _LANE_KINDS
+        ):
+            nest.append(nest[-1].body)
+        first = len(self.loops)
+        saved = [
+            (k, v, v.copy() if isinstance(v, (dict, list, set)) else None)
+            for k, v in vars(self).items()
+        ]
+        try:
+            self._emit_lanes(nest)
+        except CodegenError as exc:
+            # containers are restored in place: an enclosing ``bind`` or
+            # ``_exec_Allocate`` undoes its own entry in the same object
+            for key, value, contents in saved:
+                if isinstance(contents, list):
+                    value[:] = contents
+                elif contents is not None:
+                    value.clear()
+                    value.update(contents)
+                setattr(self, key, value)
+            self.loops.append(row(stmt, str(exc)))
+            return False
+        self.loops[first:first] = [row(loop, "lanes") for loop in nest]
+        return True
+
+    def _emit_lanes(self, nest: List[S.For]) -> None:
+        """One pass over the body of perfectly nested block loops.
+
+        The nest's flattened iteration space becomes the leading axis:
+        each loop variable is an ``[N]`` index vector (a constant
+        table), buffers the body allocates and stores varying values
+        into become lane-private ``[N, size]`` storage, and everything
+        that does not depend on a loop variable — weights, memoised
+        shuffle operands, inner serial loops — is emitted as ever.  A
+        grid wider than ``_LANES`` runs in chunks of that many lanes.
+        """
+        dims: Dict[str, int] = {}
+        for loop in nest:
+            if not (
+                isinstance(loop.min_expr, E.IntImm)
+                and isinstance(loop.extent, E.IntImm)
+            ):
+                raise CodegenError("symbolic loop bounds")
+            dims[loop.name] = loop.extent.value
+        total = math.prod(dims.values())
+        if total < 2:
+            raise CodegenError("fewer than two iterations")
+        body = nest[-1].body
+        self.proved = _prove_lanes(dims, body)
+        self.stacked = _batched_allocations(body, (), dims)
+        chunk = self.fresh("l")
+        self.line(f"for {chunk} in range(0, {total}, _LANES):")
+        with self.block(), ExitStack() as bound:
+            lane, inner = np.arange(total), total
+            for loop in nest:
+                inner //= dims[loop.name]
+                index = (lane // inner) % dims[loop.name] + loop.min_expr.value
+                var = self.fresh("x")
+                self.line(
+                    f"{var} = {self.const(index)}[{chunk}:{chunk} + _LANES]"
+                )
+                bound.enter_context(self.bind(loop.name, var, True))
+            self.lead = self.fresh("n")
+            self.line(f"{self.lead} = len({var})")
+            self.emit_stmt(body)
+        self.lead, self.stacked, self.proved = None, frozenset(), None
 
     def _exec_LetStmt(self, stmt: S.LetStmt) -> None:
+        varying = self.batched(stmt.value)
         local = self.fresh("v")
         self.line(f"{local} = {self.emit(stmt.value)}")
-        saved = self.scope.get(stmt.name)
-        self.scope[stmt.name] = local
-        self.emit_stmt(stmt.body)
-        if saved is None:
-            del self.scope[stmt.name]
-        else:
-            self.scope[stmt.name] = saved
+        with self.bind(stmt.name, local, varying):
+            self.emit_stmt(stmt.body)
 
     def _exec_IfThenElse(self, stmt: S.IfThenElse) -> None:
+        if self.batched(stmt.condition):
+            raise CodegenError("batched branch condition")
         self.line(f"if _cond({self.emit(stmt.condition)}):")
         with self.block():
             self.emit_stmt(stmt.then_case)
@@ -946,11 +1552,9 @@ class _Emitter:
             with self.block():
                 self.emit_stmt(stmt.else_case)
 
-    def _take_call(self, name, dtype, extents, memtype) -> str:
-        """The Allocate-entry expression (hook for the batched emitter)."""
-        return f"_take(_arena, {name!r}, {dtype}, ({extents},), {memtype})"
-
     def _exec_Allocate(self, stmt: S.Allocate) -> None:
+        if any(self.batched(e) for e in stmt.extents):
+            raise CodegenError("batched allocation extents")
         name = stmt.name
         was_allocated = name in self.allocated
         self.allocated.add(name)
@@ -962,8 +1566,13 @@ class _Emitter:
         extents = ", ".join(self.emit(e) for e in stmt.extents)
         dtype = self.const(stmt.dtype.element_of())
         memtype = self.const(stmt.memory_type)
+        take = f"_arena, {name!r}, {dtype}, ({extents},), {memtype}"
+        if name in self.stacked:
+            take = f"_take_b({take}, {self.lead})"
+        else:
+            take = f"_take({take})"
         self.line(f"{saved} = buffers.get({name!r})")
-        self.line(f"{obj} = {self._take_call(name, dtype, extents, memtype)}")
+        self.line(f"{obj} = {take}")
         self.line(f"buffers[{name!r}] = {obj}")
         self.line(f"{data} = {obj}.data")
         self.emit_stmt(stmt.body)
@@ -1026,6 +1635,7 @@ _HELPER_GLOBALS = {
     "_vred_b": _vred_b,
     "_cat_b": _cat_b,
     "_take_b": _take_b,
+    "_LANES": _LANES,
 }
 
 
@@ -1040,6 +1650,7 @@ class CompiledKernel:
         needs_interp: bool,
         is_fallback: bool = False,
         globals_map: Optional[Dict[str, object]] = None,
+        loops: Tuple[tuple, ...] = (),
     ) -> None:
         self.fn = fn
         self.source = source
@@ -1049,6 +1660,11 @@ class CompiledKernel:
         #: emitter-injected constants (offset tables, dtypes, intrinsic
         #: cores) — retained so the kernel can be serialized to disk
         self.globals_map = globals_map
+        #: one ``(variable, extent, status)`` row per data-parallel
+        #: (``gpu_block``/``parallel``) loop of the statement: status is
+        #: ``"lanes"`` when the loop runs as one lane-vectorised array
+        #: pass, else the reason it stayed a Python loop
+        self.loops = tuple(loops)
 
     def __call__(
         self, buffers: Dict[str, Buffer], env: dict, arena=None
@@ -1063,6 +1679,29 @@ class CompiledKernel:
         self.fn(buffers, env, interp, arena)
 
 
+def _load_kernel(
+    source: str,
+    globals_map: Dict[str, object],
+    key: str,
+    needs_interp: bool,
+    loops,
+    label: str = "kernel",
+) -> CompiledKernel:
+    """Execute emitted ``source`` over the helper + injected globals."""
+    code = compile(source, f"<{label} {key[:12] or 'anon'}>", "exec")
+    namespace = dict(_HELPER_GLOBALS)
+    namespace.update(globals_map)
+    exec(code, namespace)
+    return CompiledKernel(
+        namespace["_kernel"],
+        source,
+        key,
+        needs_interp,
+        globals_map=globals_map,
+        loops=loops,
+    )
+
+
 def compile_stmt(stmt: S.Stmt, key: str = "") -> CompiledKernel:
     """Compile a lowered statement into a NumPy kernel.
 
@@ -1073,17 +1712,12 @@ def compile_stmt(stmt: S.Stmt, key: str = "") -> CompiledKernel:
     emitter = _Emitter()
     try:
         emitter.emit_stmt(stmt)
-        src = emitter.source()
-        code = compile(src, f"<kernel {key[:12] or 'anon'}>", "exec")
-        namespace = dict(_HELPER_GLOBALS)
-        namespace.update(emitter.globals)
-        exec(code, namespace)
-        return CompiledKernel(
-            namespace["_kernel"],
-            src,
+        return _load_kernel(
+            emitter.source(),
+            emitter.globals,
             key,
             emitter.needs_interp,
-            globals_map=emitter.globals,
+            emitter.loops,
         )
     except CodegenError:
         def fallback(buffers, env, interp, arena):
@@ -1097,122 +1731,6 @@ def compile_stmt(stmt: S.Stmt, key: str = "") -> CompiledKernel:
 # -- batch-axis compilation ----------------------------------------------------
 
 
-def _expr_batched(e: E.Expr, stacked, var_batched: Dict[str, bool]) -> bool:
-    """Does ``e`` evaluate to a per-request (batched) value?
-
-    An expression is batched iff it transitively reads a stacked buffer
-    or a let-bound variable that does.  Loop variables and env-sourced
-    scalars are shared; intrinsic *stores* return a shared scalar zero
-    whatever their operands.
-    """
-    if isinstance(e, E.Variable):
-        return var_batched.get(e.name, False)
-    if isinstance(e, E.Load):
-        if e.name in stacked:
-            return True
-        return _expr_batched(e.index, stacked, var_batched)
-    if isinstance(e, E.Let):
-        value_b = _expr_batched(e.value, stacked, var_batched)
-        saved = var_batched.get(e.name)
-        var_batched[e.name] = value_b
-        try:
-            return _expr_batched(e.body, stacked, var_batched)
-        finally:
-            if saved is None:
-                var_batched.pop(e.name, None)
-            else:
-                var_batched[e.name] = saved
-    if isinstance(e, E.Call):
-        if e.name in _BATCHED_STORES:
-            return False
-        if any(
-            isinstance(a, E.StringImm) and a.value in stacked for a in e.args
-        ):
-            return True
-        return any(
-            _expr_batched(a, stacked, var_batched)
-            for a in e.args
-            if not isinstance(a, E.StringImm)
-        )
-    return any(
-        _expr_batched(child, stacked, var_batched) for child in e.children()
-    )
-
-
-def _batched_allocations(stmt: S.Stmt, stacked_external) -> frozenset:
-    """Widen Allocate scopes with the batch axis where needed.
-
-    Fixpoint over the statement: an allocated buffer becomes *stacked*
-    as soon as any value stored into it (plain Store or a store
-    intrinsic's tile operand) is batched.  Everything else — weight
-    staging, shuffle-operand scratch — stays shared across the batch.
-    Returns the full stacked set (externals plus promoted allocations).
-    """
-    stacked = set(stacked_external)
-    allocated: Set[str] = set()
-    changed = True
-
-    def mark(name: str, value: E.Expr, vb: Dict[str, bool]) -> None:
-        nonlocal changed
-        if (
-            name in allocated
-            and name not in stacked
-            and _expr_batched(value, stacked, vb)
-        ):
-            stacked.add(name)
-            changed = True
-
-    def scan_store_calls(e: E.Expr, vb: Dict[str, bool]) -> None:
-        for call in _expr_calls(e):
-            if call.name in _BATCHED_STORES and isinstance(
-                call.args[0], E.StringImm
-            ):
-                mark(call.args[0].value, call.args[-1], vb)
-
-    def walk(s: S.Stmt, vb: Dict[str, bool]) -> None:
-        if isinstance(s, S.Block):
-            for part in s.stmts:
-                walk(part, vb)
-        elif isinstance(s, S.ProducerConsumer):
-            walk(s.body, vb)
-        elif isinstance(s, S.Allocate):
-            allocated.add(s.name)
-            walk(s.body, vb)
-        elif isinstance(s, S.For):
-            saved = vb.get(s.name)
-            vb[s.name] = False
-            walk(s.body, vb)
-            if saved is None:
-                vb.pop(s.name, None)
-            else:
-                vb[s.name] = saved
-        elif isinstance(s, S.LetStmt):
-            scan_store_calls(s.value, vb)
-            value_b = _expr_batched(s.value, stacked, vb)
-            saved = vb.get(s.name)
-            vb[s.name] = value_b
-            walk(s.body, vb)
-            if saved is None:
-                vb.pop(s.name, None)
-            else:
-                vb[s.name] = saved
-        elif isinstance(s, S.IfThenElse):
-            walk(s.then_case, vb)
-            if s.else_case is not None:
-                walk(s.else_case, vb)
-        elif isinstance(s, S.Store):
-            mark(s.name, s.value, vb)
-            scan_store_calls(s.value, vb)
-            scan_store_calls(s.index, vb)
-        elif isinstance(s, S.Evaluate):
-            scan_store_calls(s.value, vb)
-
-    while changed:
-        changed = False
-        walk(stmt, {})
-    return frozenset(stacked)
-
-
 class _BatchedEmitter(_Emitter):
     """Emits a batch-axis kernel for a fixed set of stacked buffers.
 
@@ -1220,250 +1738,20 @@ class _BatchedEmitter(_Emitter):
     a leading batch axis (``data[:, index]``); the kernels are
     *B-agnostic* — one compiled kernel serves every batch size of the
     bucket.  Shared state (weights, shuffle operands, tile grids, loop
-    nests) is emitted exactly as the scalar emitter would.  Constructs
-    whose control flow or addressing would depend on per-request data
-    raise :class:`CodegenError`; there is no interpreter fallback —
-    the caller falls back to the looped per-request path instead.
+    nests) is emitted exactly as the scalar emitter would — the batch
+    axis is the one leading axis, so block loops stay Python loops.
+    Constructs whose control flow or addressing would depend on
+    per-request data raise :class:`CodegenError`; there is no
+    interpreter fallback — the caller falls back to the looped
+    per-request path instead.
     """
 
     def __init__(self, stacked) -> None:
         super().__init__()
         self.stacked = frozenset(stacked)
-        self.var_batched: Dict[str, bool] = {}
         # the batch size, bound in the preamble like any env variable;
         # only _take_b needs it (value helpers read array shapes)
-        self.env_locals["batch.size"] = "_B"
-
-    def batched(self, e: E.Expr) -> bool:
-        return _expr_batched(e, self.stacked, self.var_batched)
-
-    # -- expressions --------------------------------------------------------
-
-    def emit_vector(self, e: E.Expr) -> str:
-        if e.type.lanes > 1:
-            return self.emit(e)
-        if self.batched(e):
-            return f"_vec_b({self.emit(e)})"
-        return f"_vec({self.emit(e)}, 1)"
-
-    def _emit_Ramp(self, e: E.Ramp) -> str:
-        if self.batched(e.base) or self.batched(e.stride):
-            raise CodegenError("batched ramp addressing")
-        return super()._emit_Ramp(e)
-
-    def _emit_Broadcast(self, e: E.Broadcast) -> str:
-        if not self.batched(e.value):
-            return super()._emit_Broadcast(e)
-        np_dtype = self.const(e.type.element_of().to_numpy())
-        return f"_bcast_b({self.emit(e.value)}, {e.count}, {np_dtype})"
-
-    def _emit_VectorReduce(self, e: E.VectorReduce) -> str:
-        if not self.batched(e.value):
-            return super()._emit_VectorReduce(e)
-        return f"_vred_b({self.emit_vector(e.value)}, {e.result_lanes})"
-
-    def _emit_Shuffle(self, e: E.Shuffle) -> str:
-        if not self.batched(e):
-            return super()._emit_Shuffle(e)
-        indices = self.const(np.asarray(e.indices, dtype=np.int64))
-        parts = [self.emit_vector(v) for v in e.vectors]
-        if len(parts) == 1:
-            return f"{parts[0]}[..., {indices}]"
-        return f"_cat_b(({', '.join(parts)},))[..., {indices}]"
-
-    def _emit_Let(self, e: E.Let) -> str:
-        value_b = self.batched(e.value)
-        value = self.emit(e.value)
-        local = self.fresh("v")
-        self.line(f"{local} = {value}")
-        saved = self.scope.get(e.name)
-        saved_b = self.var_batched.get(e.name)
-        self.scope[e.name] = local
-        self.var_batched[e.name] = value_b
-        try:
-            return self.emit(e.body)
-        finally:
-            if saved is None:
-                del self.scope[e.name]
-            else:
-                self.scope[e.name] = saved
-            if saved_b is None:
-                self.var_batched.pop(e.name, None)
-            else:
-                self.var_batched[e.name] = saved_b
-
-    def _emit_Load(self, e: E.Load) -> str:
-        if self.batched(e.index):
-            raise CodegenError("batched (data-dependent) load index")
-        if e.name not in self.stacked:
-            return super()._emit_Load(e)
-        data = self.buf_data(e.name)
-        idx = e.index
-        if idx.type.lanes == 1:
-            code = f"{data}[:, {self.emit(idx)}]"
-        else:
-            sliced = self._try_slice(idx)
-            if sliced is not None:
-                code = f"{data}[:, {sliced}]"
-            else:
-                return f"{data}[:, _idx({self.emit(idx)})]"
-        # both spellings above are views into the stacked array; copy
-        # them when the statement may mutate buffers mid-expression
-        if self.copy_views:
-            code = f"np.array({code})"
-        return code
-
-    def _emit_Call(self, e: E.Call) -> str:
-        name = e.name
-        if name in MATH_INTRINSICS:
-            return super()._emit_Call(e)
-        if name not in VALUE_INTRINSICS:
-            # no interpreter fallback inside batched kernels
-            raise CodegenError(f"intrinsic {name!r} has no batched emission")
-        arg_b = [
-            (not isinstance(a, E.StringImm)) and self.batched(a)
-            for a in e.args
-        ]
-        buf = e.args[0] if e.args else None
-        buf_stacked = (
-            isinstance(buf, E.StringImm) and buf.value in self.stacked
-        )
-        fn = VALUE_INTRINSICS[name]
-        if name in _BATCHED_LOADS:
-            if any(arg_b[1:]):
-                raise CodegenError("batched tile addressing")
-            if buf_stacked:
-                fn = _BATCHED_LOADS[name]
-        elif name in _BATCHED_STORES:
-            if any(arg_b[1:-1]):
-                raise CodegenError("batched tile addressing")
-            if buf_stacked:
-                fn = _BATCHED_STORES[name]
-            elif arg_b[-1]:
-                raise CodegenError(f"{name} of batched tile into shared buffer")
-        elif name in _BATCHED_MATMULS:
-            if any(arg_b[3:]):
-                raise CodegenError("batched matmul geometry")
-            if any(arg_b[:3]):
-                fn = _BATCHED_MATMULS[name]
-        elif name == "wmma.fill.sync":
-            if arg_b[0] or arg_b[1]:
-                raise CodegenError("batched fill geometry")
-            if arg_b[2]:
-                fn = _bv_wmma_fill
-        elif name in _BATCHED_ELEMENTWISE:
-            if any(arg_b[1:]):
-                raise CodegenError("batched tile geometry")
-            if arg_b[0]:
-                fn = _BATCHED_ELEMENTWISE[name]
-        elif name in _SHUFFLE_CONSTRUCTORS:
-            # shared-by-construction: per-request weights cannot feed a
-            # shuffle-operand constructor in a batched kernel
-            if buf_stacked or any(arg_b):
-                raise CodegenError(
-                    f"{name} over per-request data cannot be batched"
-                )
-        elif name in ("tile_zero", "dp4a_zero"):
-            if any(arg_b):
-                raise CodegenError("batched tile geometry")
-        elif name in ("DP4A2Mem", "WMMA2Mem"):
-            pass  # identity either way
-        elif any(arg_b) or buf_stacked:
-            raise CodegenError(f"{name} cannot be batched")
-        args = ["_arena"]
-        for a in e.args:
-            if isinstance(a, E.StringImm):
-                args.append(self.buf_obj(a.value))
-            else:
-                args.append(self.emit(a))
-        return f"{self.const(fn)}({', '.join(args)})"
-
-    # -- statements ---------------------------------------------------------
-
-    def _exec_Store(self, stmt: S.Store) -> None:
-        if self.batched(stmt.index):
-            raise CodegenError("batched store index")
-        if stmt.name not in self.stacked:
-            if self.batched(stmt.value):
-                raise CodegenError(
-                    f"batched store into shared buffer {stmt.name!r}"
-                )
-            return super()._exec_Store(stmt)
-        self.copy_views = _has_impure_call(stmt.value) or _has_impure_call(
-            stmt.index
-        )
-        data = self.buf_data(stmt.name)
-        value = self.emit(stmt.value)
-        if isinstance(stmt.value, E.Load) and stmt.value.name == stmt.name:
-            # bare self-copy: avoid overlapping-view assignment hazards
-            value = f"np.array({value})"
-        if stmt.name in self.allocated:
-            dtype = self._alloc_dtypes.get(stmt.name)
-            if dtype is not None and dtype.code is TypeCode.BFLOAT:
-                value = f"_bf16({value})"
-        else:
-            value = f"{self.store_wrap(stmt.name)}({value})"
-        idx = stmt.index
-        if idx.type.lanes == 1:
-            self.line(f"{data}[:, {self.emit(idx)}] = {value}")
-        else:
-            sliced = self._try_slice(idx)
-            if sliced is not None:
-                self.line(f"{data}[:, {sliced}] = {value}")
-            else:
-                self.line(f"{data}[:, _idx({self.emit(idx)})] = {value}")
-        self.copy_views = False
-
-    def _exec_For(self, stmt: S.For) -> None:
-        if self.batched(stmt.min_expr) or self.batched(stmt.extent):
-            raise CodegenError("batched loop bounds")
-        saved = self.var_batched.get(stmt.name)
-        self.var_batched[stmt.name] = False
-        try:
-            super()._exec_For(stmt)
-        finally:
-            if saved is None:
-                self.var_batched.pop(stmt.name, None)
-            else:
-                self.var_batched[stmt.name] = saved
-
-    def _exec_LetStmt(self, stmt: S.LetStmt) -> None:
-        value_b = self.batched(stmt.value)
-        local = self.fresh("v")
-        self.line(f"{local} = {self.emit(stmt.value)}")
-        saved = self.scope.get(stmt.name)
-        saved_b = self.var_batched.get(stmt.name)
-        self.scope[stmt.name] = local
-        self.var_batched[stmt.name] = value_b
-        try:
-            self.emit_stmt(stmt.body)
-        finally:
-            if saved is None:
-                del self.scope[stmt.name]
-            else:
-                self.scope[stmt.name] = saved
-            if saved_b is None:
-                self.var_batched.pop(stmt.name, None)
-            else:
-                self.var_batched[stmt.name] = saved_b
-
-    def _exec_IfThenElse(self, stmt: S.IfThenElse) -> None:
-        if self.batched(stmt.condition):
-            raise CodegenError("batched branch condition")
-        super()._exec_IfThenElse(stmt)
-
-    def _exec_Allocate(self, stmt: S.Allocate) -> None:
-        if any(self.batched(e) for e in stmt.extents):
-            raise CodegenError("batched allocation extents")
-        super()._exec_Allocate(stmt)
-
-    def _take_call(self, name, dtype, extents, memtype) -> str:
-        if name not in self.stacked:
-            return super()._take_call(name, dtype, extents, memtype)
-        return (
-            f"_take_b(_arena, {name!r}, {dtype}, ({extents},), "
-            f"{memtype}, _B)"
-        )
+        self.lead = self.env_locals["batch.size"] = "_B"
 
 
 def compile_batched_stmt(
@@ -1487,17 +1775,13 @@ def compile_batched_stmt(
     all_stacked = _batched_allocations(stmt, frozenset(stacked))
     emitter = _BatchedEmitter(all_stacked)
     emitter.emit_stmt(stmt)
-    src = emitter.source()
-    code = compile(src, f"<batched-kernel {key[:12] or 'anon'}>", "exec")
-    namespace = dict(_HELPER_GLOBALS)
-    namespace.update(emitter.globals)
-    exec(code, namespace)
-    return CompiledKernel(
-        namespace["_kernel"],
-        src,
+    return _load_kernel(
+        emitter.source(),
+        emitter.globals,
         key,
-        needs_interp=False,
-        globals_map=emitter.globals,
+        False,
+        emitter.loops,
+        label="batched-kernel",
     )
 
 
@@ -1518,7 +1802,9 @@ def compile_batched_stmt(
 #: v2: kernels take an arena argument (buffer pooling + operand memos)
 #: v3: batch-axis kernels (stacked [B, size] buffers, _bv_*/_take_b
 #:     helpers, env['batch.size'])
-KERNEL_FORMAT_VERSION = 3
+#: v4: lane-vectorised block loops (_LANES chunking, per-lane bases
+#:     through _tile_idx) and the ``loops`` report
+KERNEL_FORMAT_VERSION = 4
 
 
 def serialize_kernel(kernel: CompiledKernel) -> Optional[dict]:
@@ -1531,6 +1817,7 @@ def serialize_kernel(kernel: CompiledKernel) -> Optional[dict]:
         "source": kernel.source,
         "globals": kernel.globals_map,
         "needs_interp": kernel.needs_interp,
+        "loops": kernel.loops,
     }
 
 
@@ -1545,15 +1832,10 @@ def deserialize_kernel(payload: dict) -> CompiledKernel:
             f"kernel payload format {payload.get('format')!r} !="
             f" {KERNEL_FORMAT_VERSION}"
         )
-    key = payload["key"]
-    code = compile(payload["source"], f"<kernel {key[:12] or 'anon'}>", "exec")
-    namespace = dict(_HELPER_GLOBALS)
-    namespace.update(payload["globals"])
-    exec(code, namespace)
-    return CompiledKernel(
-        namespace["_kernel"],
+    return _load_kernel(
         payload["source"],
-        key,
+        payload["globals"],
+        payload["key"],
         payload["needs_interp"],
-        globals_map=payload["globals"],
+        payload["loops"],
     )

@@ -238,10 +238,6 @@ class Server:
                 with self._lock:
                     self.failures += 1
                 self._record_backend_failure()
-                # the failed run may have left partial buffer state in
-                # the plan; drop it so the next attempt rebuilds (cheap
-                # — the kernel is a cache hit)
-                self._local.plan_entry = None
                 if attempt + 1 >= attempts:
                     raise
                 with self._lock:

@@ -3,8 +3,8 @@
 Each analyzer must *detect the defect class it exists for*: every test
 here seeds one specific defect — an unbound IR variable, an
 out-of-bounds index, an illegal accumulator access, an unsound rewrite
-rule, an unpaired arena take, a nondeterministic kernel, an unguarded
-field — and asserts the corresponding check fires with the right id.
+rule, an unpaired arena take, a nondeterministic kernel, a lane store
+without its disjointness proof, an unguarded field — and asserts the corresponding check fires with the right id.
 A verifier that silently passes broken input is worse than none, so
 this suite is the analyzers' own regression gate (``pytest -m
 analysis``).
@@ -342,6 +342,36 @@ class TestLintKernelsMutations:
             )
             == []
         )
+
+    LANE_REGION = (
+        KERNEL_HEADER
+        + "    d0 = buffers['out'].data\n"
+        + "    for l0 in range(0, 16, _LANES):\n"
+        + "        x0 = table[l0:l0 + _LANES]\n"
+        + "        t0 = _take_b(_arena, 'acc', None, (8,), None, len(x0))\n"
+        + "        d1 = t0.data\n"
+        + "        d1[:, 0:8] = 1.0\n"
+        + "{certificate}"
+        + "        d0[_idx(_vec_b(x0 * 8) + steps)] = d1[:, 0:8]\n"
+        + "        _give(_arena, t0)\n"
+    )
+
+    def test_lane_store_without_its_proof(self):
+        src = self.LANE_REGION.format(certificate="")
+        assert "kernels.lane-store" in checks(lint_kernel_source(src))
+
+    def test_lane_store_with_a_proof_that_does_not_hold(self):
+        # lanes 8 apart cannot each own a 16-wide ramp
+        src = self.LANE_REGION.format(
+            certificate="        ('lanes-disjoint', 'd0', ((1, 16), (8, 16)))\n"
+        )
+        assert "kernels.lane-store" in checks(lint_kernel_source(src))
+
+    def test_certified_lane_store_is_clean(self):
+        src = self.LANE_REGION.format(
+            certificate="        ('lanes-disjoint', 'd0', ((1, 8), (8, 16)))\n"
+        )
+        assert lint_kernel_source(src) == []
 
     def test_syntax_error(self):
         assert "kernels.syntax" in checks(

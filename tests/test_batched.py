@@ -245,6 +245,23 @@ class TestRoutingFallback:
             np.testing.assert_array_equal(out, expected)
 
 
+class TestDataDependentAddressing:
+    """Addressing by per-request data has no batched emission, whether
+    the table is shared or stacked: per-lane addresses belong to lane
+    loops, which prove them safe; the looped path serves these."""
+
+    @pytest.mark.parametrize("table_stacked", [False, True])
+    def test_per_request_gather_is_not_batched(self, table_stacked):
+        from repro.ir import Float, Int, IntImm, Load, Ramp, Store
+        from repro.runtime.codegen import CodegenError, compile_batched_stmt
+
+        lanes = Ramp(IntImm(0), IntImm(1), 4)
+        picked = Load(Float(32, 4), "lut", Load(Int(32, 4), "idx", lanes))
+        stacked = {"idx", "out"} | ({"lut"} if table_stacked else set())
+        with pytest.raises(CodegenError):
+            compile_batched_stmt(Store("out", lanes, picked), stacked)
+
+
 class TestServerBatched:
     def test_server_routes_through_batched_kernel(self, rng):
         from repro.apps import conv1d

@@ -9,7 +9,16 @@ kernels were emitted (no silent interpreter fallback).
 
 import numpy as np
 import pytest
-from conftest import INT8_APP_IDS, INT8_APPS, SIMPLE_APP_IDS, SIMPLE_APPS
+from conftest import (
+    INT8_APP_IDS,
+    INT8_APPS,
+    SIMPLE_APP_IDS,
+    SIMPLE_APPS,
+    VARIANTS,
+    build_requests,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import (
     conv1d,
@@ -18,7 +27,38 @@ from repro.apps import (
     recursive_filter,
     resample,
 )
+from repro.ir import (
+    LT,
+    Allocate,
+    BFloat,
+    Block,
+    Evaluate,
+    Float,
+    For,
+    ForKind,
+    IfThenElse,
+    Int,
+    IntImm,
+    Load,
+    MemoryType,
+    Ramp,
+    Store,
+    StringImm,
+    Variable,
+)
+from repro.ir.builders import (
+    cast,
+    const,
+    intrinsic,
+    make_add,
+    make_broadcast,
+    make_mul,
+)
+from repro.runtime import Buffer, Interpreter
+from repro.runtime.codegen import _LANES, compile_stmt
+from repro.runtime.executor import RequestError
 from repro.runtime.kernel_cache import KernelCache
+from repro.service import FaultPlan, FaultSpec, Server, faults
 
 
 def assert_backends_agree(app):
@@ -125,3 +165,531 @@ class TestInputKeyParity:
                 np.testing.assert_array_equal(
                     pipeline.plan(backend=backend).run(inputs), expected
                 )
+
+
+# -- lane-vectorised block loops -----------------------------------------------
+#
+# compile_stmt runs a gpu_block/parallel loop nest as ONE array pass
+# with a leading lane axis when it can prove that legal, and as the
+# Python loop otherwise.  The interpreter is the serial oracle for both.
+
+#: every single-pipeline app the suite builds: label -> (builder,
+#: positional args, keyword args)
+LANE_APPS = {
+    f"{module.__name__.split('.')[-1]}-{variant}": (
+        module.build, (variant,), params
+    )
+    for module, params in SIMPLE_APPS
+    for variant in VARIANTS
+}
+for variant in VARIANTS:
+    LANE_APPS[f"resample-{variant}"] = (
+        resample.build_pass,
+        (variant,),
+        {"in_size": 256, "out_size": 57, "columns": 32},
+    )
+for taps in (8, 32, 56, 96, 160, 256):  # the Fig. 6 sweep
+    LANE_APPS[f"conv1d-k{taps}"] = (
+        conv1d.build, ("tensor",), {"taps": taps, "rows": 1}
+    )
+#: the serial-loop accelerator kernels: nothing to vectorise
+SERIAL_APPS = {
+    "amx": (matmul.build_amx, (), {}),
+    "amx-vnni": (matmul.build_amx, (), {"layout": "vnni"}),
+}
+for name, (builder, params) in zip(INT8_APP_IDS, INT8_APPS):
+    SERIAL_APPS[name] = (builder, (), params)
+#: the benchmark catalog's WMMA programs must really take the lane path
+MUST_TAKE_LANES = {label for label in LANE_APPS if "cuda" not in label}
+
+
+def build_app(spec):
+    builder, args, kwargs = spec
+    return builder(*args, **kwargs)
+
+
+def four_way(app):
+    """interpreter ≡ pipeline.run ≡ plan.run ≡ out= path; returns the
+    plan's kernel."""
+    pipe = app.compile()
+    expected = pipe.run(app.inputs, backend="interpret")
+    np.testing.assert_array_equal(
+        pipe.run(app.inputs, backend="compile"), expected
+    )
+    plan = pipe.plan(backend="compile")
+    for _ in range(2):  # the second run recycles the arena's lane slabs
+        np.testing.assert_array_equal(plan.run(app.inputs), expected)
+    out = np.full_like(expected, 7)
+    assert plan.run(app.inputs, out=out) is out
+    np.testing.assert_array_equal(out, expected)
+    return plan.kernel
+
+
+def block_loop(name, extent, body, kind=ForKind.GPU_BLOCK):
+    return For(name, IntImm(0), IntImm(extent), kind, body)
+
+
+def ramp(base, count, stride=1):
+    return Ramp(base, IntImm(stride), count)
+
+
+def run_both(stmt, arrays, env=None):
+    """Run ``stmt`` on the interpreter and as a compiled kernel over
+    copies of ``arrays`` (name -> (ndarray, DataType)); returns the
+    kernel and both backends' final buffer contents."""
+
+    def fresh():
+        return {
+            name: Buffer.from_numpy(name, array.copy(), dtype=dtype)
+            for name, (array, dtype) in arrays.items()
+        }
+
+    kernel = compile_stmt(stmt)
+    assert not kernel.is_fallback
+    interpreted, compiled = fresh(), fresh()
+    Interpreter(interpreted).run(stmt, dict(env or {}))
+    kernel(compiled, dict(env or {}))
+    return (
+        kernel,
+        {name: buf.data for name, buf in interpreted.items()},
+        {name: buf.data for name, buf in compiled.items()},
+    )
+
+
+def f32_out(size):
+    return (np.zeros(size, np.float32), Float(32))
+
+
+class TestLaneLoops:
+    @pytest.mark.parametrize("label", sorted(LANE_APPS))
+    def test_apps_four_way(self, label):
+        kernel = four_way(build_app(LANE_APPS[label]))
+        assert kernel.loops, "every app here schedules a block loop"
+        if label in MUST_TAKE_LANES:
+            assert {status for _, _, status in kernel.loops} == {"lanes"}
+            assert "_LANES" in kernel.source
+
+    @pytest.mark.parametrize("label", sorted(SERIAL_APPS))
+    def test_serial_kernels_are_untouched(self, label):
+        kernel = four_way(build_app(SERIAL_APPS[label]))
+        assert kernel.loops == ()
+        for lane_construct in ("_LANES", "_take_b", "lanes-disjoint"):
+            assert lane_construct not in kernel.source
+
+    # -- one negative case per fallback reason ------------------------------
+
+    def assert_falls_back(self, stmt, arrays, reason, env=None, var="x"):
+        kernel, interpreted, compiled = run_both(stmt, arrays, env)
+        [row] = [r for r in kernel.loops if r[0] == var]
+        assert reason in row[2], kernel.loops
+        assert "_LANES" not in kernel.source
+        for name in arrays:
+            np.testing.assert_array_equal(compiled[name], interpreted[name])
+
+    def test_overlapping_store_falls_back(self):
+        # stride 4 < the 8-wide ramp: later lanes overwrite earlier ones
+        x = Variable("x")
+        value = make_broadcast(cast(Float(32), make_add(x, IntImm(1))), 8)
+        stmt = block_loop(
+            "x", 4, Store("out", ramp(make_mul(x, IntImm(4)), 8), value)
+        )
+        self.assert_falls_back(stmt, {"out": f32_out(20)}, "overlap")
+
+    def test_tile_store_narrower_than_the_tile_falls_back(self):
+        x = Variable("x")
+        tile = intrinsic(
+            Float(32, 8), "wmma.fill.sync", IntImm(2), IntImm(4),
+            cast(Float(32), x),
+        )
+        store = intrinsic(
+            Float(32), "wmma.store.d.sync", StringImm("out"),
+            make_mul(x, IntImm(2)), IntImm(4), IntImm(2), IntImm(4), tile,
+        )
+        stmt = block_loop("x", 3, Evaluate(store))
+        self.assert_falls_back(stmt, {"out": f32_out(16)}, "overlap")
+
+    def test_cross_lane_dependence_falls_back(self):
+        # out[x + 1] = out[x] + 1: a serial chain through the buffer
+        x = Variable("x")
+        stmt = block_loop(
+            "x",
+            5,
+            Store(
+                "out",
+                make_add(x, IntImm(1)),
+                make_add(Load(Float(32), "out", x), const(1.0, Float(32))),
+            ),
+        )
+        self.assert_falls_back(
+            stmt, {"out": f32_out(6)}, "loads 'out', which another lane"
+        )
+
+    def test_lane_varying_branch_falls_back(self):
+        x = Variable("x")
+        stmt = block_loop(
+            "x",
+            4,
+            IfThenElse(
+                LT(x, IntImm(2)),
+                Store("out", x, const(1.0, Float(32))),
+                None,
+            ),
+        )
+        self.assert_falls_back(stmt, {"out": f32_out(4)}, "branch")
+
+    def test_lane_varying_inner_extent_falls_back(self):
+        # acc counts a triangular loop: lane x iterates x times
+        x = Variable("x")
+        acc = Load(Float(32), "acc", IntImm(0))
+        body = Allocate(
+            "acc", Float(32), (IntImm(1),), MemoryType.STACK,
+            Block((
+                For(
+                    "j", IntImm(0), x, ForKind.SERIAL,
+                    Store(
+                        "acc", IntImm(0),
+                        make_add(acc, const(1.0, Float(32))),
+                    ),
+                ),
+                Store("out", x, acc),
+            )),
+        )
+        self.assert_falls_back(
+            block_loop("x", 4, body), {"out": f32_out(4)}, "loop bounds"
+        )
+
+    def test_lane_varying_shuffle_base_falls_back(self):
+        x = Variable("x")
+        shuffle = intrinsic(
+            Float(16, 128), "ConvolutionShuffle", StringImm("K"),
+            make_mul(x, IntImm(8)), IntImm(16), IntImm(8), IntImm(8),
+            IntImm(1),
+        )
+        stmt = block_loop(
+            "x",
+            3,
+            Store(
+                "out",
+                ramp(make_mul(x, IntImm(128)), 128),
+                cast(Float(32, 128), shuffle),
+            ),
+        )
+        taps = np.arange(32, dtype=np.float16)
+        self.assert_falls_back(
+            stmt,
+            {"K": (taps, Float(16)), "out": f32_out(384)},
+            "ConvolutionShuffle",
+        )
+
+    def test_symbolic_store_stride_falls_back(self):
+        x = Variable("x")
+        tile = intrinsic(
+            Float(32, 8), "wmma.fill.sync", IntImm(2), IntImm(4),
+            cast(Float(32), x),
+        )
+        store = intrinsic(
+            Float(32), "wmma.store.d.sync", StringImm("out"),
+            make_mul(x, IntImm(8)), Variable("out.stride.1"), IntImm(2),
+            IntImm(4), tile,
+        )
+        self.assert_falls_back(
+            block_loop("x", 3, Evaluate(store)),
+            {"out": f32_out(24)},
+            "symbolic store stride",
+            env={"out.stride.1": 4},
+        )
+
+    def test_single_iteration_falls_back(self):
+        x = Variable("x")
+        stmt = block_loop("x", 1, Store("out", x, const(1.0, Float(32))))
+        self.assert_falls_back(
+            stmt, {"out": f32_out(1)}, "fewer than two iterations"
+        )
+
+    def test_fallback_is_per_loop(self):
+        """The outer loop's stores overlap along y only: it stays a
+        Python loop and the inner x loop still vectorises."""
+        x, y = Variable("x"), Variable("y")
+        value = make_broadcast(cast(Float(32), make_add(x, y)), 4)
+        inner = block_loop(
+            "x", 4, Store("out", ramp(make_mul(x, IntImm(4)), 4), value)
+        )
+        kernel, interpreted, compiled = run_both(
+            block_loop("y", 3, inner), {"out": f32_out(16)}
+        )
+        assert [r[0] for r in kernel.loops] == ["y", "x"]
+        assert "overlap" in kernel.loops[0][2]
+        assert kernel.loops[1][2] == "lanes"
+        np.testing.assert_array_equal(compiled["out"], interpreted["out"])
+
+    def test_rolled_back_attempt_leaves_enclosing_scopes_intact(self):
+        """The inner attempt fails under the outer Python loop; once
+        that loop ends, ``y`` is the env's again, not its last value."""
+        x, y = Variable("x"), Variable("y")
+        value = make_broadcast(cast(Float(32), make_add(x, y)), 8)
+        inner = block_loop(
+            "x", 3, Store("out", ramp(make_mul(x, IntImm(4)), 8), value)
+        )
+        stmt = Block((
+            block_loop("y", 2, inner),
+            Store("tail", IntImm(0), cast(Float(32), y)),
+        ))
+        kernel, interpreted, compiled = run_both(
+            stmt, {"out": f32_out(16), "tail": f32_out(1)}, env={"y": 7}
+        )
+        assert all("overlap" in status for _, _, status in kernel.loops)
+        assert compiled["tail"][0] == 7.0
+        for name in ("out", "tail"):
+            np.testing.assert_array_equal(compiled[name], interpreted[name])
+
+    def test_store_is_proved_with_the_extents_in_scope_at_its_site(self):
+        """Two inner loops share the name ``r``: ``out``'s 8-wide one
+        overlaps at lane stride 4, whatever the later 2-wide one says."""
+        x, r = Variable("x"), Variable("r")
+
+        def at(scale):
+            return make_add(make_mul(x, IntImm(scale)), r)
+
+        wide = For(
+            "r", IntImm(0), IntImm(8), ForKind.SERIAL,
+            Store("out", at(4), cast(Float(32), at(10))),
+        )
+        narrow = For(
+            "r", IntImm(0), IntImm(2), ForKind.SERIAL,
+            Store("aux", at(2), cast(Float(32), r)),
+        )
+        self.assert_falls_back(
+            block_loop("x", 3, Block((wide, narrow))),
+            {"out": f32_out(16), "aux": f32_out(6)},
+            "overlap",
+        )
+
+    def test_body_rebinding_a_lane_variable_falls_back(self):
+        x = Variable("x")
+        inner = For(
+            "x", IntImm(0), IntImm(4), ForKind.SERIAL,
+            Store("out", x, cast(Float(32), x)),
+        )
+        self.assert_falls_back(
+            block_loop("x", 3, inner), {"out": f32_out(4)}, "rebinds"
+        )
+
+    def test_scalar_gather_and_scatter_take_lanes(self):
+        # out[x] = lut[idx[x]] + x: data-dependent per-lane gather,
+        # one element stored per lane
+        x = Variable("x")
+        picked = Load(Float(32), "lut", Load(Int(32), "idx", x))
+        stmt = block_loop(
+            "x", 5, Store("out", x, make_add(picked, cast(Float(32), x))),
+            ForKind.PARALLEL,
+        )
+        kernel, interpreted, compiled = run_both(
+            stmt,
+            {
+                "lut": (np.arange(8, dtype=np.float32) * 1.5, Float(32)),
+                "idx": (np.array([3, 0, 7, 7, 1], np.int32), Int(32)),
+                "out": f32_out(5),
+            },
+        )
+        assert kernel.loops == (("x", 5, "lanes"),)
+        np.testing.assert_array_equal(compiled["out"], interpreted["out"])
+
+    def test_wide_grids_run_in_bounded_chunks(self):
+        """More lanes than one slab holds: chunked, still bitwise."""
+        n = 2 * _LANES + 3
+        x = Variable("x")
+        acc = ramp(IntImm(0), 4)
+        body = Allocate(
+            "acc", Float(32), (IntImm(4),), MemoryType.STACK,
+            Block((
+                Store("acc", acc, make_broadcast(cast(Float(32), x), 4)),
+                Store(
+                    "out",
+                    ramp(make_mul(x, IntImm(4)), 4),
+                    make_add(
+                        Load(Float(32, 4), "acc", acc),
+                        Load(Float(32, 4), "inp", ramp(x, 4)),
+                    ),
+                ),
+            )),
+        )
+        inp = np.arange(n + 4, dtype=np.float32)
+        kernel, interpreted, compiled = run_both(
+            block_loop("x", n, body, ForKind.PARALLEL),
+            {"inp": (inp, Float(32)), "out": f32_out(4 * n)},
+        )
+        assert kernel.loops == (("x", n, "lanes"),)
+        np.testing.assert_array_equal(compiled["out"], interpreted["out"])
+
+    # -- failures inside a lane-vectorised kernel ---------------------------
+
+    @pytest.mark.faults
+    @pytest.mark.parametrize(
+        "mode,victim", [("alloc-fail", 0), ("raise-in-kernel", 1)]
+    )
+    def test_fault_in_lane_kernel_fails_only_that_request(
+        self, mode, victim, rng
+    ):
+        app = conv1d.build("tensor", taps=16, rows=1)
+        pipe = app.compile()
+        requests = build_requests(app, 3, rng)
+        expected = [pipe.run(r, backend="interpret") for r in requests]
+        fault = FaultPlan(specs=[FaultSpec(mode, visits=(victim,))])
+        with Server(
+            pipe, workers=1, batch_axis=False, retries=0, backend="compile"
+        ) as server:
+            with faults.active(fault):
+                results = server.run_many(requests, on_error="return")
+            assert len(fault.log) == 1
+            again = server.run_many(requests)
+            [plan] = server.stats()["plans"]
+        for position, (result, reference) in enumerate(
+            zip(results, expected)
+        ):
+            if position == victim:
+                assert isinstance(result, RequestError)
+            else:
+                np.testing.assert_array_equal(result, reference)
+        for result, reference in zip(again, expected):
+            np.testing.assert_array_equal(result, reference)
+        # the failed run dropped the bound state and the arena, no more
+        assert plan["rebinds"] == 2
+        assert plan["runs"] == 5
+
+    # -- generated block nests ----------------------------------------------
+
+    @pytest.mark.generative
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_generated_block_nests(self, data):
+        stmt, arrays, disjoint = data.draw(block_nests())
+        kernel, interpreted, compiled = run_both(stmt, arrays)
+        np.testing.assert_array_equal(compiled["out"], interpreted["out"])
+        statuses = {status for _, _, status in kernel.loops}
+        if disjoint and "fewer than two iterations" not in statuses:
+            assert statuses == {"lanes"}, kernel.loops
+
+
+ROWS, COLS = 2, 4
+WIDTH = ROWS * COLS
+
+#: element type -> (numpy storage dtype, IR buffer type, accumulator type)
+ELEMENT_TYPES = {
+    "f32": (np.float32, Float(32), Float(32)),
+    "f16": (np.float16, Float(16), Float(32)),
+    "bf16": (np.float32, BFloat(16), Float(32)),
+    "i8": (np.int8, Int(8), Int(32)),
+}
+
+
+@st.composite
+def block_nests(draw):
+    """A small block nest: 1-2 data-parallel dims (extents 1-5), a
+    private accumulator, an optional serial reduction loop, ramp or
+    tile loads and stores, in one of four element types.  The output
+    layout is drawn either provably disjoint or arbitrary (typically
+    overlapping), so both the lane path and the fallback are hit."""
+    kind = draw(st.sampled_from([ForKind.GPU_BLOCK, ForKind.PARALLEL]))
+    extents = draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))
+    names = ["y", "x"][-len(extents):]
+    element = draw(st.sampled_from(sorted(ELEMENT_TYPES)))
+    np_dtype, buf_type, acc_type = ELEMENT_TYPES[element]
+    integral = element == "i8"
+    reduce = draw(st.integers(0, 3))  # 0: no reduction loop
+    tile_load = draw(st.booleans())
+    tile_store = draw(st.booleans())
+    disjoint = draw(st.booleans())
+
+    # output layout: tiles side by side along x, rows of tiles along y
+    stride = COLS * extents[-1] if tile_store else COLS
+    span = (ROWS - 1) * stride + COLS if tile_store else WIDTH
+    if disjoint:
+        out_coefs = [COLS if tile_store else WIDTH]
+        if len(extents) == 2:
+            out_coefs.insert(
+                0, ROWS * stride if tile_store else WIDTH * extents[1]
+            )
+    else:
+        out_coefs = [draw(st.integers(0, span)) for _ in extents]
+    in_coefs = [draw(st.integers(0, 6)) for _ in extents]
+    in_stride = draw(st.integers(COLS, COLS + 2))
+
+    lanes = [Variable(n) for n in names]
+
+    def affine(coefs, extra=None):
+        e = extra if extra is not None else IntImm(0)
+        for coef, var in zip(coefs, lanes):
+            e = make_add(e, make_mul(var, IntImm(coef)))
+        return e
+
+    def reach(coefs):
+        return sum(c * (n - 1) for c, n in zip(coefs, extents))
+
+    r = Variable("r")
+    in_base = affine(in_coefs, r if reduce else None)
+    if tile_load:
+        name = "dp4a_load" if integral else "wmma.load.a.sync"
+        loaded = intrinsic(
+            acc_type.with_lanes(WIDTH), name, StringImm("inp"), in_base,
+            IntImm(in_stride), IntImm(ROWS), IntImm(COLS),
+        )
+        in_span = (ROWS - 1) * in_stride + COLS
+    else:
+        loaded = cast(
+            acc_type.with_lanes(WIDTH),
+            Load(buf_type.with_lanes(WIDTH), "inp", ramp(in_base, WIDTH)),
+        )
+        in_span = WIDTH
+    if reduce:
+        weight = cast(acc_type, Load(buf_type, "k", r))
+        loaded = make_mul(loaded, make_broadcast(weight, WIDTH))
+    acc = ramp(IntImm(0), WIDTH)
+    acc_load = Load(acc_type.with_lanes(WIDTH), "acc", acc)
+    update = Store("acc", acc, make_add(acc_load, loaded))
+    if reduce:
+        update = For("r", IntImm(0), IntImm(reduce), ForKind.SERIAL, update)
+
+    out_type = acc_type if (integral or tile_store) else buf_type
+    out_base = affine(out_coefs)
+    if tile_store:
+        name = "dp4a_store" if integral else "tile_store"
+        store = Evaluate(
+            intrinsic(
+                acc_type, name, StringImm("out"), out_base, IntImm(stride),
+                IntImm(ROWS), IntImm(COLS), acc_load,
+            )
+        )
+    else:
+        store = Store(
+            "out", ramp(out_base, WIDTH),
+            cast(out_type.with_lanes(WIDTH), acc_load),
+        )
+    body = Allocate(
+        "acc", acc_type, (IntImm(WIDTH),), MemoryType.STACK,
+        Block((
+            Store("acc", acc, make_broadcast(const(0, acc_type), WIDTH)),
+            update,
+            store,
+        )),
+    )
+    stmt = body
+    for name, extent in reversed(list(zip(names, extents))):
+        stmt = For(name, IntImm(0), IntImm(extent), kind, stmt)
+
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+
+    def values(size):
+        if integral:
+            return rng.integers(-128, 128, size).astype(np_dtype)
+        return rng.standard_normal(size).astype(np_dtype)
+
+    out_np = np.int32 if integral else (
+        np.float32 if tile_store or element != "f16" else np.float16
+    )
+    arrays = {
+        "inp": (values(reach(in_coefs) + reduce + in_span), buf_type),
+        "k": (values(max(reduce, 1)), buf_type),
+        "out": (np.zeros(reach(out_coefs) + span, out_np), out_type),
+    }
+    return stmt, arrays, disjoint

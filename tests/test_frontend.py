@@ -123,6 +123,30 @@ class TestScheduleDims:
         f[x] += hl.f32(x + r)
         assert [d.var for d in f.update().dims] == ["r_dims", "x"]
 
+    @pytest.mark.parametrize(
+        "directive", ["parallel", "gpu_blocks", "gpu_threads"]
+    )
+    def test_concurrent_reduction_dim_is_rejected(self, directive):
+        """Regression: a racing schedule on a reduction dimension was
+        accepted silently (the interpreter ran it serially)."""
+        x = hl.Var("x")
+        r = hl.RDom(0, 8, name="r_race")
+        f = hl.Func("f_race")
+        f[x] = 0.0
+        f[x] += hl.f32(x + r)
+        update = f.update()
+        with pytest.raises(hl.ScheduleError, match="r_race"):
+            getattr(update, directive)(r)
+        # a split-off piece of the reduction is still the reduction
+        ro, ri = hl.Var("r_race_o"), hl.Var("r_race_i")
+        update.split(r, ro, ri, 4)
+        with pytest.raises(hl.ScheduleError, match="r_race_o"):
+            getattr(update, directive)(ro)
+        # pure dimensions of the same stage, and serial kinds on the
+        # reduction, are untouched
+        getattr(update, directive)(x)
+        update.unroll(ri)
+
     def test_atomic_flag(self):
         x = hl.Var("x")
         r = hl.RDom(0, 4, name="r_at")

@@ -257,32 +257,40 @@ class TestInvalidation:
 
     def test_stale_kernel_payload_falls_back_to_cold_compile(self, tmp_path):
         """A kernel-format bump (without an artifact-format bump) must
-        recompile cold, not crash every warm start."""
+        recompile cold, not crash every warm start — whether the
+        payload is from the future or a pre-lane-loop v3 kernel whose
+        source would run against today's helper globals."""
         from repro.runtime.codegen import KERNEL_FORMAT_VERSION
 
-        app = small_app()
-        store = ArtifactStore(tmp_path)
-        result = warm_select(lower(app.output), store, backend="compile")
-        path = store.path_for(result.key.digest)
-        artifact = _read_payload(path)
-        assert artifact.kernel is not None
-        artifact.kernel["format"] = KERNEL_FORMAT_VERSION + 1
-        _write_payload(path, artifact)
+        assert KERNEL_FORMAT_VERSION == 4
+        for stale_format in (KERNEL_FORMAT_VERSION + 1, 3):
+            root = tmp_path / f"v{stale_format}"
+            app = small_app()
+            store = ArtifactStore(root)
+            result = warm_select(lower(app.output), store, backend="compile")
+            path = store.path_for(result.key.digest)
+            artifact = _read_payload(path)
+            assert artifact.kernel is not None
+            assert "loops" in artifact.kernel
+            artifact.kernel["format"] = stale_format
+            _write_payload(path, artifact)
 
-        fresh = ArtifactStore(tmp_path)
-        result = warm_select(lower(small_app().output), fresh, backend="compile")
-        assert result.report.artifact_cache == "miss"
-        assert result.kernel is not None
-        # both telemetry surfaces agree the lookup missed
-        assert fresh.stats.hits == 0
-        assert fresh.stats.stale == 1
-        assert fresh.stats.misses >= 1
-        # the stale artifact was overwritten: the next lookup hits again
-        result = warm_select(
-            lower(small_app().output), ArtifactStore(tmp_path),
-            backend="compile",
-        )
-        assert result.report.artifact_cache == "hit"
+            fresh = ArtifactStore(root)
+            result = warm_select(
+                lower(small_app().output), fresh, backend="compile"
+            )
+            assert result.report.artifact_cache == "miss"
+            assert result.kernel is not None
+            # both telemetry surfaces agree the lookup missed
+            assert fresh.stats.hits == 0
+            assert fresh.stats.stale == 1
+            assert fresh.stats.misses >= 1
+            # the stale artifact was overwritten: the next lookup hits
+            result = warm_select(
+                lower(small_app().output), ArtifactStore(root),
+                backend="compile",
+            )
+            assert result.report.artifact_cache == "hit"
 
     def test_custom_apps_forward_backend_to_artifact(self, tmp_path):
         """dct_denoise/recursive_filter key artifacts under their

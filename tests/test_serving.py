@@ -408,6 +408,27 @@ class TestServer:
         assert 1 <= len(stats["plans"]) <= 3
         assert sum(p["runs"] for p in stats["plans"]) == 16
 
+    def test_plan_survives_a_failed_request(self):
+        """The worker thread keeps its plan across a failed run:
+        ``ExecutionPlan.run`` resets its own bound state and arena, so
+        the retry rebinds the *same* plan instead of building another."""
+        from repro.service import FaultPlan, FaultSpec, faults
+
+        app = conv1d.build("tensor", taps=8, rows=1)
+        app.backend = "compile"
+        expected = app.run()
+        fault = FaultPlan(specs=[FaultSpec("raise-in-kernel", visits=(0,))])
+        with Server(app, workers=1, retries=1) as server:
+            with faults.active(fault):
+                out = server.run(app.inputs)
+            np.testing.assert_array_equal(out, expected)
+            np.testing.assert_array_equal(server.run(app.inputs), expected)
+            stats = server.stats()
+        assert stats["failures"] == 1 and stats["retries"] == 1
+        [plan] = stats["plans"]  # one plan object served all three runs
+        assert plan["rebinds"] == 2
+        assert plan["runs"] == 2
+
     def test_accepts_an_app_and_single_requests(self):
         app = conv1d.build("tensor", taps=8, rows=1)
         app.backend = "compile"

@@ -5,7 +5,10 @@ Two modes:
 * ``--smoke`` (CI): compiles both quantized apps through HARDBOILED,
   checks that dp4a intrinsics were actually selected, and asserts the
   interpreter and the compiled NumPy backend agree with the exact
-  int32 numpy reference bit for bit.  No timing assertions.
+  int32 numpy reference bit for bit; and checks the ``dp4a_mac`` core
+  itself (float32 BLAS inside) against an int64 ``einsum`` at the int8
+  extremes with accumulators at both ends of int32.  No timing
+  assertions.
 * full (default): additionally prints the modeled roofline comparison
   of the quantized GEMM against the fp16 tensor GEMM on each device —
   the quantization win the serving workloads are after — plus host
@@ -27,6 +30,7 @@ from repro.apps import conv_layer, matmul
 from repro.perfmodel import PerfModel, format_table
 from repro.runtime import Counters
 from repro.targets.device import A100, SPR_AMX
+from repro.targets.dp4a import DP_K, DP_M, DP_N, dp4a_mac, vnni4_unpack
 
 from .harness import backend_report, print_header
 
@@ -53,6 +57,31 @@ def check_equivalence(apps):
             f"{label}: dp4a_matmul was not selected"
         )
         assert app.report is not None and app.report.all_mapped, label
+
+
+def check_core():
+    """``dp4a_mac`` sums its products in float32; an int64 dot product
+    wrapped to int32 at the end is what the instruction computes."""
+    rng = np.random.default_rng(4)
+    extremes = np.array([-128, 127], np.int8)
+    for a, b in (
+        (rng.integers(-128, 128, (3, DP_M, DP_K)),
+         rng.integers(-128, 128, (DP_K // 4, 4 * DP_N))),
+        (rng.choice(extremes, (DP_M, DP_K)),
+         rng.choice(extremes, (DP_K // 4, 4 * DP_N))),
+        (np.full((DP_M, DP_K), -128), np.full((DP_K // 4, 4 * DP_N), -128)),
+    ):
+        a, b = a.astype(np.int8), b.astype(np.int8)
+        for start in (0, 2**31 - 1, -(2**31)):
+            c = np.full(a.shape[:-2] + (DP_M, DP_N), start, np.int32)
+            exact = c.astype(np.int64) + np.einsum(
+                "...mk,kn->...mn",
+                a.astype(np.int64),
+                vnni4_unpack(b).astype(np.int64),
+            )
+            np.testing.assert_array_equal(
+                dp4a_mac(c, a, b), exact.astype(np.int32)
+            )
 
 
 def roofline_rows(apps):
@@ -95,9 +124,11 @@ def main(argv=None) -> int:
 
     apps = quantized_apps()
     check_equivalence(apps)
+    check_core()
     print(
         "dp4a smoke: both quantized apps bit-exact on both backends"
-        " against the int32 numpy reference"
+        " against the int32 numpy reference; dp4a_mac equals the int64"
+        " dot product, wraparound included"
     )
     if args.smoke:
         return 0

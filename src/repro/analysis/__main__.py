@@ -11,7 +11,9 @@ Sections:
 ``--fig6`` widens the app set from the quick pair to the full fig-6
 suite.  The ``kernels`` section also prints each kernel's loop report:
 which data-parallel loops run as one lane-vectorised pass, and why the
-others stayed Python loops.  Exit status is 1 when any
+others stayed Python loops; and one row per MAC call site: whether each
+of A and B reaches the core ``narrow`` (the buffer's own float16 / int8
+elements), or why it is widened first.  Exit status is 1 when any
 error-severity finding survives, 0 otherwise (warnings never fail the
 gate).
 """
@@ -64,6 +66,7 @@ def main(argv=None) -> int:
 
     findings: List[Finding] = []
     loops: List[tuple] = []
+    macs: List[tuple] = []
     if "rules" in sections:
         findings.extend(lint_rules())
     if "concurrency" in sections:
@@ -76,6 +79,7 @@ def main(argv=None) -> int:
                 found, label, kernel = _analyze(name, params, variant)
                 findings.extend(found)
                 loops.extend((label,) + row for row in kernel.loops)
+                macs.extend((label,) + row for row in kernel.macs)
 
     if args.json:
         print(
@@ -89,6 +93,8 @@ def main(argv=None) -> int:
         if "kernels" in sections:
             for label, var, extent, status in loops:
                 print(f"loop {label}: {var} x{extent}: {status}")
+            for label, intrinsic, a, b in macs:
+                print(f"mac {label}: {intrinsic}: A {a}, B {b}")
 
     n_errors = len(errors(findings))
     n_warnings = len(warnings(findings))

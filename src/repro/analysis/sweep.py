@@ -7,7 +7,8 @@ its source against the plan's published env, then attempt the
 batch-axis kernel and lint that too.  ``sweep`` fans it over an app
 list; the clean-run self-test is built on it.  The CLI walks the same
 table through ``_analyze``, which also hands back each scalar kernel,
-and prints its ``CompiledKernel.loops`` report next to the findings.
+and prints its ``CompiledKernel.loops`` and ``.macs`` reports next to the
+findings.
 """
 
 from __future__ import annotations

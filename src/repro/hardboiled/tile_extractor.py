@@ -23,7 +23,7 @@ schedule has already pinned where the computation must run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -347,10 +347,10 @@ class TileExtractor:
                         new_args.append(StringImm(name))
                     else:
                         new_args.append(a)
-                import dataclasses
-
                 if tuple(new_args) != node.args:
-                    return dataclasses.replace(node, args=tuple(new_args))
+                    return Call(
+                        node.dtype, node.name, tuple(new_args), node.call_type
+                    )
                 return node
 
         return Collector().mutate(stmt)
@@ -488,17 +488,15 @@ def select_instructions(
     """
     extractor = TileExtractor(lowered, iterations=iterations, strict=strict)
     stmt, report = extractor.run()
-    import dataclasses
-    import time as _time
-
-    new_lowered = dataclasses.replace(lowered, stmt=stmt)
-    new_lowered.pass_seconds = dict(lowered.pass_seconds)
+    new_lowered = replace(
+        lowered, stmt=stmt, pass_seconds=dict(lowered.pass_seconds)
+    )
     new_lowered.pass_seconds["hardboiled_eqsat"] = report.eqsat_seconds
     new_lowered.pass_seconds["hardboiled_total"] = report.total_seconds
     if verify:
         from ..analysis import check_ir
 
-        start = _time.perf_counter()
+        start = time.perf_counter()
         check_ir(
             stmt,
             lowered.realizations,
@@ -510,5 +508,5 @@ def select_instructions(
                 if not row["mapped"]
             },
         )
-        new_lowered.pass_seconds["verify"] = _time.perf_counter() - start
+        new_lowered.pass_seconds["verify"] = time.perf_counter() - start
     return new_lowered, report

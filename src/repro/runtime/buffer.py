@@ -75,9 +75,11 @@ class Buffer:
                     f"data size {flat.size} != buffer size {self.size}"
                 )
             if dtype.code is TypeCode.BFLOAT:
-                # rounding allocates fresh storage, so bf16 ingest
-                # still isolates the buffer from the source array
-                flat = round_to_bfloat16(flat)
+                # bf16 ingest isolates the buffer from the source
+                # array: rounding allocates fresh storage, except when
+                # there was nothing to round
+                rounded = round_to_bfloat16(flat)
+                flat = rounded.copy() if rounded is flat else rounded
             self.data = flat
         # per-element touched masks for footprint accounting; allocated
         # lazily so the compiled backend (which reads/writes .data

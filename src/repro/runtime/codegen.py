@@ -86,8 +86,11 @@ class CodegenError(RuntimeError):
 
 
 def _bf16(value):
-    """Mirror of the interpreter's bfloat16 cast/store rounding."""
-    return round_to_bfloat16(np.asarray(value, dtype=np.float32))
+    """Mirror of the interpreter's bfloat16 cast/store rounding.  Always
+    a fresh array: ``value`` may be a live view of a buffer."""
+    value = np.asarray(value, dtype=np.float32)
+    rounded = round_to_bfloat16(value)
+    return rounded.copy() if rounded is value else rounded
 
 
 def _ident(value):
@@ -152,6 +155,20 @@ def _tile_idx(arena, base, stride, rows, cols):
     return arena.tile_grid(stride, rows, cols) + base
 
 
+def _loaded(tile, mac_operand, narrow, wide):
+    """A gathered tile as its load intrinsic's value.
+
+    Widened, as the interpreter's load hands it on — except in a MAC
+    operand slot (``mac_operand``, a literal the emitter appends there
+    and nowhere else), which takes the buffer's own ``narrow`` elements
+    so the core widens them exactly once.  Anywhere else numpy would
+    compute in the narrow type where the interpreter computes wide.
+    """
+    if mac_operand and tile.dtype == narrow:
+        return tile
+    return tile.astype(wide, copy=False)
+
+
 def _cast_f(value, np_dtype):
     """Mirror of ``Interpreter._eval_Cast`` for float targets."""
     if isinstance(value, np.ndarray):
@@ -214,9 +231,9 @@ def _v_dp4a_zero(arena, rows, cols):
     return np.zeros(rows * cols, dtype=np.int32)
 
 
-def _v_dp4a_load(arena, buf, base, stride, rows, cols):
+def _v_dp4a_load(arena, buf, base, stride, rows, cols, mac_operand=False):
     idx = _tile_idx(arena, base, stride, rows, cols)
-    return buf.data[idx].astype(np.int32, copy=False)
+    return _loaded(buf.data[idx], mac_operand, np.int8, np.int32)
 
 
 def _v_dp4a_matmul(arena, c, a, b, m, n, k):
@@ -241,16 +258,17 @@ def _v_wmma_fill(arena, m, n, value):
     return np.full(m * n, value, dtype=np.float32)
 
 
-def _v_wmma_load(arena, buf, base, stride, rows, cols):
-    return _v_tile_load(arena, buf, base, stride, rows, cols)
+def _v_wmma_load(arena, buf, base, stride, rows, cols, mac_operand=False):
+    idx = _tile_idx(arena, base, stride, rows, cols)
+    return _loaded(buf.data[idx], mac_operand, np.float16, np.float32)
 
 
 def _v_wmma_mma(arena, c, a, b, m, n, k):
     wmma_check_shape(m, n, k)
     return mma_sync(
         np.asarray(c, np.float32).reshape(m, n),
-        np.asarray(a, np.float32).reshape(m, k),
-        np.asarray(b, np.float32).reshape(k, n),
+        np.asarray(a).reshape(m, k),
+        np.asarray(b).reshape(k, n),
     ).ravel()
 
 
@@ -410,9 +428,9 @@ def _bv_tile_store(arena, buf, base, stride, rows, cols, tile):
     return np.float32(0.0)
 
 
-def _bv_dp4a_load(arena, buf, base, stride, rows, cols):
+def _bv_dp4a_load(arena, buf, base, stride, rows, cols, mac_operand=False):
     idx = _tile_idx(arena, base, stride, rows, cols)
-    return buf.data[:, idx].astype(np.int32, copy=False)
+    return _loaded(buf.data[:, idx], mac_operand, np.int8, np.int32)
 
 
 def _bv_dp4a_matmul(arena, c, a, b, m, n, k):
@@ -435,16 +453,17 @@ def _bv_wmma_fill(arena, m, n, value):
     return np.full((col.shape[0], m * n), col, dtype=np.float32)
 
 
-def _bv_wmma_load(arena, buf, base, stride, rows, cols):
-    return _bv_tile_load(arena, buf, base, stride, rows, cols)
+def _bv_wmma_load(arena, buf, base, stride, rows, cols, mac_operand=False):
+    idx = _tile_idx(arena, base, stride, rows, cols)
+    return _loaded(buf.data[:, idx], mac_operand, np.float16, np.float32)
 
 
 def _bv_wmma_mma(arena, c, a, b, m, n, k):
     wmma_check_shape(m, n, k)
     out = mma_sync(
         _tiles(c, m, n, np.float32),
-        _tiles(a, m, k, np.float32),
-        _tiles(b, k, n, np.float32),
+        _tiles(a, m, k),
+        _tiles(b, k, n),
     )
     return out.reshape(out.shape[0], -1)
 
@@ -490,6 +509,16 @@ _BATCHED_MATMULS: Dict[str, Callable] = {
 _BATCHED_ELEMENTWISE: Dict[str, Callable] = {
     "TileExpand": _bv_tile_expand,
     "TileCompact": _bv_tile_compact,
+}
+#: MAC -> (its tile loads, the narrow dtype their buffers hold).  Such
+#: a load sitting directly in the MAC's A/B slot hands the core the
+#: buffer's own elements (see :func:`_loaded`).  ``tile_matmul`` is
+#: absent: bf16 has no numpy dtype, AMX tiles are float32 storage
+_NARROW_OPERANDS = {
+    "wmma.mma.sync": (
+        ("wmma.load.a.sync", "wmma.load.b.sync"), np.dtype(np.float16),
+    ),
+    "dp4a_matmul": (("dp4a_load",), np.dtype(np.int8)),
 }
 #: weight-derived shuffle operands: shared across the batch by
 #: construction, so a batched source forces the looped fallback
@@ -950,6 +979,10 @@ class _Emitter:
         self.proved: Optional[Dict[str, tuple]] = None
         #: (variable, extent, "lanes" | why not) per data-parallel loop
         self.loops: List[tuple] = []
+        #: (intrinsic, A, B) per MAC call site: ``"narrow"`` when the
+        #: operand reaches the core in its buffer's narrow elements,
+        #: else why it is widened first (see ``_operand_width``)
+        self.macs: List[tuple] = []
 
     def batched(self, e: E.Expr) -> bool:
         """Does ``e`` vary along the live leading axis (if any)?"""
@@ -1249,7 +1282,7 @@ class _Emitter:
         stop = idx.count * stride - stride + 1
         return f"{temp}:{temp} + {stop}:{stride}"
 
-    def _emit_Call(self, e: E.Call) -> str:
+    def _emit_Call(self, e: E.Call, mac_operand: bool = False) -> str:
         math_fn = MATH_INTRINSICS.get(e.name)
         if math_fn is not None:
             return f"{math_fn}({self.emit(e.args[0])})"
@@ -1257,17 +1290,43 @@ class _Emitter:
         if self.lead is not None:
             fn = self._leading_axis_core(e, fn)
         if fn is not None:
+            narrow = ()
+            if e.name in _BATCHED_MATMULS:
+                widths = [self._operand_width(e.name, a) for a in e.args[1:3]]
+                self.macs.append((e.name, *widths))
+                narrow = [i for i, w in enumerate(widths, 1) if w == "narrow"]
             args = ["_arena"]
-            for a in e.args:
+            for i, a in enumerate(e.args):
                 if isinstance(a, E.StringImm):
                     args.append(self.buf_obj(a.value))
+                elif i in narrow:
+                    args.append(self._emit_Call(a, mac_operand=True))
                 else:
                     args.append(self.emit(a))
+            if mac_operand:
+                args.append("True")
             return f"{self.const(fn)}({', '.join(args)})"
         # unknown intrinsic: hand the Call node to the interpreter
         self.needs_interp = True
         call = self.const(e)
         return f"_interp._eval_Call({call}, {self._env_dict(e)})"
+
+    def _operand_width(self, mac: str, a: E.Expr) -> str:
+        """``"narrow"`` when operand ``a`` of ``mac`` reaches the core
+        in its buffer's narrow elements, else why it arrives widened."""
+        if mac not in _NARROW_OPERANDS:
+            return "bf16 is stored as float32"
+        loads, narrow = _NARROW_OPERANDS[mac]
+        if not (
+            isinstance(a, E.Call)
+            and a.name in loads
+            and isinstance(a.args[0], E.StringImm)
+        ):
+            return "not a direct load"
+        dtype = self._alloc_dtypes.get(a.args[0].value)
+        if dtype is not None and dtype.to_numpy() != narrow:
+            return f"buffer is {dtype}"
+        return "narrow"
 
     def _leading_axis_core(self, e: E.Call, fn: Optional[Callable]):
         """The core for intrinsic ``e`` under a live leading axis.
@@ -1651,6 +1710,7 @@ class CompiledKernel:
         is_fallback: bool = False,
         globals_map: Optional[Dict[str, object]] = None,
         loops: Tuple[tuple, ...] = (),
+        macs: Tuple[tuple, ...] = (),
     ) -> None:
         self.fn = fn
         self.source = source
@@ -1665,6 +1725,10 @@ class CompiledKernel:
         #: ``"lanes"`` when the loop runs as one lane-vectorised array
         #: pass, else the reason it stayed a Python loop
         self.loops = tuple(loops)
+        #: one ``(intrinsic, A, B)`` row per MAC call site: per operand
+        #: ``"narrow"`` when the core receives the buffer's own f16 /
+        #: int8 elements, else the reason it is widened ahead of it
+        self.macs = tuple(macs)
 
     def __call__(
         self, buffers: Dict[str, Buffer], env: dict, arena=None
@@ -1685,6 +1749,7 @@ def _load_kernel(
     key: str,
     needs_interp: bool,
     loops,
+    macs,
     label: str = "kernel",
 ) -> CompiledKernel:
     """Execute emitted ``source`` over the helper + injected globals."""
@@ -1699,6 +1764,7 @@ def _load_kernel(
         needs_interp,
         globals_map=globals_map,
         loops=loops,
+        macs=macs,
     )
 
 
@@ -1718,6 +1784,7 @@ def compile_stmt(stmt: S.Stmt, key: str = "") -> CompiledKernel:
             key,
             emitter.needs_interp,
             emitter.loops,
+            emitter.macs,
         )
     except CodegenError:
         def fallback(buffers, env, interp, arena):
@@ -1781,6 +1848,7 @@ def compile_batched_stmt(
         key,
         False,
         emitter.loops,
+        emitter.macs,
         label="batched-kernel",
     )
 
@@ -1804,7 +1872,9 @@ def compile_batched_stmt(
 #:     helpers, env['batch.size'])
 #: v4: lane-vectorised block loops (_LANES chunking, per-lane bases
 #:     through _tile_idx) and the ``loops`` report
-KERNEL_FORMAT_VERSION = 4
+#: v5: tile loads in a MAC operand slot carry a trailing ``True`` and
+#:     yield the buffer's narrow elements; the ``macs`` report
+KERNEL_FORMAT_VERSION = 5
 
 
 def serialize_kernel(kernel: CompiledKernel) -> Optional[dict]:
@@ -1818,6 +1888,7 @@ def serialize_kernel(kernel: CompiledKernel) -> Optional[dict]:
         "globals": kernel.globals_map,
         "needs_interp": kernel.needs_interp,
         "loops": kernel.loops,
+        "macs": kernel.macs,
     }
 
 
@@ -1838,4 +1909,5 @@ def deserialize_kernel(payload: dict) -> CompiledKernel:
         payload["key"],
         payload["needs_interp"],
         payload["loops"],
+        payload["macs"],
     )

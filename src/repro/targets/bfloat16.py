@@ -15,9 +15,15 @@ def round_to_bfloat16(values: np.ndarray) -> np.ndarray:
     """Round float32 values to the nearest representable bfloat16.
 
     Returns float32 storage holding exactly-representable bf16 values.
+    Values that are all bf16 already (and hold no NaN, which is
+    canonicalised below) need no rounding and are returned as they came
+    — without a copy when ``values`` is a float32 array, so the result
+    is for reading, not for writing through.
     """
     f32 = np.asarray(values, dtype=np.float32)
     bits = f32.view(np.uint32)
+    if not (bits & 0xFFFF).any() and not np.isnan(f32).any():
+        return f32
     # round-to-nearest-even: add 0x7FFF + LSB of the upper half
     lsb = (bits >> 16) & 1
     rounded = bits + 0x7FFF + lsb

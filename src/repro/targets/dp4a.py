@@ -49,6 +49,10 @@ DP_M = 16
 DP_N = 16
 DP_K = 64
 
+#: deepest dot product :func:`dp4a_mac` sums exactly in float32:
+#: ``k`` int8 products reach at most ``k * 2**14``, exact below ``2**24``
+MAX_EXACT_K = 2**24 // 2**14 - 1
+
 
 class DP4AError(RuntimeError):
     pass
@@ -102,20 +106,34 @@ def dp4a_mac(c: np.ndarray, a: np.ndarray, b_vnni4: np.ndarray) -> np.ndarray:
 
     Hardware multiplies int8 pairs and accumulates in int32 with
     wraparound; truncating the inputs to int8 here reproduces that
-    behaviour for out-of-range values.
+    behaviour for out-of-range values (an int8 operand is taken as is).
+
+    The products are summed by the float32 matmul (BLAS; numpy's int32
+    matmul is an order of magnitude slower): every partial sum is an
+    integer of magnitude at most ``k * 2**14``, which float32 holds
+    exactly while that stays below ``2**24``, so the result is the
+    integer dot product whatever order the library sums in.  Only the
+    final add into ``c`` can leave the int32 range, and it wraps.
 
     Rank-polymorphic like :func:`repro.targets.amx.tdpbf16ps`: operands
     may carry a leading batch axis; the int8 truncation and int32
     wraparound apply elementwise per batch slice, bit-identical to the
     2-D call.
     """
-    a8 = np.asarray(a).astype(np.int8).astype(np.int32)
-    b = vnni4_unpack(np.asarray(b_vnni4).astype(np.int8)).astype(np.int32)
-    if a8.shape[-1] != b.shape[-2]:
+    a8 = np.asarray(a).astype(np.int8, copy=False)
+    b = vnni4_unpack(np.asarray(b_vnni4).astype(np.int8, copy=False))
+    k = a8.shape[-1]
+    if k != b.shape[-2]:
         raise DP4AError(
             f"dp4a_matmul shape mismatch: A {a8.shape} vs B {b.shape}"
         )
-    return np.asarray(c, dtype=np.int32) + a8 @ b
+    if k > MAX_EXACT_K:
+        raise DP4AError(
+            f"dp4a_matmul depth {k} > {MAX_EXACT_K}: the float32 dot"
+            " product would no longer be exact"
+        )
+    dot = a8.astype(np.float32) @ b.astype(np.float32)
+    return np.asarray(c, dtype=np.int32) + dot.astype(np.int32)
 
 
 # -- intrinsic handlers ---------------------------------------------------------

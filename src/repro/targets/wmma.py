@@ -51,14 +51,26 @@ def check_shape(m: int, n: int, k: int) -> None:
         )
 
 
+def _fp16_operand(x: np.ndarray) -> np.ndarray:
+    """A fragment operand's values: fp16-representable, held as float32.
+
+    A float16 array is widened, which is exact.  Anything else goes
+    through float32 — what every intrinsic handler passes — and is
+    rounded to float16 first; on fp16-representable values that
+    rounding is the identity, so both routes agree bit for bit.
+    """
+    x = np.asarray(x)
+    if x.dtype != np.float16:
+        x = x.astype(np.float32, copy=False).astype(np.float16)
+    return x.astype(np.float32)
+
+
 def mma_sync(
     c: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """C + A @ B with fp16 operands and fp32 accumulation."""
-    a16 = np.asarray(a).astype(np.float16)
-    b16 = np.asarray(b).astype(np.float16)
     return np.asarray(c, dtype=np.float32) + (
-        a16.astype(np.float32) @ b16.astype(np.float32)
+        _fp16_operand(a) @ _fp16_operand(b)
     )
 
 

@@ -47,6 +47,39 @@ INT8_APPS = [
 INT8_APP_IDS = ["matmul_int8", "conv_layer_int8"]
 
 
+#: float16 bit patterns the type boundaries treat specially: +-0,
+#: smallest and largest subnormal, smallest normal, +-65504, +-inf,
+#: quiet and signalling NaNs with payloads
+F16_SPECIALS = np.array(
+    [0x0000, 0x8000, 0x0001, 0x8001, 0x03FF, 0x0400, 0x7BFF, 0xFBFF,
+     0x7C00, 0xFC00, 0x7E00, 0xFE00, 0x7C01, 0x7D55, 0xFFFF],
+    dtype=np.uint16,
+)
+
+#: float32 bit patterns: +-0, subnormals, +-inf, NaNs whose payload
+#: sits wholly in the upper half-word (bf16-"exact" NaNs) or not, the
+#: bf16 round-to-even ties and the carry into the exponent / into inf,
+#: 65536.0 (past float16's range)
+F32_SPECIALS = np.array(
+    [0x00000000, 0x80000000, 0x00000001, 0x807FFFFF, 0x7F800000,
+     0xFF800000, 0x7FC00000, 0xFFC00000, 0x7F810000, 0xFFA50000,
+     0x7F800001, 0x7FFFFFFF, 0x3F808000, 0x3F818000, 0x3F807FFF,
+     0x3F808001, 0x3FFFFFFF, 0x7F7FFFFF, 0x7F7F8000, 0x00008000,
+     0x47800000],
+    dtype=np.uint32,
+)
+
+
+def assert_same_bytes(got, want):
+    """Equal dtype, shape and raw bytes: NaN payloads and the sign of
+    zero must survive, not just compare equal."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(got).view(np.uint8),
+        np.ascontiguousarray(want).view(np.uint8),
+    )
+
+
 def build_requests(app, count, rng, vary=1):
     """``count`` run_many requests for ``app``: fresh random data for
     the first ``vary`` input params, the app's own arrays — the *same

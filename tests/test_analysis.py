@@ -499,6 +499,57 @@ def test_fig6_table_matches_conftest():
     assert dict(FIG6_APPS) == expected
 
 
+def test_kernels_section_says_why_a_mac_operand_is_widened(
+    capsys, monkeypatch
+):
+    """``kernels`` prints one row per MAC call site.  Seeded: A is
+    arithmetic on a load and B comes from a float32 scratch, so both
+    stay wide and the row names each reason."""
+    from repro.analysis import __main__ as cli
+    from repro.ir.builders import intrinsic, make_add
+    from repro.runtime.codegen import compile_stmt
+
+    def tile(name, *args):
+        return intrinsic(
+            Float(16, 256), name, *args, E.IntImm(16), E.IntImm(16)
+        )
+
+    a = tile("wmma.load.a.sync", E.StringImm("A"), E.IntImm(0), E.IntImm(16))
+    b = tile("wmma.load.b.sync", E.StringImm("tmp"), E.IntImm(0), E.IntImm(16))
+    fill = intrinsic(
+        Float(32, 256), "wmma.fill.sync", E.IntImm(16), E.IntImm(16),
+        E.FloatImm(0.0, Float(32)),
+    )
+    mac = intrinsic(
+        Float(32, 256), "wmma.mma.sync", fill, make_add(a, a), b,
+        E.IntImm(16), E.IntImm(16), E.IntImm(16),
+    )
+    store = intrinsic(
+        Float(32), "wmma.store.d.sync", E.StringImm("out"), E.IntImm(0),
+        E.IntImm(16), E.IntImm(16), E.IntImm(16), mac,
+    )
+    seeded = compile_stmt(
+        S.Allocate(
+            "tmp", Float(32), (E.IntImm(256),), S.MemoryType.STACK,
+            S.Evaluate(store),
+        )
+    )
+    monkeypatch.setattr(cli, "QUICK_APPS", (("seeded", {}),))
+    monkeypatch.setattr(
+        cli, "_analyze", lambda name, params, variant: ([], name, seeded)
+    )
+    assert cli.main(["kernels"]) == 0
+    assert (
+        "mac seeded: wmma.mma.sync: A not a direct load,"
+        " B buffer is float32" in capsys.readouterr().out
+    )
+    monkeypatch.undo()
+    assert cli.main(["kernels"]) == 0
+    out = capsys.readouterr().out
+    assert "mac conv1d[tensor]: wmma.mma.sync: A narrow, B narrow" in out
+    assert "mac conv1d[cuda]" not in out
+
+
 # -- gates ---------------------------------------------------------------------
 
 

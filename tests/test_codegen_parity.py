@@ -7,14 +7,20 @@ zero tolerance.  These tests also pin down that real Python/NumPy
 kernels were emitted (no silent interpreter fallback).
 """
 
+import functools
+import re
+
 import numpy as np
 import pytest
 from conftest import (
+    F16_SPECIALS,
+    F32_SPECIALS,
     INT8_APP_IDS,
     INT8_APPS,
     SIMPLE_APP_IDS,
     SIMPLE_APPS,
     VARIANTS,
+    assert_same_bytes,
     build_requests,
 )
 from hypothesis import given, settings
@@ -32,6 +38,7 @@ from repro.ir import (
     Allocate,
     BFloat,
     Block,
+    Cast,
     Evaluate,
     Float,
     For,
@@ -39,6 +46,7 @@ from repro.ir import (
     IfThenElse,
     Int,
     IntImm,
+    LetStmt,
     Load,
     MemoryType,
     Ramp,
@@ -54,11 +62,25 @@ from repro.ir.builders import (
     make_broadcast,
     make_mul,
 )
+from repro.lowering import lower
 from repro.runtime import Buffer, Interpreter
-from repro.runtime.codegen import _LANES, compile_stmt
-from repro.runtime.executor import RequestError
+from repro.runtime.buffer import StackedBuffer
+from repro.runtime.codegen import (
+    _LANES,
+    KERNEL_FORMAT_VERSION,
+    compile_batched_stmt,
+    compile_stmt,
+)
+from repro.runtime.executor import CompiledPipeline, RequestError
 from repro.runtime.kernel_cache import KernelCache
-from repro.service import FaultPlan, FaultSpec, Server, faults
+from repro.service import (
+    ArtifactStore,
+    FaultPlan,
+    FaultSpec,
+    Server,
+    faults,
+    warm_select,
+)
 
 
 def assert_backends_agree(app):
@@ -203,8 +225,11 @@ for name, (builder, params) in zip(INT8_APP_IDS, INT8_APPS):
 MUST_TAKE_LANES = {label for label in LANE_APPS if "cuda" not in label}
 
 
-def build_app(spec):
-    builder, args, kwargs = spec
+@functools.lru_cache(maxsize=None)
+def build_app(label):
+    """The app behind ``label`` — built once per session: an ``App``
+    keeps its compiled pipeline, and eqsat dominates these tests."""
+    builder, args, kwargs = (LANE_APPS.get(label) or SERIAL_APPS[label])
     return builder(*args, **kwargs)
 
 
@@ -263,7 +288,7 @@ def f32_out(size):
 class TestLaneLoops:
     @pytest.mark.parametrize("label", sorted(LANE_APPS))
     def test_apps_four_way(self, label):
-        kernel = four_way(build_app(LANE_APPS[label]))
+        kernel = four_way(build_app(label))
         assert kernel.loops, "every app here schedules a block loop"
         if label in MUST_TAKE_LANES:
             assert {status for _, _, status in kernel.loops} == {"lanes"}
@@ -271,7 +296,7 @@ class TestLaneLoops:
 
     @pytest.mark.parametrize("label", sorted(SERIAL_APPS))
     def test_serial_kernels_are_untouched(self, label):
-        kernel = four_way(build_app(SERIAL_APPS[label]))
+        kernel = four_way(build_app(label))
         assert kernel.loops == ()
         for lane_construct in ("_LANES", "_take_b", "lanes-disjoint"):
             assert lane_construct not in kernel.source
@@ -693,3 +718,392 @@ def block_nests(draw):
         "out": (np.zeros(reach(out_coefs) + span, out_np), out_type),
     }
     return stmt, arrays, disjoint
+
+
+# -- tile operands at the MAC boundary -----------------------------------------
+#
+# A WMMA / DP4A load sitting directly in a MAC's A or B slot hands the
+# core the buffer's own float16 / int8 elements (the emitter appends a
+# literal ``True`` to that load and to no other); every other consumer
+# of a load keeps the widened value the interpreter computes with.
+# Everything below compares raw bytes: NaN payloads and the sign of
+# zero must survive, not just compare equal.
+
+#: dtype -> the values its type boundaries treat specially
+SPECIALS = {
+    np.dtype(np.float16): F16_SPECIALS.view(np.float16),
+    np.dtype(np.float32): F32_SPECIALS.view(np.float32),
+    np.dtype(np.int8): np.array([-128, 127, -1, 0], np.int8),
+}
+
+
+def with_specials(rng, array, finite_only=False, count=6):
+    """Fresh random data shaped like ``array`` with ``count`` special
+    values dropped in (few, so most outputs stay finite).  Index inputs
+    (anything but float / int8) are returned as they are."""
+    pool = SPECIALS.get(array.dtype)
+    if pool is None:
+        return array
+    if array.dtype.kind == "f":
+        out = rng.standard_normal(array.shape).astype(array.dtype)
+        if finite_only:
+            pool = pool[np.isfinite(pool)]
+    else:
+        out = rng.integers(-128, 128, array.shape).astype(array.dtype)
+    flat = out.reshape(-1)
+    where = rng.choice(flat.size, size=min(count, flat.size), replace=False)
+    flat[where] = rng.choice(pool, size=where.size)
+    return out
+
+
+M = N = K = 16
+TILE = M * N
+
+
+def wmma_load(side, name, base, stride=K):
+    return intrinsic(
+        Float(16, TILE), f"wmma.load.{side}.sync", StringImm(name), base,
+        IntImm(stride), IntImm(16), IntImm(16),
+    )
+
+
+def wmma_mma(a, b):
+    zero = intrinsic(
+        Float(32, TILE), "wmma.fill.sync", IntImm(M), IntImm(N),
+        const(0.5, Float(32)),
+    )
+    return intrinsic(
+        Float(32, TILE), "wmma.mma.sync", zero, a, b,
+        IntImm(M), IntImm(N), IntImm(K),
+    )
+
+
+def wmma_store(name, base, tile):
+    return Evaluate(
+        intrinsic(
+            Float(32), "wmma.store.d.sync", StringImm(name), base,
+            IntImm(N), IntImm(M), IntImm(N), tile,
+        )
+    )
+
+
+def run_four_ways(body, arrays, blocks=3, batch=2):
+    """``body`` (over block variable ``x``) on the interpreter, as a
+    serial kernel, as a lane-vectorised kernel and as a batch-axis
+    kernel (request ``b`` gets every array rolled by ``b``): the same
+    bytes in every buffer.  Returns the lane kernel."""
+
+    def buffers(shift):
+        return {
+            name: Buffer.from_numpy(name, np.roll(array, shift), dtype=dtype)
+            for name, (array, dtype) in arrays.items()
+        }
+
+    def loop(kind):
+        return For("x", IntImm(0), IntImm(blocks), kind, body)
+
+    serial, lanes = compile_stmt(loop(ForKind.SERIAL)), compile_stmt(
+        loop(ForKind.GPU_BLOCK)
+    )
+    batched = compile_batched_stmt(loop(ForKind.SERIAL), frozenset(arrays))
+    assert not serial.is_fallback and not lanes.is_fallback
+    assert {status for _, _, status in lanes.loops} == {"lanes"}, lanes.loops
+    assert serial.macs == lanes.macs == batched.macs
+
+    with np.errstate(all="ignore"):
+        expected = []
+        for shift in range(batch):
+            reference = buffers(shift)
+            Interpreter(reference).run(loop(ForKind.SERIAL), {})
+            expected.append(reference)
+            for kernel in (serial, lanes):
+                got = buffers(shift)
+                kernel(got, {})
+                for name in arrays:
+                    assert_same_bytes(got[name].data, reference[name].data)
+        stacked = {
+            name: StackedBuffer(
+                name, dtype, (array.size,), is_external=True, batch=batch,
+                data=np.stack(
+                    [buffers(shift)[name].data for shift in range(batch)]
+                ),
+            )
+            for name, (array, dtype) in arrays.items()
+        }
+        batched(stacked, {"batch.size": batch})
+    for shift, reference in enumerate(expected):
+        for name in arrays:
+            assert_same_bytes(stacked[name].data[shift], reference[name].data)
+    return lanes
+
+
+def mac_literals(kernel):
+    """How many loads in ``kernel``'s source carry the MAC-slot literal."""
+    return len(re.findall(r", True\)", kernel.source))
+
+
+class TestMacOperands:
+    def arrays(self, rng, **dtypes):
+        """Three tiles' worth of special-laden data per named input,
+        and a float32 ``out``."""
+        made = {"out": f32_out(3 * TILE)}
+        for name, (np_dtype, ir_type) in dtypes.items():
+            values = with_specials(rng, np.zeros(3 * TILE, np_dtype), count=40)
+            made[name] = (values, ir_type)
+        return made
+
+    F16 = (np.float16, Float(16))
+
+    def test_direct_loads_reach_the_core_narrow(self, rng):
+        x = Variable("x")
+        base = make_mul(x, IntImm(TILE))
+        body = wmma_store(
+            "out", base,
+            wmma_mma(wmma_load("a", "A", base), wmma_load("b", "B", base)),
+        )
+        kernel = run_four_ways(body, self.arrays(rng, A=self.F16, B=self.F16))
+        assert kernel.macs == (("wmma.mma.sync", "narrow", "narrow"),)
+        assert mac_literals(kernel) == 2
+
+    def test_loads_feeding_anything_else_stay_wide(self, rng):
+        """Store of a load, TileExpand(load), load + load: float32
+        arithmetic as on the interpreter — in float16, 65504 + 65504
+        would be inf and the subnormal sums would round."""
+        x = Variable("x")
+        base = make_mul(x, IntImm(TILE))
+        a, b = wmma_load("a", "A", base), wmma_load("b", "B", base)
+        half = intrinsic(
+            Float(16, TILE // 2), "wmma.load.a.sync", StringImm("A"), base,
+            IntImm(8), IntImm(16), IntImm(8),
+        )
+        expanded = intrinsic(
+            Float(32, TILE), "TileExpand", half, IntImm(8), IntImm(16)
+        )
+        arrays = self.arrays(rng, A=self.F16, B=self.F16)
+        arrays["A"][0][:4] = np.float16(65504.0)
+        arrays["B"][0][:4] = np.float16(65504.0)
+        for value in (a, make_add(a, b), expanded):
+            kernel = run_four_ways(wmma_store("out", base, value), arrays)
+            assert kernel.macs == () and mac_literals(kernel) == 0
+        # ...and as MAC operands they are widened first, with the reason
+        kernel = run_four_ways(
+            wmma_store("out", base, wmma_mma(make_add(a, b), expanded)),
+            arrays,
+        )
+        assert kernel.macs == (
+            ("wmma.mma.sync", "not a direct load", "not a direct load"),
+        )
+        assert mac_literals(kernel) == 0
+
+    def test_float32_buffers_are_still_rounded_by_the_core(self, rng):
+        """An external float32 operand (its dtype is only known at run
+        time) and an in-kernel float32 scratch (known to the emitter):
+        neither is float16-exact, both must be rounded as before."""
+        x = Variable("x")
+        base = make_mul(x, IntImm(TILE))
+        lanes = ramp(IntImm(0), TILE)
+        scratch = Allocate(
+            "tmp", Float(32), (IntImm(TILE),), MemoryType.STACK,
+            Block((
+                Store(
+                    "tmp", lanes,
+                    make_mul(
+                        Load(Float(32, TILE), "W", ramp(base, TILE)),
+                        make_broadcast(const(1.0 + 2.0**-13, Float(32)), TILE),
+                    ),
+                ),
+                wmma_store(
+                    "out", base,
+                    wmma_mma(
+                        wmma_load("a", "W", base),
+                        wmma_load("b", "tmp", IntImm(0)),
+                    ),
+                ),
+            )),
+        )
+        arrays = self.arrays(rng, W=(np.float32, Float(32)))
+        kernel = run_four_ways(scratch, arrays)
+        assert kernel.macs == (
+            ("wmma.mma.sync", "narrow", "buffer is float32"),
+        )
+        assert mac_literals(kernel) == 1
+        # against the arithmetic spelled out, not just the interpreter
+        with np.errstate(all="ignore"):
+            _, _, compiled = run_both(block_loop("x", 3, scratch), arrays)
+            w = arrays["W"][0].reshape(3, M, K)
+            a16 = w.astype(np.float16)
+            b16 = (w * np.float32(1.0 + 2.0**-13)).astype(np.float16)
+            assert (a16 != w).any() and (b16 != a16).any()
+            want = np.float32(0.5) + a16.astype(np.float32) @ b16.astype(
+                np.float32
+            )
+        np.testing.assert_array_equal(compiled["out"], want.ravel())
+
+    @pytest.mark.parametrize("private", [False, True], ids=["shared", "lane"])
+    def test_float16_scratch_written_in_kernel(self, rng, private):
+        """``hb_tmp*``-style: a float16 Allocate stored by the kernel,
+        then loaded as B — shared across lanes, or (when what is stored
+        varies with the block) a lane-private ``[N, size]`` slab."""
+        x = Variable("x")
+        base = make_mul(x, IntImm(TILE))
+        source = ramp(base if private else IntImm(0), TILE)
+        body = Allocate(
+            "hb_tmp0", Float(16), (IntImm(TILE),), MemoryType.STACK,
+            Block((
+                Store(
+                    "hb_tmp0", ramp(IntImm(0), TILE),
+                    Load(Float(16, TILE), "B", source),
+                ),
+                wmma_store(
+                    "out", base,
+                    wmma_mma(
+                        wmma_load("a", "A", base),
+                        wmma_load("b", "hb_tmp0", IntImm(0)),
+                    ),
+                ),
+            )),
+        )
+        kernel = run_four_ways(body, self.arrays(rng, A=self.F16, B=self.F16))
+        assert kernel.macs == (("wmma.mma.sync", "narrow", "narrow"),)
+        assert ("_take_b(" in kernel.source) == private
+
+    def test_dp4a_operands(self, rng):
+        x = Variable("x")
+
+        def load(name, rows, cols):
+            return intrinsic(
+                Int(8, rows * cols), "dp4a_load", StringImm(name),
+                make_mul(x, IntImm(rows * cols)), IntImm(cols),
+                IntImm(rows), IntImm(cols),
+            )
+
+        zero = intrinsic(Int(32, 256), "dp4a_zero", IntImm(16), IntImm(16))
+        mac = intrinsic(
+            Int(32, 256), "dp4a_matmul", zero, load("A", 16, 64),
+            load("B", 16, 64), IntImm(16), IntImm(16), IntImm(64),
+        )
+        body = Evaluate(
+            intrinsic(
+                Int(32), "dp4a_store", StringImm("out"),
+                make_mul(x, IntImm(256)), IntImm(16), IntImm(16), IntImm(16),
+                mac,
+            )
+        )
+        arrays = {
+            name: (
+                with_specials(rng, np.zeros(3 * 1024, np.int8), count=200),
+                Int(8),
+            )
+            for name in ("A", "B")
+        }
+        arrays["out"] = (np.zeros(3 * 256, np.int32), Int(32))
+        kernel = run_four_ways(body, arrays)
+        assert kernel.macs == (("dp4a_matmul", "narrow", "narrow"),)
+        assert mac_literals(kernel) == 2
+
+    @pytest.mark.parametrize(
+        "label", sorted(MUST_TAKE_LANES) + sorted(SERIAL_APPS)
+    )
+    def test_catalog_on_special_values(self, label, rng):
+        """The 12 + 6 benchmark programs on subnormals, +-inf, NaNs with
+        payloads, -0.0, 65504 and the int8 extremes: interpreter,
+        ``plan.run``, ``run_many(batch_axis=True)`` and a served bucket
+        return the same bytes."""
+        app = build_app(label)
+        pipe = app.compile()
+        weights = {
+            param.name: with_specials(rng, array, finite_only=True)
+            for param, array in list(app.inputs.items())[1:]
+        }
+        data, like = next(iter(app.inputs.items()))
+        requests = [
+            {data.name: with_specials(rng, like), **weights} for _ in range(3)
+        ]
+        with np.errstate(all="ignore"):
+            expected = [pipe.run(r, backend="interpret") for r in requests]
+            plan = pipe.plan(backend="compile")
+            planned = [plan.run(r).copy() for r in requests]
+            batched = pipe.run_many(
+                requests, batch_axis=True, backend="compile"
+            )
+            with Server(pipe, workers=1, backend="compile") as server:
+                served = server.run_many(requests)
+        for want, *got in zip(expected, planned, batched, served):
+            for result in got:
+                assert_same_bytes(result, want)
+        assert not np.isnan(np.concatenate(expected).astype(np.float64)).all()
+
+    def test_parent_commit_artifact_is_recompiled_never_misread(
+        self, tmp_path, rng
+    ):
+        """A v4 kernel payload — no MAC-slot literal, no ``macs`` — is
+        demoted to a cold recompile by the format bump; and were it
+        run against today's helpers anyway, its loads default to the
+        widened value: the same bytes, the old speed."""
+        import pickle
+
+        from repro.runtime.codegen import deserialize_kernel
+        from repro.service.store import frame_blob, unframe_blob
+
+        app = conv1d.build("tensor", taps=8, rows=1)
+        store = ArtifactStore(tmp_path)
+        result = warm_select(lower(app.output), store, backend="compile")
+        path = store.path_for(result.key.digest)
+        with open(path, "rb") as handle:
+            artifact = pickle.loads(unframe_blob(handle.read()))
+        payload = artifact.kernel
+        assert payload["format"] == KERNEL_FORMAT_VERSION
+        assert mac_literals(deserialize_kernel(payload)) == 2
+        del payload["macs"]
+        payload["source"] = payload["source"].replace(", True)", ")")
+        payload["format"] = 4
+        with open(path, "wb") as handle:
+            handle.write(frame_blob(pickle.dumps(artifact)))
+
+        request = {
+            param.name: with_specials(rng, array)
+            for param, array in app.inputs.items()
+        }
+        with np.errstate(all="ignore"):
+            want = app.compile().run(request, backend="interpret")
+            warm = conv1d.build("tensor", taps=8, rows=1)
+            warm.backend = "compile"
+            pipe = warm.compile(cache_dir=str(tmp_path))
+            assert warm.report.artifact_cache == "miss"
+            assert_same_bytes(pipe.run(request), want)
+
+            unbumped = CompiledPipeline(
+                app.compile().lowered, "compile", KernelCache()
+            )
+            unbumped.seed_kernel(
+                deserialize_kernel(
+                    {**payload, "format": KERNEL_FORMAT_VERSION, "macs": ()}
+                )
+            )
+            assert_same_bytes(unbumped.run(request), want)
+            assert unbumped.cache_stats["misses"] == 0
+
+
+def test_bfloat16_cast_of_a_loaded_view_is_a_snapshot():
+    """``round_to_bfloat16`` hands exact input back without a copy; the
+    kernel's cast must not, or a ``let`` over a slice of ``buf`` would
+    see what a later store puts there."""
+    lanes = ramp(IntImm(0), 4)
+    stmt = LetStmt(
+        "v",
+        Cast(BFloat(16, 4), Load(BFloat(16, 4), "buf", lanes)),
+        Block((
+            Store("buf", lanes, make_broadcast(const(9.0, BFloat(16)), 4)),
+            Store("out", lanes, Variable("v", BFloat(16, 4))),
+        )),
+    )
+    exact = np.arange(4, dtype=np.float32)
+    _, interpreted, compiled = run_both(
+        stmt,
+        {
+            "buf": (exact, BFloat(16)),
+            "out": (np.zeros(4, np.float32), BFloat(16)),
+        },
+    )
+    np.testing.assert_array_equal(interpreted["out"], exact)
+    np.testing.assert_array_equal(compiled["out"], exact)

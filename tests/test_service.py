@@ -258,12 +258,13 @@ class TestInvalidation:
     def test_stale_kernel_payload_falls_back_to_cold_compile(self, tmp_path):
         """A kernel-format bump (without an artifact-format bump) must
         recompile cold, not crash every warm start — whether the
-        payload is from the future or a pre-lane-loop v3 kernel whose
-        source would run against today's helper globals."""
+        payload is from the future, a pre-lane-loop v3 kernel, or a v4
+        kernel (no MAC-slot literal on its loads, no ``macs`` report)
+        whose source would run against today's helper globals."""
         from repro.runtime.codegen import KERNEL_FORMAT_VERSION
 
-        assert KERNEL_FORMAT_VERSION == 4
-        for stale_format in (KERNEL_FORMAT_VERSION + 1, 3):
+        assert KERNEL_FORMAT_VERSION == 5
+        for stale_format in (KERNEL_FORMAT_VERSION + 1, 3, 4):
             root = tmp_path / f"v{stale_format}"
             app = small_app()
             store = ArtifactStore(root)
@@ -272,6 +273,7 @@ class TestInvalidation:
             artifact = _read_payload(path)
             assert artifact.kernel is not None
             assert "loops" in artifact.kernel
+            assert "macs" in artifact.kernel
             artifact.kernel["format"] = stale_format
             _write_payload(path, artifact)
 

@@ -1,0 +1,276 @@
+"""The three MAC cores take their operands narrow or widened — same bytes.
+
+The compiled backend hands ``mma_sync`` / ``dp4a_mac`` the buffer's own
+float16 / int8 tile and ``tdpbf16ps`` float32 storage that is usually
+bf16 already; the interpreter hands all three the widened float32 /
+int32 value its load intrinsics produce.  The end-to-end parity suites
+show the two backends agree; this file shows *why*, at the cores: for
+every operand value, special or not, crossing narrow -> wide once gives
+the bytes that widening first and letting the core re-round gives.
+
+The references the cores are checked against — the parent's eight-pass
+bf16 rounding, an int64 ``einsum`` — live here, not in ``src``.
+"""
+
+import numpy as np
+import pytest
+from conftest import F16_SPECIALS, F32_SPECIALS, assert_same_bytes
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.targets.amx import tdpbf16ps, vnni_pack, vnni_unpack
+from repro.targets.bfloat16 import is_bfloat16_exact, round_to_bfloat16
+from repro.targets.dp4a import (
+    MAX_EXACT_K,
+    DP4AError,
+    dp4a_mac,
+    vnni4_pack,
+    vnni4_unpack,
+)
+from repro.targets.wmma import mma_sync
+
+#: leading batch axes an operand may carry (the lane / batch axis)
+LEADS = [(), (3,), (2, 2)]
+
+
+def patterned(rng, shape, specials, uint):
+    """Random bit patterns of ``uint``'s width with the specials mixed
+    in (about one element in four)."""
+    raw = rng.integers(0, np.iinfo(uint).max, size=shape, dtype=uint,
+                       endpoint=True)
+    pick = rng.random(shape) < 0.25
+    raw[pick] = rng.choice(specials, size=int(pick.sum()))
+    return raw
+
+
+def f16_operand(rng, shape):
+    return patterned(rng, shape, F16_SPECIALS, np.uint16).view(np.float16)
+
+
+def f32_values(rng, shape):
+    return patterned(rng, shape, F32_SPECIALS, np.uint32).view(np.float32)
+
+
+def bf16_exact(rng, shape):
+    """float32 storage of bf16 values: the low half-word cleared (NaNs
+    with a payload in the upper half included)."""
+    raw = patterned(rng, shape, F32_SPECIALS, np.uint32)
+    return (raw & np.uint32(0xFFFF0000)).view(np.float32)
+
+
+def reference_round_to_bfloat16(values: np.ndarray) -> np.ndarray:
+    """The parent commit's ``round_to_bfloat16``, pass for pass."""
+    f32 = np.asarray(values, dtype=np.float32)
+    raw = f32.view(np.uint32)
+    lsb = (raw >> 16) & 1
+    rounded = raw + 0x7FFF + lsb
+    truncated = rounded & np.uint32(0xFFFF0000)
+    out = truncated.view(np.float32).copy()
+    nan_mask = np.isnan(f32)
+    if np.any(nan_mask):
+        out[nan_mask] = np.float32(np.nan)
+    return out.reshape(f32.shape)
+
+
+shapes = st.tuples(
+    st.sampled_from(LEADS),  # leading axes of C and A
+    st.booleans(),  # does B carry them too, or is it shared?
+    st.integers(0, 2**32 - 1),  # numpy seed
+)
+
+
+class TestMmaSync:
+    @settings(max_examples=60, deadline=None)
+    @given(shapes, st.sampled_from([(16, 16, 16), (32, 8, 16), (8, 32, 16),
+                                    (3, 5, 7)]))
+    def test_f16_operands_equal_their_widened_selves(self, drawn, mnk):
+        lead, b_batched, seed = drawn
+        m, n, k = mnk
+        rng = np.random.default_rng(seed)
+        a = f16_operand(rng, lead + (m, k))
+        b = f16_operand(rng, (lead if b_batched else ()) + (k, n))
+        c = f32_values(rng, lead + (m, n))
+        with np.errstate(all="ignore"):
+            narrow = mma_sync(c, a, b)
+            wide = mma_sync(c, a.astype(np.float32), b.astype(np.float32))
+            mixed = mma_sync(c, a, b.astype(np.float32))
+        assert_same_bytes(narrow, wide)
+        assert_same_bytes(mixed, wide)
+
+    def test_f32_operands_are_still_rounded_to_f16(self):
+        a = np.full((16, 16), 1.0 + 2.0**-12, np.float32)  # not f16
+        b = np.eye(16, dtype=np.float32)
+        out = mma_sync(np.zeros((16, 16), np.float32), a, b)
+        np.testing.assert_array_equal(out, np.ones((16, 16), np.float32))
+        with np.errstate(over="ignore"):
+            big = mma_sync(
+                np.zeros((16, 16), np.float32), a * 70000.0, np.ones_like(b)
+            )
+        assert np.isinf(big).all()  # past 65504: overflows the fragment
+
+    def test_wider_operands_go_through_float32_first(self):
+        """float64 reaches the fragment the way every intrinsic handler
+        passes it, via float32 — one rounding rule, whoever calls."""
+        # rounds up to the next f32, which is the f16 tie 1 + 2**-11
+        value = 1.0 + 2.0**-11 - 2.0**-40
+        a = np.full((16, 16), value, np.float64)
+        b = np.eye(16)
+        c = np.zeros((16, 16), np.float32)
+        assert_same_bytes(
+            mma_sync(c, a, b),
+            mma_sync(c, a.astype(np.float32), b.astype(np.float32)),
+        )
+
+
+class TestTdpbf16ps:
+    @settings(max_examples=60, deadline=None)
+    @given(shapes, st.booleans())
+    def test_matches_the_always_rounding_reference(self, drawn, exact):
+        """bf16 tiles skip the rounding, others take it: either way the
+        bytes are what rounding every operand unconditionally gives."""
+        lead, b_batched, seed = drawn
+        rng = np.random.default_rng(seed)
+        make = bf16_exact if exact else f32_values
+        a = make(rng, lead + (16, 32))
+        b = make(rng, (lead if b_batched else ()) + (16, 32))
+        c = f32_values(rng, lead + (16, 16))
+        with np.errstate(all="ignore"):
+            got = tdpbf16ps(c, a, b)
+            want = c + reference_round_to_bfloat16(a) @ vnni_unpack(
+                reference_round_to_bfloat16(b)
+            )
+        assert_same_bytes(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([(1,), (7,), (3, 5), (2, 3, 4)]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([f32_values, bf16_exact]),
+    )
+    def test_round_equals_the_eight_pass_body_and_is_idempotent(
+        self, shape, seed, make
+    ):
+        values = make(np.random.default_rng(seed), shape)
+        before = values.copy()
+        once = round_to_bfloat16(values)
+        assert_same_bytes(once, reference_round_to_bfloat16(values))
+        assert_same_bytes(round_to_bfloat16(once), once)
+        assert_same_bytes(values, before)  # the input is never written
+        assert is_bfloat16_exact(once[~np.isnan(once)]).all()
+
+    def test_every_special_pattern_rounds_like_the_reference(self):
+        for values in (
+            F32_SPECIALS.view(np.float32),
+            (F32_SPECIALS & np.uint32(0xFFFF0000)).view(np.float32),
+        ):
+            for one in values:  # alone: each decides the early return
+                assert_same_bytes(
+                    round_to_bfloat16(np.array([one])),
+                    reference_round_to_bfloat16(np.array([one])),
+                )
+
+    def test_exact_input_is_returned_without_a_copy_inexact_is_not(self):
+        exact = np.array([1.0, -0.0, 0.5, np.inf], np.float32)
+        assert round_to_bfloat16(exact) is exact
+        inexact = np.array([1.0, 1.00001], np.float32)
+        assert not np.shares_memory(round_to_bfloat16(inexact), inexact)
+        # a NaN is canonicalised, so it is never "nothing to round"
+        nan = np.array([0x7F810000], np.uint32).view(np.float32)
+        assert not np.shares_memory(round_to_bfloat16(nan), nan)
+
+    def test_buffer_ingest_still_isolates_exact_bf16_input(self):
+        from repro.ir import BFloat
+        from repro.runtime import Buffer
+
+        source = np.array([1.0, 2.0, -0.0, 0.5], np.float32)
+        buf = Buffer.from_numpy("w", source, dtype=BFloat(16))
+        buf.data[0] = 9.0
+        assert source[0] == 1.0
+
+
+def int64_reference(c, a, b_vnni4):
+    """C + A . unpack(B) in int64, wrapped to int32 at the very end."""
+    wide = c.astype(np.int64) + np.einsum(
+        "...mk,...kn->...mn",
+        a.astype(np.int64),
+        vnni4_unpack(b_vnni4).astype(np.int64),
+    )
+    return wide.astype(np.int32)  # int64 -> int32 keeps the low 32 bits
+
+
+def int8_operand(rng, shape):
+    raw = rng.integers(-128, 128, size=shape, dtype=np.int8)
+    pick = rng.random(shape) < 0.25
+    raw[pick] = rng.choice(np.array([-128, 127, 0, -1], np.int8),
+                           size=int(pick.sum()))
+    return raw
+
+
+class TestDp4aMac:
+    @settings(max_examples=60, deadline=None)
+    @given(shapes, st.sampled_from([(16, 16, 64), (5, 3, 8), (1, 1, 4)]))
+    def test_int8_operands_equal_widened_and_the_int64_reference(
+        self, drawn, mnk
+    ):
+        lead, b_batched, seed = drawn
+        m, n, k = mnk
+        rng = np.random.default_rng(seed)
+        a = int8_operand(rng, lead + (m, k))
+        b = int8_operand(rng, (lead if b_batched else ()) + (k // 4, 4 * n))
+        # accumulators near both ends of int32: the add must wrap
+        edge = rng.choice(
+            np.array([2**31 - 1, -(2**31), 0], np.int64), size=lead + (m, n)
+        )
+        c = (edge + rng.integers(-(2**20), 2**20, lead + (m, n))).astype(
+            np.int32
+        )
+        narrow = dp4a_mac(c, a, b)
+        wide = dp4a_mac(c, a.astype(np.int32), b.astype(np.int32))
+        assert_same_bytes(narrow, wide)
+        assert_same_bytes(narrow, int64_reference(c, a, b))
+
+    @pytest.mark.parametrize("b_value", [-128, 127])
+    def test_worst_case_sums_are_exact_and_wrap(self, b_value):
+        """Every product at its extreme (+2**14, or -128 * 127), at the
+        instruction's depth and at the deepest one the core accepts."""
+        for k in (64, MAX_EXACT_K // 4 * 4):
+            a = np.full((16, k), -128, np.int8)
+            b = vnni4_pack(np.full((k, 16), b_value, np.int8))
+            for start in (2**31 - 1, -(2**31), 12345):
+                c = np.full((16, 16), start, np.int32)
+                got = dp4a_mac(c, a, b)
+                assert_same_bytes(got, int64_reference(c, a, b))
+            assert int(got[0, 0]) - 12345 == k * -128 * b_value
+
+    def test_deeper_than_exact_is_refused(self):
+        k = (MAX_EXACT_K // 4 + 1) * 4
+        assert k * 2**14 >= 2**24
+        with pytest.raises(DP4AError, match="exact"):
+            dp4a_mac(
+                np.zeros((2, 2), np.int32),
+                np.zeros((2, k), np.int8),
+                np.zeros((k // 4, 8), np.int8),
+            )
+
+    def test_shape_mismatch_is_still_a_dp4a_error(self):
+        with pytest.raises(DP4AError, match="shape mismatch"):
+            dp4a_mac(
+                np.zeros((16, 16), np.int32),
+                np.zeros((16, 60), np.int8),
+                np.zeros((16, 64), np.int8),
+            )
+
+    def test_out_of_range_operands_still_truncate_to_int8(self):
+        a = np.full((16, 64), 300, np.int32)  # wraps to 44
+        b = vnni4_pack(np.full((64, 16), -129, np.int32))  # wraps to 127
+        got = dp4a_mac(np.zeros((16, 16), np.int32), a, b)
+        np.testing.assert_array_equal(got, np.full((16, 16), 44 * 127 * 64))
+
+
+def test_vnni_round_trip_is_dtype_preserving():
+    """The narrow operands are unpacked narrow (half / quarter the
+    bytes of the widened tile), so unpack must not widen them."""
+    b8 = np.arange(64 * 16, dtype=np.int8).reshape(64, 16)
+    assert vnni4_unpack(vnni4_pack(b8)).dtype == np.int8
+    b32 = np.arange(32 * 16, dtype=np.float32).reshape(32, 16)
+    assert vnni_unpack(vnni_pack(b32)).dtype == np.float32

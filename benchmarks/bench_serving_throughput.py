@@ -678,6 +678,8 @@ def overload_race(smoke=False, workers=2):
         [job],
         workers=workers,
         max_batch=4,
+        # the longest a bucket waits behind busy workers (at 2x load
+        # they all are); with one idle it leaves at once
         flush_interval=0.002,
         shed_target=0.02,
         shed_interval=0.05,

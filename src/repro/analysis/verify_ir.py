@@ -20,6 +20,10 @@ dynamic test suite can only catch by accident:
 ``ir.out-of-bounds``
     A ``Load``/``Store`` whose index interval (over loop ranges and let
     bindings) provably escapes the buffer's constant flat extent.
+``ir.let-aliases-store``
+    A ``LetStmt`` binding a bare (uncast) vector ``Load`` of a buffer
+    its body stores to: the interpreter binds a snapshot, a compiled
+    kernel a view that sees the store.  No lowering emits the shape.
 ``ir.type-mismatch``
     A ``Store`` whose value kind (int vs float) disagrees with the
     buffer's declared element type; a bits-only disagreement is a
@@ -45,6 +49,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir import expr as E
 from ..ir import stmt as S
+from ..ir.analysis import contains
 from ..ir.types import DataType, TypeCode
 from .findings import ERROR, WARNING, Finding, raise_on_errors
 
@@ -425,6 +430,24 @@ class _Verifier:
             return
         if isinstance(s, S.LetStmt):
             self.visit_expr(s.value)
+            value = s.value
+            if (
+                isinstance(value, E.Load)
+                and value.type.lanes > 1
+                and contains(
+                    s.body,
+                    lambda n: isinstance(n, S.Store)
+                    and n.name == value.name,
+                )
+            ):
+                self.report(
+                    "ir.let-aliases-store",
+                    ERROR,
+                    f"let {s.name!r} binds a bare vector load of"
+                    f" {value.name!r}, which its body stores to (a"
+                    " snapshot interpreted, a live view compiled)",
+                    "bind a computed value (e.g. a Cast of the load)",
+                )
             saved = self.ranges.get(s.name)
             was_bound = s.name in self.bound
             self.ranges[s.name] = self.interval(s.value)

@@ -26,7 +26,8 @@ module closes that gap with a seeded soak:
   3. at-most-once holds for ``idempotent=False`` requests (checked
      against the pools' dispatch event logs);
   4. stats obey conservation: ``offered == completed + failed +
-     rejected + shed + expired`` with nothing left pending, and the
+     rejected + shed + expired`` with nothing left pending, every
+     bucket's ``flush_reasons`` sum to its ``flushes``, and the
      harness's own per-request ledger matches the router's counters;
   5. teardown leaves no orphan worker processes and no leaked
      ``/dev/shm`` segments.
@@ -312,7 +313,7 @@ def run_soak(
         fault_plan=plan,
         retries=3,
         max_batch=4,
-        flush_interval=0.002,
+        flush_interval=0.002,  # longest hold, behind busy workers only
         bucket_cap=24,
         shed_target=0.05,
         shed_interval=0.05,
@@ -408,6 +409,12 @@ def run_soak(
             f"stats conservation violated: offered={offered},"
             f" accounted={accounted}, pending={stats['pending']}"
         )
+    for bucket in stats["buckets"]:
+        if sum(bucket["flush_reasons"].values()) != bucket["flushes"]:
+            violations.append(
+                f"bucket {bucket['signature']}: {bucket['flushes']}"
+                f" flushes, reasons {bucket['flush_reasons']}"
+            )
     for key in ("completed", "failed", "expired"):
         if counts[key] != stats[key]:
             violations.append(

@@ -10,19 +10,26 @@ piece that turns the mixed stream into that shape:
 
 * every request is **bucketed** by ``(app fingerprint, input-shape
   signature, backend)``;
-* each bucket **micro-batches**: it holds requests until it has
-  ``max_batch`` of them or the oldest has waited ``flush_interval``
-  seconds (the deadline-based flush), then dispatches the whole bucket
-  as one :meth:`~repro.service.supervisor.WorkerPool.submit_many`
-  batch — one batch-axis kernel call per serving bucket, tensors over
-  shared memory.  The flusher thread does not poll: it sleeps until
-  the earliest deadline any bucket holds (a flush window closing, a
-  request budget expiring, a shed-control crossing) and is woken early
-  only by a submit that creates an earlier deadline or fills a bucket,
-  by a completion that frees in-flight budget, and by
-  ``drain``/``close`` — so a lone request is held ``flush_interval``
-  to within a scheduler tick, and an idle router does not wake at all
-  (``flusher_passes`` in :meth:`Router.stats` counts the passes);
+* each bucket **micro-batches, work-conservingly**: a non-empty bucket
+  is dispatched as one
+  :meth:`~repro.service.supervisor.WorkerPool.submit_many` batch — one
+  batch-axis kernel call per serving bucket, tensors over shared
+  memory — the moment its pool has an idle worker (fewer requests in
+  flight than workers) or it holds ``max_batch`` requests.  It is held
+  only while every worker is busy, which is when waiting forms a batch
+  for free: whatever arrives during a run leaves together when the
+  worker frees, and ``flush_interval`` is the *maximum* hold, after
+  which the bucket queues in the pool regardless.  The flusher thread
+  does not poll: it sleeps until the earliest deadline any bucket
+  holds (a flush window closing, a request budget expiring, a
+  shed-control crossing) and is woken early only by a submit that
+  creates an earlier deadline (a bucket now due included), by a
+  completion that frees a worker or in-flight budget, and by
+  ``drain``/``close`` — so a lone request on an idle pool costs one
+  pool round trip, a held one leaves within a scheduler tick of its
+  window closing, and an idle router does not wake at all
+  (``flusher_passes`` in :meth:`Router.stats` counts the passes; each
+  bucket's ``flush_reasons`` say why its flushes left when they did);
 * every request carries a wall-clock **deadline budget** measured from
   submission: queue wait, bucket flush, pool dispatch, and worker
   execution all decrement the same budget, and a request whose budget
@@ -78,6 +85,8 @@ from .supervisor import DeadlineExceeded, WorkerPool
 __all__ = ["Router", "job_fingerprint", "shape_signature"]
 
 _NEVER = float("inf")  # a deadline that time alone never reaches
+#: what made a bucket due (per-bucket ``flush_reasons`` in stats)
+_FLUSH_REASONS = ("idle", "full", "interval", "closing")
 
 
 def job_fingerprint(job: CompileJob) -> str:
@@ -143,6 +152,7 @@ class _Bucket:
         "shed",
         "expired",
         "flushes",
+        "flush_reasons",
         "largest_flush",
         "first_submit",
         "last_done",
@@ -163,6 +173,8 @@ class _Bucket:
         self.shed = 0
         self.expired = 0
         self.flushes = 0
+        #: why each flush left when it did; sums to ``flushes``
+        self.flush_reasons = dict.fromkeys(_FLUSH_REASONS, 0)
         self.largest_flush = 0
         self.first_submit: Optional[float] = None
         self.last_done: Optional[float] = None
@@ -211,10 +223,12 @@ class Router:
         Bucket flush threshold and largest batch per dispatch
         (default 8).
     flush_interval:
-        Deadline-based flush: a non-empty bucket is dispatched once its
-        oldest request has waited this long (seconds, default 0.005) —
-        a lone request is held that long for company, and no longer
-        than a scheduler tick beyond it.
+        The *maximum* hold (seconds, default 0.005).  It applies only
+        while every worker of the bucket's pool is busy: the bucket
+        then waits for one to free, and is dispatched into the pool's
+        queue anyway once its oldest request has waited this long (and
+        no longer than a scheduler tick beyond it).  With a worker
+        idle a bucket is never held.
     max_pending:
         Admission bound on queued + in-flight requests across the
         whole router; beyond it :meth:`submit` raises
@@ -296,6 +310,7 @@ class Router:
             raise ValueError("shed_interval must be > 0")
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
+        self.workers = int(workers)
         self.max_batch = int(max_batch)
         self.flush_interval = float(flush_interval)
         self.max_pending = max_pending
@@ -306,7 +321,7 @@ class Router:
         self.max_inflight = (
             int(max_inflight)
             if max_inflight is not None
-            else int(workers) * self.max_batch * 2
+            else self.workers * self.max_batch * 2
         )
         self.latency_window = int(latency_window)
 
@@ -534,18 +549,14 @@ class Router:
                 bucket.first_submit = now
             self.submitted += 1
             self._pending += 1
-            due = _NEVER
+            due = self._flush_at_locked(bucket, now, False)[0]
             if entry.expires_at is not None:
-                due = entry.expires_at
-                bucket.next_expiry = min(bucket.next_expiry, due)
+                due = min(due, entry.expires_at)
+                bucket.next_expiry = min(bucket.next_expiry, entry.expires_at)
             if bucket.qlen() == 1:
-                # a new head starts the flush window and the shed clock
-                due = min(
-                    due,
-                    now + self.flush_interval,
-                    now + (self.shed_target or _NEVER),
-                )
-            wake = bucket.qlen() >= self.max_batch or due < self._next_wake
+                # a new head starts the shed clock
+                due = min(due, now + (self.shed_target or _NEVER))
+            wake = due < self._next_wake
         if evicted is not None:
             evicted.future.set_exception(
                 ShedError(
@@ -629,6 +640,11 @@ class Router:
         quiescence ``offered == completed + failed + rejected + shed +
         expired`` and ``pending == 0``.  ``flusher_passes`` counts the
         flusher thread's wake-ups (none while the router is idle).
+        Each bucket's ``flush_reasons`` count why its flushes left when
+        they did and sum to its ``flushes``: ``"idle"`` (a worker was
+        free — no hold), ``"full"`` (``max_batch`` reached),
+        ``"interval"`` (every worker stayed busy for the whole
+        ``flush_interval``), ``"closing"`` (a drain).
         """
         with self._mu:
             buckets = [
@@ -685,6 +701,7 @@ class Router:
             "shed": bucket.shed,
             "expired": bucket.expired,
             "flushes": bucket.flushes,
+            "flush_reasons": dict(bucket.flush_reasons),
             "largest_flush": bucket.largest_flush,
             "queued": bucket.qlen(),
             "queued_interactive": len(bucket.lanes[0]),
@@ -757,28 +774,37 @@ class Router:
 
     def _flush_at_locked(
         self, bucket: _Bucket, now: float, closing: bool
-    ) -> float:
-        """When this bucket's queue must dispatch: ``now`` once it is
-        full or a close is draining everything, else when its oldest
-        entry has aged past the flush window; ``inf`` while it is empty
-        or its pool has no in-flight budget (backpressure holds the
-        queue here, where sojourn shedding can see it, until
+    ) -> Tuple[float, str]:
+        """When this bucket's queue must dispatch, and why (one of
+        ``_FLUSH_REASONS``): ``now`` once a close is draining
+        everything, it is full, or its pool has an idle worker — every
+        busy worker holds at least one in-flight request, so fewer in
+        flight than workers proves one idle (a dead or draining worker
+        makes that optimistic: the batch waits in the pool's queue
+        instead, never longer); else, every worker busy, when its
+        oldest entry has aged ``flush_interval``.  ``inf`` while it is
+        empty or its pool has no in-flight budget (backpressure holds
+        the queue here, where sojourn shedding can see it, until
         :meth:`_complete` frees budget and wakes the flusher)."""
         if (
             not bucket.qlen()
             or self._dispatch_budget_locked(bucket.job_key) <= 0
         ):
-            return _NEVER
-        if closing or bucket.qlen() >= self.max_batch:
-            return now
-        return bucket.head_queued_at() + self.flush_interval
+            return _NEVER, ""
+        if closing:
+            return now, "closing"
+        if bucket.qlen() >= self.max_batch:
+            return now, "full"
+        if self._inflight.get(bucket.job_key, 0) < self.workers:
+            return now, "idle"
+        return bucket.head_queued_at() + self.flush_interval, "interval"
 
     def _flush_loop(self) -> None:
         """One pass per wake-up, then sleep until the earliest deadline
         any bucket holds — a flush window closing, a request expiring,
         a shed-control crossing — unless ``_wake`` is set first: by a
         submit that creates an earlier deadline, a completion that
-        frees in-flight budget, or ``drain``/``close``."""
+        frees a worker or in-flight budget, or ``drain``/``close``."""
         wake_at = _NEVER
         while True:
             self._wake.wait(
@@ -798,7 +824,9 @@ class Router:
                     expired_entries.extend(
                         self._expire_bucket_locked(bucket, now)
                     )
-                    flush_at = self._flush_at_locked(bucket, now, closing)
+                    flush_at, reason = self._flush_at_locked(
+                        bucket, now, closing
+                    )
                     if flush_at <= now:
                         entries = bucket.take(
                             self._dispatch_budget_locked(bucket.job_key)
@@ -807,6 +835,7 @@ class Router:
                             bucket.job_key, 0
                         ) + len(entries)
                         bucket.flushes += 1
+                        bucket.flush_reasons[reason] += 1
                         bucket.largest_flush = max(
                             bucket.largest_flush, len(entries)
                         )
@@ -902,7 +931,7 @@ class Router:
             else:
                 self.failed += 1
                 bucket.failed += 1
-        # in-flight budget freed: the flusher may owe a deferred dispatch
+        # a worker or in-flight budget freed: a held bucket may be due
         self._wake.set()
         if error is None:
             entry.future.set_result(pool_future.result())

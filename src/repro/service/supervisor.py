@@ -762,6 +762,14 @@ class WorkerPool:
         ``expires_at`` instead passes pre-computed absolute monotonic
         expiries, one per request (the router uses this so queue time
         already spent upstream keeps counting against the budget).
+
+        Who dispatches: this call, on the submitting thread, runs the
+        supervisor's own :meth:`_dispatch_locked` pass (expiry sweep,
+        backoff gates, at-most-once accounting), so an idle worker gets
+        its frame without a supervisor wake-up.  What stays queued —
+        every worker busy, a retry inside its backoff — is the
+        supervisor thread's, which is nudged; replies, reaping,
+        heartbeats, rolling restarts and retries are its alone.
         """
         requests = list(requests)
         if not requests:
@@ -805,7 +813,10 @@ class WorkerPool:
             )
             for start in range(0, len(members), chunk):
                 self._queue.append(_Batch(members[start:start + chunk]))
-        self._nudge()
+            self._dispatch_locked(now)
+            queued = bool(self._queue)
+        if queued:
+            self._nudge()
         return [member.future for member in members]
 
     def run(

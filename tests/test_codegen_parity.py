@@ -1107,3 +1107,45 @@ def test_bfloat16_cast_of_a_loaded_view_is_a_snapshot():
     )
     np.testing.assert_array_equal(interpreted["out"], exact)
     np.testing.assert_array_equal(compiled["out"], exact)
+
+
+def test_let_over_an_uncast_loaded_view_is_rejected_by_verify_ir():
+    """The same program without the cast is a known parity hole — the
+    compiled ``let`` holds a view, so it reads the 9s the body stores
+    where the interpreter reads the snapshot.  No lowering emits the
+    shape; ``verify_ir`` keeps it that way."""
+    from repro.analysis import verify_ir
+
+    lanes = ramp(IntImm(0), 4)
+    stmt = LetStmt(
+        "v",
+        Load(BFloat(16, 4), "buf", lanes),
+        Block((
+            Store("buf", lanes, make_broadcast(const(9.0, BFloat(16)), 4)),
+            Store("out", lanes, Variable("v", BFloat(16, 4))),
+        )),
+    )
+    exact = np.arange(4, dtype=np.float32)
+    _, interpreted, compiled = run_both(
+        stmt,
+        {
+            "buf": (exact, BFloat(16)),
+            "out": (np.zeros(4, np.float32), BFloat(16)),
+        },
+    )
+    np.testing.assert_array_equal(interpreted["out"], exact)
+    # the hazard itself: once this stops holding, the check can go
+    np.testing.assert_array_equal(compiled["out"], np.full(4, 9.0))
+    (finding,) = [
+        f for f in verify_ir(stmt) if f.check == "ir.let-aliases-store"
+    ]
+    assert finding.severity == "error"
+    # a let over the cast load (a snapshot) or a scalar load is fine
+    for value in (
+        Cast(BFloat(16, 4), stmt.value),
+        Load(BFloat(16), "buf", IntImm(0)),
+    ):
+        clean = LetStmt("v", value, stmt.body)
+        assert "ir.let-aliases-store" not in {
+            f.check for f in verify_ir(clean)
+        }

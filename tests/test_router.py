@@ -63,6 +63,32 @@ def _mixed_stream(jobs, per_app, rng):
     return per_job, stream
 
 
+def _hang(seconds, visits=None):
+    """A plan whose kernel visits sleep ``seconds`` (all of them, or
+    the given per-worker visit indices) — how these tests hold a worker
+    busy for a known time without depending on how fast it runs."""
+    return FaultPlan(
+        specs=[
+            FaultSpec(
+                "hang-kernel", rate=1.0, visits=visits, seconds=seconds
+            )
+        ]
+    )
+
+
+def _await_bucket(router, predicate, timeout=30.0):
+    """Poll the router's only bucket row (1 ms period) until
+    ``predicate(row)`` holds; returns ``(row, monotonic time seen)``."""
+    give_up = time.monotonic() + timeout
+    while True:
+        buckets = router.stats()["buckets"]
+        now = time.monotonic()
+        if buckets and predicate(buckets[0]):
+            return buckets[0], now
+        assert now < give_up, f"bucket never got there: {buckets}"
+        time.sleep(0.001)
+
+
 class TestDifferentialParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_mixed_stream_bitwise_identical(self, backend, rng):
@@ -259,6 +285,9 @@ class TestAdmissionAndLifecycle:
             max_batch=16,
             flush_interval=0.5,
             max_pending=2,
+            # the head leaves for the idle worker at once; it must
+            # still be pending there when the tail is offered
+            fault_plan=_hang(0.1),
         ) as router:
             first = router.submit(FAST_JOB, requests[0])
             second = router.submit(FAST_JOB, requests[1])
@@ -346,6 +375,9 @@ class TestLifecycleHardening:
             max_batch=16,
             flush_interval=0.3,
             max_pending=2,
+            # the head leaves for the idle worker at once; it must
+            # still be pending there when the tail is offered
+            fault_plan=_hang(0.1),
         ) as router:
             results = router.run_many(
                 FAST_JOB, requests, on_error="return"
@@ -369,6 +401,9 @@ class TestLifecycleHardening:
             max_batch=16,
             flush_interval=0.3,
             max_pending=2,
+            # the head leaves for the idle worker at once; it must
+            # still be pending there when the tail is offered
+            fault_plan=_hang(0.1),
         ) as router:
             with pytest.raises(RejectedError):
                 router.run_many(FAST_JOB, requests, on_error="raise")
@@ -414,25 +449,37 @@ class TestLifecycleHardening:
         assert pool_stats["deadline_kills"] == 0
 
     def test_queue_wait_consumes_the_budget(self, rng):
-        """The budget spans router queue wait: a request whose bucket
-        does not flush inside its budget expires without dispatch."""
+        """The budget spans router queue wait: a request held behind a
+        busy worker, whose bucket does not flush inside its budget,
+        expires without dispatch."""
         from repro.service.supervisor import DeadlineExceeded
 
         app = FAST_JOB.build_app()
-        request = build_requests(app, 1, rng)[0]
+        requests = build_requests(app, 2, rng)
         with Router(
             [FAST_JOB],
             workers=1,
             max_batch=16,
             flush_interval=0.5,
+            fault_plan=_hang(0.3, visits=(0,)),
+            record_events=True,
         ) as router:
+            blocker = router.submit(FAST_JOB, requests[0])
+            _await_bucket(router, lambda row: row["inflight"] == 1)
             start = time.monotonic()
-            future = router.submit(FAST_JOB, request, deadline=0.05)
+            future = router.submit(FAST_JOB, requests[1], deadline=0.05)
             with pytest.raises(DeadlineExceeded) as excinfo:
                 future.result(timeout=60)
             elapsed = time.monotonic() - start
             assert "before its bucket flushed" in str(excinfo.value)
             assert router.stats()["expired"] == 1
+            blocker.result(timeout=60)
+            (pool,) = router.pools().values()
+            dispatches = [
+                event for event in pool.event_log() if event[0] == "dispatch"
+            ]
+        # only the blocker ever reached the pool
+        assert len(dispatches) == 1
         # on time: the flusher sleeps toward the expiry, not toward
         # the (ten times later) end of the flush window
         assert 0.05 <= elapsed <= 0.05 + 0.5 * 0.25
@@ -444,7 +491,7 @@ class TestLifecycleHardening:
         from repro.service.serve import ShedError
 
         app = FAST_JOB.build_app()
-        requests = build_requests(app, 4, rng)
+        requests = build_requests(app, 5, rng)
         expected = _reference_outputs(FAST_JOB, requests, "compile")
         router = Router(
             [FAST_JOB],
@@ -452,8 +499,12 @@ class TestLifecycleHardening:
             max_batch=16,
             flush_interval=60.0,
             bucket_cap=2,
+            fault_plan=_hang(0.3, visits=(0,)),
         )
         try:
+            # a queue only forms behind a busy worker
+            router.submit(FAST_JOB, requests[4])
+            _await_bucket(router, lambda row: row["inflight"] == 1)
             first = router.submit(
                 FAST_JOB, requests[0], priority="best-effort"
             )
@@ -479,7 +530,7 @@ class TestLifecycleHardening:
             )
             stats = router.stats()
             assert stats["shed"] == 2
-            assert stats["completed"] == 2
+            assert stats["completed"] == 3
         finally:
             router.close()
 
@@ -499,9 +550,7 @@ class TestLifecycleHardening:
         best_effort = []
         # every kernel visit takes 6 ms, arrivals come every 2 ms: the
         # overload does not depend on how fast the worker runs the job
-        slow_kernel = FaultPlan(
-            specs=[FaultSpec("hang-kernel", rate=1.0, seconds=0.006)]
-        )
+        slow_kernel = _hang(0.006)
         with Router(
             [FAST_JOB],
             workers=1,
@@ -574,9 +623,7 @@ class TestLifecycleHardening:
         fails the stuck future with a typed ServerClosed."""
         app = FAST_JOB.build_app()
         request = build_requests(app, 1, rng)[0]
-        plan = FaultPlan(
-            specs=[FaultSpec("hang-kernel", visits=(0,), seconds=30.0)]
-        )
+        plan = _hang(30.0, visits=(0,))
         router = Router(
             [FAST_JOB],
             workers=1,
@@ -614,45 +661,79 @@ class TestLifecycleHardening:
 
 class TestFlusherTiming:
     """The flusher sleeps toward real deadlines instead of polling.
-    Upper bounds scale with ``flush_interval`` so a loaded runner has
-    tens of milliseconds of slack."""
+    A bucket is only ever held behind a *busy* pool, so each test
+    occupies the one worker with a kernel visit that hangs longer than
+    the hold it measures.  Upper bounds scale with ``flush_interval``
+    so a loaded runner has tens of milliseconds of slack."""
 
     FLUSH = 0.2
+    HANG = 0.3
 
     def test_lone_request_is_held_one_flush_interval(self, rng):
+        """Behind a worker that stays busy, a lone request leaves for
+        the pool's queue when ``flush_interval`` is up — the maximum
+        hold — and not a poll period later."""
         app = FAST_JOB.build_app()
         requests = build_requests(app, 6, rng)
         expected = _reference_outputs(FAST_JOB, requests, "compile")
         with Router(
-            [FAST_JOB], workers=1, max_batch=16, flush_interval=self.FLUSH
+            [FAST_JOB],
+            workers=1,
+            max_batch=16,
+            flush_interval=self.FLUSH,
+            fault_plan=_hang(self.HANG, visits=(0, 2, 4)),
         ) as router:
-            router.run(FAST_JOB, requests[5])  # worker and rings warm
-            (pool,) = router.pools().values()
-            start = time.monotonic()
-            pool.run(requests[5])
-            round_trip = time.monotonic() - start
-            for request, reference in zip(requests[:5], expected):
+            for trial in range(3):
+                blocker = router.submit(FAST_JOB, requests[2 * trial])
+                before, _ = _await_bucket(
+                    router, lambda row: row["inflight"] == 1
+                )
                 start = time.monotonic()
-                result = router.run(FAST_JOB, request)
-                held = time.monotonic() - start
-                np.testing.assert_array_equal(result, reference)
+                lone = router.submit(FAST_JOB, requests[2 * trial + 1])
+                after, seen = _await_bucket(
+                    router, lambda row: row["queued"] == 0
+                )
+                held = seen - start
+                # the worker was still busy: the window closed, nothing
+                # else let the request go
+                assert not blocker.done()
+                assert (
+                    after["flush_reasons"]["interval"]
+                    == before["flush_reasons"]["interval"] + 1
+                )
                 # never early, and late by a scheduler tick — not by
                 # the up-to-half-an-interval a fixed poll adds
-                assert self.FLUSH <= held
-                assert held <= self.FLUSH * 1.25 + round_trip
+                assert self.FLUSH <= held <= self.FLUSH * 1.25
+                for future, reference in zip(
+                    (blocker, lone), expected[2 * trial:]
+                ):
+                    np.testing.assert_array_equal(
+                        future.result(timeout=60), reference
+                    )
+            (bucket,) = router.stats()["buckets"]
+        assert bucket["flush_reasons"] == {
+            "idle": 3, "full": 0, "interval": 3, "closing": 0
+        }
 
     def test_expiry_inside_the_flush_window_is_on_time(self, rng):
         """A budget that runs out while an older entry holds the
-        bucket's flush window open: the expiry wakes the flusher at its
-        own time, and the older entry still flushes at its own."""
+        bucket's flush window open (the worker is busy throughout):
+        the expiry wakes the flusher at its own time, and the older
+        entry still flushes at its own."""
         from repro.service.supervisor import DeadlineExceeded
 
         app = FAST_JOB.build_app()
-        requests = build_requests(app, 2, rng)
+        requests = build_requests(app, 3, rng)
         expected = _reference_outputs(FAST_JOB, requests, "compile")
         with Router(
-            [FAST_JOB], workers=1, max_batch=16, flush_interval=self.FLUSH
+            [FAST_JOB],
+            workers=1,
+            max_batch=16,
+            flush_interval=self.FLUSH,
+            fault_plan=_hang(self.HANG, visits=(0,)),
         ) as router:
+            blocker = router.submit(FAST_JOB, requests[2])
+            _await_bucket(router, lambda row: row["inflight"] == 1)
             start = time.monotonic()
             held = router.submit(FAST_JOB, requests[0])
             doomed = router.submit(FAST_JOB, requests[1], deadline=0.05)
@@ -665,6 +746,14 @@ class TestFlusherTiming:
                 held.result(timeout=60), expected[0]
             )
             assert time.monotonic() - start >= self.FLUSH
+            np.testing.assert_array_equal(
+                blocker.result(timeout=60), expected[2]
+            )
+            (bucket,) = router.stats()["buckets"]
+        # the blocker left for an idle worker, the held entry when its
+        # window closed behind the busy one
+        assert bucket["flush_reasons"]["idle"] == 1
+        assert bucket["flush_reasons"]["interval"] == 1
 
     def test_idle_router_makes_no_passes_and_still_shuts_down(self, rng):
         app = FAST_JOB.build_app()
@@ -697,3 +786,162 @@ class TestFlusherTiming:
             assert router.drain(timeout=30) is True
         finally:
             router.close()
+
+
+class TestWorkConservingFlush:
+    """Dispatch never parks a request behind an idle worker: the router
+    flushes a bucket the moment its pool has one, and the pool hands an
+    idle worker its frame on the submitting thread.  One Router serves
+    the whole class; every kernel visit sleeps ``HANG`` so "busy" lasts
+    a known time, and assertions read flush reasons and counts rather
+    than the clock wherever they can."""
+
+    FLUSH = 0.4
+    HANG = 0.05
+    WORKERS = 2
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        app = FAST_JOB.build_app()
+        requests = build_requests(app, 8, np.random.default_rng(16))
+        expected = _reference_outputs(FAST_JOB, requests, "compile")
+        with Router(
+            [FAST_JOB],
+            workers=self.WORKERS,
+            max_batch=8,
+            flush_interval=self.FLUSH,
+            fault_plan=_hang(self.HANG),
+            record_events=True,
+        ) as router:
+            router.run_many(FAST_JOB, requests)  # workers and rings warm
+            yield router, requests, expected
+
+    def _occupy(self, router, request):
+        """Put one request in flight on every worker, one flush each."""
+        blockers = []
+        for count in range(1, self.WORKERS + 1):
+            blockers.append(router.submit(FAST_JOB, request))
+            _await_bucket(
+                router, lambda row: row["inflight"] == count
+            )
+        return blockers
+
+    def test_lone_request_on_an_idle_pool_is_not_held(self, served):
+        router, requests, expected = served
+        for request, reference in zip(requests[:5], expected):
+            (before,) = router.stats()["buckets"]
+            start = time.monotonic()
+            result = router.run(FAST_JOB, request)
+            took = time.monotonic() - start
+            np.testing.assert_array_equal(result, reference)
+            assert took <= 0.5 * self.FLUSH
+            (after,) = router.stats()["buckets"]
+            assert after["flushes"] == before["flushes"] + 1
+            assert (
+                after["flush_reasons"]["idle"]
+                == before["flush_reasons"]["idle"] + 1
+            )
+
+    def test_arrivals_behind_busy_workers_leave_as_one_batch(self, served):
+        """Batching under load is preserved: while every worker is
+        busy, k < max_batch arrivals wait together and leave as one
+        flush of k the moment a worker frees — well inside the window."""
+        router, requests, expected = served
+        k = 5
+        blockers = self._occupy(router, requests[7])
+        (before,) = router.stats()["buckets"]
+        futures = [
+            router.submit(FAST_JOB, request) for request in requests[:k]
+        ]
+        (row,) = router.stats()["buckets"]
+        assert row["queued"] == k and not any(b.done() for b in blockers), (
+            "the workers freed before the arrivals were in: host stall"
+        )
+        for future, reference in zip(futures, expected):
+            np.testing.assert_array_equal(
+                future.result(timeout=60), reference
+            )
+        (after,) = router.stats()["buckets"]
+        assert after["flushes"] == before["flushes"] + 1
+        assert (
+            after["flush_reasons"]["idle"]
+            == before["flush_reasons"]["idle"] + 1
+        )
+        assert (
+            after["flush_reasons"]["interval"]
+            == before["flush_reasons"]["interval"]
+        )
+        assert after["largest_flush"] >= k
+        (pool,) = router.pools().values()
+        rids = [e[1] for e in pool.event_log() if e[0] == "dispatch"]
+        assert len(rids) == len(set(rids))  # nothing dispatched twice
+
+    def test_one_inflight_request_does_not_hold_the_second_worker(
+        self, served
+    ):
+        router, requests, expected = served
+        (before,) = router.stats()["buckets"]
+        blockers = self._occupy(router, requests[6])
+        (after,) = router.stats()["buckets"]
+        # the second entry left while the first was still running, for
+        # the idle second worker — two flushes of one, neither held
+        assert not blockers[0].done()
+        assert after["flushes"] == before["flushes"] + self.WORKERS
+        assert (
+            after["flush_reasons"]["idle"]
+            == before["flush_reasons"]["idle"] + self.WORKERS
+        )
+        for blocker in blockers:
+            np.testing.assert_array_equal(
+                blocker.result(timeout=60), expected[6]
+            )
+
+    def test_pool_dispatches_on_the_submitting_thread(
+        self, served, monkeypatch
+    ):
+        from repro.service.supervisor import DeadlineExceeded
+
+        router, requests, expected = served
+        (pool,) = router.pools().values()
+        nudges = []
+        nudge = pool._nudge
+        monkeypatch.setattr(
+            pool, "_nudge", lambda: (nudges.append(1), nudge())
+        )
+
+        def dispatched():
+            return [e for e in pool.event_log() if e[0] == "dispatch"]
+
+        # idle pool: the frame is on its way before submit_many returns
+        # and the supervisor thread is not woken for it; at-most-once
+        # requests are stamped with their single attempt as ever
+        before = dispatched()
+        (future,) = pool.submit_many([requests[0]], idempotent=False)
+        (event,) = dispatched()[len(before):]
+        assert event[2:] == (False, 1)
+        assert nudges == []
+        np.testing.assert_array_equal(
+            future.result(timeout=60), expected[0]
+        )
+        # a spent budget is swept on the inline path too: it expires
+        # without a dispatch, its live batch-mate is served
+        before = dispatched()
+        doomed, live = pool.submit_many(
+            requests[:2], expires_at=[time.monotonic() - 1.0, None]
+        )
+        assert isinstance(doomed.exception(timeout=1), DeadlineExceeded)
+        np.testing.assert_array_equal(live.result(timeout=60), expected[1])
+        assert len(dispatched()) == len(before) + 1
+        # every worker busy: the batch queues, the supervisor is nudged
+        # and dispatches it when a worker frees
+        blockers = pool.submit_many([requests[2]] * self.WORKERS)
+        before = dispatched()
+        assert nudges == []
+        (queued,) = pool.submit_many([requests[3]])
+        assert dispatched() == before and not blockers[0].done()
+        assert nudges == [1]
+        np.testing.assert_array_equal(
+            queued.result(timeout=60), expected[3]
+        )
+        for blocker in blockers:
+            blocker.result(timeout=60)

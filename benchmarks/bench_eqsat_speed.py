@@ -1,9 +1,10 @@
 """Old-vs-new saturation engine speed on the fig-6 compile-time workloads.
 
 The incremental engine (persistent head index, compiled pattern/action
-programs, delta matching with per-rule watermarks, match dedup, backoff
-scheduling, incremental relation canonicalization) is measured head to
-head against the preserved pre-overhaul loop (``repro.eqsat.legacy``:
+programs, delta matching anchored at the changed e-nodes and rows, match
+dedup, backoff scheduling, incremental relation canonicalization) is
+measured head to head against the full-rematch loop kept beside this
+file as the engine's exactness oracle (``benchmarks/eqsat_oracle.py``:
 per-round snapshot index, recursive generator matching with per-binding
 dict copies, full re-match and re-apply every round).
 
@@ -29,16 +30,14 @@ import time
 
 from repro.apps import conv1d
 from repro.eqsat import EGraph, extract_best
-from repro.eqsat.legacy import legacy_run_phased
 from repro.eqsat.schedule import run_phased
 from repro.hardboiled.cost import hardboiled_cost_model
 from repro.hardboiled.encode import Encoder
 from repro.hardboiled.tile_extractor import TileExtractor, _rules_for
-from repro.ir import Store
-from repro.ir.visitor import IRVisitor
 from repro.lowering import lower
 from repro.perfmodel import format_table
 
+from .eqsat_oracle import legacy_run_phased
 from .harness import print_header
 
 KERNEL_SIZES = [8, 32, 96, 256]
@@ -50,18 +49,7 @@ TARGET_SPEEDUP = 5.0
 def fig6_stores(taps: int):
     """The marker-wrapped accelerator stores of one fig-6 workload."""
     app = conv1d.build("tensor", taps=taps, rows=1)
-    lowered = lower(app.output)
-    extractor = TileExtractor(lowered)
-    prepared = []
-
-    class Collect(IRVisitor):
-        def visit_Store(self, node: Store):
-            entry = extractor.prepare_store(node)
-            if entry is not None:
-                prepared.append(entry)
-
-    Collect().visit(lowered.stmt)
-    return prepared
+    return TileExtractor(lower(app.output)).prepared_stores()
 
 
 def saturate_stores(stores, runner):

@@ -1,13 +1,16 @@
-"""The pre-incremental saturation loop, preserved for comparison.
+"""The full-rematch saturation loop: the exactness oracle for the engine.
 
-This is the engine as it stood before the incremental overhaul: every
+This is the engine as it stood before it became incremental: every
 round snapshots the whole e-graph into a by-head index
 (:class:`LegacyMatcher`), re-matches every rule against the entire graph
 (re-deriving every old match — a class holding several same-head nodes
 even re-yields its matches once per node), and re-applies everything it
-finds.  ``benchmarks/bench_eqsat_speed.py`` runs it side by side with
-``rules.RuleEngine`` to report the speedup and to assert both engines
-reach identical results; keep its semantics frozen.
+finds.  It shares nothing with ``repro.eqsat.rules.RuleEngine`` beyond
+the e-graph and the rule data types, so it is what the engine's results
+are held to: ``tests/test_eqsat_engine.py`` runs both over every
+accelerator store of the 18-program benchmark catalog, and
+``benchmarks/bench_eqsat_speed.py`` races them.  Keep its semantics
+frozen.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from __future__ import annotations
 import time
 from typing import Iterator, List, Sequence, Tuple
 
-from .egraph import EGraph
-from .ematch import Bindings, MatchError, eval_value
-from .pattern import PApp, PLit, Pattern, PVar
-from .rules import (
+from repro.eqsat.egraph import EGraph
+from repro.eqsat.ematch import Bindings, MatchError, eval_value
+from repro.eqsat.pattern import PApp, PLit, Pattern, PVar
+from repro.eqsat.rules import (
     Atom,
     GuardAtom,
     RelAtom,
@@ -27,13 +30,13 @@ from .rules import (
     TermAtom,
     apply_actions,
 )
-from .schedule import ScheduleStats
+from repro.eqsat.schedule import ScheduleStats
 
 
 class LegacyMatcher:
     """The original snapshot matcher, duplicate yields and all.
 
-    The maintained :class:`~.ematch.Matcher` deduplicates
+    The maintained :class:`repro.eqsat.ematch.Matcher` deduplicates
     ``match_anywhere`` results (one of this PR-era engine's fixes); the
     old engine did not, and its cost profile depended on re-expanding
     every duplicate through the query join, so the frozen copy lives

@@ -13,7 +13,8 @@ analyzer          defect classes
                          delta-safety classification, shadowed/dead
                          rewrite rules
 :mod:`.lint_kernels`     arena take/give leaks, nondeterminism, and
-                         unpublished env keys in emitted kernel source
+                         unpublished env keys in emitted kernel source;
+                         hash-order dependence in the ``eqsat`` engine
 :mod:`.lint_concurrency` guarded-by discipline violations in the
                          serving/runtime locking
 ================  =====================================================
@@ -44,7 +45,7 @@ from .lint_concurrency import (
     lint_file,
     lint_source,
 )
-from .lint_kernels import lint_kernel, lint_kernel_source
+from .lint_kernels import lint_kernel, lint_kernel_source, lint_order
 from .lint_rules import lint_family, lint_rule, lint_rules
 from .sweep import FIG6_APPS, QUICK_APPS, analyze_app, sweep
 from .verify_ir import check_ir, verify_ir
@@ -66,6 +67,7 @@ __all__ = [
     "lint_family",
     "lint_kernel",
     "lint_kernel_source",
+    "lint_order",
     "lint_concurrency",
     "lint_file",
     "lint_source",

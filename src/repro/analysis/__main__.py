@@ -2,7 +2,8 @@
 
 Sections:
 
-* ``rules`` — soundness lint over every registered rewrite family
+* ``rules`` — soundness lint over every registered rewrite family, and
+  the hash-order lint over the ``repro.eqsat`` engine that runs them
 * ``concurrency`` — guarded-by discipline in the serving/runtime modules
 * ``ir`` / ``kernels`` — compile the analysis app set and verify the
   lowered + tensorized IR and the emitted (scalar and batched) kernels
@@ -27,6 +28,7 @@ from typing import List
 
 from .findings import Finding, errors, format_findings, warnings
 from .lint_concurrency import lint_concurrency
+from .lint_kernels import lint_order
 from .lint_rules import lint_rules
 from .sweep import FIG6_APPS, QUICK_APPS, VARIANTS, _analyze
 
@@ -69,6 +71,7 @@ def main(argv=None) -> int:
     macs: List[tuple] = []
     if "rules" in sections:
         findings.extend(lint_rules())
+        findings.extend(lint_order())
     if "concurrency" in sections:
         findings.extend(lint_concurrency())
     if sections & {"ir", "kernels"}:

@@ -18,7 +18,10 @@ checks the invariants the emitter is supposed to maintain:
 ``kernels.order-dependence``
     Iteration over an unordered collection (``set(...)``,
     ``globals()``/``vars()``/``dir()``) — output would depend on hash
-    order, breaking cross-process reproducibility.
+    order, breaking cross-process reproducibility.  :func:`lint_order`
+    points the same check at hand-written source — the ``repro.eqsat``
+    engine, whose selected code must not move with the hash seed —
+    where it also follows sets through names, attributes and returns.
 ``kernels.env-key``
     An ``env[...]`` read of a key the execution plan does not publish.
     Plans publish ``{name}.stride.{d}`` for ``d > 0`` per bound buffer
@@ -41,11 +44,12 @@ None``) and are skipped — there is nothing static to check.
 from __future__ import annotations
 
 import ast
+import os
 from typing import Iterable, List, Optional, Set
 
-from .findings import ERROR, Finding
+from .findings import ERROR, Finding, apply_waivers, parse_waivers
 
-__all__ = ["lint_kernel", "lint_kernel_source"]
+__all__ = ["lint_kernel", "lint_kernel_source", "lint_order"]
 
 _TAKE_FUNCS = {"_take", "_take_b"}
 _GIVE_FUNC = "_give"
@@ -65,6 +69,138 @@ def _call_root(node: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
+
+
+def _unordered(node: ast.expr, sets) -> Optional[str]:
+    """What makes an expression an unordered collection, if anything:
+    a set display or comprehension, a call that returns one, set
+    algebra over one, or a name / attribute listed in ``sets``."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return "a set"
+    if isinstance(node, ast.Call):
+        root = _call_root(node.func)
+        if root in _UNORDERED_CALLS or f"{root}()" in sets:
+            return f"{root}(...)"
+    if isinstance(node, ast.BinOp) and isinstance(
+        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+    ):
+        return _unordered(node.left, sets) or _unordered(node.right, sets)
+    if isinstance(node, (ast.Name, ast.Attribute)) and _key(node) in sets:
+        return f"the set {ast.unparse(node)}"
+    return None
+
+
+def _key(node: ast.expr) -> str:
+    """How a binding is remembered: a name as itself, an attribute by
+    ``.attr`` whatever object it hangs off (a function, in
+    :func:`_set_names`, as ``name()``)."""
+    return "." + node.attr if isinstance(node, ast.Attribute) else ast.unparse(node)
+
+
+def _unordered_iteration(node: ast.AST, sets) -> Optional[str]:
+    """The unordered collection a node walks in an order that escapes:
+    a ``for`` / comprehension over one, or ``list``/``tuple``/``iter``/
+    ``next``/``enumerate`` of one (``sorted`` and membership are fine)."""
+    if isinstance(node, (ast.For, ast.comprehension)):
+        return _unordered(node.iter, sets)
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in {"list", "tuple", "iter", "next", "enumerate"}
+        and node.args
+    ):
+        return _unordered(node.args[0], sets)
+    return None
+
+
+def _order_finding(context: str, node: ast.AST, what: str) -> Finding:
+    line = getattr(node, "lineno", None) or node.iter.lineno
+    return Finding(
+        "kernels.order-dependence",
+        ERROR,
+        f"{context}:{line}",
+        f"iteration over {what} — element order depends on hash seeding",
+        "iterate a sorted() or insertion-ordered collection instead",
+    )
+
+
+def _set_names(tree: ast.AST) -> Set[str]:
+    """Names, attributes (as ``.attr``) and functions of a module that
+    hold (return) a set: bound to an unordered expression somewhere, or
+    annotated ``Set[...]`` / ``set`` / ``frozenset``."""
+
+    def says_set(annotation: Optional[ast.expr]) -> bool:
+        text = ast.unparse(annotation) if annotation is not None else ""
+        return text.split("[")[0].split(".")[-1] in {"Set", "set", "frozenset"}
+
+    sets: Set[str] = set()
+    grew = True
+    while grew:  # a set can be bound to a name that is itself a set
+        before = len(sets)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if says_set(node.returns):
+                    sets.add(node.name + "()")
+                for arg in node.args.args + node.args.kwonlyargs:
+                    if says_set(arg.annotation):
+                        sets.add(arg.arg)
+            elif isinstance(node, ast.AnnAssign):
+                if says_set(node.annotation) or (
+                    node.value is not None and _unordered(node.value, sets)
+                ):
+                    sets.add(_key(node.target))
+            elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                if _unordered(node.value, sets):
+                    targets = (
+                        node.targets
+                        if isinstance(node, ast.Assign)
+                        else [node.target]
+                    )
+                    sets.update(_key(t) for t in targets)
+        grew = len(sets) > before
+    return sets
+
+
+#: hand-written modules whose results must not depend on the hash seed
+ORDER_MODULES = tuple(
+    os.path.join(os.path.dirname(os.path.dirname(__file__)), "eqsat", name)
+    for name in (
+        "egraph.py", "ematch.py", "extract.py", "language.py",
+        "pattern.py", "rules.py", "schedule.py", "sexpr.py",
+    )
+)
+
+
+def lint_order(paths: Optional[Iterable[str]] = None) -> List[Finding]:
+    """``kernels.order-dependence`` over source files (default: the
+    ``repro.eqsat`` engine): a set walked where the order can reach a
+    result.  ``# analysis: ignore[order-dependence]`` waives a line whose
+    order provably cannot escape."""
+    sources = {}
+    for path in paths or ORDER_MODULES:
+        with open(path, "r", encoding="utf-8") as handle:
+            sources[os.path.basename(path)] = handle.read()
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    # attributes and functions are shared between modules, names are not
+    found = {name: _set_names(tree) for name, tree in trees.items()}
+    shared = {k for ks in found.values() for k in ks if k[0] == "." or k[-1] == ")"}
+    findings: List[Finding] = []
+    for context, tree in trees.items():
+        sets = found[context] | shared
+        walked = [
+            _order_finding(context, node, what)
+            for node in ast.walk(tree)
+            for what in [_unordered_iteration(node, sets)]
+            if what is not None
+        ]
+        findings.extend(
+            apply_waivers(
+                walked,
+                parse_waivers(sources[context]),
+                lambda finding: int(finding.site.rpartition(":")[2]),
+            )
+        )
+    return findings
 
 
 def lint_kernel_source(
@@ -164,22 +300,9 @@ def lint_kernel_source(
                 )
 
         # -- unordered iteration ---------------------------------------------
-        if isinstance(node, (ast.For, ast.comprehension)):
-            it = node.iter
-            if isinstance(it, ast.Call):
-                root = _call_root(it.func)
-                if root in _UNORDERED_CALLS:
-                    findings.append(
-                        Finding(
-                            "kernels.order-dependence",
-                            ERROR,
-                            f"{context}:{getattr(node, 'lineno', it.lineno)}",
-                            f"iteration over {root}(...) — element order"
-                            " depends on hash seeding",
-                            "iterate a sorted() or insertion-ordered"
-                            " collection instead",
-                        )
-                    )
+        what = _unordered_iteration(node, ())
+        if what is not None:
+            findings.append(_order_finding(context, node, what))
 
         # -- env key reads ----------------------------------------------------
         if (

@@ -18,10 +18,11 @@ action structure alone:
     patterns apply heads outside :data:`repro.eqsat.pattern.PRIMITIVE_OPS`
     — anything else could observe or mutate engine state mid-match.
 ``rules.delta-safety``
-    The compiled program's ``delta_safe``/``depth`` classification
-    disagrees with what the query's structure implies.  A rule wrongly
-    marked delta-safe silently *misses matches* under incremental
-    saturation; a wrong closure depth has the same effect.
+    The compiled program's ``delta_safe`` classification, or the number
+    of anchored programs it carries, disagrees with what the query's
+    structure implies.  A rule wrongly marked delta-safe silently
+    *misses matches* under incremental saturation; so does one without
+    an anchored program for a table it reads.
 ``rules.shadowed-lhs``
     Two rules in one family share a canonical query (same atoms modulo
     variable renaming) — the later rule can never contribute a match
@@ -41,8 +42,6 @@ from ..eqsat.pattern import (
     PLit,
     PVar,
     Pattern,
-    pattern_depth,
-    pattern_var_depths,
     pattern_vars,
 )
 from ..eqsat.rules import (
@@ -62,7 +61,7 @@ __all__ = [
     "lint_family",
     "lint_rules",
     "expected_delta_safe",
-    "expected_depth",
+    "expected_anchors",
 ]
 
 
@@ -149,24 +148,21 @@ def expected_delta_safe(query: Sequence) -> bool:
     return True
 
 
-def expected_depth(query: Sequence) -> int:
-    """The dirty-closure depth the query's structure implies."""
-    depth = 0
-    var_depth: Dict[str, int] = {}
-    for atom in query:
-        if isinstance(atom, TermAtom):
-            base = 0
-            if atom.var is not None and atom.var in var_depth:
-                base = var_depth[atom.var]
-            elif atom.var is not None:
-                var_depth[atom.var] = 0
-            depth = max(depth, base + pattern_depth(atom.pattern))
-            pattern_var_depths(atom.pattern, base, var_depth)
-        elif isinstance(atom, RelAtom):
-            for arg in atom.args:
-                if isinstance(arg, PVar):
-                    depth = max(depth, var_depth.get(arg.name, 0))
-    return max(depth, 1)
+def expected_anchors(query: Sequence) -> int:
+    """How many tables a delta-safe query reads: one per structural
+    operator in its term atoms plus one per relation atom.  Incremental
+    saturation needs an anchored program for each of them."""
+
+    def operators(pattern: Pattern) -> int:
+        if not isinstance(pattern, PApp):
+            return 0
+        return 1 + sum(operators(a) for a in pattern.args)
+
+    return sum(
+        operators(atom.pattern) if isinstance(atom, TermAtom) else 1
+        for atom in query
+        if isinstance(atom, (TermAtom, RelAtom))
+    )
 
 
 def _pure_guard_args(args: Iterable[Pattern]) -> bool:
@@ -304,7 +300,6 @@ def lint_rule(
             compiled = None  # unbound-rhs findings above already explain it
     if compiled is not None:
         want_safe = expected_delta_safe(rule.query)
-        want_depth = expected_depth(rule.query)
         if bool(compiled.delta_safe) != want_safe:
             findings.append(
                 Finding(
@@ -318,16 +313,17 @@ def lint_rule(
                     " safety analysis",
                 )
             )
-        if compiled.depth != want_depth:
+        want_anchors = expected_anchors(rule.query) if want_safe else 0
+        if len(compiled.anchors) != want_anchors:
             findings.append(
                 Finding(
                     "rules.delta-safety",
                     ERROR,
                     site,
-                    f"compiled closure depth {compiled.depth} != structural"
-                    f" depth {want_depth}; delta scans would anchor at the"
-                    " wrong level",
-                    "recompile the rule or fix the depth analysis",
+                    f"compiled program has {len(compiled.anchors)} anchored"
+                    f" programs but the query reads {want_anchors} tables;"
+                    " a change in an uncovered table would go unmatched",
+                    "recompile the rule or fix the anchoring",
                 )
             )
     return findings

@@ -1,7 +1,8 @@
 """Whole-pipeline analysis sweeps: verify and lint real applications.
 
 ``analyze_app`` runs one fig-6 application through the full static
-pipeline — lower, verify the lowered IR, select instructions (tensor
+pipeline — lower, verify the lowered IR, saturate every accelerator
+store and check its e-graph's invariants, select instructions (tensor
 variant), verify the tensorized IR, compile the scalar kernel and lint
 its source against the plan's published env, then attempt the
 batch-axis kernel and lint that too.  ``sweep`` fans it over an app
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .findings import Finding
+from .findings import ERROR, Finding
 from .lint_kernels import lint_kernel
 from .verify_ir import verify_ir
 
@@ -52,7 +53,7 @@ def _analyze(module_name: str, params: Optional[Dict], variant: str):
     """:func:`analyze_app`, plus the app's label and scalar kernel."""
     import importlib
 
-    from ..hardboiled import select_instructions
+    from ..hardboiled import TileExtractor, select_instructions
     from ..lowering import lower
     from ..runtime.buffer import Buffer
     from ..runtime.codegen import (
@@ -78,6 +79,20 @@ def _analyze(module_name: str, params: Optional[Dict], variant: str):
         )
     )
     if variant == "tensor":
+        # every store's saturated e-graph must come out sound
+        extractor = TileExtractor(lowered)
+        for kind, store in extractor.prepared_stores():
+            egraph, _, _ = extractor.saturate(kind, store)
+            findings.extend(
+                Finding(
+                    "eqsat.invariant",
+                    ERROR,
+                    f"{label}/{store.name}",
+                    problem,
+                    "EGraph.rebuild left the e-graph inconsistent",
+                )
+                for problem in egraph.check_invariants()
+            )
         lowered, _ = select_instructions(lowered, strict=True)
         findings.extend(
             verify_ir(

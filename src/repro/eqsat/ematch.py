@@ -8,12 +8,14 @@ Two matchers live here:
   ``match_anywhere`` deduplicates ``(eclass, bindings)`` pairs.
 * :class:`CompiledQuery` — a whole rule query (term atoms, relation
   atoms, guards) lowered **once** into a flat sequence of
-  scan/bind/compare/check instructions executed over a reusable register
-  array.  Variables become register slots, repeated variables become
-  compare instructions, and no per-binding dicts are copied while
-  backtracking.  ``rules.RuleEngine`` drives these programs against the
-  e-graph's persistent head index (full passes) or a per-round delta
-  index (incremental passes).
+  scan/bind/compare/check instructions executed over a register array.
+  Variables become register slots, repeated variables become compare
+  instructions, and no per-binding dicts are copied while backtracking.
+  Each delta-safe query also compiles once per atom into an *anchored*
+  re-ordering of the same join that starts at that atom, so
+  ``rules.RuleEngine`` can drive a rule from just the e-nodes and
+  relation rows that changed (incremental passes) as well as from the
+  e-graph's persistent head index (full passes).
 
 Bindings map variable names to e-class ids.  Primitive arithmetic
 (``*``, ``%``, ...) is evaluated over literal payloads, both in guards
@@ -37,18 +39,18 @@ True
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import functools
+import operator
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .egraph import EGraph
-from .language import ENode, Head
+from .language import ENode
 from .pattern import (
     PRIMITIVE_OPS,
     PApp,
     PLit,
     Pattern,
     PVar,
-    pattern_depth,
-    pattern_var_depths,
     pattern_vars,
 )
 
@@ -162,29 +164,34 @@ def eval_value(egraph: EGraph, pattern: Pattern, bindings):
     return None
 
 
+def _floor_or_true_div(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        if b == 0:
+            raise MatchError("division by zero in primitive")
+        return a // b
+    return a / b
+
+
+def _mod(a, b):
+    if b == 0:
+        raise MatchError("modulo by zero in primitive")
+    return a % b
+
+
+_PRIMITIVES = {
+    "*": operator.mul,
+    "+": operator.add,
+    "-": operator.sub,
+    "/": _floor_or_true_div,
+    "%": _mod,
+}
+
+
 def _apply_prim(op: str, values):
-    acc = values[0]
-    for v in values[1:]:
-        if op == "*":
-            acc = acc * v
-        elif op == "+":
-            acc = acc + v
-        elif op == "-":
-            acc = acc - v
-        elif op == "/":
-            if isinstance(acc, int) and isinstance(v, int):
-                if v == 0:
-                    raise MatchError("division by zero in primitive")
-                acc = acc // v
-            else:
-                acc = acc / v
-        elif op == "%":
-            if v == 0:
-                raise MatchError("modulo by zero in primitive")
-            acc = acc % v
-        else:
-            raise MatchError(f"unknown primitive {op!r}")
-    return acc
+    fn = _PRIMITIVES.get(op)
+    if fn is None:
+        raise MatchError(f"unknown primitive {op!r}")
+    return functools.reduce(fn, values)
 
 
 def instantiate(egraph: EGraph, pattern: Pattern, bindings: Bindings) -> int:
@@ -217,46 +224,32 @@ def instantiate(egraph: EGraph, pattern: Pattern, bindings: Bindings) -> int:
 # A whole rule query compiles to a flat instruction tuple list.  Register
 # allocation is single-assignment along any execution path, so
 # backtracking needs no trail: a register is only read by instructions
-# that run after its (unique) writer.
+# that run after its writer.  Programs run on a *rebuilt* e-graph, where
+# every id read out of a class, a row or a candidate is canonical, so
+# registers are compared directly instead of through ``find``.
 
-OP_SCAN = 0  # (op, out_class_reg, head, arity, arg_base) — root candidates
+OP_SCAN = 0  # (op, out_class_reg, head, arity, arg_base) — nodes by head
 OP_BIND = 1  # (op, class_reg, head, arity, arg_base) — nodes inside a class
 OP_COMPARE = 2  # (op, reg_a, reg_b)
 OP_CHECK_LIT = 3  # (op, reg, value)
 OP_SCAN_ALL = 4  # (op, out_class_reg) — every class (bare var/literal root)
-OP_SCAN_REL = 5  # (op, name, arity, arg_base)
+OP_SCAN_REL = 5  # (op, name, arity, arg_base, seeds) — rows of a relation
 OP_GUARD = 6  # (op, atom, view, bind_name, bind_slot)
 OP_SCAN_REL_BOUND = 7  # (op, name, arity, arg_base, src_slot, position)
-
-
-class _RegView:
-    """Mapping view over (slots, registers) for guard/primitive evaluation."""
-
-    __slots__ = ("slots", "regs")
-
-    def __init__(self, slots: Dict[str, int], regs: List[int]) -> None:
-        self.slots = slots
-        self.regs = regs
-
-    def get(self, name: str, default=None):
-        slot = self.slots.get(name)
-        if slot is None:
-            return default
-        return self.regs[slot]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.slots
+OP_PARENTS = 8  # (op, child_reg, out_class_reg, head, arity, arg_base, position)
 
 
 class CompiledQuery:
     """One rule query lowered to a register program.
 
     ``var_slots`` maps variable names to register indices; ``key_slots``
-    is the ordered slot list used to build canonical dedup keys.
-    ``delta_safe`` reports whether restricting the *first* scan to the
-    dirty closure is exact, and ``depth`` is the closure level that scan
-    must reach: new material sits at most ``depth`` structural levels
-    below any match root (see ``rules.RuleEngine``).
+    is the ordered slot list used to build dedup keys.  ``delta_safe``
+    reports whether matching only from what changed is exact for this
+    query; if so ``anchors`` holds one ``(first opcode, key, executor,
+    trait)`` per atom — the same join re-ordered to start at that atom's
+    table, keyed by the ``(head, arity)`` of the e-nodes or the name of
+    the relation whose new entries it must be run on, and narrowed by a
+    trait (see :func:`entry_traits`) every entry that can match has.
     """
 
     __slots__ = (
@@ -265,18 +258,30 @@ class CompiledQuery:
         "var_slots",
         "key_slots",
         "delta_safe",
-        "depth",
+        "key_of",
+        "executor",
+        "anchors",
     )
 
-    def __init__(
-        self, instructions, n_regs, var_slots, delta_safe, depth
-    ) -> None:
+    def __init__(self, instructions, n_regs, var_slots, delta_safe) -> None:
         self.instructions = tuple(instructions)
         self.n_regs = n_regs
         self.var_slots = dict(var_slots)
         self.key_slots = tuple(sorted(set(var_slots.values())))
         self.delta_safe = delta_safe
-        self.depth = depth
+        #: ``regs -> dedup key`` (the key slots' values, as a tuple)
+        self.key_of = (
+            operator.itemgetter(*self.key_slots)
+            if len(self.key_slots) > 1
+            else lambda regs: tuple([regs[s] for s in self.key_slots])
+        )
+        self.executor = Executor(self.instructions, n_regs)
+        self.anchors = tuple(
+            (program[0][0], key, Executor(program, n_regs), _trait(program))
+            for key, program in (
+                _anchored(self.instructions) if delta_safe else ()
+            )
+        )
 
 
 def compile_query(atoms: Sequence) -> CompiledQuery:
@@ -320,23 +325,18 @@ def compile_query(atoms: Sequence) -> CompiledQuery:
             instrs.append((OP_COMPARE, slot, root_reg))
 
     # -- delta-safety analysis ----------------------------------------------
-    # Restricting the first scan to the dirty closure is exact when any
-    # new match must bind a touched class *structurally under the root*:
-    #   * the first atom is a structural TermAtom (its match tree hangs
-    #     off the root, and the closure contains all parents of touched
-    #     classes);
+    # Matching only from the e-nodes and rows that changed is exact when
+    # every atom reads a table the e-graph's change log covers and the
+    # atoms form one join connected through classes that log watches:
+    #   * the first atom is a structural TermAtom;
     #   * every later TermAtom matches inside a class that is itself
-    #     bound at a *structural* position (new nodes there dirty that
-    #     class, whose root is a parent-ancestor);
+    #     bound at a *structural* position;
     #   * every RelAtom carries only variable/literal args and shares a
-    #     structurally-bound variable, so a new row dirties a class in
-    #     the root's parent-reachable subtree.
+    #     structurally-bound variable.
     # Variables that enter a match only through a relation row or a
-    # guard binding are NOT structurally connected — their classes have
-    # no parent edge leading to the root, so anchoring a later atom on
-    # them would let new material escape the dirty closure.  Anything
-    # of that shape (and second unbound scans, relation-first rules,
-    # ...) falls back to full matching every round.
+    # guard binding are NOT anchors for a later term atom.  Anything of
+    # that shape (and second unbound scans, relation-first rules, ...)
+    # falls back to full matching every round.
     first = atoms[0] if atoms else None
     delta_safe = (
         isinstance(first, TermAtom)
@@ -378,13 +378,7 @@ def compile_query(atoms: Sequence) -> CompiledQuery:
                 )
                 if bound_slot is not None:
                     # match inside the already-bound class
-                    arity = len(pattern.args)
-                    base = alloc(arity)
-                    instrs.append(
-                        (OP_BIND, bound_slot, pattern.head, arity, base)
-                    )
-                    for j, arg in enumerate(pattern.args):
-                        compile_subpattern(arg, base + j)
+                    compile_subpattern(pattern, bound_slot)
                 else:
                     root_reg = alloc()
                     arity = len(pattern.args)
@@ -413,24 +407,20 @@ def compile_query(atoms: Sequence) -> CompiledQuery:
             # join on an already-bound variable argument when possible:
             # rows come from the reverse class->rows index instead of a
             # scan over the whole relation
-            bound_pos = None
-            for j, arg in enumerate(atom.args):
-                if isinstance(arg, PVar) and arg.name in slots:
-                    bound_pos = (slots[arg.name], j)
-                    break
-            if bound_pos is not None:
+            bound = next(
+                (
+                    (slots[arg.name], j)
+                    for j, arg in enumerate(atom.args)
+                    if isinstance(arg, PVar) and arg.name in slots
+                ),
+                None,
+            )
+            if bound is not None:
                 instrs.append(
-                    (
-                        OP_SCAN_REL_BOUND,
-                        atom.name,
-                        arity,
-                        base,
-                        bound_pos[0],
-                        bound_pos[1],
-                    )
+                    (OP_SCAN_REL_BOUND, atom.name, arity, base, *bound)
                 )
             else:
-                instrs.append((OP_SCAN_REL, atom.name, arity, base))
+                instrs.append((OP_SCAN_REL, atom.name, arity, base, ()))
             for j, arg in enumerate(atom.args):
                 compile_subpattern(arg, base + j)
         elif isinstance(atom, GuardAtom):
@@ -452,445 +442,418 @@ def compile_query(atoms: Sequence) -> CompiledQuery:
                 slots[bind_name] = bind_slot
         else:
             raise MatchError(f"unknown atom {atom!r}")
+    return CompiledQuery(instrs, max(n_regs, 1), slots, delta_safe)
 
-    # closure depth: the maximum parent-distance from any structural
-    # position of the query (where new material can appear) up to the
-    # match root.  Variables carry their depth so positions inside later
-    # class-bound term atoms and relation rows are anchored correctly.
-    depth = 0
-    var_depth: Dict[str, int] = {}
-    for atom in atoms:
-        if isinstance(atom, TermAtom):
-            base = 0
-            if atom.var is not None and atom.var in var_depth:
-                base = var_depth[atom.var]
+
+def _anchored(instrs: Sequence[tuple]):
+    """``(key, program)`` per table a delta-safe program reads: the same
+    join, started from that table.
+
+    The anchor scans its table first; every other generator follows as
+    soon as a register it can join on is filled — downwards
+    (``OP_BIND`` into a known class, ``OP_SCAN_REL_BOUND`` on a known row
+    argument) in preference to upwards (``OP_PARENTS`` of a known
+    argument class).  A filter runs once generators have filled its
+    registers; guards keep their order and run last.
+    """
+
+    def shape(gen):
+        """(class register or None, argument registers) of a generator."""
+        if gen[0] == OP_SCAN_REL_BOUND:
+            return None, range(gen[3], gen[3] + gen[2])
+        return gen[1], range(gen[4], gen[4] + gen[3])
+
+    generators = [
+        ins for ins in instrs if ins[0] in (OP_SCAN, OP_BIND, OP_SCAN_REL_BOUND)
+    ]
+    filters = [ins for ins in instrs if ins[0] in (OP_COMPARE, OP_CHECK_LIT)]
+    guards = [ins for ins in instrs if ins[0] == OP_GUARD]
+    #: row-argument register -> the register its variable first lived in
+    partner = {ins[2]: ins[1] for ins in filters if ins[0] == OP_COMPARE}
+    for anchor in generators:
+        class_reg, arg_regs = shape(anchor)
+        filled = set(arg_regs)
+        if class_reg is None:
+            # a row seeds the registers its variables are joined through;
+            # those only count as filled once their own generator ran
+            seeds = tuple((partner[r], r) for r in arg_regs if r in partner)
+            program = [(OP_SCAN_REL, *anchor[1:4], seeds)]
+            key = anchor[1]
+        else:
+            seeds = ()
+            filled.add(class_reg)
+            program = [(OP_SCAN, *anchor[1:])]
+            key = (anchor[2], anchor[3])
+        seeded = {slot for slot, _ in seeds}
+        todo = [gen for gen in generators if gen is not anchor]
+        waiting = list(filters)
+        while True:
+            for ins in waiting[:]:
+                if filled.issuperset(ins[1:2 + (ins[0] == OP_COMPARE)]):
+                    program.append(ins)
+                    waiting.remove(ins)
+            if not todo:
+                break  # filters still waiting read a guard-bound register
+            known = filled | seeded
+            step = None
+            for gen in todo:
+                class_reg, arg_regs = shape(gen)
+                if class_reg is None:
+                    joins = [(gen[4], gen[5])] + [
+                        (partner.get(r, r), r - gen[3]) for r in arg_regs
+                    ]
+                    join = next((j for j in joins if j[0] in known), None)
+                    if join is not None:
+                        step = gen, (*gen[:4], *join)
+                        break
+                elif class_reg in known:
+                    step = gen, (OP_BIND, *gen[1:])
+                    break
+            if step is None:
+                for gen in todo:
+                    class_reg, arg_regs = shape(gen)
+                    child = next((r for r in arg_regs if r in known), None)
+                    if class_reg is not None and child is not None:
+                        step = gen, (
+                            OP_PARENTS, child, *gen[1:], child - gen[4]
+                        )
+                        filled.add(class_reg)
+                        break
+            if step is None:
+                raise MatchError("delta-safe query is not one connected join")
+            todo.remove(step[0])
+            program.append(step[1])
+            filled.update(shape(step[0])[1])
+        yield key, program + guards + waiting
+
+
+def _trait(program: Sequence[tuple]) -> Optional[tuple]:
+    """The first thing an anchored program demands of its entry alone.
+
+    ``("lit", pos, value)``: the class at ``pos`` holds that literal;
+    ``("has", pos, head, arity)``: it holds such a node; ``("up", pos,
+    head, arity)``: such a node is among its parents.  ``pos`` indexes
+    the node's arguments (the row's values); -1 is the node's own class.
+    """
+    first = program[0]
+    if first[0] == OP_SCAN:
+        base, arity, where = first[4], first[3], {first[1]: -1}
+    else:
+        base, arity = first[3], first[2]
+        where = {slot: reg - base for slot, reg in first[4]}
+    where.update({base + j: j for j in range(arity)})
+    for ins in program[1:]:
+        if ins[0] == OP_CHECK_LIT and ins[1] in where:
+            return "lit", where[ins[1]], ins[2]
+        if ins[0] == OP_BIND and ins[1] in where:
+            return "has", where[ins[1]], ins[2], ins[3]
+        if ins[0] == OP_PARENTS and ins[1] in where:
+            return "up", where[ins[1]], ins[3], ins[4]
+    return None
+
+
+def entry_traits(egraph: EGraph, entries, probes, is_row: bool):
+    """``{trait: [entry]}`` over ``(class, node)`` entries or relation
+    rows.  ``probes`` maps each ``(kind, pos)`` to look at to the heads
+    (for ``"lit"``: the values) somebody wants to find there."""
+    classes = egraph.classes
+    index: Dict[Optional[tuple], list] = {}
+    for entry in entries:
+        values = entry if is_row else entry[1].args
+        for (kind, pos), heads in probes.items():
+            eclass = classes.get(entry[0] if pos < 0 else values[pos])
+            if eclass is None:
+                continue  # a raw (non-class) row value
+            if kind == "lit":
+                traits = [(kind, pos, eclass.literal)]
+            elif kind == "has":
+                traits = [
+                    (kind, pos, n.head, len(n.args))
+                    for n in eclass.nodes
+                    if n.head in heads
+                ]
             else:
-                if atom.var is not None:
-                    var_depth[atom.var] = 0
-            depth = max(depth, base + pattern_depth(atom.pattern))
-            pattern_var_depths(atom.pattern, base, var_depth)
-        elif isinstance(atom, RelAtom):
-            for arg in atom.args:
-                if isinstance(arg, PVar):
-                    depth = max(depth, var_depth.get(arg.name, 0))
-    return CompiledQuery(instrs, n_regs, slots, delta_safe, max(depth, 1))
+                traits = [
+                    (kind, pos, n.head, len(n.args))
+                    for n, _ in eclass.parents
+                    if n.head in heads
+                ]
+            for trait in dict.fromkeys(traits):
+                index.setdefault(trait, []).append(entry)
+    return index
 
-
-import operator as _operator
 
 _COMPARISON_FNS = {
-    ">": _operator.gt,
-    "<": _operator.lt,
-    ">=": _operator.ge,
-    "<=": _operator.le,
-    "!=": _operator.ne,
+    ">": operator.gt,
+    "<": operator.lt,
+    ">=": operator.ge,
+    "<=": operator.le,
+    "!=": operator.ne,
 }
 
 
-def _simple_comparison(atom, view_slots):
-    """Specialize a pure comparison guard over bound vars/literals.
+def value_fn(pattern: Pattern, slots: Dict[str, int]):
+    """A computational pattern as ``fn(regs, egraph) -> value or None``:
+    :func:`eval_value` over register slots, resolved once."""
+    if isinstance(pattern, PLit):
+        return lambda regs, eg, value=pattern.value: value
+    if isinstance(pattern, PVar) and pattern.name in slots:
+        slot = slots[pattern.name]
+        return lambda regs, eg: eg.literal_value(regs[slot])
+    if isinstance(pattern, PApp) and pattern.head in PRIMITIVE_OPS:
+        op = pattern.head
+        args = [value_fn(a, slots) for a in pattern.args]
 
-    Returns ``(compare, a_spec, b_spec)`` where each spec is ``("lit",
-    value)`` or ``("var", slot)``, or None when the guard needs the
-    general evaluator (primitive arithmetic, ``=`` binding, ...).
-    """
-    compare = _COMPARISON_FNS.get(atom.op)
-    if compare is None or len(atom.args) != 2:
-        return None
-    specs = []
-    for arg in atom.args:
-        if isinstance(arg, PLit):
-            specs.append(("lit", arg.value))
-        elif isinstance(arg, PVar) and arg.name in view_slots:
-            specs.append(("var", view_slots[arg.name]))
-        else:
-            return None
-    return compare, specs[0], specs[1]
+        def prim(regs, eg):
+            values = [arg(regs, eg) for arg in args]
+            if any(v is None for v in values):
+                return None
+            return _apply_prim(op, values)
 
-
-def _exec_guard(egraph: EGraph, ins, regs: List[int]) -> bool:
-    """Execute a guard instruction; mirrors the reference semantics."""
-    _, atom, view_slots, bind_name, bind_slot = ins
-    view = _RegView(view_slots, regs)
-    return _guard_holds(egraph, atom, view, regs, bind_name, bind_slot)
+        return prim
+    return lambda regs, eg: None
 
 
-def _guard_holds(
-    egraph: EGraph, atom, view: "_RegView", regs, bind_name, bind_slot
-) -> bool:
-    if atom.op == "=":
-        lhs, rhs = atom.args
-        lhs_value = eval_value(egraph, lhs, view)
-        rhs_value = eval_value(egraph, rhs, view)
-        if lhs_value is not None and rhs_value is not None:
-            return lhs_value == rhs_value
-        for unbound, value in ((lhs, rhs_value), (rhs, lhs_value)):
-            if (
-                isinstance(unbound, PVar)
-                and unbound.name not in view
-                and value is not None
-            ):
-                kind = "i64" if isinstance(value, int) else "f64"
-                regs[bind_slot] = egraph.add_literal(kind, value)
-                return True
-        if isinstance(lhs, PVar) and isinstance(rhs, PVar):
-            a, b = view.get(lhs.name), view.get(rhs.name)
-            return (
-                a is not None
-                and b is not None
-                and egraph.find(a) == egraph.find(b)
-            )
-        return False
-    values = [eval_value(egraph, a, view) for a in atom.args]
-    if any(v is None for v in values):
-        return False
-    a, b = values
-    return _COMPARISON_FNS[atom.op](a, b)
+def _guard_step(ins: tuple, nxt):
+    """The closure for one guard instruction (see ``rules.GuardAtom``)."""
+    _, atom, slots, _bind_name, bind_slot = ins
+    lhs, rhs = (value_fn(a, slots) for a in atom.args)
+    if atom.op != "=":
+        compare = _COMPARISON_FNS[atom.op]
 
+        def step(regs, eg, emit):
+            a = lhs(regs, eg)
+            if a is not None:
+                b = rhs(regs, eg)
+                if b is not None and compare(a, b):
+                    nxt(regs, eg, emit)
 
-#: candidate source for the first scan: head -> iterable of (class, node)
-ScanSource = Callable[[Head], Iterator[Tuple[int, ENode]]]
+        return step
+    #: both sides bound variables: they may still name one class
+    pair = [
+        slots.get(a.name) if isinstance(a, PVar) else None for a in atom.args
+    ]
 
-
-class BoundExecutor:
-    """A query program pre-bound to one e-graph.
-
-    Each instruction becomes one closure chained to the next, built once;
-    running a pass only swaps the root candidate source and the match
-    callback.  The register array is reused across runs (matching is
-    single-threaded and non-reentrant per executor).
-    """
-
-    __slots__ = ("program", "regs", "_entry", "_cell")
-
-    def __init__(self, program: "CompiledQuery", egraph: EGraph) -> None:
-        self.program = program
-        regs = self.regs = [0] * max(program.n_regs, 1)
-        find = egraph.find
-        classes = egraph.classes
-        literal_value = egraph.literal_value
-        #: [root_source, on_match] swapped per run
-        cell = self._cell = [None, None]
-
-        def tail():
-            cell[1](regs)
-
-        chain = tail
-        for ip in range(len(program.instructions) - 1, -1, -1):
-            ins = program.instructions[ip]
-            op = ins[0]
-            nxt = chain
-            if op == OP_COMPARE:
-                _, ra, rb = ins
-
-                def chain(ra=ra, rb=rb, nxt=nxt):
-                    if find(regs[ra]) == find(regs[rb]):
-                        nxt()
-
-            elif op == OP_CHECK_LIT:
-                _, reg, expect = ins
-
-                def chain(reg=reg, expect=expect, nxt=nxt):
-                    value = literal_value(regs[reg])
-                    if value is not None and value == expect:
-                        nxt()
-
-            elif op == OP_GUARD:
-                _, atom, view_slots, bind_name, bind_slot = ins
-                spec = _simple_comparison(atom, view_slots)
-                if spec is not None:
-                    compare, a_spec, b_spec = spec
-
-                    def load(arg_spec):
-                        kind, payload = arg_spec
-                        if kind == "lit":
-                            return lambda: payload
-                        return lambda slot=payload: literal_value(
-                            regs[slot]
-                        )
-
-                    def chain(
-                        compare=compare,
-                        load_a=load(a_spec),
-                        load_b=load(b_spec),
-                        nxt=nxt,
-                    ):
-                        a = load_a()
-                        if a is None:
-                            return
-                        b = load_b()
-                        if b is None:
-                            return
-                        if compare(a, b):
-                            nxt()
-
-                else:
-                    view = _RegView(view_slots, regs)
-
-                    def chain(
-                        atom=atom,
-                        view=view,
-                        bind_name=bind_name,
-                        bind_slot=bind_slot,
-                        nxt=nxt,
-                    ):
-                        if _guard_holds(
-                            egraph, atom, view, regs, bind_name, bind_slot
-                        ):
-                            nxt()
-
-            elif op == OP_BIND:
-                _, creg, head, arity, base = ins
-
-                def chain(
-                    creg=creg,
-                    head=head,
-                    arity=arity,
-                    base=base,
-                    end=base + arity,
-                    nxt=nxt,
-                ):
-                    eclass = classes.get(find(regs[creg]))
-                    if eclass is None:
-                        return
-                    for node in eclass.nodes:
-                        args = node.args
-                        if node.head == head and len(args) == arity:
-                            regs[base:end] = args
-                            nxt()
-
-            elif op == OP_SCAN:
-                _, out, head, arity, base = ins
-                if ip == 0:
-
-                    def chain(
-                        out=out,
-                        head=head,
-                        arity=arity,
-                        base=base,
-                        end=base + arity,
-                        nxt=nxt,
-                    ):
-                        for cid, node in cell[0](head):
-                            args = node.args
-                            if len(args) != arity:
-                                continue
-                            regs[out] = cid
-                            regs[base:end] = args
-                            nxt()
-
-                else:
-                    entries_of = egraph.head_entries
-
-                    def chain(
-                        out=out,
-                        head=head,
-                        arity=arity,
-                        base=base,
-                        end=base + arity,
-                        nxt=nxt,
-                    ):
-                        for node, owner in entries_of(head).items():
-                            args = node.args
-                            if len(args) != arity:
-                                continue
-                            regs[out] = owner
-                            regs[base:end] = args
-                            nxt()
-
-            elif op == OP_SCAN_ALL:
-                _, out = ins
-
-                def chain(out=out, nxt=nxt):
-                    for cid in list(classes.keys()):
-                        regs[out] = cid
-                        nxt()
-
-            elif op == OP_SCAN_REL:
-                _, name, arity, base = ins
-                facts_of = egraph.facts
-
-                def chain(name=name, arity=arity, base=base, nxt=nxt):
-                    for row in facts_of(name):
-                        if len(row) != arity:
-                            continue
-                        for j in range(arity):
-                            value = row[j]
-                            if not isinstance(value, int):
-                                raise MatchError(
-                                    f"relation row holds non-eclass value"
-                                    f" {value!r}"
-                                )
-                            regs[base + j] = value
-                        nxt()
-
-            elif op == OP_SCAN_REL_BOUND:
-                _, name, arity, base, src_slot, pos = ins
-                rows_mentioning = egraph.rows_mentioning
-
-                def chain(
-                    name=name,
-                    arity=arity,
-                    base=base,
-                    src_slot=src_slot,
-                    pos=pos,
-                    nxt=nxt,
-                ):
-                    target = find(regs[src_slot])
-                    for rel_name, row in rows_mentioning(target):
-                        if rel_name != name or len(row) != arity:
-                            continue
-                        value = row[pos]
-                        if not isinstance(value, int) or find(value) != target:
-                            continue
-                        for j in range(arity):
-                            value = row[j]
-                            if not isinstance(value, int):
-                                raise MatchError(
-                                    f"relation row holds non-eclass value"
-                                    f" {value!r}"
-                                )
-                            regs[base + j] = value
-                        nxt()
-
-            else:
-                raise MatchError(f"unknown opcode {op!r}")
-        self._entry = chain
-
-    def run(self, root_source: ScanSource, on_match) -> None:
-        """One pass: draw root candidates from ``root_source``, call
-        ``on_match`` with the live register array per match."""
-        self._cell[0] = root_source
-        self._cell[1] = on_match
-        self._entry()
-
-
-def full_scan_source(egraph: EGraph) -> ScanSource:
-    """Root candidates from the persistent head index (a full pass)."""
-
-    def source(head: Head):
-        # owners may be stale; consumers canonicalize through find()
-        for node, owner in egraph.head_entries(head).items():
-            yield owner, node
-
-    return source
-
-
-class DeltaSource:
-    """Root candidates restricted to a dirty closure (a delta pass).
-
-    ``closure`` maps class ids to their parent-distance from the nearest
-    touched class.  Entries carry that level so each rule can further
-    restrict candidates to its own structural depth (a depth-1 rule only
-    ever gains matches rooted at a touched class or its direct parents).
-    ``min_level`` lets engines skip rules whose root head has no
-    candidates within reach without entering the query program.
-    """
-
-    __slots__ = ("index", "min_levels", "_egraph", "_closure", "_built")
-
-    def __init__(self, egraph: EGraph, closure: Dict[int, int]) -> None:
-        # first pass: head presence/levels only — candidate lists are
-        # built lazily, and only for the heads rules actually scan
-        min_levels: Dict[Head, int] = {}
-        classes = egraph.classes
-        for cid, level in closure.items():
-            eclass = classes.get(cid)
-            if eclass is None:
-                continue
-            for node in eclass.nodes:
-                head = node.head
-                current = min_levels.get(head)
-                if current is None or level < current:
-                    min_levels[head] = level
-        self.index: Dict[Head, List[Tuple[int, ENode, int]]] = {}
-        self.min_levels = min_levels
-        self._egraph = egraph
-        self._closure = closure
-        self._built: set = set()
-
-    def prepare(self, heads) -> None:
-        """Build candidate lists for the given heads in one pass."""
-        missing = {
-            h for h in heads if h not in self._built and h in self.min_levels
-        }
-        if not missing:
+    def step(regs, eg, emit):
+        a, b = lhs(regs, eg), rhs(regs, eg)
+        if a is not None and b is not None:
+            if a != b:
+                return
+        elif bind_slot is not None and (a is not None or b is not None):
+            # the one unbound variable takes the computed literal
+            value = b if a is None else a
+            kind = "i64" if isinstance(value, int) else "f64"
+            regs[bind_slot] = eg.add_literal(kind, value)
+        elif None in pair or eg.find(regs[pair[0]]) != eg.find(regs[pair[1]]):
             return
-        classes = self._egraph.classes
-        index = self.index
-        for cid, level in self._closure.items():
-            eclass = classes.get(cid)
-            if eclass is None:
-                continue
-            for node in eclass.nodes:
-                if node.head in missing:
-                    index.setdefault(node.head, []).append(
-                        (cid, node, level)
-                    )
-        self._built |= missing
+        nxt(regs, eg, emit)
 
-    def rule_plan(self, by_head, programs) -> List[int]:
-        """Rule indices that can have new matches against this delta:
-        their root head is present within their closure depth."""
-        plan: List[int] = []
-        min_levels = self.min_levels
-        for head, indices in by_head.items():
-            level = min_levels.get(head)
-            if level is None:
-                continue
-            for idx in indices:
-                if programs[idx].depth >= level:
-                    plan.append(idx)
-        return plan
-
-    def min_level(self, head: Head) -> Optional[int]:
-        """Smallest closure level among candidates with this head."""
-        return self.min_levels.get(head)
-
-    def at_depth(self, depth: int) -> "ScanSource":
-        """A scan source over candidates within ``depth`` levels."""
-
-        def source(head: Head):
-            if head not in self._built:
-                self.prepare((head,))
-            for cid, node, level in self.index.get(head, ()):
-                if level <= depth:
-                    yield cid, node
-
-        return source
+    return step
 
 
-def delta_scan_source(egraph: EGraph, closure) -> DeltaSource:
-    return DeltaSource(egraph, closure)
+class Executor:
+    """A query program as a chain of closures, one per instruction.
+
+    The chain is built once per program and holds no e-graph and no
+    registers: :meth:`run` hands both down the chain, so one executor
+    (cached with the program on its rule) serves every e-graph and is
+    safe to run from several threads.
+    """
+
+    __slots__ = ("first", "n_regs", "_rest")
+
+    def __init__(self, instructions: Sequence[tuple], n_regs: int) -> None:
+        #: the scan :meth:`run` feeds; None if the program starts with a
+        #: filter (a guard-first query) and so runs exactly once
+        self.first = None
+        if instructions[0][0] in (OP_SCAN, OP_SCAN_REL, OP_SCAN_ALL):
+            self.first, instructions = instructions[0], instructions[1:]
+        self.n_regs = n_regs
+
+        def chain(regs, eg, emit):
+            emit(regs)
+
+        for ins in reversed(instructions):
+            chain = _step(ins, chain)
+        self._rest = chain
+
+    def run(self, egraph: EGraph, candidates: Iterable, on_match) -> None:
+        """Draw the first instruction's candidates from ``candidates``
+        — ``(class, node)`` pairs for ``OP_SCAN``, rows for
+        ``OP_SCAN_REL``, class ids for ``OP_SCAN_ALL``, see
+        :func:`first_candidates` — and call ``on_match`` with the live
+        register array per match."""
+        first, nxt = self.first, self._rest
+        regs = [0] * self.n_regs
+        if first is None:
+            for _ in candidates:
+                nxt(regs, egraph, on_match)
+        elif first[0] == OP_SCAN:
+            _, out, _head, arity, base = first
+            end = base + arity
+            for regs[out], node in candidates:
+                if len(node.args) == arity:
+                    regs[base:end] = node.args
+                    nxt(regs, egraph, on_match)
+        elif first[0] == OP_SCAN_REL:
+            _, _name, arity, base, seeds = first
+            end = base + arity
+            for row in candidates:
+                if len(row) == arity:
+                    regs[base:end] = _class_row(row)
+                    for slot, reg in seeds:
+                        regs[slot] = regs[reg]
+                    nxt(regs, egraph, on_match)
+        else:
+            for regs[first[1]] in candidates:
+                nxt(regs, egraph, on_match)
+
+
+def _class_row(row: tuple) -> tuple:
+    for value in row:
+        if not isinstance(value, int):
+            raise MatchError(f"relation row holds non-eclass value {value!r}")
+    return row
+
+
+def first_candidates(egraph: EGraph, first: Optional[tuple]) -> Iterable:
+    """Everything a program's first instruction can start from (a
+    program without a leading scan starts once, from nothing)."""
+    if first is None:
+        return (None,)
+    if first[0] == OP_SCAN:
+        find = egraph.find
+        return [
+            (find(owner), node)
+            for node, owner in egraph.head_entries(first[2]).items()
+        ]
+    if first[0] == OP_SCAN_REL:
+        return egraph.facts(first[1])
+    return list(egraph.classes)
+
+
+def _step(ins: tuple, nxt):
+    """The closure for one non-first instruction, chained to ``nxt``."""
+    op = ins[0]
+    if op == OP_COMPARE:
+        _, ra, rb = ins
+
+        def step(regs, eg, emit):
+            if regs[ra] == regs[rb]:
+                nxt(regs, eg, emit)
+
+    elif op == OP_CHECK_LIT:
+        _, reg, expect = ins
+
+        def step(regs, eg, emit):
+            value = eg.classes[regs[reg]].literal
+            if value is not None and value == expect:
+                nxt(regs, eg, emit)
+
+    elif op == OP_GUARD:
+        step = _guard_step(ins, nxt)
+
+    elif op == OP_BIND:
+        _, creg, head, arity, base = ins
+        end = base + arity
+
+        def step(regs, eg, emit):
+            for node in eg.classes[regs[creg]].nodes:
+                if node.head == head and len(node.args) == arity:
+                    regs[base:end] = node.args
+                    nxt(regs, eg, emit)
+
+    elif op == OP_PARENTS:
+        _, child, out, head, arity, base, pos = ins
+        end = base + arity
+
+        def step(regs, eg, emit):
+            # parent lists may spell a node as it was before a merge (and
+            # so list it twice): canonicalise what is read out of them
+            target = regs[child]
+            find = eg.find
+            for node, owner in eg.classes[target].parents:
+                args = node.args
+                if (
+                    node.head == head
+                    and len(args) == arity
+                    and find(args[pos]) == target
+                ):
+                    regs[out] = find(owner)
+                    regs[base:end] = [find(a) for a in args]
+                    nxt(regs, eg, emit)
+
+    elif op == OP_SCAN:
+        _, out, head, arity, base = ins
+        end = base + arity
+
+        def step(regs, eg, emit):
+            for regs[out], node in first_candidates(eg, ins):
+                if len(node.args) == arity:
+                    regs[base:end] = node.args
+                    nxt(regs, eg, emit)
+
+    elif op == OP_SCAN_ALL:
+        _, out = ins
+
+        def step(regs, eg, emit):
+            for regs[out] in list(eg.classes):
+                nxt(regs, eg, emit)
+
+    elif op == OP_SCAN_REL:
+        _, name, arity, base, _seeds = ins
+        end = base + arity
+
+        def step(regs, eg, emit):
+            for row in eg.facts(name):
+                if len(row) == arity:
+                    regs[base:end] = _class_row(row)
+                    nxt(regs, eg, emit)
+
+    elif op == OP_SCAN_REL_BOUND:
+        _, name, arity, base, src_slot, pos = ins
+        end = base + arity
+
+        def step(regs, eg, emit):
+            target = regs[src_slot]
+            for rel_name, row in eg._rows_of.get(target, ()):
+                if (
+                    rel_name == name
+                    and len(row) == arity
+                    and row[pos] == target
+                ):
+                    regs[base:end] = _class_row(row)
+                    nxt(regs, eg, emit)
+
+    else:
+        raise MatchError(f"unknown opcode {op!r}")
+    return step
 
 
 def run_query(
     egraph: EGraph,
     query: CompiledQuery,
-    root_source: Optional[ScanSource] = None,
     on_match: Optional[Callable[[List[int]], None]] = None,
 ) -> Optional[List[Bindings]]:
-    """Execute a compiled query; the first OP_SCAN draws candidates from
-    ``root_source`` (later scans always use the full index).
+    """Execute a compiled query over the whole (rebuilt) e-graph.
 
-    A convenience wrapper over :class:`BoundExecutor` for one-shot
-    callers (``find_matches``, tests); engines keep their executors.
-    With ``on_match`` given it is called with the live register array
-    per match (read, don't keep); otherwise a list of bindings dicts is
-    returned.
+    A convenience wrapper for one-shot callers (``find_matches``,
+    tests).  With ``on_match`` given it is called with the live register
+    array per match (read, don't keep); otherwise a list of bindings
+    dicts is returned.
     """
-    if root_source is None:
-        root_source = full_scan_source(egraph)
+    if egraph.worklist or egraph._stale_ids:
+        egraph.rebuild()
     results: Optional[List[Bindings]] = None
     if on_match is None:
         results = []
-        find = egraph.find
         var_slots = query.var_slots
 
         def on_match(regs):  # noqa: F811 — default collector
-            results.append(
-                {name: find(regs[s]) for name, s in var_slots.items()}
-            )
+            results.append({name: regs[s] for name, s in var_slots.items()})
 
-    BoundExecutor(query, egraph).run(root_source, on_match)
+    executor = query.executor
+    executor.run(
+        egraph, first_candidates(egraph, executor.first), on_match
+    )
     return results

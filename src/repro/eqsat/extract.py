@@ -19,7 +19,7 @@ a saturated graph pay the fixpoint once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from .egraph import EGraph
 from .language import ENode, Term
@@ -71,30 +71,53 @@ def compute_costs(
     ):
         return cached[2]
     best: Dict[int, Tuple[float, ENode]] = {}
+    #: (term size, term structure) of each class's best term: the
+    #: tie-break among equal-cost nodes, a total order free of ids.
+    #: The structure is nested ``(head, child structure...)`` tuples
+    #: sharing the children's, so building one costs the node's arity.
+    rank: Dict[int, Tuple[int, tuple]] = {}
     find = egraph.find
     classes = egraph.classes
+    node_cost = cost_model.node_cost
     # sweep order is class-creation order, matching the naive loop
     order = {cid: i for i, cid in enumerate(classes.keys())}
-    pending: Set[int] = set(classes.keys())
+    pending: Dict[int, None] = dict.fromkeys(classes)
     while pending:
-        changed: Set[int] = set()
+        changed: Dict[int, None] = {}
         for eclass_id in sorted(pending, key=order.__getitem__):
             eclass = classes.get(eclass_id)
             if eclass is None:
                 continue
             for node in eclass.nodes:
-                child_entries = [best.get(find(a)) for a in node.args]
-                if any(c is None for c in child_entries):
-                    continue
-                cost = cost_model.node_cost(
-                    node, [c[0] for c in child_entries]
-                )
+                children = [find(a) for a in node.args]
+                try:
+                    cost = node_cost(node, [best[c][0] for c in children])
+                except KeyError:
+                    continue  # a child has no extractable term yet
                 current = best.get(eclass_id)
-                if current is None or cost < current[0] - 1e-12:
-                    best[eclass_id] = (cost, node)
-                    changed.add(eclass_id)
+                if current is not None and cost > current[0] + 1e-12:
+                    continue
+                if isinstance(node.head, tuple):
+                    node_rank = (1, (str(Term(node.head)),))
+                else:
+                    parts = [rank[c] for c in children]
+                    node_rank = (
+                        1 + sum([p[0] for p in parts]),
+                        (node.head, *[p[1] for p in parts]),
+                    )
+                if current is not None and cost >= current[0] - 1e-12:
+                    # equal cost: the rank decides (the incumbent itself
+                    # is re-ranked when a child's best term moved)
+                    incumbent = rank[eclass_id]
+                    if node_rank >= incumbent and (
+                        node != current[1] or node_rank == incumbent
+                    ):
+                        continue
+                best[eclass_id] = (cost, node)
+                rank[eclass_id] = node_rank
+                changed[eclass_id] = None
         # revisit only the parents of classes whose best entry changed
-        pending = set()
+        pending = {}
         for eclass_id in changed:
             eclass = classes.get(eclass_id)
             if eclass is None:
@@ -102,7 +125,7 @@ def compute_costs(
             for _node, owner in eclass.parents:
                 owner = find(owner)
                 if owner in classes:
-                    pending.add(owner)
+                    pending[owner] = None
     egraph._cost_cache = (key, egraph.version, best)
     return best
 

@@ -71,7 +71,7 @@ class ENode(NamedTuple):
     args: Tuple[int, ...]
 
     def canonicalize(self, find) -> "ENode":
-        return ENode(self.head, tuple(find(a) for a in self.args))
+        return ENode(self.head, tuple([find(a) for a in self.args]))
 
     def __str__(self) -> str:
         if isinstance(self.head, tuple):

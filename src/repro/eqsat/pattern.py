@@ -61,29 +61,6 @@ def pattern_vars(p: Pattern, acc=None) -> set:
     return acc
 
 
-def pattern_depth(p: Pattern) -> int:
-    """Structural nesting depth: 0 for variables/literals, 1 + deepest
-    argument for applications.  The delta matcher uses it to bound how
-    far above a changed e-class a new match root can sit."""
-    if isinstance(p, PApp):
-        return 1 + max((pattern_depth(a) for a in p.args), default=0)
-    return 0
-
-
-def pattern_var_depths(p: Pattern, base: int = 0, acc=None) -> dict:
-    """Deepest occurrence depth (levels below the pattern root, offset
-    by ``base``) for every variable in the pattern."""
-    if acc is None:
-        acc = {}
-    if isinstance(p, PVar):
-        if base > acc.get(p.name, -1):
-            acc[p.name] = base
-    elif isinstance(p, PApp):
-        for a in p.args:
-            pattern_var_depths(a, base + 1, acc)
-    return acc
-
-
 def parse_pattern(sexpr) -> Pattern:
     """Build a pattern from a parsed s-expression (see :mod:`.sexpr`)."""
     if isinstance(sexpr, int):

@@ -18,14 +18,15 @@ Rules can be written programmatically or parsed from egglog-ish text via
 
 Saturation runs on :class:`RuleEngine`: each rule's query is compiled
 once to a flat register program (:mod:`.ematch`), matched either against
-the e-graph's persistent head index (full pass) or against only the
-classes dirtied since the rule's last pass (delta pass, exact for rules
-that pass the static safety analysis).  Matches are deduplicated on
-canonical variable bindings before application, and a
-:class:`BackoffScheduler` temporarily banishes rules whose match counts
-explode (egg's backoff design).  The engine is persistent: keeping one
-engine across calls (as ``run_phased`` does) carries the watermarks and
-dedup tables forward, so later passes only pay for what changed.
+the e-graph's persistent head index (full pass) or only from the e-nodes
+and relation rows that changed since the last pass, each tried at the
+query atoms it can occupy (delta pass, exact for rules that pass the
+static safety analysis).  Matches are deduplicated on canonical variable
+bindings before application, and a :class:`BackoffScheduler` temporarily
+banishes rules whose match counts explode (egg's backoff design).  The
+engine is persistent: keeping one engine across calls (as ``run_phased``
+does) carries the cursor and dedup tables forward, so later passes only
+pay for what changed.
 """
 
 from __future__ import annotations
@@ -38,17 +39,15 @@ from .egraph import EGraph
 from .ematch import (
     OP_SCAN,
     Bindings,
-    BoundExecutor,
     CompiledQuery,
     MatchError,
     Matcher,
-    _RegView,
     compile_query,
-    delta_scan_source,
-    eval_value,
-    full_scan_source,
+    entry_traits,
+    first_candidates,
     instantiate,
     run_query,
+    value_fn,
 )
 from .language import ENode
 from .pattern import PRIMITIVE_OPS, PApp, PLit, Pattern, PVar, parse_pattern
@@ -198,10 +197,10 @@ class CompiledActions:
                 kind, value = pattern.kind, pattern.value
                 return lambda eg, env: eg.add_literal(kind, value)
             if pattern.head in PRIMITIVE_OPS:
-                view_map = dict(slot_map)
+                compute = value_fn(pattern, dict(slot_map))
 
-                def prim(eg, env, pattern=pattern, view_map=view_map):
-                    value = eval_value(eg, pattern, _RegView(view_map, env))
+                def prim(eg, env, pattern=pattern):
+                    value = compute(env, eg)
                     if value is None:
                         raise MatchError(
                             f"cannot evaluate primitive {pattern} —"
@@ -325,11 +324,19 @@ class BackoffScheduler:
 class RuleEngine:
     """Incremental saturation engine over one e-graph and one rule set.
 
-    Persistent across :meth:`run` calls: per-rule dirty-log cursors make
-    later passes delta passes, and per-rule dedup tables stop already
-    applied matches from being re-applied.  A fresh engine's cursors
-    start at zero, which makes its first pass equivalent to a full pass
-    (the dirty log reaches back to the e-graph's birth).
+    Persistent across :meth:`run` calls: a cursor into the e-graph's
+    change logs makes later passes delta passes, and per-rule dedup
+    tables stop already applied matches from being re-applied.  A fresh
+    engine starts before the logs' first entry, which makes its first
+    pass a full pass.
+
+    A delta pass matches *from* what changed and nothing else: each
+    e-node (relation row) logged since the cursor is tried at every atom
+    of every rule that can hold it, through that atom's anchored program
+    (:attr:`.ematch.CompiledQuery.anchors`).  A match made only of
+    unchanged nodes and rows was found when they were last matched, so
+    the pass is exact — and does work in proportion to what is new, not
+    to what is reachable from it.
     """
 
     def __init__(
@@ -337,201 +344,158 @@ class RuleEngine:
         egraph: EGraph,
         rules: Sequence[Rule],
         scheduler: Optional[BackoffScheduler] = None,
-        use_delta: bool = True,
     ) -> None:
         self.egraph = egraph
         self.rules = list(rules)
         self.programs = [rule.compiled() for rule in self.rules]
-        #: built lazily — most rules never survive the head fast path
-        self.executors: List[Optional[BoundExecutor]] = [None] * len(
-            self.programs
-        )
         self.actions = [rule.compiled_actions() for rule in self.rules]
         self.scheduler = scheduler
-        self.use_delta = use_delta
-        self.cursors = [0] * len(self.rules)
         self.seen: List[Set[tuple]] = [set() for _ in self.rules]
         self.round = 0
-        #: deepest closure any delta-safe rule needs (caps the BFS)
-        self.max_depth = max(
-            (p.depth for p in self.programs if p.delta_safe), default=1
-        )
-        #: delta-safe rules grouped by their root scan head, plus the
+        #: where the rules have matched up to; None before the first pass
+        self.cursor: Optional[Tuple[int, int]] = None
+        #: rule index -> its own cursor, for rules a ban left behind
+        self._lagging: Dict[int, Optional[Tuple[int, int]]] = {}
+        #: (head, arity) / relation name -> ({trait: [(rule index,
+        #: executor)]}, probes): the anchored programs to run on a
+        #: changed e-node / row that has the trait (None: on any), and
+        #: what :func:`.ematch.entry_traits` must look at to tell
+        self._on_nodes: Dict[tuple, Tuple[dict, dict]] = {}
+        self._on_rows: Dict[str, Tuple[dict, dict]] = {}
         #: rules that must match fully every round
-        self._by_head: Dict[object, List[int]] = {}
         self._full_only: List[int] = []
         for idx, program in enumerate(self.programs):
-            first = program.instructions[0]
-            if use_delta and program.delta_safe and first[0] == OP_SCAN:
-                self._by_head.setdefault(first[2], []).append(idx)
-            else:
+            if not program.delta_safe:
                 self._full_only.append(idx)
-        self._full_only_set = set(self._full_only)
+            for first_op, key, executor, trait in program.anchors:
+                table = self._on_nodes if first_op == OP_SCAN else self._on_rows
+                anchors, probes = table.setdefault(key, ({}, {}))
+                anchors.setdefault(trait, []).append((idx, executor))
+                if trait is not None:
+                    probes.setdefault(trait[:2], set()).add(trait[2])
+
+    def _match(self, cursor, end, only: Optional[int], found) -> int:
+        """Collect, into ``found[rule index][key]``, the register
+        snapshot of every match not applied before — of all rules that
+        keep the engine's cursor, or just of rule ``only`` — among what
+        changed since ``cursor`` (among everything, if that is None).
+        Returns how many matches it enumerated in vain."""
+        egraph = self.egraph
+        programs = self.programs
+        lagging = self._lagging
+        dropped = 0
+        emitters: Dict[int, object] = {}
+
+        def wanted(idx):
+            return idx not in lagging if only is None else idx == only
+
+        def collect(idx, executor, candidates):
+            on_match = emitters.get(idx)
+            if on_match is None:
+                key_of = programs[idx].key_of
+                known, fresh = self.seen[idx], found.setdefault(idx, {})
+
+                def on_match(regs):
+                    nonlocal dropped
+                    key = key_of(regs)
+                    if key in known or key in fresh:
+                        dropped += 1
+                    else:
+                        fresh[key] = regs[:]
+
+                emitters[idx] = on_match
+            executor.run(egraph, candidates, on_match)
+
+        if cursor is None:
+            everything = range(len(programs))
+        else:
+            everything = self._full_only
+            nodes, rows = egraph.changed_since(cursor, end)
+            for table, changed in (
+                (self._on_nodes, nodes),
+                (self._on_rows, rows),
+            ):
+                for key, entries in changed.items():
+                    if key not in table:
+                        continue
+                    anchors, probes = table[key]
+                    having = entry_traits(
+                        egraph, entries, probes, table is self._on_rows
+                    )
+                    having[None] = entries
+                    for trait, candidates in having.items():
+                        for idx, executor in anchors.get(trait, ()):
+                            if wanted(idx):
+                                collect(idx, executor, candidates)
+        for idx in everything:
+            if wanted(idx):
+                executor = programs[idx].executor
+                candidates = first_candidates(egraph, executor.first)
+                if candidates:
+                    collect(idx, executor, candidates)
+        return dropped
 
     def run(self, iterations: int = 1) -> RunStats:
         """Run up to ``iterations`` match-apply-rebuild rounds."""
         egraph = self.egraph
-        find = egraph.find
-        full_source = full_scan_source(egraph)
+        scheduler = self.scheduler
+        lagging = self._lagging
         stats = RunStats()
         start = time.perf_counter()
         if egraph.worklist or egraph._stale_ids:
             # a caller unioned without rebuilding: restore congruence
-            # (and the reverse relation index the compiled joins read)
+            # (and the canonical spellings the compiled programs read)
             # before matching
             egraph.rebuild()
         for _ in range(iterations):
             stats.iterations += 1
             version_before = egraph.version
-            log_end = egraph.dirty_cursor()
+            end = egraph.change_cursor()
             t_match = time.perf_counter()
-
-            # delta sources shared by rules at the same watermark
-            sources: Dict[int, object] = {}
-
-            def source_for(cursor: int):
-                src = sources.get(cursor)
-                if src is None:
-                    closure = egraph.dirty_closure(
-                        cursor, log_end, self.max_depth
-                    )
-                    src = delta_scan_source(egraph, closure)
-                    sources[cursor] = src
-                return src
-
-            #: (rule index, register snapshot) per accepted match
-            pending: List[Tuple[int, List[int]]] = []
-            used_delta = False
-            banned_this_round = False
-
-            # fast path: when every rule is at the same watermark and no
-            # bans are active, one delta plan names the only rules that
-            # can have new matches; everyone else's watermark advances
-            # without even being visited
-            plan_set = None
-            cursors = self.cursors
-            if (
-                self._by_head
-                and cursors[0] > 0
-                and (
-                    self.scheduler is None
-                    or not self.scheduler.any_banned(self.round)
-                )
-                and min(cursors) == max(cursors)
-            ):
-                delta_source = source_for(cursors[0])
-                plan = delta_source.rule_plan(self._by_head, self.programs)
-                plan_set = set(plan)
-                delta_source.prepare(
-                    {self.programs[i].instructions[0][2] for i in plan}
-                )
-                rule_indices = plan + self._full_only
-            else:
-                rule_indices = range(len(self.rules))
-
-            for idx in rule_indices:
-                rule = self.rules[idx]
-                program = self.programs[idx]
-                if self.scheduler is not None and self.scheduler.banned(
-                    idx, self.round
-                ):
-                    banned_this_round = True
-                    stats.banned_rounds[rule.name] = (
-                        stats.banned_rounds.get(rule.name, 0) + 1
-                    )
-                    continue
-                if plan_set is not None:
-                    if idx in self._full_only_set:
-                        delta = False
-                        root_source = full_source
-                        first = program.instructions[0]
-                        if first[0] == OP_SCAN and not egraph.head_entries(
-                            first[2]
-                        ):
-                            self.cursors[idx] = log_end
-                            continue
-                    else:
-                        delta = True
-                        used_delta = True
-                        root_source = delta_source.at_depth(program.depth)
-                else:
-                    cursor = self.cursors[idx]
-                    delta = (
-                        self.use_delta and program.delta_safe and cursor > 0
-                    )
-                    if delta:
-                        used_delta = True
-                        delta_source = source_for(cursor)
-                        # no candidate with the root's head within this
-                        # rule's depth: it cannot have new matches — just
-                        # advance the watermark
-                        first = program.instructions[0]
-                        min_level = delta_source.min_level(first[2])
-                        if min_level is None or min_level > program.depth:
-                            self.cursors[idx] = log_end
-                            continue
-                        root_source = delta_source.at_depth(program.depth)
-                    else:
-                        root_source = full_source
-                        first = program.instructions[0]
-                        if first[0] == OP_SCAN and not egraph.head_entries(
-                            first[2]
-                        ):
-                            self.cursors[idx] = log_end
-                            continue
-
-                seen = self.seen[idx]
-                key_slots = program.key_slots
-                new_matches: List[Tuple[tuple, List[int]]] = []
-                round_keys: Set[tuple] = set()
-                dropped = 0
-
-                def on_match(regs):
-                    nonlocal dropped
-                    key = tuple([find(regs[s]) for s in key_slots])
-                    if key in seen or key in round_keys:
-                        dropped += 1
-                        return
-                    round_keys.add(key)
-                    new_matches.append((key, regs[:]))
-
-                executor = self.executors[idx]
-                if executor is None:
-                    executor = self.executors[idx] = BoundExecutor(
-                        program, egraph
-                    )
-                executor.run(root_source, on_match)
-                stats.dedup_dropped += dropped
-                if self.scheduler is not None and self.scheduler.record(
-                    idx, len(new_matches), self.round
-                ):
-                    # banned: drop this round's matches and freeze the
-                    # watermark so they are rediscovered after the ban
-                    banned_this_round = True
-                    stats.banned_rounds[rule.name] = (
-                        stats.banned_rounds.get(rule.name, 0) + 1
-                    )
-                    continue
-                self.cursors[idx] = log_end
-                if new_matches:
-                    seen.update(round_keys)
-                    pending.extend(
-                        (idx, snapshot) for _, snapshot in new_matches
-                    )
-                    stats.matches_per_rule[rule.name] = (
-                        stats.matches_per_rule.get(rule.name, 0)
-                        + len(new_matches)
-                    )
-            if plan_set is not None:
-                # rules outside the plan saw nothing new in this window
-                for idx in range(len(self.rules)):
-                    if idx not in plan_set and idx not in self._full_only_set:
-                        self.cursors[idx] = log_end
-                used_delta = True
-            if used_delta:
-                stats.delta_rounds += 1
-            else:
+            #: rule index -> {dedup key: register snapshot}
+            found: Dict[int, Dict[tuple, List[int]]] = {}
+            stats.dedup_dropped += self._match(self.cursor, end, None, found)
+            if self.cursor is None:
                 stats.full_rounds += 1
+            else:
+                stats.delta_rounds += 1
+            # rules a ban left behind catch up from their own cursor
+            awake = [
+                idx for idx in lagging if not scheduler.banned(idx, self.round)
+            ]
+            for idx in awake:
+                found[idx] = {}
+                stats.dedup_dropped += self._match(
+                    lagging[idx], end, idx, found
+                )
+            for idx, fresh in found.items():
+                if scheduler is not None and scheduler.record(
+                    idx, len(fresh), self.round
+                ):
+                    # banned: drop this round's matches and keep the
+                    # rule's cursor so they are rediscovered after the ban
+                    fresh.clear()
+                    lagging.setdefault(idx, self.cursor)
+                elif idx in lagging:
+                    del lagging[idx]
+            for idx in lagging:
+                name = self.rules[idx].name
+                stats.banned_rounds[name] = stats.banned_rounds.get(name, 0) + 1
+            self.cursor = end
+            # apply in (rule, key) order, so what a round does to the
+            # e-graph does not depend on how it enumerated its matches
+            pending = [
+                (idx, found[idx][key])
+                for idx in sorted(found)
+                for key in sorted(found[idx])
+            ]
+            for idx, fresh in found.items():
+                if fresh:
+                    self.seen[idx].update(fresh)
+                    name = self.rules[idx].name
+                    stats.matches_per_rule[name] = stats.matches_per_rule.get(
+                        name, 0
+                    ) + len(fresh)
             stats.total_matches += len(pending)
             t_apply = time.perf_counter()
             stats.match_seconds += t_apply - t_match
@@ -544,9 +508,9 @@ class RuleEngine:
             stats.rebuild_seconds += time.perf_counter() - t_rebuild
             self.round += 1
             if egraph.version == version_before:
-                if banned_this_round and self.scheduler is not None:
+                if lagging:
                     # saturated only because rules slept: wake them up
-                    self.scheduler.unban_all()
+                    scheduler.unban_all()
                     continue
                 stats.saturated = True
                 break

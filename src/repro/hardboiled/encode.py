@@ -14,9 +14,9 @@ into the ``has-lanes`` relation — the base facts the supporting
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict
 
-from ..eqsat import EGraph, I, F, Sym, T, Term
+from ..eqsat import EGraph, ENode, Term
 from ..ir import (
     EQ,
     GE,
@@ -101,11 +101,11 @@ class EncodeError(RuntimeError):
     pass
 
 
-def encode_type(dtype: DataType) -> Term:
+def encode_type(dtype: DataType, mk=Term):
     head = _TYPE_HEADS.get((dtype.code, dtype.bits))
     if head is None:
         raise EncodeError(f"cannot encode type {dtype}")
-    return T(head, I(dtype.lanes))
+    return mk(head, (mk(("i64", dtype.lanes)),))
 
 
 def decode_type(term: Term) -> DataType:
@@ -118,98 +118,124 @@ def decode_type(term: Term) -> DataType:
 
 
 class Encoder:
-    """Encodes expressions/statements into an e-graph, seeding has-lanes."""
+    """Encodes expressions/statements into an e-graph, seeding has-lanes.
+
+    One bottom-up pass adds the tree (every IR node once, its e-class
+    remembered); a second walk asserts each subexpression's lane count.
+    """
 
     def __init__(self, egraph: EGraph) -> None:
         self.egraph = egraph
+        #: id(IR node) -> its e-class
+        self._class_of: Dict[int, int] = {}
 
-    def _seed_lanes(self, eclass: int, lanes: int) -> None:
-        lit = self.egraph.add_literal("i64", lanes)
-        self.egraph.assert_fact("has-lanes", (eclass, lit))
-
-    def expr(self, e: Expr) -> int:
-        eclass = self.egraph.add_term(encode_expr(e))
-        self._seed_all_lanes(e)
-        return eclass
+    def _mk(self, head, args=()) -> int:
+        return self.egraph.add_node(ENode(head, args))
 
     def _seed_all_lanes(self, e: Expr) -> None:
-        term = encode_expr(e)
-        eclass = self.egraph.add_term(term)
-        self._seed_lanes(eclass, e.type.lanes)
+        lit = self.egraph.add_literal("i64", e.type.lanes)
+        self.egraph.assert_fact("has-lanes", (self._class_of[id(e)], lit))
         for child in e.children():
             self._seed_all_lanes(child)
 
+    def expr(self, e: Expr) -> int:
+        eclass = _encode(e, self._mk, self._class_of)
+        self._seed_all_lanes(e)
+        return eclass
+
     def stmt(self, s: Stmt) -> int:
+        eclass = _encode_stmt(s, self._mk, self._class_of)
         if isinstance(s, Store):
-            eclass = self.egraph.add_term(encode_stmt(s))
             self._seed_all_lanes(s.index)
-            self._seed_all_lanes(s.value)
-            return eclass
-        if isinstance(s, Evaluate):
-            eclass = self.egraph.add_term(encode_stmt(s))
-            self._seed_all_lanes(s.value)
-            return eclass
-        raise EncodeError(f"cannot encode statement {type(s).__name__}")
+        self._seed_all_lanes(s.value)
+        return eclass
 
 
-def encode_expr(e: Expr) -> Term:
+def _encode(e: Expr, mk, memo: Dict[int, object]):
+    """Build ``e`` bottom-up through ``mk(head, args)`` (``Term`` for a
+    ground term, an e-graph insertion for :class:`Encoder`), children
+    before parents and left to right, each IR node once."""
+    done = memo.get(id(e))
+    if done is None:
+        done = memo[id(e)] = _encode_node(e, mk, memo)
+    return done
+
+
+def _encode_node(e: Expr, mk, memo):
+    def sub(child: Expr):
+        return _encode(child, mk, memo)
+
     if isinstance(e, IntImm):
-        return I(e.value)
+        return mk(("i64", int(e.value)))
     if isinstance(e, FloatImm):
-        return F(e.value)
+        return mk(("f64", float(e.value)))
     if isinstance(e, StringImm):
-        return Sym(e.value)
+        return mk(("str", str(e.value)))
     if isinstance(e, Variable):
-        return T("Var", Sym(e.name))
+        return mk("Var", (mk(("str", str(e.name))),))
     if isinstance(e, Cast):
-        return T("Cast", encode_type(e.dtype), encode_expr(e.value))
+        return mk("Cast", (encode_type(e.dtype, mk), sub(e.value)))
     if isinstance(e, Load):
-        return T(
+        return mk(
             "Load",
-            encode_type(e.dtype),
-            Sym(e.name),
-            encode_expr(e.index),
+            (
+                encode_type(e.dtype, mk),
+                mk(("str", str(e.name))),
+                sub(e.index),
+            ),
         )
     if isinstance(e, Ramp):
-        return T(
-            "Ramp", encode_expr(e.base), encode_expr(e.stride), I(e.count)
+        return mk(
+            "Ramp", (sub(e.base), sub(e.stride), mk(("i64", int(e.count))))
         )
     if isinstance(e, Broadcast):
-        return T("Broadcast", encode_expr(e.value), I(e.count))
+        return mk("Broadcast", (sub(e.value), mk(("i64", int(e.count)))))
     if isinstance(e, VectorReduce):
         if e.op != "add":
             raise EncodeError(f"cannot encode reduce op {e.op!r}")
-        return T("VectorReduceAdd", I(e.result_lanes), encode_expr(e.value))
+        return mk(
+            "VectorReduceAdd",
+            (mk(("i64", int(e.result_lanes))), sub(e.value)),
+        )
     if isinstance(e, Call):
         if e.name in MOVEMENT_HEADS:
-            return T(e.name, encode_expr(e.args[0]))
-        return T(
+            return mk(e.name, (sub(e.args[0]),))
+        return mk(
             "Call",
-            encode_type(e.dtype),
-            Sym(e.name),
-            T("Args", *(encode_expr(a) for a in e.args)),
+            (
+                encode_type(e.dtype, mk),
+                mk(("str", str(e.name))),
+                mk("Args", tuple([sub(a) for a in e.args])),
+            ),
         )
     if isinstance(e, Select):
-        return T(
+        return mk(
             "Select",
-            encode_expr(e.condition),
-            encode_expr(e.true_value),
-            encode_expr(e.false_value),
+            (sub(e.condition), sub(e.true_value), sub(e.false_value)),
         )
     head = _BINARY_HEADS.get(type(e))
     if head is not None:
-        return T(head, encode_expr(e.a), encode_expr(e.b))
+        return mk(head, (sub(e.a), sub(e.b)))
     raise EncodeError(f"cannot encode {type(e).__name__}")
 
 
-def encode_stmt(s: Stmt) -> Term:
+def _encode_stmt(s: Stmt, mk, memo):
     if isinstance(s, Store):
-        return T(
-            "Store", Sym(s.name), encode_expr(s.value), encode_expr(s.index)
+        name = mk(("str", str(s.name)))
+        return mk(
+            "Store", (name, _encode(s.value, mk, memo), _encode(s.index, mk, memo))
         )
     if isinstance(s, Evaluate):
-        return T("Evaluate", encode_expr(s.value))
+        return mk("Evaluate", (_encode(s.value, mk, memo),))
     raise EncodeError(f"cannot encode statement {type(s).__name__}")
+
+
+def encode_expr(e: Expr) -> Term:
+    return _encode(e, Term, {})
+
+
+def encode_stmt(s: Stmt) -> Term:
+    return _encode_stmt(s, Term, {})
 
 
 def movement_wrapper(kind: str, value: Expr) -> Call:

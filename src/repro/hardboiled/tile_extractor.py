@@ -45,6 +45,7 @@ from ..ir import (
     StringImm,
     free_variables,
 )
+from ..ir.analysis import collect_stores
 from ..ir.visitor import IRMutator, IRVisitor
 from ..lowering.pipeline import Lowered
 from ..targets.wmma import WARP_SIZE
@@ -282,6 +283,22 @@ class TileExtractor:
             value = movement_wrapper(_WRAP_IN[kind], value)
         return kind, Store(store.name, store.index, value)
 
+    def prepared_stores(self) -> List[Tuple[str, Store]]:
+        """:meth:`prepare_store` of every accelerator store, in order."""
+        prepared = map(self.prepare_store, collect_stores(self.lowered.stmt))
+        return [entry for entry in prepared if entry is not None]
+
+    def saturate(self, kind: str, wrapped: Store):
+        """Encode one prepared store and run the phased rule schedule
+        over it: ``(e-graph, root class, schedule stats)``."""
+        egraph = EGraph()
+        root = Encoder(egraph).stmt(wrapped)
+        main_rules, sup_rules = _rules_for(kind)
+        stats = run_phased(
+            egraph, main_rules, sup_rules, iterations=self.iterations
+        )
+        return egraph, root, stats
+
     def select_store(self, store: Store) -> Tuple[Stmt, StoreSelection]:
         # 1. inject data movement markers
         prepared = self.prepare_store(store)
@@ -291,12 +308,7 @@ class TileExtractor:
 
         # 2. equality saturation
         start = time.perf_counter()
-        egraph = EGraph()
-        root = Encoder(egraph).stmt(wrapped)
-        main_rules, sup_rules = _rules_for(kind)
-        stats = run_phased(
-            egraph, main_rules, sup_rules, iterations=self.iterations
-        )
+        egraph, root, stats = self.saturate(kind, wrapped)
         # 3. extraction
         best = extract_best(egraph, root, hardboiled_cost_model())
         seconds = time.perf_counter() - start

@@ -58,9 +58,13 @@ from ..runtime.kernel_cache import (
 )
 from .fingerprint import ArtifactKey
 
-#: bump when the artifact layout changes; old artifacts become misses
-#: (v2: payloads are checksum-framed, rejects are quarantined)
-ARTIFACT_FORMAT_VERSION = 2
+#: bump when the artifact layout changes — or when the engine that
+#: selected the stored statement does, which the key cannot see (it
+#: hashes the rules, not the code that runs them); old artifacts become
+#: misses (v2: payloads are checksum-framed, rejects are quarantined;
+#: v3: congruence-complete e-graph and id-free extraction tie-breaks —
+#: selected statements moved)
+ARTIFACT_FORMAT_VERSION = 3
 
 #: subdirectory of the store root holding rejected payloads
 QUARANTINE_DIRNAME = "quarantine"

@@ -7,6 +7,8 @@ modules import the constants directly (``from conftest import ...``)
 for parametrization and use the fixtures for per-test state.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,26 @@ INT8_APPS = [
 ]
 
 INT8_APP_IDS = ["matmul_int8", "conv_layer_int8"]
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_stores():
+    """Every accelerator store of the 18-program benchmark catalog
+    (``benchmarks/perf/catalog.py``), ready for saturation:
+    ``(program name, TileExtractor, kind, marker-wrapped Store)``."""
+    from benchmarks.perf.catalog import WORKLOADS
+    from repro.hardboiled import TileExtractor
+    from repro.lowering import lower
+
+    stores = []
+    for workload in WORKLOADS.values():
+        for program in workload.programs:
+            extractor = TileExtractor(lower(program.job.build_app().output))
+            stores.extend(
+                (program.name, extractor, kind, wrapped)
+                for kind, wrapped in extractor.prepared_stores()
+            )
+    return stores
 
 
 #: float16 bit patterns the type boundaries treat specially: +-0,

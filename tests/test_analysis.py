@@ -30,6 +30,7 @@ from repro.analysis import (
     errors,
     lint_concurrency,
     lint_kernel_source,
+    lint_order,
     lint_rule,
     lint_rules,
     lint_source,
@@ -228,23 +229,27 @@ class TestLintRulesMutations:
             good.n_regs,
             good.var_slots,
             not good.delta_safe,
-            good.depth,
         )
         findings = lint_rule(rule, compiled=tampered)
         assert "rules.delta-safety" in checks(findings)
 
-    def test_depth_tamper_detected(self):
-        rule = _commute()
-        good = rule.compiled()
-        tampered = CompiledQuery(
-            good.instructions,
-            good.n_regs,
-            good.var_slots,
-            good.delta_safe,
-            good.depth + 3,
+    def test_missing_anchor_detected(self):
+        """A delta-safe program must be startable from every table it
+        reads; one anchored program short, a change there is missed."""
+        rule = rewrite(
+            "nested",
+            PApp("Add", (PApp("Mul", (PVar("x"), PVar("y"))), PVar("z"))),
+            PVar("x"),
         )
+        good = rule.compiled()
+        assert len(good.anchors) == 2
+        tampered = CompiledQuery(
+            good.instructions, good.n_regs, good.var_slots, good.delta_safe
+        )
+        tampered.anchors = tampered.anchors[:1]
         findings = lint_rule(rule, compiled=tampered)
         assert "rules.delta-safety" in checks(findings)
+        assert lint_rule(rule) == []
 
     def test_untampered_rule_is_clean(self):
         assert lint_rule(_commute()) == []
@@ -316,6 +321,41 @@ class TestLintKernelsMutations:
         assert "kernels.order-dependence" in checks(
             lint_kernel_source(src)
         )
+
+    def test_set_walked_in_engine_source(self, tmp_path):
+        """The same check, pointed at hand-written source: it follows a
+        set through a name, an attribute declared in another module and
+        a function's return annotation; ``sorted`` and membership are
+        fine, and a waiver must name the check."""
+        (tmp_path / "graph.py").write_text(
+            "from typing import Set\n"
+            "class Graph:\n"
+            "    def __init__(self):\n"
+            "        self.nodes: Set[int] = set()\n"
+            "def live(graph) -> set:\n"
+            "    return {n for n in sorted(graph.nodes)}\n"
+        )
+        (tmp_path / "walk.py").write_text(
+            "def walk(graph, extra):\n"
+            "    seen = set(extra)\n"
+            "    out = [n for n in graph.nodes]\n"         # line 3
+            "    for n in seen | {0}:\n"                    # line 4
+            "        out.append(n)\n"
+            "    out.extend(list(live(graph)))\n"          # line 6
+            "    for n in seen:  # analysis: ignore[order-dependence]\n"
+            "        pass\n"
+            "    return out if 3 in seen else sorted(seen)\n"
+        )
+        findings = lint_order(
+            [str(tmp_path / "graph.py"), str(tmp_path / "walk.py")]
+        )
+        assert checks(findings) == {"kernels.order-dependence"}
+        assert sorted(f.site for f in findings) == [
+            "walk.py:3", "walk.py:4", "walk.py:6"
+        ]
+
+    def test_engine_source_walks_no_set(self):
+        assert lint_order() == []
 
     def test_unpublished_env_key(self):
         src = KERNEL_HEADER + "    return env['mystery.knob']\n"

@@ -2,6 +2,7 @@
 
 import doctest
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,43 +134,124 @@ class TestRelations:
         assert len(eg.facts("edge")) == 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_property_union_find_invariants(data):
-    """Random unions keep find idempotent and classes consistent."""
-    eg = EGraph()
-    ids = [eg.add_literal("i64", i) for i in range(8)]
-    terms = list(ids)
-    for i in range(8):
-        a = data.draw(st.sampled_from(terms), label="child_a")
-        b = data.draw(st.sampled_from(terms), label="child_b")
-        terms.append(eg.add_node(ENode("f", (a, b))))
-    for _ in range(5):
-        a = data.draw(st.sampled_from(terms), label="union_a")
-        b = data.draw(st.sampled_from(terms), label="union_b")
+class TestRebuildInvariants:
+    def test_repair_keeps_the_parents_a_nested_union_hands_over(self):
+        """A union fired from inside ``_repair`` (two parents became
+        congruent) hands the surviving class more parents; repair used
+        to overwrite that list with its own and lose them, so a later
+        merge never re-spelled those nodes: ``f(3,9)`` stayed in the
+        hashcons while its canonical form ``f(3,1)`` was absent."""
+        eg = EGraph()
+        for i in range(8):
+            assert eg.add_literal("i64", i) == i
+        for args in ((0, 1), (2, 1), (0, 0), (9, 9), (3, 9)):  # ids 8..12
+            add(eg, "f", *args)
+        for a, b in ((0, 8), (0, 2), (1, 0)):
+            eg.union(a, b)
+            eg.rebuild()
+            assert eg.check_invariants() == []
+        assert add(eg, "f", eg.find(3), eg.find(1)) == eg.find(12)
+
+    def test_rebuild_leaves_one_canonical_node_set(self):
+        """Class node sets, the hashcons and the head index are the same
+        canonical nodes after a rebuild — no stale spellings left in
+        parent classes, so ``num_nodes`` is a true count."""
+        eg = EGraph()
+        a, b = eg.add_literal("str", "a"), eg.add_literal("str", "b")
+        ga = add(eg, "g", add(eg, "f", a, a))
+        add(eg, "g", add(eg, "f", a, b))
+        add(eg, "h", ga, b)
         eg.union(a, b)
         eg.rebuild()
+        assert eg.check_invariants() == []
+        nodes = [n for c in eg.classes.values() for n in c.nodes]
+        assert sorted(map(str, nodes)) == sorted(map(str, eg.hashcons))
+        assert all(n == n.canonicalize(eg.find) for n in nodes)
+        # a, b, f(a,a), g(f(a,a)), h(g(..), a): congruence folded the rest
+        assert eg.num_nodes() == len(nodes) == 5
+
+    def test_check_invariants_names_what_is_broken(self):
+        def graph():
+            eg = EGraph()
+            x = eg.add_literal("str", "x")
+            fx = add(eg, "f", x)
+            eg.assert_fact("tag", (fx, x))
+            return eg, x, fx
+
+        eg, x, fx = graph()
+        assert eg.check_invariants() == []
+        eg.union(x, fx)
+        assert "pending" in eg.check_invariants()[0]
+        eg, x, fx = graph()
+        eg.classes[x].parents.clear()
+        assert any("parents" in v for v in eg.check_invariants())
+        eg, x, fx = graph()
+        del eg.classes[fx].nodes[ENode("f", (x,))]
+        assert any("hashcons key" in v for v in eg.check_invariants())
+        eg, x, fx = graph()
+        eg._index["f"].clear()
+        assert any("head index" in v for v in eg.check_invariants())
+        eg, x, fx = graph()
+        eg._rows_of[x].clear()
+        assert any("_rows_of" in v for v in eg.check_invariants())
+
+
+#: tier-1 runs the properties derandomized, so a red run is red
+#: everywhere; the wide random search is ``-m generative``
+TIER1 = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+WIDE = settings(max_examples=500, deadline=None)
+
+
+def nested_terms(data, eg, leaves, count):
+    """``count`` binary ``f`` nodes, children drawn mostly from the
+    newest terms — ``f`` over ``f`` over ``f``, with shared subterms —
+    so one union of leaves cascades through several levels."""
+    terms = list(leaves)
+    for _ in range(count):
+        pool = st.sampled_from(terms[-3:]) | st.sampled_from(terms)
+        a = data.draw(pool, label="child_a")
+        b = data.draw(pool, label="child_b")
+        terms.append(eg.add_node(ENode("f", (a, b))))
+    return terms
+
+
+def check_union_find_invariants(data):
+    eg = EGraph()
+    ids = [eg.add_literal("i64", i) for i in range(4)]
+    terms = nested_terms(data, eg, ids, 10)
+    built = [(t, next(iter(eg.nodes_of(t)))) for t in terms[len(ids):]]
+    for _ in range(6):
+        # unions lean towards the leaves, whose merges make parents
+        # congruent (and so fire unions from inside the repair loop)
+        pool = st.sampled_from(terms[:6]) | st.sampled_from(terms)
+        eg.union(data.draw(pool, label="union_a"), data.draw(pool, label="union_b"))
+        if data.draw(st.booleans(), label="rebuild_now"):
+            eg.rebuild()
+            assert eg.check_invariants() == []
+    eg.rebuild()
+    assert eg.check_invariants() == []
     # find is idempotent and lands in a live class
     for t in terms:
         root = eg.find(t)
         assert eg.find(root) == root
         assert root in eg.classes
-    # lookups are consistent: the canonical form of every hashcons key is
-    # itself present and agrees on the class (stale keys are unreachable
-    # garbage, as in egg, because lookups canonicalize first)
+    # lookups are consistent: every key is canonical, owned by a live
+    # class, and what an insertion of the same node would find
     for node, owner in list(eg.hashcons.items()):
-        canon = node.canonicalize(eg.find)
-        assert canon in eg.hashcons
-        assert eg.find(eg.hashcons[canon]) == eg.find(owner)
+        assert node == node.canonicalize(eg.find)
+        assert eg.add_node(node) == eg.find(owner)
+    # congruence closure is complete over the nodes that were inserted
+    for t1, n1 in built:
+        for t2, n2 in built:
+            if all(eg.equivalent(x, y) for x, y in zip(n1.args, n2.args)):
+                assert eg.equivalent(t1, t2)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_property_congruence_closure(data):
-    """After rebuild, f(x) and f(y) are merged whenever x ~ y."""
+def check_congruence_closure(data):
     eg = EGraph()
     leaves = [eg.add_literal("i64", i) for i in range(6)]
     apps = {leaf: eg.add_node(ENode("f", (leaf,))) for leaf in leaves}
+    towers = {leaf: eg.add_node(ENode("f", (app,))) for leaf, app in apps.items()}
     pairs = data.draw(
         st.lists(
             st.tuples(st.sampled_from(leaves), st.sampled_from(leaves)),
@@ -180,7 +262,37 @@ def test_property_congruence_closure(data):
     for a, b in pairs:
         eg.union(a, b)
     eg.rebuild()
+    assert eg.check_invariants() == []
     for a in leaves:
         for b in leaves:
             if eg.equivalent(a, b):
                 assert eg.equivalent(apps[a], apps[b])
+                assert eg.equivalent(towers[a], towers[b])
+
+
+@TIER1
+@given(st.data())
+def test_property_union_find_invariants(data):
+    """Random unions keep find idempotent and classes consistent."""
+    check_union_find_invariants(data)
+
+
+@TIER1
+@given(st.data())
+def test_property_congruence_closure(data):
+    """After rebuild, f(x) and f(y) are merged whenever x ~ y."""
+    check_congruence_closure(data)
+
+
+@pytest.mark.generative
+@WIDE
+@given(st.data())
+def test_property_union_find_invariants_wide(data):
+    check_union_find_invariants(data)
+
+
+@pytest.mark.generative
+@WIDE
+@given(st.data())
+def test_property_congruence_closure_wide(data):
+    check_congruence_closure(data)

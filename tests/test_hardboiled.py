@@ -344,3 +344,77 @@ class TestCUDAOnlyUntouched:
         tz, report = select_instructions(lo)
         assert len(report.selections) == 0
         assert tz.stmt == lo.stmt
+
+
+#: compile the 18-program benchmark catalog and print, per program, what
+#: selection decided: run in a child so the hash seed can be chosen
+_CATALOG_DIGEST = """
+import hashlib, json
+from benchmarks.perf.catalog import WORKLOADS
+from repro.hardboiled import select_instructions
+from repro.lowering import lower
+from repro.runtime.kernel_cache import KernelCache, fingerprint_stmt
+
+cache, out = KernelCache(), {}
+for workload in WORKLOADS.values():
+    for program in workload.programs:
+        lowered = lower(program.job.build_app().output)
+        tensorized, report = select_instructions(lowered, strict=True)
+        key = fingerprint_stmt(tensorized.stmt)
+        source = cache.get(tensorized, key=key).source or ""
+        out[program.name] = {
+            "stmt": key,
+            "kernel": hashlib.sha1(source.encode()).hexdigest(),
+            "counts": {
+                k: v for k, v in report.eqsat_profile.items()
+                if not k.endswith("_s")
+            },
+            "stores": [
+                [s.original.name, s.kind, s.mapped, s.egraph_classes,
+                 s.egraph_nodes, s.matches]
+                for s in report.selections
+            ],
+        }
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_selection_does_not_depend_on_the_hash_seed():
+    """Two processes with different ``PYTHONHASHSEED`` must select the
+    same code for every catalog program: same statement fingerprint,
+    same kernel source, same e-graph sizes and match counts.  (Set
+    iteration order used to reach the extractor's tie-breaks.)"""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    children = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+        )
+        children.append(
+            subprocess.Popen(
+                [sys.executable, "-c", _CATALOG_DIGEST],
+                env=env,
+                cwd=root,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        )
+    digests = []
+    for child in children:
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        digests.append(json.loads(out))
+    first, second = digests
+    assert len(first) == 18
+    assert all(
+        row[2] for program in first.values() for row in program["stores"]
+    )
+    for name in first:
+        assert first[name] == second[name], name

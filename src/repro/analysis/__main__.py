@@ -10,7 +10,9 @@ Sections:
 
 ``--all`` (also the default with no sections) runs everything.
 ``--fig6`` widens the app set from the quick pair to the full fig-6
-suite.  The ``kernels`` section also prints each kernel's loop report:
+suite.  The ``kernels`` section first prints the intrinsic registry
+(name, accelerator, role, purity — the cores a kernel may call), then
+each kernel's loop report:
 which data-parallel loops run as one lane-vectorised pass, and why the
 others stayed Python loops; and one row per MAC call site: whether each
 of A and B reaches the core ``narrow`` (the buffer's own float16 / int8
@@ -28,7 +30,7 @@ from typing import List
 
 from .findings import Finding, errors, format_findings, warnings
 from .lint_concurrency import lint_concurrency
-from .lint_kernels import lint_order
+from .lint_kernels import lint_order, registry_rows
 from .lint_rules import lint_rules
 from .sweep import FIG6_APPS, QUICK_APPS, VARIANTS, _analyze
 
@@ -94,6 +96,11 @@ def main(argv=None) -> int:
         if findings:
             print(format_findings(findings))
         if "kernels" in sections:
+            for isa, name, role, pure in registry_rows():
+                print(
+                    f"intrinsic {name}: {isa} {role},"
+                    f" {'pure' if pure else 'mutates its buffer'}"
+                )
             for label, var, extent, status in loops:
                 print(f"loop {label}: {var} x{extent}: {status}")
             for label, intrinsic, a, b in macs:

@@ -49,7 +49,7 @@ from typing import Iterable, List, Optional, Set
 
 from .findings import ERROR, Finding, apply_waivers, parse_waivers
 
-__all__ = ["lint_kernel", "lint_kernel_source", "lint_order"]
+__all__ = ["lint_kernel", "lint_kernel_source", "lint_order", "registry_rows"]
 
 _TAKE_FUNCS = {"_take", "_take_b"}
 _GIVE_FUNC = "_give"
@@ -443,6 +443,19 @@ def _lint_lane_stores(tree: ast.AST, context: str) -> List[Finding]:
                 )
             )
     return findings
+
+
+def registry_rows() -> List[tuple]:
+    """``(accelerator, name, role, pure)`` per tensor intrinsic a kernel
+    may call — the table its ``_C<n>(_arena, ...)`` cores come from —
+    sorted (registration order is import order)."""
+    from ..runtime import codegen  # noqa: F401  (imports every registrant)
+    from ..targets.isa import REGISTRY
+
+    return sorted(
+        (entry.isa.name if entry.isa else "-", name, entry.role, entry.pure)
+        for name, entry in REGISTRY.items()
+    )
 
 
 def lint_kernel(

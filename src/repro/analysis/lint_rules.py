@@ -29,6 +29,12 @@ action structure alone:
     the earlier one did not already make.
 ``rules.trivial-rewrite``
     A union action whose two sides are the same pattern — a dead rule.
+``rules.unknown-intrinsic``
+    An action builds ``(Call <type> "<name>" ...)`` for a name that is
+    neither in :data:`repro.targets.isa.REGISTRY` nor a math intrinsic.
+    Selection would succeed and the statement would compile — to a
+    kernel that hands the call to ``_interp._eval_Call``, which has no
+    handler for it either.
 """
 
 from __future__ import annotations
@@ -165,6 +171,20 @@ def expected_anchors(query: Sequence) -> int:
     )
 
 
+def _emitted_intrinsics(pattern: Pattern) -> Iterable[str]:
+    """Names of the ``(Call <type> "<name>" ...)`` terms in a pattern."""
+    if isinstance(pattern, PApp):
+        if (
+            pattern.head == "Call"
+            and len(pattern.args) > 1
+            and isinstance(pattern.args[1], PLit)
+            and pattern.args[1].kind == "str"
+        ):
+            yield pattern.args[1].value
+        for arg in pattern.args:
+            yield from _emitted_intrinsics(arg)
+
+
 def _pure_guard_args(args: Iterable[Pattern]) -> bool:
     for arg in args:
         if isinstance(arg, PApp):
@@ -238,8 +258,28 @@ def lint_rule(
                     )
                 )
 
-    # -- actions: every referenced variable must be bound --------------------
+    # -- actions: every referenced variable must be bound, every emitted
+    # intrinsic must be one both backends implement -------------------------
+    from ..runtime.codegen import MATH_INTRINSICS
+    from ..targets.isa import REGISTRY
+
     def check_action_pattern(pattern: Pattern, what: str) -> None:
+        for name in _emitted_intrinsics(pattern):
+            if name not in REGISTRY and name not in MATH_INTRINSICS:
+                findings.append(
+                    Finding(
+                        "rules.unknown-intrinsic",
+                        ERROR,
+                        site,
+                        f"{what} emits a call to {name!r}, which is not a"
+                        " registered intrinsic — the selected statement"
+                        " would compile to an interpreter-fallback call"
+                        " with no handler behind it",
+                        "fix the name, or register the intrinsic"
+                        " (repro.targets.isa.register) with its"
+                        " interpreter driver and compiled core",
+                    )
+                )
         missing = sorted(pattern_vars(pattern) - bound)
         if missing:
             findings.append(

@@ -5,16 +5,34 @@ paper: ``KWayInterleave`` produces the VNNI layout AMX expects, and
 ``ConvolutionShuffle`` materializes the (generalized) Toeplitz matrix
 that turns convolution-like patterns into MatMul (paper §V-A/V-B and
 Appendix B).  On real hardware they desugar into LLVM shuffle
-instructions; here they are interpreter intrinsics that build the
-corresponding tile values.
+instructions; here each is one value-level core, registered in
+:data:`repro.targets.isa.REGISTRY` with the interpreter driver that
+checks and counts its reads; the compiled backend calls the core
+directly.
+
+Intrinsic signatures:
+
+* ``KWayInterleave(k, rows, cols, tile)``
+* ``ConvolutionShuffle(buffer, base, rows, cols, taps, stride)`` — reads
+  ``taps`` kernel coefficients starting at ``base`` and builds the
+  ``rows x cols`` Toeplitz matrix (row-major)
+* ``MultiphaseShuffle(buffer, base, rows, cols, taps, factor)`` — the
+  upsampling coefficient matrix A_up of §V-B over the same window
+* ``TileExpand(tile, valid_cols, cols)`` / ``TileCompact(tile, cols,
+  valid_cols)`` — pad each row with zeros / drop the padding again, for
+  strided-convolution tiles where only the first ``valid_cols`` columns
+  of each row hold real outputs
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..ir import expr as E
-from ..runtime.interpreter import Interpreter, memory_level, register_intrinsic
+from ..runtime.interpreter import memory_level
+from ..targets.isa import check_bounds, named_buffer, register
 
 
 class ShuffleError(RuntimeError):
@@ -36,6 +54,15 @@ def kway_interleave(tile: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _coefficient_matrix(kernel: np.ndarray, tap: np.ndarray) -> np.ndarray:
+    """``A[c, j] = K[tap[c, j]]`` where that tap index is in range, else 0
+    — what both coefficient-window shuffles build."""
+    out = np.zeros(tap.shape, dtype=np.float32)
+    valid = (tap >= 0) & (tap < kernel.shape[0])
+    out[valid] = kernel[tap[valid]]
+    return out
+
+
 def toeplitz_from_kernel(
     kernel: np.ndarray, rows: int, cols: int, stride: int = 1
 ) -> np.ndarray:
@@ -45,143 +72,115 @@ def toeplitz_from_kernel(
     else 0.  ``stride=1`` is plain convolution; ``stride=2`` is the
     downsampling matrix ``A_down`` of §V-B.
     """
-    taps = kernel.shape[0]
-    out = np.zeros((rows, cols), dtype=np.float32)
-    for c in range(rows):
-        for j in range(cols):
-            t = c - stride * j
-            if 0 <= t < taps:
-                out[c, j] = np.float32(kernel[t])
-    return out
+    c, j = np.indices((rows, cols))
+    return _coefficient_matrix(kernel, c - stride * j)
 
 
 def multiphase_matrix(
     kernel: np.ndarray, rows: int, cols: int, factor: int
 ) -> np.ndarray:
-    """The upsampling coefficient matrix A_up of §V-B (see
-    ``MultiphaseShuffle`` below for the index derivation)."""
-    taps = kernel.shape[0]
-    out = np.zeros((rows, cols), dtype=np.float32)
-    for c in range(rows):
-        for j in range(cols):
-            t = factor * (c - j // factor) + (j % factor)
-            if 0 <= t < taps:
-                out[c, j] = np.float32(kernel[t])
-    return out
+    """The upsampling coefficient matrix A_up of §V-B.
+
+    Output column ``j`` covers output pixel ``j`` whose phase is
+    ``j % factor`` and whose input offset advances by ``j // factor``.
+    Entry ``[c, j]`` holds ``K[factor*(c - j//factor) + j%factor]`` when
+    that tap index is in range — the multiphase filter-bank
+    decomposition of the kernel.
+    """
+    c, j = np.indices((rows, cols))
+    return _coefficient_matrix(kernel, factor * (c - j // factor) + j % factor)
 
 
-def tile_expand(tile: np.ndarray, valid: int, cols: int) -> np.ndarray:
-    """Pad each row of a (rows, valid) tile with zeros up to ``cols``."""
-    rows = tile.size // valid
-    out = np.zeros((rows, cols), dtype=np.float32)
-    out[:, :valid] = np.asarray(tile, np.float32).reshape(rows, valid)
-    return out
+# -- the value-level cores -----------------------------------------------------
+#
+# Signature ``(arena, *values)``, as the compiled backend calls them;
+# ``arena`` (a :class:`repro.runtime.plan.BufferArena`, or None) caches
+# what is re-derivable from small immutable inputs — the shuffle
+# matrices, keyed on the source *values* so changed weights can never hit
+# a stale entry.  Memoized results are treated as immutable by every
+# caller (they are operands or right-hand sides, never written through).
+# The elementwise pair accepts a leading axis (``[N, rows*cols]`` tiles);
+# the shuffles build operands every row shares.
 
 
-def tile_compact(tile: np.ndarray, cols: int, valid: int) -> np.ndarray:
-    """Drop the padding columns of a (rows, cols) tile down to ``valid``."""
-    rows = tile.size // cols
-    matrix = np.asarray(tile, np.float32).reshape(rows, cols)
-    return matrix[:, :valid]
+def _memo(arena, build, source: np.ndarray, *geometry):
+    """``build(source, *geometry).ravel()``, through the arena's memo."""
+    if arena is None:
+        return build(source, *geometry).ravel()
+    # dtype and shape are part of the key: byte-identical coefficients
+    # of a different element type or layout must not collide (arenas
+    # may be shared)
+    key = (build.__name__, source.dtype.str, source.shape, source.tobytes())
+    return arena.memo(key + geometry, lambda: build(source, *geometry).ravel())
 
 
-@register_intrinsic("KWayInterleave")
-def _kway_interleave(interp: Interpreter, call: E.Call, env):
-    """``KWayInterleave(k, rows, cols, tile)``."""
-    k = interp.eval_int(call.args[0], env)
-    rows = interp.eval_int(call.args[1], env)
-    cols = interp.eval_int(call.args[2], env)
-    tile = interp.eval_vector(call.args[3], env)
+def interleave(arena, k, rows, cols, tile):
     matrix = np.asarray(tile, dtype=np.float32).reshape(rows, cols)
-    return kway_interleave(matrix, k).ravel()
+    return _memo(arena, kway_interleave, matrix, k)
 
 
-@register_intrinsic("ConvolutionShuffle")
-def _convolution_shuffle(interp: Interpreter, call: E.Call, env):
-    """``ConvolutionShuffle(buffer, base, rows, cols, taps, stride)``.
+def window_shuffle(build, arena, buf, base, rows, cols, taps, param):
+    """A coefficient-window shuffle over ``buf[base : base + taps]``."""
+    return _memo(arena, build, buf.data[base : base + taps], rows, cols, param)
 
-    Reads ``taps`` kernel coefficients starting at ``base`` and builds
-    the ``rows x cols`` Toeplitz matrix (row-major).
-    """
-    name_expr = call.args[0]
-    if not isinstance(name_expr, E.StringImm):
-        raise ShuffleError(
-            "ConvolutionShuffle expects a buffer name as first argument"
-        )
-    buf = interp.buffer(name_expr.value)
-    base = interp.eval_int(call.args[1], env)
-    rows = interp.eval_int(call.args[2], env)
-    cols = interp.eval_int(call.args[3], env)
-    taps = interp.eval_int(call.args[4], env)
-    stride = interp.eval_int(call.args[5], env)
+
+def tile_expand(arena, tile, valid, cols):
+    """Pad each ``valid``-wide row of ``[..., rows*valid]`` tiles with
+    zeros up to ``cols``."""
+    t = np.asarray(tile, np.float32)
+    rows = t.reshape(-1, valid)  # of every tile: the padding is per row
+    out = np.zeros((len(rows), cols), dtype=np.float32)
+    out[:, :valid] = rows
+    return out.reshape(t.shape[:-1] + (-1,))
+
+
+def tile_compact(arena, tile, cols, valid):
+    """Drop the padding columns of ``[..., rows*cols]`` tiles."""
+    t = np.asarray(tile, np.float32)
+    kept = t.reshape(-1, cols)[:, :valid]
+    return np.ascontiguousarray(kept).reshape(t.shape[:-1] + (-1,))
+
+
+# -- the interpreter's driver --------------------------------------------------
+
+
+def _interp_values(core, interp, call: E.Call, env):
+    """Drive a core whose arguments are all values — tiles and ints."""
+    values = []
+    for a in call.args:
+        evaluate = interp.eval_vector if a.type.lanes > 1 else interp.eval_int
+        values.append(evaluate(a, env))
+    return core(None, *values)
+
+
+def _interp_window(build, interp, call: E.Call, env):
+    """The checked coefficient-window reader both shuffles share."""
+    buf = named_buffer(interp, call, ShuffleError)
+    base, rows, cols, taps, param = (
+        interp.eval_int(a, env) for a in call.args[1:6]
+    )
     idx = base + np.arange(taps)
-    if np.any(idx < 0) or np.any(idx >= buf.size):
-        raise ShuffleError(
-            f"ConvolutionShuffle out of bounds on {buf.name!r}"
-        )
+    check_bounds(call, buf, idx, ShuffleError)
     kernel = buf.gather(idx)
     interp.counters.add_load(
         memory_level(buf), idx.size * buf.dtype.bytes_per_lane()
     )
-    return toeplitz_from_kernel(kernel, rows, cols, stride).ravel()
+    return _memo(None, build, kernel, rows, cols, param)
 
 
-@register_intrinsic("WMMA2Mem")
-def _wmma2mem(interp: Interpreter, call: E.Call, env):
-    """Fragment -> register read; identity in simulation.
-
-    Survives selection when a fused post-op (bias, ReLU, coring) consumes
-    an accumulator tile pointwise instead of via wmma.store.
-    """
-    return interp.eval_expr(call.args[0], env)
+def _register_values(name: str, role: str, core) -> None:
+    register(name, None, role, partial(_interp_values, core), core)
 
 
-@register_intrinsic("TileExpand")
-def _tile_expand(interp: Interpreter, call: E.Call, env):
-    """``TileExpand(tile, valid_cols, cols)``: pad each row with zeros.
-
-    Used for strided-convolution tiles where only the first
-    ``valid_cols`` columns of each row hold real outputs.
-    """
-    tile = interp.eval_vector(call.args[0], env)
-    valid = interp.eval_int(call.args[1], env)
-    cols = interp.eval_int(call.args[2], env)
-    return tile_expand(tile, valid, cols).ravel()
-
-
-@register_intrinsic("TileCompact")
-def _tile_compact(interp: Interpreter, call: E.Call, env):
-    """``TileCompact(tile, cols, valid_cols)``: drop the padding columns."""
-    tile = interp.eval_vector(call.args[0], env)
-    cols = interp.eval_int(call.args[1], env)
-    valid = interp.eval_int(call.args[2], env)
-    return tile_compact(tile, cols, valid).ravel()
-
-
-@register_intrinsic("MultiphaseShuffle")
-def _multiphase_shuffle(interp: Interpreter, call: E.Call, env):
-    """``MultiphaseShuffle(buffer, base, rows, cols, taps, factor)``.
-
-    Builds the upsampling coefficient matrix A_up of §V-B: output column
-    ``j`` covers output pixel ``j`` whose phase is ``j % factor`` and
-    whose input offset advances by ``j // factor``.  Entry ``[c, j]``
-    holds ``K[factor*(c - j//factor) + j%factor]`` when that tap index is
-    in range — the multiphase filter-bank decomposition of the kernel.
-    """
-    name_expr = call.args[0]
-    if not isinstance(name_expr, E.StringImm):
-        raise ShuffleError(
-            "MultiphaseShuffle expects a buffer name as first argument"
-        )
-    buf = interp.buffer(name_expr.value)
-    base = interp.eval_int(call.args[1], env)
-    rows = interp.eval_int(call.args[2], env)
-    cols = interp.eval_int(call.args[3], env)
-    taps = interp.eval_int(call.args[4], env)
-    factor = interp.eval_int(call.args[5], env)
-    idx = base + np.arange(taps)
-    kernel = buf.gather(idx)
-    interp.counters.add_load(
-        memory_level(buf), idx.size * buf.dtype.bytes_per_lane()
+def _register_window(name: str, build) -> None:
+    register(
+        name, None, "shuffle",
+        partial(_interp_window, build), partial(window_shuffle, build),
     )
-    return multiphase_matrix(kernel, rows, cols, factor).ravel()
+
+
+_register_values("KWayInterleave", "shuffle", interleave)
+_register_values("TileExpand", "elementwise", tile_expand)
+_register_values("TileCompact", "elementwise", tile_compact)
+_register_window("ConvolutionShuffle", toeplitz_from_kernel)
+_register_window("MultiphaseShuffle", multiphase_matrix)

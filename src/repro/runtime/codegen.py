@@ -16,9 +16,9 @@ source in which
   ``np.full``, a constant-stride ramp into a precomputed ``np.arange``
   offset table,
 * tensor intrinsics (``tile_matmul``, ``wmma.mma.sync``, the shuffle
-  constructors, ...) dispatch to the same functional cores the target
-  simulators use (:func:`repro.targets.amx.tdpbf16ps`,
-  :func:`repro.targets.wmma.mma_sync`, ...), and
+  constructors, ...) call the one value-level core each has in
+  :data:`repro.targets.isa.REGISTRY` — the function the interpreter's
+  driver for that intrinsic ends in, and
 * anything the emitter does not recognize falls back to the
   interpreter's handler for that node, so the compiled backend is
   never *less* capable, only faster.
@@ -50,26 +50,12 @@ from ..ir.types import TypeCode
 from ..ir.visitor import IRVisitor
 from ..ir.analysis import contains, free_variables
 from ..ir.printer import print_expr
-from ..hardboiled.intrinsics import (
-    kway_interleave,
-    multiphase_matrix,
-    tile_compact,
-    tile_expand,
-    toeplitz_from_kernel,
-)
-from ..targets.amx import tdpbf16ps
+from ..hardboiled import intrinsics as _shuffles  # noqa: F401 (registers)
+from ..targets import amx as _amx, dp4a as _dp4a, wmma as _wmma  # noqa: F401
 from ..targets.bfloat16 import round_to_bfloat16
-from ..targets.dp4a import dp4a_mac
-from ..targets.wmma import check_shape as wmma_check_shape
-from ..targets.wmma import mma_sync
+from ..targets.isa import REGISTRY, role_of
 from .buffer import Buffer, StackedBuffer
-from .interpreter import (
-    as_vector,
-    broadcast_value,
-    ramp_value,
-    reduce_groups,
-    tile_index,
-)
+from .interpreter import as_vector, broadcast_value, ramp_value, reduce_groups
 
 
 class CodegenError(RuntimeError):
@@ -127,46 +113,24 @@ def _idx(x):
 # same inputs), so both modes produce the same outputs.
 
 
-def _take(arena, name, dtype, extents, memory_type):
-    """Allocate scope entry: a fresh zeroed buffer, pooled when possible."""
-    if arena is None:
-        return Buffer(
-            name, dtype, extents, memory_type=memory_type, is_external=False
+def _take(arena, name, dtype, extents, memory_type, batch=None):
+    """Allocate scope entry: a fresh zeroed buffer, pooled when possible
+    — with ``batch`` (emitted as ``_take_b``), a ``[batch, size]`` one."""
+    if arena is not None:
+        return arena.take(name, dtype, extents, memory_type, batch)
+    if batch is not None:
+        return StackedBuffer(
+            name, dtype, extents, memory_type=memory_type, batch=batch
         )
-    return arena.take(name, dtype, extents, memory_type)
+    return Buffer(
+        name, dtype, extents, memory_type=memory_type, is_external=False
+    )
 
 
 def _give(arena, buf):
     """Allocate scope exit: recycle the buffer into the arena's pool."""
     if arena is not None:
         arena.give(buf)
-
-
-def _tile_idx(arena, base, stride, rows, cols):
-    """``tile_index`` with the base-0 grid cached per geometry.
-
-    A ``[N]`` vector of per-lane bases (see ``_Emitter._emit_lanes``)
-    yields the ``[N, rows*cols]`` stack of the lanes' index grids.
-    """
-    if isinstance(base, np.ndarray) and base.ndim:
-        base = base[:, None]
-    if arena is None:
-        return tile_index(0, stride, rows, cols) + base
-    return arena.tile_grid(stride, rows, cols) + base
-
-
-def _loaded(tile, mac_operand, narrow, wide):
-    """A gathered tile as its load intrinsic's value.
-
-    Widened, as the interpreter's load hands it on — except in a MAC
-    operand slot (``mac_operand``, a literal the emitter appends there
-    and nowhere else), which takes the buffer's own ``narrow`` elements
-    so the core widens them exactly once.  Anywhere else numpy would
-    compute in the narrow type where the interpreter computes wide.
-    """
-    if mac_operand and tile.dtype == narrow:
-        return tile
-    return tile.astype(wide, copy=False)
 
 
 def _cast_f(value, np_dtype):
@@ -185,142 +149,7 @@ def _cast_i(value, np_dtype):
     return int(value)
 
 
-# -- value-level intrinsics ----------------------------------------------------
-#
-# The interpreter dispatches intrinsic Calls through handlers that
-# receive (interp, call, env) and re-walk the argument expressions.  The
-# compiled backend evaluates the arguments itself (buffer-name StringImm
-# arguments become Buffer objects) and calls a value-level function.
-# The numeric cores are the *same* functions the target simulators use.
-#
-# Every function takes the kernel's arena first (None outside a plan);
-# the ones whose work is re-derivable from small immutable inputs —
-# tile index grids and the weight-shuffle matrices — cache through it,
-# keyed on the source *values* so changed weights can never hit stale
-# entries.  Memoized results are treated as immutable by every caller
-# (they are operands or right-hand sides, never written through).
-
-
-def _v_tile_zero(arena, rows, cols):
-    return np.zeros(rows * cols, dtype=np.float32)
-
-
-def _v_tile_load(arena, buf, base, stride, rows, cols):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    return buf.data[idx].astype(np.float32, copy=False)
-
-
-def _v_tile_matmul(arena, c, a, b, m, n, k):
-    return tdpbf16ps(
-        np.asarray(c, np.float32).reshape(m, n),
-        np.asarray(a, np.float32).reshape(m, k),
-        np.asarray(b, np.float32).reshape(k // 2, 2 * n),
-    ).ravel()
-
-
-def _v_tile_store(arena, buf, base, stride, rows, cols, tile):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    values = np.asarray(tile, dtype=buf.data.dtype)
-    if buf.dtype.code is TypeCode.BFLOAT:
-        values = round_to_bfloat16(values)
-    buf.data[idx] = values
-    return np.float32(0.0)
-
-
-def _v_dp4a_zero(arena, rows, cols):
-    return np.zeros(rows * cols, dtype=np.int32)
-
-
-def _v_dp4a_load(arena, buf, base, stride, rows, cols, mac_operand=False):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    return _loaded(buf.data[idx], mac_operand, np.int8, np.int32)
-
-
-def _v_dp4a_matmul(arena, c, a, b, m, n, k):
-    return dp4a_mac(
-        np.asarray(c, np.int32).reshape(m, n),
-        np.asarray(a).reshape(m, k),
-        np.asarray(b).reshape(k // 4, 4 * n),
-    ).ravel()
-
-
-def _v_dp4a_store(arena, buf, base, stride, rows, cols, tile):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    buf.data[idx] = np.asarray(tile, dtype=buf.data.dtype)
-    return np.int32(0)
-
-
-def _v_dp4a2mem(arena, x):
-    return x
-
-
-def _v_wmma_fill(arena, m, n, value):
-    return np.full(m * n, value, dtype=np.float32)
-
-
-def _v_wmma_load(arena, buf, base, stride, rows, cols, mac_operand=False):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    return _loaded(buf.data[idx], mac_operand, np.float16, np.float32)
-
-
-def _v_wmma_mma(arena, c, a, b, m, n, k):
-    wmma_check_shape(m, n, k)
-    return mma_sync(
-        np.asarray(c, np.float32).reshape(m, n),
-        np.asarray(a).reshape(m, k),
-        np.asarray(b).reshape(k, n),
-    ).ravel()
-
-
-def _v_wmma_store(arena, buf, base, stride, m, n, tile):
-    return _v_tile_store(arena, buf, base, stride, m, n, tile)
-
-
-def _v_kway_interleave(arena, k, rows, cols, tile):
-    matrix = np.asarray(tile, dtype=np.float32).reshape(rows, cols)
-    if arena is None:
-        return kway_interleave(matrix, k).ravel()
-    return arena.memo(
-        ("kway", matrix.dtype.str, matrix.tobytes(), k, rows, cols),
-        lambda: kway_interleave(matrix, k).ravel(),
-    )
-
-
-def _v_convolution_shuffle(arena, buf, base, rows, cols, taps, stride):
-    kernel = buf.data[base : base + taps]
-    if arena is None:
-        return toeplitz_from_kernel(kernel, rows, cols, stride).ravel()
-    # dtype is part of the key: byte-identical coefficients of a
-    # different element type must not collide (arenas may be shared)
-    return arena.memo(
-        ("toeplitz", kernel.dtype.str, kernel.tobytes(), rows, cols, stride),
-        lambda: toeplitz_from_kernel(kernel, rows, cols, stride).ravel(),
-    )
-
-
-def _v_multiphase_shuffle(arena, buf, base, rows, cols, taps, factor):
-    kernel = buf.data[base : base + taps]
-    if arena is None:
-        return multiphase_matrix(kernel, rows, cols, factor).ravel()
-    return arena.memo(
-        ("multiphase", kernel.dtype.str, kernel.tobytes(), rows, cols, factor),
-        lambda: multiphase_matrix(kernel, rows, cols, factor).ravel(),
-    )
-
-
-def _v_wmma2mem(arena, x):
-    return x
-
-
-def _v_tile_expand(arena, tile, valid, cols):
-    return tile_expand(tile, valid, cols).ravel()
-
-
-def _v_tile_compact(arena, tile, cols, valid):
-    return tile_compact(tile, cols, valid).ravel()
-
-
-# -- batch-axis helpers and intrinsic variants ---------------------------------
+# -- batch-axis helpers --------------------------------------------------------
 #
 # A batched kernel (see compile_batched_stmt) executes a whole shape
 # bucket of B requests in one call.  Buffers marked *stacked* hold
@@ -328,16 +157,17 @@ def _v_tile_compact(arena, tile, cols, valid):
 # rest of the statement — weights, shuffle-operand construction, tile
 # index grids, loop bounds — is emitted exactly as the scalar emitter
 # would, so those values are shared across the batch *by construction*.
-# Each helper below is the batched twin of a scalar helper above and is
-# bit-identical per batch row (same cores, same dtypes, same rounding);
-# the differential parity suite in tests/test_batched.py asserts this
-# for every app.
+# Each helper below is the batched twin of a vector-semantics core and
+# is bit-identical per batch row (same dtypes, same rounding); the
+# differential parity suite in tests/test_batched.py asserts this for
+# every app.
 #
 # Values at run time are either *shared* (scalar, or ``[lanes]``) or
 # *batched* (``[B]`` for a batched scalar, ``[B, lanes]`` for a batched
 # vector).  A ``[B]`` batched scalar and a ``[lanes]`` vector are both
 # 1-D and cannot be told apart at run time, so the emitter decides
-# statically (``_expr_batched``) which twin to call.
+# statically (``_expr_batched``) which twin to call.  (Tensor intrinsics
+# need none: their cores read the axis off their operands.)
 
 
 def _vec_b(x):
@@ -380,178 +210,15 @@ def _cat_b(parts):
     return np.concatenate(arrays, axis=1)
 
 
-def _take_b(arena, name, dtype, extents, memory_type, batch):
-    """Batched Allocate entry: a zeroed ``[batch, size]`` scope buffer."""
-    if arena is None:
-        return StackedBuffer(
-            name, dtype, extents, memory_type=memory_type, batch=batch
-        )
-    return arena.take_batched(name, dtype, extents, memory_type, batch)
-
-
-def _tiles(value, rows, cols, np_dtype=None):
-    """A flat tile value — batched ``[B, rows*cols]`` or shared
-    ``[rows*cols]`` — reshaped to ``[..., rows, cols]``.
-
-    Forced C-contiguous so the accelerator cores (``np.matmul`` inside
-    the simulators) see the same layout the scalar kernel feeds them —
-    float summation order must not depend on the gather's stride trick
-    (see :func:`_vred_b`).
-    """
-    v = np.asarray(value) if np_dtype is None else np.asarray(value, np_dtype)
-    v = np.ascontiguousarray(v)
-    if v.ndim > 1:
-        return v.reshape(v.shape[0], rows, cols)
-    return v.reshape(rows, cols)
-
-
-def _bv_tile_load(arena, buf, base, stride, rows, cols):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    return buf.data[:, idx].astype(np.float32, copy=False)
-
-
-def _bv_tile_matmul(arena, c, a, b, m, n, k):
-    out = tdpbf16ps(
-        _tiles(c, m, n, np.float32),
-        _tiles(a, m, k, np.float32),
-        _tiles(b, k // 2, 2 * n, np.float32),
-    )
-    return out.reshape(out.shape[0], -1)
-
-
-def _bv_tile_store(arena, buf, base, stride, rows, cols, tile):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    values = np.asarray(tile, dtype=buf.data.dtype)
-    if buf.dtype.code is TypeCode.BFLOAT:
-        values = round_to_bfloat16(values)
-    buf.data[:, idx] = values
-    return np.float32(0.0)
-
-
-def _bv_dp4a_load(arena, buf, base, stride, rows, cols, mac_operand=False):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    return _loaded(buf.data[:, idx], mac_operand, np.int8, np.int32)
-
-
-def _bv_dp4a_matmul(arena, c, a, b, m, n, k):
-    out = dp4a_mac(
-        _tiles(c, m, n, np.int32),
-        _tiles(a, m, k),
-        _tiles(b, k // 4, 4 * n),
-    )
-    return out.reshape(out.shape[0], -1)
-
-
-def _bv_dp4a_store(arena, buf, base, stride, rows, cols, tile):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    buf.data[:, idx] = np.asarray(tile, dtype=buf.data.dtype)
-    return np.int32(0)
-
-
-def _bv_wmma_fill(arena, m, n, value):
-    col = np.asarray(value, dtype=np.float32).reshape(-1, 1)
-    return np.full((col.shape[0], m * n), col, dtype=np.float32)
-
-
-def _bv_wmma_load(arena, buf, base, stride, rows, cols, mac_operand=False):
-    idx = _tile_idx(arena, base, stride, rows, cols)
-    return _loaded(buf.data[:, idx], mac_operand, np.float16, np.float32)
-
-
-def _bv_wmma_mma(arena, c, a, b, m, n, k):
-    wmma_check_shape(m, n, k)
-    out = mma_sync(
-        _tiles(c, m, n, np.float32),
-        _tiles(a, m, k),
-        _tiles(b, k, n),
-    )
-    return out.reshape(out.shape[0], -1)
-
-
-def _bv_wmma_store(arena, buf, base, stride, m, n, tile):
-    return _bv_tile_store(arena, buf, base, stride, m, n, tile)
-
-
-def _bv_tile_expand(arena, tile, valid, cols):
-    t = np.asarray(tile, np.float32)
-    batch, rows = t.shape[0], t.shape[1] // valid
-    out = np.zeros((batch, rows, cols), dtype=np.float32)
-    out[:, :, :valid] = t.reshape(batch, rows, valid)
-    return out.reshape(batch, rows * cols)
-
-
-def _bv_tile_compact(arena, tile, cols, valid):
-    t = np.asarray(tile, np.float32)
-    batch, rows = t.shape[0], t.shape[1] // cols
-    return np.ascontiguousarray(
-        t.reshape(batch, rows, cols)[:, :, :valid]
-    ).reshape(batch, rows * valid)
-
-
-#: batched twins, selected at emit time when the relevant operand or
-#: buffer is batched (see _BatchedEmitter._emit_Call)
-_BATCHED_LOADS: Dict[str, Callable] = {
-    "tile_load": _bv_tile_load,
-    "dp4a_load": _bv_dp4a_load,
-    "wmma.load.a.sync": _bv_wmma_load,
-    "wmma.load.b.sync": _bv_wmma_load,
-}
-_BATCHED_STORES: Dict[str, Callable] = {
-    "tile_store": _bv_tile_store,
-    "dp4a_store": _bv_dp4a_store,
-    "wmma.store.d.sync": _bv_wmma_store,
-}
-_BATCHED_MATMULS: Dict[str, Callable] = {
-    "tile_matmul": _bv_tile_matmul,
-    "dp4a_matmul": _bv_dp4a_matmul,
-    "wmma.mma.sync": _bv_wmma_mma,
-}
-_BATCHED_ELEMENTWISE: Dict[str, Callable] = {
-    "TileExpand": _bv_tile_expand,
-    "TileCompact": _bv_tile_compact,
-}
-#: MAC -> (its tile loads, the narrow dtype their buffers hold).  Such
-#: a load sitting directly in the MAC's A/B slot hands the core the
-#: buffer's own elements (see :func:`_loaded`).  ``tile_matmul`` is
-#: absent: bf16 has no numpy dtype, AMX tiles are float32 storage
-_NARROW_OPERANDS = {
-    "wmma.mma.sync": (
-        ("wmma.load.a.sync", "wmma.load.b.sync"), np.dtype(np.float16),
-    ),
-    "dp4a_matmul": (("dp4a_load",), np.dtype(np.int8)),
-}
-#: weight-derived shuffle operands: shared across the batch by
-#: construction, so a batched source forces the looped fallback
-_SHUFFLE_CONSTRUCTORS = {
-    "KWayInterleave",
-    "ConvolutionShuffle",
-    "MultiphaseShuffle",
-}
-
-
-#: intrinsics with a value-level compiled implementation
-VALUE_INTRINSICS: Dict[str, Callable] = {
-    "tile_zero": _v_tile_zero,
-    "tile_load": _v_tile_load,
-    "tile_matmul": _v_tile_matmul,
-    "tile_store": _v_tile_store,
-    "wmma.fill.sync": _v_wmma_fill,
-    "wmma.load.a.sync": _v_wmma_load,
-    "wmma.load.b.sync": _v_wmma_load,
-    "wmma.mma.sync": _v_wmma_mma,
-    "wmma.store.d.sync": _v_wmma_store,
-    "dp4a_zero": _v_dp4a_zero,
-    "dp4a_load": _v_dp4a_load,
-    "dp4a_matmul": _v_dp4a_matmul,
-    "dp4a_store": _v_dp4a_store,
-    "DP4A2Mem": _v_dp4a2mem,
-    "KWayInterleave": _v_kway_interleave,
-    "ConvolutionShuffle": _v_convolution_shuffle,
-    "MultiphaseShuffle": _v_multiphase_shuffle,
-    "WMMA2Mem": _v_wmma2mem,
-    "TileExpand": _v_tile_expand,
-    "TileCompact": _v_tile_compact,
-}
+# -- intrinsics ----------------------------------------------------------------
+#
+# The interpreter dispatches intrinsic Calls through drivers that
+# receive (interp, call, env) and re-walk the argument expressions.  The
+# compiled backend evaluates the arguments itself (buffer-name StringImm
+# arguments become Buffer objects) and calls the value-level core that
+# ``repro.targets.isa.REGISTRY`` holds for the name — the *same*
+# function the interpreter's driver ends in — with the kernel's arena
+# first (None outside a plan).
 
 #: unary math intrinsics emitted as direct NumPy calls
 MATH_INTRINSICS = {
@@ -564,28 +231,14 @@ MATH_INTRINSICS = {
     "cos": "np.cos",
 }
 
-#: intrinsics known to be pure (loads of frozen data count as pure);
-#: everything else is assumed to mutate a buffer, which disables the
-#: zero-copy slice-view optimization inside the same statement.
-PURE_INTRINSICS = set(MATH_INTRINSICS) | {
-    "tile_zero",
-    "tile_load",
-    "tile_matmul",
-    "wmma.fill.sync",
-    "wmma.load.a.sync",
-    "wmma.load.b.sync",
-    "wmma.mma.sync",
-    "dp4a_zero",
-    "dp4a_load",
-    "dp4a_matmul",
-    "DP4A2Mem",
-    "KWayInterleave",
-    "ConvolutionShuffle",
-    "MultiphaseShuffle",
-    "WMMA2Mem",
-    "TileExpand",
-    "TileCompact",
-}
+
+def _is_pure(name: str) -> bool:
+    """Is intrinsic ``name`` known to be pure (loads of frozen data
+    count as pure)?  Everything else is assumed to mutate a buffer,
+    which disables the zero-copy slice-view optimization inside the
+    same statement."""
+    entry = REGISTRY.get(name)
+    return name in MATH_INTRINSICS if entry is None else entry.pure
 
 
 def _expr_nodes(e: E.Expr):
@@ -609,7 +262,7 @@ def _expr_calls(e: E.Expr):
 
 
 def _has_impure_call(e: E.Expr) -> bool:
-    return any(c.name not in PURE_INTRINSICS for c in _expr_calls(e))
+    return any(not _is_pure(c.name) for c in _expr_calls(e))
 
 
 class _StmtVisitor(IRVisitor):
@@ -661,7 +314,7 @@ def _expr_batched(e: E.Expr, stacked, var_batched: Dict[str, bool]) -> bool:
             else:
                 var_batched[e.name] = saved
     if isinstance(e, E.Call):
-        if e.name in _BATCHED_STORES:
+        if role_of(e.name) == "store":
             return False
         if any(
             isinstance(a, E.StringImm) and a.value in stacked for a in e.args
@@ -732,7 +385,7 @@ def _batched_allocations(
 
         def scan(self, e: E.Expr) -> None:
             for call in _expr_calls(e):
-                if call.name in _BATCHED_STORES and isinstance(
+                if role_of(call.name) == "store" and isinstance(
                     call.args[0], E.StringImm
                 ):
                     self.mark(call.args[0].value, call.args[1:])
@@ -834,7 +487,7 @@ class _BodyFacts(_StmtVisitor):
                 names = [
                     a.value for a in node.args if isinstance(a, E.StringImm)
                 ]
-                if node.name in _BATCHED_STORES and names:
+                if role_of(node.name) == "store" and names:
                     base, stride, rows, cols = node.args[1:5]
                     self.site(
                         names.pop(0),
@@ -1286,13 +939,13 @@ class _Emitter:
         math_fn = MATH_INTRINSICS.get(e.name)
         if math_fn is not None:
             return f"{math_fn}({self.emit(e.args[0])})"
-        fn = VALUE_INTRINSICS.get(e.name)
+        entry = REGISTRY.get(e.name)
         if self.lead is not None:
-            fn = self._leading_axis_core(e, fn)
-        if fn is not None:
+            self._check_leading_axis(e, entry)
+        if entry is not None:
             narrow = ()
-            if e.name in _BATCHED_MATMULS:
-                widths = [self._operand_width(e.name, a) for a in e.args[1:3]]
+            if entry.role == "mac":
+                widths = [self._operand_width(entry.isa, a) for a in e.args[1:3]]
                 self.macs.append((e.name, *widths))
                 narrow = [i for i, w in enumerate(widths, 1) if w == "narrow"]
             args = ["_arena"]
@@ -1305,40 +958,41 @@ class _Emitter:
                     args.append(self.emit(a))
             if mac_operand:
                 args.append("True")
-            return f"{self.const(fn)}({', '.join(args)})"
+            return f"{self.const(entry.core)}({', '.join(args)})"
         # unknown intrinsic: hand the Call node to the interpreter
         self.needs_interp = True
         call = self.const(e)
         return f"_interp._eval_Call({call}, {self._env_dict(e)})"
 
-    def _operand_width(self, mac: str, a: E.Expr) -> str:
-        """``"narrow"`` when operand ``a`` of ``mac`` reaches the core
-        in its buffer's narrow elements, else why it arrives widened."""
-        if mac not in _NARROW_OPERANDS:
+    def _operand_width(self, isa, a: E.Expr) -> str:
+        """``"narrow"`` when operand ``a`` of ``isa``'s MAC reaches the
+        core in its buffer's narrow elements, else why it arrives
+        widened."""
+        if isa.narrow is None:
             return "bf16 is stored as float32"
-        loads, narrow = _NARROW_OPERANDS[mac]
         if not (
             isinstance(a, E.Call)
-            and a.name in loads
+            and a.name in isa.load_names
             and isinstance(a.args[0], E.StringImm)
         ):
             return "not a direct load"
         dtype = self._alloc_dtypes.get(a.args[0].value)
-        if dtype is not None and dtype.to_numpy() != narrow:
+        if dtype is not None and dtype.to_numpy() != isa.narrow:
             return f"buffer is {dtype}"
         return "narrow"
 
-    def _leading_axis_core(self, e: E.Call, fn: Optional[Callable]):
-        """The core for intrinsic ``e`` under a live leading axis.
+    def _check_leading_axis(self, e: E.Call, entry) -> None:
+        """Is intrinsic ``e`` expressible under the live leading axis?
 
-        The ``_bv_*`` twin when the relevant operand or buffer carries
-        the axis; the scalar core otherwise — which, given a vector of
-        per-lane bases, gathers/scatters a shared buffer's ``[N,
-        rows*cols]`` tile stack (see :func:`_tile_idx`).  Raises
-        :class:`CodegenError` for what neither can express.
+        Its core takes the axis on the operands the role lets vary — a
+        stacked buffer, a tile value, a vector of per-lane bases (which
+        gathers/scatters a shared buffer's ``[N, rows*cols]`` tile
+        stack, see :func:`repro.targets.isa.tile_grid`) — so all that is
+        decided here is legality.  Raises :class:`CodegenError` for
+        what no core can express.
         """
         name = e.name
-        if fn is None:
+        if entry is None:
             # the interpreter cannot evaluate over a leading axis
             raise CodegenError(f"intrinsic {name!r} has no batched emission")
         arg_b = [
@@ -1349,48 +1003,35 @@ class _Emitter:
         buf_stacked = (
             isinstance(buf, E.StringImm) and buf.value in self.stacked
         )
-        if name in _BATCHED_LOADS or name in _BATCHED_STORES:
-            store = name in _BATCHED_STORES
+        role = entry.role
+        if role in ("load", "store"):
+            store = role == "store"
             if any(arg_b[2:-1] if store else arg_b[2:]):
                 raise CodegenError("varying tile geometry")
             if buf_stacked:
                 if arg_b[1]:
                     raise CodegenError("varying base into a stacked buffer")
-                return (_BATCHED_STORES if store else _BATCHED_LOADS)[name]
-            if arg_b[1]:
+            elif arg_b[1]:
                 self._per_lane("tile addressing")
-            if store and arg_b[1]:
-                self._certify(buf.value, self.buf_obj(buf.value))
+                if store:
+                    self._certify(buf.value, self.buf_obj(buf.value))
             elif store and arg_b[-1]:
                 raise CodegenError(f"{name} of batched tile into shared buffer")
-        elif name in _BATCHED_MATMULS:
+        elif role == "mac":
             if any(arg_b[3:]):
                 raise CodegenError("batched matmul geometry")
-            if any(arg_b[:3]):
-                return _BATCHED_MATMULS[name]
-        elif name == "wmma.fill.sync":
-            if arg_b[0] or arg_b[1]:
+        elif role == "fill":
+            if any(arg_b[:2]):
                 raise CodegenError("batched fill geometry")
-            if arg_b[2]:
-                return _bv_wmma_fill
-        elif name in _BATCHED_ELEMENTWISE:
+        elif role == "elementwise":
             if any(arg_b[1:]):
                 raise CodegenError("batched tile geometry")
-            if arg_b[0]:
-                return _BATCHED_ELEMENTWISE[name]
-        elif name in _SHUFFLE_CONSTRUCTORS:
+        elif role == "shuffle":
             # shared-by-construction: a per-request (or per-lane) source
             # cannot feed a memoised shuffle-operand constructor
             if buf_stacked or any(arg_b):
                 raise CodegenError(f"{name} over varying data cannot be batched")
-        elif name in ("tile_zero", "dp4a_zero"):
-            if any(arg_b):
-                raise CodegenError("batched tile geometry")
-        elif name in ("DP4A2Mem", "WMMA2Mem"):
-            pass  # identity either way
-        elif any(arg_b) or buf_stacked:
-            raise CodegenError(f"{name} cannot be batched")
-        return fn
+        # what is left is ``to_mem``: the identity, whatever it is handed
 
     def _per_lane(self, what: str) -> None:
         """Gate an address that varies along the leading axis on that
@@ -1693,7 +1334,7 @@ _HELPER_GLOBALS = {
     "_bcast_b": _bcast_b,
     "_vred_b": _vred_b,
     "_cat_b": _cat_b,
-    "_take_b": _take_b,
+    "_take_b": _take,
     "_LANES": _LANES,
 }
 
@@ -1868,13 +1509,14 @@ def compile_batched_stmt(
 #: bump when the emitted-source contract changes; stale payloads on
 #: disk are rejected and recompiled rather than mis-executed.
 #: v2: kernels take an arena argument (buffer pooling + operand memos)
-#: v3: batch-axis kernels (stacked [B, size] buffers, _bv_*/_take_b
-#:     helpers, env['batch.size'])
+#: v3: batch-axis kernels (stacked [B, size] buffers, _take_b and
+#:     batched intrinsic helpers, env['batch.size'])
 #: v4: lane-vectorised block loops (_LANES chunking, per-lane bases
-#:     through _tile_idx) and the ``loops`` report
+#:     through the tile index grid) and the ``loops`` report
 #: v5: tile loads in a MAC operand slot carry a trailing ``True`` and
 #:     yield the buffer's narrow elements; the ``macs`` report
-KERNEL_FORMAT_VERSION = 5
+#: v6: one core per intrinsic; ``_bv_*`` gone
+KERNEL_FORMAT_VERSION = 6
 
 
 def serialize_kernel(kernel: CompiledKernel) -> Optional[dict]:

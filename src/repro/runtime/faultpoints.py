@@ -17,7 +17,7 @@ Sites currently wired:
 ``kernel.compile``        before a compiled-kernel invocation (plan, batched
                           plan, and ``CompiledPipeline.run``)
 ``kernel.interpret``      before an interpreter execution of the statement
-``arena.alloc``           inside ``BufferArena.take``/``take_batched``
+``arena.alloc``           inside ``BufferArena.take`` (flat and ``batch=`` stacked)
 ``store.read``            before an artifact/kernel payload is read from disk
 ``store.write``           before an artifact/kernel payload is persisted
 ``shm.read``              after a shared-memory frame is mapped by its reader,

@@ -102,6 +102,61 @@ def stride_env(buffers: Dict[str, Buffer]) -> dict:
     return env
 
 
+def _bind_request(pipeline: "CompiledPipeline", inputs: dict):
+    """One request's named buffers, a fresh output buffer among them:
+    ``(buffers, input entries, output buffer, stride env)``."""
+    buffers, entries = bind_inputs(inputs, pipeline.input_dtypes)
+    out = buffers[pipeline.output_name] = Buffer(
+        pipeline.output_name,
+        pipeline.output_dtype,
+        pipeline.output_extents,
+        is_external=True,
+    )
+    return buffers, entries, out, stride_env(buffers)
+
+
+def _matches(array, shape: tuple, src_dtype) -> bool:
+    """Is ``array`` the ndarray geometry a plan was bound against?"""
+    return (
+        isinstance(array, np.ndarray)
+        and array.shape == shape
+        and array.dtype == src_dtype
+    )
+
+
+def _swap_in(buf: Buffer, array: np.ndarray, needs_round: bool) -> None:
+    """Point a bound input buffer at this request's array (zero-copy
+    for contiguous, correctly-typed input)."""
+    if needs_round:
+        buf.data = round_to_bfloat16(
+            np.asarray(array, dtype=np.float32).ravel()
+        )
+    elif array.dtype == buf.data.dtype and array.flags.c_contiguous:
+        buf.data = array.reshape(-1)  # zero-copy view
+    else:
+        buf.data = np.asarray(array, dtype=buf.data.dtype).ravel()
+
+
+def _check_out(out, shape: tuple, np_dtype, inputs) -> None:
+    """Validate caller-provided ``out=`` storage against every input
+    array a run will read."""
+    if not isinstance(out, np.ndarray):
+        raise ValueError("out= must be a numpy array")
+    if out.dtype != np_dtype or out.shape != shape:
+        raise ValueError(
+            f"out= expects shape {shape} dtype {np_dtype},"
+            f" got shape {out.shape} dtype {out.dtype}"
+        )
+    if not out.flags.c_contiguous or not out.flags.writeable:
+        raise ValueError("out= must be C-contiguous and writeable")
+    for array in inputs:
+        # inputs are bound zero-copy, so an out= that overlaps one
+        # would be zeroed before the kernel reads it — reject instead
+        # of silently computing from zeros
+        if isinstance(array, np.ndarray) and np.may_share_memory(out, array):
+            raise ValueError("out= must not share memory with an input array")
+
+
 class BufferArena:
     """A per-worker pool of kernel-internal allocations and operand memos.
 
@@ -138,13 +193,19 @@ class BufferArena:
         dtype: DataType,
         extents: tuple,
         memory_type: MemoryType,
-    ) -> Buffer:
+        batch: Optional[int] = None,
+    ):
         """A zeroed buffer — recycled when one of this shape was freed.
 
         Re-zeroing a recycled buffer keeps it indistinguishable from
-        the fresh ``np.zeros`` allocation it replaces.
+        the fresh ``np.zeros`` allocation it replaces.  With ``batch``
+        the buffer is a ``[batch, size]`` :class:`StackedBuffer`, pooled
+        under a batch-qualified key so a block is only ever recycled
+        for the same B.
         """
         key = self._key(name, dtype, extents, memory_type)
+        if batch is not None:
+            key += (int(batch),)
         pool = self._free.get(key)
         if pool:
             buf = pool.pop()
@@ -153,43 +214,20 @@ class BufferArena:
             return buf
         fire("arena.alloc", name=name)
         self.buffer_allocs += 1
+        if batch is not None:
+            return StackedBuffer(
+                name, dtype, key[2], memory_type=memory_type, batch=int(batch)
+            )
         return Buffer(
             name, dtype, key[2], memory_type=memory_type, is_external=False
         )
 
     def give(self, buf) -> None:
-        """Return a buffer to the pool at the end of its Allocate scope.
-
-        Stacked (batch-axis) buffers pool under a batch-qualified key so
-        a ``[B, size]`` block is only ever recycled for the same B.
-        """
+        """Return a buffer to the pool at the end of its Allocate scope."""
         key = (buf.name, buf.dtype, buf.extents, buf.memory_type)
         if isinstance(buf, StackedBuffer):
             key = key + (buf.batch,)
         self._free.setdefault(key, []).append(buf)
-
-    def take_batched(
-        self,
-        name: str,
-        dtype: DataType,
-        extents: tuple,
-        memory_type: MemoryType,
-        batch: int,
-    ) -> StackedBuffer:
-        """The batch-axis twin of :meth:`take`: a zeroed ``[batch, size]``
-        stacked scope buffer, recycled per (shape, batch)."""
-        key = self._key(name, dtype, extents, memory_type) + (int(batch),)
-        pool = self._free.get(key)
-        if pool:
-            buf = pool.pop()
-            buf.data.fill(0)
-            self.buffer_reuses += 1
-            return buf
-        fire("arena.alloc", name=name)
-        self.buffer_allocs += 1
-        return StackedBuffer(
-            name, dtype, key[2], memory_type=memory_type, batch=int(batch)
-        )
 
     # -- derived-operand caches ---------------------------------------------
 
@@ -286,16 +324,8 @@ class ExecutionPlan:
 
     def _bind(self, inputs: dict) -> None:
         """Full (slow-path) bind: wrap every input, derive the env."""
-        buffers, entries = bind_inputs(inputs, self.pipeline.input_dtypes)
-        out = Buffer(
-            self.output_name,
-            self.output_dtype,
-            self.output_extents,
-            is_external=True,
-        )
-        buffers[self.output_name] = out
+        buffers, entries, out, self._env = _bind_request(self.pipeline, inputs)
         self._buffers = buffers
-        self._env = stride_env(buffers)
         self._ingest = tuple(
             (
                 key,
@@ -315,20 +345,9 @@ class ExecutionPlan:
             return False
         for key, buf, shape, src_dtype, needs_round in self._ingest:
             array = inputs.get(key)
-            if (
-                not isinstance(array, np.ndarray)
-                or array.shape != shape
-                or array.dtype != src_dtype
-            ):
+            if not _matches(array, shape, src_dtype):
                 return False
-            if needs_round:
-                buf.data = round_to_bfloat16(
-                    np.asarray(array, dtype=np.float32).ravel()
-                )
-            elif array.dtype == buf.data.dtype and array.flags.c_contiguous:
-                buf.data = array.reshape(-1)  # zero-copy view
-            else:
-                buf.data = np.asarray(array, dtype=buf.data.dtype).ravel()
+            _swap_in(buf, array, needs_round)
         return True
 
     # -- execution -----------------------------------------------------------
@@ -348,26 +367,7 @@ class ExecutionPlan:
         if self._out_buffer is None or not self._fast_ingest(inputs):
             self._bind(inputs)
         if out is not None:
-            if not isinstance(out, np.ndarray):
-                raise ValueError("out= must be a numpy array")
-            if out.dtype != self._out_np or out.shape != self._out_shape:
-                raise ValueError(
-                    f"out= expects shape {self._out_shape} dtype"
-                    f" {self._out_np}, got shape {out.shape} dtype"
-                    f" {out.dtype}"
-                )
-            if not out.flags.c_contiguous or not out.flags.writeable:
-                raise ValueError("out= must be C-contiguous and writeable")
-            for array in inputs.values():
-                # inputs are bound zero-copy, so an out= that overlaps
-                # one would be zeroed before the kernel reads it —
-                # reject instead of silently computing from zeros
-                if isinstance(array, np.ndarray) and np.may_share_memory(
-                    out, array
-                ):
-                    raise ValueError(
-                        "out= must not share memory with an input array"
-                    )
+            _check_out(out, self._out_shape, self._out_np, inputs.values())
             flat = out.reshape(-1)
             flat.fill(0)  # match fresh-allocation semantics exactly
             result = out
@@ -478,16 +478,7 @@ class BatchedExecutionPlan:
         on shape change therefore also invalidates any batched staging
         left over from the previous geometry.
         """
-        first = requests[0]
-        buffers, entries = bind_inputs(first, self.pipeline.input_dtypes)
-        out = Buffer(
-            self.output_name,
-            self.output_dtype,
-            self.output_extents,
-            is_external=True,
-        )
-        buffers[self.output_name] = out
-        env = stride_env(buffers)
+        _, entries, out, env = _bind_request(self.pipeline, requests[0])
         many = len(requests) > 1
         shared = []
         stacked = []
@@ -556,35 +547,17 @@ class BatchedExecutionPlan:
                 return False
         for key, buf, shape, src_dtype, _ in self._shared:
             array = requests[0].get(key)
-            if (
-                not isinstance(array, np.ndarray)
-                or array.shape != shape
-                or array.dtype != src_dtype
-            ):
+            if not _matches(array, shape, src_dtype):
                 return False
             for r in requests[1:]:
                 if r.get(key) is not array:
                     return False
-        for key, sbuf, shape, src_dtype, _, _ in self._stacked:
-            for r in requests:
-                array = r.get(key)
-                if (
-                    not isinstance(array, np.ndarray)
-                    or array.shape != shape
-                    or array.dtype != src_dtype
-                ):
-                    return False
+        for key, sbuf, shape, src, _, _ in self._stacked:
+            if not all(_matches(r.get(key), shape, src) for r in requests):
+                return False
         # shared inputs: swap the data view, exactly like ExecutionPlan
         for key, buf, shape, src_dtype, needs_round in self._shared:
-            array = requests[0][key]
-            if needs_round:
-                buf.data = round_to_bfloat16(
-                    np.asarray(array, dtype=np.float32).ravel()
-                )
-            elif array.dtype == buf.data.dtype and array.flags.c_contiguous:
-                buf.data = array.reshape(-1)  # zero-copy view
-            else:
-                buf.data = np.asarray(array, dtype=buf.data.dtype).ravel()
+            _swap_in(buf, requests[0][key], needs_round)
         # stacked inputs: one contiguous [B, size] staging block; row b
         # holds exactly what request b's per-request Buffer would hold
         for key, sbuf, shape, src_dtype, needs_round, np_dtype in (
@@ -632,23 +605,12 @@ class BatchedExecutionPlan:
                 )
         out_shape = (batch,) + self._out_shape
         if out is not None:
-            if not isinstance(out, np.ndarray):
-                raise ValueError("out= must be a numpy array")
-            if out.dtype != self._out_np or out.shape != out_shape:
-                raise ValueError(
-                    f"out= expects shape {out_shape} dtype {self._out_np},"
-                    f" got shape {out.shape} dtype {out.dtype}"
-                )
-            if not out.flags.c_contiguous or not out.flags.writeable:
-                raise ValueError("out= must be C-contiguous and writeable")
-            for r in requests:
-                for array in r.values():
-                    if isinstance(
-                        array, np.ndarray
-                    ) and np.may_share_memory(out, array):
-                        raise ValueError(
-                            "out= must not share memory with an input array"
-                        )
+            _check_out(
+                out,
+                out_shape,
+                self._out_np,
+                (array for r in requests for array in r.values()),
+            )
             flat = out.reshape(batch, -1)
             flat.fill(0)  # match fresh-allocation semantics exactly
             results = [out[b] for b in range(batch)]

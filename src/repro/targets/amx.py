@@ -14,7 +14,8 @@ so the simulator is value-oriented: each intrinsic consumes and produces
 tile values.  The register-file limit (8 tiles) is checked by the
 instruction selector, not here.
 
-Intrinsic signatures (as emitted by :mod:`repro.hardboiled`):
+Intrinsic signatures (as emitted by :mod:`repro.hardboiled`; their one
+definition each is :class:`repro.targets.isa.TileISA`'s role cores):
 
 * ``tile_zero(rows, cols)``
 * ``tile_load(buffer, base, row_stride, rows, cols)``
@@ -26,14 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ir import expr as E
-from ..runtime.interpreter import (
-    Interpreter,
-    memory_level,
-    register_intrinsic,
-    tile_index,
-)
 from .bfloat16 import round_to_bfloat16
+from .isa import TileISA, register_isa
 
 #: architectural limits (Sapphire Rapids AMX)
 MAX_ROWS = 16
@@ -48,16 +43,6 @@ TDP_K = 32
 
 class AMXError(RuntimeError):
     pass
-
-
-def check_tile_shape(rows: int, cols: int, bytes_per_element: int) -> None:
-    if rows > MAX_ROWS:
-        raise AMXError(f"AMX tile rows {rows} > {MAX_ROWS}")
-    if cols * bytes_per_element > MAX_BYTES_PER_ROW:
-        raise AMXError(
-            f"AMX tile row of {cols} x {bytes_per_element}B exceeds"
-            f" {MAX_BYTES_PER_ROW} bytes"
-        )
 
 
 def vnni_pack(b: np.ndarray) -> np.ndarray:
@@ -114,83 +99,22 @@ def tdpbf16ps(
     return np.asarray(c, dtype=np.float32) + a32 @ b
 
 
-# -- intrinsic handlers ---------------------------------------------------------
+ISA = TileISA(
+    name="amx",
+    error=AMXError,
+    acc=np.float32,
+    narrow=None,
+    group=2,
+    mac_core=tdpbf16ps,
+    counter="tensor_macs",
+    mac_shapes=frozenset({(TDP_M, TDP_N, TDP_K)}),
+    max_rows=MAX_ROWS,
+    max_row_bytes=MAX_BYTES_PER_ROW,
+    fill_name="tile_zero",
+    load_names=("tile_load",),
+    mac_name="tile_matmul",
+    store_name="tile_store",
+)
+register_isa(ISA)
 
-
-def _tile_args(interp: Interpreter, call: E.Call, env, n: int):
-    return [interp.eval_expr(a, env) for a in call.args[:n]]
-
-
-@register_intrinsic("tile_zero")
-def _tile_zero(interp: Interpreter, call: E.Call, env):
-    rows = interp.eval_int(call.args[0], env)
-    cols = interp.eval_int(call.args[1], env)
-    check_tile_shape(rows, cols, 4)
-    return np.zeros(rows * cols, dtype=np.float32)
-
-
-@register_intrinsic("tile_load")
-def _tile_load(interp: Interpreter, call: E.Call, env):
-    name_expr = call.args[0]
-    if not isinstance(name_expr, E.StringImm):
-        raise AMXError("tile_load expects a buffer name as first argument")
-    buf = interp.buffer(name_expr.value)
-    base = interp.eval_int(call.args[1], env)
-    stride = interp.eval_int(call.args[2], env)
-    rows = interp.eval_int(call.args[3], env)
-    cols = interp.eval_int(call.args[4], env)
-    check_tile_shape(rows, cols, buf.dtype.bytes_per_lane())
-    idx = tile_index(base, stride, rows, cols)
-    if np.any(idx < 0) or np.any(idx >= buf.size):
-        raise AMXError(
-            f"tile_load out of bounds on {buf.name!r}:"
-            f" [{idx.min()}, {idx.max()}] vs size {buf.size}"
-        )
-    values = buf.gather(idx)
-    interp.counters.add_load(
-        memory_level(buf), idx.size * buf.dtype.bytes_per_lane()
-    )
-    return values.astype(np.float32, copy=False)
-
-
-@register_intrinsic("tile_matmul")
-def _tile_matmul(interp: Interpreter, call: E.Call, env):
-    c = interp.eval_vector(call.args[0], env)
-    a = interp.eval_vector(call.args[1], env)
-    b = interp.eval_vector(call.args[2], env)
-    m = interp.eval_int(call.args[3], env)
-    n = interp.eval_int(call.args[4], env)
-    k = interp.eval_int(call.args[5], env)
-    if (m, n, k) != (TDP_M, TDP_N, TDP_K):
-        raise AMXError(
-            f"TDPBF16PS supports m{TDP_M}n{TDP_N}k{TDP_K}, got m{m}n{n}k{k}"
-        )
-    c2 = np.asarray(c, dtype=np.float32).reshape(m, n)
-    a2 = np.asarray(a, dtype=np.float32).reshape(m, k)
-    b2 = np.asarray(b, dtype=np.float32).reshape(k // 2, 2 * n)
-    interp.counters.tensor_macs += m * n * k
-    return tdpbf16ps(c2, a2, b2).ravel()
-
-
-@register_intrinsic("tile_store")
-def _tile_store(interp: Interpreter, call: E.Call, env):
-    name_expr = call.args[0]
-    if not isinstance(name_expr, E.StringImm):
-        raise AMXError("tile_store expects a buffer name as first argument")
-    buf = interp.buffer(name_expr.value)
-    base = interp.eval_int(call.args[1], env)
-    stride = interp.eval_int(call.args[2], env)
-    rows = interp.eval_int(call.args[3], env)
-    cols = interp.eval_int(call.args[4], env)
-    tile = interp.eval_vector(call.args[5], env)
-    idx = tile_index(base, stride, rows, cols)
-    if np.any(idx < 0) or np.any(idx >= buf.size):
-        raise AMXError(
-            f"tile_store out of bounds on {buf.name!r}:"
-            f" [{idx.min()}, {idx.max()}] vs size {buf.size}"
-        )
-    buf.scatter(idx, np.asarray(tile, dtype=buf.data.dtype))
-    interp.counters.add_store(
-        memory_level(buf), idx.size * buf.dtype.bytes_per_lane()
-    )
-    return np.float32(0.0)
+check_tile_shape = ISA.check_tile

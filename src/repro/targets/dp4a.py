@@ -16,7 +16,8 @@ Unlike AMX tiles, DP4A accumulators live in ordinary vector registers:
 reading one pointwise (the ``DP4A2Mem`` marker) is legal, which is how
 quantized epilogues (bias add, ReLU, requantization) consume them.
 
-Intrinsic signatures (as emitted by :mod:`repro.hardboiled`):
+Intrinsic signatures (as emitted by :mod:`repro.hardboiled`; their one
+definition each is :class:`repro.targets.isa.TileISA`'s role cores):
 
 * ``dp4a_zero(rows, cols)``
 * ``dp4a_load(buffer, base, row_stride, rows, cols)``
@@ -28,13 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ir import expr as E
-from ..runtime.interpreter import (
-    Interpreter,
-    memory_level,
-    register_intrinsic,
-    tile_index,
-)
+from .isa import TileISA, register_isa
 
 #: the interleave factor: one instruction consumes 4 int8 values per lane
 K_GROUP = 4
@@ -56,16 +51,6 @@ MAX_EXACT_K = 2**24 // 2**14 - 1
 
 class DP4AError(RuntimeError):
     pass
-
-
-def check_tile_shape(rows: int, cols: int, bytes_per_element: int) -> None:
-    if rows > MAX_ROWS:
-        raise DP4AError(f"DP4A tile rows {rows} > {MAX_ROWS}")
-    if cols * bytes_per_element > MAX_BYTES_PER_ROW:
-        raise DP4AError(
-            f"DP4A tile row of {cols} x {bytes_per_element}B exceeds"
-            f" {MAX_BYTES_PER_ROW} bytes"
-        )
 
 
 def vnni4_pack(b: np.ndarray) -> np.ndarray:
@@ -136,89 +121,23 @@ def dp4a_mac(c: np.ndarray, a: np.ndarray, b_vnni4: np.ndarray) -> np.ndarray:
     return np.asarray(c, dtype=np.int32) + dot.astype(np.int32)
 
 
-# -- intrinsic handlers ---------------------------------------------------------
+ISA = TileISA(
+    name="dp4a",
+    error=DP4AError,
+    acc=np.int32,
+    narrow=np.int8,
+    group=K_GROUP,
+    mac_core=dp4a_mac,
+    counter="int8_macs",
+    mac_shapes=frozenset({(DP_M, DP_N, DP_K)}),
+    max_rows=MAX_ROWS,
+    max_row_bytes=MAX_BYTES_PER_ROW,
+    fill_name="dp4a_zero",
+    load_names=("dp4a_load",),
+    mac_name="dp4a_matmul",
+    store_name="dp4a_store",
+    to_mem_name="DP4A2Mem",
+)
+register_isa(ISA)
 
-
-@register_intrinsic("dp4a_zero")
-def _dp4a_zero(interp: Interpreter, call: E.Call, env):
-    rows = interp.eval_int(call.args[0], env)
-    cols = interp.eval_int(call.args[1], env)
-    check_tile_shape(rows, cols, 4)
-    return np.zeros(rows * cols, dtype=np.int32)
-
-
-@register_intrinsic("dp4a_load")
-def _dp4a_load(interp: Interpreter, call: E.Call, env):
-    name_expr = call.args[0]
-    if not isinstance(name_expr, E.StringImm):
-        raise DP4AError("dp4a_load expects a buffer name as first argument")
-    buf = interp.buffer(name_expr.value)
-    base = interp.eval_int(call.args[1], env)
-    stride = interp.eval_int(call.args[2], env)
-    rows = interp.eval_int(call.args[3], env)
-    cols = interp.eval_int(call.args[4], env)
-    check_tile_shape(rows, cols, buf.dtype.bytes_per_lane())
-    idx = tile_index(base, stride, rows, cols)
-    if np.any(idx < 0) or np.any(idx >= buf.size):
-        raise DP4AError(
-            f"dp4a_load out of bounds on {buf.name!r}:"
-            f" [{idx.min()}, {idx.max()}] vs size {buf.size}"
-        )
-    values = buf.gather(idx)
-    interp.counters.add_load(
-        memory_level(buf), idx.size * buf.dtype.bytes_per_lane()
-    )
-    return values.astype(np.int32, copy=False)
-
-
-@register_intrinsic("dp4a_matmul")
-def _dp4a_matmul(interp: Interpreter, call: E.Call, env):
-    c = interp.eval_vector(call.args[0], env)
-    a = interp.eval_vector(call.args[1], env)
-    b = interp.eval_vector(call.args[2], env)
-    m = interp.eval_int(call.args[3], env)
-    n = interp.eval_int(call.args[4], env)
-    k = interp.eval_int(call.args[5], env)
-    if (m, n, k) != (DP_M, DP_N, DP_K):
-        raise DP4AError(
-            f"dp4a_matmul supports m{DP_M}n{DP_N}k{DP_K}, got m{m}n{n}k{k}"
-        )
-    c2 = np.asarray(c, dtype=np.int32).reshape(m, n)
-    a2 = np.asarray(a).reshape(m, k)
-    b2 = np.asarray(b).reshape(k // K_GROUP, K_GROUP * n)
-    interp.counters.int8_macs += m * n * k
-    return dp4a_mac(c2, a2, b2).ravel()
-
-
-@register_intrinsic("dp4a_store")
-def _dp4a_store(interp: Interpreter, call: E.Call, env):
-    name_expr = call.args[0]
-    if not isinstance(name_expr, E.StringImm):
-        raise DP4AError("dp4a_store expects a buffer name as first argument")
-    buf = interp.buffer(name_expr.value)
-    base = interp.eval_int(call.args[1], env)
-    stride = interp.eval_int(call.args[2], env)
-    rows = interp.eval_int(call.args[3], env)
-    cols = interp.eval_int(call.args[4], env)
-    tile = interp.eval_vector(call.args[5], env)
-    idx = tile_index(base, stride, rows, cols)
-    if np.any(idx < 0) or np.any(idx >= buf.size):
-        raise DP4AError(
-            f"dp4a_store out of bounds on {buf.name!r}:"
-            f" [{idx.min()}, {idx.max()}] vs size {buf.size}"
-        )
-    buf.scatter(idx, np.asarray(tile, dtype=buf.data.dtype))
-    interp.counters.add_store(
-        memory_level(buf), idx.size * buf.dtype.bytes_per_lane()
-    )
-    return np.int32(0)
-
-
-@register_intrinsic("DP4A2Mem")
-def _dp4a2mem(interp: Interpreter, call: E.Call, env):
-    """Accumulator -> register read; identity in simulation.
-
-    Survives selection when a quantized epilogue (bias, ReLU, requant)
-    consumes an accumulator tile pointwise instead of via dp4a_store.
-    """
-    return interp.eval_expr(call.args[0], env)
+check_tile_shape = ISA.check_tile

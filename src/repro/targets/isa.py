@@ -1,0 +1,315 @@
+"""One description per tile accelerator, one definition per intrinsic.
+
+A :class:`TileISA` says what distinguishes one tile-MAC accelerator
+from the next — its error class, accumulator and narrow operand dtypes,
+shape limits, B-operand layout, MAC core and intrinsic names — and
+carries each intrinsic *role* (zero/fill, load, MAC, store) once, as a
+value-level core.  :mod:`.amx`, :mod:`.wmma` and :mod:`.dp4a`
+instantiate it; nothing about an intrinsic is written per accelerator.
+
+Both backends drive the same cores.  The interpreter's driver (the
+``_interp_*`` functions below) evaluates the ``Call`` arguments, checks
+buffer name, bounds and shape with the accelerator's own error class,
+and moves data through ``Buffer.gather``/``scatter`` so footprint masks
+and :class:`~repro.runtime.counters.Counters` see every element.  The
+compiled driver (:mod:`repro.runtime.codegen`) calls the cores straight
+from emitted source with already-evaluated values, unchecked.
+
+Every core accepts an optional *leading axis* — the batch of a batched
+kernel or the lanes of a vectorised block loop — and tells it from the
+values alone: a stacked buffer holds ``[B, size]`` data, a vector of
+per-lane bases yields an ``[N, rows*cols]`` index grid, a varying tile
+is ``[N, rows*cols]``.  Each leading-axis row is bit-identical to the
+call without the axis (``tests/test_target_cores.py``).
+
+:data:`REGISTRY` is the one table of tensor intrinsics; what the
+emitter and the analyses ask about one ("is this a store?", "which
+loads feed this MAC narrow?") is a read of it.
+"""
+
+from __future__ import annotations
+
+import importlib
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple
+
+import numpy as np
+
+from ..ir import expr as E
+from ..ir.types import TypeCode
+from ..runtime.interpreter import INTRINSICS, memory_level, tile_index
+from .bfloat16 import round_to_bfloat16
+
+
+def tile_grid(arena, base, stride, rows, cols):
+    """``tile_index`` with the base-0 grid cached per geometry.
+
+    A ``[N]`` vector of per-lane bases yields the ``[N, rows*cols]``
+    stack of the lanes' index grids.
+    """
+    if isinstance(base, np.ndarray) and base.ndim:
+        base = base[:, None]
+    if arena is None:
+        return tile_index(0, stride, rows, cols) + base
+    return arena.tile_grid(stride, rows, cols) + base
+
+
+def _tiles(value, rows, cols):
+    """A flat tile value — ``[rows*cols]``, or ``[N, rows*cols]`` under
+    a leading axis — as ``[rows, cols]`` / ``[N, rows, cols]`` matrices.
+
+    Under the axis the value is forced C-contiguous: a stacked gather
+    (``data[:, idx]``) comes back in transposed layout, and the MAC
+    cores (``np.matmul``) must see the layout the flat call feeds them
+    — float summation order must not depend on the gather's strides.
+    """
+    v = np.asarray(value)
+    if v.ndim == 1:
+        return v.reshape(rows, cols)
+    return np.ascontiguousarray(v).reshape(-1, rows, cols)
+
+
+@dataclass(frozen=True)
+class TileISA:
+    """A tile-MAC accelerator: ``C[m,n] += A[m,k] . B[k,n]``."""
+
+    name: str
+    #: what every check of this accelerator's intrinsics raises
+    error: type
+    #: accumulator element type; tile loads widen to it as well
+    acc: type
+    #: the operand element type a buffer may hold and the MAC core takes
+    #: as is (None: bf16 has no numpy dtype, AMX tiles are float32)
+    narrow: Optional[type]
+    #: B arrives as ``(k // group, group * n)``: rows interleaved in
+    #: groups (VNNI); 1 is plain row-major
+    group: int
+    #: the rank-polymorphic ``(c, a, b) -> c + a . b`` instruction
+    mac_core: Callable
+    #: the :class:`Counters` field one MAC adds ``m * n * k`` to
+    counter: str
+    #: the ``(m, n, k)`` shapes the MAC instruction exists in
+    mac_shapes: frozenset
+    #: register-file limit on a tile: rows, bytes per row (None: none)
+    max_rows: Optional[int]
+    max_row_bytes: Optional[int]
+    fill_name: str
+    load_names: Tuple[str, ...]
+    mac_name: str
+    store_name: str
+    #: accumulator -> register read marker that survives selection when
+    #: a fused epilogue reads the tile pointwise (identity in simulation)
+    to_mem_name: Optional[str] = None
+
+    def __reduce__(self):
+        # by reference: a kernel payload names its cores, not their code
+        return (_isa, (self.name,))
+
+    # -- the architectural contract -------------------------------------------
+
+    def check_tile(self, rows: int, cols: int, bytes_per_element: int) -> None:
+        if self.max_rows is None:
+            return
+        label = self.name.upper()
+        if rows > self.max_rows:
+            raise self.error(f"{label} tile rows {rows} > {self.max_rows}")
+        if cols * bytes_per_element > self.max_row_bytes:
+            raise self.error(
+                f"{label} tile row of {cols} x {bytes_per_element}B exceeds"
+                f" {self.max_row_bytes} bytes"
+            )
+
+    def check_mac(self, m: int, n: int, k: int) -> None:
+        if (m, n, k) not in self.mac_shapes:
+            legal = ", ".join(
+                f"m{a}n{b}k{c}" for a, b, c in sorted(self.mac_shapes)
+            )
+            raise self.error(
+                f"{self.mac_name} supports {legal}, got m{m}n{n}k{k}"
+            )
+
+    # -- the role cores ------------------------------------------------------
+
+    def fill(self, arena, rows, cols, value=None):
+        """Zero/fill: an accumulator tile of ``value`` (zeros without
+        one).  The IR's fill value is a scalar, so an array of them is
+        one per leading-axis row and yields ``[N, rows*cols]``."""
+        if value is None:
+            return np.zeros(rows * cols, dtype=self.acc)
+        if isinstance(value, np.ndarray) and value.ndim:
+            column = value.reshape(-1, 1)
+            return np.full((len(column), rows * cols), column, self.acc)
+        return np.full(rows * cols, value, dtype=self.acc)
+
+    def loaded(self, tile, mac_operand=False):
+        """A gathered tile as its load intrinsic's value.
+
+        Widened to the accumulator type — except in a MAC operand slot
+        (``mac_operand``, a literal the emitter appends there and
+        nowhere else), which takes the buffer's own narrow elements so
+        the core widens them exactly once.  Anywhere else numpy would
+        compute in the narrow type where the interpreter computes wide.
+        """
+        if mac_operand and tile.dtype == self.narrow:
+            return tile
+        return tile.astype(self.acc, copy=False)
+
+    def load(self, arena, buf, base, stride, rows, cols, mac_operand=False):
+        idx = tile_grid(arena, base, stride, rows, cols)
+        data = buf.data
+        # a branch, not ``data[..., idx]``: the ellipsis spelling costs
+        # a fancy-index gather two to three times over
+        tile = data[idx] if data.ndim == 1 else data[:, idx]
+        return self.loaded(tile, mac_operand)
+
+    def mac(self, arena, c, a, b, m, n, k):
+        self.check_mac(m, n, k)
+        g = self.group
+        out = self.mac_core(
+            _tiles(c, m, n), _tiles(a, m, k), _tiles(b, k // g, g * n)
+        )
+        return out.ravel() if out.ndim == 2 else out.reshape(len(out), -1)
+
+    def store(self, arena, buf, base, stride, rows, cols, tile):
+        idx = tile_grid(arena, base, stride, rows, cols)
+        data = buf.data
+        values = np.asarray(tile, dtype=data.dtype)
+        if buf.dtype.code is TypeCode.BFLOAT:
+            values = round_to_bfloat16(values)
+        if data.ndim == 1:
+            data[idx] = values
+        else:
+            data[:, idx] = values
+        return self.acc(0)
+
+
+def _isa(name: str) -> TileISA:
+    return importlib.import_module(f"{__package__}.{name}").ISA
+
+
+def to_mem(arena, tile):
+    return tile
+
+
+# -- the registry --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Intrinsic:
+    name: str
+    #: the accelerator it belongs to; None for the re-layout helpers
+    #: any of them may use
+    isa: Optional[TileISA]
+    #: ``fill`` | ``load`` | ``mac`` | ``store`` | ``to_mem`` |
+    #: ``shuffle`` (weight-derived operand constructor, shared along a
+    #: leading axis by construction) | ``elementwise`` (per-tile re-layout)
+    role: str
+    #: False: the call mutates a buffer
+    pure: bool
+    #: interpreter driver ``(interp, call, env) -> value``
+    interp: Callable
+    #: compiled core ``(arena, *values) -> value``; pickled by reference
+    #: into kernel payloads
+    core: Callable
+
+
+REGISTRY: Dict[str, Intrinsic] = {}
+
+
+def register(name, isa, role, interp, core, pure=True) -> None:
+    REGISTRY[name] = Intrinsic(name, isa, role, pure, interp, core)
+    INTRINSICS[name] = interp
+
+
+def role_of(name: str) -> Optional[str]:
+    """The role of tensor intrinsic ``name`` (None: not one)."""
+    entry = REGISTRY.get(name)
+    return None if entry is None else entry.role
+
+
+def register_isa(isa: TileISA) -> None:
+    register(isa.fill_name, isa, "fill", partial(_interp_fill, isa), isa.fill)
+    for name in isa.load_names:
+        register(name, isa, "load", partial(_interp_load, isa), isa.load)
+    register(isa.mac_name, isa, "mac", partial(_interp_mac, isa), isa.mac)
+    register(
+        isa.store_name, isa, "store", partial(_interp_store, isa), isa.store,
+        pure=False,
+    )
+    if isa.to_mem_name is not None:
+        register(isa.to_mem_name, isa, "to_mem", _interp_to_mem, to_mem)
+
+
+# -- the interpreter's driver --------------------------------------------------
+
+
+def named_buffer(interp, call: E.Call, error: type):
+    """The buffer a load/store/shuffle call names in its first slot."""
+    name = call.args[0]
+    if not isinstance(name, E.StringImm):
+        raise error(f"{call.name} expects a buffer name as first argument")
+    return interp.buffer(name.value)
+
+
+def check_bounds(call: E.Call, buf, idx: np.ndarray, error: type) -> None:
+    if np.any(idx < 0) or np.any(idx >= buf.size):
+        raise error(
+            f"{call.name} out of bounds on {buf.name!r}:"
+            f" [{idx.min()}, {idx.max()}] vs size {buf.size}"
+        )
+
+
+def _tile_address(isa: TileISA, interp, call: E.Call, env, check_shape):
+    buf = named_buffer(interp, call, isa.error)
+    args, eval_int = call.args, interp.eval_int
+    base, stride = eval_int(args[1], env), eval_int(args[2], env)
+    rows, cols = eval_int(args[3], env), eval_int(args[4], env)
+    if check_shape:
+        isa.check_tile(rows, cols, buf.dtype.bytes_per_lane())
+    idx = tile_index(base, stride, rows, cols)
+    check_bounds(call, buf, idx, isa.error)
+    return buf, idx
+
+
+def _interp_fill(isa: TileISA, interp, call: E.Call, env):
+    rows = interp.eval_int(call.args[0], env)
+    cols = interp.eval_int(call.args[1], env)
+    isa.check_tile(rows, cols, np.dtype(isa.acc).itemsize)
+    value = interp.eval_expr(call.args[2], env) if len(call.args) > 2 else None
+    return isa.fill(None, rows, cols, value)
+
+
+def _interp_load(isa: TileISA, interp, call: E.Call, env):
+    buf, idx = _tile_address(isa, interp, call, env, check_shape=True)
+    interp.counters.add_load(
+        memory_level(buf), idx.size * buf.dtype.bytes_per_lane()
+    )
+    return isa.loaded(buf.gather(idx))
+
+
+def _interp_mac(isa: TileISA, interp, call: E.Call, env):
+    # spelled out, like _tile_address: a generator per argument list is
+    # measurable on interp_ms_geomean (hundreds of MACs and loads a run)
+    args, tile, dim = call.args, interp.eval_vector, interp.eval_int
+    c, a, b = tile(args[0], env), tile(args[1], env), tile(args[2], env)
+    m, n, k = dim(args[3], env), dim(args[4], env), dim(args[5], env)
+    out = isa.mac(None, c, a, b, m, n, k)
+    counters = interp.counters
+    setattr(counters, isa.counter, getattr(counters, isa.counter) + m * n * k)
+    return out
+
+
+def _interp_store(isa: TileISA, interp, call: E.Call, env):
+    buf, idx = _tile_address(isa, interp, call, env, check_shape=False)
+    tile = interp.eval_vector(call.args[5], env)
+    # scatter rounds into a bfloat16 buffer, as TileISA.store does
+    buf.scatter(idx, np.asarray(tile, dtype=buf.data.dtype))
+    interp.counters.add_store(
+        memory_level(buf), idx.size * buf.dtype.bytes_per_lane()
+    )
+    return isa.acc(0)
+
+
+def _interp_to_mem(interp, call: E.Call, env):
+    return interp.eval_expr(call.args[0], env)

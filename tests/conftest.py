@@ -8,6 +8,7 @@ for parametrization and use the fixtures for per-test state.
 """
 
 import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -100,6 +101,26 @@ def assert_same_bytes(got, want):
         np.ascontiguousarray(got).view(np.uint8),
         np.ascontiguousarray(want).view(np.uint8),
     )
+
+
+def _vanished_core():
+    """Stands in for a core an older tree pickled by reference."""
+
+
+def stranded_v5(payload, kernel: dict) -> bytes:
+    """``payload`` pickled the way a format-5 process left it: its
+    kernel dict's globals name ``repro.runtime.codegen._bv_tile_load``,
+    a helper that no longer exists, so unpickling it raises
+    ``AttributeError`` before any format field can be looked at."""
+    kernel["format"] = 5
+    kernel["globals"] = {**kernel["globals"], "_C_gone": _vanished_core}
+    blob = pickle.dumps(payload, protocol=2)  # globals as module\nname\n
+    marker = f"c{__name__}\n_vanished_core\n".encode()
+    assert blob.count(marker) == 1
+    blob = blob.replace(marker, b"crepro.runtime.codegen\n_bv_tile_load\n")
+    with pytest.raises(AttributeError, match="_bv_tile_load"):
+        pickle.loads(blob)
+    return blob
 
 
 def build_requests(app, count, rng, vary=1):

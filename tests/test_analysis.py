@@ -40,7 +40,7 @@ from repro.analysis import (
 from repro.analysis.lint_rules import lint_family
 from repro.analysis.sweep import FIG6_APPS, analyze_app
 from repro.eqsat.ematch import CompiledQuery
-from repro.eqsat.pattern import PApp, PVar
+from repro.eqsat.pattern import PApp, PLit, PVar
 from repro.eqsat.rules import GuardAtom, rewrite
 from repro.ir import expr as E
 from repro.ir import stmt as S
@@ -271,6 +271,25 @@ class TestLintRulesMutations:
             "noop", PApp("Add", (x, y)), PApp("Add", (x, y))
         )
         assert "rules.trivial-rewrite" in checks(lint_rule(noop))
+
+    def test_unknown_intrinsic_on_the_rhs(self):
+        """A misspelt intrinsic name still selects and compiles — to an
+        interpreter-fallback call nothing handles."""
+
+        def emits(name):
+            call = PApp(
+                "Call",
+                (
+                    PApp("Float32", (PLit("i64", 4),)),
+                    PLit("str", name),
+                    PApp("Args", (PVar("x"), PVar("y"))),
+                ),
+            )
+            return rewrite("emit", PApp("Add", (PVar("x"), PVar("y"))), call)
+
+        assert "rules.unknown-intrinsic" in checks(lint_rule(emits("tile_lod")))
+        for known in ("tile_load", "WMMA2Mem", "TileCompact", "exp"):
+            assert lint_rule(emits(known)) == []
 
     def test_registered_families_are_sound(self):
         assert lint_rules() == []
@@ -588,6 +607,12 @@ def test_kernels_section_says_why_a_mac_operand_is_widened(
     out = capsys.readouterr().out
     assert "mac conv1d[tensor]: wmma.mma.sync: A narrow, B narrow" in out
     assert "mac conv1d[cuda]" not in out
+    # the registry comes first: every core a kernel may call, by role
+    lines = out.splitlines()
+    assert lines[0].startswith("intrinsic ")
+    assert "intrinsic wmma.mma.sync: wmma mac, pure" in lines[:20]
+    assert "intrinsic tile_store: amx store, mutates its buffer" in lines[:20]
+    assert "intrinsic TileExpand: - elementwise, pure" in lines[:20]
 
 
 # -- gates ---------------------------------------------------------------------

@@ -73,6 +73,8 @@ from repro.runtime.codegen import (
 )
 from repro.runtime.executor import CompiledPipeline, RequestError
 from repro.runtime.kernel_cache import KernelCache
+from repro.targets.amx import AMXError
+from repro.targets.dp4a import DP4AError
 from repro.service import (
     ArtifactStore,
     FaultPlan,
@@ -1000,6 +1002,55 @@ class TestMacOperands:
         kernel = run_four_ways(body, arrays)
         assert kernel.macs == (("dp4a_matmul", "narrow", "narrow"),)
         assert mac_literals(kernel) == 2
+
+    @pytest.mark.parametrize(
+        "prefix,elem,acc,error",
+        [("tile", BFloat, Float(32), AMXError), ("dp4a", Int, Int(32), DP4AError)],
+        ids=["amx", "dp4a"],
+    )
+    def test_an_illegal_mac_shape_is_refused_by_both_backends(
+        self, prefix, elem, acc, error
+    ):
+        """m16n16k16 is no TDPBF16PS / dp4a_matmul shape: the check
+        sits in the MAC entry both backends call, so the compiled
+        kernel refuses it with the interpreter's error instead of
+        multiplying whatever tiles it was handed."""
+
+        def load(name):
+            return intrinsic(
+                elem(8 if elem is Int else 16, TILE), f"{prefix}_load",
+                StringImm(name), IntImm(0), IntImm(16), IntImm(16),
+                IntImm(16),
+            )
+
+        zero = intrinsic(
+            acc.with_lanes(TILE), f"{prefix}_zero", IntImm(16), IntImm(16)
+        )
+        mac = intrinsic(
+            acc.with_lanes(TILE), f"{prefix}_matmul", zero, load("A"),
+            load("B"), IntImm(16), IntImm(16), IntImm(16),
+        )
+        stmt = Evaluate(
+            intrinsic(
+                acc, f"{prefix}_store", StringImm("out"), IntImm(0),
+                IntImm(16), IntImm(16), IntImm(16), mac,
+            )
+        )
+        operand = load("A").type.element_of()
+
+        def buffers():
+            return {
+                "A": Buffer("A", operand, (TILE,)),
+                "B": Buffer("B", operand, (TILE,)),
+                "out": Buffer("out", acc, (TILE,)),
+            }
+
+        kernel = compile_stmt(stmt)
+        assert not kernel.is_fallback
+        with pytest.raises(error, match="got m16n16k16"):
+            Interpreter(buffers()).run(stmt, {})
+        with pytest.raises(error, match="got m16n16k16"):
+            kernel(buffers(), {})
 
     @pytest.mark.parametrize(
         "label", sorted(MUST_TAKE_LANES) + sorted(SERIAL_APPS)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import stranded_v5
 
 from repro import frontend as hl
 from repro.lowering import lower
@@ -105,6 +106,24 @@ class TestDiskTier:
         assert (fresh.misses, fresh.disk_hits) == (1, 0)
         # the recompile re-persisted a loadable entry
         assert fresh._disk_load(kernel.key) is not None
+
+    def test_v5_entry_naming_a_vanished_core_recompiles(self, tmp_path):
+        """A format-5 ``.kernel`` pickled a ``_bv_*`` core by reference;
+        that name is gone, so the entry must demote to a recompile."""
+        from repro.runtime.codegen import serialize_kernel
+
+        inp, f = build_pipeline()
+        cache = KernelCache(disk_dir=str(tmp_path))
+        lowered = lower(f)
+        kernel = cache.get(lowered)
+        path = cache._disk_path(kernel.key)
+        payload = serialize_kernel(kernel)
+        with open(path, "wb") as handle:
+            handle.write(stranded_v5(payload, payload))
+        fresh = KernelCache(disk_dir=str(tmp_path))
+        fresh.get(lowered)
+        assert (fresh.misses, fresh.disk_hits) == (1, 0)
+        assert fresh._disk_load(kernel.key) is not None  # re-persisted
 
     def test_corrupt_disk_entry_recompiles(self, tmp_path):
         inp, f = build_pipeline()

@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import build_requests
+from conftest import build_requests, stranded_v5
 
 from repro.apps import conv1d
 from repro.hardboiled import SelectionError
@@ -258,13 +258,16 @@ class TestInvalidation:
     def test_stale_kernel_payload_falls_back_to_cold_compile(self, tmp_path):
         """A kernel-format bump (without an artifact-format bump) must
         recompile cold, not crash every warm start — whether the
-        payload is from the future, a pre-lane-loop v3 kernel, or a v4
+        payload is from the future, a pre-lane-loop v3 kernel, a v4
         kernel (no MAC-slot literal on its loads, no ``macs`` report)
-        whose source would run against today's helper globals."""
+        whose source would run against today's helper globals, a v5
+        kernel, or a v5 kernel as it really sits on disk: its globals
+        name a ``_bv_*`` core that is gone, so it does not even
+        unpickle."""
         from repro.runtime.codegen import KERNEL_FORMAT_VERSION
 
-        assert KERNEL_FORMAT_VERSION == 5
-        for stale_format in (KERNEL_FORMAT_VERSION + 1, 3, 4):
+        assert KERNEL_FORMAT_VERSION == 6
+        for stale_format in (KERNEL_FORMAT_VERSION + 1, 3, 4, 5, "stranded"):
             root = tmp_path / f"v{stale_format}"
             app = small_app()
             store = ArtifactStore(root)
@@ -274,8 +277,14 @@ class TestInvalidation:
             assert artifact.kernel is not None
             assert "loops" in artifact.kernel
             assert "macs" in artifact.kernel
-            artifact.kernel["format"] = stale_format
-            _write_payload(path, artifact)
+            if stale_format == "stranded":
+                with open(path, "wb") as handle:
+                    handle.write(
+                        frame_blob(stranded_v5(artifact, artifact.kernel))
+                    )
+            else:
+                artifact.kernel["format"] = stale_format
+                _write_payload(path, artifact)
 
             fresh = ArtifactStore(root)
             result = warm_select(
@@ -404,31 +413,40 @@ class TestBatchedKernelPersistence:
             np.testing.assert_array_equal(a, b)
 
     def test_stale_kernel_format_recompiles_and_repersists(self, tmp_path):
+        """A ``.bkernel`` from another format — or a v5 one as it sits
+        on disk, whose pickled ``_bv_*`` core no longer exists — is a
+        stale miss, never an error."""
         from repro.runtime.codegen import KERNEL_FORMAT_VERSION
 
-        app, pipe = self._compiled(ArtifactStore(tmp_path))
-        requests = build_requests(app, 3, np.random.default_rng(11))
-        cold = pipe.run_many(requests, batch_axis=True)
-        [path] = _bkernel_files(tmp_path)
-        payload = _read_payload(path)
-        assert payload["format"] == KERNEL_FORMAT_VERSION
-        payload["format"] = KERNEL_FORMAT_VERSION + 1
-        _write_payload(path, payload)
+        for stranded in (False, True):
+            root = tmp_path / f"stranded-{stranded}"
+            app, pipe = self._compiled(ArtifactStore(root))
+            requests = build_requests(app, 3, np.random.default_rng(11))
+            cold = pipe.run_many(requests, batch_axis=True)
+            [path] = _bkernel_files(root)
+            payload = _read_payload(path)
+            assert payload["format"] == KERNEL_FORMAT_VERSION
+            if stranded:
+                with open(path, "wb") as handle:
+                    handle.write(frame_blob(stranded_v5(payload, payload)))
+            else:
+                payload["format"] = KERNEL_FORMAT_VERSION + 1
+                _write_payload(path, payload)
 
-        fresh_store = ArtifactStore(tmp_path)
-        _, fresh_pipe = self._compiled(fresh_store)
-        out = fresh_pipe.run_many(requests, batch_axis=True)
-        for a, b in zip(cold, out):
-            np.testing.assert_array_equal(a, b)
-        assert fresh_store.stats.stale == 1
-        assert fresh_store.stats.writes == 1  # re-persisted, current format
+            fresh_store = ArtifactStore(root)
+            _, fresh_pipe = self._compiled(fresh_store)
+            out = fresh_pipe.run_many(requests, batch_axis=True)
+            for a, b in zip(cold, out):
+                np.testing.assert_array_equal(a, b)
+            assert fresh_store.stats.stale == 1
+            assert fresh_store.stats.writes == 1  # re-persisted, current
 
-        # the rewritten kernel serves the next process without staleness
-        final_store = ArtifactStore(tmp_path)
-        _, final_pipe = self._compiled(final_store)
-        final_pipe.run_many(requests, batch_axis=True)
-        assert final_store.stats.stale == 0
-        assert final_store.stats.writes == 0
+            # the rewritten kernel serves the next process: no staleness
+            final_store = ArtifactStore(root)
+            _, final_pipe = self._compiled(final_store)
+            final_pipe.run_many(requests, batch_axis=True)
+            assert final_store.stats.stale == 0
+            assert final_store.stats.writes == 0
 
     def test_embedded_key_mismatch_is_stale(self, tmp_path):
         app, pipe = self._compiled(ArtifactStore(tmp_path))

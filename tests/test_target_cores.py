@@ -10,6 +10,11 @@ the bytes that widening first and letting the core re-round gives.
 
 The references the cores are checked against — the parent's eight-pass
 bf16 rounding, an int64 ``einsum`` — live here, not in ``src``.
+
+The second half does the same for the *role* cores every intrinsic is
+defined by (:mod:`repro.targets.isa`): under each leading axis the
+emitter can produce, a core's rows are the bytes of the call without
+the axis, row by row.
 """
 
 import numpy as np
@@ -18,6 +23,11 @@ from conftest import F16_SPECIALS, F32_SPECIALS, assert_same_bytes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hardboiled.intrinsics import tile_compact, tile_expand
+from repro.ir import BFloat, Float, Int
+from repro.runtime import INTRINSICS, Buffer
+from repro.runtime.buffer import StackedBuffer
+from repro.targets import amx, dp4a, wmma
 from repro.targets.amx import tdpbf16ps, vnni_pack, vnni_unpack
 from repro.targets.bfloat16 import is_bfloat16_exact, round_to_bfloat16
 from repro.targets.dp4a import (
@@ -27,6 +37,7 @@ from repro.targets.dp4a import (
     vnni4_pack,
     vnni4_unpack,
 )
+from repro.targets.isa import REGISTRY
 from repro.targets.wmma import mma_sync
 
 #: leading batch axes an operand may carry (the lane / batch axis)
@@ -274,3 +285,201 @@ def test_vnni_round_trip_is_dtype_preserving():
     assert vnni4_unpack(vnni4_pack(b8)).dtype == np.int8
     b32 = np.arange(32 * 16, dtype=np.float32).reshape(32, 16)
     assert vnni_unpack(vnni_pack(b32)).dtype == np.float32
+
+
+# -- the role cores, with and without a leading axis ---------------------------
+
+ISAS = [amx.ISA, wmma.ISA, dp4a.ISA]
+ISA_IDS = [isa.name for isa in ISAS]
+
+#: per accelerator: the narrow buffer a MAC operand is loaded from, a
+#: wide one, and the (m, n, k) its MAC accepts
+def bf16_stored(rng, shape):
+    """What a bfloat16 buffer holds: ingest canonicalises NaNs."""
+    return round_to_bfloat16(bf16_exact(rng, shape))
+
+
+OPERAND_BUFFERS = {
+    "amx": [(BFloat(16), bf16_stored), (Float(32), f32_values)],
+    "wmma": [(Float(16), f16_operand), (Float(32), f32_values)],
+    "dp4a": [(Int(8), None), (Int(32), None)],
+}
+MAC_SHAPES = {"amx": (16, 16, 32), "wmma": (32, 8, 16), "dp4a": (16, 16, 64)}
+
+SIZE, ROWS, COLS, STRIDE = 96, 3, 5, 7
+BASES = np.array([0, 11, 40, 11])  # two lanes may read the same tile
+
+
+def operand_data(rng, dtype, make, shape):
+    if make is not None:
+        return make(rng, shape)
+    return int8_operand(rng, shape).astype(dtype.to_numpy())
+
+
+def flat_buffer(dtype, data):
+    return Buffer("buf", dtype, (data.size,), data=data.copy())
+
+
+def stacked_buffer(dtype, data):
+    return StackedBuffer(
+        "buf", dtype, (data.shape[1],), batch=data.shape[0], data=data.copy()
+    )
+
+
+@pytest.mark.parametrize("isa", ISAS, ids=ISA_IDS)
+class TestRoleCores:
+    @pytest.mark.parametrize("mac_operand", [False, True])
+    def test_load(self, isa, mac_operand, rng):
+        for dtype, make in OPERAND_BUFFERS[isa.name]:
+            data = operand_data(rng, dtype, make, (len(BASES), SIZE))
+            rows = [flat_buffer(dtype, row) for row in data]
+
+            def one(buf, base):
+                return isa.load(
+                    None, buf, base, STRIDE, ROWS, COLS, mac_operand
+                )
+
+            flat = one(rows[0], 11)
+            narrow = mac_operand and flat.dtype == isa.narrow
+            assert flat.dtype == (isa.narrow if narrow else isa.acc)
+            assert narrow == (
+                mac_operand and data.dtype == isa.narrow is not None
+            )
+            # per-lane bases gather one shared buffer
+            assert_same_bytes(
+                one(rows[0], BASES),
+                np.stack([one(rows[0], int(base)) for base in BASES]),
+            )
+            # a stacked buffer: row b is request b's own buffer
+            assert_same_bytes(
+                one(stacked_buffer(dtype, data), 11),
+                np.stack([one(row, 11) for row in rows]),
+            )
+
+    def test_store(self, isa, rng):
+        """Into the accumulator's own type and, for the float ISAs, a
+        bfloat16 buffer: the stored values are rounded on the way."""
+        dtypes = [Int(32)] if isa.name == "dp4a" else [Float(32), BFloat(16)]
+        lanes = np.array([0, 20, 60, 40])  # disjoint 3 x 5 footprints
+        for dtype in dtypes:
+            tiles = operand_data(
+                rng, Float(32) if dtype.is_float() else Int(32),
+                f32_values if dtype.is_float() else None,
+                (len(lanes), ROWS * COLS),
+            )
+            blank = np.zeros(SIZE, dtype.to_numpy())
+
+            def one(buf, base, tile):
+                done = isa.store(None, buf, base, STRIDE, ROWS, COLS, tile)
+                assert_same_bytes(np.asarray(done), np.asarray(isa.acc(0)))
+                return buf.data
+
+            want = flat_buffer(dtype, blank)
+            for base, tile in zip(lanes, tiles):
+                one(want, int(base), tile)
+            assert_same_bytes(
+                one(flat_buffer(dtype, blank), lanes, tiles), want.data
+            )
+            if dtype == BFloat(16):
+                finite = ~np.isnan(want.data)
+                assert is_bfloat16_exact(want.data[finite]).all()
+                assert not is_bfloat16_exact(tiles[~np.isnan(tiles)]).all()
+            for batch_tiles in (tiles, tiles[0]):  # per-request, or shared
+                got = one(
+                    stacked_buffer(dtype, np.tile(blank, (len(lanes), 1))),
+                    11, batch_tiles,
+                )
+                rows = np.broadcast_to(batch_tiles, tiles.shape)
+                assert_same_bytes(
+                    got,
+                    np.stack(
+                        [one(flat_buffer(dtype, blank), 11, t) for t in rows]
+                    ),
+                )
+
+    def test_fill(self, isa):
+        values = np.array([0, -3, 7, 7])
+        flat = isa.fill(None, ROWS, COLS, 7)
+        assert flat.dtype == isa.acc and flat.shape == (ROWS * COLS,)
+        assert_same_bytes(isa.fill(None, ROWS, COLS), flat * isa.acc(0))
+        assert_same_bytes(
+            isa.fill(None, ROWS, COLS, values),
+            np.stack([isa.fill(None, ROWS, COLS, v) for v in values]),
+        )
+
+    @pytest.mark.parametrize("shared", ["none", "b", "c"])
+    def test_mac(self, isa, shared, rng):
+        m, n, k = MAC_SHAPES[isa.name]
+        dtype, make = OPERAND_BUFFERS[isa.name][0]
+        lead = 3
+        a = operand_data(rng, dtype, make, (lead, m * k))
+        b = operand_data(rng, dtype, make, (lead, k * n))
+        c = operand_data(
+            rng, Int(32) if isa.name == "dp4a" else Float(32),
+            None if isa.name == "dp4a" else f32_values, (lead, m * n),
+        )
+        if shared == "b":
+            b = b[0]
+        if shared == "c":
+            c = c[0]
+        row = lambda x, i: x if x.ndim == 1 else x[i]
+        with np.errstate(all="ignore"):
+            flat = isa.mac(None, c[-1] if c.ndim > 1 else c, a[0], row(b, 0),
+                           m, n, k)
+            assert flat.dtype == isa.acc and flat.shape == (m * n,)
+            got = isa.mac(None, c, a, b, m, n, k)
+            want = np.stack(
+                [
+                    isa.mac(None, row(c, i), a[i], row(b, i), m, n, k)
+                    for i in range(lead)
+                ]
+            )
+        assert_same_bytes(got, want)
+
+    def test_an_unsupported_mac_shape_is_the_isas_own_error(self, isa):
+        m, n, k = MAC_SHAPES[isa.name]
+        tile = np.zeros(m * n * k, isa.acc)
+        with pytest.raises(isa.error, match="m16n16k8"):
+            isa.mac(None, tile, tile, tile, 16, 16, 8)
+
+
+@pytest.mark.parametrize("lead", LEADS[:2], ids=["flat", "lead"])
+def test_expand_and_compact_row_by_row(lead, rng):
+    rows, valid, cols = 4, 3, 8
+    tiles = f32_values(rng, lead + (rows * valid,))
+    expanded = tile_expand(None, tiles, valid, cols)
+    assert expanded.shape == lead + (rows * cols,)
+    matrix = expanded.reshape(lead + (rows, cols))
+    assert_same_bytes(
+        np.ascontiguousarray(matrix[..., :valid]).reshape(tiles.shape), tiles
+    )
+    assert not matrix[..., valid:].view(np.uint32).any()  # +0.0 padding
+    assert_same_bytes(tile_compact(None, expanded, cols, valid), tiles)
+    if lead:
+        for core, arg, a, b in (
+            (tile_expand, tiles, valid, cols),
+            (tile_compact, expanded, cols, valid),
+        ):
+            assert_same_bytes(
+                core(None, arg, a, b),
+                np.stack([core(None, one, a, b) for one in arg]),
+            )
+
+
+def test_registry_is_complete():
+    """Every tensor intrinsic has both drivers, a role and a purity
+    flag, and the two backends name the same set."""
+    roles = {"fill", "load", "mac", "store", "to_mem", "shuffle", "elementwise"}
+    math = {"exp", "log", "sqrt", "abs", "floor", "sin", "cos"}
+    assert set(INTRINSICS) - math == set(REGISTRY)
+    assert len(REGISTRY) == 20
+    for name, entry in REGISTRY.items():
+        assert entry.name == name and entry.role in roles
+        assert callable(entry.core) and INTRINSICS[name] is entry.interp
+        assert entry.pure is (entry.role != "store")
+    for isa in ISAS:
+        names = (isa.fill_name, *isa.load_names, isa.mac_name, isa.store_name)
+        assert [REGISTRY[n].role for n in names] == (
+            ["fill"] + ["load"] * len(isa.load_names) + ["mac", "store"]
+        )
+        assert all(REGISTRY[n].isa is isa for n in names)

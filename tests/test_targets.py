@@ -17,7 +17,11 @@ from repro.targets.amx import (
 from repro.targets.bfloat16 import is_bfloat16_exact, round_to_bfloat16
 from repro.targets.device import A100, DEVICES, RTX4070S
 from repro.targets.wmma import WMMAError, check_shape, mma_sync
-from repro.hardboiled.intrinsics import kway_interleave, toeplitz_from_kernel
+from repro.hardboiled.intrinsics import (
+    ShuffleError,
+    kway_interleave,
+    toeplitz_from_kernel,
+)
 
 # intrinsic registration happens on executor import
 import repro.runtime.executor  # noqa: F401
@@ -264,6 +268,35 @@ class TestShuffles:
         for j in range(cols):
             ref = (signal[stride * j : stride * j + taps] * kernel).sum()
             np.testing.assert_allclose(out[j], ref, rtol=1e-3, atol=1e-4)
+
+
+    @pytest.mark.parametrize(
+        "shuffle", ["ConvolutionShuffle", "MultiphaseShuffle"]
+    )
+    def test_coefficient_window_is_bounds_checked(self, shuffle):
+        """Both shuffles read their ``taps`` coefficients through one
+        checked reader: a window hanging off either end of the buffer is
+        a ShuffleError, not wrapped-around elements or a bare numpy
+        IndexError."""
+        taps = np.arange(8, dtype=np.float32)
+
+        def run(base):
+            interp = Interpreter({"K": Buffer.from_numpy("K", taps)})
+            out = interp.eval_expr(
+                call(
+                    shuffle, StringImm("K"), IntImm(base), IntImm(8),
+                    IntImm(4), IntImm(4), IntImm(2),
+                ),
+                {},
+            )
+            return out, interp.counters
+
+        out, counters = run(4)
+        assert out.shape == (32,) and set(out) <= {0.0, 4.0, 5.0, 6.0, 7.0}
+        assert counters.load_bytes["dram"] == 4 * 4
+        for base in (-2, 6):
+            with pytest.raises(ShuffleError, match="out of bounds on 'K'"):
+                run(base)
 
 
 class TestDevices:

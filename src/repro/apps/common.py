@@ -11,7 +11,7 @@ domain, so reduced runs extrapolate exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -21,7 +21,6 @@ from ..hardboiled import SelectionReport, select_instructions
 from ..lowering import lower
 from ..runtime import Counters
 from ..runtime.executor import CompiledPipeline, _check_backend
-from ..runtime.kernel_cache import KernelCache
 
 
 @dataclass
@@ -75,14 +74,13 @@ class App:
                 lowered, self._report = select_instructions(
                     lowered, strict=True
                 )
-            kernel_cache = None
+            self._pipeline = CompiledPipeline(lowered, backend=self.backend)
             if self.cache_dir is not None:
                 # no selection to cache, but compiled kernels still
-                # persist via the kernel cache's disk tier
-                kernel_cache = KernelCache(disk_dir=self.cache_dir)
-            self._pipeline = CompiledPipeline(
-                lowered, backend=self.backend, kernel_cache=kernel_cache
-            )
+                # persist, in the same checksummed store
+                from ..service import ArtifactStore
+
+                self._pipeline.artifact_store = ArtifactStore(self.cache_dir)
         return self._pipeline
 
     @property

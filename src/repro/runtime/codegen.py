@@ -1500,9 +1500,9 @@ def compile_batched_stmt(
 # constants (numpy offset tables, dtype objects, intrinsic cores picked
 # by reference).  Both halves are picklable, so a kernel compiled in one
 # process can be persisted and re-hydrated in another without running
-# codegen again — the warm-start artifact store and the kernel cache's
-# disk tier (see :mod:`repro.service.store` and :mod:`.kernel_cache`)
-# both build on this pair.  Interpreter-fallback kernels close over the
+# codegen again — the artifact store (:mod:`repro.service.store`), the
+# one on-disk kernel format, builds on this pair.  Interpreter-fallback
+# kernels close over the
 # statement itself and are cheap to rebuild, so they are not
 # serializable (``serialize_kernel`` returns ``None``).
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from typing import Dict, FrozenSet, List, Optional, Sequence, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from ..frontend.func import Func, ImageParam
 from ..ir import Call, CallType, DataType, as_int
 from ..lowering.build import reachable_funcs
 from ..lowering.pipeline import Lowered, lower
-from .buffer import Buffer
 from .counters import Counters
 from .faultpoints import fire
 from .interpreter import Interpreter
@@ -40,12 +39,10 @@ from .kernel_cache import (
     fingerprint_stmt,
 )
 from .plan import (
-    BatchedExecutionPlan,
     BatchingUnsupported,
     BufferArena,
     ExecutionPlan,
-    bind_inputs,
-    stride_env,
+    bind_request,
 )
 
 # importing the target simulators registers their intrinsic handlers
@@ -65,6 +62,13 @@ def _check_backend(backend: str) -> str:
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
     return backend
+
+
+def _check_on_error(on_error: str) -> None:
+    if on_error not in ("raise", "return"):
+        raise ValueError(
+            f"on_error must be 'raise' or 'return', got {on_error!r}"
+        )
 
 
 class RequestError(RuntimeError):
@@ -107,16 +111,16 @@ class CompiledPipeline:
         self.output_dtype = lowered.output.dtype.element_of()
         #: kernel-cache key, computed once — the lowered stmt is immutable
         self._cache_key: Optional[str] = None
-        #: batch-axis kernels per shared/stacked split; None records
-        #: "no batched kernel exists" so failed splits are not retried
-        # guarded-by: _batched_lock
-        self._batched: Dict[FrozenSet[str], Optional[object]] = {}
-        self._batched_lock = threading.Lock()
-        # guarded-by: _batch_lock
-        self._batched_plan: Optional[BatchedExecutionPlan] = None
-        self._batch_lock = threading.Lock()
-        #: optional ArtifactStore persisting batched kernels across
-        #: processes; wired by repro.service.compile.compile_lowered
+        #: stacked splits with no batch-axis kernel, so they are not
+        #: retried; only ever grows, and racing resolvers add the same
+        #: answer, so a GIL-atomic set needs no lock
+        self._unbatchable: Set[FrozenSet[str]] = set()
+        #: the one plan plan-less batch calls share (run_many, Server)
+        # guarded-by: _lock
+        self._default_plan: Optional[ExecutionPlan] = None
+        self._lock = threading.Lock()
+        #: optional ArtifactStore persisting kernels across processes;
+        #: wired by compile_lowered and App.compile(cache_dir=...)
         self.artifact_store = None
 
     @functools.cached_property
@@ -137,10 +141,10 @@ class CompiledPipeline:
     def cache_stats(self) -> Dict[str, int]:
         """Hit/miss accounting of this pipeline's kernel cache.
 
-        Keys: ``hits`` (in-memory), ``disk_hits`` (satisfied by the
-        cache's disk tier), ``misses`` (codegen ran), ``entries``.
-        Note the cache may be the shared process-wide default, in which
-        case the counters aggregate over every pipeline using it.
+        Keys: ``hits``, ``misses`` (restored from the artifact store or
+        compiled), ``entries``.  Note the cache may be the shared
+        process-wide default, in which case the counters aggregate over
+        every pipeline using it.
         """
         return self.kernel_cache.stats()
 
@@ -179,54 +183,56 @@ class CompiledPipeline:
         )
         return ExecutionPlan(self, mode, arena=arena)
 
-    def batched_kernel(self, stacked: FrozenSet[str]):
-        """The batch-axis kernel for one shared/stacked input split.
+    def kernel(self, stacked: FrozenSet[str] = frozenset()):
+        """The compiled kernel for one shared/stacked input split.
 
-        Resolved through the kernel cache under a batch-aware key
-        (:func:`~.kernel_cache.batched_key`) and, when an artifact
-        store is wired, persisted/restored across processes.  Returns
-        ``None`` — and remembers the answer — when the statement cannot
-        be batch-compiled for this split (per-request weights feeding a
-        shuffle constructor, data-dependent addressing, ...).
+        The empty split is the per-request kernel; any other names the
+        buffers carrying a leading batch axis (keyed by
+        :func:`~.kernel_cache.batched_key`).  Both resolve the same way:
+        the kernel cache, then the artifact store if one is wired, then
+        codegen — persisted to the store.  Returns ``None``, and
+        remembers it, when the split cannot be batch-compiled
+        (per-request weights feeding a shuffle constructor,
+        data-dependent addressing, ...).
         """
-        from .codegen import CodegenError, compile_batched_stmt
+        from .codegen import CodegenError, compile_batched_stmt, compile_stmt
 
         stacked = frozenset(stacked)
-        with self._batched_lock:
-            if stacked in self._batched:
-                return self._batched[stacked]
-        key = batched_key(self.cache_key, stacked)
-
-        def build():
-            if self.artifact_store is not None:
-                restored = self.artifact_store.get_kernel(key)
-                if restored is not None:
-                    return restored
-            kernel = compile_batched_stmt(
-                self.lowered.stmt, stacked, key=key
-            )
-            if self.artifact_store is not None:
-                self.artifact_store.put_kernel(key, kernel)
+        if stacked in self._unbatchable:
+            return None
+        key = self.cache_key
+        if stacked:
+            key = batched_key(key, stacked)
+        kernel = self.kernel_cache.fetch(key)
+        if kernel is not None:
             return kernel
-
-        try:
-            kernel = self.kernel_cache.get_or_build(key, build)
-        except CodegenError:
-            kernel = None
-        # the build runs outside the lock (it can take seconds); two
-        # racing builders store the same cache-memoized kernel, so the
-        # last write is harmless
-        with self._batched_lock:
-            self._batched[stacked] = kernel
+        # restore / compile outside any lock (codegen can take seconds);
+        # racing resolvers store equivalent kernels, the last put wins
+        store = self.artifact_store
+        kernel = store.get_kernel(key) if store is not None else None
+        if kernel is None:
+            stmt = self.lowered.stmt
+            try:
+                kernel = (
+                    compile_batched_stmt(stmt, stacked, key=key)
+                    if stacked
+                    else compile_stmt(stmt, key=key)
+                )
+            except CodegenError:
+                self._unbatchable.add(stacked)
+                return None
+            if store is not None:
+                store.put_kernel(key, kernel)
+        self.kernel_cache.put(key, kernel)
         return kernel
 
-    def _run_batched(self, requests: List[InputMap]) -> List[np.ndarray]:
-        """One batch-axis kernel call for the whole bucket (locked —
-        the batched plan is stateful and shared across callers)."""
-        with self._batch_lock:
-            if self._batched_plan is None:
-                self._batched_plan = BatchedExecutionPlan(self)
-            return self._batched_plan.run(requests)
+    def default_plan_stats(self) -> Optional[Dict[str, int]]:
+        """Counters of the plan plan-less batch calls share, or None
+        before the first such call."""
+        with self._lock:
+            if self._default_plan is None:
+                return None
+            return self._default_plan.stats()
 
     def run_many(
         self,
@@ -241,7 +247,7 @@ class CompiledPipeline:
 
         On the compiled backend the whole bucket is first routed
         through one batch-axis kernel call
-        (:class:`~.plan.BatchedExecutionPlan`): inputs whose array is
+        (:meth:`~.plan.ExecutionPlan.run_batch`): inputs whose array is
         the same object in every request (the serving idiom for
         weights) stay shared, the rest are stacked ``[B, ...]``.
         Buckets the batched path cannot take — ragged shapes,
@@ -257,12 +263,14 @@ class CompiledPipeline:
         in request order and are bit-identical across all three paths.
         ``workers=None`` picks ``min(len(requests), cpu_count)``;
         ``workers=1`` runs the batch on one plan in the calling thread.
-        ``plan`` is that one plan, held by the caller across calls (a
-        serving worker's): the looped path then runs on it in the
-        calling thread instead of building plans per call, so its bound
-        buffers, arena and shuffle-operand memo stay warm from one
-        batch to the next.  Counters are not supported here — use
-        :meth:`run` for instrumented executions.
+        ``plan`` is one plan held by the caller across calls (a serving
+        worker's): both paths then run on it in the calling thread, so
+        one set of bound buffers, one arena and one shuffle-operand
+        memo stay warm from one batch to the next.  Without it the
+        batch-axis path runs on the pipeline's one default plan, under
+        its lock, and the looped path builds plans per call.  Counters
+        are not supported here — use :meth:`run` for instrumented
+        executions.
 
         ``on_error`` selects the failure policy.  ``"raise"`` (the
         default) propagates the first failure.  ``"return"`` isolates
@@ -274,10 +282,7 @@ class CompiledPipeline:
         on the looped path for isolation, unless ``batch_axis=True``
         was explicit (then the error propagates as-is).
         """
-        if on_error not in ("raise", "return"):
-            raise ValueError(
-                f"on_error must be 'raise' or 'return', got {on_error!r}"
-            )
+        _check_on_error(on_error)
         mode = (
             _check_backend(backend) if backend is not None else self.backend
         )
@@ -300,7 +305,12 @@ class CompiledPipeline:
                     "batch-axis execution requires the compiled backend"
                 )
             try:
-                return self._run_batched(requests)
+                if plan is not None:
+                    return plan.run_batch(requests)
+                with self._lock:
+                    if self._default_plan is None:
+                        self._default_plan = ExecutionPlan(self, mode)
+                    return self._default_plan.run_batch(requests)
             except BatchingUnsupported:
                 if explicit:
                     raise
@@ -358,17 +368,9 @@ class CompiledPipeline:
             # instrumentation lives only in the interpreter
             mode = "interpret"
         # one wrapping + env rule shared with the plan path (plan.py)
-        buffers, _ = bind_inputs(inputs or {}, self.input_dtypes)
-        out = Buffer(
-            self.output_name,
-            self.output_dtype,
-            self.output_extents,
-            is_external=True,
-        )
-        buffers[self.output_name] = out
-        env = stride_env(buffers)
+        buffers, _, out, env = bind_request(self, inputs or {})
         if mode == "compile":
-            kernel = self.kernel_cache.get(self.lowered, key=self.cache_key)
+            kernel = self.kernel()
             fire("kernel.compile")
             kernel(buffers, env)
             return out.to_numpy()
@@ -431,8 +433,8 @@ def realize(
 
     The output array follows numpy convention (outermost dimension first);
     the Func's first argument is the last numpy axis.  ``kernel_cache``
-    lets one-shot callers route codegen through a private or
-    disk-tiered cache instead of the process-wide default.
+    lets one-shot callers route codegen through a private cache instead
+    of the process-wide default.
     """
     return compile_pipeline(
         output, backend=backend, kernel_cache=kernel_cache, **lower_kwargs

@@ -14,23 +14,17 @@ deterministic (every field, recursively, including dtypes and loop
 kinds), so hashing the repr is a stable fingerprint without a bespoke
 serializer.
 
-The cache has two tiers:
-
-* an in-memory LRU (always on) — hits cost a dict lookup;
-* an optional on-disk tier (``disk_dir=...``) — kernels are persisted
-  as pickled source + injected constants
-  (:func:`repro.runtime.codegen.serialize_kernel`), so a *fresh
-  process* re-hydrates a kernel instead of re-running codegen.  Disk
-  writes are atomic (write-to-temp + ``os.replace``), so any number of
-  concurrent processes may share one directory.
+The cache lives in memory only.  Kernels reach disk — and a *fresh
+process* — through one format: the checksummed, quarantining
+:class:`~repro.service.store.ArtifactStore` a pipeline may have wired,
+consulted by :meth:`CompiledPipeline.kernel
+<repro.runtime.executor.CompiledPipeline.kernel>` between this cache
+and codegen.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-import tempfile
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Optional
@@ -61,111 +55,23 @@ def batched_key(key: str, stacked) -> str:
     return f"{key}-b{digest[:16]}"
 
 
-#: everything a pickled payload written by another (possibly newer or
-#: older) process can throw while being loaded or re-hydrated: torn
-#: bytes, renamed classes/modules, format drift.  Shared by this
-#: module's disk tier and :mod:`repro.service.store` so the two
-#: content-addressed stores never disagree on what "corrupt" means.
-PICKLE_LOAD_ERRORS = (
-    pickle.UnpicklingError,
-    EOFError,
-    OSError,
-    KeyError,
-    IndexError,
-    AttributeError,
-    ImportError,
-    SyntaxError,
-    ValueError,
-    TypeError,
-)
-
-
-#: header of every checksummed payload file: magic + format byte
-FRAME_MAGIC = b"RPROF\x01"
-
-
-class ChecksumError(ValueError):
-    """A framed payload failed its integrity check (torn or bit-rotted)."""
-
-
-def frame_blob(blob: bytes) -> bytes:
-    """Wrap ``blob`` in the checksummed on-disk frame.
-
-    Layout: ``FRAME_MAGIC + sha256(blob) + blob``.  The checksum lets
-    readers distinguish a torn or bit-rotted file from a valid payload
-    *before* handing bytes to the pickle layer — corruption becomes a
-    typed :class:`ChecksumError` instead of undefined unpickling
-    behavior.
-    """
-    return FRAME_MAGIC + hashlib.sha256(blob).digest() + blob
-
-
-def unframe_blob(data: bytes) -> bytes:
-    """Verify and strip the frame written by :func:`frame_blob`.
-
-    Raises :class:`ChecksumError` on a missing/unknown header or a
-    checksum mismatch — never returns unverified bytes.
-    """
-    header = len(FRAME_MAGIC)
-    if len(data) < header + 32 or not data.startswith(FRAME_MAGIC):
-        raise ChecksumError("missing or unknown payload frame header")
-    digest = data[header : header + 32]
-    blob = data[header + 32 :]
-    if hashlib.sha256(blob).digest() != digest:
-        raise ChecksumError("payload checksum mismatch (corrupt file)")
-    return blob
-
-
-def sharded_path(root: str, key: str, suffix: str) -> str:
-    """``<root>/<key[:2]>/<key><suffix>`` — the shared content-addressed
-    disk layout (two-level sharding keeps directories small)."""
-    return os.path.join(root, key[:2], key + suffix)
-
-
-def atomic_write_bytes(path: str, blob: bytes) -> None:
-    """Write ``blob`` to ``path`` atomically (temp file + rename).
-
-    Readers either see the old contents or the new contents, never a
-    torn write — concurrent writers simply race on who renames last.
-    """
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
 class KernelCache:
-    """A two-tier (LRU + optional disk) kernel cache with accounting.
+    """An in-memory LRU of compiled kernels with hit/miss accounting.
 
-    Thread-safe: the in-memory LRU and its counters are guarded by a
-    lock, so any number of serving workers (``run_many`` plans, a
+    Thread-safe: the LRU and its counters are guarded by a lock, so any
+    number of serving workers (``run_many`` plans, a
     :class:`repro.service.Server`'s thread pool) may share one cache —
     including the process-wide default.  Codegen itself runs outside
     the lock; two threads racing on the same miss simply compile
     equivalent kernels and the last ``put`` wins.
     """
 
-    def __init__(
-        self, maxsize: int = 256, disk_dir: Optional[str] = None
-    ) -> None:
+    def __init__(self, maxsize: int = 256) -> None:
         self.maxsize = maxsize
-        self.disk_dir = disk_dir
         self.hits = 0  # guarded-by: _lock
+        #: lookups the memory tier could not serve: the caller restored
+        #: the kernel from an artifact store or ran codegen
         self.misses = 0  # guarded-by: _lock
-        #: in-memory misses satisfied by the disk tier (a fresh process
-        #: skipping codegen); disk hits are not counted as misses
-        self.disk_hits = 0  # guarded-by: _lock
         # guarded-by: _lock
         self._kernels: "OrderedDict[str, CompiledKernel]" = OrderedDict()
         self._lock = threading.RLock()
@@ -175,28 +81,38 @@ class KernelCache:
             return len(self._kernels)
 
     def clear(self) -> None:
-        """Drop the in-memory tier and reset counters (disk survives)."""
+        """Drop every kernel and reset the counters."""
         with self._lock:
             self._kernels.clear()
             self.hits = 0
             self.misses = 0
-            self.disk_hits = 0
 
     def stats(self) -> Dict[str, int]:
-        """Counter snapshot: hits / misses / disk_hits / entries."""
+        """Counter snapshot: hits / misses / entries."""
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
-                "disk_hits": self.disk_hits,
                 "entries": len(self._kernels),
             }
 
     def lookup(self, key: str) -> Optional["CompiledKernel"]:
+        """The kernel under ``key`` or None, without counting."""
         with self._lock:
             kernel = self._kernels.get(key)
             if kernel is not None:
                 self._kernels.move_to_end(key)
+            return kernel
+
+    def fetch(self, key: str) -> Optional["CompiledKernel"]:
+        """:meth:`lookup`, counted as a hit or a miss — on a miss the
+        caller builds the kernel and puts it."""
+        with self._lock:
+            kernel = self.lookup(key)
+            if kernel is None:
+                self.misses += 1
+            else:
+                self.hits += 1
             return kernel
 
     def put(self, key: str, kernel: "CompiledKernel") -> None:
@@ -210,7 +126,8 @@ class KernelCache:
     def get(
         self, lowered: "Lowered", key: Optional[str] = None
     ) -> "CompiledKernel":
-        """The compiled kernel for ``lowered.stmt``, compiling on miss.
+        """The per-request kernel for ``lowered.stmt``, compiling on miss
+        — no artifact store between (that is ``CompiledPipeline.kernel``).
 
         Callers that run repeatedly should precompute ``key`` once
         (:func:`fingerprint_stmt` walks the whole statement repr).
@@ -219,94 +136,14 @@ class KernelCache:
 
         if key is None:
             key = fingerprint_stmt(lowered.stmt)
-        kernel = self.lookup(key)
-        if kernel is not None:
-            with self._lock:
-                self.hits += 1
-            return kernel
-        # compile / disk-load outside the lock: codegen is slow and
-        # pure, so racing threads at worst duplicate work, never block
-        # every other pipeline in the process behind one compile
-        kernel = self._disk_load(key)
-        if kernel is not None:
-            with self._lock:
-                self.disk_hits += 1
+        kernel = self.fetch(key)
+        if kernel is None:
+            # compile outside the lock: codegen is slow and pure, so
+            # racing threads at worst duplicate work, never block every
+            # other pipeline in the process behind one compile
+            kernel = compile_stmt(lowered.stmt, key=key)
             self.put(key, kernel)
-            return kernel
-        with self._lock:
-            self.misses += 1
-        kernel = compile_stmt(lowered.stmt, key=key)
-        self.put(key, kernel)
-        self._disk_store(kernel)
         return kernel
-
-    def get_or_build(self, key: str, build) -> "CompiledKernel":
-        """Memoize an arbitrary kernel builder under ``key``.
-
-        Same two-tier discipline as :meth:`get` (memory, then disk,
-        then ``build()``), for kernels that are not the plain
-        ``compile_stmt`` of a statement — the batch-axis variants keyed
-        by :func:`batched_key`.  ``build`` exceptions propagate and
-        nothing is cached for them.
-        """
-        kernel = self.lookup(key)
-        if kernel is not None:
-            with self._lock:
-                self.hits += 1
-            return kernel
-        kernel = self._disk_load(key)
-        if kernel is not None:
-            with self._lock:
-                self.disk_hits += 1
-            self.put(key, kernel)
-            return kernel
-        with self._lock:
-            self.misses += 1
-        kernel = build()
-        self.put(key, kernel)
-        self._disk_store(kernel)
-        return kernel
-
-    # -- disk tier -------------------------------------------------------------
-
-    def _disk_path(self, key: str) -> str:
-        return sharded_path(self.disk_dir, key, ".kernel")
-
-    def _disk_load(self, key: str) -> Optional["CompiledKernel"]:
-        if self.disk_dir is None:
-            return None
-        from .codegen import CodegenError, deserialize_kernel
-
-        path = self._disk_path(key)
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            if payload.get("key") != key:
-                return None
-            return deserialize_kernel(payload)
-        except FileNotFoundError:
-            return None
-        except (CodegenError, *PICKLE_LOAD_ERRORS):
-            # stale format / torn legacy file / unimportable constant:
-            # drop it and let the caller recompile
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-
-    def _disk_store(self, kernel: "CompiledKernel") -> None:
-        if self.disk_dir is None or not kernel.key:
-            return
-        from .codegen import serialize_kernel
-
-        payload = serialize_kernel(kernel)
-        if payload is None:  # interpreter fallback: cheap to rebuild
-            return
-        atomic_write_bytes(
-            self._disk_path(kernel.key),
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
-        )
 
 
 #: process-wide cache used by :class:`repro.runtime.executor.CompiledPipeline`

@@ -2,12 +2,15 @@
 
 A :class:`~.executor.CompiledPipeline` is built once per *pipeline*;
 an :class:`ExecutionPlan` is built once per *worker* and then run
-thousands of times.  The plan moves every piece of per-call setup that
-``CompiledPipeline.run`` used to repeat into one bind step:
+thousands of times — one request at a time (``run``) or a whole
+same-shape bucket per batch-axis kernel call (``run_batch``).  The
+plan moves every piece of per-call setup that ``CompiledPipeline.run``
+used to repeat into one bind step:
 
-* the compiled kernel is resolved from the kernel cache **once** (no
-  per-call cache lookup, and the statement fingerprint — already
-  memoized on the pipeline — is never recomputed);
+* the compiled kernel is resolved **once**
+  (:meth:`~.executor.CompiledPipeline.kernel`; no per-call cache
+  lookup, and the statement fingerprint — already memoized on the
+  pipeline — is never recomputed);
 * the ``{name}.stride.{d}`` environment dict is derived once per input
   *shape signature* and reused as the same dict object;
 * input :class:`~.buffer.Buffer` wrappers are reused — a steady-state
@@ -38,13 +41,16 @@ computes, so arena runs produce bit-identical outputs; the serving
 benchmark and test suite assert this on both backends.
 
 Neither a plan nor its arena is thread-safe — create one per worker
-thread (``CompiledPipeline.run_many`` and ``repro.service.Server`` do).
+thread (``repro.service.Server`` does), or serialize access to one
+(the pipeline's default plan for plan-less batches sits behind a lock).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import Tuple
 
 import numpy as np
 
@@ -69,9 +75,8 @@ def bind_inputs(
     declared dtype wins (``declared`` resolves names — numpy has no
     bfloat16, so the array alone cannot say).  Returns ``(buffers,
     entries)`` where each entry is ``(key, buffer, array)`` in request
-    order — the single input-wrapping rule shared by
-    ``CompiledPipeline.run`` and the plan's bind step, so the backends
-    can never drift.
+    order — the single input-wrapping rule under
+    :func:`bind_request`, so the backends can never drift.
     """
     from ..frontend.func import ImageParam
 
@@ -102,9 +107,12 @@ def stride_env(buffers: Dict[str, Buffer]) -> dict:
     return env
 
 
-def _bind_request(pipeline: "CompiledPipeline", inputs: dict):
+def bind_request(pipeline: "CompiledPipeline", inputs: dict):
     """One request's named buffers, a fresh output buffer among them:
-    ``(buffers, input entries, output buffer, stride env)``."""
+    ``(buffers, ingest rows, output buffer, stride env)`` — the bind
+    step of ``CompiledPipeline.run`` and of both plan slots.  A row is
+    ``(key, buffer, shape, source dtype, needs bf16 rounding)``: what
+    a steady-state call checks a new request against."""
     buffers, entries = bind_inputs(inputs, pipeline.input_dtypes)
     out = buffers[pipeline.output_name] = Buffer(
         pipeline.output_name,
@@ -112,7 +120,12 @@ def _bind_request(pipeline: "CompiledPipeline", inputs: dict):
         pipeline.output_extents,
         is_external=True,
     )
-    return buffers, entries, out, stride_env(buffers)
+    bf16 = TypeCode.BFLOAT
+    rows = [
+        (key, buf, array.shape, array.dtype, buf.dtype.code is bf16)
+        for key, buf, array in entries
+    ]
+    return buffers, rows, out, stride_env(buffers)
 
 
 def _matches(array, shape: tuple, src_dtype) -> bool:
@@ -271,18 +284,98 @@ class BufferArena:
         }
 
 
+class BatchingUnsupported(RuntimeError):
+    """A request batch cannot take the batch-axis path.
+
+    Raised by :meth:`ExecutionPlan.run_batch` when the bucket is ragged
+    (shapes/dtypes differ across requests), a request is not a plain
+    ndarray mapping, the plan runs on the interpreter, or the statement
+    has no batch-axis kernel for the bucket's stacked set (e.g.
+    per-request weights feeding a shuffle constructor).  Callers —
+    ``CompiledPipeline.run_many`` and ``repro.service.Server`` — catch
+    it and fall back to the looped per-request path, so it is a routing
+    signal, not an error.
+    """
+
+
+@dataclass(eq=False)
+class _Stacked:
+    """A plan's stacked binding slot: one bucket geometry bound to the
+    batch-axis kernel of its shared/stacked split."""
+
+    kernel: "CompiledKernel"
+    #: name -> plain Buffer (shared inputs) or StackedBuffer
+    buffers: dict
+    env: dict
+    #: (key, buffer, shape, source dtype, needs bf16 rounding)
+    shared: Tuple[tuple, ...]
+    #: (key, stacked buffer, shape, source dtype, needs bf16
+    #: rounding, staging numpy dtype)
+    stacked: Tuple[tuple, ...]
+    out: StackedBuffer
+    #: name -> [capacity, size] staging block (grown, never shrunk)
+    staging: Dict[str, np.ndarray] = field(default_factory=dict)
+
+    def ingest(self, requests: List[dict]) -> bool:
+        """Stage a bucket into the bound buffers; False on any mismatch.
+
+        Validates every request before copying anything, so a mismatch
+        never leaves a half-staged batch behind.
+        """
+        n_keys = len(self.shared) + len(self.stacked)
+        if any(len(r) != n_keys for r in requests):
+            return False
+        first, rest = requests[0], requests[1:]
+        for key, _, shape, src_dtype, _ in self.shared:
+            array = first.get(key)
+            if not _matches(array, shape, src_dtype):
+                return False
+            if any(r.get(key) is not array for r in rest):
+                return False
+        for key, _, shape, src, _, _ in self.stacked:
+            if not all(_matches(r.get(key), shape, src) for r in requests):
+                return False
+        # shared inputs: swap the data view, exactly like a single run
+        for key, buf, _, _, needs_round in self.shared:
+            _swap_in(buf, first[key], needs_round)
+        # stacked inputs: one contiguous [B, size] staging block; row b
+        # holds exactly what request b's per-request Buffer would hold
+        batch = len(requests)
+        for key, sbuf, _, _, needs_round, np_dtype in self.stacked:
+            block = self.staging.get(sbuf.name)
+            if block is None or block.shape[0] < batch:
+                block = np.empty((batch, sbuf.size), dtype=np_dtype)
+                self.staging[sbuf.name] = block
+            block = block[:batch]
+            for b, r in enumerate(requests):
+                block[b] = r[key].reshape(-1)
+            if needs_round:
+                block[:] = round_to_bfloat16(block)
+            sbuf.data = block
+            sbuf.batch = batch
+        return True
+
+
 class ExecutionPlan:
     """A pipeline pre-bound for repeated same-shape execution.
 
     Created via :meth:`CompiledPipeline.plan
-    <repro.runtime.executor.CompiledPipeline.plan>`.  The first
-    :meth:`run` binds to the request's input shapes; subsequent calls
-    with same-shaped inputs take the steady-state path: no statement
-    fingerprinting, no kernel-cache lookup, no environment rebuild, no
-    ``Buffer`` revalidation, and no input copy for contiguous
-    correctly-typed arrays.  A call whose input shapes or dtypes differ
-    transparently rebinds (``rebinds`` counts them), and so does the
-    call after a failed run, which also starts from an empty arena.
+    <repro.runtime.executor.CompiledPipeline.plan>`.  :meth:`run`
+    executes one request: the first call binds to the request's input
+    shapes, and subsequent same-shaped calls take the steady-state
+    path — no statement fingerprinting, no kernel-cache lookup, no
+    environment rebuild, no ``Buffer`` revalidation, and no input copy
+    for contiguous correctly-typed arrays.  :meth:`run_batch` executes a
+    whole same-shape bucket in one batch-axis kernel call.
+
+    The two paths keep one binding slot each — a worker alternating
+    singletons and buckets never rebinds on the switch — and share the
+    rest: one arena (a weight-derived operand is built once per plan,
+    whichever path needs it first), one output geometry and ``out=``
+    check, one failure rule, one :meth:`stats`.  A call whose shapes or
+    dtypes (for a bucket, also its shared/stacked split) differ rebinds
+    that slot, counted in ``rebinds``; a failed run drops both slots and
+    starts from an empty arena.
 
     Not thread-safe — one plan per worker thread.
     """
@@ -297,46 +390,35 @@ class ExecutionPlan:
         self.backend = backend
         self.lowered = pipeline.lowered
         self.output_name = pipeline.output_name
-        self.output_dtype = pipeline.output_dtype
-        self.output_extents = pipeline.output_extents
         self.arena = arena if arena is not None else BufferArena()
-        self._out_np = self.output_dtype.to_numpy()
-        self._out_shape = tuple(reversed(self.output_extents))
-        self._out_size = (
-            int(np.prod(self.output_extents)) if self.output_extents else 1
-        )
+        extents = pipeline.output_extents
+        self._out_np = pipeline.output_dtype.to_numpy()
+        self._out_shape = tuple(reversed(extents))
+        self._out_size = int(np.prod(extents)) if extents else 1
         #: resolved once — steady-state runs never consult the cache
         self.kernel: Optional["CompiledKernel"] = None
         if backend == "compile":
-            self.kernel = pipeline.kernel_cache.get(
-                pipeline.lowered, key=pipeline.cache_key
-            )
-        # bound per input-shape signature
+            self.kernel = pipeline.kernel()
+        # the per-request slot, bound per input-shape signature
         self._buffers: Dict[str, Buffer] = {}
         self._env: dict = {}
         #: (key, buffer, shape, source dtype, needs bf16 rounding)
         self._ingest: Tuple[tuple, ...] = ()
         self._out_buffer: Optional[Buffer] = None
+        #: the stacked slot, bound per bucket geometry and split
+        self._stacked: Optional[_Stacked] = None
         self.runs = 0
         self.rebinds = 0
+        self.batched_requests = 0
 
     # -- binding -------------------------------------------------------------
 
     def _bind(self, inputs: dict) -> None:
         """Full (slow-path) bind: wrap every input, derive the env."""
-        buffers, entries, out, self._env = _bind_request(self.pipeline, inputs)
-        self._buffers = buffers
-        self._ingest = tuple(
-            (
-                key,
-                buf,
-                array.shape,
-                array.dtype,
-                buf.dtype.code is TypeCode.BFLOAT,
-            )
-            for key, buf, array in entries
+        self._buffers, rows, self._out_buffer, self._env = bind_request(
+            self.pipeline, inputs
         )
-        self._out_buffer = out
+        self._ingest = tuple(rows)
         self.rebinds += 1
 
     def _fast_ingest(self, inputs: dict) -> bool:
@@ -350,7 +432,63 @@ class ExecutionPlan:
             _swap_in(buf, array, needs_round)
         return True
 
+    def _bind_batch(self, requests: List[dict]) -> _Stacked:
+        """Full bind of the stacked slot against the first request.
+
+        Inputs whose array is the *same object* in every request — the
+        serving idiom for weights — stay plain shared buffers, so their
+        derived shuffle operands are computed once per batch by
+        construction; the rest (and the output) are stacked ``[B,
+        size]``.  Resolves the batch-axis kernel for that split and
+        starts with no staging, so a rebind on shape change never
+        reuses staging grown for the previous geometry.
+        """
+        first, rest = requests[0], requests[1:]
+        batch = len(requests)
+        buffers, rows, out, env = bind_request(self.pipeline, first)
+        shared = []
+        stacked = []
+        for key, buf, *geometry in rows:
+            if all(r.get(key) is first[key] for r in rest):
+                shared.append((key, buf, *geometry))
+            else:
+                sbuf = buffers[buf.name] = StackedBuffer.like(buf, batch)
+                stacked.append((key, sbuf, *geometry, buf.dtype.to_numpy()))
+        out = buffers[self.output_name] = StackedBuffer.like(out, batch)
+        names = frozenset(buf.name for _, buf, *_ in stacked)
+        kernel = self.pipeline.kernel(names | {self.output_name})
+        if kernel is None:
+            raise BatchingUnsupported(
+                "no batch-axis kernel for stacked buffers "
+                + ", ".join(sorted(names | {self.output_name}))
+            )
+        self.rebinds += 1
+        return _Stacked(
+            kernel, buffers, env, tuple(shared), tuple(stacked), out
+        )
+
+    def _reset(self) -> None:
+        """The failure rule: a failed run may leave the bound buffers
+        and the arena in a partial state, so drop both slots and the
+        arena — whoever holds this plan gets a clean bind on the next
+        run (cheap: the kernels stay resolved)."""
+        self._out_buffer = None
+        self._stacked = None
+        self.arena = BufferArena(self.arena.memo_maxsize)
+
     # -- execution -----------------------------------------------------------
+
+    def _output(self, out, lead: tuple, inputs) -> np.ndarray:
+        """Zeroed flat output storage for ``lead`` requests: a fresh
+        block, or the caller's ``out=`` — checked against the output
+        geometry and every input array a run reads — which the kernel
+        then writes in place."""
+        if out is None:
+            return np.zeros(lead + (self._out_size,), dtype=self._out_np)
+        _check_out(out, lead + self._out_shape, self._out_np, inputs)
+        flat = out.reshape(lead + (-1,))
+        flat.fill(0)  # match fresh-allocation semantics exactly
+        return flat
 
     def run(
         self,
@@ -366,14 +504,7 @@ class ExecutionPlan:
         inputs = inputs if inputs is not None else {}
         if self._out_buffer is None or not self._fast_ingest(inputs):
             self._bind(inputs)
-        if out is not None:
-            _check_out(out, self._out_shape, self._out_np, inputs.values())
-            flat = out.reshape(-1)
-            flat.fill(0)  # match fresh-allocation semantics exactly
-            result = out
-        else:
-            flat = np.zeros(self._out_size, dtype=self._out_np)
-            result = flat.reshape(self._out_shape)
+        flat = self._output(out, (), inputs.values())
         self._out_buffer.data = flat
         try:
             if self.kernel is not None:
@@ -385,248 +516,65 @@ class ExecutionPlan:
                     self.lowered.stmt, self._env
                 )
         except BaseException:
-            # a failed run may leave the bound buffers and the arena in
-            # a partial state: drop both, so whoever holds this plan
-            # gets a clean bind on the next run (cheap: the kernel
-            # stays resolved)
-            self._out_buffer = None
-            self.arena = BufferArena(self.arena.memo_maxsize)
+            self._reset()
             raise
         self.runs += 1
-        return result
+        return out if out is not None else flat.reshape(self._out_shape)
 
-    def stats(self) -> Dict[str, int]:
-        """Run/rebind counters plus the arena's pooling counters."""
-        stats = {"runs": self.runs, "rebinds": self.rebinds}
-        stats.update(self.arena.stats())
-        return stats
-
-
-class BatchingUnsupported(RuntimeError):
-    """A request batch cannot take the batch-axis path.
-
-    Raised by :class:`BatchedExecutionPlan` when the bucket is ragged
-    (shapes/dtypes differ across requests), a request is not a plain
-    ndarray mapping, or the statement has no batch-axis kernel for the
-    bucket's stacked set (e.g. per-request weights feeding a shuffle
-    constructor).  Callers — ``CompiledPipeline.run_many`` and
-    ``repro.service.Server`` — catch it and fall back to the looped
-    per-request path, so it is a routing signal, not an error.
-    """
-
-
-class BatchedExecutionPlan:
-    """A pipeline pre-bound to run a whole shape bucket per kernel call.
-
-    Where :class:`ExecutionPlan` runs one request at a time, this plan
-    stages a batch of same-shaped requests into contiguous ``[B, size]``
-    stacked buffers, invokes one batch-axis kernel
-    (:func:`repro.runtime.codegen.compile_batched_stmt`), and scatters
-    the stacked output back into per-request views.  Inputs whose array
-    is the *same object* across every request of a batch — the serving
-    idiom for weights — are bound as plain shared buffers, so their
-    derived shuffle operands are computed once per batch by
-    construction.
-
-    The compiled kernels are B-agnostic: one kernel serves every batch
-    size of a bucket, and only a change in shapes, dtypes, or the
-    shared/stacked split rebinds (which also drops all previously grown
-    staging storage — stale staging from an old shape is never reused).
-
-    Not thread-safe — callers serialize access (``Server`` holds a
-    lock; ``run_many`` uses one plan under a lock).
-    """
-
-    def __init__(
+    def run_batch(
         self,
-        pipeline: "CompiledPipeline",
-        arena: Optional[BufferArena] = None,
-    ) -> None:
-        self.pipeline = pipeline
-        self.output_name = pipeline.output_name
-        self.output_dtype = pipeline.output_dtype
-        self.output_extents = pipeline.output_extents
-        self.arena = arena if arena is not None else BufferArena()
-        self._out_np = self.output_dtype.to_numpy()
-        self._out_shape = tuple(reversed(self.output_extents))
-        self._out_size = (
-            int(np.prod(self.output_extents)) if self.output_extents else 1
-        )
-        self.kernel: Optional["CompiledKernel"] = None
-        self._buffers: Dict[str, object] = {}
-        self._env: dict = {}
-        #: (key, buffer, shape, source dtype, needs bf16 rounding)
-        self._shared: Tuple[tuple, ...] = ()
-        #: (key, stacked buffer, shape, source dtype, needs bf16
-        #: rounding, staging numpy dtype)
-        self._stacked: Tuple[tuple, ...] = ()
-        #: name -> [capacity, size] staging block (grown, never shrunk)
-        self._staging: Dict[str, np.ndarray] = {}
-        self._out_sb: Optional[StackedBuffer] = None
-        self.runs = 0
-        self.rebinds = 0
-        self.batched_requests = 0
-
-    # -- binding -------------------------------------------------------------
-
-    def _bind(self, requests: List[dict]) -> None:
-        """Full bind against the first request's geometry.
-
-        Classifies each input as *shared* (same array object in every
-        request) or *stacked*, resolves the batch-axis kernel for that
-        split, and rebuilds all staging storage from scratch — a rebind
-        on shape change therefore also invalidates any batched staging
-        left over from the previous geometry.
-        """
-        _, entries, out, env = _bind_request(self.pipeline, requests[0])
-        many = len(requests) > 1
-        shared = []
-        stacked = []
-        stacked_names = {self.output_name}
-        kernel_buffers: Dict[str, object] = {}
-        for key, buf, array in entries:
-            needs_round = buf.dtype.code is TypeCode.BFLOAT
-            is_shared = not many or all(
-                r.get(key) is array for r in requests[1:]
-            )
-            if is_shared:
-                shared.append(
-                    (key, buf, array.shape, array.dtype, needs_round)
-                )
-                kernel_buffers[buf.name] = buf
-            else:
-                sbuf = StackedBuffer.like(buf, len(requests))
-                stacked.append(
-                    (
-                        key,
-                        sbuf,
-                        array.shape,
-                        array.dtype,
-                        needs_round,
-                        buf.dtype.to_numpy(),
-                    )
-                )
-                stacked_names.add(buf.name)
-                kernel_buffers[buf.name] = sbuf
-        out_sb = StackedBuffer.like(out, len(requests))
-        kernel_buffers[self.output_name] = out_sb
-        kernel = self.pipeline.batched_kernel(frozenset(stacked_names))
-        if kernel is None:
-            raise BatchingUnsupported(
-                "no batch-axis kernel for stacked buffers "
-                + ", ".join(sorted(stacked_names))
-            )
-        self.kernel = kernel
-        self._buffers = kernel_buffers
-        self._env = env
-        self._shared = tuple(shared)
-        self._stacked = tuple(stacked)
-        self._staging = {}
-        self._out_sb = out_sb
-        self.rebinds += 1
-
-    def _stage(self, sbuf: StackedBuffer, batch: int, np_dtype) -> np.ndarray:
-        block = self._staging.get(sbuf.name)
-        if block is None or block.shape[0] < batch:
-            block = np.empty((batch, sbuf.size), dtype=np_dtype)
-            self._staging[sbuf.name] = block
-        return block[:batch]
-
-    def _ingest(self, requests: List[dict]) -> bool:
-        """Stage a batch into the bound buffers; False on any mismatch.
-
-        Validates every request before copying anything, so a mismatch
-        never leaves a half-staged batch behind.
-        """
-        if self._out_sb is None:
-            return False
-        batch = len(requests)
-        n_keys = len(self._shared) + len(self._stacked)
-        for r in requests:
-            if len(r) != n_keys:
-                return False
-        for key, buf, shape, src_dtype, _ in self._shared:
-            array = requests[0].get(key)
-            if not _matches(array, shape, src_dtype):
-                return False
-            for r in requests[1:]:
-                if r.get(key) is not array:
-                    return False
-        for key, sbuf, shape, src, _, _ in self._stacked:
-            if not all(_matches(r.get(key), shape, src) for r in requests):
-                return False
-        # shared inputs: swap the data view, exactly like ExecutionPlan
-        for key, buf, shape, src_dtype, needs_round in self._shared:
-            _swap_in(buf, requests[0][key], needs_round)
-        # stacked inputs: one contiguous [B, size] staging block; row b
-        # holds exactly what request b's per-request Buffer would hold
-        for key, sbuf, shape, src_dtype, needs_round, np_dtype in (
-            self._stacked
-        ):
-            block = self._stage(sbuf, batch, np_dtype)
-            for b, r in enumerate(requests):
-                block[b] = r[key].reshape(-1)
-            if needs_round:
-                block[:] = round_to_bfloat16(block)
-            sbuf.data = block
-            sbuf.batch = batch
-        return True
-
-    # -- execution -----------------------------------------------------------
-
-    def run(
-        self,
-        requests: List[dict],
+        requests: Sequence[dict],
         out: Optional[np.ndarray] = None,
     ) -> List[np.ndarray]:
-        """Run a whole bucket in one kernel call.
+        """Run a whole same-shape bucket in one batch-axis kernel call.
 
-        Returns per-request output arrays (views of one stacked block).
-        ``out``, when given, must be a writeable C-contiguous
-        ``[B, *output_shape]`` array of the output dtype; the kernel
-        writes it directly and the returned views alias it.
+        Requests are staged into contiguous ``[B, size]`` stacked
+        buffers, one batch-axis kernel
+        (:func:`repro.runtime.codegen.compile_batched_stmt`) runs, and
+        per-request output arrays come back as views of one stacked
+        block.  The kernels are B-agnostic: one bound slot serves every
+        batch size of a bucket.  ``out``, when given, must be a
+        writeable C-contiguous ``[B, *output_shape]`` array of the
+        output dtype; the kernel writes it directly and the returned
+        views alias it.
 
-        Raises :class:`BatchingUnsupported` when the batch cannot be
-        staged (ragged shapes, non-array requests) or no batch-axis
-        kernel exists for its shared/stacked split.
+        Raises :class:`BatchingUnsupported` when the plan runs on the
+        interpreter, the bucket cannot be staged (ragged shapes,
+        non-array requests), or no batch-axis kernel exists for its
+        shared/stacked split.
         """
         requests = list(requests)
         batch = len(requests)
         if batch == 0:
             return []
-        for r in requests:
-            if not isinstance(r, dict):
-                raise BatchingUnsupported("requests must be input dicts")
-        if not self._ingest(requests):
-            self._bind(requests)
-            if not self._ingest(requests):
+        if self.backend != "compile":
+            raise BatchingUnsupported(
+                "batch-axis execution requires the compiled backend"
+            )
+        if not all(isinstance(r, dict) for r in requests):
+            raise BatchingUnsupported("requests must be input dicts")
+        bound = self._stacked
+        if bound is None or not bound.ingest(requests):
+            bound = self._stacked = self._bind_batch(requests)
+            if not bound.ingest(requests):
                 raise BatchingUnsupported(
                     "ragged batch: request shapes/dtypes differ"
                 )
-        out_shape = (batch,) + self._out_shape
-        if out is not None:
-            _check_out(
-                out,
-                out_shape,
-                self._out_np,
-                (array for r in requests for array in r.values()),
-            )
-            flat = out.reshape(batch, -1)
-            flat.fill(0)  # match fresh-allocation semantics exactly
-            results = [out[b] for b in range(batch)]
-        else:
-            flat = np.zeros((batch, self._out_size), dtype=self._out_np)
-            results = [
-                flat[b].reshape(self._out_shape) for b in range(batch)
-            ]
-        self._out_sb.data = flat
-        self._out_sb.batch = batch
-        self._env["batch.size"] = batch
-        fire("kernel.compile", batched=True)
-        self.kernel(self._buffers, self._env, arena=self.arena)
+        flat = self._output(
+            out, (batch,), (a for r in requests for a in r.values())
+        )
+        bound.out.data = flat
+        bound.out.batch = batch
+        bound.env["batch.size"] = batch
+        try:
+            fire("kernel.compile", batched=True)
+            bound.kernel(bound.buffers, bound.env, arena=self.arena)
+        except BaseException:
+            self._reset()
+            raise
         self.runs += 1
         self.batched_requests += batch
-        return results
+        return [row.reshape(self._out_shape) for row in flat]
 
     def stats(self) -> Dict[str, int]:
         """Run/rebind/request counters plus the arena's counters."""

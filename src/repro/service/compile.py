@@ -34,9 +34,9 @@ from ..runtime.codegen import (
     serialize_kernel,
 )
 from ..runtime.executor import CompiledPipeline, KernelCache, _check_backend
-from ..runtime.kernel_cache import PICKLE_LOAD_ERRORS, fingerprint_stmt
+from ..runtime.kernel_cache import fingerprint_stmt
 from .fingerprint import ArtifactKey
-from .store import ArtifactStore, CompileArtifact
+from .store import PICKLE_LOAD_ERRORS, ArtifactStore, CompileArtifact
 
 
 @dataclass
@@ -212,7 +212,7 @@ def compile_lowered(
     )
     # batch-axis kernel variants compiled by this pipeline persist into
     # (and restore from) the same store, so a warm process skips their
-    # codegen too — see CompiledPipeline.batched_kernel
+    # codegen too — see CompiledPipeline.kernel
     pipeline.artifact_store = store
     if result.kernel is not None:
         pipeline.seed_kernel(result.kernel)

@@ -76,10 +76,9 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..runtime.executor import RequestError
 from .batch import CompileJob
 from .faults import FaultPlan
-from .serve import RejectedError, ServerClosed, ShedError
+from .serve import RejectedError, ServerClosed, ShedError, gather
 from .supervisor import DeadlineExceeded, WorkerPool
 
 __all__ = ["Router", "job_fingerprint", "shape_signature"]
@@ -588,50 +587,18 @@ class Router:
     ) -> List[np.ndarray]:
         """Route a stream of requests; outputs in submission order.
 
-        ``on_error="return"`` puts a
-        :class:`~repro.runtime.executor.RequestError` at each failed
-        index instead of raising on the first — including requests the
-        admission layer rejected or shed mid-stream.  With
-        ``on_error="raise"`` a mid-stream rejection first awaits every
-        already-submitted future (their work is the router's to finish
-        either way), then re-raises the admission error — submitted
-        work is never silently abandoned.
+        Failures follow :func:`~repro.service.serve.gather`: with
+        ``on_error="return"`` a request the admission layer rejected or
+        shed mid-stream is one more ``RequestError`` in the list; with
+        ``"raise"`` the already-submitted ones finish first.
         """
-        if on_error not in ("raise", "return"):
-            raise ValueError(
-                f"on_error must be 'raise' or 'return', got {on_error!r}"
-            )
-        items: List[object] = []
-        for index, inputs in enumerate(requests):
-            try:
-                items.append(
-                    self.submit(
-                        job, inputs, deadline=deadline, priority=priority
-                    )
-                )
-            except (RejectedError, ServerClosed) as exc:
-                if on_error == "return":
-                    items.append(RequestError(index, exc))
-                    continue
-                for item in items:
-                    if isinstance(item, Future):
-                        try:
-                            item.result()
-                        except Exception:
-                            pass
-                raise
-        results: List[np.ndarray] = []
-        for index, item in enumerate(items):
-            if isinstance(item, RequestError):
-                results.append(item)
-                continue
-            try:
-                results.append(item.result())
-            except Exception as exc:
-                if on_error == "raise":
-                    raise
-                results.append(RequestError(index, exc))
-        return results
+        return gather(
+            lambda inputs: self.submit(
+                job, inputs, deadline=deadline, priority=priority
+            ),
+            requests,
+            on_error,
+        )
 
     def stats(self) -> Dict[str, object]:
         """Router counters, per-bucket latency/throughput, pool stats.

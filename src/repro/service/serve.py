@@ -18,9 +18,10 @@ matrices), and every request after the first pays only kernel time.
 Each worker thread owns one :class:`~repro.runtime.plan.ExecutionPlan`
 (created lazily on the thread's first request), so no plan is ever
 shared between threads; the pipeline's :class:`KernelCache` is
-thread-safe and shared.  Outputs are bit-identical to sequential
-``pipeline.run`` on either backend — asserted by the serving benchmark
-and test suite.
+thread-safe and shared, and a batch-axis bucket runs on the pipeline's
+default plan, behind the pipeline's lock.  Outputs are bit-identical
+to sequential ``pipeline.run`` on either backend — asserted by the
+serving benchmark and test suite.
 
 Fault tolerance
 ---------------
@@ -47,8 +48,8 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -57,12 +58,9 @@ from ..runtime.executor import (
     InputMap,
     RequestError,
     _check_backend,
+    _check_on_error,
 )
-from ..runtime.plan import (
-    BatchedExecutionPlan,
-    BatchingUnsupported,
-    ExecutionPlan,
-)
+from ..runtime.plan import BatchingUnsupported, ExecutionPlan
 from .faults import CircuitBreaker
 
 
@@ -85,6 +83,47 @@ class ShedError(RejectedError):
     per-bucket depth caps, and best-effort lane eviction rather than
     the static ``max_pending`` bound.
     """
+
+
+def gather(
+    submit: Callable[[object], Future],
+    requests: Sequence[object],
+    on_error: str = "raise",
+) -> list:
+    """Submit every request, then collect the outputs in request order.
+
+    The one ``run_many`` tail of the serving front ends (``Server``,
+    ``WorkerPool``, ``Router``): ``submit(request)`` returns a future
+    or raises an admission error.  ``on_error="return"`` puts a
+    :class:`~repro.runtime.executor.RequestError` at each failed index
+    — requests rejected or shed mid-stream included — instead of
+    raising on the first.
+    """
+    _check_on_error(on_error)
+    items: list = []
+    for index, request in enumerate(requests):
+        try:
+            items.append(submit(request))
+        except (RejectedError, ServerClosed) as exc:
+            if on_error == "raise":
+                # await what was admitted (its work is the front end's
+                # to finish either way), then surface the admission
+                # error: submitted work is never silently abandoned
+                wait([item for item in items if isinstance(item, Future)])
+                raise
+            items.append(RequestError(index, exc))
+    results: list = []
+    for index, item in enumerate(items):
+        if isinstance(item, RequestError):
+            results.append(item)
+            continue
+        try:
+            results.append(item.result())
+        except Exception as exc:
+            if on_error == "raise":
+                raise
+            results.append(RequestError(index, exc))
+    return results
 
 
 class Server:
@@ -174,9 +213,6 @@ class Server:
         self._plans: List[ExecutionPlan] = []  # guarded-by: _lock
         self._closed = False  # guarded-by: _lifecycle
         self.batch_axis = batch_axis
-        self._batch_lock = threading.Lock()
-        # guarded-by: _batch_lock
-        self._batched_plan: Optional[BatchedExecutionPlan] = None
         self.requests_served = 0  # guarded-by: _lock
         self.batches_served = 0  # guarded-by: _lock
         self.batched_batches = 0  # guarded-by: _lock
@@ -311,25 +347,6 @@ class Server:
         """Run one request synchronously on the worker pool."""
         return self.submit(request).result()
 
-    def _run_batched(
-        self, requests: List[Optional[InputMap]]
-    ) -> List[np.ndarray]:
-        """One batch-axis kernel call for the whole bucket.
-
-        The batched plan is stateful (staging buffers, bound kernel),
-        so concurrent ``run_many`` callers serialize on it; singleton
-        requests and unbatchable buckets take the pool path instead.
-        """
-        with self._batch_lock:
-            if self._batched_plan is None:
-                self._batched_plan = BatchedExecutionPlan(self.pipeline)
-            results = self._batched_plan.run(requests)
-        with self._lock:
-            self.requests_served += len(requests)
-            self.batches_served += 1
-            self.batched_batches += 1
-        return results
-
     def run_many(
         self,
         requests: Sequence[Optional[InputMap]],
@@ -353,10 +370,7 @@ class Server:
         :class:`~repro.runtime.executor.RequestError` at each failed
         index instead of raising.
         """
-        if on_error not in ("raise", "return"):
-            raise ValueError(
-                f"on_error must be 'raise' or 'return', got {on_error!r}"
-            )
+        _check_on_error(on_error)
         with self._lifecycle:
             if self._closed:
                 raise ServerClosed()
@@ -384,7 +398,10 @@ class Server:
                 )
             if healthy:
                 try:
-                    results = self._run_batched(requests)
+                    # one kernel call on the pipeline's default plan
+                    results = self.pipeline.run_many(
+                        requests, backend="compile", batch_axis=True
+                    )
                 except BatchingUnsupported:
                     if explicit:
                         raise
@@ -397,16 +414,12 @@ class Server:
                     # fall through: the pool path retries per request
                 else:
                     self.batch_breaker.record_success()
+                    with self._lock:
+                        self.requests_served += len(requests)
+                        self.batches_served += 1
+                        self.batched_batches += 1
                     return results
-        futures = [self.submit(request) for request in requests]
-        results: List[np.ndarray] = []
-        for index, future in enumerate(futures):
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                if on_error == "raise":
-                    raise
-                results.append(RequestError(index, exc))
+        results = gather(self.submit, requests, on_error)
         with self._lock:
             self.batches_served += 1
         return results
@@ -441,9 +454,9 @@ class Server:
         }
         if self.pipeline.artifact_store is not None:
             stats["store"] = self.pipeline.artifact_store.stats.as_dict()
-        with self._batch_lock:
-            if self._batched_plan is not None:
-                stats["batched_plan"] = self._batched_plan.stats()
+        batched_plan = self.pipeline.default_plan_stats()
+        if batched_plan is not None:
+            stats["batched_plan"] = batched_plan
         return stats
 
     def reset_breakers(self) -> None:

@@ -5,9 +5,13 @@ the post-selection **tensorized statement** (so a fresh process skips
 equality saturation) and, for the compiled backend, the generated
 **kernel payload** — NumPy source plus injected constants (so codegen
 is skipped too).  Artifacts are content-addressed by
-:class:`~.fingerprint.ArtifactKey` and laid out as::
+:class:`~.fingerprint.ArtifactKey`; every other kernel a pipeline
+compiles (its batch-axis variants, and the per-request kernel of a
+pipeline with no selection to cache) is a standalone payload under its
+digested kernel-cache key.  The layout::
 
     <root>/<digest[:2]>/<digest>.artifact       (checksummed pickle)
+    <root>/<digest[:2]>/<digest>.kernel         (checksummed pickle)
     <root>/quarantine/                          (corrupt payloads, kept)
 
 Writes are atomic — the payload is written to a temp file in the same
@@ -19,9 +23,9 @@ lock and without ever exposing a torn artifact.
 Reads are **hardened** for serving-tier robustness:
 
 * every payload is framed with a SHA-256 checksum
-  (:func:`~repro.runtime.kernel_cache.frame_blob`), verified before any
-  bytes reach the pickle layer — bit rot and torn writes surface as a
-  typed rejection, never as undefined unpickling behavior;
+  (:func:`frame_blob`), verified before any bytes reach the pickle
+  layer — bit rot and torn writes surface as a typed rejection, never
+  as undefined unpickling behavior;
 * rejected artifacts (bad checksum, format/key mismatch, stale kernel
   format) are moved into a ``quarantine/`` directory instead of being
   silently unlinked, so an operator can inspect what corrupted — and
@@ -42,21 +46,96 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..ir import Stmt
 from ..runtime.faultpoints import fire
-from ..runtime.kernel_cache import (
-    ChecksumError,
-    PICKLE_LOAD_ERRORS,
-    atomic_write_bytes,
-    frame_blob,
-    sharded_path,
-    unframe_blob,
-)
 from .fingerprint import ArtifactKey
+
+#: everything a pickled payload written by another (possibly newer or
+#: older) process can throw while being loaded or re-hydrated: torn
+#: bytes, renamed classes/modules, format drift.
+PICKLE_LOAD_ERRORS = (
+    pickle.UnpicklingError,
+    EOFError,
+    OSError,
+    KeyError,
+    IndexError,
+    AttributeError,
+    ImportError,
+    SyntaxError,
+    ValueError,
+    TypeError,
+)
+
+
+#: header of every checksummed payload file: magic + format byte
+FRAME_MAGIC = b"RPROF\x01"
+
+
+class ChecksumError(ValueError):
+    """A framed payload failed its integrity check (torn or bit-rotted)."""
+
+
+def frame_blob(blob: bytes) -> bytes:
+    """Wrap ``blob`` in the checksummed on-disk frame.
+
+    Layout: ``FRAME_MAGIC + sha256(blob) + blob``.  The checksum lets
+    readers distinguish a torn or bit-rotted file from a valid payload
+    *before* handing bytes to the pickle layer — corruption becomes a
+    typed :class:`ChecksumError` instead of undefined unpickling
+    behavior.
+    """
+    return FRAME_MAGIC + hashlib.sha256(blob).digest() + blob
+
+
+def unframe_blob(data: bytes) -> bytes:
+    """Verify and strip the frame written by :func:`frame_blob`.
+
+    Raises :class:`ChecksumError` on a missing/unknown header or a
+    checksum mismatch — never returns unverified bytes.
+    """
+    header = len(FRAME_MAGIC)
+    if len(data) < header + 32 or not data.startswith(FRAME_MAGIC):
+        raise ChecksumError("missing or unknown payload frame header")
+    digest = data[header : header + 32]
+    blob = data[header + 32 :]
+    if hashlib.sha256(blob).digest() != digest:
+        raise ChecksumError("payload checksum mismatch (corrupt file)")
+    return blob
+
+
+def sharded_path(root: str, key: str, suffix: str) -> str:
+    """``<root>/<key[:2]>/<key><suffix>`` — the shared content-addressed
+    disk layout (two-level sharding keeps directories small)."""
+    return os.path.join(root, key[:2], key + suffix)
+
+
+def atomic_write_bytes(path: str, blob: bytes) -> None:
+    """Write ``blob`` to ``path`` atomically (temp file + rename).
+
+    Readers either see the old contents or the new contents, never a
+    torn write — concurrent writers simply race on who renames last.
+    """
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(
+        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(blob)
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+
 
 #: bump when the artifact layout changes — or when the engine that
 #: selected the stored statement does, which the key cannot see (it
@@ -183,33 +262,20 @@ class ArtifactStore:
         assert last is not None
         raise last
 
-    def _load(self, path: str):
-        """Read, checksum-verify, and unpickle one payload file."""
-        data = self._read_bytes(path)
-        return pickle.loads(unframe_blob(data))
+    def _read(self, path: str, accept: Callable[[object], object]):
+        """Read, checksum-verify and unpickle one payload file, then let
+        ``accept`` turn it into the value to serve — or None to reject.
 
-    def _write(self, path: str, payload: object) -> None:
-        """Frame and atomically persist one payload file."""
-        fire("store.write", path=path)
-        atomic_write_bytes(
-            path,
-            frame_blob(
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            ),
-        )
-
-    # -- lookup ----------------------------------------------------------------
-
-    def get(self, key: ArtifactKey) -> Optional[CompileArtifact]:
-        """The artifact for ``key``, or None (miss, stale, or unreadable)."""
-        digest = key.digest
-        path = self.path_for(digest)
+        A missing file is a miss; a corrupt or rejected one is stale
+        and quarantined — never served.  The one read discipline of
+        every file kind the store holds.
+        """
         start = time.perf_counter()
         try:
-            artifact = self._load(path)
+            payload = pickle.loads(unframe_blob(self._read_bytes(path)))
+            value = accept(payload)
         except FileNotFoundError:
             self.stats.misses += 1
-            self.stats.load_seconds += time.perf_counter() - start
             return None
         except (ChecksumError, *PICKLE_LOAD_ERRORS) as exc:
             if isinstance(exc, OSError):
@@ -218,20 +284,45 @@ class ArtifactStore:
                 self.stats.misses += 1
             else:
                 self._reject(path)
-            self.stats.load_seconds += time.perf_counter() - start
             return None
-        if (
-            not isinstance(artifact, CompileArtifact)
-            or artifact.format_version != ARTIFACT_FORMAT_VERSION
-            or artifact.key_digest != digest
-            or artifact.key != key
-        ):
-            self._reject(path)
+        finally:
             self.stats.load_seconds += time.perf_counter() - start
+        if value is None:
+            self._reject(path)
             return None
         self.stats.hits += 1
-        self.stats.load_seconds += time.perf_counter() - start
-        return artifact
+        return value
+
+    def _write(self, path: str, payload: object) -> None:
+        """Frame and atomically persist one payload file."""
+        start = time.perf_counter()
+        fire("store.write", path=path)
+        atomic_write_bytes(
+            path,
+            frame_blob(
+                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            ),
+        )
+        self.stats.writes += 1
+        self.stats.store_seconds += time.perf_counter() - start
+
+    # -- lookup ----------------------------------------------------------------
+
+    def get(self, key: ArtifactKey) -> Optional[CompileArtifact]:
+        """The artifact for ``key``, or None (miss, stale, or unreadable)."""
+        digest = key.digest
+
+        def accept(artifact):
+            if (
+                isinstance(artifact, CompileArtifact)
+                and artifact.format_version == ARTIFACT_FORMAT_VERSION
+                and artifact.key_digest == digest
+                and artifact.key == key
+            ):
+                return artifact
+            return None
+
+        return self._read(self.path_for(digest), accept)
 
     def _reject(self, path: str) -> None:
         """Count a stale artifact and quarantine it for autopsy."""
@@ -281,14 +372,10 @@ class ArtifactStore:
         two writers racing on one digest are persisting equivalent
         compiles of the same statement under the same rules.
         """
-        digest = key.digest
-        artifact.key_digest = digest
+        artifact.key_digest = key.digest
         artifact.key = key
-        start = time.perf_counter()
-        path = self.path_for(digest)
+        path = self.path_for(key.digest)
         self._write(path, artifact)
-        self.stats.writes += 1
-        self.stats.store_seconds += time.perf_counter() - start
         return path
 
     def try_put(
@@ -306,21 +393,21 @@ class ArtifactStore:
             self.stats.write_errors += 1
             return None
 
-    # -- batch-axis kernels ----------------------------------------------------
+    # -- standalone kernels ----------------------------------------------------
 
     def kernel_path_for(self, key: str) -> str:
         """The on-disk location for a standalone kernel payload.
 
-        Batched-kernel keys (:func:`~repro.runtime.kernel_cache
-        .batched_key`) embed the stacked-input split, so the key itself
-        is digested for the filename — the layout stays uniform no
-        matter how keys evolve.
+        Kernel-cache keys (a statement fingerprint, or a
+        :func:`~repro.runtime.kernel_cache.batched_key` embedding the
+        stacked-input split) are digested for the filename, so the
+        layout stays uniform no matter how keys evolve.
         """
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return sharded_path(self.root, digest, ".bkernel")
+        return sharded_path(self.root, digest, ".kernel")
 
     def get_kernel(self, key: str):
-        """Re-hydrate the batch-axis kernel stored under ``key``.
+        """Re-hydrate the standalone kernel stored under ``key``.
 
         Returns a ready :class:`~repro.runtime.codegen.CompiledKernel`,
         or None on a miss.  A payload whose checksum fails, whose
@@ -330,37 +417,20 @@ class ArtifactStore:
         """
         from ..runtime.codegen import CodegenError, deserialize_kernel
 
-        path = self.kernel_path_for(key)
-        start = time.perf_counter()
-        try:
-            payload = self._load(path)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            self.stats.load_seconds += time.perf_counter() - start
+        def accept(payload):
+            # unloadable source or constants raise one of the
+            # PICKLE_LOAD_ERRORS, which _read rejects the same way
+            if isinstance(payload, dict) and payload.get("key") == key:
+                try:
+                    return deserialize_kernel(payload)
+                except CodegenError:  # another KERNEL_FORMAT_VERSION
+                    pass
             return None
-        except (ChecksumError, *PICKLE_LOAD_ERRORS) as exc:
-            if isinstance(exc, OSError):
-                self.stats.misses += 1
-            else:
-                self._reject(path)
-            self.stats.load_seconds += time.perf_counter() - start
-            return None
-        if not isinstance(payload, dict) or payload.get("key") != key:
-            self._reject(path)
-            self.stats.load_seconds += time.perf_counter() - start
-            return None
-        try:
-            kernel = deserialize_kernel(payload)
-        except (CodegenError, *PICKLE_LOAD_ERRORS):
-            self._reject(path)
-            self.stats.load_seconds += time.perf_counter() - start
-            return None
-        self.stats.hits += 1
-        self.stats.load_seconds += time.perf_counter() - start
-        return kernel
+
+        return self._read(self.kernel_path_for(key), accept)
 
     def put_kernel(self, key: str, kernel) -> Optional[str]:
-        """Persist a batch-axis kernel atomically; returns the path.
+        """Persist a standalone kernel atomically; returns the path.
 
         Same degradation contract as :meth:`try_put` — an unwritable
         store (read-only replica, full disk) is "not cached", never an
@@ -372,15 +442,12 @@ class ArtifactStore:
         payload = serialize_kernel(kernel)
         if payload is None:
             return None
-        start = time.perf_counter()
         path = self.kernel_path_for(key)
         try:
             self._write(path, dict(payload, key=key))
         except OSError:
             self.stats.write_errors += 1
             return None
-        self.stats.writes += 1
-        self.stats.store_seconds += time.perf_counter() - start
         return path
 
     # -- maintenance -----------------------------------------------------------

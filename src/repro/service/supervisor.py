@@ -25,10 +25,9 @@ its own *process*, supervised over a duplex pipe:
   saturation and codegen again;
 * a worker **keeps its execution state** for as long as it lives: one
   :class:`~repro.runtime.plan.ExecutionPlan` (bound buffers, arena,
-  shuffle-operand memo) serves every singleton and every looped
-  fallback, beside the pipeline's persistent batch-axis plan, so a
-  served convolution builds its Toeplitz operand once per worker, not
-  once per request.
+  shuffle-operand memo) serves every singleton, every batch-axis
+  bucket and every looped fallback, so a served convolution builds
+  its Toeplitz operand once per worker, not once per request or path.
 
 Transport is split into two planes.  The **control plane** — request
 ids, shape/dtype metadata, slot indices, error reports — always rides
@@ -85,7 +84,7 @@ import numpy as np
 from ..runtime.executor import RequestError
 from .batch import CompileJob
 from .faults import FaultPlan
-from .serve import RejectedError, ServerClosed
+from .serve import RejectedError, ServerClosed, gather
 from . import shm as shm_transport
 
 
@@ -146,7 +145,7 @@ def _serve_batch(plan, rids, requests, resp_ring) -> dict:
     :meth:`~repro.runtime.executor.CompiledPipeline.run_many` call on
     it under ``on_error="return"``, so one poisoned request fails
     alone: a singleton runs straight on the plan, a larger batch takes
-    the batch-axis kernel with the plan as its looped fallback.
+    the plan's batch-axis kernel, falling back to looping on it.
     Successful outputs ride the response ring when they fit
     (``"shm"``), the pipe otherwise (``"inline"``); failures always
     ride the pipe (``"errs"``); the plan's counters ride along
@@ -836,48 +835,16 @@ class WorkerPool:
 
         Each request is submitted as its own dispatch (use
         :meth:`submit_many` for micro-batched dispatch); tensor
-        payloads still ride the shared-memory data plane.
-        ``on_error="return"`` isolates failures per request — the
-        result list carries a
-        :class:`~repro.runtime.executor.RequestError` at each failed
-        index instead of raising on the first, with the worker-side
-        traceback preserved on its ``original``
+        payloads still ride the shared-memory data plane.  Failures
+        follow :func:`~repro.service.serve.gather`; a ``RequestError``
+        keeps the worker-side traceback on its ``original``
         (:class:`RemoteError`).
         """
-        if on_error not in ("raise", "return"):
-            raise ValueError(
-                f"on_error must be 'raise' or 'return', got {on_error!r}"
-            )
-        items: List[object] = []
-        for index, inputs in enumerate(requests):
-            try:
-                items.append(self.submit(inputs, deadline=deadline))
-            except (RejectedError, ServerClosed) as exc:
-                if on_error == "return":
-                    items.append(RequestError(index, exc))
-                    continue
-                # deterministic partial-submit semantics: await what was
-                # already admitted (their outcomes are the pool's to
-                # resolve), then surface the admission error
-                for item in items:
-                    if isinstance(item, Future):
-                        try:
-                            item.result()
-                        except Exception:
-                            pass
-                raise
-        results: List[np.ndarray] = []
-        for index, item in enumerate(items):
-            if isinstance(item, RequestError):
-                results.append(item)
-                continue
-            try:
-                results.append(item.result())
-            except Exception as exc:
-                if on_error == "raise":
-                    raise
-                results.append(RequestError(index, exc))
-        return results
+        return gather(
+            lambda inputs: self.submit(inputs, deadline=deadline),
+            requests,
+            on_error,
+        )
 
     def event_log(self) -> List[tuple]:
         """Snapshot of the lifecycle event log (``record_events=True``).

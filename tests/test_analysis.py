@@ -708,8 +708,9 @@ def _timed_verify(tensorized):
 
 
 def test_batched_kernel_lookup_is_thread_safe():
-    """Regression for the unlocked ``_batched`` dict: concurrent
-    lookups must all observe the one cached kernel."""
+    """Regression for the unlocked batched-kernel memo: concurrent
+    ``CompiledPipeline.kernel`` lookups must all observe the one cached
+    kernel."""
     from repro.apps import conv1d
 
     app = conv1d.build("tensor", taps=16, rows=1)
@@ -717,7 +718,7 @@ def test_batched_kernel_lookup_is_thread_safe():
     pipe = app.compile()
     names = [p.name for p in app.inputs]
     split = frozenset([names[0], pipe.output_name])
-    first = pipe.batched_kernel(split)
+    first = pipe.kernel(split)
     assert first is not None
 
     results = []
@@ -725,7 +726,7 @@ def test_batched_kernel_lookup_is_thread_safe():
 
     def worker():
         barrier.wait()
-        results.append(pipe.batched_kernel(split))
+        results.append(pipe.kernel(split))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
@@ -733,4 +734,4 @@ def test_batched_kernel_lookup_is_thread_safe():
     for t in threads:
         t.join()
     assert all(kernel is first for kernel in results)
-    assert len(pipe._batched) == 1
+    assert not pipe._unbatchable

@@ -35,8 +35,8 @@ from hypothesis import strategies as st
 
 from repro.lowering import lower
 from repro.runtime.executor import CompiledPipeline
-from repro.runtime.plan import BatchedExecutionPlan, BatchingUnsupported
-from repro.service import Server
+from repro.runtime.plan import BatchingUnsupported
+from repro.service import FaultPlan, FaultSpec, Server, faults
 
 pytestmark = pytest.mark.batched
 
@@ -130,7 +130,7 @@ class TestAppParity:
 
         app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
         pipe.run_many(build_requests(app, 4, rng), batch_axis=True)
-        stats = pipe._batched_plan.stats()
+        stats = pipe.default_plan_stats()
         assert stats["runs"] >= 1
         assert stats["batched_requests"] >= 4
 
@@ -142,12 +142,12 @@ class TestKernelReuse:
         from repro.apps import conv1d
 
         app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
-        plan = BatchedExecutionPlan(pipe)
+        plan = pipe.plan()
         kernels = set()
         for batch in (2, 5, 1, 16):
             requests = build_requests(app, batch, rng)
-            outs = plan.run(requests)
-            kernels.add(id(plan.kernel))
+            outs = plan.run_batch(requests)
+            kernels.add(id(plan._stacked.kernel))
             for out, request in zip(outs, requests):
                 np.testing.assert_array_equal(
                     out, pipe.run(request, backend="interpret")
@@ -161,27 +161,75 @@ class TestKernelReuse:
         app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
         names = [p.name for p in app.inputs]
         data_split = frozenset([names[0], pipe.output_name])
-        first = pipe.batched_kernel(data_split)
+        first = pipe.kernel(data_split)
         assert first is not None
-        assert pipe.batched_kernel(data_split) is first
+        assert pipe.kernel(data_split) is first
         # per-request weights feed the ConvolutionShuffle constructor:
         # unbatchable, and the None answer is memoized
         weights_split = frozenset(names + [pipe.output_name])
-        assert pipe.batched_kernel(weights_split) is None
-        assert weights_split in pipe._batched
+        assert pipe.kernel(weights_split) is None
+        assert weights_split in pipe._unbatchable
 
     def test_out_parameter(self, rng):
         from repro.apps import conv1d
 
         app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
-        plan = BatchedExecutionPlan(pipe)
+        plan = pipe.plan()
         requests = build_requests(app, 3, rng)
-        expected = plan.run(requests)
+        expected = plan.run_batch(requests)
         out = np.full((3,) + expected[0].shape, np.nan, expected[0].dtype)
-        results = plan.run(requests, out=out)
+        results = plan.run_batch(requests, out=out)
         for row, exp, res in zip(out, expected, results):
             assert np.shares_memory(row, res)
             np.testing.assert_array_equal(row, exp)
+
+    def test_singletons_and_buckets_share_one_plan(self, rng):
+        """One plan, two binding slots, one arena: alternating B=1 and
+        B=8 binds each slot once, and the shared weights' shuffle
+        operands are built once for both paths."""
+        from repro.apps import conv1d
+
+        app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
+        requests = build_requests(app, 8, rng)
+        plan = pipe.plan()
+        for _ in range(3):
+            for request in requests[:2]:
+                np.testing.assert_array_equal(
+                    plan.run(request), pipe.run(request)
+                )
+            for out, request in zip(plan.run_batch(requests), requests):
+                np.testing.assert_array_equal(out, pipe.run(request))
+        stats = plan.stats()
+        assert stats["rebinds"] == 2
+        assert (stats["runs"], stats["batched_requests"]) == (9, 24)
+        singles = pipe.plan()
+        for request in requests[:2]:
+            singles.run(request)
+        assert stats["memo_misses"] == singles.stats()["memo_misses"]
+        assert stats["memo_entries"] == singles.stats()["memo_entries"]
+
+    def test_failed_bucket_drops_both_slots(self, rng):
+        """The one failure rule: a failed batch-axis run leaves no bound
+        state and no arena behind, on either slot."""
+        from repro.apps import conv1d
+
+        app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
+        requests = build_requests(app, 4, rng)
+        plan = pipe.plan()
+        plan.run(requests[0])
+        plan.run_batch(requests)
+        arena = plan.arena
+        fault = FaultPlan(specs=[FaultSpec("raise-in-kernel", visits=(0,))])
+        with faults.active(fault):
+            with pytest.raises(faults.InjectedKernelError):
+                plan.run_batch(requests)
+        assert plan.arena is not arena
+        np.testing.assert_array_equal(
+            plan.run(requests[0]), pipe.run(requests[0])
+        )
+        for out, request in zip(plan.run_batch(requests), requests):
+            np.testing.assert_array_equal(out, pipe.run(request))
+        assert plan.stats()["rebinds"] == 4
 
 
 class TestRoutingFallback:

@@ -1,14 +1,25 @@
-"""The kernel cache: memoization, invalidation, and counter routing."""
+"""The kernel cache and the one kernel resolver: memoization,
+invalidation, persistence through the artifact store, and counter
+routing."""
+
+import os
 
 import numpy as np
 import pytest
 from conftest import stranded_v5
 
 from repro import frontend as hl
+from repro.apps.common import App
 from repro.lowering import lower
-from repro.runtime import Counters
+from repro.runtime import Counters, codegen, executor
+from repro.runtime.codegen import serialize_kernel
 from repro.runtime.executor import CompiledPipeline, realize
-from repro.runtime.kernel_cache import KernelCache, fingerprint_stmt
+from repro.runtime.kernel_cache import (
+    KernelCache,
+    batched_key,
+    fingerprint_stmt,
+)
+from repro.service.store import ArtifactStore, frame_blob
 
 
 def build_pipeline(width=64, split=8, vector=8):
@@ -69,81 +80,140 @@ class TestMemoization:
         assert cache.misses == 4
 
 
-class TestDiskTier:
-    def test_fresh_process_hits_disk_instead_of_recompiling(self, tmp_path):
-        inp, f = build_pipeline()
-        inputs = make_inputs(inp)
-        hot = KernelCache(disk_dir=str(tmp_path))
-        p1 = CompiledPipeline(lower(f), "compile", kernel_cache=hot)
-        out1 = p1.run(inputs)
-        assert (hot.misses, hot.disk_hits) == (1, 0)
+def kernel_files(root):
+    return [
+        os.path.join(folder, name)
+        for folder, _, names in os.walk(root)
+        for name in names
+        if name.endswith(".kernel")
+    ]
 
-        # a fresh cache over the same directory = a fresh process
-        cold = KernelCache(disk_dir=str(tmp_path))
-        _, f2 = build_pipeline()
-        p2 = CompiledPipeline(lower(f2), "compile", kernel_cache=cold)
+
+def stored_pipeline(root, **schedule):
+    """A pipeline as a fresh process sees it: a private (empty) memory
+    cache and a new store object over the on-disk directory ``root``."""
+    inp, f = build_pipeline(**schedule)
+    pipe = CompiledPipeline(lower(f), "compile", kernel_cache=KernelCache())
+    pipe.artifact_store = ArtifactStore(root)
+    return inp, pipe
+
+
+def no_codegen(monkeypatch):
+    """Make any codegen fail the test: the store must serve."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("codegen ran; the store should have served")
+
+    monkeypatch.setattr(codegen, "compile_stmt", boom)
+    monkeypatch.setattr(codegen, "compile_batched_stmt", boom)
+
+
+class TestDiskTier:
+    """Kernels reach disk through one format — the pipeline's artifact
+    store, consulted by ``CompiledPipeline.kernel`` between the memory
+    cache and codegen: checksummed, quarantined when rejected."""
+
+    def test_fresh_process_hits_disk_instead_of_recompiling(
+        self, tmp_path, monkeypatch
+    ):
+        inp, p1 = stored_pipeline(tmp_path)
+        inputs = make_inputs(inp)
+        out1 = p1.run(inputs)
+        assert p1.kernel_cache.misses == 1
+        assert p1.artifact_store.stats.writes == 1
+        assert len(kernel_files(tmp_path)) == 1
+
+        _, p2 = stored_pipeline(tmp_path)
+        no_codegen(monkeypatch)
         out2 = p2.run(inputs)
-        assert (cold.misses, cold.disk_hits, cold.hits) == (0, 1, 0)
+        assert p2.artifact_store.stats.hits == 1
+        assert p2.artifact_store.stats.writes == 0
         np.testing.assert_array_equal(out1, out2)
         # after re-hydration the kernel lives in memory: next run is a hit
         p2.run(inputs)
-        assert cold.hits == 1
+        assert (p2.kernel_cache.misses, p2.kernel_cache.hits) == (1, 1)
+
+    def _rejected(self, tmp_path, blob):
+        """Overwrite the persisted kernel with ``blob``; a fresh process
+        must reject it, recompile, and re-persist a loadable entry."""
+        inp, pipe = stored_pipeline(tmp_path)
+        expected = pipe.run(make_inputs(inp))
+        [path] = kernel_files(tmp_path)
+        with open(path, "wb") as handle:
+            handle.write(blob(pipe))
+        _, fresh = stored_pipeline(tmp_path)
+        np.testing.assert_array_equal(fresh.run(make_inputs(inp)), expected)
+        stats = fresh.artifact_store.stats
+        assert (stats.hits, stats.stale, stats.quarantined) == (0, 1, 1)
+        assert stats.writes == 1
+        assert ArtifactStore(tmp_path).get_kernel(fresh.cache_key) is not None
 
     def test_unimportable_disk_entry_recompiles(self, tmp_path):
         """A payload pickled against a module that no longer exists is
-        dropped and recompiled, not raised out of run()."""
-        inp, f = build_pipeline()
-        cache = KernelCache(disk_dir=str(tmp_path))
-        lowered = lower(f)
-        kernel = cache.get(lowered)
-        path = cache._disk_path(kernel.key)
-        with open(path, "wb") as handle:
-            # a GLOBAL opcode referencing a module that does not exist:
-            # pickle.load raises ModuleNotFoundError
-            handle.write(b"cno_such_module_xyz\nattr\n.")
-        fresh = KernelCache(disk_dir=str(tmp_path))
-        fresh.get(lowered)
-        assert (fresh.misses, fresh.disk_hits) == (1, 0)
-        # the recompile re-persisted a loadable entry
-        assert fresh._disk_load(kernel.key) is not None
+        quarantined and recompiled, not raised out of run()."""
+        # a GLOBAL opcode referencing a module that does not exist,
+        # framed so it passes the checksum: unpickling raises
+        # ModuleNotFoundError
+        self._rejected(
+            tmp_path, lambda _: frame_blob(b"cno_such_module_xyz\nattr\n.")
+        )
 
     def test_v5_entry_naming_a_vanished_core_recompiles(self, tmp_path):
-        """A format-5 ``.kernel`` pickled a ``_bv_*`` core by reference;
+        """A format-5 kernel pickled a ``_bv_*`` core by reference;
         that name is gone, so the entry must demote to a recompile."""
-        from repro.runtime.codegen import serialize_kernel
 
-        inp, f = build_pipeline()
-        cache = KernelCache(disk_dir=str(tmp_path))
-        lowered = lower(f)
-        kernel = cache.get(lowered)
-        path = cache._disk_path(kernel.key)
-        payload = serialize_kernel(kernel)
-        with open(path, "wb") as handle:
-            handle.write(stranded_v5(payload, payload))
-        fresh = KernelCache(disk_dir=str(tmp_path))
-        fresh.get(lowered)
-        assert (fresh.misses, fresh.disk_hits) == (1, 0)
-        assert fresh._disk_load(kernel.key) is not None  # re-persisted
+        def stranded(pipe):
+            payload = dict(
+                serialize_kernel(pipe.kernel()), key=pipe.cache_key
+            )
+            return frame_blob(stranded_v5(payload, payload))
+
+        self._rejected(tmp_path, stranded)
 
     def test_corrupt_disk_entry_recompiles(self, tmp_path):
+        self._rejected(tmp_path, lambda _: b"not a pickle")
+
+    def test_flipped_source_byte_is_quarantined_not_served(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: one flipped byte inside the emitted source of a
+        persisted kernel (``*`` -> ``+``) used to be served silently,
+        with wrong outputs, by a non-tensor ``App`` with ``cache_dir``;
+        its kernels now ride the checksummed store like every other."""
         inp, f = build_pipeline()
-        cache = KernelCache(disk_dir=str(tmp_path))
-        lowered = lower(f)
-        kernel = cache.get(lowered)
-        path = cache._disk_path(kernel.key)
+        inputs = make_inputs(inp)
+
+        def fresh_app():
+            # a new process: empty process-wide cache, new App and store
+            monkeypatch.setattr(executor, "DEFAULT_CACHE", KernelCache())
+            return App(
+                "kc", "cuda", f, inputs, reference=lambda: None,
+                backend="compile", cache_dir=str(tmp_path),
+            )
+
+        expected = fresh_app().run()
+        [path] = kernel_files(tmp_path)
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        at = data.index(b" * _bcast(2.0") + 1
+        data[at] = ord("+")
         with open(path, "wb") as handle:
-            handle.write(b"not a pickle")
-        fresh = KernelCache(disk_dir=str(tmp_path))
-        fresh.get(lowered)
-        assert (fresh.misses, fresh.disk_hits) == (1, 0)
+            handle.write(bytes(data))
+
+        app = fresh_app()
+        np.testing.assert_array_equal(app.run(), expected)
+        stats = app.compile().artifact_store.stats
+        assert (stats.stale, stats.quarantined) == (1, 1)
+        assert stats.writes == 1  # recompiled and re-persisted
+        app = fresh_app()
+        np.testing.assert_array_equal(app.run(), expected)
+        assert app.compile().artifact_store.stats.hits == 1
 
     def test_pipeline_exposes_cache_stats(self):
         cache = KernelCache()
         inp, f = build_pipeline()
         pipe = CompiledPipeline(lower(f), "compile", kernel_cache=cache)
-        assert pipe.cache_stats == {
-            "hits": 0, "misses": 0, "disk_hits": 0, "entries": 0,
-        }
+        assert pipe.cache_stats == {"hits": 0, "misses": 0, "entries": 0}
         pipe.run(make_inputs(inp))
         pipe.run(make_inputs(inp))
         stats = pipe.cache_stats
@@ -199,55 +269,53 @@ class TestRealize:
 
 
 class TestGetOrBuild:
-    """The arbitrary-builder memoization the batch-axis variants ride."""
+    """``CompiledPipeline.kernel``, the one resolver: memory, then the
+    store, then codegen, for the per-request and every batch split."""
 
-    def test_builds_once_then_hits(self, tmp_path):
-        from repro.runtime.kernel_cache import batched_key
-
-        cache = KernelCache(disk_dir=str(tmp_path))
-        inp, f = build_pipeline()
-        pipe = CompiledPipeline(lower(f), backend="compile",
-                                kernel_cache=cache)
-        pipe.run(make_inputs(inp))  # the scalar kernel, for a builder
-        import copy
-
-        key = batched_key(pipe.cache_key, frozenset([inp.name]))
-        variant = copy.copy(cache.lookup(pipe.cache_key))
-        variant.key = key  # as compile_batched_stmt stamps its kernels
+    def test_builds_once_then_hits(self, tmp_path, monkeypatch):
+        inp, pipe = stored_pipeline(tmp_path)
+        split = frozenset([inp.name, pipe.output_name])
         calls = []
+        real = codegen.compile_batched_stmt
 
-        def build():
+        def counted(*args, **kwargs):
             calls.append(1)
-            return variant
+            return real(*args, **kwargs)
 
-        assert cache.get_or_build(key, build) is variant
-        assert cache.get_or_build(key, build) is variant
+        monkeypatch.setattr(codegen, "compile_batched_stmt", counted)
+        variant = pipe.kernel(split)
+        assert variant.key == batched_key(pipe.cache_key, split)
+        assert pipe.kernel(split) is variant
         assert len(calls) == 1
+        assert pipe.kernel_cache.stats()["hits"] == 1
 
-        # the disk tier re-hydrates a fresh process without rebuilding
-        fresh = KernelCache(disk_dir=str(tmp_path))
+        # the store re-hydrates a fresh process without rebuilding
+        _, fresh = stored_pipeline(tmp_path)
+        no_codegen(monkeypatch)
+        assert fresh.kernel(split).key == variant.key
+        assert fresh.artifact_store.stats.hits == 1
 
-        def never():
-            raise AssertionError("disk tier should have served this")
+    def test_build_errors_are_not_cached(self, monkeypatch):
+        inp, f = build_pipeline()
+        pipe = CompiledPipeline(
+            lower(f), "compile", kernel_cache=KernelCache()
+        )
+        split = frozenset([inp.name, pipe.output_name])
+        real = codegen.compile_batched_stmt
 
-        assert fresh.get_or_build(key, never).key == key
-        assert fresh.disk_hits == 1
-
-    def test_build_errors_are_not_cached(self):
-        cache = KernelCache()
-
-        def boom():
+        def boom(*args, **kwargs):
             raise RuntimeError("codegen failed")
 
+        monkeypatch.setattr(codegen, "compile_batched_stmt", boom)
         with pytest.raises(RuntimeError):
-            cache.get_or_build("k", boom)
-        # the failure was not memoized: a working builder still runs
-        sentinel = object()
-        assert cache.get_or_build("k", lambda: sentinel) is sentinel
+            pipe.kernel(split)
+        # the failure was neither memoized nor taken as "unbatchable":
+        # a working codegen still runs
+        monkeypatch.setattr(codegen, "compile_batched_stmt", real)
+        assert pipe.kernel(split) is not None
+        assert split not in pipe._unbatchable
 
     def test_batched_key_varies_with_split(self):
-        from repro.runtime.kernel_cache import batched_key
-
         base = "stmt-fingerprint"
         a = batched_key(base, frozenset(["I"]))
         b = batched_key(base, frozenset(["I", "K"]))

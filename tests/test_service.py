@@ -27,7 +27,8 @@ from repro.service import (
     warm_select,
 )
 from repro.service.store import ARTIFACT_FORMAT_VERSION
-from repro.runtime.kernel_cache import KernelCache, frame_blob, unframe_blob
+from repro.runtime.kernel_cache import KernelCache
+from repro.service.store import frame_blob, unframe_blob
 
 
 def small_app(taps=8):
@@ -369,12 +370,12 @@ class TestInvalidation:
         assert len(store) == 0
 
 
-def _bkernel_files(root):
+def _kernel_files(root):
     return [
         os.path.join(dirpath, name)
         for dirpath, _, files in os.walk(root)
         for name in files
-        if name.endswith(".bkernel")
+        if name.endswith(".kernel")
     ]
 
 
@@ -398,7 +399,7 @@ class TestBatchedKernelPersistence:
         app, pipe = self._compiled(ArtifactStore(tmp_path))
         requests = build_requests(app, 4, np.random.default_rng(7))
         cold = pipe.run_many(requests, batch_axis=True)
-        assert len(_bkernel_files(tmp_path)) == 1
+        assert len(_kernel_files(tmp_path)) == 1
 
         # a fresh store + pipeline stands in for a fresh process: the
         # batched kernel must restore (artifact hit + kernel hit, zero
@@ -407,13 +408,13 @@ class TestBatchedKernelPersistence:
         _, warm_pipe = self._compiled(warm_store)
         assert warm_store.stats.hits == 1  # the .artifact
         warm = warm_pipe.run_many(requests, batch_axis=True)
-        assert warm_store.stats.hits == 2  # ... and the .bkernel
+        assert warm_store.stats.hits == 2  # ... and the .kernel
         assert warm_store.stats.writes == 0
         for a, b in zip(cold, warm):
             np.testing.assert_array_equal(a, b)
 
     def test_stale_kernel_format_recompiles_and_repersists(self, tmp_path):
-        """A ``.bkernel`` from another format — or a v5 one as it sits
+        """A ``.kernel`` from another format — or a v5 one as it sits
         on disk, whose pickled ``_bv_*`` core no longer exists — is a
         stale miss, never an error."""
         from repro.runtime.codegen import KERNEL_FORMAT_VERSION
@@ -423,7 +424,7 @@ class TestBatchedKernelPersistence:
             app, pipe = self._compiled(ArtifactStore(root))
             requests = build_requests(app, 3, np.random.default_rng(11))
             cold = pipe.run_many(requests, batch_axis=True)
-            [path] = _bkernel_files(root)
+            [path] = _kernel_files(root)
             payload = _read_payload(path)
             assert payload["format"] == KERNEL_FORMAT_VERSION
             if stranded:
@@ -452,7 +453,7 @@ class TestBatchedKernelPersistence:
         app, pipe = self._compiled(ArtifactStore(tmp_path))
         requests = build_requests(app, 2, np.random.default_rng(3))
         pipe.run_many(requests, batch_axis=True)
-        [path] = _bkernel_files(tmp_path)
+        [path] = _kernel_files(tmp_path)
         payload = _read_payload(path)
         payload["key"] = payload["key"] + "-moved"
         _write_payload(path, payload)
@@ -503,7 +504,7 @@ class TestConcurrency:
         )
         requests = build_requests(app, 2, np.random.default_rng(5))
         pipe.run_many(requests, batch_axis=True)
-        kernel = next(k for k in pipe._batched.values() if k is not None)
+        kernel = pipe._default_plan._stacked.kernel
 
         store = ArtifactStore(tmp_path)
         failures = []

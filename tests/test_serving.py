@@ -79,8 +79,6 @@ class TestSteadyStateRun:
             kc.fingerprint_stmt = original
 
     def test_run_does_not_copy_contiguous_inputs(self, monkeypatch):
-        from repro.runtime import executor as executor_module
-
         inp, f = build_pipeline()
         pipe = CompiledPipeline(lower(f), backend="compile")
         wrapped = []
@@ -91,9 +89,7 @@ class TestSteadyStateRun:
             wrapped.append((buf, array))
             return buf
 
-        monkeypatch.setattr(
-            executor_module.Buffer, "from_numpy", staticmethod(spy)
-        )
+        monkeypatch.setattr(Buffer, "from_numpy", staticmethod(spy))
         pipe.run({inp: make_input()})
         assert wrapped
         for buf, array in wrapped:
@@ -313,7 +309,7 @@ class TestKernelCacheConcurrency:
         stats = cache.stats()
         assert stats["entries"] <= 2
         # every one of the 240 gets was accounted exactly once
-        assert stats["hits"] + stats["misses"] + stats["disk_hits"] == 240
+        assert stats["hits"] + stats["misses"] == 240
 
     def test_concurrent_put_and_clear(self):
         cache = KernelCache(maxsize=8)

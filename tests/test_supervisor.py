@@ -469,6 +469,39 @@ class TestWorkerPlan:
         assert worker["plan"]["runs"] == 3
         assert worker["plan"]["rebinds"] == 2
 
+    def test_singletons_and_batches_share_one_arena(self, tmp_path, rng):
+        """Singletons, then 8-request batches, on one worker: one plan,
+        one arena, so conv1d's weight-derived Toeplitz operands are
+        built once for both paths — the counters one in-process plan
+        shows for the same traffic through ``_serve_batch``'s calls
+        (four operands, not four per path in a second arena)."""
+        job = CompileJob.make("conv1d", "tensor", taps=32, rows=1)
+        store = str(tmp_path)
+        assert compile_one(job, store, "host").ok
+        pipeline, requests = _local(job, store, 20, rng)
+        singles, batches = requests[:4], [requests[4:12], requests[12:]]
+        local_plan = pipeline.plan()
+        for request in singles:
+            pipeline.run_many(
+                [request], batch_axis=False, on_error="return",
+                plan=local_plan,
+            )
+        for batch in batches:
+            pipeline.run_many(batch, on_error="return", plan=local_plan)
+        with WorkerPool(job, workers=1, cache_dir=store) as pool:
+            outputs = [pool.run(request) for request in singles]
+            for batch in batches:
+                outputs += [f.result() for f in pool.submit_many(batch)]
+            (worker,) = pool.stats()["workers"]
+        for output, request in zip(outputs, requests):
+            assert np.array_equal(output, pipeline.run(request))
+        plan = worker["plan"]
+        assert plan == local_plan.stats()
+        assert (plan["memo_entries"], plan["memo_misses"]) == (4, 4)
+        assert plan["batched_requests"] == 16
+        # one bind per slot: switching between them never rebinds
+        assert plan["rebinds"] == 2
+
     def test_shape_change_mid_stream_rebinds(self, plan_store, rng):
         job = PLAN_JOBS["wmma"]
         pipeline, requests = _local(job, plan_store, 4, rng)

@@ -170,31 +170,3 @@ def print_artifact_report(rows, store=None) -> None:
             f" load {stats.load_seconds * 1e3:.2f} ms /"
             f" write {stats.store_seconds * 1e3:.2f} ms"
         )
-
-
-# -- serving-throughput telemetry ----------------------------------------------
-
-SERVING_HEADER = [
-    "workload",
-    "requests",
-    "naive loop",
-    "batched",
-    "per-request",
-    "speedup",
-]
-
-
-def serving_row(label, requests, naive_s, batched_s) -> list:
-    """One throughput row: naive per-call loop vs. batched ``run_many``."""
-    return [
-        label,
-        requests,
-        f"{naive_s * 1e3:.1f} ms",
-        f"{batched_s * 1e3:.1f} ms",
-        f"{batched_s / requests * 1e3:.2f} ms",
-        f"{naive_s / batched_s:.1f}x",
-    ]
-
-
-def print_serving_report(rows) -> None:
-    print(format_table(SERVING_HEADER, rows))

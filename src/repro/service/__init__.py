@@ -33,10 +33,6 @@ top of the compiler:
 * :mod:`.faults` — the deterministic fault-injection harness
   (:class:`FaultPlan`) and the :class:`CircuitBreaker` primitive the
   serving tier degrades with.
-* :mod:`.chaos` — the seeded chaos-soak harness: random fault
-  compositions against long mixed workloads, checked against the
-  lifecycle invariants (exactly-one terminal outcome, bitwise parity,
-  at-most-once, stats conservation, clean teardown).
 
 Quick tour::
 
@@ -87,7 +83,6 @@ from .supervisor import (
     WorkerInitFailed,
     WorkerPool,
 )
-from .chaos import SoakReport, random_fault_plan, run_soak
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
@@ -113,7 +108,6 @@ __all__ = [
     "ShmRing",
     "ShmRingSpec",
     "ShmUnavailable",
-    "SoakReport",
     "StoreStats",
     "WarmCompileResult",
     "WorkerCrashed",
@@ -124,10 +118,8 @@ __all__ = [
     "fingerprint_families",
     "job_fingerprint",
     "leaked_segments",
-    "random_fault_plan",
     "rule_fingerprint",
     "ruleset_fingerprint",
-    "run_soak",
     "shape_signature",
     "warm_compile",
     "warm_select",

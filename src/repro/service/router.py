@@ -11,9 +11,10 @@ piece that turns the mixed stream into that shape:
 * every request is **bucketed** by ``(app fingerprint, input-shape
   signature, backend)``;
 * each bucket **micro-batches, work-conservingly**: a non-empty bucket
-  is dispatched as one
-  :meth:`~repro.service.supervisor.WorkerPool.submit_many` batch — one
-  batch-axis kernel call per serving bucket, tensors over shared
+  is handed to its pool as one batch of request records — through the
+  enqueue-and-dispatch step
+  :meth:`~repro.service.supervisor.WorkerPool.submit_many` ends in, so
+  one flush is one batch-axis kernel call, tensors over shared
   memory — the moment its pool has an idle worker (fewer requests in
   flight than workers) or it holds ``max_batch`` requests.  It is held
   only while every worker is busy, which is when waiting forms a batch
@@ -51,22 +52,29 @@ piece that turns the mixed stream into that shape:
   :meth:`Router.stats`, shaped alongside ``Server.stats`` /
   ``WorkerPool.stats`` so dashboards read all three the same way.
 
-Lifecycle verbs: :meth:`Router.drain` stops admission, flushes every
-bucket, and completes all in-flight work before closing (outstanding
-futures always reach a terminal state); :meth:`Router.close` drains
-with a timeout and then turns forceful, failing whatever is left with
+A routed request is one record with one future from :meth:`Router.submit`
+to its terminal outcome; the router's ledger reads the pool's outcome
+rule (``expired``: its own budget ran out; other errors: ``failed``).
+
+Lifecycle verbs: :meth:`Router.drain` stops admission, hands every
+bucketed request to its pool, and completes all in-flight work before
+closing (outstanding futures always reach a terminal state);
+:meth:`Router.close` drains with a timeout, after which each pool's
+close turns forceful, failing whatever is left with
 :class:`~repro.service.serve.ServerClosed`;
 :meth:`Router.rolling_restart` replaces every pool's workers one at a
 time with zero dropped requests.
 
-Lock discipline: the router's ``_mu`` is always *inner* — completion
-callbacks fire under a pool's ``_mu`` and then take ``_mu``, so no
-router method may call into a pool while holding ``_mu`` (the flusher
-drains a bucket under ``_mu``, releases it, and only then dispatches).
+Lock discipline: the router's ``_mu`` is always *inner* — a pool runs
+the router's ledger under its own ``_mu``, and the ledger takes
+``_mu``, so no router method may call into a pool or settle a request
+while holding ``_mu`` (the flusher drains a bucket under ``_mu``,
+releases it, and only then dispatches).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 import time
@@ -79,13 +87,15 @@ import numpy as np
 from .batch import CompileJob
 from .faults import FaultPlan
 from .serve import RejectedError, ServerClosed, ShedError, gather
-from .supervisor import DeadlineExceeded, WorkerPool
+from .supervisor import DeadlineExceeded, WorkerPool, _Request, _split_expired
 
 __all__ = ["Router", "job_fingerprint", "shape_signature"]
 
 _NEVER = float("inf")  # a deadline that time alone never reaches
 #: what made a bucket due (per-bucket ``flush_reasons`` in stats)
 _FLUSH_REASONS = ("idle", "full", "interval", "closing")
+#: per-bucket counters that :meth:`Router.stats` also totals
+_LEDGER = ("submitted", "completed", "failed", "rejected", "shed", "expired")
 
 
 def job_fingerprint(job: CompileJob) -> str:
@@ -108,27 +118,6 @@ def shape_signature(inputs: Optional[dict]) -> tuple:
         else:
             signature.append((name, type(value).__name__, ()))
     return tuple(signature)
-
-
-class _Entry:
-    """One queued request: the caller's future plus flush metadata."""
-
-    __slots__ = (
-        "future",
-        "inputs",
-        "expires_at",
-        "idempotent",
-        "queued_at",
-        "lane",
-    )
-
-    def __init__(self, inputs, expires_at, idempotent, queued_at, lane):
-        self.future: "Future[np.ndarray]" = Future()
-        self.inputs = inputs
-        self.expires_at = expires_at  # absolute monotonic expiry, or None
-        self.idempotent = idempotent
-        self.queued_at = queued_at
-        self.lane = lane  # 0 = interactive, 1 = best-effort
 
 
 class _Bucket:
@@ -163,8 +152,13 @@ class _Bucket:
     def __init__(self, key: tuple, job_key: str, window: int) -> None:
         self.key = key
         self.job_key = job_key
-        self.lanes: Tuple[Deque[_Entry], Deque[_Entry]] = (deque(), deque())
-        self.latencies: Deque[float] = deque(maxlen=window)
+        self.lanes: Tuple[Deque[_Request], ...] = (deque(), deque())
+        #: the last ``window`` completion latencies (seconds), a ring
+        #: indexed by ``completed``.  Allocated once: the ledger that
+        #: fills it runs on a pool's supervisor thread, where a growing
+        #: container would scatter long-lived blocks among that thread's
+        #: short-lived reply buffers and keep their freed heap resident.
+        self.latencies = np.zeros(window)
         self.submitted = 0
         self.completed = 0
         self.failed = 0
@@ -192,16 +186,35 @@ class _Bucket:
         heads = [lane[0].queued_at for lane in self.lanes if lane]
         return min(heads) if heads else None
 
-    def take(self, limit: int) -> List[_Entry]:
+    def take(self, limit: int) -> List[_Request]:
         """Pop up to ``limit`` entries for dispatch, interactive first,
         FIFO within each lane."""
-        taken: List[_Entry] = []
+        taken: List[_Request] = []
         for lane in self.lanes:
             while lane and len(taken) < limit:
                 taken.append(lane.popleft())
             if len(taken) >= limit:
                 break
         return taken
+
+    def expire(self, now: float) -> List[_Request]:
+        """Pull every request whose budget is spent out of the queue
+        (the caller settles them outside ``_mu``)."""
+        if self.next_expiry > now:
+            return []
+        spent: List[_Request] = []
+        for lane in self.lanes:
+            live, gone = _split_expired(lane, now)
+            if gone:
+                spent += gone
+                lane.clear()
+                lane.extend(live)
+        self.next_expiry = min(
+            (r.expires_at for lane in self.lanes for r in lane
+             if r.expires_at is not None),
+            default=_NEVER,
+        )
+        return spent
 
 
 class Router:
@@ -264,7 +277,7 @@ class Router:
         Forwarded to every :class:`WorkerPool` (see there).
     latency_window:
         Per-bucket latency samples kept for the p50/p99 estimate
-        (default 2048).
+        (default 2048, at least 1).
     """
 
     #: submit() priority classes, in flush order
@@ -309,6 +322,8 @@ class Router:
             raise ValueError("shed_interval must be > 0")
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
+        if latency_window < 1:
+            raise ValueError("latency_window must be >= 1")
         self.workers = int(workers)
         self.max_batch = int(max_batch)
         self.flush_interval = float(flush_interval)
@@ -352,13 +367,9 @@ class Router:
         self._inflight: Dict[str, int] = {}  # guarded-by: _mu
         self._pending = 0  # guarded-by: _mu
         self._closed = False  # guarded-by: _mu
+        #: arrivals, admitted or not; every other total in
+        #: :meth:`stats` is its buckets' counters summed
         self.offered = 0  # guarded-by: _mu
-        self.submitted = 0  # guarded-by: _mu
-        self.completed = 0  # guarded-by: _mu
-        self.failed = 0  # guarded-by: _mu
-        self.rejected = 0  # guarded-by: _mu
-        self.shed = 0  # guarded-by: _mu
-        self.expired = 0  # guarded-by: _mu
         self.flusher_passes = 0  # guarded-by: _mu
         #: the deadline the flusher is sleeping toward; a submit that
         #: creates an earlier one wakes it
@@ -396,35 +407,15 @@ class Router:
         return ok
 
     def close(self, timeout: float = 30.0) -> None:
-        """Flush every bucket, drain the pools, shut down.  Idempotent.
+        """:meth:`drain`, then shut down.  Idempotent.
 
-        If the drain does not finish within ``timeout`` the close turns
-        forceful: entries still bucketed are failed with
-        :class:`~repro.service.serve.ServerClosed`, and each pool's
-        :meth:`~repro.service.supervisor.WorkerPool.close` applies the
-        same guarantee to anything already dispatched — no future is
+        A draining router hands every bucketed request to its pool at
+        once, so what is left after ``timeout`` is the pools': each
+        :meth:`~repro.service.supervisor.WorkerPool.close` fails it
+        with :class:`~repro.service.serve.ServerClosed` — no future is
         ever left unresolved.
         """
-        with self._mu:
-            self._closed = True
-        self._wake.set()
-        if not self._drained.wait(timeout):
-            stranded: List[_Entry] = []
-            with self._mu:
-                for bucket in self._buckets.values():
-                    count = 0
-                    for lane in bucket.lanes:
-                        stranded.extend(lane)
-                        count += len(lane)
-                        lane.clear()
-                    bucket.failed += count
-                self._pending -= len(stranded)
-                self.failed += len(stranded)
-            error = ServerClosed("router closed before completion")
-            for entry in stranded:
-                entry.future.set_exception(error)
-            self._wake.set()
-            self._drained.wait(10.0)
+        self.drain(timeout)
         for pool in self._pools.values():
             pool.close(timeout=timeout)
 
@@ -486,14 +477,13 @@ class Router:
             ) from None
         now = time.monotonic()
         budget = deadline if deadline is not None else self.deadline
-        entry = _Entry(
+        request = _Request(
             inputs,
-            now + budget if budget is not None else None,
             idempotent,
+            now + budget if budget is not None else None,
             now,
-            lane,
         )
-        evicted: Optional[_Entry] = None
+        evicted: Optional[_Request] = None
         with self._mu:
             if self._closed:
                 raise ServerClosed("router is closed")
@@ -511,7 +501,6 @@ class Router:
                 self.max_pending is not None
                 and self._pending >= self.max_pending
             ):
-                self.rejected += 1
                 bucket.rejected += 1
                 raise RejectedError(
                     f"admission queue full ({self.max_pending} pending)"
@@ -520,7 +509,6 @@ class Router:
                 # an empty queue has no sojourn: never shed into it
                 self._shed_control_locked(bucket, now)
             if bucket.shedding and lane == 1:
-                self.shed += 1
                 bucket.shed += 1
                 raise ShedError(
                     "bucket head-of-queue wait over target; shedding"
@@ -532,39 +520,37 @@ class Router:
             ):
                 if lane == 0 and bucket.lanes[1]:
                     # interactive displaces the newest best-effort entry
+                    # (its settle below counts it shed)
                     evicted = bucket.lanes[1].pop()
-                    self.shed += 1
-                    bucket.shed += 1
-                    self._pending -= 1
                 else:
-                    self.shed += 1
                     bucket.shed += 1
                     raise ShedError(
                         f"bucket queue full ({self.bucket_cap} queued)"
                     )
-            bucket.lanes[lane].append(entry)
+            request.ledgers.append(functools.partial(self._count, bucket))
+            bucket.lanes[lane].append(request)
             bucket.submitted += 1
             if bucket.first_submit is None:
                 bucket.first_submit = now
-            self.submitted += 1
             self._pending += 1
             due = self._flush_at_locked(bucket, now, False)[0]
-            if entry.expires_at is not None:
-                due = min(due, entry.expires_at)
-                bucket.next_expiry = min(bucket.next_expiry, entry.expires_at)
+            expires_at = request.expires_at
+            if expires_at is not None:
+                due = min(due, expires_at)
+                bucket.next_expiry = min(bucket.next_expiry, expires_at)
             if bucket.qlen() == 1:
                 # a new head starts the shed clock
                 due = min(due, now + (self.shed_target or _NEVER))
             wake = due < self._next_wake
         if evicted is not None:
-            evicted.future.set_exception(
-                ShedError(
+            evicted.settle(
+                error=ShedError(
                     "evicted from a full bucket by an interactive request"
                 )
             )
         if wake:
             self._wake.set()
-        return entry.future
+        return request.future
 
     def run(
         self,
@@ -618,18 +604,12 @@ class Router:
                 self._bucket_stats_locked(bucket)
                 for bucket in self._buckets.values()
             ]
-            summary = {
-                "offered": self.offered,
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "failed": self.failed,
-                "rejected": self.rejected,
-                "shed": self.shed,
-                "expired": self.expired,
-                "pending": self._pending,
-                "closed": self._closed,
-                "flusher_passes": self.flusher_passes,
-            }
+            summary = {"offered": self.offered}
+            for key in _LEDGER:
+                summary[key] = sum(row[key] for row in buckets)
+            summary["pending"] = self._pending
+            summary["closed"] = self._closed
+            summary["flusher_passes"] = self.flusher_passes
         summary["buckets"] = buckets
         summary["jobs"] = {
             key: job.label for key, job in self._jobs.items()
@@ -641,7 +621,7 @@ class Router:
 
     def _bucket_stats_locked(self, bucket: _Bucket) -> Dict[str, object]:
         job_key, signature = bucket.key[0], bucket.key[1]
-        latencies = np.asarray(bucket.latencies, dtype=np.float64)
+        latencies = bucket.latencies[:bucket.completed]
         p50 = p99 = None
         if latencies.size:
             p50 = float(np.percentile(latencies, 50) * 1e3)
@@ -682,39 +662,6 @@ class Router:
 
     # -- flushing --------------------------------------------------------------
 
-    def _expire_bucket_locked(
-        self, bucket: _Bucket, now: float
-    ) -> List[_Entry]:
-        """Pull every entry whose budget is spent out of the bucket.
-
-        Their futures are resolved by the caller *outside* ``_mu`` —
-        a done callback may grab arbitrary user locks.
-        """
-        if bucket.next_expiry > now:
-            return []
-        expired: List[_Entry] = []
-        bucket.next_expiry = _NEVER
-        for lane in bucket.lanes:
-            keep: List[_Entry] = []
-            for entry in lane:
-                if entry.expires_at is None:
-                    keep.append(entry)
-                elif entry.expires_at <= now:
-                    expired.append(entry)
-                else:
-                    keep.append(entry)
-                    bucket.next_expiry = min(
-                        bucket.next_expiry, entry.expires_at
-                    )
-            if len(keep) != len(lane):
-                lane.clear()
-                lane.extend(keep)
-        if expired:
-            self._pending -= len(expired)
-            self.expired += len(expired)
-            bucket.expired += len(expired)
-        return expired
-
     def _shed_control_locked(self, bucket: _Bucket, now: float) -> float:
         """CoDel-style state update: head sojourn at/over target for a
         full interval turns shedding on; dropping under target turns it
@@ -744,22 +691,22 @@ class Router:
     ) -> Tuple[float, str]:
         """When this bucket's queue must dispatch, and why (one of
         ``_FLUSH_REASONS``): ``now`` once a close is draining
-        everything, it is full, or its pool has an idle worker — every
-        busy worker holds at least one in-flight request, so fewer in
-        flight than workers proves one idle (a dead or draining worker
-        makes that optimistic: the batch waits in the pool's queue
-        instead, never longer); else, every worker busy, when its
-        oldest entry has aged ``flush_interval``.  ``inf`` while it is
-        empty or its pool has no in-flight budget (backpressure holds
-        the queue here, where sojourn shedding can see it, until
-        :meth:`_complete` frees budget and wakes the flusher)."""
-        if (
-            not bucket.qlen()
-            or self._dispatch_budget_locked(bucket.job_key) <= 0
-        ):
+        everything (past the in-flight cap), it is full, or its pool
+        has an idle worker — every busy worker holds at least one
+        in-flight request, so fewer in flight than workers proves one
+        idle (a dead or draining worker makes that optimistic: the
+        batch waits in the pool's queue instead, never longer); else,
+        every worker busy, when its oldest entry has aged
+        ``flush_interval``.  ``inf`` while it is empty or its pool has
+        no in-flight budget (backpressure holds the queue here, where
+        sojourn shedding can see it, until :meth:`_count` frees budget
+        and wakes the flusher)."""
+        if not bucket.qlen():
             return _NEVER, ""
         if closing:
             return now, "closing"
+        if self._dispatch_budget_locked(bucket.job_key) <= 0:
+            return _NEVER, ""
         if bucket.qlen() >= self.max_batch:
             return now, "full"
         if self._inflight.get(bucket.job_key, 0) < self.workers:
@@ -780,7 +727,7 @@ class Router:
                 else max(0.0, wake_at - time.monotonic())
             )
             self._wake.clear()
-            expired_entries: List[_Entry] = []
+            expired: List[_Request] = []
             drained = []
             with self._mu:
                 now = time.monotonic()
@@ -788,25 +735,25 @@ class Router:
                 closing = self._closed
                 wake_at = _NEVER
                 for bucket in self._buckets.values():
-                    expired_entries.extend(
-                        self._expire_bucket_locked(bucket, now)
-                    )
+                    expired += bucket.expire(now)
                     flush_at, reason = self._flush_at_locked(
                         bucket, now, closing
                     )
                     if flush_at <= now:
-                        entries = bucket.take(
-                            self._dispatch_budget_locked(bucket.job_key)
+                        taken = bucket.take(
+                            bucket.qlen()
+                            if closing
+                            else self._dispatch_budget_locked(bucket.job_key)
                         )
                         self._inflight[bucket.job_key] = self._inflight.get(
                             bucket.job_key, 0
-                        ) + len(entries)
+                        ) + len(taken)
                         bucket.flushes += 1
                         bucket.flush_reasons[reason] += 1
                         bucket.largest_flush = max(
-                            bucket.largest_flush, len(entries)
+                            bucket.largest_flush, len(taken)
                         )
-                        drained.append((bucket, entries))
+                        drained.append((bucket, taken))
                         # emptied, or the budget is spent and the next
                         # completion wakes the flusher
                         flush_at = _NEVER
@@ -822,94 +769,61 @@ class Router:
                 finished = closing and not any(
                     bucket.qlen() for bucket in self._buckets.values()
                 )
-            for entry in expired_entries:
-                entry.future.set_exception(
-                    DeadlineExceeded(
+            for request in expired:
+                request.settle(
+                    error=DeadlineExceeded(
                         "request budget expired before its bucket flushed"
                     )
                 )
-            for bucket, entries in drained:
-                self._dispatch(bucket, entries)
+            for bucket, taken in drained:
+                try:
+                    # the records themselves, mixed idempotence and
+                    # spent budgets included: one flush, one dispatch
+                    self._pools[bucket.job_key]._enqueue(taken)
+                except ServerClosed as exc:
+                    # refused by a pool closed under a timed-out drain:
+                    # never dispatched, so their in-flight slots return
+                    with self._mu:
+                        self._inflight[bucket.job_key] -= len(taken)
+                    for request in taken:
+                        request.settle(error=exc)
             if finished:
                 break
         self._drained.set()
 
-    def _dispatch(self, bucket: _Bucket, entries: List[_Entry]) -> None:
-        """Hand one drained bucket to its pool (never under ``_mu``).
-
-        The flusher already counted the entries in flight when it took
-        them.  They are grouped by idempotence (a pool batch carries
-        one flag); each request's absolute expiry rides along, so budget
-        already spent in the router keeps counting in the pool.  A
-        pool-side rejection or close fails the affected entries with
-        the pool's typed error.
-        """
-        pool = self._pools[bucket.job_key]
-        groups: Dict[bool, List[_Entry]] = {}
-        for entry in entries:
-            groups.setdefault(entry.idempotent, []).append(entry)
-        for idempotent, group in groups.items():
-            try:
-                pool_futures = pool.submit_many(
-                    [entry.inputs for entry in group],
-                    idempotent=idempotent,
-                    expires_at=[entry.expires_at for entry in group],
-                )
-            except (RejectedError, ServerClosed) as exc:
-                with self._mu:
-                    self._inflight[bucket.job_key] -= len(group)
-                    self._pending -= len(group)
-                    self.failed += len(group)
-                    bucket.failed += len(group)
-                    if isinstance(exc, RejectedError):
-                        self.rejected += len(group)
-                        bucket.rejected += len(group)
-                for entry in group:
-                    entry.future.set_exception(exc)
-                self._wake.set()  # in-flight budget freed
-                continue
-            for entry, pool_future in zip(group, pool_futures):
-                pool_future.add_done_callback(
-                    lambda pf, entry=entry, bucket=bucket: self._complete(
-                        bucket, entry, pf
-                    )
-                )
-
-    def _complete(self, bucket: _Bucket, entry: _Entry, pool_future) -> None:
-        """Resolve one caller future from its pool future.
-
-        Runs under the pool's ``_mu`` (supervisor thread) — it must
-        only touch router state and the caller's future, never call
-        back into any pool.
-        """
-        error = pool_future.exception()
+    def _count(
+        self,
+        bucket: _Bucket,
+        request: _Request,
+        outcome: str,
+        error: Optional[BaseException],
+    ) -> None:
+        """The router's ledger: the one place its terminal counters
+        change, wherever the request ended.  It runs before the
+        request's future resolves — under a pool's ``_mu`` when the
+        pool settled it, so it never calls back into a pool."""
         now = time.monotonic()
+        dispatched = request.id is not None  # a pool stamped it on entry
         with self._mu:
             self._pending -= 1
-            self._inflight[bucket.job_key] -= 1
-            if error is None:
-                self.completed += 1
-                bucket.completed += 1
-                bucket.latencies.append(now - entry.queued_at)
+            setattr(bucket, outcome, getattr(bucket, outcome) + 1)
+            if outcome == "completed":
+                ring = bucket.latencies
+                ring[(bucket.completed - 1) % ring.size] = (
+                    now - request.queued_at
+                )
                 bucket.last_done = now
-            elif isinstance(error, DeadlineExceeded):
-                self.expired += 1
-                bucket.expired += 1
-            else:
-                self.failed += 1
-                bucket.failed += 1
-        # a worker or in-flight budget freed: a held bucket may be due
-        self._wake.set()
-        if error is None:
-            entry.future.set_result(pool_future.result())
-        else:
-            entry.future.set_exception(error)
+            if dispatched:
+                self._inflight[bucket.job_key] -= 1
+        if dispatched:
+            # a worker or in-flight budget freed: a held bucket may be due
+            self._wake.set()
 
     def __repr__(self) -> str:
         with self._mu:
             buckets = len(self._buckets)
             pending = self._pending
-            completed = self.completed
+            completed = sum(b.completed for b in self._buckets.values())
         return (
             f"Router(jobs={len(self._jobs)}, buckets={buckets},"
             f" pending={pending}, completed={completed})"

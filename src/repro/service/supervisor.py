@@ -49,6 +49,11 @@ weights stay shared across the boundary because frames deduplicate
 tensors by identity).  Retries always re-queue as singletons so one
 poisoned request cannot re-fail its batch-mates.
 
+Every request is **one record** (:class:`_Request`) from its front
+door (``submit_many``, or :meth:`~repro.service.router.Router.submit`)
+to its terminal outcome, decided once by :meth:`_Request.settle`
+under the one outcome rule the pool's and the router's ledgers read.
+
 Jobs cross the boundary as :class:`~repro.service.batch.CompileJob`
 specs — an ``App`` itself is not picklable.  Every recovery action —
 restarts, retries, deadline and heartbeat kills, crash counts — and
@@ -77,14 +82,16 @@ from collections import deque
 from concurrent.futures import Future
 from multiprocessing import resource_tracker
 from multiprocessing.connection import wait as connection_wait
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import (
+    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+)
 
 import numpy as np
 
 from ..runtime.executor import RequestError
 from .batch import CompileJob
 from .faults import FaultPlan
-from .serve import RejectedError, ServerClosed, gather
+from .serve import RejectedError, ServerClosed, ShedError, gather
 from . import shm as shm_transport
 
 
@@ -326,7 +333,14 @@ def _worker_main(
 # -- supervisor-side bookkeeping -----------------------------------------------
 
 
+#: a terminal outcome -> its :meth:`WorkerPool.event_log` kind
+_EVENT_KINDS = {"completed": "complete", "failed": "fail", "expired": "expire"}
+
+
 class _Request:
+    """One request, created once at its front door and carried as the
+    same object through a router bucket and the pool's queue."""
+
     __slots__ = (
         "id",
         "inputs",
@@ -334,42 +348,65 @@ class _Request:
         "attempts",
         "idempotent",
         "expires_at",
+        "queued_at",
         "not_before",
+        "ledgers",
     )
 
-    def __init__(self, req_id, inputs, idempotent, expires_at):
-        self.id = req_id
+    def __init__(self, inputs, idempotent, expires_at, queued_at):
+        self.id: Optional[int] = None  # the pool's id, stamped on entry
         self.inputs = inputs
         self.future: "Future[np.ndarray]" = Future()
         self.attempts = 0  # dispatches so far
         self.idempotent = idempotent
         self.expires_at = expires_at  # absolute monotonic expiry, or None
+        self.queued_at = queued_at  # monotonic submission time
         self.not_before = 0.0  # retry backoff gate (monotonic time)
+        #: ``ledger(request, outcome, error)`` counters (the router's,
+        #: the pool's) that :meth:`settle` runs before resolving the
+        #: future, so whoever it wakes reads counts that include it
+        self.ledgers: List[Callable] = []
+
+    def settle(self, result=None, error: Optional[BaseException] = None):
+        """Resolve the future: this request's one terminal outcome.
+
+        The outcome rule every ledger reads: a result is
+        ``"completed"``; :class:`DeadlineExceeded`, raised only for a
+        request whose own budget ran out, is ``"expired"``; a router
+        eviction (:class:`~repro.service.serve.ShedError`) is
+        ``"shed"``; every other error is ``"failed"``.
+        """
+        if error is None:
+            outcome = "completed"
+        elif isinstance(error, DeadlineExceeded):
+            outcome = "expired"
+        elif isinstance(error, ShedError):
+            outcome = "shed"
+        else:
+            outcome = "failed"
+        for ledger in self.ledgers:
+            ledger(self, outcome, error)
+        if error is None:
+            self.future.set_result(result)
+        else:
+            self.future.set_exception(error)
 
 
-class _Batch:
-    """The queue/dispatch unit: one or more requests served together."""
-
-    __slots__ = ("requests",)
-
-    def __init__(self, requests: List[_Request]) -> None:
-        self.requests = requests
-
-    @property
-    def not_before(self) -> float:
-        return max(request.not_before for request in self.requests)
-
-    @property
-    def expires_at(self) -> Optional[float]:
-        """Tightest member expiry — the batch runs as one dispatch.
-        Expired members are swept out *before* dispatch, so this never
-        inherits a budget a live member did not ask for."""
-        expiries = [
-            request.expires_at
-            for request in self.requests
-            if request.expires_at is not None
-        ]
-        return min(expiries) if expiries else None
+def _split_expired(
+    requests: Iterable[_Request], now: float
+) -> Tuple[List[_Request], List[_Request]]:
+    """``(live, spent)``: the one expiry test, for a router bucket and
+    the pool's queue alike — a request is spent once ``now`` reaches
+    its own ``expires_at``."""
+    live: List[_Request] = []
+    spent: List[_Request] = []
+    for request in requests:
+        expires_at = request.expires_at
+        if expires_at is not None and expires_at <= now:
+            spent.append(request)
+        else:
+            live.append(request)
+    return live, spent
 
 
 class _Rolling:
@@ -424,7 +461,8 @@ class _Worker:
         self.process = process
         self.conn = conn
         self.ready = False
-        self.batch: Optional[_Batch] = None
+        #: the requests of its one in-flight dispatch
+        self.batch: Optional[List[_Request]] = None
         self.draining = False  # rolling restart: no new dispatches
         self.dispatched_at = 0.0
         self.last_heartbeat = now
@@ -477,7 +515,9 @@ class WorkerPool:
         runs out fails fast with :class:`DeadlineExceeded` without
         ever occupying a worker, and a dispatched batch is killed at
         its tightest *live* member expiry (expired members are swept
-        out before dispatch, never inherited).
+        out before dispatch, never inherited).  Only the members whose
+        own budget ran out expire; the rest are retried, or fail with
+        :class:`WorkerCrashed` as after any other kill.
     record_events:
         When true, keep a bounded in-memory log of request lifecycle
         events (``("dispatch"|"complete"|"fail"|"expire", rid, ...)``)
@@ -570,10 +610,10 @@ class WorkerPool:
             self._ctx = mp_context or multiprocessing.get_context()
 
         self._mu = threading.Lock()
-        self._queue: Deque[_Batch] = deque()  # guarded-by: _mu
+        #: queued batches, each served by one dispatch
+        self._queue: Deque[List[_Request]] = deque()  # guarded-by: _mu
         self._workers: Dict[int, _Worker] = {}  # guarded-by: _mu
         self._closed = False  # guarded-by: _mu
-        self._aborted = False  # guarded-by: _mu
         self._rolling: Optional[_Rolling] = None  # guarded-by: _mu
         self._drained = threading.Event()
         self._req_ids = itertools.count()
@@ -642,6 +682,23 @@ class WorkerPool:
         worker.req_ring = None
         worker.resp_ring = None
 
+    def _stop_worker(self, worker: _Worker, grace: float) -> None:
+        """End one worker process and free its pipe and rings: wait up
+        to ``grace`` seconds for it to exit on its own (after a
+        ``("stop",)`` it does), then terminate it, then kill it."""
+        worker.process.join(timeout=grace)
+        if worker.process.is_alive():
+            worker.process.terminate()
+            worker.process.join(timeout=1.0)
+        if worker.process.is_alive():  # pragma: no cover - stuck SIGTERM
+            worker.process.kill()
+            worker.process.join(timeout=1.0)
+        try:
+            worker.conn.close()
+        except OSError:  # pragma: no cover
+            pass
+        self._destroy_rings(worker)
+
     def _nudge(self) -> None:
         try:
             self._wakeup_w.send(None)
@@ -674,12 +731,11 @@ class WorkerPool:
         :class:`~repro.service.serve.ServerClosed` and the workers are
         killed — no future is ever left unresolved.
         """
-        with self._mu:
-            self._closed = True
-        self._nudge()
-        if not self._drained.wait(timeout):
+        if not self.drain(timeout):
             with self._mu:
-                self._aborted = True
+                self._fail_left_locked(
+                    ServerClosed("worker pool closed before completion")
+                )
             self._nudge()
             self._drained.wait(10.0)
 
@@ -747,7 +803,6 @@ class WorkerPool:
         requests: Sequence[Optional[Dict[str, np.ndarray]]],
         deadline: Optional[float] = None,
         idempotent: bool = True,
-        expires_at: Optional[Sequence[Optional[float]]] = None,
     ) -> "List[Future[np.ndarray]]":
         """Enqueue a micro-batch; one future per request, in order.
 
@@ -755,12 +810,23 @@ class WorkerPool:
         ``batch_max`` per chunk) and each chunk runs as one batch-axis
         dispatch inside a worker.  Admission is all-or-nothing: when
         ``max_pending`` cannot absorb the whole batch, every request is
-        rejected and counted.
+        rejected and counted.  ``deadline`` is a per-request wall-clock
+        budget from *now*.
+        """
+        now = time.monotonic()
+        budget = deadline if deadline is not None else self.deadline
+        expires_at = now + budget if budget is not None else None
+        members = [
+            _Request(inputs, idempotent, expires_at, now)
+            for inputs in requests
+        ]
+        if members:
+            self._enqueue(members)
+        return [member.future for member in members]
 
-        ``deadline`` is a per-request wall-clock budget from *now*;
-        ``expires_at`` instead passes pre-computed absolute monotonic
-        expiries, one per request (the router uses this so queue time
-        already spent upstream keeps counting against the budget).
+    def _enqueue(self, requests: List[_Request]) -> None:
+        """Admit, queue and dispatch records: the one way into the
+        pool, for :meth:`submit_many` and the router's flusher alike.
 
         Who dispatches: this call, on the submitting thread, runs the
         supervisor's own :meth:`_dispatch_locked` pass (expiry sweep,
@@ -770,22 +836,6 @@ class WorkerPool:
         supervisor thread's, which is nudged; replies, reaping,
         heartbeats, rolling restarts and retries are its alone.
         """
-        requests = list(requests)
-        if not requests:
-            return []
-        now = time.monotonic()
-        if expires_at is None:
-            budget = deadline if deadline is not None else self.deadline
-            expiries: List[Optional[float]] = [
-                now + budget if budget is not None else None
-            ] * len(requests)
-        else:
-            expiries = list(expires_at)
-            if len(expiries) != len(requests):
-                raise ValueError(
-                    f"expires_at must match requests: got {len(expiries)}"
-                    f" expiries for {len(requests)} requests"
-                )
         with self._mu:
             if self._closed:
                 raise ServerClosed("worker pool is closed")
@@ -797,26 +847,19 @@ class WorkerPool:
                 raise RejectedError(
                     f"admission queue full ({self.max_pending} pending)"
                 )
-            members = [
-                _Request(
-                    next(self._req_ids),
-                    inputs,
-                    idempotent,
-                    expiry,
-                )
-                for inputs, expiry in zip(requests, expiries)
-            ]
+            for request in requests:
+                request.id = next(self._req_ids)
+                request.ledgers.append(self._count_locked)
             spread = max(1, len(self._workers))
             chunk = max(
-                1, min(self.batch_max, -(-len(members) // spread))
+                1, min(self.batch_max, -(-len(requests) // spread))
             )
-            for start in range(0, len(members), chunk):
-                self._queue.append(_Batch(members[start:start + chunk]))
-            self._dispatch_locked(now)
+            for start in range(0, len(requests), chunk):
+                self._queue.append(requests[start:start + chunk])
+            self._dispatch_locked(time.monotonic())
             queued = bool(self._queue)
         if queued:
             self._nudge()
-        return [member.future for member in members]
 
     def run(
         self,
@@ -910,11 +953,11 @@ class WorkerPool:
 
     def _pending_locked(self) -> int:
         inflight = sum(
-            len(worker.batch.requests)
+            len(worker.batch)
             for worker in self._workers.values()
             if worker.batch is not None
         )
-        return sum(len(batch.requests) for batch in self._queue) + inflight
+        return sum(len(batch) for batch in self._queue) + inflight
 
     def _backoff(self, request: _Request) -> float:
         base = min(
@@ -923,22 +966,16 @@ class WorkerPool:
         )
         return base * (0.5 + 0.5 * _jitter_fraction(request.id, request.attempts))
 
-    def _fail_locked(self, request: _Request, error: BaseException) -> None:
-        self.failed += 1
+    def _count_locked(
+        self, request: _Request, outcome: str, error: Optional[BaseException]
+    ) -> None:
+        """The pool's ledger (see :meth:`_Request.settle`)."""
+        setattr(self, outcome, getattr(self, outcome) + 1)
         if self.record_events:
-            self._events.append(("fail", request.id, type(error).__name__))
-        request.future.set_exception(error)
-
-    def _expire_locked(self, request: _Request, where: str) -> None:
-        """Terminal budget expiry: counted apart from failures."""
-        self.expired += 1
-        if self.record_events:
-            self._events.append(("expire", request.id))
-        request.future.set_exception(
-            DeadlineExceeded(
-                f"request {request.id} budget expired {where}"
-            )
-        )
+            event = (_EVENT_KINDS[outcome], request.id)
+            if outcome == "failed":
+                event += (type(error).__name__,)
+            self._events.append(event)
 
     def _retry_or_fail_locked(
         self, request: _Request, error: BaseException
@@ -953,66 +990,42 @@ class WorkerPool:
             and time.monotonic() >= request.expires_at
         ):
             # the budget is spent; a retry could never meet it
-            self._expire_locked(request, "during dispatch")
+            request.settle(
+                error=DeadlineExceeded(
+                    f"request {request.id} budget expired during dispatch"
+                )
+            )
             return
-        if not request.idempotent:
-            # at-most-once: the attempt may have (partially) run
-            self._fail_locked(request, error)
-            return
-        if request.attempts > self.retries:
-            self._fail_locked(request, error)
+        # at-most-once (the attempt may have partially run), or the
+        # retry budget is spent
+        if not request.idempotent or request.attempts > self.retries:
+            request.settle(error=error)
             return
         self.retries_performed += 1
         request.not_before = time.monotonic() + self._backoff(request)
-        self._queue.appendleft(_Batch([request]))
+        self._queue.appendleft([request])
 
     def _reap_locked(
-        self,
-        worker: _Worker,
-        error: BaseException,
-        counter: str,
-        respawn: bool = True,
+        self, worker: _Worker, error: BaseException, counter: str
     ) -> None:
         """Bury a dead/hung worker, requeue its batch, restart it."""
         setattr(self, counter, getattr(self, counter) + 1)
         batch, worker.batch = worker.batch, None
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        if worker.process.is_alive():
-            worker.process.terminate()
-            worker.process.join(timeout=1.0)
-            if worker.process.is_alive():  # pragma: no cover - stuck SIGTERM
-                worker.process.kill()
-                worker.process.join(timeout=1.0)
-        else:
-            worker.process.join(timeout=1.0)
-        self._destroy_rings(worker)
-        if batch is not None:
-            for request in batch.requests:
-                self._retry_or_fail_locked(request, error)
+        self._stop_worker(worker, grace=0.0)
+        for request in batch or ():
+            self._retry_or_fail_locked(request, error)
         del self._workers[worker.id]
         strikes = worker.init_strikes + (0 if worker.ready else 1)
-        # a graceful drain (closed, not aborted) still owes terminal
-        # results for queued work, so crashes keep respawning until the
-        # queue is empty; an abort has already failed everything
+        # a graceful drain still owes terminal results for queued work,
+        # so crashes keep respawning until the queue is empty (a forced
+        # close has already emptied it)
         if (
-            respawn
-            and not self._aborted
-            and (not self._closed or self._queue)
+            (not self._closed or self._queue)
             and self.restarts < self.max_restarts
             and strikes < self._INIT_STRIKE_LIMIT
         ):
             self.restarts += 1
             self._spawn_locked(worker.id, worker.incarnation + 1, strikes)
-        elif not self._workers:
-            # nobody left to serve: fail everything still queued
-            while self._queue:
-                for request in self._queue.popleft().requests:
-                    self._fail_locked(
-                        request, WorkerCrashed("no live workers remain")
-                    )
 
     def _handle_message_locked(self, worker: _Worker, message) -> None:
         kind = message[0]
@@ -1054,7 +1067,7 @@ class WorkerPool:
         if batch is None:  # stale reply from a reaped dispatch
             return
         worker.plan_stats = payload.get("plan", worker.plan_stats)
-        by_id = {request.id: request for request in batch.requests}
+        by_id = {request.id: request for request in batch}
         outputs: Dict[int, np.ndarray] = {}
         shm_part = payload.get("shm")
         if shm_part is not None:
@@ -1087,10 +1100,7 @@ class WorkerPool:
         for rid, output in outputs.items():
             request = by_id.pop(rid, None)
             if request is not None:
-                self.completed += 1
-                if self.record_events:
-                    self._events.append(("complete", rid))
-                request.future.set_result(output)
+                request.settle(output)
         for request in by_id.values():  # no verdict at all: treat as lost
             self._retry_or_fail_locked(
                 request,
@@ -1134,7 +1144,9 @@ class WorkerPool:
             return
         worker.shm_state = "pending"
 
-    def _send_batch_locked(self, worker: _Worker, batch: _Batch) -> bool:
+    def _send_batch_locked(
+        self, worker: _Worker, batch: List[_Request]
+    ) -> bool:
         """Dispatch one batch, choosing the data plane.
 
         Shared memory when the worker's rings are up and the frame
@@ -1142,8 +1154,8 @@ class WorkerPool:
         intra-batch array identity — shared weights — survives
         pickling).  Returns ``False`` when the worker's pipe is dead.
         """
-        rids = [request.id for request in batch.requests]
-        inputs = [request.inputs for request in batch.requests]
+        rids = [request.id for request in batch]
+        inputs = [request.inputs for request in batch]
         if self.transport != "pipe" and worker.shm_state != "broken":
             if worker.req_ring is None and worker.shm_state == "none":
                 self._setup_rings_locked(worker, inputs)
@@ -1169,33 +1181,20 @@ class WorkerPool:
         self.pipe_payloads += len(rids)
         return True
 
-    def _sweep_expired_locked(self, now: float) -> None:
-        """Fail-fast every queued request whose budget is spent.
-
-        Runs before each dispatch pass, so an expired request never
-        occupies a worker and a batch's dispatch deadline is the
-        tightest *live* member expiry, never an expired one's.
-        """
-        if not self._queue:
-            return
-        survivors: Deque[_Batch] = deque()
-        for batch in self._queue:
-            live: List[_Request] = []
-            for request in batch.requests:
-                if (
-                    request.expires_at is not None
-                    and request.expires_at <= now
-                ):
-                    self._expire_locked(request, "while queued")
-                else:
-                    live.append(request)
-            if live:
-                batch.requests = live
-                survivors.append(batch)
-        self._queue = survivors
-
     def _dispatch_locked(self, now: float) -> None:
-        self._sweep_expired_locked(now)
+        # expiries leave first, so an expired request never occupies a
+        # worker and a batch's dispatch deadline is the tightest *live*
+        # member expiry, never an expired one's
+        for batch in self._queue:
+            live, spent = _split_expired(batch, now)
+            batch[:] = live
+            for request in spent:
+                request.settle(
+                    error=DeadlineExceeded(
+                        f"request {request.id} budget expired while queued"
+                    )
+                )
+        self._queue = deque(batch for batch in self._queue if batch)
         idle = [
             worker
             for worker in self._workers.values()
@@ -1204,24 +1203,24 @@ class WorkerPool:
             and not worker.draining
             and worker.process.is_alive()
         ]
-        deferred: List[_Batch] = []
+        deferred: List[List[_Request]] = []
         while idle and self._queue:
             batch = self._queue.popleft()
-            if batch.not_before > now:
-                deferred.append(batch)
+            if max(request.not_before for request in batch) > now:
+                deferred.append(batch)  # a retry inside its backoff
                 continue
             worker = idle.pop()
-            for request in batch.requests:
+            for request in batch:
                 request.attempts += 1
             if not self._send_batch_locked(worker, batch):
                 # worker died between poll and dispatch; the reap below
                 # (next loop pass) restarts it — requeue undispatched
-                for request in batch.requests:
+                for request in batch:
                     request.attempts -= 1
                 deferred.append(batch)
                 continue
             if self.record_events:
-                for request in batch.requests:
+                for request in batch:
                     self._events.append(
                         (
                             "dispatch",
@@ -1235,22 +1234,21 @@ class WorkerPool:
         for batch in deferred:
             self._queue.appendleft(batch)
 
-    def _abort_locked(self) -> None:
-        """Forceful close: fail everything pending with ServerClosed.
+    def _fail_left_locked(self, error: BaseException) -> None:
+        """Fail what is left, queued and in flight, with ``error``.
 
-        Runs when :meth:`close` gave up waiting for a graceful drain —
-        every queued and in-flight future reaches a terminal state
-        before the workers are torn down, so no caller blocks forever.
+        The forceful end of :meth:`close` (:class:`ServerClosed`, once
+        a graceful drain gave up) and of a pool whose restart budget is
+        spent with no live worker (:class:`WorkerCrashed`): every
+        future reaches a terminal state, so no caller blocks forever.
         """
-        error = ServerClosed("worker pool closed before completion")
-        while self._queue:
-            for request in self._queue.popleft().requests:
-                self._fail_locked(request, error)
+        left = [request for batch in self._queue for request in batch]
+        self._queue.clear()
         for worker in self._workers.values():
             batch, worker.batch = worker.batch, None
-            if batch is not None:
-                for request in batch.requests:
-                    self._fail_locked(request, error)
+            left.extend(batch or ())
+        for request in left:
+            request.settle(error=error)
 
     def _rolling_step_locked(self, now: float) -> None:
         """Advance an in-progress rolling restart by one state step.
@@ -1290,15 +1288,7 @@ class WorkerPool:
                     worker.conn.send(("stop",))
                 except (BrokenPipeError, OSError):
                     pass
-                worker.process.join(timeout=2.0)
-                if worker.process.is_alive():
-                    worker.process.terminate()
-                    worker.process.join(timeout=1.0)
-                try:
-                    worker.conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-                self._destroy_rings(worker)
+                self._stop_worker(worker, grace=2.0)
                 del self._workers[wid]
                 self._spawn_locked(wid, worker.incarnation + 1, 0)
                 rolling.phase = "probing"
@@ -1333,8 +1323,6 @@ class WorkerPool:
                                 break  # reaped (init_err)
                     except (EOFError, OSError):
                         pass  # death handled below via is_alive
-                if self._aborted:
-                    self._abort_locked()
                 for worker in list(self._workers.values()):
                     if not worker.process.is_alive():
                         code = worker.process.exitcode
@@ -1349,15 +1337,24 @@ class WorkerPool:
                             "crashes",
                         )
                         continue
-                    batch = worker.batch
-                    expiry = batch.expires_at if batch is not None else None
-                    if expiry is not None and now > expiry:
+                    # the batch runs as one dispatch, so its deadline is
+                    # the tightest member expiry; expired members were
+                    # swept out before dispatch, so it never inherits a
+                    # budget a live member did not ask for
+                    expiries = [
+                        request.expires_at
+                        for request in worker.batch or ()
+                        if request.expires_at is not None
+                    ]
+                    if expiries and now > min(expiries):
+                        # the member whose budget ran out expires; to
+                        # the rest this is a kill like any other
                         self._reap_locked(
                             worker,
-                            DeadlineExceeded(
-                                f"batch of {len(batch.requests)} overran"
-                                f" its budget mid-execution on worker"
-                                f" {worker.id}"
+                            WorkerCrashed(
+                                f"worker {worker.id} killed: its batch of"
+                                f" {len(worker.batch)} overran a"
+                                " member's budget mid-execution"
                             ),
                             "deadline_kills",
                         )
@@ -1375,12 +1372,9 @@ class WorkerPool:
                 if not self._workers and self._queue:
                     # the restart budget is spent and nobody can serve:
                     # fail queued work now instead of letting it hang
-                    while self._queue:
-                        for request in self._queue.popleft().requests:
-                            self._fail_locked(
-                                request,
-                                WorkerCrashed("no live workers remain"),
-                            )
+                    self._fail_left_locked(
+                        WorkerCrashed("no live workers remain")
+                    )
                 self._rolling_step_locked(now)
                 self._dispatch_locked(now)
                 if (
@@ -1420,18 +1414,7 @@ class WorkerPool:
             except (BrokenPipeError, OSError):
                 pass
         for worker in workers:
-            worker.process.join(timeout=2.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-            if worker.process.is_alive():  # pragma: no cover - stuck SIGTERM
-                worker.process.kill()
-                worker.process.join(timeout=1.0)
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._destroy_rings(worker)
+            self._stop_worker(worker, grace=2.0)
         self._drained.set()
 
     def __repr__(self) -> str:

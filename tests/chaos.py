@@ -4,7 +4,8 @@ The deterministic fault harness (:mod:`repro.service.faults`) injects
 *point* faults — one mode, one site, chosen by the test.  Production
 failure is messier: faults compose, land mid-batch, overlap a rolling
 restart, and hit requests whose deadline budgets are half spent.  This
-module closes that gap with a seeded soak:
+module (driven by ``tests/test_chaos.py``, ``pytest -m chaos``) closes
+that gap with a seeded soak:
 
 * :func:`random_fault_plan` draws a random composition of every fault
   mode (kill / hang / raise / corrupt-artifact / corrupt-shm-slot /
@@ -47,12 +48,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batch import CompileJob
-from .faults import FaultPlan, FaultSpec
-from .router import Router, job_fingerprint
-from .serve import RejectedError, ServerClosed, ShedError
-from .supervisor import DeadlineExceeded
-from . import shm as shm_transport
+from repro.service import shm as shm_transport
+from repro.service.batch import CompileJob
+from repro.service.faults import FaultPlan, FaultSpec
+from repro.service.router import Router, job_fingerprint
+from repro.service.serve import RejectedError, ShedError
+from repro.service.supervisor import DeadlineExceeded
 
 __all__ = [
     "SoakReport",

@@ -1,4 +1,4 @@
-"""Chaos-soak invariant suite (``repro.service.chaos``).
+"""Chaos-soak invariant suite (the harness is ``tests/chaos.py``).
 
 Each test case is one seeded soak: a random composition of fault modes
 fires against a long mixed workload (two shape buckets, random deadline
@@ -18,7 +18,7 @@ import os
 
 import pytest
 
-from repro.service.chaos import SoakReport, random_fault_plan, run_soak
+from chaos import SoakReport, random_fault_plan, run_soak
 from repro.service.faults import FaultPlan
 
 pytestmark = pytest.mark.chaos
@@ -49,7 +49,7 @@ def test_fault_plans_cover_the_mode_space():
     for seed in range(64):
         for spec in random_fault_plan(seed).specs:
             drawn.add(spec.mode)
-    from repro.service.chaos import _DISRUPTIVE_MODES, _RATE_MODES
+    from chaos import _DISRUPTIVE_MODES, _RATE_MODES
 
     assert drawn == set(_RATE_MODES + _DISRUPTIVE_MODES)
 

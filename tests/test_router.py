@@ -21,7 +21,7 @@ from repro.service.faults import FaultPlan, FaultSpec
 from repro.service.router import Router, job_fingerprint, shape_signature
 from repro.service.serve import RejectedError, ServerClosed
 from repro.service.shm import available as shm_available
-from repro.service.supervisor import RemoteError, WorkerPool
+from repro.service.supervisor import RemoteError, WorkerPool, _Request
 
 pytestmark = pytest.mark.router
 
@@ -87,6 +87,31 @@ def _await_bucket(router, predicate, timeout=30.0):
             return buckets[0], now
         assert now < give_up, f"bucket never got there: {buckets}"
         time.sleep(0.001)
+
+
+def _await_pool(router, predicate, timeout=60.0):
+    """Poll the router's only pool (1 ms period) until
+    ``predicate(pool.stats())`` holds; returns the pool."""
+    (pool,) = router.pools().values()
+    give_up = time.monotonic() + timeout
+    while not predicate(pool.stats()):
+        assert time.monotonic() < give_up, "pool never got there"
+        time.sleep(0.001)
+    return pool
+
+
+def _ready(stats):
+    return all(worker["ready"] for worker in stats["workers"])
+
+
+def _busy(stats):
+    return any(worker["busy"] for worker in stats["workers"])
+
+
+def _batches_sent(pool):
+    """Worker dispatches so far, over either data plane."""
+    transport = pool.stats()["transport"]
+    return transport["shm_batches"] + transport["pipe_batches"]
 
 
 class TestDifferentialParity:
@@ -636,6 +661,71 @@ class TestLifecycleHardening:
         with pytest.raises(ServerClosed):
             future.result(timeout=1)
 
+    def test_batch_mate_of_an_expiry_fails_and_the_ledgers_agree(
+        self, rng
+    ):
+        """Regression: a batch killed because one member's budget ran
+        out.  That member expires; its at-most-once batch-mate, which
+        had no budget of its own, fails with WorkerCrashed as after any
+        other kill — and the router's and the pool's ledgers count the
+        same outcomes."""
+        from repro.service.supervisor import DeadlineExceeded, WorkerCrashed
+
+        app = FAST_JOB.build_app()
+        requests = build_requests(app, 3, rng)
+        expected = _reference_outputs(FAST_JOB, requests, "compile")
+        plan = FaultPlan(
+            specs=[
+                FaultSpec(
+                    "hang-kernel",
+                    visits=(0,),
+                    seconds=0.6,
+                    scope={"incarnation": 0},
+                ),
+                FaultSpec(
+                    "hang-kernel",
+                    visits=(1,),
+                    seconds=30.0,
+                    scope={"incarnation": 0},
+                ),
+            ]
+        )
+        with Router(
+            [FAST_JOB],
+            workers=1,
+            max_batch=8,
+            flush_interval=10.0,
+            fault_plan=plan,
+            hang_grace=60.0,
+        ) as router:
+            pool = _await_pool(router, _ready)
+            running = router.submit(FAST_JOB, requests[0])
+            _await_bucket(router, lambda row: row["inflight"] == 1)
+            # queued behind the busy worker, they leave as one batch
+            budgeted = router.submit(
+                FAST_JOB, requests[1], deadline=1.5, idempotent=False
+            )
+            unbudgeted = router.submit(
+                FAST_JOB, requests[2], idempotent=False
+            )
+            np.testing.assert_array_equal(
+                running.result(timeout=60), expected[0]
+            )
+            with pytest.raises(DeadlineExceeded):
+                budgeted.result(timeout=60)
+            with pytest.raises(WorkerCrashed):
+                unbudgeted.result(timeout=60)
+            stats = router.stats()
+            pool_stats = pool.stats()
+        (bucket,) = stats["buckets"]
+        assert bucket["largest_flush"] == 2
+        for ledger in (stats, pool_stats):
+            outcomes = (
+                ledger["completed"], ledger["failed"], ledger["expired"]
+            )
+            assert outcomes == (1, 1, 1)
+        assert pool_stats["deadline_kills"] == 1
+
     def test_rolling_restart_replaces_every_worker(self, rng):
         app = FAST_JOB.build_app()
         requests = build_requests(app, 4, rng)
@@ -876,6 +966,52 @@ class TestWorkConservingFlush:
         rids = [e[1] for e in pool.event_log() if e[0] == "dispatch"]
         assert len(rids) == len(set(rids))  # nothing dispatched twice
 
+    def test_one_flush_is_one_dispatch(self, rng):
+        """Four queued requests of alternating idempotence leave as one
+        flush and reach the worker as one batch — the flag rides on
+        each request, so at-most-once still holds per request."""
+        app = FAST_JOB.build_app()
+        requests = build_requests(app, 5, rng)
+        expected = _reference_outputs(FAST_JOB, requests, "compile")
+        with Router(
+            [FAST_JOB],
+            workers=1,
+            max_batch=8,
+            flush_interval=10.0,
+            fault_plan=_hang(0.6, visits=(0,)),
+            record_events=True,
+        ) as router:
+            _await_pool(router, _ready)
+            blocker = router.submit(FAST_JOB, requests[4])
+            pool = _await_pool(router, _busy)
+            (before,) = router.stats()["buckets"]
+            before_sent = _batches_sent(pool)
+            futures = [
+                router.submit(FAST_JOB, request, idempotent=index % 2 == 0)
+                for index, request in enumerate(requests[:4])
+            ]
+            (row,) = router.stats()["buckets"]
+            assert row["queued"] == 4 and not blocker.done(), (
+                "the worker freed before the arrivals were in: host stall"
+            )
+            for future, reference in zip(futures, expected):
+                np.testing.assert_array_equal(
+                    future.result(timeout=60), reference
+                )
+            np.testing.assert_array_equal(
+                blocker.result(timeout=60), expected[4]
+            )
+            (after,) = router.stats()["buckets"]
+            sent = _batches_sent(pool)
+            events = pool.event_log()
+        assert after["flushes"] == before["flushes"] + 1
+        assert sent == before_sent + 1
+        dispatches = [event for event in events if event[0] == "dispatch"]
+        at_most_once = {event[1] for event in dispatches if not event[2]}
+        assert len(at_most_once) == 2
+        for rid in at_most_once:
+            assert [event[1] for event in dispatches].count(rid) == 1
+
     def test_one_inflight_request_does_not_hold_the_second_worker(
         self, served
     ):
@@ -923,14 +1059,21 @@ class TestWorkConservingFlush:
         np.testing.assert_array_equal(
             future.result(timeout=60), expected[0]
         )
-        # a spent budget is swept on the inline path too: it expires
-        # without a dispatch, its live batch-mate is served
+        # a spent budget is swept on the inline path too: handed over
+        # as the router's flusher does, a record whose budget ran out
+        # in its bucket expires without a dispatch, its live batch-mate
+        # is served
         before = dispatched()
-        doomed, live = pool.submit_many(
-            requests[:2], expires_at=[time.monotonic() - 1.0, None]
+        now = time.monotonic()
+        doomed = _Request(requests[0], True, now - 1.0, now)
+        live = _Request(requests[1], True, None, now)
+        pool._enqueue([doomed, live])
+        assert isinstance(
+            doomed.future.exception(timeout=1), DeadlineExceeded
         )
-        assert isinstance(doomed.exception(timeout=1), DeadlineExceeded)
-        np.testing.assert_array_equal(live.result(timeout=60), expected[1])
+        np.testing.assert_array_equal(
+            live.future.result(timeout=60), expected[1]
+        )
         assert len(dispatched()) == len(before) + 1
         # every worker busy: the batch queues, the supervisor is nudged
         # and dispatches it when a worker frees

@@ -8,25 +8,17 @@ rule-set fingerprint, backend, and device — and restores the tensorized
 statement plus the ready-to-exec kernel, skipping saturation *and*
 codegen entirely.
 
-Asserted (full mode): summed ``compile_lowered`` time over the fig-6
-conv1d suite is >=5x faster warm than cold (measured ~9-10x), and every
+Asserted: every cold compile misses and every warm one hits, every
 workload's pipeline output is bit-identical cold vs. warm on *both*
-execution backends.  ``--smoke`` checks hit/miss behavior,
-bit-exactness, and the parallel batch driver without timing assertions
-(CI-safe).
-
-The timer starts after ``lower``: it is the ``compile_lowered`` call
-alone.  A user also pays ``build`` + ``lower`` on every hit; end to end
-(``benchmarks/perf``: ``warm_miss_catalog_ms`` / ``warm_hit_catalog_ms``,
-medians of ten runs) a hit was 2.2x cheaper than a miss on the ``apps``
-catalog (486 vs 219 ms) and 2.1x on ``conv1d_sweep`` before lowering
-cached its per-node facts (PR 12), and is 3.2x (370 vs 115 ms) and 2.8x
-(91 vs 32 ms) after.
+execution backends, and the parallel ``BatchCompiler`` misses on its
+first batch and hits on its second.  The per-workload compile times are
+printed, not asserted: warm-start speed is tracked end to end by
+``benchmarks/perf`` (``warm_miss_catalog_ms`` / ``warm_hit_catalog_ms``).
 
 Run directly::
 
-    python -m benchmarks.bench_warm_start           # full, asserts 5x
-    python -m benchmarks.bench_warm_start --smoke   # CI gate
+    python -m benchmarks.bench_warm_start           # the fig-6 sweep
+    python -m benchmarks.bench_warm_start --smoke   # small sizes (CI)
 """
 
 from __future__ import annotations
@@ -52,7 +44,6 @@ from .harness import artifact_row, print_artifact_report, print_header
 #: the fig-6 compile-time sweep (bench_fig6_compile_time.KERNEL_SIZES)
 KERNEL_SIZES = [8, 32, 56, 96, 160, 256]
 SMOKE_SIZES = [8, 16]
-TARGET_SPEEDUP = 5.0
 
 
 def compile_suite(sizes, store, expect):
@@ -107,9 +98,7 @@ def race(sizes):
                 ), f"taps={taps}: {backend} outputs differ cold vs. warm"
             rows.append(artifact_row(f"conv1d k={taps} cold", cold_report, cold_s))
             rows.append(artifact_row(f"conv1d k={taps} warm", warm_report, warm_s))
-        cold_total = sum(cold[t][0] for t in sizes)
-        warm_total = sum(warm[t][0] for t in sizes)
-        return rows, warm_store, cold_total, warm_total
+        return rows, warm_store
 
 
 def batch_race(sizes, max_workers=4):
@@ -129,17 +118,12 @@ def batch_race(sizes, max_workers=4):
     return first, second
 
 
-def report(rows, store, cold_total, warm_total, first, second) -> None:
+def report(rows, store, first, second) -> None:
     print_header(
         "Warm-start compile service — cold vs. warm over the fig-6"
         " conv1d suite (end-to-end compile wall-clock)"
     )
     print_artifact_report(rows, store)
-    speedup = cold_total / warm_total if warm_total else float("inf")
-    print(
-        f"suite totals: cold {cold_total * 1e3:.1f} ms, warm"
-        f" {warm_total * 1e3:.1f} ms -> {speedup:.1f}x"
-    )
     print()
     print("parallel batch driver (worker processes, shared store):")
     for label, batch in (("first batch", first), ("second batch", second)):
@@ -151,35 +135,21 @@ def report(rows, store, cold_total, warm_total, first, second) -> None:
         )
 
 
-def test_warm_start_speedup():
-    """Warm >=5x cold over the suite; outputs bit-identical both backends."""
-    rows, store, cold_total, warm_total = race(KERNEL_SIZES)
-    first, second = batch_race(KERNEL_SIZES)
-    report(rows, store, cold_total, warm_total, first, second)
-    speedup = cold_total / warm_total
-    assert speedup >= TARGET_SPEEDUP, (
-        f"warm-start speedup regressed: {speedup:.2f}x < {TARGET_SPEEDUP}x"
-        f" (cold {cold_total:.3f}s, warm {warm_total:.3f}s)"
-    )
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="hit/miss + bit-exactness + batch-driver check on small"
-        " workloads; no timing assertions (CI-safe)",
+        help="the same checks on small workloads (CI-safe)",
     )
     args = parser.parse_args()
-    if args.smoke:
-        rows, store, cold_total, warm_total = race(SMOKE_SIZES)
-        first, second = batch_race(SMOKE_SIZES, max_workers=2)
-        report(rows, store, cold_total, warm_total, first, second)
-        speedup = cold_total / warm_total if warm_total else float("inf")
-        print(f"smoke ok: {speedup:.1f}x (not asserted)")
-        return 0
-    test_warm_start_speedup()
+    sizes, max_workers = (
+        (SMOKE_SIZES, 2) if args.smoke else (KERNEL_SIZES, 4)
+    )
+    rows, store = race(sizes)
+    first, second = batch_race(sizes, max_workers=max_workers)
+    report(rows, store, first, second)
+    print("warm start ok: cold and warm outputs bit-identical")
     return 0
 
 

@@ -115,7 +115,7 @@ class CompiledPipeline:
         #: retried; only ever grows, and racing resolvers add the same
         #: answer, so a GIL-atomic set needs no lock
         self._unbatchable: Set[FrozenSet[str]] = set()
-        #: the one plan plan-less batch calls share (run_many, Server)
+        #: the one plan batch-axis run_many calls without plan= share
         # guarded-by: _lock
         self._default_plan: Optional[ExecutionPlan] = None
         self._lock = threading.Lock()
@@ -225,14 +225,6 @@ class CompiledPipeline:
                 store.put_kernel(key, kernel)
         self.kernel_cache.put(key, kernel)
         return kernel
-
-    def default_plan_stats(self) -> Optional[Dict[str, int]]:
-        """Counters of the plan plan-less batch calls share, or None
-        before the first such call."""
-        with self._lock:
-            if self._default_plan is None:
-                return None
-            return self._default_plan.stats()
 
     def run_many(
         self,

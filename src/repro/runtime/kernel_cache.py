@@ -59,8 +59,8 @@ class KernelCache:
     """An in-memory LRU of compiled kernels with hit/miss accounting.
 
     Thread-safe: the LRU and its counters are guarded by a lock, so any
-    number of serving workers (``run_many`` plans, a
-    :class:`repro.service.Server`'s thread pool) may share one cache —
+    number of serving workers (``run_many`` plans, the plan each
+    :class:`repro.service.Server` worker thread holds) may share one cache —
     including the process-wide default.  Codegen itself runs outside
     the lock; two threads racing on the same miss simply compile
     equivalent kernels and the last ``put`` wins.

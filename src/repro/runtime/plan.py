@@ -40,9 +40,9 @@ Every cached object is bit-identical to what the uncached path
 computes, so arena runs produce bit-identical outputs; the serving
 benchmark and test suite assert this on both backends.
 
-Neither a plan nor its arena is thread-safe — create one per worker
-thread (``repro.service.Server`` does), or serialize access to one
-(the pipeline's default plan for plan-less batches sits behind a lock).
+Neither a plan nor its arena is thread-safe — keep one per worker
+thread (``repro.service.Server`` runs every request on one), or
+serialize access to one (the pipeline's default plan sits behind a lock).
 """
 
 from __future__ import annotations
@@ -291,10 +291,10 @@ class BatchingUnsupported(RuntimeError):
     (shapes/dtypes differ across requests), a request is not a plain
     ndarray mapping, the plan runs on the interpreter, or the statement
     has no batch-axis kernel for the bucket's stacked set (e.g.
-    per-request weights feeding a shuffle constructor).  Callers —
-    ``CompiledPipeline.run_many`` and ``repro.service.Server`` — catch
-    it and fall back to the looped per-request path, so it is a routing
-    signal, not an error.
+    per-request weights feeding a shuffle constructor).
+    ``CompiledPipeline.run_many``, which every serving front end runs
+    through, catches it and falls back to the looped per-request path
+    (unless ``batch_axis=True``): a routing signal, not an error.
     """
 
 

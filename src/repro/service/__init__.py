@@ -15,11 +15,10 @@ top of the compiler:
 * :mod:`.batch` — :class:`BatchCompiler`: precompile a catalog of apps
   into one shared store over worker processes.
 * :mod:`.serve` — :class:`Server`: the execution-side counterpart —
-  persistent worker threads, each holding a warm
-  :class:`~repro.runtime.plan.ExecutionPlan`, serving batches of
-  same-shaped requests, with retries, admission control, and circuit
-  breakers that degrade to slower-but-equivalent paths on repeated
-  failure.
+  persistent worker threads, each running every request on one warm
+  :class:`~repro.runtime.plan.ExecutionPlan`, with retries, admission
+  control, and a breaker that degrades to the equivalent interpreter;
+  also the request record and error types all front ends share.
 * :mod:`.supervisor` — :class:`WorkerPool`: crash-isolated worker
   *processes* supervised over pipes — heartbeats, deadlines, automatic
   restarts, and bounded re-dispatch of in-flight requests.

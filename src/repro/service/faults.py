@@ -398,11 +398,11 @@ def active(
 class CircuitBreaker:
     """Trip after ``threshold`` *consecutive* failures; stay open.
 
-    The serving tier uses one per degradable path (batch-axis kernel,
-    compiled backend): while closed, the fast path is tried and a
-    success resets the failure streak; once open, callers route the
-    degraded path until :meth:`reset`.  Thread-safe; every transition
-    is counted so ``stats()`` can prove a trip happened.
+    ``Server`` guards its compiled backend with one: while closed, the
+    fast path is tried and a success resets the failure streak; once
+    open, callers route the degraded path until :meth:`reset`.
+    Thread-safe; every transition is counted so ``stats()`` can prove
+    a trip happened.
     """
 
     threshold: int = 3

@@ -86,8 +86,10 @@ import numpy as np
 
 from .batch import CompileJob
 from .faults import FaultPlan
-from .serve import RejectedError, ServerClosed, ShedError, gather
-from .supervisor import DeadlineExceeded, WorkerPool, _Request, _split_expired
+from .serve import (
+    DeadlineExceeded, RejectedError, ServerClosed, ShedError, _Request, gather
+)
+from .supervisor import WorkerPool, _split_expired
 
 __all__ = ["Router", "job_fingerprint", "shape_signature"]
 

@@ -1,12 +1,10 @@
-"""The batched serving front-end: persistent workers over one pipeline.
+"""The in-process serving front end: worker threads over one pipeline.
 
-``CompiledPipeline.run_many`` builds its worker plans per batch; a
-:class:`Server` keeps them alive across batches, which is what a real
-serving process wants — the kernel stays bound, the stride env stays
-built, the arenas stay warm (pooled tile buffers, cached shuffle
-matrices), and every request after the first pays only kernel time.
-
-::
+A :class:`Server` keeps one :class:`~repro.runtime.plan.ExecutionPlan`
+per worker thread alive across requests — the kernel stays bound, the
+stride env stays built, the arena stays warm (pooled tile buffers,
+cached shuffle operands) — so every request after a thread's first
+pays only kernel time::
 
     from repro.service import Server
 
@@ -15,41 +13,29 @@ matrices), and every request after the first pays only kernel time.
         one = server.run(request)                  # single, synchronous
         future = server.submit(request)            # overlap with caller
 
-Each worker thread owns one :class:`~repro.runtime.plan.ExecutionPlan`
-(created lazily on the thread's first request), so no plan is ever
-shared between threads; the pipeline's :class:`KernelCache` is
-thread-safe and shared, and a batch-axis bucket runs on the pipeline's
-default plan, behind the pipeline's lock.  Outputs are bit-identical
-to sequential ``pipeline.run`` on either backend — asserted by the
-serving benchmark and test suite.
-
-Fault tolerance
----------------
-
-The server survives faulty kernels instead of propagating every
-failure to the caller:
-
-* each request gets ``retries`` extra attempts (the compute is pure,
-  so re-running is always safe);
-* a :class:`~repro.service.faults.CircuitBreaker` per degradable path:
-  repeated *consecutive* failures of the compiled backend degrade the
-  server to the interpreter (bit-identical outputs, slower), and
-  repeated batch-axis failures route ``run_many`` through the
-  per-request worker pool;
-* ``max_pending`` bounds admission — ``submit`` blocks for
-  backpressure or raises :class:`RejectedError` with ``block=False``;
-* ``close()`` is idempotent and drains in-flight work; submissions
-  racing a close get a typed :class:`ServerClosed`.
-
+Every request takes one path, a ``WorkerPool`` worker's: it is a
+request record (:class:`_Request`, shared with the pool and the
+router), admitted under one counting rule, dispatched to a worker
+thread in a chunk of ``ceil(n / workers)``, run there as one
+``pipeline.run_many(chunk, plan=<the thread's plan>,
+on_error="return")`` call, and settled once.  A failed member is
+retried alone (the compute is pure, so re-running is safe); a failed
+batch-axis kernel call is re-run request by request inside
+``run_many``; repeated compiled-backend failures trip a
+:class:`~repro.service.faults.CircuitBreaker` that moves every plan to
+the bit-identical interpreter.  ``drain`` / ``close`` settle every
+accepted request; a submission racing them gets :class:`ServerClosed`.
 Every recovery action is counted in :meth:`Server.stats`.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -60,7 +46,7 @@ from ..runtime.executor import (
     _check_backend,
     _check_on_error,
 )
-from ..runtime.plan import BatchingUnsupported, ExecutionPlan
+from ..runtime.plan import ExecutionPlan
 from .faults import CircuitBreaker
 
 
@@ -83,6 +69,65 @@ class ShedError(RejectedError):
     per-bucket depth caps, and best-effort lane eviction rather than
     the static ``max_pending`` bound.
     """
+
+
+class DeadlineExceeded(RuntimeError):
+    """A request overran its deadline; the worker was killed."""
+
+
+class _Request:
+    """One request, created once at its front door and carried as the
+    same object to its terminal outcome, in any of the front ends."""
+
+    __slots__ = (
+        "id",
+        "inputs",
+        "future",
+        "attempts",
+        "idempotent",
+        "expires_at",
+        "queued_at",
+        "not_before",
+        "ledgers",
+    )
+
+    def __init__(self, inputs, idempotent, expires_at, queued_at):
+        self.id: Optional[int] = None  # the pool's id, stamped on entry
+        self.inputs = inputs
+        self.future: "Future[np.ndarray]" = Future()
+        self.attempts = 0  # dispatches so far
+        self.idempotent = idempotent
+        self.expires_at = expires_at  # absolute monotonic expiry, or None
+        self.queued_at = queued_at  # monotonic submission time
+        self.not_before = 0.0  # retry backoff gate (monotonic time)
+        #: ``ledger(request, outcome, error)`` counters (the router's,
+        #: the pool's, ...) that :meth:`settle` runs before resolving
+        #: the future, so whoever it wakes reads counts that include it
+        self.ledgers: List[Callable] = []
+
+    def settle(self, result=None, error: Optional[BaseException] = None):
+        """Resolve the future: this request's one terminal outcome.
+
+        The outcome rule every ledger reads: a result is
+        ``"completed"``; :class:`DeadlineExceeded`, raised only for a
+        request whose own budget ran out, is ``"expired"``; a router
+        eviction (:class:`ShedError`) is ``"shed"``; every other error
+        is ``"failed"``.
+        """
+        if error is None:
+            outcome = "completed"
+        elif isinstance(error, DeadlineExceeded):
+            outcome = "expired"
+        elif isinstance(error, ShedError):
+            outcome = "shed"
+        else:
+            outcome = "failed"
+        for ledger in self.ledgers:
+            ledger(self, outcome, error)
+        if error is None:
+            self.future.set_result(result)
+        else:
+            self.future.set_exception(error)
 
 
 def gather(
@@ -127,7 +172,7 @@ def gather(
 
 
 class Server:
-    """Serve one compiled pipeline from a pool of plan-holding workers.
+    """Serve one compiled pipeline from a pool of plan-holding threads.
 
     Parameters
     ----------
@@ -140,29 +185,17 @@ class Server:
         Execution backend for every request; defaults to the
         pipeline's.  Counters are not supported on the serving path —
         use ``pipeline.run(counters=...)`` for instrumented runs.
-    batch_axis:
-        Batch routing policy for :meth:`run_many`.  ``None`` (default)
-        tries the one-kernel-call batched path on the compiled backend
-        and silently falls back to the worker pool when a bucket is
-        unbatchable (ragged shapes, per-request weights feeding
-        shuffles); ``False`` always fans out over the pool;
-        ``True`` requires the batched path and raises
-        :class:`~repro.runtime.plan.BatchingUnsupported` otherwise.
     retries:
-        Extra attempts per request after a failure (default 1).  The
-        pipeline is pure compute, so a retry can never double-apply
-        anything; a failed attempt also rebuilds the worker's plan in
-        case the failure left partial buffer state.
+        Extra attempts per failed request (default 1), each alone; the
+        failed run has already reset the plan, so a retry starts clean.
     retry_delay:
         Base backoff between attempts, scaled linearly per attempt.
     max_pending:
-        Admission bound: at most this many requests may be in flight
-        (queued + running).  ``None`` (default) is unbounded.  When
-        full, ``submit(block=True)`` applies backpressure and
-        ``submit(block=False)`` raises :class:`RejectedError`.
+        Admission bound on requests in flight (queued + running);
+        ``None`` (default) is unbounded.
     breaker_threshold:
-        Consecutive failures before a circuit breaker trips (see
-        module docstring).
+        Consecutive compiled-backend failures before the server
+        degrades to the interpreter.
     """
 
     def __init__(
@@ -170,7 +203,6 @@ class Server:
         pipeline,
         workers: Optional[int] = None,
         backend: Optional[str] = None,
-        batch_axis: Optional[bool] = None,
         retries: int = 1,
         retry_delay: float = 0.005,
         max_pending: Optional[int] = None,
@@ -182,8 +214,6 @@ class Server:
         self.backend = (
             _check_backend(backend) if backend is not None else pipeline.backend
         )
-        import os
-
         self.workers = (
             int(workers) if workers is not None else (os.cpu_count() or 1)
         )
@@ -196,151 +226,173 @@ class Server:
         self.retries = int(retries)
         self.retry_delay = float(retry_delay)
         self.max_pending = max_pending
-        self._admission = (
-            threading.Semaphore(max_pending)
-            if max_pending is not None
-            else None
-        )
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve"
         )
         self._local = threading.local()
-        self._lock = threading.Lock()
-        #: lifecycle lock makes the closed-check + pool submit atomic
-        #: against close(); never held while blocking on admission or
-        #: while draining, so submitters cannot deadlock a closer.
-        self._lifecycle = threading.Lock()
-        self._plans: List[ExecutionPlan] = []  # guarded-by: _lock
-        self._closed = False  # guarded-by: _lifecycle
-        self.batch_axis = batch_axis
-        self.requests_served = 0  # guarded-by: _lock
-        self.batches_served = 0  # guarded-by: _lock
-        self.batched_batches = 0  # guarded-by: _lock
-        self.failures = 0  # guarded-by: _lock
-        self.retries_performed = 0  # guarded-by: _lock
-        self.rejected = 0  # guarded-by: _lock
-        #: trips -> plans degrade from the compiled backend to the
+        #: the one lock; it wakes submitters waiting for admission room
+        #: and drainers waiting for the last accepted record to settle
+        self._cond = threading.Condition()
+        self._plans: List[ExecutionPlan] = []  # guarded-by: _cond
+        #: admitted records not yet settled (queued + running)
+        self._pending = 0  # guarded-by: _cond
+        self._closed = False  # guarded-by: _cond
+        self.requests_served = 0  # guarded-by: _cond
+        self.batches_served = 0  # guarded-by: _cond
+        self.batched_batches = 0  # guarded-by: _cond
+        self.failures = 0  # guarded-by: _cond
+        self.retries_performed = 0  # guarded-by: _cond
+        self.rejected = 0  # guarded-by: _cond
+        #: open -> plans degrade from the compiled backend to the
         #: interpreter (same outputs; see the parity test suite)
         self.backend_breaker = CircuitBreaker(
             threshold=breaker_threshold, name="backend"
         )
-        #: trips -> run_many stops attempting the batch-axis kernel
-        #: and fans buckets over the per-request worker pool
-        self.batch_breaker = CircuitBreaker(
-            threshold=breaker_threshold, name="batch-axis"
-        )
-        self._degraded_backend: Optional[str] = None  # guarded-by: _lock
-        #: bumped whenever the effective backend changes so worker
-        #: threads drop their cached plan and rebuild on the new path
-        self._plan_generation = 0  # guarded-by: _lock
 
     # -- worker-side ---------------------------------------------------------
 
     def _effective_backend(self) -> str:
-        with self._lock:
-            return self._degraded_backend or self.backend
+        return self.backend if self.backend_breaker.allow() else "interpret"
 
     def _plan(self) -> ExecutionPlan:
-        with self._lock:
-            generation = self._plan_generation
-            backend = self._degraded_backend or self.backend
-        entry = getattr(self._local, "plan_entry", None)
-        if entry is not None and entry[0] == generation:
-            return entry[1]
-        plan = self.pipeline.plan(backend=backend)
-        self._local.plan_entry = (generation, plan)
-        with self._lock:
-            self._plans.append(plan)
+        """This thread's one plan, rebuilt only when the effective
+        backend — degraded, or restored by :meth:`reset_breakers` — no
+        longer matches it."""
+        backend = self._effective_backend()
+        plan = getattr(self._local, "plan", None)
+        if plan is None or plan.backend != backend:
+            plan = self._local.plan = self.pipeline.plan(backend=backend)
+            with self._cond:
+                self._plans.append(plan)
         return plan
 
-    def _record_backend_failure(self) -> None:
-        tripped = self.backend_breaker.record_failure()
-        if tripped and self._effective_backend() == "compile":
-            with self._lock:
-                self._degraded_backend = "interpret"
-                self._plan_generation += 1
-            # the degraded path starts with a clean failure streak;
-            # the trip stays counted in breaker stats
-            self.backend_breaker.reset()
-
-    def _run_one(
-        self, request: Optional[InputMap], out: Optional[np.ndarray]
-    ) -> np.ndarray:
-        attempts = self.retries + 1
-        for attempt in range(attempts):
-            try:
-                result = self._plan().run(request, out=out)
-            except Exception:
-                with self._lock:
-                    self.failures += 1
-                self._record_backend_failure()
-                if attempt + 1 >= attempts:
-                    raise
-                with self._lock:
-                    self.retries_performed += 1
+    def _serve(
+        self,
+        records: List[_Request],
+        batch_axis: Optional[bool],
+        attempt: int = 0,
+    ) -> None:
+        """The worker-thread function, the one execution rule: run
+        ``records`` as one ``run_many`` call on this thread's plan — the
+        call a pool worker makes — settle each success, and retry each
+        failure alone, up to ``retries`` times with linear backoff."""
+        if batch_axis is None and len(records) == 1:
+            batch_axis = False  # a singleton runs straight on the plan
+        try:
+            plan = self._plan()
+            batched = plan.batched_requests
+            outputs = self.pipeline.run_many(
+                [record.inputs for record in records],
+                backend=plan.backend,
+                batch_axis=batch_axis,
+                on_error="return",
+                plan=plan,
+            )
+        except Exception as exc:
+            # no request owns the error: an explicit batch_axis=True
+            # call could not take, or failed, the one batch-axis kernel
+            # call the caller asked for (or the plan could not be
+            # built).  The chunk fails whole and unretried, and every
+            # record is still settled, so no caller or drain waits on it
+            for record in records:
+                record.settle(error=exc)
+            return
+        failed = [
+            (record, output.original)
+            for record, output in zip(records, outputs)
+            if isinstance(output, RequestError)
+        ]
+        retry = attempt < self.retries
+        # counted before any settle, so a woken caller reads them
+        with self._cond:
+            self.failures += len(failed)
+            if retry:
+                self.retries_performed += len(failed)
+            if plan.batched_requests > batched:
+                self.batched_batches += 1
+        for record, output in zip(records, outputs):
+            ok = not isinstance(output, RequestError)
+            if plan.backend == "compile":
+                if ok:
+                    self.backend_breaker.record_success()
+                else:
+                    self.backend_breaker.record_failure()
+            if ok:
+                record.settle(output)
+        for record, error in failed:
+            if retry:
                 time.sleep(self.retry_delay * (attempt + 1))
+                self._serve([record], batch_axis, attempt + 1)
             else:
-                self.backend_breaker.record_success()
-                with self._lock:
-                    self.requests_served += 1
-                return result
-        raise AssertionError("unreachable")  # pragma: no cover
+                record.settle(error=error)
+
+    def _count(
+        self, record: _Request, outcome: str, error: Optional[BaseException]
+    ) -> None:
+        """The server's ledger (see :meth:`_Request.settle`): the record
+        leaves ``pending``, and admission and drain waiters re-check."""
+        with self._cond:
+            self._pending -= 1
+            if outcome == "completed":
+                self.requests_served += 1
+            self._cond.notify_all()
+
+    def _admit(
+        self,
+        requests: Sequence[Optional[InputMap]],
+        batch_axis: Optional[bool],
+        block: bool = True,
+        timeout: Optional[float] = None,
+    ) -> List[Future]:
+        """The one way in: admit ``requests`` as records under the one
+        counting rule (``pending + k <= max_pending``, waiting for room
+        when ``block``, up to ``timeout``) and dispatch them to a worker
+        thread as one chunk."""
+        records = [
+            _Request(inputs, True, None, time.monotonic())
+            for inputs in requests
+        ]
+        with self._cond:
+            room = self._cond.wait_for(
+                lambda: self._closed
+                or self.max_pending is None
+                or self._pending + len(records) <= self.max_pending,
+                timeout if block else 0,
+            )
+            if self._closed:
+                raise ServerClosed()
+            if not room:
+                self.rejected += len(records)
+                raise RejectedError(
+                    f"admission queue full ({self.max_pending} pending)"
+                )
+            self._pending += len(records)
+        for record in records:
+            record.ledgers.append(self._count)
+            # running from admission: a caller cannot cancel it, so the
+            # worker's settle always resolves it and drain always ends
+            record.future.set_running_or_notify_cancel()
+        # a close waits for these records, so the pool is still up
+        self._pool.submit(self._serve, records, batch_axis)
+        return [record.future for record in records]
 
     # -- public API ----------------------------------------------------------
 
     def submit(
         self,
         request: Optional[InputMap],
-        out: Optional[np.ndarray] = None,
         block: bool = True,
         timeout: Optional[float] = None,
     ) -> "Future[np.ndarray]":
-        """Enqueue one request; the future resolves to its output array.
+        """Admit one request; the future resolves to its output array.
 
-        Input arrays are bound **zero-copy** — the worker reads the
-        caller's memory while the request is in flight.  Do not mutate
-        a request's arrays (or a passed ``out``) until the future has
-        resolved; ``run``/``run_many`` block, so this only concerns
-        ``submit`` callers overlapping their own work.
-
-        With ``max_pending`` set, a full server blocks the caller
-        (backpressure) until a slot frees, up to ``timeout`` seconds;
-        ``block=False`` raises :class:`RejectedError` immediately
+        Input arrays are bound **zero-copy**: do not mutate them until
+        the future has resolved.  A full server (``max_pending``)
+        blocks the caller until a slot frees, up to ``timeout``
+        seconds; ``block=False`` raises :class:`RejectedError`
         instead.  A closed server raises :class:`ServerClosed`.
         """
-        acquired = False
-        if self._admission is not None:
-            if block:
-                acquired = (
-                    self._admission.acquire(timeout=timeout)
-                    if timeout is not None
-                    else self._admission.acquire()
-                )
-            else:
-                acquired = self._admission.acquire(blocking=False)
-            if not acquired:
-                with self._lock:
-                    self.rejected += 1
-                raise RejectedError(
-                    f"admission queue full ({self.max_pending} pending)"
-                )
-        try:
-            with self._lifecycle:
-                if self._closed:
-                    raise ServerClosed()
-                try:
-                    future = self._pool.submit(self._run_one, request, out)
-                except RuntimeError as exc:
-                    # pool shut down between flag-set and our check —
-                    # cannot happen while we hold the lifecycle lock,
-                    # but keep the typed error as a belt-and-braces
-                    raise ServerClosed() from exc
-        except BaseException:
-            if acquired:
-                self._admission.release()
-            raise
-        if self._admission is not None:
-            future.add_done_callback(lambda _f: self._admission.release())
+        [future] = self._admit([request], None, block, timeout)
         return future
 
     def run(self, request: Optional[InputMap] = None) -> np.ndarray:
@@ -355,85 +407,43 @@ class Server:
     ) -> List[np.ndarray]:
         """Run a batch; outputs come back in request order.
 
-        Same-shape buckets on the compiled backend go through **one**
-        batch-axis kernel call (weights shared, data inputs stacked
-        ``[B, ...]``); anything the batched path cannot take falls back
-        to fanning out over the worker pool.  ``batch_axis`` overrides
-        the server-wide policy for this call (see the constructor).
-
-        A batch-axis kernel *failure* (as opposed to an unsupported
-        bucket) also falls back to the pool — one kernel call covers
-        every request, so per-request isolation and retries require the
-        looped path — and feeds the batch breaker; once tripped, later
-        buckets skip the batched attempt entirely.  ``on_error="return"``
-        isolates failures per request: the result list carries a
+        Chunks of ``ceil(n / workers)`` — the whole batch under
+        ``batch_axis=True`` — are admitted in turn, each waiting for
+        room, and each runs as one ``run_many(batch_axis=...)`` call on
+        a worker thread's plan (see
+        :meth:`~repro.runtime.executor.CompiledPipeline.run_many`).
+        ``on_error="return"`` puts a
         :class:`~repro.runtime.executor.RequestError` at each failed
         index instead of raising.
         """
-        _check_on_error(on_error)
-        with self._lifecycle:
-            if self._closed:
-                raise ServerClosed()
         requests = list(requests)
-        if not requests:
-            return []
-        if batch_axis is None:
-            batch_axis = self.batch_axis
-        explicit = batch_axis is True
-        if batch_axis is None:
-            batch_axis = self.backend == "compile"
-        if batch_axis:
-            if self.backend != "compile":
-                raise BatchingUnsupported(
-                    "batch-axis serving requires the compiled backend"
+        size = len(requests)
+        if not batch_axis:
+            size = -(-size // self.workers)  # ceil division
+        if self.max_pending is not None:
+            size = min(size, self.max_pending)
+        admitted: Deque[Future] = deque()
+
+        def submit(start: int) -> Future:
+            # the first member of each chunk admits the whole chunk
+            if not admitted:
+                admitted.extend(
+                    self._admit(requests[start:start + size], batch_axis)
                 )
-            healthy = (
-                self._effective_backend() == "compile"
-                and self.batch_breaker.allow()
-            )
-            if not healthy and explicit:
-                raise BatchingUnsupported(
-                    "batch-axis path disabled (backend degraded or"
-                    " batch breaker open)"
-                )
-            if healthy:
-                try:
-                    # one kernel call on the pipeline's default plan
-                    results = self.pipeline.run_many(
-                        requests, backend="compile", batch_axis=True
-                    )
-                except BatchingUnsupported:
-                    if explicit:
-                        raise
-                except Exception:
-                    with self._lock:
-                        self.failures += 1
-                    self.batch_breaker.record_failure()
-                    if explicit:
-                        raise
-                    # fall through: the pool path retries per request
-                else:
-                    self.batch_breaker.record_success()
-                    with self._lock:
-                        self.requests_served += len(requests)
-                        self.batches_served += 1
-                        self.batched_batches += 1
-                    return results
-        results = gather(self.submit, requests, on_error)
-        with self._lock:
+            return admitted.popleft()
+
+        results = gather(submit, range(len(requests)), on_error)
+        with self._cond:
             self.batches_served += 1
         return results
 
     def stats(self) -> Dict[str, object]:
-        """Serving counters plus per-worker plan/arena statistics.
-
-        Beyond throughput counters this reports every recovery action:
-        ``retries`` / ``failures`` / ``rejected``, the effective
-        backend after any degradation, both circuit breakers (trip
-        counts included), and — when the pipeline has an artifact
-        store — its IO-retry and quarantine counters.
-        """
-        with self._lock:
+        """Serving and recovery counters, the backend breaker, the
+        artifact store's counters when one is wired, and every worker
+        plan's counters.  ``batched_batches`` counts dispatches that
+        ran as one batch-axis kernel call."""
+        effective = self._effective_backend()
+        with self._cond:
             stats: Dict[str, object] = {
                 "workers": self.workers,
                 "requests": self.requests_served,
@@ -443,64 +453,45 @@ class Server:
                 "retries": self.retries_performed,
                 "rejected": self.rejected,
                 "backend": self.backend,
-                "effective_backend": self._degraded_backend or self.backend,
-                "degraded": self._degraded_backend is not None,
+                "effective_backend": effective,
+                "degraded": effective != self.backend,
                 "max_pending": self.max_pending,
                 "plans": [plan.stats() for plan in self._plans],
             }
-        stats["breakers"] = {
-            "backend": self.backend_breaker.stats(),
-            "batch_axis": self.batch_breaker.stats(),
-        }
+        stats["breakers"] = {"backend": self.backend_breaker.stats()}
         if self.pipeline.artifact_store is not None:
             stats["store"] = self.pipeline.artifact_store.stats.as_dict()
-        batched_plan = self.pipeline.default_plan_stats()
-        if batched_plan is not None:
-            stats["batched_plan"] = batched_plan
         return stats
 
     def reset_breakers(self) -> None:
-        """Operator action: close both breakers and un-degrade.
-
-        Trip counts survive (see :meth:`CircuitBreaker.reset`); worker
-        plans rebuild on the restored backend at their next request.
-        """
+        """Operator action: close the backend breaker (trip counts
+        survive); worker plans return to the compiled backend at their
+        next request."""
         self.backend_breaker.reset()
-        self.batch_breaker.reset()
-        with self._lock:
-            if self._degraded_backend is not None:
-                self._degraded_backend = None
-                self._plan_generation += 1
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Stop admission and complete every accepted request.
+        """Stop admission, settle every accepted request — from
+        :meth:`submit` or :meth:`run_many` — and stop the threads.
 
-        The graceful lifecycle verb, mirroring ``Router.drain`` /
-        ``WorkerPool.drain``.  For the thread-pool server a close
-        already drains (the executor finishes queued + running work),
-        so this is :meth:`close` with the drain guarantee spelled out:
-        once it returns, every future handed out by :meth:`submit` is
-        terminal.  ``timeout`` is accepted for interface symmetry; the
-        executor shutdown itself is not interruptible, and the return
-        value is always ``True``.
+        Mirrors ``Router.drain`` / ``WorkerPool.drain``: ``False`` on
+        timeout (work may still be completing; a later drain or
+        :meth:`close` finishes it).  Idempotent.
         """
-        del timeout  # thread workers always finish; nothing to abort
-        self.close()
-        return True
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()  # blocked submitters: ServerClosed
+            drained = self._cond.wait_for(
+                lambda: self._pending == 0, timeout
+            )
+        if drained:
+            self._pool.shutdown(wait=True)
+        return drained
 
     def close(self) -> None:
-        """Drain in-flight requests and stop the workers (idempotent).
-
-        The closed flag flips under the lifecycle lock — atomically
-        against :meth:`submit` — so a submission racing a close either
-        lands before the drain (and completes) or gets a typed
-        :class:`ServerClosed`; work is never silently dropped.
-        """
-        with self._lifecycle:
-            already = self._closed
-            self._closed = True
-        if not already:
-            self._pool.shutdown(wait=True)
+        """Drain without a timeout (idempotent).  The closed flag flips
+        under the one lock, atomically against admission, so a racing
+        submission either completes or gets :class:`ServerClosed`."""
+        self.drain()
 
     def __enter__(self) -> "Server":
         return self
@@ -509,7 +500,7 @@ class Server:
         self.close()
 
     def __repr__(self) -> str:
-        with self._lock:
+        with self._cond:
             served = self.requests_served
         return (
             f"Server({self.pipeline.output_name!r}, workers={self.workers},"

@@ -49,10 +49,11 @@ weights stay shared across the boundary because frames deduplicate
 tensors by identity).  Retries always re-queue as singletons so one
 poisoned request cannot re-fail its batch-mates.
 
-Every request is **one record** (:class:`_Request`) from its front
-door (``submit_many``, or :meth:`~repro.service.router.Router.submit`)
-to its terminal outcome, decided once by :meth:`_Request.settle`
-under the one outcome rule the pool's and the router's ledgers read.
+Every request is **one record** (:class:`~repro.service.serve._Request`)
+from its front door (``submit_many``, or :meth:`Router.submit
+<repro.service.router.Router.submit>`) to its terminal outcome,
+decided once by its ``settle`` under the one outcome rule every
+ledger reads.
 
 Jobs cross the boundary as :class:`~repro.service.batch.CompileJob`
 specs — an ``App`` itself is not picklable.  Every recovery action —
@@ -83,7 +84,7 @@ from concurrent.futures import Future
 from multiprocessing import resource_tracker
 from multiprocessing.connection import wait as connection_wait
 from typing import (
-    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+    Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 )
 
 import numpy as np
@@ -91,7 +92,9 @@ import numpy as np
 from ..runtime.executor import RequestError
 from .batch import CompileJob
 from .faults import FaultPlan
-from .serve import RejectedError, ServerClosed, ShedError, gather
+from .serve import (
+    DeadlineExceeded, RejectedError, ServerClosed, _Request, gather
+)
 from . import shm as shm_transport
 
 
@@ -101,10 +104,6 @@ class WorkerCrashed(RuntimeError):
     def __init__(self, message: str, exit_code: Optional[int] = None) -> None:
         super().__init__(message)
         self.exit_code = exit_code
-
-
-class DeadlineExceeded(RuntimeError):
-    """A request overran its deadline; the worker was killed."""
 
 
 class RemoteError(RuntimeError):
@@ -335,61 +334,6 @@ def _worker_main(
 
 #: a terminal outcome -> its :meth:`WorkerPool.event_log` kind
 _EVENT_KINDS = {"completed": "complete", "failed": "fail", "expired": "expire"}
-
-
-class _Request:
-    """One request, created once at its front door and carried as the
-    same object through a router bucket and the pool's queue."""
-
-    __slots__ = (
-        "id",
-        "inputs",
-        "future",
-        "attempts",
-        "idempotent",
-        "expires_at",
-        "queued_at",
-        "not_before",
-        "ledgers",
-    )
-
-    def __init__(self, inputs, idempotent, expires_at, queued_at):
-        self.id: Optional[int] = None  # the pool's id, stamped on entry
-        self.inputs = inputs
-        self.future: "Future[np.ndarray]" = Future()
-        self.attempts = 0  # dispatches so far
-        self.idempotent = idempotent
-        self.expires_at = expires_at  # absolute monotonic expiry, or None
-        self.queued_at = queued_at  # monotonic submission time
-        self.not_before = 0.0  # retry backoff gate (monotonic time)
-        #: ``ledger(request, outcome, error)`` counters (the router's,
-        #: the pool's) that :meth:`settle` runs before resolving the
-        #: future, so whoever it wakes reads counts that include it
-        self.ledgers: List[Callable] = []
-
-    def settle(self, result=None, error: Optional[BaseException] = None):
-        """Resolve the future: this request's one terminal outcome.
-
-        The outcome rule every ledger reads: a result is
-        ``"completed"``; :class:`DeadlineExceeded`, raised only for a
-        request whose own budget ran out, is ``"expired"``; a router
-        eviction (:class:`~repro.service.serve.ShedError`) is
-        ``"shed"``; every other error is ``"failed"``.
-        """
-        if error is None:
-            outcome = "completed"
-        elif isinstance(error, DeadlineExceeded):
-            outcome = "expired"
-        elif isinstance(error, ShedError):
-            outcome = "shed"
-        else:
-            outcome = "failed"
-        for ledger in self.ledgers:
-            ledger(self, outcome, error)
-        if error is None:
-            self.future.set_result(result)
-        else:
-            self.future.set_exception(error)
 
 
 def _split_expired(

@@ -130,7 +130,7 @@ class TestAppParity:
 
         app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
         pipe.run_many(build_requests(app, 4, rng), batch_axis=True)
-        stats = pipe.default_plan_stats()
+        stats = pipe._default_plan.stats()
         assert stats["runs"] >= 1
         assert stats["batched_requests"] >= 4
 
@@ -320,7 +320,9 @@ class TestServerBatched:
             batched = server.run_many(requests)
             looped = server.run_many(requests, batch_axis=False)
             stats = server.stats()
-        assert stats["batched_batches"] == 1
+        # each call is two dispatches of ceil(6 / 2) = 3 requests; only
+        # the first call's two take the batch-axis kernel
+        assert stats["batched_batches"] == 2
         assert stats["batches"] == 2
         for out_b, out_l in zip(batched, looped):
             np.testing.assert_array_equal(out_b, out_l)
@@ -329,8 +331,8 @@ class TestServerBatched:
         inp, f = build_vector_pipeline()
         pipe = CompiledPipeline(lower(f), backend="compile")
         requests = [{inp: make_vector_input(seed=i)} for i in range(3)]
-        with Server(pipe, workers=2, batch_axis=False) as server:
-            server.run_many(requests)
+        with Server(pipe, workers=2) as server:
+            server.run_many(requests, batch_axis=False)
             assert server.stats()["batched_batches"] == 0
         ragged = [
             {inp: make_vector_input(seed=1)},
@@ -338,9 +340,9 @@ class TestServerBatched:
                 [make_vector_input(seed=2), np.ones(8, np.float32)]
             )},
         ]
-        with Server(pipe, workers=2, batch_axis=True) as server:
+        with Server(pipe, workers=2) as server:
             with pytest.raises(BatchingUnsupported):
-                server.run_many(ragged)
+                server.run_many(ragged, batch_axis=True)
 
     def test_shape_change_mid_serving_invalidates_staging(self):
         """Regression: a rebind on shape change must also drop the
@@ -355,13 +357,14 @@ class TestServerBatched:
             )}
             for i in range(3)
         ]
-        with Server(pipe, workers=2) as server:
+        with Server(pipe, workers=1) as server:
             first = server.run_many(short)
             second = server.run_many(long)   # rebind: wider inputs
             third = server.run_many(short)   # rebind back
             stats = server.stats()
+        # one worker: each call is one dispatch, one batch-axis call
         assert stats["batched_batches"] == 3
-        plan_stats = stats["batched_plan"]
+        [plan_stats] = stats["plans"]
         assert plan_stats["rebinds"] == 3
         for out, request in zip(first + third, short + short):
             np.testing.assert_array_equal(out, pipe.run(request))

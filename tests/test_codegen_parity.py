@@ -563,12 +563,14 @@ class TestLaneLoops:
         expected = [pipe.run(r, backend="interpret") for r in requests]
         fault = FaultPlan(specs=[FaultSpec(mode, visits=(victim,))])
         with Server(
-            pipe, workers=1, batch_axis=False, retries=0, backend="compile"
+            pipe, workers=1, retries=0, backend="compile"
         ) as server:
             with faults.active(fault):
-                results = server.run_many(requests, on_error="return")
+                results = server.run_many(
+                    requests, batch_axis=False, on_error="return"
+                )
             assert len(fault.log) == 1
-            again = server.run_many(requests)
+            again = server.run_many(requests, batch_axis=False)
             [plan] = server.stats()["plans"]
         for position, (result, reference) in enumerate(
             zip(results, expected)

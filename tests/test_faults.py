@@ -4,10 +4,12 @@ per-request isolation in run_many, and the Server's retry / circuit-
 breaker / admission machinery."""
 
 import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
-from conftest import build_vector_pipeline, make_vector_input
+from conftest import build_requests, build_vector_pipeline, make_vector_input
 
 from repro.lowering import lower
 from repro.runtime.executor import RequestError, compile_pipeline
@@ -22,7 +24,6 @@ from repro.service.faults import (
 from repro.service.fingerprint import ArtifactKey
 from repro.service.serve import RejectedError, Server
 from repro.service.store import ArtifactStore, CompileArtifact
-from repro.runtime.plan import BatchingUnsupported
 
 pytestmark = pytest.mark.faults
 
@@ -41,6 +42,35 @@ def vector_setup(count=6):
     requests = [{inp.name: make_vector_input(seed=i)} for i in range(count)]
     expected = [pipe.run(request) for request in requests]
     return pipe, requests, expected
+
+
+def conv1d_setup(count=8):
+    """conv1d (32 taps) on the compiled backend: ``count`` requests
+    sharing its weights, their outputs, and both kernels already warm."""
+    from repro.apps import conv1d
+
+    app = conv1d.build("tensor", taps=32, rows=1)
+    app.backend = "compile"
+    pipe = app.compile()
+    requests = build_requests(app, count, np.random.default_rng(7))
+    expected = pipe.run_many(requests, batch_axis=False, workers=1)
+    pipe.run_many(requests, batch_axis=True)
+    return pipe, requests, expected
+
+
+def hang_first_kernel():
+    """A plan whose first kernel call hangs for half a second."""
+    return FaultPlan(
+        specs=[FaultSpec("hang-kernel", seconds=0.5, visits=(0,))]
+    )
+
+
+def await_fire(plan, timeout=5.0):
+    """Block until ``plan`` has fired once (its hang has begun)."""
+    deadline = time.monotonic() + timeout
+    while not plan.fired() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert plan.fired()
 
 
 class TestFaultPlan:
@@ -270,9 +300,7 @@ class TestServerRecovery:
         plan = FaultPlan(
             specs=[FaultSpec("raise-in-kernel", visits=(0,))]
         )
-        with Server(
-            pipe, workers=1, batch_axis=False, retries=1
-        ) as server:
+        with Server(pipe, workers=1, retries=1) as server:
             with faults.active(plan):
                 out = server.run(requests[0])
             assert np.array_equal(out, expected[0])
@@ -299,9 +327,7 @@ class TestServerRecovery:
         requests = [{"af_in": make_vector_input(seed=0)}]
         expected = [pipe.run(requests[0])]
         plan = FaultPlan(specs=[FaultSpec("alloc-fail", visits=(0,))])
-        with Server(
-            pipe, workers=1, batch_axis=False, retries=1
-        ) as server:
+        with Server(pipe, workers=1, retries=1) as server:
             with faults.active(plan):
                 out = server.run(requests[0])
             assert np.array_equal(out, expected[0])
@@ -339,11 +365,12 @@ class TestServerRecovery:
         pipe, requests, expected = vector_setup(count=4)
         plan = FaultPlan(specs=[FaultSpec("raise-in-kernel", rate=1.0)])
         with Server(
-            pipe, workers=1, batch_axis=False, retries=0,
-            breaker_threshold=1,
+            pipe, workers=1, retries=0, breaker_threshold=1
         ) as server:
             with faults.active(plan):
-                server.run_many(requests, on_error="return")
+                server.run_many(
+                    requests, batch_axis=False, on_error="return"
+                )
             assert server.stats()["degraded"] is True
             server.reset_breakers()
             stats = server.stats()
@@ -355,18 +382,38 @@ class TestServerRecovery:
                 np.array_equal(r, e) for r, e in zip(results, expected)
             )
 
-    def test_tripped_batch_breaker_routes_pool(self):
+    def test_failing_batch_kernel_answers_on_the_worker_plan(
+        self, monkeypatch
+    ):
+        """A batch-axis kernel that fails on every call costs the server
+        speed, not answers: each chunk's ``run_many`` re-runs it request
+        by request on the same worker plan, so no breaker is needed;
+        an explicit ``batch_axis=True`` call still raises."""
         pipe, requests, expected = vector_setup(count=4)
-        with Server(pipe, workers=2) as server:
-            for _ in range(server.batch_breaker.threshold):
-                server.batch_breaker.record_failure()
-            results = server.run_many(requests)
-            assert all(
-                np.array_equal(r, e) for r, e in zip(results, expected)
-            )
-            assert server.stats()["batched_batches"] == 0
-            with pytest.raises(BatchingUnsupported):
+        resolve = pipe.kernel
+
+        def failing(*args, **kwargs):
+            raise InjectedKernelError("batch-axis kernel down")
+
+        monkeypatch.setattr(
+            pipe,
+            "kernel",
+            lambda stacked=frozenset(): failing if stacked else resolve(),
+        )
+        with Server(pipe, workers=1) as server:
+            for _ in range(3):
+                results = server.run_many(requests)
+                assert all(
+                    np.array_equal(r, e) for r, e in zip(results, expected)
+                )
+            with pytest.raises(InjectedKernelError):
                 server.run_many(requests, batch_axis=True)
+            stats = server.stats()
+        assert set(stats["breakers"]) == {"backend"}
+        assert stats["failures"] == 0 and stats["degraded"] is False
+        assert stats["batched_batches"] == 0
+        [plan] = stats["plans"]
+        assert (plan["runs"], plan["batched_requests"]) == (12, 0)
 
     def test_admission_rejects_when_full(self):
         pipe, requests, expected = vector_setup(count=2)
@@ -375,9 +422,7 @@ class TestServerRecovery:
                 FaultSpec("hang-kernel", seconds=0.3, visits=(0,))
             ]
         )
-        with Server(
-            pipe, workers=1, batch_axis=False, max_pending=1
-        ) as server:
+        with Server(pipe, workers=1, max_pending=1) as server:
             with faults.active(plan):
                 first = server.submit(requests[0])  # hangs ~0.3s
                 rejected = False
@@ -396,6 +441,43 @@ class TestServerRecovery:
             assert np.array_equal(
                 server.run(requests[1]), expected[1]
             )
+
+    def test_run_many_waits_for_admission_room(self):
+        """Admission covers every request: with ``max_pending=1`` held
+        by a hung request, ``run_many`` waits for the slot instead of
+        putting its batch in flight beside it."""
+        pipe, requests, expected = conv1d_setup()
+        fault = hang_first_kernel()
+        with Server(pipe, workers=1, max_pending=1) as server:
+            with faults.active(fault):
+                first = server.submit(requests[0], block=False)
+                await_fire(fault)
+                outputs = server.run_many(requests)
+                assert first.done()
+            assert np.array_equal(first.result(), expected[0])
+        for out, reference in zip(outputs, expected):
+            assert np.array_equal(out, reference)
+
+    def test_drain_waits_for_a_running_run_many(self):
+        """Drain covers every request: a ``run_many`` running on
+        another thread is settled, every output in hand, before
+        ``drain`` returns."""
+        pipe, requests, expected = conv1d_setup()
+        fault = hang_first_kernel()
+        server = Server(pipe, workers=1)
+        box = []
+        caller = threading.Thread(
+            target=lambda: box.append(server.run_many(requests))
+        )
+        with faults.active(fault):
+            caller.start()
+            await_fire(fault)
+            assert server.drain(timeout=5) is True
+            assert server.stats()["requests"] == len(requests)
+        caller.join(timeout=5)
+        [outputs] = box
+        for out, reference in zip(outputs, expected):
+            assert np.array_equal(out, reference)
 
     def test_store_counters_surface_in_stats(self, tmp_path):
         pipe, requests, _ = vector_setup(count=1)

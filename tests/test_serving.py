@@ -512,6 +512,36 @@ class TestServer:
         with pytest.raises(ValueError, match="workers"):
             Server(CompiledPipeline(lower(f)), workers=0)
 
+    def test_one_plan_per_worker_thread_serves_every_path(self):
+        """Buckets and singletons on one worker thread share its one
+        plan and arena: the server's plan ends exactly where one plan
+        driven through ``run_many(plan=...)`` over the same traffic
+        does, and the pipeline's default plan is never touched."""
+        from conftest import build_requests
+
+        app = conv1d.build("tensor", taps=32, rows=1)
+        app.backend = "compile"
+        pipe = app.compile()
+        rng = np.random.default_rng(5)
+        batches = [build_requests(app, 8, rng) for _ in range(3)]
+        singles = build_requests(app, 8, rng)
+        with Server(pipe, workers=1) as server:
+            served = [server.run_many(batch) for batch in batches]
+            served.append([server.run(request) for request in singles])
+            stats = server.stats()
+        assert pipe._default_plan is None
+        held = pipe.plan()
+        for batch in batches:
+            pipe.run_many(batch, plan=held)
+        for request in singles:
+            pipe.run_many([request], batch_axis=False, plan=held)
+        [plan] = stats["plans"]
+        assert plan == held.stats()
+        assert (plan["memo_misses"], plan["memo_entries"]) == (4, 4)
+        for outputs, requests in zip(served, batches + [singles]):
+            for out, request in zip(outputs, requests):
+                np.testing.assert_array_equal(out, pipe.run(request))
+
 
 class TestKernelCacheThreading:
     def test_one_shot_entry_points_accept_a_private_cache(self):

@@ -15,7 +15,8 @@ suite.  The ``kernels`` section first prints the intrinsic registry
 each kernel's loop report:
 which data-parallel loops run as one lane-vectorised pass, and why the
 others stayed Python loops; and one row per MAC call site: whether each
-of A and B reaches the core ``narrow`` (the buffer's own float16 / int8
+of A and B is ``widened once per call`` (an input the kernel only
+reads), reaches the core ``narrow`` (the buffer's own float16 / int8
 elements), or why it is widened first.  Exit status is 1 when any
 error-severity finding survives, 0 otherwise (warnings never fail the
 gate).

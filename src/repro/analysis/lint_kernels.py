@@ -36,6 +36,11 @@ checks the invariants the emitter is supposed to maintain:
     (:func:`repro.runtime.codegen.lanes_disjoint`).  A lane store
     without one means lanes may overwrite each other in an order the
     serial loop never would.
+``kernels.stale-widen``
+    A MAC input widened once per call (``_w, _e = <isa>.widen(_b)`` in
+    the preamble) must be a buffer the kernel never writes — by
+    subscript assignment into its data or by a tile-store call.
+    Otherwise a load after the write reads the copy made before it.
 
 Interpreter-fallback kernels carry no source (``kernel.source is
 None``) and are skipped — there is nothing static to check.
@@ -349,6 +354,7 @@ def lint_kernel_source(
                     )
 
     findings.extend(_lint_lane_stores(tree, context))
+    findings.extend(_lint_stale_widen(tree, context))
 
     for name, lineno in taken.items():
         if name not in given:
@@ -379,6 +385,24 @@ def lint_kernel_source(
     return findings
 
 
+def _stored_through(node: ast.AST) -> Optional[str]:
+    """The local a kernel statement stores through: ``local[...] = ...``,
+    or ``core(_arena, local, ...)`` — a statement-level intrinsic call
+    is a tile store."""
+    if isinstance(node, ast.Assign):
+        target = node.targets[0]
+        if isinstance(target, ast.Subscript) and isinstance(
+            target.value, ast.Name
+        ):
+            return target.value.id
+    elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+        args = node.value.args
+        if len(args) > 1 and all(isinstance(a, ast.Name) for a in args[:2]):
+            if args[0].id == "_arena":
+                return args[1].id
+    return None
+
+
 def _lint_lane_stores(tree: ast.AST, context: str) -> List[Finding]:
     from ..runtime.codegen import lanes_disjoint
 
@@ -397,31 +421,22 @@ def _lint_lane_stores(tree: ast.AST, context: str) -> List[Finding]:
         certified: dict = {}
         stores: dict = {}
         for node in ast.walk(region):
+            local = _stored_through(node)
+            if local is not None:
+                stores.setdefault(local, node.lineno)
             if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        bound.add(target.id)
-                    elif isinstance(target, ast.Subscript) and isinstance(
-                        target.value, ast.Name
-                    ):
-                        stores.setdefault(target.value.id, node.lineno)
-            elif isinstance(node, ast.Expr):
-                value = node.value
-                if isinstance(value, ast.Tuple):
-                    try:
-                        tag, local, terms = ast.literal_eval(value)
-                    except ValueError:
-                        continue
-                    if tag == "lanes-disjoint":
-                        certified[local] = terms
-                elif (
-                    isinstance(value, ast.Call)
-                    and len(value.args) > 1
-                    and all(isinstance(a, ast.Name) for a in value.args[:2])
-                    and value.args[0].id == "_arena"
-                ):
-                    # a statement-level intrinsic call is a tile store
-                    stores.setdefault(value.args[1].id, node.lineno)
+                bound.update(
+                    t.id for t in node.targets if isinstance(t, ast.Name)
+                )
+            elif isinstance(node, ast.Expr) and isinstance(
+                node.value, ast.Tuple
+            ):
+                try:
+                    tag, local, terms = ast.literal_eval(node.value)
+                except ValueError:
+                    continue
+                if tag == "lanes-disjoint":
+                    certified[local] = terms
         for local, lineno in stores.items():
             if local in bound:
                 continue  # lane-private (or lane-invariant) scratch
@@ -443,6 +458,41 @@ def _lint_lane_stores(tree: ast.AST, context: str) -> List[Finding]:
                 )
             )
     return findings
+
+
+def _lint_stale_widen(tree: ast.AST, context: str) -> List[Finding]:
+    holds: dict = {}  # local -> the buffer it is bound to in the preamble
+    widened: dict = {}  # buffer local -> line of its ``.widen(...)``
+    written: dict = {}  # local stored through -> line
+    for node in ast.walk(tree):
+        local = _stored_through(node)
+        if local is not None:
+            written.setdefault(local, node.lineno)
+        if not isinstance(node, ast.Assign):
+            continue
+        value = node.value
+        if isinstance(value, ast.Attribute) and value.attr == "data":
+            value = value.value  # _d = buffers['x'].data
+        if isinstance(value, ast.Subscript) and _call_root(value.value) == "buffers":
+            holds[ast.unparse(node.targets[0])] = ast.unparse(value.slice)
+        elif isinstance(value, ast.Call) and value.args:
+            if ast.unparse(value.func).endswith(".widen"):
+                widened[ast.unparse(value.args[0])] = node.lineno
+    stored = {holds[k]: line for k, line in written.items() if k in holds}
+    return [
+        Finding(
+            "kernels.stale-widen",
+            ERROR,
+            f"{context}:{lineno}",
+            f"buffer {holds[local]} is widened once per call, but the kernel"
+            f" writes it (line {stored[holds[local]]}): a load after that"
+            " write reads the stale copy",
+            "widen only inputs the statement never writes"
+            " (_Emitter._operand_width)",
+        )
+        for local, lineno in widened.items()
+        if holds.get(local) in stored
+    ]
 
 
 def registry_rows() -> List[tuple]:

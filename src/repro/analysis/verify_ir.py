@@ -22,8 +22,9 @@ dynamic test suite can only catch by accident:
     bindings) provably escapes the buffer's constant flat extent.
 ``ir.let-aliases-store``
     A ``LetStmt`` binding a bare (uncast) vector ``Load`` of a buffer
-    its body stores to: the interpreter binds a snapshot, a compiled
-    kernel a view that sees the store.  No lowering emits the shape.
+    its body stores to: the interpreter binds a snapshot, which a
+    compiled kernel only matches by copying its view.  No lowering
+    emits the shape.
 ``ir.type-mismatch``
     A ``Store`` whose value kind (int vs float) disagrees with the
     buffer's declared element type; a bits-only disagreement is a
@@ -445,7 +446,7 @@ class _Verifier:
                     ERROR,
                     f"let {s.name!r} binds a bare vector load of"
                     f" {value.name!r}, which its body stores to (a"
-                    " snapshot interpreted, a live view compiled)",
+                    " snapshot the compiled view must copy)",
                     "bind a computed value (e.g. a Cast of the load)",
                 )
             saved = self.ranges.get(s.name)

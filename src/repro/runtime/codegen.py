@@ -278,6 +278,32 @@ class _StmtVisitor(IRVisitor):
         raise NotImplementedError
 
 
+def _written(stmt: S.Stmt) -> Set[str]:
+    """Every buffer ``stmt`` may write: stored, allocated, or named by
+    an intrinsic that mutates its buffer."""
+    names: Set[str] = set()
+
+    class Writes(_StmtVisitor):
+        def visit_Store(self, s) -> None:
+            names.add(s.name)
+            self.generic_visit(s)
+
+        visit_Allocate = visit_Store
+
+        def scan(self, e: E.Expr) -> None:
+            names.update(
+                a.value for c in _expr_calls(e) if not _is_pure(c.name)
+                for a in c.args if isinstance(a, E.StringImm)
+            )
+
+    Writes().visit(stmt)
+    return names
+
+
+#: the ``macs`` reason of an input :meth:`TileISA.widen` feeds the MAC
+WIDENED = "widened once per call"
+
+
 # -- leading-axis analysis -----------------------------------------------------
 #
 # A kernel value may carry one *leading axis*: the batch axis of a
@@ -592,7 +618,7 @@ def _prove_lanes(dims: Dict[str, int], body: S.Stmt) -> Dict[str, tuple]:
 class _Emitter:
     """Walks a lowered statement and produces Python kernel source."""
 
-    def __init__(self) -> None:
+    def __init__(self, stmt: S.Stmt) -> None:
         self.lines: List[str] = []
         self.indent = 1
         self.counter = 0
@@ -636,6 +662,11 @@ class _Emitter:
         #: operand reaches the core in its buffer's narrow elements,
         #: else why it is widened first (see ``_operand_width``)
         self.macs: List[tuple] = []
+        self.written = _written(stmt)
+        #: (isa, buffer) -> (source, exact, preamble line) (``_widen``)
+        self.widened: Dict[tuple, tuple] = {}
+        #: in a lane loop: lane variable -> its value per lane of the grid
+        self.lane_index: Dict[str, np.ndarray] = {}
 
     def batched(self, e: E.Expr) -> bool:
         """Does ``e`` vary along the live leading axis (if any)?"""
@@ -935,53 +966,92 @@ class _Emitter:
         stop = idx.count * stride - stride + 1
         return f"{temp}:{temp} + {stop}:{stride}"
 
-    def _emit_Call(self, e: E.Call, mac_operand: bool = False) -> str:
+    def _emit_Call(
+        self, e: E.Call, mac_operand: bool = False, source: str = ""
+    ) -> str:
         math_fn = MATH_INTRINSICS.get(e.name)
         if math_fn is not None:
             return f"{math_fn}({self.emit(e.args[0])})"
-        entry = REGISTRY.get(e.name)
+        entry, step = REGISTRY.get(e.name), None
         if self.lead is not None:
-            self._check_leading_axis(e, entry)
+            step = self._check_leading_axis(e, entry)
         if entry is not None:
-            narrow = ()
+            slots = {}
             if entry.role == "mac":
                 widths = [self._operand_width(entry.isa, a) for a in e.args[1:3]]
                 self.macs.append((e.name, *widths))
-                narrow = [i for i, w in enumerate(widths, 1) if w == "narrow"]
-            args = ["_arena"]
+                slots = {
+                    i: w for i, w in enumerate(widths, 1) if w in ("narrow", WIDENED)
+                }
+            args, exact = ["_arena"], ["False", "False"]
             for i, a in enumerate(e.args):
                 if isinstance(a, E.StringImm):
-                    args.append(self.buf_obj(a.value))
-                elif i in narrow:
-                    args.append(self._emit_Call(a, mac_operand=True))
+                    args.append(source or self.buf_obj(a.value))
+                elif i in slots:
+                    widened = ""
+                    if slots[i] == WIDENED:  # exact[i - 1]: A's, B's flag
+                        widened, exact[i - 1] = self._widen(entry.isa, a)
+                    args.append(self._emit_Call(a, True, widened))
+                elif i == 1 and step is not None:  # bases[0] + step * lane
+                    args.append(f"({self.emit(a)}, {step})")
                 else:
                     args.append(self.emit(a))
             if mac_operand:
                 args.append("True")
+            if exact != ["False", "False"]:
+                args.extend(exact)
             return f"{self.const(entry.core)}({', '.join(args)})"
         # unknown intrinsic: hand the Call node to the interpreter
         self.needs_interp = True
         call = self.const(e)
         return f"_interp._eval_Call({call}, {self._env_dict(e)})"
 
+    def _widen(self, isa, load: E.Call) -> tuple:
+        """The preamble's ``(source, exact)`` locals: ``load``'s input
+        widened once per call for ``isa``'s MAC."""
+        key = (isa.name, load.args[0].value)
+        if key not in self.widened:
+            source, exact = self.fresh("w"), self.fresh("e")
+            call = f"{self.const(isa)}.widen({self.buf_obj(key[1])})"
+            self.widened[key] = (source, exact, f"{source}, {exact} = {call}")
+        return self.widened[key][:2]
+
+    def _lane_step(self, base: E.Expr) -> Optional[int]:
+        """``step`` when per-lane ``base`` is provably ``bases[0] + step *
+        lane``: affine in lane variables whose grid values are affine in
+        the lane."""
+        varying = {name for name, v in self.var_batched.items() if v}
+        coefs: Dict[str, int] = {}
+        try:
+            _affine(base, 1, varying, coefs)
+            lanes = [c * self.lane_index[n] for n, c in coefs.items() if c]
+            steps = np.diff(sum(lanes))
+        except (CodegenError, KeyError, ValueError):  # not affine in lanes
+            return None
+        return int(steps[0]) if (steps == steps[0]).all() else None
+
     def _operand_width(self, isa, a: E.Expr) -> str:
         """``"narrow"`` when operand ``a`` of ``isa``'s MAC reaches the
-        core in its buffer's narrow elements, else why it arrives
+        core in its buffer's narrow elements, :data:`WIDENED` when it
+        is an input the kernel only reads, else why it arrives
         widened."""
-        if isa.narrow is None:
-            return "bf16 is stored as float32"
-        if not (
+        direct = (
             isinstance(a, E.Call)
             and a.name in isa.load_names
             and isinstance(a.args[0], E.StringImm)
-        ):
+        )
+        if direct and a.args[0].value not in self.written:
+            return WIDENED
+        if isa.narrow is None:
+            return "bf16 is stored as float32"
+        if not direct:
             return "not a direct load"
         dtype = self._alloc_dtypes.get(a.args[0].value)
         if dtype is not None and dtype.to_numpy() != isa.narrow:
             return f"buffer is {dtype}"
         return "narrow"
 
-    def _check_leading_axis(self, e: E.Call, entry) -> None:
+    def _check_leading_axis(self, e: E.Call, entry) -> Optional[int]:
         """Is intrinsic ``e`` expressible under the live leading axis?
 
         Its core takes the axis on the operands the role lets vary — a
@@ -989,7 +1059,8 @@ class _Emitter:
         gathers/scatters a shared buffer's ``[N, rows*cols]`` tile
         stack, see :func:`repro.targets.isa.tile_grid`) — so all that is
         decided here is legality.  Raises :class:`CodegenError` for
-        what no core can express.
+        what no core can express.  Returns the lane step of per-lane
+        bases proved ``bases[0] + step * lane`` (``_lane_step``).
         """
         name = e.name
         if entry is None:
@@ -1015,6 +1086,7 @@ class _Emitter:
                 self._per_lane("tile addressing")
                 if store:
                     self._certify(buf.value, self.buf_obj(buf.value))
+                return self._lane_step(e.args[1])
             elif store and arg_b[-1]:
                 raise CodegenError(f"{name} of batched tile into shared buffer")
         elif role == "mac":
@@ -1032,6 +1104,7 @@ class _Emitter:
             if buf_stacked or any(arg_b):
                 raise CodegenError(f"{name} over varying data cannot be batched")
         # what is left is ``to_mem``: the identity, whatever it is handed
+        return None
 
     def _per_lane(self, what: str) -> None:
         """Gate an address that varies along the leading axis on that
@@ -1224,6 +1297,7 @@ class _Emitter:
             for loop in nest:
                 inner //= dims[loop.name]
                 index = (lane // inner) % dims[loop.name] + loop.min_expr.value
+                self.lane_index[loop.name] = index
                 var = self.fresh("x")
                 self.line(
                     f"{var} = {self.const(index)}[{chunk}:{chunk} + _LANES]"
@@ -1233,11 +1307,18 @@ class _Emitter:
             self.line(f"{self.lead} = len({var})")
             self.emit_stmt(body)
         self.lead, self.stacked, self.proved = None, frozenset(), None
+        self.lane_index.clear()
 
     def _exec_LetStmt(self, stmt: S.LetStmt) -> None:
         varying = self.batched(stmt.value)
         local = self.fresh("v")
-        self.line(f"{local} = {self.emit(stmt.value)}")
+        # a let may hold a view of a buffer its body writes: snapshot
+        # it, as the interpreter's value is
+        loads = {n.name for n in _expr_nodes(stmt.value) if isinstance(n, E.Load)}
+        self.copy_views = bool(loads) and not loads.isdisjoint(_written(stmt.body))
+        value = self.emit(stmt.value)
+        self.copy_views = False
+        self.line(f"{local} = {value}")
         with self.bind(stmt.name, local, varying):
             self.emit_stmt(stmt.body)
 
@@ -1306,6 +1387,7 @@ class _Emitter:
             preamble.append(
                 f"    {local} = _store_wrap({self.obj_locals[name]})"
             )
+        preamble.extend(f"    {line}" for *_, line in self.widened.values())
         for name, local in sorted(self.env_locals.items()):
             preamble.append(f"    {local} = env[{name!r}]")
         body = self.lines or ["    pass"]
@@ -1416,7 +1498,7 @@ def compile_stmt(stmt: S.Stmt, key: str = "") -> CompiledKernel:
     contains a construct the emitter does not support, so the compiled
     backend accepts every statement the interpreter does.
     """
-    emitter = _Emitter()
+    emitter = _Emitter(stmt)
     try:
         emitter.emit_stmt(stmt)
         return _load_kernel(
@@ -1454,8 +1536,8 @@ class _BatchedEmitter(_Emitter):
     per-request path instead.
     """
 
-    def __init__(self, stacked) -> None:
-        super().__init__()
+    def __init__(self, stmt: S.Stmt, stacked) -> None:
+        super().__init__(stmt)
         self.stacked = frozenset(stacked)
         # the batch size, bound in the preamble like any env variable;
         # only _take_b needs it (value helpers read array shapes)
@@ -1481,7 +1563,7 @@ def compile_batched_stmt(
     the caller falls back to the looped per-request path.
     """
     all_stacked = _batched_allocations(stmt, frozenset(stacked))
-    emitter = _BatchedEmitter(all_stacked)
+    emitter = _BatchedEmitter(stmt, all_stacked)
     emitter.emit_stmt(stmt)
     return _load_kernel(
         emitter.source(),
@@ -1516,7 +1598,9 @@ def compile_batched_stmt(
 #: v5: tile loads in a MAC operand slot carry a trailing ``True`` and
 #:     yield the buffer's narrow elements; the ``macs`` report
 #: v6: one core per intrinsic; ``_bv_*`` gone
-KERNEL_FORMAT_VERSION = 6
+#: v7: read-only MAC inputs widened once per call (``.widen`` in the
+#:     preamble, exact flags on the MAC); ``(bases, step)`` lane bases
+KERNEL_FORMAT_VERSION = 7
 
 
 def serialize_kernel(kernel: CompiledKernel) -> Optional[dict]:

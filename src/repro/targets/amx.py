@@ -90,13 +90,17 @@ def tdpbf16ps(
     way ``np.matmul`` does, and each batch slice is bit-identical to
     the 2-D call on that slice.
     """
-    a32 = round_to_bfloat16(np.asarray(a, dtype=np.float32))
-    b = vnni_unpack(round_to_bfloat16(np.asarray(b_vnni, dtype=np.float32)))
-    if a32.shape[-1] != b.shape[-2]:
+    return _tdp_exact(c, round_to_bfloat16(a), round_to_bfloat16(b_vnni))
+
+
+def _tdp_exact(c: np.ndarray, a: np.ndarray, b_vnni: np.ndarray):
+    """:func:`tdpbf16ps` on operands already bf16-rounded."""
+    b = vnni_unpack(b_vnni)
+    if a.shape[-1] != b.shape[-2]:
         raise AMXError(
-            f"TDPBF16PS shape mismatch: A {a32.shape} vs B {b.shape}"
+            f"TDPBF16PS shape mismatch: A {a.shape} vs B {b.shape}"
         )
-    return np.asarray(c, dtype=np.float32) + a32 @ b
+    return np.asarray(c, dtype=np.float32) + a @ b
 
 
 ISA = TileISA(
@@ -105,7 +109,8 @@ ISA = TileISA(
     acc=np.float32,
     narrow=None,
     group=2,
-    mac_core=tdpbf16ps,
+    operand=round_to_bfloat16,
+    mac_core=_tdp_exact,
     counter="tensor_macs",
     mac_shapes=frozenset({(TDP_M, TDP_N, TDP_K)}),
     max_rows=MAX_ROWS,

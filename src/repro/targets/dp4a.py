@@ -105,20 +105,28 @@ def dp4a_mac(c: np.ndarray, a: np.ndarray, b_vnni4: np.ndarray) -> np.ndarray:
     wraparound apply elementwise per batch slice, bit-identical to the
     2-D call.
     """
-    a8 = np.asarray(a).astype(np.int8, copy=False)
-    b = vnni4_unpack(np.asarray(b_vnni4).astype(np.int8, copy=False))
-    k = a8.shape[-1]
+    return _dp4a_exact(c, _int8_operand(a), _int8_operand(b_vnni4))
+
+
+def _int8_operand(x: np.ndarray) -> np.ndarray:
+    """An operand's values: truncated to int8, held as float32 (exact)."""
+    return np.asarray(x).astype(np.int8, copy=False).astype(np.float32)
+
+
+def _dp4a_exact(c: np.ndarray, a: np.ndarray, b_vnni4: np.ndarray):
+    """:func:`dp4a_mac` on operands already through :func:`_int8_operand`."""
+    b = vnni4_unpack(b_vnni4)
+    k = a.shape[-1]
     if k != b.shape[-2]:
         raise DP4AError(
-            f"dp4a_matmul shape mismatch: A {a8.shape} vs B {b.shape}"
+            f"dp4a_matmul shape mismatch: A {a.shape} vs B {b.shape}"
         )
     if k > MAX_EXACT_K:
         raise DP4AError(
             f"dp4a_matmul depth {k} > {MAX_EXACT_K}: the float32 dot"
             " product would no longer be exact"
         )
-    dot = a8.astype(np.float32) @ b.astype(np.float32)
-    return np.asarray(c, dtype=np.int32) + dot.astype(np.int32)
+    return np.asarray(c, dtype=np.int32) + (a @ b).astype(np.int32)
 
 
 ISA = TileISA(
@@ -127,7 +135,8 @@ ISA = TileISA(
     acc=np.int32,
     narrow=np.int8,
     group=K_GROUP,
-    mac_core=dp4a_mac,
+    operand=_int8_operand,
+    mac_core=_dp4a_exact,
     counter="int8_macs",
     mac_shapes=frozenset({(DP_M, DP_N, DP_K)}),
     max_rows=MAX_ROWS,

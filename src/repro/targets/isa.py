@@ -30,6 +30,7 @@ loads feed this MAC narrow?") is a read of it.
 from __future__ import annotations
 
 import importlib
+import mmap
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Optional, Tuple
@@ -45,14 +46,64 @@ from .bfloat16 import round_to_bfloat16
 def tile_grid(arena, base, stride, rows, cols):
     """``tile_index`` with the base-0 grid cached per geometry.
 
-    A ``[N]`` vector of per-lane bases yields the ``[N, rows*cols]``
-    stack of the lanes' index grids.
+    A ``[N]`` vector of per-lane bases (bare, or in a :func:`tile_view`
+    pair) yields the ``[N, rows*cols]`` stack of the lanes' index grids.
     """
+    if type(base) is tuple:
+        base = base[0]
     if isinstance(base, np.ndarray) and base.ndim:
         base = base[:, None]
     if arena is None:
         return tile_index(0, stride, rows, cols) + base
     return arena.tile_grid(stride, rows, cols) + base
+
+
+def tile_view(data, base, stride, rows, cols):
+    """The tile stack at an affine ``base`` — a scalar, over a flat or
+    stacked ``[B, size]`` buffer, or per-lane bases proved ``bases[0] +
+    step * lane`` and passed as ``(bases, step)`` — as one strided view
+    of C-contiguous ``data``, lowest and highest address checked.  None:
+    the gather / scatter runs, raising (or wrapping) as it always has."""
+    axes = [(rows, stride)]
+    if type(base) is tuple:
+        axes.insert(0, (len(base[0]), base[1]))
+        base = base[0][0]
+    elif isinstance(base, np.ndarray) and base.ndim:
+        return None
+    reach = [step * (n - 1) for n, step in axes]
+    low = base + sum(r for r in reach if r < 0)
+    high = base + sum(r for r in reach if r > 0) + cols
+    if low < 0 or high > data.shape[-1] or min(rows, cols) < 1:
+        return None
+    if not data.flags.c_contiguous:
+        return None
+    if data.ndim == 2:  # stacked: one request per row
+        axes.insert(0, (len(data), data.shape[1]))
+    item = data.itemsize
+    return np.ndarray(
+        tuple(n for n, _ in axes) + (cols,), data.dtype, data,
+        int(base) * item, tuple(s * item for _, s in axes) + (item,),
+    )
+
+
+#: private, anonymous, and pre-faulted where the platform can (one
+#: system call rather than a page fault per page: -8% B=32 time)
+_MAP_FLAGS = (
+    mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+)
+
+
+def _unheaped(shape):
+    """An uninitialised float32 array; from 128 KiB up, a mapping of its
+    own, unmapped when the array dies.  A widened input lives one call:
+    freed back to malloc it would raise glibc's dynamic mmap threshold,
+    and the heap would then keep the pages of later transients
+    (``peak_rss_mb`` +6% on ``apps``)."""
+    size = 4 * int(np.prod(shape))
+    if size < 128 * 1024:
+        return np.empty(shape, np.float32)
+    pages = mmap.mmap(-1, size, _MAP_FLAGS)
+    return np.frombuffer(pages, np.float32).reshape(shape)
 
 
 def _tiles(value, rows, cols):
@@ -85,7 +136,11 @@ class TileISA:
     #: B arrives as ``(k // group, group * n)``: rows interleaved in
     #: groups (VNNI); 1 is plain row-major
     group: int
-    #: the rank-polymorphic ``(c, a, b) -> c + a . b`` instruction
+    #: the widening rule, elementwise: any operand value -> the exact
+    #: float32 values the instruction multiplies
+    operand: Callable
+    #: the rank-polymorphic ``(c, a, b) -> c + a . b`` instruction, on
+    #: operands already through ``operand``
     mac_core: Callable
     #: the :class:`Counters` field one MAC adds ``m * n * k`` to
     counter: str
@@ -155,32 +210,61 @@ class TileISA:
             return tile
         return tile.astype(self.acc, copy=False)
 
-    def load(self, arena, buf, base, stride, rows, cols, mac_operand=False):
-        idx = tile_grid(arena, base, stride, rows, cols)
+    def widen(self, buf):
+        """``(source, exact)`` of a MAC input the kernel only reads, once
+        per call: the whole buffer through :attr:`operand` when it holds
+        this ISA's narrow type (bf16 for AMX), its tiles then exact;
+        else the buffer itself, its tiles rounded per tile as ever."""
         data = buf.data
-        # a branch, not ``data[..., idx]``: the ellipsis spelling costs
-        # a fancy-index gather two to three times over
-        tile = data[idx] if data.ndim == 1 else data[:, idx]
-        return self.loaded(tile, mac_operand)
+        if self.narrow is None:  # bf16 in float32 storage: round it
+            if buf.dtype.code is TypeCode.BFLOAT:
+                return self.operand(data), True
+        elif data.dtype == self.narrow:  # ``operand`` is the exact cast
+            out = _unheaped(data.shape)
+            np.copyto(out, data)
+            return out, True
+        return buf, False
 
-    def mac(self, arena, c, a, b, m, n, k):
+    def load(self, arena, buf, base, stride, rows, cols, mac_operand=False):
+        exact = isinstance(buf, np.ndarray)  # a :meth:`widen` source
+        data = buf if exact else buf.data
+        view = tile_view(data, base, stride, rows, cols)
+        if view is not None:  # one copy: fresh, C-contiguous
+            tile = view.copy().reshape(view.shape[:-2] + (rows * cols,))
+        else:
+            idx = tile_grid(arena, base, stride, rows, cols)
+            # a branch, not ``data[..., idx]``: the ellipsis spelling
+            # costs a fancy-index gather two to three times over
+            tile = data[idx] if data.ndim == 1 else data[:, idx]
+        return tile if exact else self.loaded(tile, mac_operand)
+
+    def mac(self, arena, c, a, b, m, n, k, a_exact=False, b_exact=False):
         self.check_mac(m, n, k)
         g = self.group
+        a, b = _tiles(a, m, k), _tiles(b, k // g, g * n)
         out = self.mac_core(
-            _tiles(c, m, n), _tiles(a, m, k), _tiles(b, k // g, g * n)
+            _tiles(c, m, n),
+            a if a_exact else self.operand(a),
+            b if b_exact else self.operand(b),
         )
         return out.ravel() if out.ndim == 2 else out.reshape(len(out), -1)
 
     def store(self, arena, buf, base, stride, rows, cols, tile):
-        idx = tile_grid(arena, base, stride, rows, cols)
         data = buf.data
         values = np.asarray(tile, dtype=data.dtype)
         if buf.dtype.code is TypeCode.BFLOAT:
             values = round_to_bfloat16(values)
-        if data.ndim == 1:
-            data[idx] = values
+        # a view only where no two elements share an address: rows
+        # apart, lanes by the ``(bases, step)`` pair's lanes-disjoint proof
+        view = None
+        if rows == 1 or abs(stride) >= cols:
+            view = tile_view(data, base, stride, rows, cols)
+        if view is not None:  # a shared tile broadcasts along the batch
+            view[...] = values.reshape(values.shape[:-1] + (rows, cols))
+        elif data.ndim == 1:
+            data[tile_grid(arena, base, stride, rows, cols)] = values
         else:
-            data[:, idx] = values
+            data[:, tile_grid(arena, base, stride, rows, cols)] = values
         return self.acc(0)
 
 

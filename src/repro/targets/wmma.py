@@ -53,13 +53,16 @@ def _fp16_operand(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float32)
 
 
+def _mma_exact(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """C + A @ B on operands already through :func:`_fp16_operand`."""
+    return np.asarray(c, dtype=np.float32) + a @ b
+
+
 def mma_sync(
     c: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """C + A @ B with fp16 operands and fp32 accumulation."""
-    return np.asarray(c, dtype=np.float32) + (
-        _fp16_operand(a) @ _fp16_operand(b)
-    )
+    return _mma_exact(c, _fp16_operand(a), _fp16_operand(b))
 
 
 ISA = TileISA(
@@ -68,7 +71,8 @@ ISA = TileISA(
     acc=np.float32,
     narrow=np.float16,
     group=1,
-    mac_core=mma_sync,
+    operand=_fp16_operand,
+    mac_core=_mma_exact,
     counter="tensor_macs",
     mac_shapes=frozenset(SUPPORTED_SHAPES),
     max_rows=None,  # fragments live in ordinary registers

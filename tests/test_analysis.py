@@ -432,6 +432,30 @@ class TestLintKernelsMutations:
         )
         assert lint_kernel_source(src) == []
 
+    WIDENED = (
+        KERNEL_HEADER
+        + "    d0 = buffers['A'].data\n"
+        + "    b0 = buffers['A']\n"
+        + "    b1 = buffers['out']\n"
+        + "    w0, e0 = isa.widen(b0)\n"
+        + "{write}"
+        + "    _C1(_arena, b1, 0, 16, 16, 16,"
+        + " _C2(_arena, c, _C3(_arena, w0, 0, 16, 16, 16, True), b, e0))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "write",
+        ["    d0[0:16] = 1.0\n", "    _C1(_arena, b0, 0, 16, 16, 16, t)\n"],
+        ids=["subscript", "tile-store"],
+    )
+    def test_widening_a_buffer_the_kernel_writes(self, write):
+        findings = lint_kernel_source(self.WIDENED.format(write=write))
+        assert checks(findings) == {"kernels.stale-widen"}
+        assert "'A'" in findings[0].message
+
+    def test_widening_a_read_only_input_is_clean(self):
+        assert lint_kernel_source(self.WIDENED.format(write="")) == []
+
     def test_syntax_error(self):
         assert "kernels.syntax" in checks(
             lint_kernel_source("def _kernel(:\n")
@@ -605,7 +629,10 @@ def test_kernels_section_says_why_a_mac_operand_is_widened(
     monkeypatch.undo()
     assert cli.main(["kernels"]) == 0
     out = capsys.readouterr().out
-    assert "mac conv1d[tensor]: wmma.mma.sync: A narrow, B narrow" in out
+    assert (
+        "mac conv1d[tensor]: wmma.mma.sync: A widened once per call,"
+        " B narrow" in out
+    )
     assert "mac conv1d[cuda]" not in out
     # the registry comes first: every core a kernel may call, by role
     lines = out.splitlines()

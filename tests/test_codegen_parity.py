@@ -68,11 +68,13 @@ from repro.runtime.buffer import StackedBuffer
 from repro.runtime.codegen import (
     _LANES,
     KERNEL_FORMAT_VERSION,
+    WIDENED,
     compile_batched_stmt,
     compile_stmt,
 )
 from repro.runtime.executor import CompiledPipeline, RequestError
 from repro.runtime.kernel_cache import KernelCache
+from repro.targets import wmma
 from repro.targets.amx import AMXError
 from repro.targets.dp4a import DP4AError
 from repro.service import (
@@ -866,8 +868,10 @@ class TestMacOperands:
             wmma_mma(wmma_load("a", "A", base), wmma_load("b", "B", base)),
         )
         kernel = run_four_ways(body, self.arrays(rng, A=self.F16, B=self.F16))
-        assert kernel.macs == (("wmma.mma.sync", "narrow", "narrow"),)
+        # inputs the kernel only reads: widened once, exact in the core
+        assert kernel.macs == (("wmma.mma.sync", WIDENED, WIDENED),)
         assert mac_literals(kernel) == 2
+        assert kernel.source.count(".widen(") == 2
 
     def test_loads_feeding_anything_else_stay_wide(self, rng):
         """Store of a load, TileExpand(load), load + load: float32
@@ -927,8 +931,10 @@ class TestMacOperands:
         )
         arrays = self.arrays(rng, W=(np.float32, Float(32)))
         kernel = run_four_ways(scratch, arrays)
+        # W is widened once in form only: float32 is not the narrow
+        # type, so ``TileISA.widen`` hands the buffer back unrounded
         assert kernel.macs == (
-            ("wmma.mma.sync", "narrow", "buffer is float32"),
+            ("wmma.mma.sync", WIDENED, "buffer is float32"),
         )
         assert mac_literals(kernel) == 1
         # against the arithmetic spelled out, not just the interpreter
@@ -968,7 +974,7 @@ class TestMacOperands:
             )),
         )
         kernel = run_four_ways(body, self.arrays(rng, A=self.F16, B=self.F16))
-        assert kernel.macs == (("wmma.mma.sync", "narrow", "narrow"),)
+        assert kernel.macs == (("wmma.mma.sync", WIDENED, "narrow"),)
         assert ("_take_b(" in kernel.source) == private
 
     def test_dp4a_operands(self, rng):
@@ -1002,8 +1008,73 @@ class TestMacOperands:
         }
         arrays["out"] = (np.zeros(3 * 256, np.int32), Int(32))
         kernel = run_four_ways(body, arrays)
-        assert kernel.macs == (("dp4a_matmul", "narrow", "narrow"),)
+        assert kernel.macs == (("dp4a_matmul", WIDENED, WIDENED),)
         assert mac_literals(kernel) == 2
+
+    def test_an_input_the_statement_stores_into_is_not_widened_once(
+        self, rng
+    ):
+        """A copied once at the top of the call would miss what the
+        statement stores into it before the load reads it back."""
+        x = Variable("x")
+        base = make_mul(x, IntImm(TILE))
+        body = Block((
+            Store(
+                "A", ramp(base, TILE), Load(Float(16, TILE), "B", ramp(base, TILE))
+            ),
+            wmma_store(
+                "out", base,
+                wmma_mma(wmma_load("a", "A", base), wmma_load("b", "B", base)),
+            ),
+        ))
+        arrays = self.arrays(rng, A=self.F16, B=self.F16)
+        with np.errstate(all="ignore"):
+            kernel, interpreted, compiled = run_both(
+                block_loop("x", 3, body, ForKind.SERIAL), arrays
+            )
+        assert kernel.macs == (("wmma.mma.sync", "narrow", WIDENED),)
+        assert kernel.source.count(".widen(") == 1
+        assert (arrays["A"][0] != arrays["B"][0]).any()
+        for name in arrays:
+            assert_same_bytes(compiled[name], interpreted[name])
+
+    def test_a_stacked_input_is_widened_once_under_the_batch_axis(self, rng):
+        """The batch-axis kernel widens each ``[B, size]`` input in one
+        pass and tells the MAC; every row is its request's bytes."""
+        x = Variable("x")
+        base = make_mul(x, IntImm(TILE))
+        body = wmma_store(
+            "out", base,
+            wmma_mma(wmma_load("a", "A", base), wmma_load("b", "B", base)),
+        )
+        arrays = self.arrays(rng, A=self.F16, B=self.F16)
+        run_four_ways(body, arrays)  # batched ≡ per-request, bytewise
+        batched = compile_batched_stmt(
+            block_loop("x", 3, body, ForKind.SERIAL), frozenset(arrays)
+        )
+        assert batched.macs == (("wmma.mma.sync", WIDENED, WIDENED),)
+        assert re.search(r"_e\d+, _e\d+\)", batched.source)
+        # a small batch is widened on the heap, a large one into a
+        # mapping of its own (unmapped with the array)
+        for batch, mapped in ((2, False), (64, True)):
+            stacked = StackedBuffer(
+                "A", Float(16), (3 * TILE,), batch=batch,
+                data=np.stack([arrays["A"][0]] * batch),
+            )
+            source, exact = wmma.ISA.widen(stacked)
+            assert exact and source.dtype == np.float32
+            assert source.flags.owndata != mapped
+            assert_same_bytes(source, stacked.data.astype(np.float32))
+
+    def test_catalog_conv1d_widens_its_input_once(self):
+        """The Toeplitz A windows overlap 2x: their input is widened
+        once; B, a shuffled weight scratch, reaches the core narrow."""
+        pipe = conv1d.build("tensor", taps=8, rows=1).compile()
+        for kernel in (
+            pipe.plan(backend="compile").kernel,
+            compile_batched_stmt(pipe.lowered.stmt, {"I", "output"}),
+        ):
+            assert kernel.macs == (("wmma.mma.sync", WIDENED, "narrow"),)
 
     @pytest.mark.parametrize(
         "prefix,elem,acc,error",
@@ -1163,10 +1234,11 @@ def test_bfloat16_cast_of_a_loaded_view_is_a_snapshot():
 
 
 def test_let_over_an_uncast_loaded_view_is_rejected_by_verify_ir():
-    """The same program without the cast is a known parity hole — the
-    compiled ``let`` holds a view, so it reads the 9s the body stores
-    where the interpreter reads the snapshot.  No lowering emits the
-    shape; ``verify_ir`` keeps it that way."""
+    """The same program without the cast: the compiled ``let`` would
+    hold a view and read the 9s the body stores, so the emitter
+    snapshots a let's view whenever the body writes its buffer — the
+    interpreter's value.  No lowering emits the shape, and ``verify_ir``
+    still rejects it."""
     from repro.analysis import verify_ir
 
     lanes = ramp(IntImm(0), 4)
@@ -1187,8 +1259,12 @@ def test_let_over_an_uncast_loaded_view_is_rejected_by_verify_ir():
         },
     )
     np.testing.assert_array_equal(interpreted["out"], exact)
-    # the hazard itself: once this stops holding, the check can go
-    np.testing.assert_array_equal(compiled["out"], np.full(4, 9.0))
+    np.testing.assert_array_equal(compiled["out"], exact)
+    # a let whose body leaves the buffer alone keeps the zero-copy view
+    reader = LetStmt(
+        "v", stmt.value, Store("out", lanes, Variable("v", BFloat(16, 4)))
+    )
+    assert "np.array(" not in compile_stmt(reader).source
     (finding,) = [
         f for f in verify_ir(stmt) if f.check == "ir.let-aliases-store"
     ]

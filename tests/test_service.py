@@ -262,13 +262,16 @@ class TestInvalidation:
         payload is from the future, a pre-lane-loop v3 kernel, a v4
         kernel (no MAC-slot literal on its loads, no ``macs`` report)
         whose source would run against today's helper globals, a v5
-        kernel, or a v5 kernel as it really sits on disk: its globals
-        name a ``_bv_*`` core that is gone, so it does not even
-        unpickle."""
+        kernel, a v5 kernel as it really sits on disk (its globals name
+        a ``_bv_*`` core that is gone, so it does not even unpickle), or
+        a v6 kernel (every MAC input converted per tile, no ``.widen``
+        preamble, no exact flags on its MACs)."""
         from repro.runtime.codegen import KERNEL_FORMAT_VERSION
 
-        assert KERNEL_FORMAT_VERSION == 6
-        for stale_format in (KERNEL_FORMAT_VERSION + 1, 3, 4, 5, "stranded"):
+        assert KERNEL_FORMAT_VERSION == 7
+        for stale_format in (
+            KERNEL_FORMAT_VERSION + 1, 3, 4, 5, 6, "stranded",
+        ):
             root = tmp_path / f"v{stale_format}"
             app = small_app()
             store = ArtifactStore(root)

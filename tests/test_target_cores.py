@@ -14,7 +14,10 @@ bf16 rounding, an int64 ``einsum`` — live here, not in ``src``.
 The second half does the same for the *role* cores every intrinsic is
 defined by (:mod:`repro.targets.isa`): under each leading axis the
 emitter can produce, a core's rows are the bytes of the call without
-the axis, row by row.
+the axis, row by row; a tile stack addressed as a strided view is the
+bytes of the index-grid gather / scatter; and tiles cut from an input
+widened once per call, handed to the MAC as exact, are the bytes of
+the per-tile route.
 """
 
 import numpy as np
@@ -37,7 +40,7 @@ from repro.targets.dp4a import (
     vnni4_pack,
     vnni4_unpack,
 )
-from repro.targets.isa import REGISTRY
+from repro.targets.isa import REGISTRY, tile_grid, tile_view
 from repro.targets.wmma import mma_sync
 
 #: leading batch axes an operand may carry (the lane / batch axis)
@@ -436,11 +439,154 @@ class TestRoleCores:
             )
         assert_same_bytes(got, want)
 
+    def test_widened_once_mac_equals_the_narrow_mac(self, isa, rng):
+        """Tiles cut from a buffer :meth:`TileISA.widen` made exact,
+        handed to the MAC as exact, against the per-tile route — on
+        f16 +-0, subnormals, 65504, +-inf and NaN payloads, bf16 NaNs,
+        int8 -128 and 127 (a quarter of every operand), flat and
+        stacked."""
+        m, n, k = MAC_SHAPES[isa.name]
+        dtype, make = OPERAND_BUFFERS[isa.name][0]
+        data = operand_data(rng, dtype, make, (3, 2 * m * k + k * n))
+        c = operand_data(
+            rng, Int(32) if isa.name == "dp4a" else Float(32),
+            None if isa.name == "dp4a" else f32_values, (3, m * n),
+        )
+        for buf in (flat_buffer(dtype, data[0]), stacked_buffer(dtype, data)):
+            source, exact = isa.widen(buf)
+            assert exact and source.shape == buf.data.shape
+            assert source.dtype == np.float32
+            bases = (m * k, 2 * m * k)  # A rows overlap: stride k / 2
+            with np.errstate(all="ignore"):
+                narrow = isa.mac(
+                    None, c if buf.data.ndim == 2 else c[0],
+                    isa.load(None, buf, bases[0], k // 2, m, k, True),
+                    isa.load(None, buf, bases[1], n * isa.group, k // isa.group,
+                             n * isa.group, True),
+                    m, n, k,
+                )
+                widened = isa.mac(
+                    None, c if buf.data.ndim == 2 else c[0],
+                    isa.load(None, source, bases[0], k // 2, m, k, True),
+                    isa.load(None, source, bases[1], n * isa.group,
+                             k // isa.group, n * isa.group, True),
+                    m, n, k, True, True,
+                )
+            assert_same_bytes(widened, narrow)
+
+    def test_a_wide_buffer_is_not_widened_once(self, isa, rng):
+        """float32 / int32 storage is handed back: its tiles keep the
+        per-tile rounding (truncation) in the MAC."""
+        dtype, make = OPERAND_BUFFERS[isa.name][1]
+        if isa.name == "amx":
+            dtype = Float(32)  # not bfloat16 storage, though float32 too
+        buf = flat_buffer(dtype, operand_data(rng, dtype, make, (1, SIZE))[0])
+        assert isa.widen(buf) == (buf, False)
+
     def test_an_unsupported_mac_shape_is_the_isas_own_error(self, isa):
         m, n, k = MAC_SHAPES[isa.name]
         tile = np.zeros(m * n * k, isa.acc)
         with pytest.raises(isa.error, match="m16n16k8"):
             isa.mac(None, tile, tile, tile, 16, 16, 8)
+
+
+#: per-lane bases ``bases[0] + step * lane``, as the emitter passes them
+AFFINE = (3 + 9 * np.arange(4), 9)
+AFFINE_DOWN = (60 - 20 * np.arange(4), -20)
+
+
+@pytest.mark.parametrize("isa", ISAS, ids=ISA_IDS)
+class TestTileViews:
+    """``TileISA.load`` / ``store`` address an affine tile stack as one
+    strided view; the index-grid gather / scatter is the reference."""
+
+    @pytest.mark.parametrize("stride", [STRIDE, 3], ids=["apart", "overlap"])
+    def test_load_view_equals_gather(self, isa, stride, rng):
+        for dtype, make in OPERAND_BUFFERS[isa.name]:
+            data = operand_data(rng, dtype, make, (len(BASES), SIZE))
+            flat, stacked = flat_buffer(dtype, data[0]), stacked_buffer(dtype, data)
+            for buf, base in (
+                (flat, 11), (stacked, 11), (flat, AFFINE), (flat, AFFINE_DOWN)
+            ):
+                assert tile_view(buf.data, base, stride, ROWS, COLS) is not None
+                idx = tile_grid(None, base, stride, ROWS, COLS)
+                gathered = buf.data[idx] if flat is buf else buf.data[:, idx]
+                for mac_operand in (False, True):
+                    got = isa.load(None, buf, base, stride, ROWS, COLS, mac_operand)
+                    assert got.flags.c_contiguous
+                    assert_same_bytes(got, isa.loaded(gathered, mac_operand))
+
+    @pytest.mark.parametrize("stride", [STRIDE, 3], ids=["apart", "overlap"])
+    def test_store_view_equals_scatter(self, isa, stride, rng):
+        """Flat, per-lane affine and stacked (a per-request tile, or a
+        shared one broadcast along the batch); rows that overlap
+        (stride < cols) take the scatter, last write wins as before."""
+        for dtype in [Int(32)] if isa.name == "dp4a" else [Float(32), BFloat(16)]:
+            tiles = operand_data(
+                rng, Float(32) if dtype.is_float() else Int(32),
+                f32_values if dtype.is_float() else None,
+                (len(BASES), ROWS * COLS),
+            )
+            blank = np.zeros(SIZE, dtype.to_numpy())
+
+            def scattered(base, values):
+                want = flat_buffer(dtype, blank)
+                idx = tile_grid(None, base, stride, ROWS, COLS)
+                want.scatter(idx, np.asarray(values, dtype=want.data.dtype))
+                return want.data
+
+            cases = [(11, tiles[0])]
+            if stride >= COLS:  # lanes disjoint: what the emitter certifies
+                cases += [(AFFINE, tiles), (AFFINE_DOWN, tiles)]
+            for base, values in cases:
+                got = flat_buffer(dtype, blank)
+                isa.store(None, got, base, stride, ROWS, COLS, values)
+                assert_same_bytes(got.data, scattered(base, values))
+            for values in (tiles, tiles[0]):
+                got = stacked_buffer(dtype, np.tile(blank, (len(BASES), 1)))
+                isa.store(None, got, 11, stride, ROWS, COLS, values)
+                rows = np.broadcast_to(values, tiles.shape)
+                assert_same_bytes(
+                    got.data, np.stack([scattered(11, row) for row in rows])
+                )
+
+    def test_out_of_range_raises_what_the_gather_raises(self, isa, rng):
+        data = rng.standard_normal(SIZE).astype(np.float32)
+        buf = flat_buffer(Float(32), data)
+        # highest address one past the end: a scalar base, a lane stack
+        for base in (SIZE - 2 * STRIDE - COLS + 1, (np.array([0, 40, 80]), 40)):
+            assert tile_view(data, base, STRIDE, ROWS, COLS) is None
+            idx = tile_grid(None, base, STRIDE, ROWS, COLS)
+            with pytest.raises(IndexError) as want:
+                data[idx]
+            with pytest.raises(IndexError) as got:
+                isa.load(None, buf, base, STRIDE, ROWS, COLS)
+            assert str(got.value) == str(want.value)
+            with pytest.raises(IndexError) as got:
+                isa.store(None, buf, base, STRIDE, ROWS, COLS, np.zeros(15))
+            assert str(got.value) == str(want.value)
+        # a negative base wraps in the gather, and still does
+        assert tile_view(data, -3, STRIDE, ROWS, COLS) is None
+        assert_same_bytes(
+            isa.load(None, buf, -3, STRIDE, ROWS, COLS),
+            isa.loaded(data[tile_grid(None, -3, STRIDE, ROWS, COLS)]),
+        )
+
+    def test_a_loaded_tile_is_a_snapshot(self, isa, rng):
+        """Rows back to back (stride == cols): the view is contiguous,
+        the tile is still a copy — writing the buffer (or the widened
+        source) afterwards leaves it alone."""
+        dtype, make = OPERAND_BUFFERS[isa.name][0]
+        for mac_operand in (False, True):
+            buf = flat_buffer(dtype, operand_data(rng, dtype, make, (1, SIZE))[0])
+            source, _ = isa.widen(buf)
+            for tile_of in (buf, source):
+                tile = isa.load(None, tile_of, 11, COLS, ROWS, COLS, mac_operand)
+                before = tile.copy()
+                for array in (buf.data, source):
+                    assert not np.shares_memory(tile, array)
+                    array[...] = 0
+                assert_same_bytes(tile, before)
 
 
 @pytest.mark.parametrize("lead", LEADS[:2], ids=["flat", "lead"])

@@ -41,6 +41,13 @@ checks the invariants the emitter is supposed to maintain:
     the preamble) must be a buffer the kernel never writes — by
     subscript assignment into its data or by a tile-store call.
     Otherwise a load after the write reads the copy made before it.
+``kernels.stale-hoist``
+    What a serial block loop's preheader builds once per call — a tile
+    or shuffle stack (``_h<n> = ...``) — must read only buffers the
+    kernel never writes, and a kernel constant (``_C<n>``, e.g. a
+    literal broadcast) is never written.  Otherwise an iteration after
+    the write reads what the buffer held before it, or the next call
+    reads what this one left in the constant.
 
 Interpreter-fallback kernels carry no source (``kernel.source is
 None``) and are skipped — there is nothing static to check.
@@ -354,7 +361,7 @@ def lint_kernel_source(
                     )
 
     findings.extend(_lint_lane_stores(tree, context))
-    findings.extend(_lint_stale_widen(tree, context))
+    findings.extend(_lint_stale(tree, context))
 
     for name, lineno in taken.items():
         if name not in given:
@@ -460,9 +467,13 @@ def _lint_lane_stores(tree: ast.AST, context: str) -> List[Finding]:
     return findings
 
 
-def _lint_stale_widen(tree: ast.AST, context: str) -> List[Finding]:
+def _lint_stale(tree: ast.AST, context: str) -> List[Finding]:
+    """``kernels.stale-widen`` and ``kernels.stale-hoist``: a copy made
+    once per call of a buffer the kernel writes, or a written constant."""
     holds: dict = {}  # local -> the buffer it is bound to in the preamble
     widened: dict = {}  # buffer local -> line of its ``.widen(...)``
+    sources: dict = {}  # widened-source local -> its buffer local
+    hoisted: dict = {}  # stack local -> (line, the locals it reads)
     written: dict = {}  # local stored through -> line
     for node in ast.walk(tree):
         local = _stored_through(node)
@@ -470,16 +481,23 @@ def _lint_stale_widen(tree: ast.AST, context: str) -> List[Finding]:
             written.setdefault(local, node.lineno)
         if not isinstance(node, ast.Assign):
             continue
-        value = node.value
+        target, value = node.targets[0], node.value
+        if isinstance(target, ast.Name) and target.id.startswith("_h"):
+            hoisted[target.id] = (node.lineno, {
+                n.id for n in ast.walk(value) if isinstance(n, ast.Name)
+            })
         if isinstance(value, ast.Attribute) and value.attr == "data":
             value = value.value  # _d = buffers['x'].data
         if isinstance(value, ast.Subscript) and _call_root(value.value) == "buffers":
-            holds[ast.unparse(node.targets[0])] = ast.unparse(value.slice)
+            holds[ast.unparse(target)] = ast.unparse(value.slice)
         elif isinstance(value, ast.Call) and value.args:
             if ast.unparse(value.func).endswith(".widen"):
-                widened[ast.unparse(value.args[0])] = node.lineno
+                source = ast.unparse(value.args[0])
+                widened[source] = node.lineno
+                if isinstance(target, ast.Tuple):
+                    sources[ast.unparse(target.elts[0])] = source
     stored = {holds[k]: line for k, line in written.items() if k in holds}
-    return [
+    findings = [
         Finding(
             "kernels.stale-widen",
             ERROR,
@@ -493,6 +511,33 @@ def _lint_stale_widen(tree: ast.AST, context: str) -> List[Finding]:
         for local, lineno in widened.items()
         if holds.get(local) in stored
     ]
+    for stack, (lineno, reads) in hoisted.items():
+        for name in sorted(reads):
+            buffer = holds.get(sources.get(name, name))
+            if buffer in stored:
+                findings.append(Finding(
+                    "kernels.stale-hoist",
+                    ERROR,
+                    f"{context}:{lineno}",
+                    f"{stack} is built once per call over buffer {buffer},"
+                    f" but the kernel writes it (line {stored[buffer]}):"
+                    " a later iteration reads the stale stack",
+                    "hoist only over inputs the statement never writes"
+                    " (_Emitter._plan_stacks)",
+                ))
+    findings.extend(
+        Finding(
+            "kernels.stale-hoist",
+            ERROR,
+            f"{context}:{lineno}",
+            f"kernel constant {local} is written: the next call reads"
+            " what this one left there",
+            "hoist only values nothing writes into",
+        )
+        for local, lineno in written.items()
+        if local[:2] == "_C" and local[2:].isdigit()
+    )
+    return findings
 
 
 def registry_rows() -> List[tuple]:

@@ -31,8 +31,10 @@ from functools import partial
 import numpy as np
 
 from ..ir import expr as E
+from ..ir.types import TypeCode
 from ..runtime.interpreter import memory_level
-from ..targets.isa import check_bounds, named_buffer, register
+from ..targets.bfloat16 import round_to_bfloat16
+from ..targets.isa import check_bounds, named_buffer, register, tile_view
 
 
 class ShuffleError(RuntimeError):
@@ -56,10 +58,14 @@ def kway_interleave(tile: np.ndarray, k: int) -> np.ndarray:
 
 def _coefficient_matrix(kernel: np.ndarray, tap: np.ndarray) -> np.ndarray:
     """``A[c, j] = K[tap[c, j]]`` where that tap index is in range, else 0
-    — what both coefficient-window shuffles build."""
-    out = np.zeros(tap.shape, dtype=np.float32)
-    valid = (tap >= 0) & (tap < kernel.shape[0])
-    out[valid] = kernel[tap[valid]]
+    — what both coefficient-window shuffles build; an ``[n, taps]``
+    stack of kernels yields the ``[n, rows, cols]`` stack of them."""
+    out = np.zeros(kernel.shape[:-1] + tap.shape, dtype=np.float32)
+    valid = (tap >= 0) & (tap < kernel.shape[-1])
+    if kernel.ndim == 1:  # the per-tile path: no slower than it was
+        out[valid] = kernel[tap[valid]]
+    else:
+        out[:, valid] = kernel[:, tap[valid]]
     return out
 
 
@@ -124,6 +130,38 @@ def window_shuffle(build, arena, buf, base, rows, cols, taps, param):
     return _memo(arena, build, buf.data[base : base + taps], rows, cols, param)
 
 
+def window_stack(build, arena, isa, dtype, buf, base, outer, rows, cols,
+                 taps, param):
+    """A coefficient-window shuffle over every iteration of a serial
+    loop nest at once — window ``base + sum(i * step)`` per ``(count,
+    step)`` axis of ``outer`` — as the ``[*counts, rows, cols]`` stack
+    of MAC operands it becomes: stored into a ``dtype`` scratch tile,
+    loaded back narrow and put through ``isa``'s :attr:`operand`.  One
+    memo entry, keyed on the bytes of every window; read-only.  None
+    when a window leaves ``buf``: the loop's per-tile path then runs."""
+    view = tile_view(buf.data, base, 0, 1, taps, outer)
+    if view is None:
+        return None
+    kernels = view[..., 0, :]
+
+    def make():
+        values = build(kernels.reshape(-1, taps), rows, cols, param)
+        values = values.reshape(kernels.shape[:-1] + (rows, cols))
+        if dtype.code is TypeCode.BFLOAT:
+            values = round_to_bfloat16(values)
+        stored = np.empty(values.shape, dtype.to_numpy())
+        stored[...] = values
+        out = isa.operand(isa.loaded(stored, True))
+        out.flags.writeable = False
+        return out
+
+    if arena is None:
+        return make()
+    key = ("stack", build.__name__, kernels.dtype.str, kernels.shape,
+           kernels.tobytes(), rows, cols, param, isa.name, dtype)
+    return arena.memo(key, make)
+
+
 def tile_expand(arena, tile, valid, cols):
     """Pad each ``valid``-wide row of ``[..., rows*valid]`` tiles with
     zeros up to ``cols``."""
@@ -172,7 +210,12 @@ def _register_values(name: str, role: str, core) -> None:
     register(name, None, role, partial(_interp_values, core), core)
 
 
+#: coefficient-window shuffle -> the matrix function its cores share
+WINDOWS = {}
+
+
 def _register_window(name: str, build) -> None:
+    WINDOWS[name] = build
     register(
         name, None, "shuffle",
         partial(_interp_window, build), partial(window_shuffle, build),

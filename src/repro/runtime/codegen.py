@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from contextlib import ExitStack, contextmanager
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -50,10 +51,10 @@ from ..ir.types import TypeCode
 from ..ir.visitor import IRVisitor
 from ..ir.analysis import contains, free_variables
 from ..ir.printer import print_expr
-from ..hardboiled import intrinsics as _shuffles  # noqa: F401 (registers)
+from ..hardboiled import intrinsics as _shuffles
 from ..targets import amx as _amx, dp4a as _dp4a, wmma as _wmma  # noqa: F401
 from ..targets.bfloat16 import round_to_bfloat16
-from ..targets.isa import REGISTRY, role_of
+from ..targets.isa import REGISTRY, _tiles, role_of, tile_view
 from .buffer import Buffer, StackedBuffer
 from .interpreter import as_vector, broadcast_value, ramp_value, reduce_groups
 
@@ -100,6 +101,20 @@ def _cond(c):
 
 def _idx(x):
     return np.asarray(x, dtype=np.int64)
+
+
+def _block(data, base, stride, rows, cols, store=False):
+    """The index vector ``ramp(ramp(base, 1, cols), xcols(stride), rows)``
+    as a ``[rows, cols]`` strided view of ``data`` (see
+    :func:`repro.targets.isa.tile_view`); a store only where no two
+    rows overlap, a load's as a fresh flat copy.  None: the
+    ``_idx(_ramp(...))`` gather / scatter runs."""
+    if store and rows > 1 and abs(stride) < cols:
+        return None
+    view = tile_view(data, base, stride, rows, cols)
+    if view is None or store:
+        return view
+    return view.copy().reshape(view.shape[:-2] + (-1,))
 
 
 # -- arena plumbing ------------------------------------------------------------
@@ -302,6 +317,114 @@ def _written(stmt: S.Stmt) -> Set[str]:
 
 #: the ``macs`` reason of an input :meth:`TileISA.widen` feeds the MAC
 WIDENED = "widened once per call"
+
+
+def _direct_load(isa, a: E.Expr) -> bool:
+    """Is MAC operand ``a`` one of ``isa``'s tile loads of a named buffer?"""
+    return (
+        isinstance(a, E.Call)
+        and a.name in isa.load_names
+        and isinstance(a.args[0], E.StringImm)
+    )
+
+
+def _settled(isa, mac: E.Call) -> Optional[tuple]:
+    """A MAC's ``(m, n, k)`` when constant and legal for ``isa``."""
+    dims = tuple(d.value if isinstance(d, E.IntImm) else None for d in mac.args[3:6])
+    return dims if dims in isa.mac_shapes else None
+
+
+def _mac_reads(stmt: S.Stmt, written: Set[str]) -> Dict[tuple, float]:
+    """Per ``(isa, buffer)`` MAC input the kernel only reads: how many
+    elements its direct tile loads read per request — the static trip
+    count of each load times its tile size (inf where either is
+    symbolic).  :meth:`TileISA.widen` widens the input whole only when
+    that is at least its size."""
+    reads: Dict[tuple, float] = {}
+
+    class Reads(_StmtVisitor):
+        trips = 1
+
+        def visit_For(self, s: S.For) -> None:
+            outer, extent = self.trips, s.extent
+            if s.kind is not ForKind.GPU_LANE:  # a warp runs its body once
+                self.trips *= extent.value if isinstance(extent, E.IntImm) else math.inf
+            self.generic_visit(s)
+            self.trips = outer
+
+        def scan(self, e: E.Expr) -> None:
+            for call in _expr_calls(e):
+                entry = REGISTRY.get(call.name)
+                for a in call.args[1:3] if entry and entry.role == "mac" else ():
+                    if _direct_load(entry.isa, a) and a.args[0].value not in written:
+                        rows, cols = a.args[3:5]
+                        size = math.inf
+                        if isinstance(rows, E.IntImm) and isinstance(cols, E.IntImm):
+                            size = rows.value * cols.value
+                        key = (entry.isa.name, a.args[0].value)
+                        reads[key] = reads.get(key, 0) + self.trips * size
+
+    Reads().visit(stmt)
+    return reads
+
+
+class _NestFacts(_StmtVisitor):
+    """What hoisting out of a serial loop nest reads off its body."""
+
+    def __init__(self) -> None:
+        #: any tensor intrinsic at all (a block loop); the MAC calls
+        self.intrinsics = False
+        self.macs: List[E.Call] = []
+        #: variables the body binds; how often it names each buffer
+        self.bound: Set[str] = set()
+        self.refs: Dict[str, int] = {}
+        #: scratch buffer -> (its Allocate, the window shuffle that
+        #: fills it whole, first thing)
+        self.scratch: Dict[str, tuple] = {}
+
+    def ref(self, name: str) -> None:
+        self.refs[name] = self.refs.get(name, 0) + 1
+
+    def visit_For(self, s) -> None:
+        self.bound.add(s.name)
+        self.generic_visit(s)
+
+    visit_LetStmt = visit_For
+
+    def visit_Store(self, s: S.Store) -> None:
+        self.ref(s.name)
+        self.generic_visit(s)
+
+    def visit_Allocate(self, a: S.Allocate) -> None:
+        self.ref(a.name)
+        head = a.body.stmts[0] if isinstance(a.body, S.Block) else None
+        idx = getattr(head, "index", None)
+        if (
+            isinstance(head, S.Store)
+            and head.name == a.name
+            and getattr(head.value, "name", None) in _shuffles.WINDOWS
+            and all(isinstance(e, E.IntImm) for e in a.extents)
+            and isinstance(idx, E.Ramp)
+            and idx.count == math.prod(e.value for e in a.extents)
+            and (idx.base, idx.stride) == (E.IntImm(0), E.IntImm(1))
+        ):
+            self.scratch[a.name] = (a, head.value)
+        self.generic_visit(a)
+
+    def scan(self, e: E.Expr) -> None:
+        for node in _expr_nodes(e):
+            if isinstance(node, E.Let):
+                self.bound.add(node.name)
+            elif isinstance(node, E.Load):
+                self.ref(node.name)
+            elif isinstance(node, E.Call):
+                entry = REGISTRY.get(node.name)
+                self.intrinsics |= entry is not None
+                if entry is not None and entry.role == "mac":
+                    self.macs.append(node)
+                for a in node.args:
+                    if isinstance(a, E.StringImm):
+                        self.ref(a.value)
 
 
 # -- leading-axis analysis -----------------------------------------------------
@@ -656,15 +779,23 @@ class _Emitter:
         #: its per-lane store.  None elsewhere — a batched kernel's
         #: leading axis is the batch, which addresses nothing per row
         self.proved: Optional[Dict[str, tuple]] = None
-        #: (variable, extent, "lanes" | why not) per data-parallel loop
+        #: (variable, extent, status) per data-parallel loop ("lanes" |
+        #: why not) and per serial block loop (what was hoisted | why not)
         self.loops: List[tuple] = []
         #: (intrinsic, A, B) per MAC call site: ``"narrow"`` when the
         #: operand reaches the core in its buffer's narrow elements,
         #: else why it is widened first (see ``_operand_width``)
         self.macs: List[tuple] = []
         self.written = _written(stmt)
+        #: (isa, buffer) -> elements its MAC tile loads read per request
+        self.reads = _mac_reads(stmt, self.written)
         #: (isa, buffer) -> (source, exact, preamble line) (``_widen``)
         self.widened: Dict[tuple, tuple] = {}
+        #: while a hoisted loop nest is emitted: id of a MAC operand node
+        #: -> (its preheader stack, that stack's per-iteration read); id
+        #: of a shuffle scratch Allocate -> the stack that replaces it
+        self.hoisted: Dict[int, tuple] = {}
+        self.elided: Dict[int, str] = {}
         #: in a lane loop: lane variable -> its value per lane of the grid
         self.lane_index: Dict[str, np.ndarray] = {}
 
@@ -892,6 +1023,10 @@ class _Emitter:
         return f"_ramp({self.emit(e.base)}, {self.emit(e.stride)}, {e.count})"
 
     def _emit_Broadcast(self, e: E.Broadcast) -> str:
+        if isinstance(e.value, (E.IntImm, E.FloatImm)):  # a constant
+            return self.const(broadcast_value(
+                e.value.value, e.count, e.type.element_of().to_numpy()
+            ))
         fn = "_bcast_b" if self.batched(e.value) else "_bcast"
         np_dtype = self.const(e.type.element_of().to_numpy())
         return f"{fn}({self.emit(e.value)}, {e.count}, {np_dtype})"
@@ -937,13 +1072,38 @@ class _Emitter:
         else:
             sliced = self._try_slice(idx)
             if sliced is None:
-                return f"{data}[{lead}_idx({self.emit(idx)})]"
+                gather = f"{data}[{lead}_idx({self.emit(idx)})]"
+                block = self._two_level(idx)
+                if block is None:
+                    return gather
+                view = self.fresh("k")
+                return (
+                    f"({view} if ({view} := _block({data}, {block}))"
+                    f" is not None else {gather})"
+                )
             code = f"{data}[{lead}{sliced}]"
         # a view (slice, or a stacked buffer's column): copy it when
         # the statement may mutate buffers mid-expression
         if self.copy_views:
             code = f"np.array({code})"
         return code
+
+    def _two_level(self, idx: E.Expr) -> Optional[str]:
+        """``base, stride, rows, cols`` of a two-level dense ramp index —
+        ``ramp(ramp(base, 1, cols), xcols(stride), rows)`` with scalar
+        ``base`` and ``stride`` — for :func:`_block`; else None."""
+        inner = idx.base if isinstance(idx, E.Ramp) else None
+        if not (
+            isinstance(inner, E.Ramp)
+            and inner.base.type.lanes == 1
+            and isinstance(inner.stride, E.IntImm)
+            and inner.stride.value == 1
+            and isinstance(idx.stride, E.Broadcast)
+            and idx.stride.value.type.lanes == 1
+        ):
+            return None
+        base, stride = self.emit(inner.base), self.emit(idx.stride.value)
+        return f"{base}, {stride}, {idx.count}, {inner.count}"
 
     def _try_slice(self, idx: E.Expr) -> Optional[str]:
         """A basic-slice spelling for a scalar-base, const-stride ramp.
@@ -976,13 +1136,14 @@ class _Emitter:
         if self.lead is not None:
             step = self._check_leading_axis(e, entry)
         if entry is not None:
-            slots = {}
+            slots, settled = {}, None
             if entry.role == "mac":
                 widths = [self._operand_width(entry.isa, a) for a in e.args[1:3]]
                 self.macs.append((e.name, *widths))
                 slots = {
                     i: w for i, w in enumerate(widths, 1) if w in ("narrow", WIDENED)
                 }
+                settled = _settled(entry.isa, e)
             args, exact = ["_arena"], ["False", "False"]
             for i, a in enumerate(e.args):
                 if isinstance(a, E.StringImm):
@@ -996,6 +1157,8 @@ class _Emitter:
                     args.append(f"({self.emit(a)}, {step})")
                 else:
                     args.append(self.emit(a))
+            if settled:
+                return self._settled_mac(entry.isa, settled, e, args, exact)
             if mac_operand:
                 args.append("True")
             if exact != ["False", "False"]:
@@ -1012,9 +1175,33 @@ class _Emitter:
         key = (isa.name, load.args[0].value)
         if key not in self.widened:
             source, exact = self.fresh("w"), self.fresh("e")
-            call = f"{self.const(isa)}.widen({self.buf_obj(key[1])})"
+            reads = self.reads.get(key, math.inf)
+            call = f"{self.const(isa)}.widen({self.buf_obj(key[1])}, {reads})"
             self.widened[key] = (source, exact, f"{source}, {exact} = {call}")
         return self.widened[key][:2]
+
+    def _settled_mac(self, isa, dims, e: E.Call, args, exact) -> str:
+        """``isa``'s exact core straight on shaped operands, for a MAC
+        whose ``(m, n, k)`` is legal and constant (:func:`_settled`):
+        checked here, once.  A hoisted operand reads its preheader stack
+        (:attr:`hoisted`), shaped and exact already, unless that is
+        None: then its tile is cut as ever."""
+        (m, n, k), g, isa_c, operands = dims, isa.group, self.const(isa), []
+        for a, text, flag, (rows, cols) in zip(
+            e.args[1:3], args[2:4], exact, ((m, k), (k // g, g * n))
+        ):
+            text = f"{isa_c}.shaped({text}, {rows}, {cols}, {flag})"
+            if id(a) in self.hoisted:
+                stack, read = self.hoisted[id(a)]
+                text = f"({read} if {stack} is not None else {text})"
+            operands.append(text)
+        out = (
+            f"{self.const(isa.mac_core)}(_tiles({args[1]}, {m}, {n}),"
+            f" {', '.join(operands)})"
+        )
+        if self.batched(e):
+            return f"{out}.reshape(-1, {m * n})"
+        return f"{out}.ravel()"
 
     def _lane_step(self, base: E.Expr) -> Optional[int]:
         """``step`` when per-lane ``base`` is provably ``bases[0] + step *
@@ -1035,11 +1222,7 @@ class _Emitter:
         core in its buffer's narrow elements, :data:`WIDENED` when it
         is an input the kernel only reads, else why it arrives
         widened."""
-        direct = (
-            isinstance(a, E.Call)
-            and a.name in isa.load_names
-            and isinstance(a.args[0], E.StringImm)
-        )
+        direct = _direct_load(isa, a)
         if direct and a.args[0].value not in self.written:
             return WIDENED
         if isa.narrow is None:
@@ -1187,6 +1370,7 @@ class _Emitter:
         else:
             value = f"{self.store_wrap(stmt.name)}({value})"
         idx = stmt.index
+        block = None
         if varying:  # per-lane scatter into a shared buffer
             self._certify(stmt.name, data)
             target = None
@@ -1194,9 +1378,24 @@ class _Emitter:
             target = self.emit(idx)
         else:
             target = self._try_slice(idx)
+            block = None if target else self._two_level(idx)
         if target is None:
             target = f"_idx({self.emit(idx)})"
-        self.line(f"{data}[{lead}{target}] = {value}")
+        if block is not None:  # a strided view where in range and disjoint
+            tile, view = self.fresh("t"), self.fresh("k")
+            self.line(f"{tile} = {value}")
+            self.line(f"{view} = _block({data}, {block}, True)")
+            self.line(f"if {view} is not None:")
+            with self.block():
+                self.line(
+                    f"{view}[...] = np.reshape({tile}, np.shape({tile})[:-1]"
+                    f" + {view}.shape[-2:])"
+                )
+            self.line("else:")
+            with self.block():
+                self.line(f"{data}[{lead}{target}] = {tile}")
+        else:
+            self.line(f"{data}[{lead}{target}] = {value}")
         self.copy_views = False
 
     def _exec_For(self, stmt: S.For) -> None:
@@ -1204,19 +1403,227 @@ class _Emitter:
             return
         if self.batched(stmt.min_expr) or self.batched(stmt.extent):
             raise CodegenError("batched loop bounds")
-        var = self.fresh("x")
-        lo = self.fresh("i")
-        self.line(f"{lo} = {self.emit(stmt.min_expr)}")
-        with self.bind(stmt.name, var):
-            if stmt.kind is ForKind.GPU_LANE:
-                # warp-collective body: executes once (see the interpreter)
-                self.line(f"{var} = {lo}")
+        if stmt.kind is ForKind.GPU_LANE:
+            # warp-collective body: executes once (see the interpreter)
+            var, lo = self.fresh("x"), self.fresh("i")
+            self.line(f"{lo} = {self.emit(stmt.min_expr)}")
+            self.line(f"{var} = {lo}")
+            with self.bind(stmt.name, var):
                 self.emit_stmt(stmt.body)
-            else:
-                extent = self.emit(stmt.extent)
+        elif stmt.kind in _LANE_KINDS or not self._try_hoist(stmt):
+            self._emit_loops([stmt])
+
+    def _emit_loops(self, nest: List[S.For], xs=()) -> None:
+        """Native ``for`` loops over perfectly nested ``nest`` (loop
+        variables ``xs``, fresh without them), then its body."""
+        with ExitStack() as scope:
+            for i, loop in enumerate(nest):
+                var = xs[i] if xs else self.fresh("x")
+                lo = self.fresh("i")
+                self.line(f"{lo} = {self.emit(loop.min_expr)}")
+                extent = self.emit(loop.extent)
                 self.line(f"for {var} in range({lo}, {lo} + {extent}):")
-                with self.block():
-                    self.emit_stmt(stmt.body)
+                scope.enter_context(self.block())
+                scope.enter_context(self.bind(loop.name, var))
+            self.emit_stmt(nest[-1].body)
+
+    def _try_hoist(self, stmt: S.For) -> bool:
+        """Emit a serial block loop nest with its per-call work hoisted.
+
+        The nest is ``stmt`` and the serial loops perfectly nested in
+        it, all of constant bounds.  Each tile operand its MACs read
+        from an input the kernel never writes, and each weight shuffle
+        its scratch tiles carry, becomes one stack over every iteration,
+        built in the preheader; the iterations read it.  A stack that
+        fails its run-time range check is None, and that operand's
+        iterations cut their tiles (and fill their scratch) as ever — so
+        they raise where they always have, after the same partial
+        writes.  Records one :attr:`loops` row per loop of the nest;
+        False (nothing hoisted): the caller emits the loop plain.
+        """
+        facts = _NestFacts()
+        facts.visit(stmt.body)
+        if not facts.intrinsics:
+            return False  # not a block loop
+
+        def constant(loop: S.For) -> bool:
+            return isinstance(loop.min_expr, E.IntImm) and isinstance(
+                loop.extent, E.IntImm
+            )
+
+        nest, first = [stmt], len(self.loops)
+        stacks, reasons = [], ["symbolic loop bounds"]
+        if constant(stmt):
+            while (
+                isinstance(nest[-1].body, S.For)
+                and nest[-1].body.kind in (ForKind.SERIAL, ForKind.UNROLLED)
+                and constant(nest[-1].body)
+            ):
+                nest.append(nest[-1].body)
+            xs = [self.fresh("x") for _ in nest]
+            stacks, reasons = self._plan_stacks(nest, xs, facts)
+        status = "; ".join(reasons) or "nothing to hoist"
+        if stacks:
+            hoisted = f"hoisted: {', '.join(s[2] for s in stacks)}"
+            status = "; ".join([hoisted] + reasons)
+            saved = dict(self.hoisted), dict(self.elided)
+            for local, expr, _, reads, scratch in stacks:
+                self.line(f"{local} = {expr}")
+                self.hoisted.update(reads)
+                self.elided.update(dict.fromkeys(scratch, local))
+            self._emit_loops(nest, xs)
+            self.hoisted, self.elided = saved
+        self.loops[first:first] = [
+            (loop.name, loop.extent.value if constant(loop)
+             else print_expr(loop.extent), f"serial, {status}")
+            for loop in nest
+        ]
+        return bool(stacks)
+
+    def _plan_stacks(self, nest: List[S.For], xs, facts: _NestFacts) -> tuple:
+        """The preheader stacks of a serial nest with loop variables
+        ``xs`` — ``(local, expression, label, {id(MAC operand): (local,
+        its per-iteration read)}, ids of the Allocates it replaces)``
+        each —
+        and why each other read-only MAC operand stays per tile."""
+        ix = ", ".join(
+            x if not loop.min_expr.value else f"{x} - {loop.min_expr.value}"
+            for x, loop in zip(xs, nest)
+        )
+        stacks, reasons, scratch = [], [], {}
+        for mac in facts.macs:
+            isa = REGISTRY[mac.name].isa
+            dims = _settled(isa, mac)
+            if dims is None:
+                reasons.append("MAC shape not settled")
+                continue
+            (m, n, k), g = dims, isa.group
+            for a, shape in zip(mac.args[1:3], ((m, k), (k // g, g * n))):
+                name = a.args[0].value if _direct_load(isa, a) else None
+                if name in facts.scratch:
+                    scratch.setdefault(name, []).append((a, shape, isa))
+                elif name is not None and name not in self.written:
+                    try:
+                        stacks.append(self._tile_stack(isa, a, shape, nest, facts, ix))
+                    except CodegenError as exc:
+                        reasons.append(f"{name}: {exc}")
+        for name, loads in scratch.items():
+            try:
+                stacks.append(self._shuffle_stack(name, loads, nest, facts, ix))
+            except CodegenError as exc:
+                reasons.append(f"{name}: {exc}")
+        return stacks, reasons
+
+    def _tile_stack(self, isa, load: E.Call, shape, nest, facts, ix) -> tuple:
+        """One strided view over every iteration's tile of a read-only
+        MAC input (see :func:`repro.targets.isa.tile_view`), built when
+        the input is widened exact; each iteration copies its tile."""
+        base, stride, *dims = load.args[1:5]
+        if tuple(getattr(d, "value", None) for d in dims) != shape:
+            raise CodegenError("tile shape is not the MAC operand's")
+        names = {loop.name for loop in nest}
+        if self.batched(stride) or self._steps(stride, names, facts.bound):
+            raise CodegenError("row stride varies")
+        first, outer = self._iterations(base, nest, facts.bound)
+        if self.batched(base):  # per-lane bases, as a (bases, step) pair
+            step = None
+            if load.args[0].value not in self.stacked:
+                step = self._lane_step(base)
+            if step is None:
+                raise CodegenError("per-lane bases not affine in the lane")
+            first = f"({first}, {step})"
+        source, exact = self._widen(isa, load)
+        local = self.fresh("h")
+        expr = (
+            f"_stack({source}, {first}, {self.emit(stride)}, {shape[0]},"
+            f" {shape[1]}, {outer}) if {exact} else None"
+        )
+        label = f"{load.args[0].value} tile stack"
+        return local, expr, label, {id(load): (local, f"{local}[{ix}].copy()")}, ()
+
+    def _shuffle_stack(self, name: str, loads, nest, facts, ix) -> tuple:
+        """The MAC operands the window shuffle filling scratch ``name``
+        makes, for every iteration at once (:func:`~repro.hardboiled.
+        intrinsics.window_stack`); the scratch Allocate then goes."""
+        alloc, call = facts.scratch[name]
+        src, base, *geometry = call.args[:6]
+        if facts.refs[name] != 2 + len(loads):
+            raise CodegenError("scratch is read other than by MAC operands")
+        if not all(isinstance(x, E.IntImm) for x in geometry):
+            raise CodegenError("symbolic shuffle geometry")
+        rows, cols, taps, param = (x.value for x in geometry)
+        if src.value in self.written or self.batched(call):
+            raise CodegenError("shuffle reads varying weights")
+        isa = loads[0][2]
+        for load, shape, load_isa in loads:  # each reads it whole, in order
+            at, stride, lrows, lcols = dims = load.args[1:5]
+            if not (
+                load_isa is isa
+                and shape == (rows, cols)
+                and all(isinstance(d, E.IntImm) for d in dims)
+                and (at.value, stride.value) == (0, lcols.value)
+                and lrows.value * lcols.value == rows * cols
+            ):
+                raise CodegenError("scratch is not read whole")
+        first, outer = self._iterations(base, nest, facts.bound)
+        local = self.fresh("h")
+        core = self.const(
+            partial(_shuffles.window_stack, _shuffles.WINDOWS[call.name])
+        )
+        expr = (
+            f"{core}(_arena, {self.const(isa)},"
+            f" {self.const(alloc.dtype.element_of())},"
+            f" {self.buf_obj(src.value)}, {first}, {outer}, {rows}, {cols},"
+            f" {taps}, {param})"
+        )
+        texts = {id(load): (local, f"{local}[{ix}]") for load, *_ in loads}
+        return local, expr, f"{src.value} shuffle stack", texts, (id(alloc),)
+
+    def _iterations(self, base: E.Expr, nest, bound) -> tuple:
+        """``base`` at the nest's first iteration, and its ``(count,
+        step)`` axis along each loop, as preheader source."""
+        steps = self._steps(base, {loop.name for loop in nest}, bound)
+        with ExitStack() as scope:
+            for loop in nest:
+                scope.enter_context(
+                    self.bind(loop.name, repr(loop.min_expr.value))
+                )
+            first = self.emit(base)
+        axes = "".join(
+            f"({loop.extent.value}, {steps.get(loop.name, 0)}), "
+            for loop in nest
+        )
+        return first, f"({axes})"
+
+    def _steps(self, e: E.Expr, names, bound) -> Dict[str, str]:
+        """The coefficient of each of ``names`` in ``e``, as preheader
+        source.  ``e`` must be affine in them, and what it reads besides
+        free of every variable the loop body binds and of buffers."""
+        free = e.free_vars
+        if names.isdisjoint(free):
+            if not bound.isdisjoint(free):
+                raise CodegenError("address reads a variable the body binds")
+            if contains(e, lambda n: isinstance(n, (E.Load, E.Call))):
+                raise CodegenError("address reads a buffer")
+            return {}
+        if isinstance(e, E.Variable):
+            return {e.name: "1"}
+        if isinstance(e, (E.Add, E.Sub)):
+            steps = self._steps(e.a, names, bound)
+            op = "+" if isinstance(e, E.Add) else "-"
+            for name, step in self._steps(e.b, names, bound).items():
+                steps[name] = f"({steps.get(name, 0)} {op} {step})"
+            return steps
+        if isinstance(e, E.Mul):
+            for scale, term in ((e.a, e.b), (e.b, e.a)):
+                if names.isdisjoint(scale.free_vars):
+                    self._steps(scale, names, bound)
+                    scale = self.emit(scale)
+                    return {
+                        name: f"({scale} * {step})"
+                        for name, step in self._steps(term, names, bound).items()
+                    }
+        raise CodegenError("address is not affine in the loop variables")
 
     def _try_lanes(self, stmt: S.For) -> bool:
         """Emit a data-parallel loop nest as one lane-vectorised pass.
@@ -1333,7 +1740,22 @@ class _Emitter:
             with self.block():
                 self.emit_stmt(stmt.else_case)
 
+    @contextmanager
+    def _unless(self, stack: Optional[str]):
+        """A suite that runs only while preheader ``stack`` is None (an
+        unconditional one without a stack)."""
+        if stack is None:
+            yield
+            return
+        self.line(f"if {stack} is None:")
+        with self.block():
+            yield
+
     def _exec_Allocate(self, stmt: S.Allocate) -> None:
+        # a shuffle scratch a stack replaces is taken, filled and given
+        # back only when that stack is None
+        stack = self.elided.get(id(stmt))
+        body = list(stmt.body.stmts) if stack else [stmt.body]
         if any(self.batched(e) for e in stmt.extents):
             raise CodegenError("batched allocation extents")
         name = stmt.name
@@ -1352,20 +1774,25 @@ class _Emitter:
             take = f"_take_b({take}, {self.lead})"
         else:
             take = f"_take({take})"
-        self.line(f"{saved} = buffers.get({name!r})")
-        self.line(f"{obj} = {take}")
-        self.line(f"buffers[{name!r}] = {obj}")
-        self.line(f"{data} = {obj}.data")
-        self.emit_stmt(stmt.body)
-        self.line(f"_give(_arena, {obj})")
-        self.line(f"if {saved} is None:")
-        with self.block():
-            self.line(f"buffers.pop({name!r}, None)")
-        self.line("else:")
-        with self.block():
-            self.line(f"buffers[{name!r}] = {saved}")
-            self.line(f"{obj} = {saved}")
-            self.line(f"{data} = {saved}.data")
+        with self._unless(stack):
+            self.line(f"{saved} = buffers.get({name!r})")
+            self.line(f"{obj} = {take}")
+            self.line(f"buffers[{name!r}] = {obj}")
+            self.line(f"{data} = {obj}.data")
+            if stack:
+                self.emit_stmt(body.pop(0))
+        for part in body:
+            self.emit_stmt(part)
+        with self._unless(stack):
+            self.line(f"_give(_arena, {obj})")
+            self.line(f"if {saved} is None:")
+            with self.block():
+                self.line(f"buffers.pop({name!r}, None)")
+            self.line("else:")
+            with self.block():
+                self.line(f"buffers[{name!r}] = {saved}")
+                self.line(f"{obj} = {saved}")
+                self.line(f"{data} = {saved}.data")
         if not was_allocated:
             self.allocated.discard(name)
         if saved_dtype is None:
@@ -1418,6 +1845,9 @@ _HELPER_GLOBALS = {
     "_cat_b": _cat_b,
     "_take_b": _take,
     "_LANES": _LANES,
+    "_tiles": _tiles,
+    "_stack": tile_view,
+    "_block": _block,
 }
 
 
@@ -1446,7 +1876,9 @@ class CompiledKernel:
         #: one ``(variable, extent, status)`` row per data-parallel
         #: (``gpu_block``/``parallel``) loop of the statement: status is
         #: ``"lanes"`` when the loop runs as one lane-vectorised array
-        #: pass, else the reason it stayed a Python loop
+        #: pass, else the reason it stayed a Python loop; and one per
+        #: serial block loop: ``"serial, hoisted: ..."`` naming the
+        #: stacks its preheader builds, else ``"serial, <why not>"``
         self.loops = tuple(loops)
         #: one ``(intrinsic, A, B)`` row per MAC call site: per operand
         #: ``"narrow"`` when the core receives the buffer's own f16 /
@@ -1477,6 +1909,12 @@ def _load_kernel(
 ) -> CompiledKernel:
     """Execute emitted ``source`` over the helper + injected globals."""
     code = compile(source, f"<{label} {key[:12] or 'anon'}>", "exec")
+    for value in globals_map.values():
+        # every call shares a kernel's constants: a stray in-place write
+        # raises instead of poisoning the next call (pickling drops the
+        # flag, so it is set here, for fresh and restored kernels alike)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
     namespace = dict(_HELPER_GLOBALS)
     namespace.update(globals_map)
     exec(code, namespace)
@@ -1600,7 +2038,10 @@ def compile_batched_stmt(
 #: v6: one core per intrinsic; ``_bv_*`` gone
 #: v7: read-only MAC inputs widened once per call (``.widen`` in the
 #:     preamble, exact flags on the MAC); ``(bases, step)`` lane bases
-KERNEL_FORMAT_VERSION = 7
+#: v8: serial block loops read preheader stacks (``_stack``, window
+#:     shuffle stacks); settled MACs call the core; ``.widen`` takes the
+#:     static read count; literal broadcasts and two-level ramp views
+KERNEL_FORMAT_VERSION = 8
 
 
 def serialize_kernel(kernel: CompiledKernel) -> Optional[dict]:

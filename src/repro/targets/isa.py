@@ -58,15 +58,18 @@ def tile_grid(arena, base, stride, rows, cols):
     return arena.tile_grid(stride, rows, cols) + base
 
 
-def tile_view(data, base, stride, rows, cols):
+def tile_view(data, base, stride, rows, cols, outer=()):
     """The tile stack at an affine ``base`` — a scalar, over a flat or
     stacked ``[B, size]`` buffer, or per-lane bases proved ``bases[0] +
     step * lane`` and passed as ``(bases, step)`` — as one strided view
-    of C-contiguous ``data``, lowest and highest address checked.  None:
-    the gather / scatter runs, raising (or wrapping) as it always has."""
-    axes = [(rows, stride)]
+    of C-contiguous ``data``, lowest and highest address checked.
+    ``outer`` adds leading ``(count, step)`` axes ahead of all of those:
+    the iterations of a serial loop nest, whose tiles it stacks in one
+    view.  None: the gather / scatter runs, raising (or wrapping) as it
+    always has."""
+    axes = [*outer, (rows, stride)]
     if type(base) is tuple:
-        axes.insert(0, (len(base[0]), base[1]))
+        axes.insert(len(outer), (len(base[0]), base[1]))
         base = base[0][0]
     elif isinstance(base, np.ndarray) and base.ndim:
         return None
@@ -78,7 +81,7 @@ def tile_view(data, base, stride, rows, cols):
     if not data.flags.c_contiguous:
         return None
     if data.ndim == 2:  # stacked: one request per row
-        axes.insert(0, (len(data), data.shape[1]))
+        axes.insert(len(outer), (len(data), data.shape[1]))
     item = data.itemsize
     return np.ndarray(
         tuple(n for n, _ in axes) + (cols,), data.dtype, data,
@@ -210,12 +213,16 @@ class TileISA:
             return tile
         return tile.astype(self.acc, copy=False)
 
-    def widen(self, buf):
+    def widen(self, buf, reads=np.inf):
         """``(source, exact)`` of a MAC input the kernel only reads, once
         per call: the whole buffer through :attr:`operand` when it holds
-        this ISA's narrow type (bf16 for AMX), its tiles then exact;
-        else the buffer itself, its tiles rounded per tile as ever."""
+        this ISA's narrow type (bf16 for AMX) and the kernel's tile
+        loads of it read (``reads``, per request; unknown: unbounded) at
+        least as many elements as it holds, its tiles then exact; else
+        the buffer itself, its tiles rounded per tile as ever."""
         data = buf.data
+        if reads < data.shape[-1]:  # widening would cost more than it saves
+            return buf, False
         if self.narrow is None:  # bf16 in float32 storage: round it
             if buf.dtype.code is TypeCode.BFLOAT:
                 return self.operand(data), True
@@ -237,6 +244,13 @@ class TileISA:
             # costs a fancy-index gather two to three times over
             tile = data[idx] if data.ndim == 1 else data[:, idx]
         return tile if exact else self.loaded(tile, mac_operand)
+
+    def shaped(self, tile, rows, cols, exact=False):
+        """A flat MAC operand as the core's ``[..., rows, cols]`` matrix,
+        through :attr:`operand` unless already ``exact`` — what
+        :meth:`mac` does per operand, for a kernel's settled MAC."""
+        tile = _tiles(tile, rows, cols)
+        return tile if exact else self.operand(tile)
 
     def mac(self, arena, c, a, b, m, n, k, a_exact=False, b_exact=False):
         self.check_mac(m, n, k)

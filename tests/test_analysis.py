@@ -456,6 +456,40 @@ class TestLintKernelsMutations:
     def test_widening_a_read_only_input_is_clean(self):
         assert lint_kernel_source(self.WIDENED.format(write="")) == []
 
+    HOISTED = (
+        KERNEL_HEADER
+        + "    d0 = buffers['A'].data\n"
+        + "    b0 = buffers['A']\n"
+        + "    b1 = buffers['K']\n"
+        + "    w0, e0 = isa.widen(b0, 512)\n"
+        + "    _h1 = _stack(w0, 0, 8, 16, 16, ((4, 8), )) if e0 else None\n"
+        + "    _h2 = _C4(_arena, isa, dtype, b1, 0, ((4, 8), ), 16, 8, 8, 1)\n"
+        + "    if _h1 is not None and _h2 is not None:\n"
+        + "        for x0 in range(0, 4):\n"
+        + "{write}"
+        + "            acc = _C5(_tiles(acc, 16, 16), _h1[x0].copy(), _h2[x0])\n"
+    )
+
+    @pytest.mark.parametrize(
+        "write, culprit",
+        [
+            ("            d0[0:16] = 1.0\n", "_h1"),
+            ("            _C6(_arena, b1, 0, 8, 8, 8, t)\n", "_h2"),
+            ("            _C3[0:16] = 0.0\n", "_C3"),
+        ],
+        ids=["tile-stack", "shuffle-stack", "constant"],
+    )
+    def test_hoisting_over_a_buffer_the_kernel_writes(self, write, culprit):
+        findings = lint_kernel_source(self.HOISTED.format(write=write))
+        assert "kernels.stale-hoist" in checks(findings)
+        assert any(
+            f.check == "kernels.stale-hoist" and culprit in f.message
+            for f in findings
+        )
+
+    def test_hoisting_over_read_only_inputs_is_clean(self):
+        assert lint_kernel_source(self.HOISTED.format(write="")) == []
+
     def test_syntax_error(self):
         assert "kernels.syntax" in checks(
             lint_kernel_source("def _kernel(:\n")

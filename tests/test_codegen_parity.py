@@ -71,6 +71,8 @@ from repro.runtime.codegen import (
     WIDENED,
     compile_batched_stmt,
     compile_stmt,
+    deserialize_kernel,
+    serialize_kernel,
 )
 from repro.runtime.executor import CompiledPipeline, RequestError
 from repro.runtime.kernel_cache import KernelCache
@@ -289,19 +291,25 @@ def f32_out(size):
     return (np.zeros(size, np.float32), Float(32))
 
 
+def block_rows(kernel) -> set:
+    """The statuses of a kernel's data-parallel loop rows (its serial
+    block loops' rows say ``"serial, ..."``)."""
+    return {s for _, _, s in kernel.loops if not s.startswith("serial")}
+
+
 class TestLaneLoops:
     @pytest.mark.parametrize("label", sorted(LANE_APPS))
     def test_apps_four_way(self, label):
         kernel = four_way(build_app(label))
-        assert kernel.loops, "every app here schedules a block loop"
+        assert block_rows(kernel), "every app here schedules a block loop"
         if label in MUST_TAKE_LANES:
-            assert {status for _, _, status in kernel.loops} == {"lanes"}
+            assert block_rows(kernel) == {"lanes"}
             assert "_LANES" in kernel.source
 
     @pytest.mark.parametrize("label", sorted(SERIAL_APPS))
     def test_serial_kernels_are_untouched(self, label):
         kernel = four_way(build_app(label))
-        assert kernel.loops == ()
+        assert block_rows(kernel) == set()
         for lane_construct in ("_LANES", "_take_b", "lanes-disjoint"):
             assert lane_construct not in kernel.source
 
@@ -596,7 +604,7 @@ class TestLaneLoops:
         stmt, arrays, disjoint = data.draw(block_nests())
         kernel, interpreted, compiled = run_both(stmt, arrays)
         np.testing.assert_array_equal(compiled["out"], interpreted["out"])
-        statuses = {status for _, _, status in kernel.loops}
+        statuses = block_rows(kernel)
         if disjoint and "fewer than two iterations" not in statuses:
             assert statuses == {"lanes"}, kernel.loops
 
@@ -1053,7 +1061,9 @@ class TestMacOperands:
             block_loop("x", 3, body, ForKind.SERIAL), frozenset(arrays)
         )
         assert batched.macs == (("wmma.mma.sync", WIDENED, WIDENED),)
-        assert re.search(r"_e\d+, _e\d+\)", batched.source)
+        # both operands reach the core with their exact flags
+        exact = r"shaped\(_C\d+\(.*?\), \d+, \d+, _e\d+\)"
+        assert len(re.findall(exact, batched.source)) == 2
         # a small batch is widened on the heap, a large one into a
         # mapping of its own (unmapped with the array)
         for batch, mapped in ((2, False), (64, True)):
@@ -1206,6 +1216,140 @@ class TestMacOperands:
             )
             assert_same_bytes(unbumped.run(request), want)
             assert unbumped.cache_stats["misses"] == 0
+
+
+class TestSerialHoisting:
+    """A serial block loop reads its read-only tiles and weight shuffles
+    from stacks its preheader builds; every byte is what the per-tile
+    loop makes, and where a stack cannot be built the loop runs as
+    ever."""
+
+    arrays = TestMacOperands.arrays
+    F16 = TestMacOperands.F16
+
+    @staticmethod
+    def body():
+        base = make_mul(Variable("x"), IntImm(TILE))
+        return wmma_store(
+            "out", base,
+            wmma_mma(wmma_load("a", "A", base), wmma_load("b", "B", base)),
+        )
+
+    def test_read_only_tiles_are_stacked_once(self, rng):
+        arrays = self.arrays(rng, A=self.F16, B=self.F16)
+        with np.errstate(all="ignore"):
+            kernel, interpreted, compiled = run_both(
+                block_loop("x", 3, self.body(), ForKind.SERIAL), arrays
+            )
+        assert kernel.loops == (
+            ("x", 3, "serial, hoisted: A tile stack, B tile stack"),
+        )
+        assert kernel.source.count("_stack(") == 2
+        for name in arrays:
+            assert_same_bytes(compiled[name], interpreted[name])
+
+    def test_an_out_of_range_last_tile_raises_after_the_same_writes(
+        self, rng
+    ):
+        """A holds two tiles, so the third iteration's load runs off its
+        end: the stack is refused, the per-tile loop stores the first two
+        tiles and raises the gather's IndexError at the third."""
+        arrays = self.arrays(rng, A=self.F16, B=self.F16)
+        arrays["A"] = (arrays["A"][0][: 2 * TILE], arrays["A"][1])
+
+        def buffers():
+            return {
+                name: Buffer.from_numpy(name, array.copy(), dtype=dtype)
+                for name, (array, dtype) in arrays.items()
+            }
+
+        kernel = compile_stmt(block_loop("x", 3, self.body(), ForKind.SERIAL))
+        assert "hoisted" in kernel.loops[0][2]
+        got, two = buffers(), buffers()
+        with np.errstate(all="ignore"):
+            with pytest.raises(IndexError, match="out of bounds"):
+                kernel(got, {})
+            Interpreter(two).run(
+                block_loop("x", 2, self.body(), ForKind.SERIAL), {}
+            )
+        assert_same_bytes(got["out"].data, two["out"].data)
+        assert not got["out"].data[2 * TILE:].any()
+
+    def test_a_buffer_the_body_writes_is_not_stacked(self, rng):
+        base = make_mul(Variable("x"), IntImm(TILE))
+        body = Block((
+            Store(
+                "A", ramp(base, TILE), Load(Float(16, TILE), "B", ramp(base, TILE))
+            ),
+            self.body(),
+        ))
+        arrays = self.arrays(rng, A=self.F16, B=self.F16)
+        with np.errstate(all="ignore"):
+            kernel, interpreted, compiled = run_both(
+                block_loop("x", 3, body, ForKind.SERIAL), arrays
+            )
+        assert kernel.loops == (("x", 3, "serial, hoisted: B tile stack"),)
+        assert kernel.source.count("_stack(") == 1
+        for name in arrays:
+            assert_same_bytes(compiled[name], interpreted[name])
+
+    def test_a_stacked_input_is_stacked_under_the_batch_axis(self, rng):
+        """The batch kernel's stack is ``[iterations, B, rows, cols]``
+        over the widened ``[B, size]`` input; each request's rows are
+        its per-request bytes."""
+        arrays = self.arrays(rng, A=self.F16, B=self.F16)
+        run_four_ways(self.body(), arrays)  # batched ≡ per-request
+        batched = compile_batched_stmt(
+            block_loop("x", 3, self.body(), ForKind.SERIAL), frozenset(arrays)
+        )
+        assert batched.loops == (
+            ("x", 3, "serial, hoisted: A tile stack, B tile stack"),
+        )
+
+    def test_weights_changed_between_calls_miss_the_shuffle_stack(self):
+        """The Toeplitz stack is memoised on the weights' bytes: weights
+        written in place between two calls of one plan are read anew."""
+        app = conv1d.build("tensor", taps=32, rows=1)
+        pipe = app.compile()
+        plan = pipe.plan(backend="compile")
+        assert any("K shuffle stack" in row[2] for row in plan.kernel.loops)
+        inputs = dict(app.inputs)
+        [weights] = [p for p in inputs if p.name == "K"]
+        first = plan.run(inputs)
+        inputs[weights][::3] *= -2
+        second = plan.run(inputs)
+        assert not np.array_equal(first, second)
+        assert_same_bytes(second, pipe.run(inputs, backend="interpret"))
+
+    def test_literal_broadcasts_are_read_only_constants(self):
+        stmt = Store(
+            "out", ramp(IntImm(0), 8),
+            make_add(
+                Load(Float(32, 8), "in", ramp(IntImm(0), 8)),
+                make_broadcast(const(0.125, Float(32)), 8),
+            ),
+        )
+        arrays = {
+            "in": (np.arange(8, dtype=np.float32), Float(32)),
+            "out": f32_out(8),
+        }
+        kernel, interpreted, compiled = run_both(stmt, arrays)
+        assert "_bcast" not in kernel.source
+        [constant] = [
+            v for v in kernel.globals_map.values()
+            if isinstance(v, np.ndarray) and v.dtype == np.float32
+        ]
+        assert_same_bytes(constant, np.full(8, 0.125, np.float32))
+        with pytest.raises(ValueError, match="read-only"):
+            constant[0] = 1.0
+        assert_same_bytes(compiled["out"], interpreted["out"])
+        # a restored kernel's constants are read-only too
+        restored = deserialize_kernel(serialize_kernel(kernel))
+        [constant] = [
+            v for v in restored.globals_map.values()
+            if isinstance(v, np.ndarray) and v.dtype == np.float32
+        ]
+        assert not constant.flags.writeable
 
 
 def test_bfloat16_cast_of_a_loaded_view_is_a_snapshot():

@@ -195,7 +195,7 @@ class TestDiskTier:
         [path] = kernel_files(tmp_path)
         with open(path, "rb") as handle:
             data = bytearray(handle.read())
-        at = data.index(b" * _bcast(2.0") + 1
+        at = data.index(b" * _C0)") + 1  # ``x * 2.0``: 2.0 is a constant
         data[at] = ord("+")
         with open(path, "wb") as handle:
             handle.write(bytes(data))

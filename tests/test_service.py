@@ -265,12 +265,14 @@ class TestInvalidation:
         kernel, a v5 kernel as it really sits on disk (its globals name
         a ``_bv_*`` core that is gone, so it does not even unpickle), or
         a v6 kernel (every MAC input converted per tile, no ``.widen``
-        preamble, no exact flags on its MACs)."""
+        preamble, no exact flags on its MACs), or a v7 kernel (its
+        ``.widen`` takes no read count, its serial loops re-derive every
+        tile and shuffle per iteration)."""
         from repro.runtime.codegen import KERNEL_FORMAT_VERSION
 
-        assert KERNEL_FORMAT_VERSION == 7
+        assert KERNEL_FORMAT_VERSION == 8
         for stale_format in (
-            KERNEL_FORMAT_VERSION + 1, 3, 4, 5, 6, "stranded",
+            KERNEL_FORMAT_VERSION + 1, 3, 4, 5, 6, 7, "stranded",
         ):
             root = tmp_path / f"v{stale_format}"
             app = small_app()

@@ -537,7 +537,8 @@ class TestServer:
             pipe.run_many([request], batch_axis=False, plan=held)
         [plan] = stats["plans"]
         assert plan == held.stats()
-        assert (plan["memo_misses"], plan["memo_entries"]) == (4, 4)
+        # one stack of the four Toeplitz operands, built once for both
+        assert (plan["memo_misses"], plan["memo_entries"]) == (1, 1)
         for outputs, requests in zip(served, batches + [singles]):
             for out, request in zip(outputs, requests):
                 np.testing.assert_array_equal(out, pipe.run(request))

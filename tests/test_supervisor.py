@@ -474,7 +474,8 @@ class TestWorkerPlan:
         one arena, so conv1d's weight-derived Toeplitz operands are
         built once for both paths — the counters one in-process plan
         shows for the same traffic through ``_serve_batch``'s calls
-        (four operands, not four per path in a second arena)."""
+        (one stack of its four operands, not one per path in a second
+        arena)."""
         job = CompileJob.make("conv1d", "tensor", taps=32, rows=1)
         store = str(tmp_path)
         assert compile_one(job, store, "host").ok
@@ -497,7 +498,7 @@ class TestWorkerPlan:
             assert np.array_equal(output, pipeline.run(request))
         plan = worker["plan"]
         assert plan == local_plan.stats()
-        assert (plan["memo_entries"], plan["memo_misses"]) == (4, 4)
+        assert (plan["memo_entries"], plan["memo_misses"]) == (1, 1)
         assert plan["batched_requests"] == 16
         # one bind per slot: switching between them never rebinds
         assert plan["rebinds"] == 2

@@ -572,6 +572,32 @@ class TestTileViews:
             isa.loaded(data[tile_grid(None, -3, STRIDE, ROWS, COLS)]),
         )
 
+    def test_a_loop_stack_is_its_iterations_views(self, isa, rng):
+        """``outer`` axes stack a serial nest's iterations in one view:
+        row ``[i, j]`` is the view at that iteration's base — flat,
+        stacked or lane-affine — and a stack whose last iteration
+        leaves the buffer is refused whole."""
+        outer = ((3, 7), (2, -2))
+        for dtype, make in OPERAND_BUFFERS[isa.name]:
+            data = operand_data(rng, dtype, make, (len(BASES), SIZE))
+            for array, base in ((data[0], 11), (data, 11), (data[0], AFFINE)):
+                stack = tile_view(array, base, STRIDE, ROWS, COLS, outer)
+                for i in range(3):
+                    for j in range(2):
+                        at = 7 * i - 2 * j
+                        at = (base[0] + at, base[1]) if type(base) is tuple \
+                            else base + at
+                        assert_same_bytes(
+                            stack[i, j],
+                            tile_view(array, at, STRIDE, ROWS, COLS),
+                        )
+            reach = 2 * STRIDE + COLS
+            assert 11 + 3 * 20 + reach <= SIZE < 11 + 4 * 20 + reach
+            assert tile_view(
+                data[0], 11, STRIDE, ROWS, COLS, ((4, 20),)
+            ) is not None  # the fifth tile would run off
+            assert tile_view(data[0], 11, STRIDE, ROWS, COLS, ((5, 20),)) is None
+
     def test_a_loaded_tile_is_a_snapshot(self, isa, rng):
         """Rows back to back (stride == cols): the view is contiguous,
         the tile is still a copy — writing the buffer (or the widened
@@ -587,6 +613,60 @@ class TestTileViews:
                     assert not np.shares_memory(tile, array)
                     array[...] = 0
                 assert_same_bytes(tile, before)
+
+
+@pytest.mark.parametrize(
+    "isa, dtype",
+    [(wmma.ISA, Float(16)), (wmma.ISA, Float(32)), (amx.ISA, BFloat(16))],
+    ids=["wmma-f16", "wmma-f32", "amx-bf16"],
+)
+def test_a_window_stack_is_its_per_iteration_operands(isa, dtype, rng):
+    """A coefficient-window shuffle over every iteration at once is, row
+    by row, what each iteration's shuffle stored into a ``dtype``
+    scratch, loaded back and handed to the MAC makes of it; it is
+    memoised on the weights' bytes, so weights written in place miss;
+    a window off the end refuses the stack."""
+    from repro.hardboiled.intrinsics import (
+        toeplitz_from_kernel, window_shuffle, window_stack,
+    )
+    from repro.runtime.plan import BufferArena
+
+    weights = Buffer(
+        "K", Float(16), (40,),
+        data=with_f16(rng, 40),
+    )
+    outer, geometry = ((4, 8),), (16, 8, 8, 1)
+    arena = BufferArena()
+    got = window_stack(
+        toeplitz_from_kernel, arena, isa, dtype, weights, 2, outer, *geometry
+    )
+    assert got.shape == (4, 16, 8) and not got.flags.writeable
+    for i in range(4):
+        scratch = np.empty(128, dtype.to_numpy())
+        values = window_shuffle(
+            toeplitz_from_kernel, None, weights, 2 + 8 * i, *geometry
+        )
+        if dtype == BFloat(16):
+            values = round_to_bfloat16(values)
+        scratch[...] = values
+        want = isa.shaped(isa.loaded(scratch, True), 16, 8)
+        assert_same_bytes(got[i], want)
+    again = window_stack(
+        toeplitz_from_kernel, arena, isa, dtype, weights, 2, outer, *geometry
+    )
+    assert again is got  # one memo entry, hit
+    weights.data[9] += 1
+    changed = window_stack(
+        toeplitz_from_kernel, arena, isa, dtype, weights, 2, outer, *geometry
+    )
+    assert changed is not got and arena.memo_misses == 2
+    assert window_stack(
+        toeplitz_from_kernel, arena, isa, dtype, weights, 9, outer, *geometry
+    ) is None  # the last window, 33..41, runs off a 40-tap buffer
+
+
+def with_f16(rng, size):
+    return rng.integers(-8, 8, size).astype(np.float16)
 
 
 @pytest.mark.parametrize("lead", LEADS[:2], ids=["flat", "lead"])

@@ -210,12 +210,7 @@ def _register_values(name: str, role: str, core) -> None:
     register(name, None, role, partial(_interp_values, core), core)
 
 
-#: coefficient-window shuffle -> the matrix function its cores share
-WINDOWS = {}
-
-
 def _register_window(name: str, build) -> None:
-    WINDOWS[name] = build
     register(
         name, None, "shuffle",
         partial(_interp_window, build), partial(window_shuffle, build),

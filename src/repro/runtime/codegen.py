@@ -54,7 +54,9 @@ from ..ir.printer import print_expr
 from ..hardboiled import intrinsics as _shuffles
 from ..targets import amx as _amx, dp4a as _dp4a, wmma as _wmma  # noqa: F401
 from ..targets.bfloat16 import round_to_bfloat16
-from ..targets.isa import REGISTRY, _tiles, role_of, tile_view
+from ..targets.isa import (
+    REGISTRY, _tiles, role_of, tile_gather, tile_scatter, tile_view,
+)
 from .buffer import Buffer, StackedBuffer
 from .interpreter import as_vector, broadcast_value, ramp_value, reduce_groups
 
@@ -101,20 +103,6 @@ def _cond(c):
 
 def _idx(x):
     return np.asarray(x, dtype=np.int64)
-
-
-def _block(data, base, stride, rows, cols, store=False):
-    """The index vector ``ramp(ramp(base, 1, cols), xcols(stride), rows)``
-    as a ``[rows, cols]`` strided view of ``data`` (see
-    :func:`repro.targets.isa.tile_view`); a store only where no two
-    rows overlap, a load's as a fresh flat copy.  None: the
-    ``_idx(_ramp(...))`` gather / scatter runs."""
-    if store and rows > 1 and abs(stride) < cols:
-        return None
-    view = tile_view(data, base, stride, rows, cols)
-    if view is None or store:
-        return view
-    return view.copy().reshape(view.shape[:-2] + (-1,))
 
 
 # -- arena plumbing ------------------------------------------------------------
@@ -334,38 +322,23 @@ def _settled(isa, mac: E.Call) -> Optional[tuple]:
     return dims if dims in isa.mac_shapes else None
 
 
-def _mac_reads(stmt: S.Stmt, written: Set[str]) -> Dict[tuple, float]:
-    """Per ``(isa, buffer)`` MAC input the kernel only reads: how many
-    elements its direct tile loads read per request — the static trip
-    count of each load times its tile size (inf where either is
-    symbolic).  :meth:`TileISA.widen` widens the input whole only when
-    that is at least its size."""
-    reads: Dict[tuple, float] = {}
+def _window(e: E.Expr) -> Optional[Callable]:
+    """The matrix function of a coefficient-window shuffle call (its
+    core is ``partial(window_shuffle, build)``), else None."""
+    core = getattr(REGISTRY.get(getattr(e, "name", None)), "core", None)
+    if getattr(core, "func", None) is _shuffles.window_shuffle:
+        return core.args[0]
+    return None
 
-    class Reads(_StmtVisitor):
-        trips = 1
 
-        def visit_For(self, s: S.For) -> None:
-            outer, extent = self.trips, s.extent
-            if s.kind is not ForKind.GPU_LANE:  # a warp runs its body once
-                self.trips *= extent.value if isinstance(extent, E.IntImm) else math.inf
-            self.generic_visit(s)
-            self.trips = outer
-
-        def scan(self, e: E.Expr) -> None:
-            for call in _expr_calls(e):
-                entry = REGISTRY.get(call.name)
-                for a in call.args[1:3] if entry and entry.role == "mac" else ():
-                    if _direct_load(entry.isa, a) and a.args[0].value not in written:
-                        rows, cols = a.args[3:5]
-                        size = math.inf
-                        if isinstance(rows, E.IntImm) and isinstance(cols, E.IntImm):
-                            size = rows.value * cols.value
-                        key = (entry.isa.name, a.args[0].value)
-                        reads[key] = reads.get(key, 0) + self.trips * size
-
-    Reads().visit(stmt)
-    return reads
+def _invariant(e: E.Expr, names, bound: Set[str]) -> None:
+    """Raise unless ``e`` is known before a loop nest over ``names``
+    runs: it reads no variable the nest's body binds (``bound``) but
+    those, and no buffer."""
+    if not bound.isdisjoint(e.free_vars - names):
+        raise CodegenError("address reads a variable the body binds")
+    if contains(e, lambda n: isinstance(n, (E.Load, E.Call))):
+        raise CodegenError("address reads a buffer")
 
 
 class _NestFacts(_StmtVisitor):
@@ -402,7 +375,7 @@ class _NestFacts(_StmtVisitor):
         if (
             isinstance(head, S.Store)
             and head.name == a.name
-            and getattr(head.value, "name", None) in _shuffles.WINDOWS
+            and _window(head.value) is not None
             and all(isinstance(e, E.IntImm) for e in a.extents)
             and isinstance(idx, E.Ramp)
             and idx.count == math.prod(e.value for e in a.extents)
@@ -573,11 +546,12 @@ def lanes_disjoint(terms) -> bool:
     return True
 
 
-def _affine(e: E.Expr, scale: int, names, coefs: Dict[str, int]) -> None:
+def _affine(e: E.Expr, scale, names, coefs: Dict[str, object]) -> None:
     """Add the coefficients of ``scale * e`` over ``names`` to ``coefs``.
 
     Sub-expressions free of every name are offsets all lanes share and
-    drop out; anything else must be affine with constant coefficients.
+    drop out; anything else must be affine.  A coefficient is an int,
+    or an expression free of every name where a factor is symbolic.
     """
     if names.isdisjoint(e.free_vars):
         return
@@ -586,12 +560,26 @@ def _affine(e: E.Expr, scale: int, names, coefs: Dict[str, int]) -> None:
     elif isinstance(e, (E.Add, E.Sub)):
         _affine(e.a, scale, names, coefs)
         _affine(e.b, scale if isinstance(e, E.Add) else -scale, names, coefs)
-    elif isinstance(e, E.Mul) and isinstance(e.a, E.IntImm):
-        _affine(e.b, scale * e.a.value, names, coefs)
-    elif isinstance(e, E.Mul) and isinstance(e.b, E.IntImm):
-        _affine(e.a, scale * e.b.value, names, coefs)
+    elif isinstance(e, E.Mul) and names.isdisjoint(e.a.free_vars):
+        _affine(e.b, scale * _factor(e.a), names, coefs)
+    elif isinstance(e, E.Mul) and names.isdisjoint(e.b.free_vars):
+        _affine(e.a, scale * _factor(e.b), names, coefs)
     else:
+        raise CodegenError("address is not affine")
+
+
+def _factor(e: E.Expr):
+    return e.value if isinstance(e, E.IntImm) else e
+
+
+def _constant_coefs(e: E.Expr, names) -> Dict[str, int]:
+    """:func:`_affine`'s coefficients of ``e`` over ``names``, each
+    required constant."""
+    coefs: Dict[str, object] = {}
+    _affine(e, 1, names, coefs)
+    if not all(isinstance(c, int) for c in coefs.values()):
         raise CodegenError("store address is not affine in constants")
+    return coefs
 
 
 class _BodyFacts(_StmtVisitor):
@@ -716,8 +704,7 @@ def _prove_lanes(dims: Dict[str, int], body: S.Stmt) -> Dict[str, tuple]:
             and (n.name in facts.allocated or n.name in facts.sites),
         ):
             raise CodegenError(f"data-dependent store into {name!r}")
-        coefs: Dict[str, int] = {}
-        _affine(base, 1, extents.keys(), coefs)
+        coefs = _constant_coefs(base, extents.keys())
         terms = [(stride.value, count.value) for stride, count in axes]
         for var, coef in coefs.items():
             if var in dims or not coef:
@@ -787,8 +774,6 @@ class _Emitter:
         #: else why it is widened first (see ``_operand_width``)
         self.macs: List[tuple] = []
         self.written = _written(stmt)
-        #: (isa, buffer) -> elements its MAC tile loads read per request
-        self.reads = _mac_reads(stmt, self.written)
         #: (isa, buffer) -> (source, exact, preamble line) (``_widen``)
         self.widened: Dict[tuple, tuple] = {}
         #: while a hoisted loop nest is emitted: id of a MAC operand node
@@ -1072,15 +1057,10 @@ class _Emitter:
         else:
             sliced = self._try_slice(idx)
             if sliced is None:
-                gather = f"{data}[{lead}_idx({self.emit(idx)})]"
                 block = self._two_level(idx)
-                if block is None:
-                    return gather
-                view = self.fresh("k")
-                return (
-                    f"({view} if ({view} := _block({data}, {block}))"
-                    f" is not None else {gather})"
-                )
+                if block is not None:  # a fresh copy, as a gather is
+                    return f"_gather(_arena, {data}, {block})"
+                return f"{data}[{lead}_idx({self.emit(idx)})]"
             code = f"{data}[{lead}{sliced}]"
         # a view (slice, or a stacked buffer's column): copy it when
         # the statement may mutate buffers mid-expression
@@ -1091,7 +1071,9 @@ class _Emitter:
     def _two_level(self, idx: E.Expr) -> Optional[str]:
         """``base, stride, rows, cols`` of a two-level dense ramp index —
         ``ramp(ramp(base, 1, cols), xcols(stride), rows)`` with scalar
-        ``base`` and ``stride`` — for :func:`_block`; else None."""
+        ``base`` and ``stride`` — for :func:`~repro.targets.isa.
+        tile_gather` / :func:`~repro.targets.isa.tile_scatter`; else
+        None."""
         inner = idx.base if isinstance(idx, E.Ramp) else None
         if not (
             isinstance(inner, E.Ramp)
@@ -1175,8 +1157,7 @@ class _Emitter:
         key = (isa.name, load.args[0].value)
         if key not in self.widened:
             source, exact = self.fresh("w"), self.fresh("e")
-            reads = self.reads.get(key, math.inf)
-            call = f"{self.const(isa)}.widen({self.buf_obj(key[1])}, {reads})"
+            call = f"{self.const(isa)}.widen({self.buf_obj(key[1])})"
             self.widened[key] = (source, exact, f"{source}, {exact} = {call}")
         return self.widened[key][:2]
 
@@ -1208,9 +1189,8 @@ class _Emitter:
         lane``: affine in lane variables whose grid values are affine in
         the lane."""
         varying = {name for name, v in self.var_batched.items() if v}
-        coefs: Dict[str, int] = {}
         try:
-            _affine(base, 1, varying, coefs)
+            coefs = _constant_coefs(base, varying)
             lanes = [c * self.lane_index[n] for n, c in coefs.items() if c]
             steps = np.diff(sum(lanes))
         except (CodegenError, KeyError, ValueError):  # not affine in lanes
@@ -1370,7 +1350,6 @@ class _Emitter:
         else:
             value = f"{self.store_wrap(stmt.name)}({value})"
         idx = stmt.index
-        block = None
         if varying:  # per-lane scatter into a shared buffer
             self._certify(stmt.name, data)
             target = None
@@ -1379,23 +1358,15 @@ class _Emitter:
         else:
             target = self._try_slice(idx)
             block = None if target else self._two_level(idx)
+            if block is not None:  # the value first, as a subscript's is
+                tile = self.fresh("t")
+                self.line(f"{tile} = {value}")
+                self.line(f"_scatter(_arena, {data}, {block}, {tile})")
+                self.copy_views = False
+                return
         if target is None:
             target = f"_idx({self.emit(idx)})"
-        if block is not None:  # a strided view where in range and disjoint
-            tile, view = self.fresh("t"), self.fresh("k")
-            self.line(f"{tile} = {value}")
-            self.line(f"{view} = _block({data}, {block}, True)")
-            self.line(f"if {view} is not None:")
-            with self.block():
-                self.line(
-                    f"{view}[...] = np.reshape({tile}, np.shape({tile})[:-1]"
-                    f" + {view}.shape[-2:])"
-                )
-            self.line("else:")
-            with self.block():
-                self.line(f"{data}[{lead}{target}] = {tile}")
-        else:
-            self.line(f"{data}[{lead}{target}] = {value}")
+        self.line(f"{data}[{lead}{target}] = {value}")
         self.copy_views = False
 
     def _exec_For(self, stmt: S.For) -> None:
@@ -1438,8 +1409,9 @@ class _Emitter:
         fails its run-time range check is None, and that operand's
         iterations cut their tiles (and fill their scratch) as ever — so
         they raise where they always have, after the same partial
-        writes.  Records one :attr:`loops` row per loop of the nest;
-        False (nothing hoisted): the caller emits the loop plain.
+        writes.  Records one :attr:`loops` row per loop of the nest.
+        False (nothing hoisted): one row, for ``stmt``, which the caller
+        emits plain; each inner loop is analysed on its own when emitted.
         """
         facts = _NestFacts()
         facts.visit(stmt.body)
@@ -1476,7 +1448,7 @@ class _Emitter:
         self.loops[first:first] = [
             (loop.name, loop.extent.value if constant(loop)
              else print_expr(loop.extent), f"serial, {status}")
-            for loop in nest
+            for loop in (nest if stacks else nest[:1])
         ]
         return bool(stacks)
 
@@ -1522,8 +1494,9 @@ class _Emitter:
         if tuple(getattr(d, "value", None) for d in dims) != shape:
             raise CodegenError("tile shape is not the MAC operand's")
         names = {loop.name for loop in nest}
-        if self.batched(stride) or self._steps(stride, names, facts.bound):
+        if self.batched(stride) or not names.isdisjoint(stride.free_vars):
             raise CodegenError("row stride varies")
+        _invariant(stride, names, facts.bound)
         first, outer = self._iterations(base, nest, facts.bound)
         if self.batched(base):  # per-lane bases, as a (bases, step) pair
             step = None
@@ -1568,7 +1541,7 @@ class _Emitter:
         first, outer = self._iterations(base, nest, facts.bound)
         local = self.fresh("h")
         core = self.const(
-            partial(_shuffles.window_stack, _shuffles.WINDOWS[call.name])
+            partial(_shuffles.window_stack, _window(call))
         )
         expr = (
             f"{core}(_arena, {self.const(isa)},"
@@ -1581,49 +1554,29 @@ class _Emitter:
 
     def _iterations(self, base: E.Expr, nest, bound) -> tuple:
         """``base`` at the nest's first iteration, and its ``(count,
-        step)`` axis along each loop, as preheader source."""
-        steps = self._steps(base, {loop.name for loop in nest}, bound)
+        step)`` axis along each loop, as preheader source: ``base``
+        must be affine in the loop variables (:func:`_affine`), a step
+        the same for every lane, and what ``base`` reads besides known
+        before the nest runs (:func:`_invariant`)."""
+        names = {loop.name for loop in nest}
+        _invariant(base, names, bound)
+        steps: Dict[str, object] = {}
+        _affine(base, 1, names, steps)
+        axes = ""
+        for loop in nest:
+            step = steps.get(loop.name, 0)
+            if isinstance(step, E.Expr):
+                if self.batched(step):
+                    raise CodegenError("loop step varies per lane")
+                step = self.emit(step)
+            axes += f"({loop.extent.value}, {step}), "
         with ExitStack() as scope:
             for loop in nest:
                 scope.enter_context(
                     self.bind(loop.name, repr(loop.min_expr.value))
                 )
             first = self.emit(base)
-        axes = "".join(
-            f"({loop.extent.value}, {steps.get(loop.name, 0)}), "
-            for loop in nest
-        )
         return first, f"({axes})"
-
-    def _steps(self, e: E.Expr, names, bound) -> Dict[str, str]:
-        """The coefficient of each of ``names`` in ``e``, as preheader
-        source.  ``e`` must be affine in them, and what it reads besides
-        free of every variable the loop body binds and of buffers."""
-        free = e.free_vars
-        if names.isdisjoint(free):
-            if not bound.isdisjoint(free):
-                raise CodegenError("address reads a variable the body binds")
-            if contains(e, lambda n: isinstance(n, (E.Load, E.Call))):
-                raise CodegenError("address reads a buffer")
-            return {}
-        if isinstance(e, E.Variable):
-            return {e.name: "1"}
-        if isinstance(e, (E.Add, E.Sub)):
-            steps = self._steps(e.a, names, bound)
-            op = "+" if isinstance(e, E.Add) else "-"
-            for name, step in self._steps(e.b, names, bound).items():
-                steps[name] = f"({steps.get(name, 0)} {op} {step})"
-            return steps
-        if isinstance(e, E.Mul):
-            for scale, term in ((e.a, e.b), (e.b, e.a)):
-                if names.isdisjoint(scale.free_vars):
-                    self._steps(scale, names, bound)
-                    scale = self.emit(scale)
-                    return {
-                        name: f"({scale} * {step})"
-                        for name, step in self._steps(term, names, bound).items()
-                    }
-        raise CodegenError("address is not affine in the loop variables")
 
     def _try_lanes(self, stmt: S.For) -> bool:
         """Emit a data-parallel loop nest as one lane-vectorised pass.
@@ -1847,7 +1800,8 @@ _HELPER_GLOBALS = {
     "_LANES": _LANES,
     "_tiles": _tiles,
     "_stack": tile_view,
-    "_block": _block,
+    "_gather": tile_gather,
+    "_scatter": tile_scatter,
 }
 
 
@@ -2039,8 +1993,8 @@ def compile_batched_stmt(
 #: v7: read-only MAC inputs widened once per call (``.widen`` in the
 #:     preamble, exact flags on the MAC); ``(bases, step)`` lane bases
 #: v8: serial block loops read preheader stacks (``_stack``, window
-#:     shuffle stacks); settled MACs call the core; ``.widen`` takes the
-#:     static read count; literal broadcasts and two-level ramp views
+#:     shuffle stacks); settled MACs call the core; literal broadcasts
+#:     are constants; two-level ramps load and store as tile views
 KERNEL_FORMAT_VERSION = 8
 
 

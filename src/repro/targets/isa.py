@@ -89,6 +89,35 @@ def tile_view(data, base, stride, rows, cols, outer=()):
     )
 
 
+def tile_gather(arena, data, base, stride, rows, cols):
+    """The tile(s) at ``base`` (see :func:`tile_view`) as a fresh flat
+    ``[..., rows*cols]`` copy: of the strided view where it is in range,
+    else the index gather, raising (or wrapping) as it always has."""
+    view = tile_view(data, base, stride, rows, cols)
+    if view is not None:  # one copy: fresh, C-contiguous
+        return view.copy().reshape(view.shape[:-2] + (rows * cols,))
+    idx = tile_grid(arena, base, stride, rows, cols)
+    # a branch, not ``data[..., idx]``: the ellipsis spelling costs a
+    # fancy-index gather two to three times over
+    return data[idx] if data.ndim == 1 else data[:, idx]
+
+
+def tile_scatter(arena, data, base, stride, rows, cols, values):
+    """Store flat ``values`` at the tile(s) at ``base``: through the
+    strided view where it is in range and no two elements share an
+    address (rows apart; lanes by the ``(bases, step)`` pair's
+    lanes-disjoint proof), else the index scatter."""
+    view = None
+    if rows == 1 or abs(stride) >= cols:
+        view = tile_view(data, base, stride, rows, cols)
+    if view is not None:  # a shared tile broadcasts along the batch
+        view[...] = values.reshape(values.shape[:-1] + (rows, cols))
+    elif data.ndim == 1:
+        data[tile_grid(arena, base, stride, rows, cols)] = values
+    else:
+        data[:, tile_grid(arena, base, stride, rows, cols)] = values
+
+
 #: private, anonymous, and pre-faulted where the platform can (one
 #: system call rather than a page fault per page: -8% B=32 time)
 _MAP_FLAGS = (
@@ -213,16 +242,12 @@ class TileISA:
             return tile
         return tile.astype(self.acc, copy=False)
 
-    def widen(self, buf, reads=np.inf):
+    def widen(self, buf):
         """``(source, exact)`` of a MAC input the kernel only reads, once
         per call: the whole buffer through :attr:`operand` when it holds
-        this ISA's narrow type (bf16 for AMX) and the kernel's tile
-        loads of it read (``reads``, per request; unknown: unbounded) at
-        least as many elements as it holds, its tiles then exact; else
-        the buffer itself, its tiles rounded per tile as ever."""
+        this ISA's narrow type (bf16 for AMX), its tiles then exact;
+        else the buffer itself, its tiles rounded per tile as ever."""
         data = buf.data
-        if reads < data.shape[-1]:  # widening would cost more than it saves
-            return buf, False
         if self.narrow is None:  # bf16 in float32 storage: round it
             if buf.dtype.code is TypeCode.BFLOAT:
                 return self.operand(data), True
@@ -235,14 +260,7 @@ class TileISA:
     def load(self, arena, buf, base, stride, rows, cols, mac_operand=False):
         exact = isinstance(buf, np.ndarray)  # a :meth:`widen` source
         data = buf if exact else buf.data
-        view = tile_view(data, base, stride, rows, cols)
-        if view is not None:  # one copy: fresh, C-contiguous
-            tile = view.copy().reshape(view.shape[:-2] + (rows * cols,))
-        else:
-            idx = tile_grid(arena, base, stride, rows, cols)
-            # a branch, not ``data[..., idx]``: the ellipsis spelling
-            # costs a fancy-index gather two to three times over
-            tile = data[idx] if data.ndim == 1 else data[:, idx]
+        tile = tile_gather(arena, data, base, stride, rows, cols)
         return tile if exact else self.loaded(tile, mac_operand)
 
     def shaped(self, tile, rows, cols, exact=False):
@@ -268,17 +286,7 @@ class TileISA:
         values = np.asarray(tile, dtype=data.dtype)
         if buf.dtype.code is TypeCode.BFLOAT:
             values = round_to_bfloat16(values)
-        # a view only where no two elements share an address: rows
-        # apart, lanes by the ``(bases, step)`` pair's lanes-disjoint proof
-        view = None
-        if rows == 1 or abs(stride) >= cols:
-            view = tile_view(data, base, stride, rows, cols)
-        if view is not None:  # a shared tile broadcasts along the batch
-            view[...] = values.reshape(values.shape[:-1] + (rows, cols))
-        elif data.ndim == 1:
-            data[tile_grid(arena, base, stride, rows, cols)] = values
-        else:
-            data[:, tile_grid(arena, base, stride, rows, cols)] = values
+        tile_scatter(arena, data, base, stride, rows, cols, values)
         return self.acc(0)
 
 

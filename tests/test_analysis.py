@@ -461,7 +461,7 @@ class TestLintKernelsMutations:
         + "    d0 = buffers['A'].data\n"
         + "    b0 = buffers['A']\n"
         + "    b1 = buffers['K']\n"
-        + "    w0, e0 = isa.widen(b0, 512)\n"
+        + "    w0, e0 = isa.widen(b0)\n"
         + "    _h1 = _stack(w0, 0, 8, 16, 16, ((4, 8), )) if e0 else None\n"
         + "    _h2 = _C4(_arena, isa, dtype, b1, 0, ((4, 8), ), 16, 8, 8, 1)\n"
         + "    if _h1 is not None and _h2 is not None:\n"

@@ -65,6 +65,7 @@ from repro.ir.builders import (
 from repro.lowering import lower
 from repro.runtime import Buffer, Interpreter
 from repro.runtime.buffer import StackedBuffer
+from repro.runtime.interpreter import EvalError
 from repro.runtime.codegen import (
     _LANES,
     KERNEL_FORMAT_VERSION,
@@ -1306,6 +1307,40 @@ class TestSerialHoisting:
             ("x", 3, "serial, hoisted: A tile stack, B tile stack"),
         )
 
+    def test_a_symbolic_extent_keeps_the_per_tile_loop(self, rng):
+        """A nest over an env extent is not hoisted; its read-only f16
+        inputs are still widened once per call, and every byte is the
+        interpreter's."""
+        stmt = For("x", IntImm(0), Variable("n"), ForKind.SERIAL, self.body())
+        arrays = self.arrays(rng, A=self.F16, B=self.F16)
+        with np.errstate(all="ignore"):
+            kernel, interpreted, compiled = run_both(stmt, arrays, {"n": 3})
+        assert kernel.loops == (("x", "n", "serial, symbolic loop bounds"),)
+        assert kernel.source.count(".widen(") == 2
+        for name in arrays:
+            assert_same_bytes(compiled[name], interpreted[name])
+
+    def test_a_nest_with_nothing_to_hoist_has_one_row_per_loop(self):
+        """Each loop of a serial nest is reported once: the outer loop by
+        the nest's analysis, the inner loop by its own."""
+        fill = intrinsic(
+            Float(32, TILE), "wmma.fill.sync", IntImm(M), IntImm(N),
+            const(0.5, Float(32)),
+        )
+        tile = make_add(make_mul(Variable("y"), IntImm(3)), Variable("x"))
+        store = wmma_store("out", make_mul(tile, IntImm(TILE)), fill)
+        stmt = block_loop(
+            "y", 2, block_loop("x", 3, store, ForKind.SERIAL), ForKind.SERIAL
+        )
+        kernel, interpreted, compiled = run_both(
+            stmt, {"out": f32_out(6 * TILE)}
+        )
+        assert kernel.loops == (
+            ("y", 2, "serial, nothing to hoist"),
+            ("x", 3, "serial, nothing to hoist"),
+        )
+        assert_same_bytes(compiled["out"], interpreted["out"])
+
     def test_weights_changed_between_calls_miss_the_shuffle_stack(self):
         """The Toeplitz stack is memoised on the weights' bytes: weights
         written in place between two calls of one plan are read anew."""
@@ -1350,6 +1385,59 @@ class TestSerialHoisting:
             if isinstance(v, np.ndarray) and v.dtype == np.float32
         ]
         assert not constant.flags.writeable
+
+
+class TestTwoLevelRamps:
+    """A load or store at ``ramp(ramp(base, 1, cols), x cols(stride),
+    rows)`` goes through a strided tile view where it is in range (and,
+    for a store, its rows are apart), else the index gather / scatter:
+    either way every byte is the interpreter's."""
+
+    ROWS, COLS = 4, 8
+
+    def index(self, base, stride):
+        inner = Ramp(base, IntImm(1), self.COLS)
+        return Ramp(inner, make_broadcast(stride, self.COLS), self.ROWS)
+
+    def stmt(self, stride):
+        lanes = Float(32, self.ROWS * self.COLS)
+        at = self.index(Variable("b"), IntImm(stride))
+        return Store("out", at, Load(lanes, "in", at))
+
+    @pytest.mark.parametrize(
+        "stride", [8, 12, 5, 0], ids=["dense", "gaps", "overlap", "repeat"]
+    )
+    def test_in_range(self, stride):
+        arrays = {
+            "in": (np.arange(64, dtype=np.float32), Float(32)),
+            "out": f32_out(64),
+        }
+        kernel, interpreted, compiled = run_both(
+            self.stmt(stride), arrays, {"b": 3}
+        )
+        assert "_gather(" in kernel.source and "_scatter(" in kernel.source
+        assert "_idx(" not in kernel.source
+        assert_same_bytes(compiled["out"], interpreted["out"])
+
+    def test_out_of_range_falls_back_to_the_gather(self):
+        """The last rows run off ``in``: no view, and the index gather
+        raises numpy's IndexError (the interpreter its EvalError) before
+        anything is stored."""
+        data = np.arange(64, dtype=np.float32)
+
+        def buffers():
+            return {
+                "in": Buffer.from_numpy("in", data.copy(), Float(32)),
+                "out": Buffer.from_numpy("out", np.zeros(64, np.float32)),
+            }
+
+        compiled, interpreted = buffers(), buffers()
+        with pytest.raises(IndexError, match="out of bounds"):
+            compile_stmt(self.stmt(12))(compiled, {"b": 40})
+        with pytest.raises(EvalError, match="out of bounds"):
+            Interpreter(interpreted).run(self.stmt(12), {"b": 40})
+        assert not compiled["out"].data.any()
+        assert not interpreted["out"].data.any()
 
 
 def test_bfloat16_cast_of_a_loaded_view_is_a_snapshot():

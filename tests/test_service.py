@@ -266,8 +266,7 @@ class TestInvalidation:
         a ``_bv_*`` core that is gone, so it does not even unpickle), or
         a v6 kernel (every MAC input converted per tile, no ``.widen``
         preamble, no exact flags on its MACs), or a v7 kernel (its
-        ``.widen`` takes no read count, its serial loops re-derive every
-        tile and shuffle per iteration)."""
+        serial loops re-derive every tile and shuffle per iteration)."""
         from repro.runtime.codegen import KERNEL_FORMAT_VERSION
 
         assert KERNEL_FORMAT_VERSION == 8

@@ -498,7 +498,9 @@ AFFINE_DOWN = (60 - 20 * np.arange(4), -20)
 @pytest.mark.parametrize("isa", ISAS, ids=ISA_IDS)
 class TestTileViews:
     """``TileISA.load`` / ``store`` address an affine tile stack as one
-    strided view; the index-grid gather / scatter is the reference."""
+    strided view (:func:`tile_gather` / :func:`tile_scatter`, which a
+    kernel's two-level ramp loads and stores call too); the index-grid
+    gather / scatter is the reference."""
 
     @pytest.mark.parametrize("stride", [STRIDE, 3], ids=["apart", "overlap"])
     def test_load_view_equals_gather(self, isa, stride, rng):

@@ -318,17 +318,6 @@ class EGraph:
         """The rows of one relation (set-like, in insertion order)."""
         return self.relations.get(name, {}).keys()
 
-    def rows_mentioning(
-        self, eclass_id: int
-    ) -> KeysView[Tuple[str, Tuple[object, ...]]]:
-        """All ``(relation name, row)`` pairs whose row mentions the class.
-
-        Served from the reverse relation index; matchers use it to join
-        relation atoms on an already-bound argument instead of scanning
-        every row of the relation.
-        """
-        return self._rows_of.get(self.find(eclass_id), {}).keys()
-
     # -- incremental-matching support ------------------------------------------
 
     def head_entries(self, head: Head) -> Dict[ENode, int]:

@@ -193,10 +193,6 @@ class Stage:
         self.atomic_flag = True
         return self
 
-    # convenience passthroughs so schedules can chain through func methods
-    def vectorize_inner(self) -> "Stage":
-        return self.vectorize(self.dims[0].var)
-
     def __repr__(self) -> str:
         kind = "update" if self.is_update else "pure"
         return f"<Stage {self.func.name} ({kind}): {[d.var for d in self.dims]}>"

@@ -34,7 +34,9 @@ from ..ir import expr as E
 from ..ir.types import TypeCode
 from ..runtime.interpreter import memory_level
 from ..targets.bfloat16 import round_to_bfloat16
-from ..targets.isa import check_bounds, named_buffer, register, tile_view
+from ..targets.isa import (
+    PerIteration, check_bounds, named_buffer, register, tile_view,
+)
 
 
 class ShuffleError(RuntimeError):
@@ -126,8 +128,25 @@ def interleave(arena, k, rows, cols, tile):
 
 
 def window_shuffle(build, arena, buf, base, rows, cols, taps, param):
-    """A coefficient-window shuffle over ``buf[base : base + taps]``."""
+    """A coefficient-window shuffle over ``buf[base : base + taps]``; a
+    window that leaves ``buf`` raises, as the interpreter's does."""
+    if base < 0 or base + taps > buf.size:
+        raise ShuffleError(
+            f"coefficient window [{base}, {base + taps - 1}] leaves"
+            f" {buf.name!r} of size {buf.size}"
+        )
     return _memo(arena, build, buf.data[base : base + taps], rows, cols, param)
+
+
+def _operands(isa, dtype, values):
+    """Coefficient matrices as the MAC operands a scratch tile makes of
+    them: stored into ``dtype`` elements, loaded back narrow and put
+    through ``isa``'s :attr:`operand`."""
+    if dtype.code is TypeCode.BFLOAT:
+        values = round_to_bfloat16(values)
+    stored = np.empty(values.shape, dtype.to_numpy())
+    stored[...] = values
+    return isa.operand(isa.loaded(stored, True))
 
 
 def window_stack(build, arena, isa, dtype, buf, base, outer, rows, cols,
@@ -135,23 +154,25 @@ def window_stack(build, arena, isa, dtype, buf, base, outer, rows, cols,
     """A coefficient-window shuffle over every iteration of a serial
     loop nest at once — window ``base + sum(i * step)`` per ``(count,
     step)`` axis of ``outer`` — as the ``[*counts, rows, cols]`` stack
-    of MAC operands it becomes: stored into a ``dtype`` scratch tile,
-    loaded back narrow and put through ``isa``'s :attr:`operand`.  One
-    memo entry, keyed on the bytes of every window; read-only.  None
-    when a window leaves ``buf``: the loop's per-tile path then runs."""
+    of MAC operands (:func:`_operands`) it becomes.  One memo entry,
+    keyed on the bytes of every window; read-only.  When a window
+    leaves ``buf``, a :class:`~repro.targets.isa.PerIteration` that
+    shuffles each window alone, raising at the first that leaves."""
     view = tile_view(buf.data, base, 0, 1, taps, outer)
     if view is None:
-        return None
+        return PerIteration(
+            lambda at: _operands(isa, dtype, window_shuffle(
+                build, arena, buf, at, rows, cols, taps, param
+            ).reshape(rows, cols)),
+            base, outer,
+        )
     kernels = view[..., 0, :]
 
     def make():
         values = build(kernels.reshape(-1, taps), rows, cols, param)
-        values = values.reshape(kernels.shape[:-1] + (rows, cols))
-        if dtype.code is TypeCode.BFLOAT:
-            values = round_to_bfloat16(values)
-        stored = np.empty(values.shape, dtype.to_numpy())
-        stored[...] = values
-        out = isa.operand(isa.loaded(stored, True))
+        out = _operands(
+            isa, dtype, values.reshape(kernels.shape[:-1] + (rows, cols))
+        )
         out.flags.writeable = False
         return out
 

@@ -123,10 +123,6 @@ class SelectionReport:
     def all_mapped(self) -> bool:
         return all(self._mapped_flags())
 
-    @property
-    def any_mapped(self) -> bool:
-        return any(self._mapped_flags())
-
     def store_rows(self) -> List[Dict[str, object]]:
         """``{"name", "kind", "mapped"}`` per store — the persistable
         outcome of selection, whether it ran live or was restored."""

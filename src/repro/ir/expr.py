@@ -76,11 +76,15 @@ class Node:
     @fact
     def free_vars(self) -> FrozenSet[str]:
         """Names of the variables this node uses but does not bind."""
+        return self._children_union("free_vars")
+
+    def _children_union(self, name: str) -> FrozenSet[str]:
+        """The union of the children's set-valued fact ``name``."""
         out: FrozenSet[str] = frozenset()
         for child in self.children():
-            free = child.free_vars
-            if not free <= out:  # share the child's set where it covers all
-                out = out | free if out else free
+            part = getattr(child, name)
+            if not part <= out:  # share the child's set where it covers all
+                out = out | part if out else part
         return out
 
     def _free_vars_binding(self, name: str, body: "Node", *outer: "Node"):
@@ -102,6 +106,12 @@ class Node:
 @dataclass(frozen=True)
 class Expr(Node):
     """Base class for all IR expressions."""
+
+    @fact
+    def buffers(self) -> FrozenSet[str]:
+        """Names of the buffers this expression names: those it loads,
+        and the buffer arguments of its intrinsic calls."""
+        return self._children_union("buffers")
 
     @property
     def type(self) -> DataType:  # pragma: no cover - overridden
@@ -219,6 +229,10 @@ class StringImm(Expr):
         from .types import Handle
 
         return Handle()
+
+    @fact
+    def buffers(self) -> FrozenSet[str]:
+        return frozenset((self.value,))
 
 
 @dataclass(frozen=True)
@@ -355,6 +369,10 @@ class Load(Expr):
     @property
     def type(self) -> DataType:
         return self.dtype
+
+    @fact
+    def buffers(self) -> FrozenSet[str]:
+        return self.index.buffers | {self.name}
 
 
 @dataclass(frozen=True)

@@ -60,9 +60,6 @@ class DataType:
     def is_bool(self) -> bool:
         return self.code is TypeCode.UINT and self.bits == 1
 
-    def is_handle(self) -> bool:
-        return self.code is TypeCode.HANDLE
-
     # -- derived types -----------------------------------------------------
 
     def element_of(self) -> "DataType":

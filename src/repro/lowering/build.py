@@ -20,7 +20,6 @@ from ..ir import (
     DataType,
     Expr,
     For,
-    ForKind,
     IntImm,
     MemoryType,
     ProducerConsumer,
@@ -144,13 +143,6 @@ class _Inliner(IRMutator):
 
 def inline_pass(expr, materialized: Set[str]):
     return _Inliner(materialized).mutate(expr)
-
-
-@dataclass
-class _StagePlan:
-    stage: Stage
-    dims_bounds: List[Tuple[str, Expr, Expr, ForKind]]  # innermost first
-    provide: Provide
 
 
 class Lowerer:

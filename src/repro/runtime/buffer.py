@@ -186,10 +186,6 @@ class Buffer:
             return 0
         return int(self._store_mask.sum()) * self.dtype.bytes_per_lane()
 
-    def reset_masks(self) -> None:
-        self._load_mask = None
-        self._store_mask = None
-
     def __repr__(self) -> str:
         return (
             f"Buffer({self.name!r}, {self.dtype}, extents={self.extents}, "

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from contextlib import ExitStack, contextmanager
 from functools import partial
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -49,13 +49,13 @@ from ..ir import stmt as S
 from ..ir.stmt import ForKind
 from ..ir.types import TypeCode
 from ..ir.visitor import IRVisitor
-from ..ir.analysis import contains, free_variables
+from ..ir.analysis import contains
 from ..ir.printer import print_expr
 from ..hardboiled import intrinsics as _shuffles
 from ..targets import amx as _amx, dp4a as _dp4a, wmma as _wmma  # noqa: F401
 from ..targets.bfloat16 import round_to_bfloat16
 from ..targets.isa import (
-    REGISTRY, _tiles, role_of, tile_gather, tile_scatter, tile_view,
+    REGISTRY, _tiles, role_of, tile_gather, tile_scatter,
 )
 from .buffer import Buffer, StackedBuffer
 from .interpreter import as_vector, broadcast_value, ramp_value, reduce_groups
@@ -169,7 +169,7 @@ def _cast_i(value, np_dtype):
 # *batched* (``[B]`` for a batched scalar, ``[B, lanes]`` for a batched
 # vector).  A ``[B]`` batched scalar and a ``[lanes]`` vector are both
 # 1-D and cannot be told apart at run time, so the emitter decides
-# statically (``_expr_batched``) which twin to call.  (Tensor intrinsics
+# statically (``_Emitter.batched``) which twin to call.  (Tensor intrinsics
 # need none: their cores read the axis off their operands.)
 
 
@@ -253,54 +253,10 @@ def _expr_nodes(e: E.Expr):
         stack.extend(node.children())
 
 
-def _expr_calls(e: E.Expr):
-    """Yield every Call node in an expression tree (its own loop:
-    kernels scan for calls far more often than for anything else)."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, E.Call):
-            yield node
-        stack.extend(node.children())
-
-
 def _has_impure_call(e: E.Expr) -> bool:
-    return any(not _is_pure(c.name) for c in _expr_calls(e))
-
-
-class _StmtVisitor(IRVisitor):
-    """Visits statements generically; a whole expression tree goes to
-    :meth:`scan` (a flat loop — per-node dispatch would dominate)."""
-
-    def visit(self, node):
-        if isinstance(node, E.Expr):
-            return self.scan(node)
-        return super().visit(node)
-
-    def scan(self, e: E.Expr) -> None:
-        raise NotImplementedError
-
-
-def _written(stmt: S.Stmt) -> Set[str]:
-    """Every buffer ``stmt`` may write: stored, allocated, or named by
-    an intrinsic that mutates its buffer."""
-    names: Set[str] = set()
-
-    class Writes(_StmtVisitor):
-        def visit_Store(self, s) -> None:
-            names.add(s.name)
-            self.generic_visit(s)
-
-        visit_Allocate = visit_Store
-
-        def scan(self, e: E.Expr) -> None:
-            names.update(
-                a.value for c in _expr_calls(e) if not _is_pure(c.name)
-                for a in c.args if isinstance(a, E.StringImm)
-            )
-
-    Writes().visit(stmt)
-    return names
+    return any(
+        isinstance(n, E.Call) and not _is_pure(n.name) for n in _expr_nodes(e)
+    )
 
 
 #: the ``macs`` reason of an input :meth:`TileISA.widen` feeds the MAC
@@ -331,6 +287,24 @@ def _window(e: E.Expr) -> Optional[Callable]:
     return None
 
 
+def _window_fill(a: S.Allocate) -> Optional[E.Call]:
+    """The window shuffle that fills scratch ``a`` whole as its first
+    statement, else None."""
+    head = a.body.stmts[0] if isinstance(a.body, S.Block) else None
+    idx = getattr(head, "index", None)
+    if (
+        isinstance(head, S.Store)
+        and head.name == a.name
+        and _window(head.value) is not None
+        and all(isinstance(e, E.IntImm) for e in a.extents)
+        and isinstance(idx, E.Ramp)
+        and idx.count == math.prod(e.value for e in a.extents)
+        and (idx.base, idx.stride) == (E.IntImm(0), E.IntImm(1))
+    ):
+        return head.value
+    return None
+
+
 def _invariant(e: E.Expr, names, bound: Set[str]) -> None:
     """Raise unless ``e`` is known before a loop nest over ``names``
     runs: it reads no variable the nest's body binds (``bound``) but
@@ -341,182 +315,179 @@ def _invariant(e: E.Expr, names, bound: Set[str]) -> None:
         raise CodegenError("address reads a buffer")
 
 
-class _NestFacts(_StmtVisitor):
-    """What hoisting out of a serial loop nest reads off its body."""
+# -- the fact walk -------------------------------------------------------------
+#
+# Every decision the emitter takes from more than the node in hand —
+# which buffers the statement writes, whether a lane nest is legal,
+# which values vary along a leading axis, what a serial nest can hoist
+# — is a read of one KernelFacts, made by one walk when the emitter is
+# built.  Its rows are flat and in walk order, so the body of a For or
+# a LetStmt is one span of every row, and a decision about one loop is
+# a read of its slices.
 
-    def __init__(self) -> None:
-        #: any tensor intrinsic at all (a block loop); the MAC calls
-        self.intrinsics = False
-        self.macs: List[E.Call] = []
-        #: variables the body binds; how often it names each buffer
-        self.bound: Set[str] = set()
-        self.refs: Dict[str, int] = {}
-        #: scratch buffer -> (its Allocate, the window shuffle that
-        #: fills it whole, first thing)
-        self.scratch: Dict[str, tuple] = {}
 
-    def ref(self, name: str) -> None:
-        self.refs[name] = self.refs.get(name, 0) + 1
+class _Rows(NamedTuple):
+    """The facts of one span of the walk, a tuple per kind, in walk
+    order.  ``seq`` orders ``bound`` and ``sites`` entries together."""
 
-    def visit_For(self, s) -> None:
-        self.bound.add(s.name)
-        self.generic_visit(s)
+    #: ``(seq, name, node)`` per For / LetStmt / Let
+    bound: tuple
+    #: ``(seq, buffer, scalar base, ((stride, count), ...) footprint or
+    #: None — a Store whose vector index is not a ramp —, the
+    #: ``(name, For | LetStmt)`` binders around it)`` per store site
+    sites: tuple
+    #: buffers read: loaded, or named by a call (a store's target aside)
+    loaded: tuple
+    #: Allocate nodes
+    allocs: tuple
+    #: tensor intrinsic calls
+    calls: tuple
+    #: buffers written: stored, allocated, or named by an impure call
+    written: tuple
+    #: ``(target, is_buffer, source expressions)`` per def-use edge: a
+    #: let's value to its name, a store's value and index to its buffer
+    edges: tuple
 
-    visit_LetStmt = visit_For
+
+class KernelFacts(IRVisitor):
+    """What the emitter reads off a statement: one walk, then read-only."""
+
+    def __init__(self, stmt: S.Stmt) -> None:
+        self._rows = _Rows(*([] for _ in _Rows._fields))
+        #: enclosing ``(name, For | LetStmt)`` binders, while walking
+        self._chain: List[tuple] = []
+        #: id of a For / LetStmt -> its body's span of every row, and
+        #: how many binders enclose that body
+        self.spans: Dict[int, tuple] = {}
+        self.visit(stmt)
+        self.whole = _Rows(*map(tuple, self._rows))
+        del self._rows, self._chain
+
+    def rows(self, node=None) -> _Rows:
+        """The facts of ``node``'s body, or of the whole statement."""
+        if node is None:
+            return self.whole
+        start, end, _ = self.spans[id(node)]
+        return _Rows(*(row[a:b] for row, a, b in zip(self.whole, start, end)))
+
+    def varying(self, node, names=(), buffers=()) -> tuple:
+        """The variables and buffers of ``node``'s body (or the whole
+        statement) that vary along a leading axis: ``names`` (lane
+        variables) and ``buffers`` (stacked externals) from the start,
+        then, to a fixpoint, each let whose value and each allocation
+        whose stored value or address reads one of them.  A serial
+        loop's variable and an env value never vary."""
+        rows = self.rows(node)
+        names, buffers = set(names), set(buffers)
+        allocated = {a.name for a in rows.allocs}
+        changed = True
+        while changed:
+            changed = False
+            for target, is_buffer, sources in rows.edges:
+                into = buffers if is_buffer else names
+                if target in into or is_buffer and target not in allocated:
+                    continue
+                if any(_varies(e, names, buffers) for e in sources):
+                    into.add(target)
+                    changed = True
+        return frozenset(names), frozenset(buffers)
+
+    # -- the walk -------------------------------------------------------------
+
+    def visit(self, node):
+        if isinstance(node, E.Expr):
+            return self.scan(node)
+        return super().visit(node)
+
+    def _bind(self, name: str, node) -> None:
+        rows = self._rows
+        rows.bound.append((len(rows.bound) + len(rows.sites), name, node))
+
+    def _site(self, name: str, base: E.Expr, axes) -> None:
+        rows = self._rows
+        rows.sites.append((
+            len(rows.bound) + len(rows.sites), name, base, axes,
+            tuple(self._chain),
+        ))
+
+    def _body(self, node, body: S.Stmt) -> None:
+        self._chain.append((node.name, node))
+        start = tuple(map(len, self._rows))
+        self.visit(body)
+        end = tuple(map(len, self._rows))
+        self.spans[id(node)] = (start, end, len(self._chain))
+        self._chain.pop()
+
+    def visit_For(self, s: S.For) -> None:
+        self._bind(s.name, s)
+        self.visit(s.min_expr)
+        self.visit(s.extent)
+        self._body(s, s.body)
+
+    def visit_LetStmt(self, s: S.LetStmt) -> None:
+        self._bind(s.name, s)
+        self._rows.edges.append((s.name, False, (s.value,)))
+        self.visit(s.value)
+        self._body(s, s.body)
 
     def visit_Store(self, s: S.Store) -> None:
-        self.ref(s.name)
+        rows = self._rows
+        rows.written.append(s.name)
+        rows.edges.append((s.name, True, (s.value, s.index)))
+        index, axes = s.index, []
+        while axes is not None and index.type.lanes > 1:
+            if isinstance(index, E.Ramp):
+                stride = index.stride
+                if isinstance(stride, E.Broadcast):
+                    stride = stride.value
+                axes.append((stride, E.IntImm(index.count)))
+                index = index.base
+            else:
+                axes = None
+        self._site(s.name, index, axes if axes is None else tuple(axes))
         self.generic_visit(s)
 
     def visit_Allocate(self, a: S.Allocate) -> None:
-        self.ref(a.name)
-        head = a.body.stmts[0] if isinstance(a.body, S.Block) else None
-        idx = getattr(head, "index", None)
-        if (
-            isinstance(head, S.Store)
-            and head.name == a.name
-            and _window(head.value) is not None
-            and all(isinstance(e, E.IntImm) for e in a.extents)
-            and isinstance(idx, E.Ramp)
-            and idx.count == math.prod(e.value for e in a.extents)
-            and (idx.base, idx.stride) == (E.IntImm(0), E.IntImm(1))
-        ):
-            self.scratch[a.name] = (a, head.value)
+        self._rows.written.append(a.name)
+        self._rows.allocs.append(a)
         self.generic_visit(a)
 
     def scan(self, e: E.Expr) -> None:
+        """An expression tree, as one flat loop: per-node dispatch
+        would dominate."""
+        rows = self._rows
         for node in _expr_nodes(e):
-            if isinstance(node, E.Let):
-                self.bound.add(node.name)
-            elif isinstance(node, E.Load):
-                self.ref(node.name)
+            if isinstance(node, E.Load):
+                rows.loaded.append(node.name)
+            elif isinstance(node, E.Let):
+                self._bind(node.name, node)
+                rows.edges.append((node.name, False, (node.value,)))
             elif isinstance(node, E.Call):
+                names = [a.value for a in node.args if isinstance(a, E.StringImm)]
+                if not _is_pure(node.name):
+                    rows.written.extend(names)
                 entry = REGISTRY.get(node.name)
-                self.intrinsics |= entry is not None
-                if entry is not None and entry.role == "mac":
-                    self.macs.append(node)
-                for a in node.args:
-                    if isinstance(a, E.StringImm):
-                        self.ref(a.value)
+                if entry is None:
+                    rows.loaded.extend(names)
+                    continue
+                rows.calls.append(node)
+                if entry.role == "store" and isinstance(node.args[0], E.StringImm):
+                    base, stride, height, width = node.args[1:5]
+                    self._site(
+                        names[0], base, ((stride, height), (E.IntImm(1), width))
+                    )
+                    rows.edges.append((names[0], True, node.args[1:]))
+                    names = names[1:]
+                rows.loaded.extend(names)
 
 
-# -- leading-axis analysis -----------------------------------------------------
-#
-# A kernel value may carry one *leading axis*: the batch axis of a
-# batched kernel (compile_batched_stmt), or the lane axis of a
-# data-parallel loop that the per-request emitter runs as one array
-# pass (_Emitter._emit_lanes).  Either way the emitter decides
-# statically, with the one analysis below, which values vary along it.
-
-
-def _expr_batched(e: E.Expr, stacked, var_batched: Dict[str, bool]) -> bool:
-    """Does ``e`` vary along the leading axis?
-
-    An expression varies iff it transitively reads a stacked buffer or
-    a varying variable — a lane loop's own variable, or a let bound to
-    a varying value.  Serial loop variables and env-sourced scalars
-    are shared; intrinsic *stores* return a shared scalar zero whatever
-    their operands.
-    """
-    if isinstance(e, E.Variable):
-        return var_batched.get(e.name, False)
-    if isinstance(e, E.Load):
-        if e.name in stacked:
-            return True
-        return _expr_batched(e.index, stacked, var_batched)
-    if isinstance(e, E.Let):
-        value_b = _expr_batched(e.value, stacked, var_batched)
-        saved = var_batched.get(e.name)
-        var_batched[e.name] = value_b
-        try:
-            return _expr_batched(e.body, stacked, var_batched)
-        finally:
-            if saved is None:
-                var_batched.pop(e.name, None)
-            else:
-                var_batched[e.name] = saved
-    if isinstance(e, E.Call):
-        if role_of(e.name) == "store":
-            return False
-        if any(
-            isinstance(a, E.StringImm) and a.value in stacked for a in e.args
-        ):
-            return True
-        return any(
-            _expr_batched(a, stacked, var_batched)
-            for a in e.args
-            if not isinstance(a, E.StringImm)
-        )
-    return any(
-        _expr_batched(child, stacked, var_batched) for child in e.children()
-    )
-
-
-def _batched_allocations(
-    stmt: S.Stmt, stacked_external, varying=()
-) -> frozenset:
-    """Widen Allocate scopes with the leading axis where needed.
-
-    Fixpoint over the statement: an allocated buffer becomes *stacked*
-    as soon as any value stored into it (plain Store or a store
-    intrinsic's tile operand), or the address it is stored at, varies.
-    Everything else — weight staging, shuffle-operand scratch — stays
-    shared.  ``varying`` names the variables that vary from the start
-    (a lane loop's).  Returns the full stacked set (externals plus
-    promoted allocations).
-    """
-    stacked = set(stacked_external)
-    allocated: Set[str] = set()
-    vb: Dict[str, bool] = dict.fromkeys(varying, True)
-
-    class Promote(_StmtVisitor):
-        changed = False
-
-        def mark(self, name: str, exprs) -> None:
-            if (
-                name in allocated
-                and name not in stacked
-                and any(_expr_batched(e, stacked, vb) for e in exprs)
-            ):
-                stacked.add(name)
-                self.changed = True
-
-        def scoped(self, name: str, varies: bool, body) -> None:
-            saved = vb.get(name)
-            vb[name] = varies
-            self.visit(body)
-            if saved is None:
-                vb.pop(name, None)
-            else:
-                vb[name] = saved
-
-        def visit_Allocate(self, s: S.Allocate) -> None:
-            allocated.add(s.name)
-            self.generic_visit(s)
-
-        def visit_For(self, s: S.For) -> None:
-            self.scoped(s.name, False, s.body)
-
-        def visit_LetStmt(self, s: S.LetStmt) -> None:
-            self.scan(s.value)
-            self.scoped(s.name, _expr_batched(s.value, stacked, vb), s.body)
-
-        def visit_Store(self, s: S.Store) -> None:
-            self.mark(s.name, (s.value, s.index))
-            self.generic_visit(s)
-
-        def scan(self, e: E.Expr) -> None:
-            for call in _expr_calls(e):
-                if role_of(call.name) == "store" and isinstance(
-                    call.args[0], E.StringImm
-                ):
-                    self.mark(call.args[0].value, call.args[1:])
-
-    while True:
-        walk = Promote()
-        walk.visit(stmt)
-        if not walk.changed:
-            return frozenset(stacked)
+def _varies(e: E.Expr, names, buffers) -> bool:
+    """Does ``e`` read a variable in ``names`` or a buffer in
+    ``buffers``?  A store intrinsic returns a shared scalar zero,
+    whatever it reads."""
+    if isinstance(e, E.Call) and role_of(e.name) == "store":
+        return False
+    return not (names.isdisjoint(e.free_vars) and buffers.isdisjoint(e.buffers))
 
 
 # -- lane legality -------------------------------------------------------------
@@ -582,91 +553,9 @@ def _constant_coefs(e: E.Expr, names) -> Dict[str, int]:
     return coefs
 
 
-class _BodyFacts(_StmtVisitor):
-    """What :func:`_prove_lanes` reads off a lane loop's body."""
-
-    def __init__(self, dims: Dict[str, int]) -> None:
-        self.dims = dims
-        #: extent of every variable in scope that a store address may
-        #: be affine in (None: bound, but with no constant range)
-        self.extents: Dict[str, Optional[int]] = dict(dims)
-        self.allocated: Set[str] = set()
-        self.loaded: Set[str] = set()
-        #: names bound by an expression-level Let anywhere in the body
-        self.opaque: Set[str] = set()
-        #: buffer -> [(scalar base, ((stride, count), ...) footprint,
-        #: the extents in scope at the site)]
-        self.sites: Dict[str, list] = {}
-
-    def site(self, name: str, base: E.Expr, axes: tuple) -> None:
-        self.sites.setdefault(name, []).append(
-            (base, axes, dict(self.extents))
-        )
-
-    def scoped(self, node, extent: Optional[int]) -> None:
-        if node.name in self.dims:
-            raise CodegenError(f"body rebinds lane variable {node.name!r}")
-        outer = self.extents.get(node.name, self)
-        self.extents[node.name] = extent
-        self.generic_visit(node)
-        if outer is self:
-            del self.extents[node.name]
-        else:
-            self.extents[node.name] = outer
-
-    def scan(self, e: E.Expr) -> None:
-        for node in _expr_nodes(e):
-            if isinstance(node, E.Load):
-                self.loaded.add(node.name)
-            elif isinstance(node, E.Let):
-                self.opaque.add(node.name)
-            elif isinstance(node, E.Call):
-                names = [
-                    a.value for a in node.args if isinstance(a, E.StringImm)
-                ]
-                if role_of(node.name) == "store" and names:
-                    base, stride, rows, cols = node.args[1:5]
-                    self.site(
-                        names.pop(0),
-                        base,
-                        ((stride, rows), (E.IntImm(1), cols)),
-                    )
-                self.loaded.update(names)
-
-    def visit_LetStmt(self, node: S.LetStmt) -> None:
-        self.scoped(node, None)
-
-    def visit_Allocate(self, node: S.Allocate) -> None:
-        self.allocated.add(node.name)
-        self.generic_visit(node)
-
-    def visit_For(self, node: S.For) -> None:
-        extent = None
-        if self.extents.keys().isdisjoint(node.min_expr.free_vars):
-            if node.kind is ForKind.GPU_LANE:
-                extent = 1
-            elif isinstance(node.extent, E.IntImm):
-                extent = node.extent.value
-        self.scoped(node, extent)
-
-    def visit_Store(self, node: S.Store) -> None:
-        index, axes = node.index, []
-        while index.type.lanes > 1:
-            if not isinstance(index, E.Ramp):
-                raise CodegenError(
-                    f"store index into {node.name!r} is not a ramp"
-                )
-            stride = index.stride
-            if isinstance(stride, E.Broadcast):
-                stride = stride.value
-            axes.append((stride, E.IntImm(index.count)))
-            index = index.base
-        self.site(node.name, index, tuple(axes))
-        self.generic_visit(node)
-
-
-def _prove_lanes(dims: Dict[str, int], body: S.Stmt) -> Dict[str, tuple]:
-    """Prove ``body`` may run once with ``dims`` (name -> extent) as lanes.
+def _prove_lanes(dims: Dict[str, int], facts, loop: S.For) -> Dict[str, tuple]:
+    """Prove the body of lane nest ``loop`` may run once with ``dims``
+    (name -> extent) as lanes.
 
     Iterations of the loop nest can only interact through buffers, so
     it is enough that every buffer the body stores is either allocated
@@ -678,20 +567,49 @@ def _prove_lanes(dims: Dict[str, int], body: S.Stmt) -> Dict[str, tuple]:
     :func:`lanes_disjoint` terms per such buffer; raises
     :class:`CodegenError` naming the obstacle otherwise.
     """
-    facts = _BodyFacts(dims)
-    facts.visit(body)
+    rows = facts.rows(loop)
+    obstacles = [
+        (seq, f"body rebinds lane variable {name!r}")
+        for seq, name, node in rows.bound
+        if name in dims and not isinstance(node, E.Let)
+    ] + [
+        (seq, f"store index into {name!r} is not a ramp")
+        for seq, name, _, axes, _ in rows.sites
+        if axes is None
+    ]
+    if obstacles:
+        raise CodegenError(min(obstacles)[1])
+    allocated, loaded = {a.name for a in rows.allocs}, set(rows.loaded)
+    #: an expression-level let has no constant range
+    opaque = dict.fromkeys(n for _, n, node in rows.bound if isinstance(node, E.Let))
+    sites: Dict[str, list] = {}
+    for site in rows.sites:
+        sites.setdefault(site[1], []).append(site)
     proved: Dict[str, tuple] = {}
-    for name, found in facts.sites.items():
-        if name in facts.allocated:
+    for name, found in sites.items():
+        if name in allocated:
             continue
-        if name in facts.loaded:
+        if name in loaded:
             raise CodegenError(
                 f"body loads {name!r}, which another lane stores"
             )
         if len(found) > 1:
             raise CodegenError(f"{len(found)} store sites into {name!r}")
-        base, axes, extents = found[0]
-        extents.update(dict.fromkeys(facts.opaque))  # no constant range
+        _, _, base, axes, chain = found[0]
+        # every variable in scope at the site the address may be affine
+        # in: None where it has no constant range
+        extents: Dict[str, Optional[int]] = dict(dims)
+        for var, node in chain[facts.spans[id(loop)][2]:]:
+            extent = None
+            if isinstance(node, S.For) and extents.keys().isdisjoint(
+                node.min_expr.free_vars
+            ):
+                if node.kind is ForKind.GPU_LANE:
+                    extent = 1
+                elif isinstance(node.extent, E.IntImm):
+                    extent = node.extent.value
+            extents[var] = extent
+        extents.update(opaque)
         if not all(
             isinstance(stride, E.IntImm) and isinstance(count, E.IntImm)
             for stride, count in axes
@@ -701,7 +619,7 @@ def _prove_lanes(dims: Dict[str, int], body: S.Stmt) -> Dict[str, tuple]:
             base,
             lambda n: isinstance(n, E.Call)
             or isinstance(n, E.Load)
-            and (n.name in facts.allocated or n.name in facts.sites),
+            and (n.name in allocated or n.name in sites),
         ):
             raise CodegenError(f"data-dependent store into {name!r}")
         coefs = _constant_coefs(base, extents.keys())
@@ -720,6 +638,19 @@ def _prove_lanes(dims: Dict[str, int], body: S.Stmt) -> Dict[str, tuple]:
             raise CodegenError(f"lane store footprints into {name!r} overlap")
         proved[name] = tuple(terms)
     return proved
+
+
+def _constant(loop: S.For) -> bool:
+    return isinstance(loop.min_expr, E.IntImm) and isinstance(
+        loop.extent, E.IntImm
+    )
+
+
+def _row(loop: S.For, status: str) -> tuple:
+    """``loop``'s :attr:`CompiledKernel.loops` row."""
+    extent = loop.extent
+    extent = extent.value if isinstance(extent, E.IntImm) else print_expr(extent)
+    return (loop.name, extent, status)
 
 
 # -- the emitter ---------------------------------------------------------------
@@ -742,8 +673,9 @@ class _Emitter:
         self.obj_locals: Dict[str, str] = {}
         #: external buffer name -> python local for its store transform
         self.wrap_locals: Dict[str, str] = {}
-        #: names introduced by an enclosing Allocate (not preamble-bound)
-        self.allocated: Set[str] = set()
+        #: buffer introduced by an enclosing Allocate (not preamble-bound)
+        #: -> its element dtype, for bf16 store rounding
+        self.allocated: Dict[str, object] = {}
         #: buffer names that must be bound from ``buffers`` in the preamble
         self.ext_data: List[str] = []
         self.ext_obj: List[str] = []
@@ -752,16 +684,14 @@ class _Emitter:
         self.needs_interp = False
         #: inside a statement that may mutate buffers mid-expression
         self.copy_views = False
-        #: element dtype of enclosing Allocates, for bf16 store rounding
-        self._alloc_dtypes: Dict[str, object] = {}
         #: python local holding the leading axis' length while one is
         #: live (a lane loop's chunk, a batched kernel's ``_B``)
         self.lead: Optional[str] = None
         #: buffers holding ``[lead, size]`` data: every access gains
-        #: the leading axis (``data[:, index]``)
+        #: the leading axis (``data[:, index]``); the variables that
+        #: vary along it (:meth:`KernelFacts.varying`)
         self.stacked: frozenset = frozenset()
-        #: IR variable name -> varies along the leading axis?
-        self.var_batched: Dict[str, bool] = {}
+        self.varying: frozenset = frozenset()
         #: inside a lane loop: shared buffer -> lanes_disjoint terms of
         #: its per-lane store.  None elsewhere — a batched kernel's
         #: leading axis is the batch, which addresses nothing per row
@@ -773,38 +703,34 @@ class _Emitter:
         #: operand reaches the core in its buffer's narrow elements,
         #: else why it is widened first (see ``_operand_width``)
         self.macs: List[tuple] = []
-        self.written = _written(stmt)
+        #: shared, never changed (a rolled-back lane attempt keeps it)
+        self.facts = KernelFacts(stmt)
+        self.written = frozenset(self.facts.whole.written)
         #: (isa, buffer) -> (source, exact, preamble line) (``_widen``)
         self.widened: Dict[tuple, tuple] = {}
         #: while a hoisted loop nest is emitted: id of a MAC operand node
-        #: -> (its preheader stack, that stack's per-iteration read); id
-        #: of a shuffle scratch Allocate -> the stack that replaces it
-        self.hoisted: Dict[int, tuple] = {}
-        self.elided: Dict[int, str] = {}
+        #: -> its read of a preheader stack; id of a shuffle scratch
+        #: Allocate -> the line binding that read in its place
+        self.hoisted: Dict[int, str] = {}
         #: in a lane loop: lane variable -> its value per lane of the grid
         self.lane_index: Dict[str, np.ndarray] = {}
 
     def batched(self, e: E.Expr) -> bool:
         """Does ``e`` vary along the live leading axis (if any)?"""
-        if self.lead is None:
-            return False
-        return _expr_batched(e, self.stacked, self.var_batched)
+        return self.lead is not None and _varies(e, self.varying, self.stacked)
 
     @contextmanager
-    def bind(self, name: str, local: str, varying: bool = False):
+    def bind(self, name: str, local: str):
         """Scope IR variable ``name`` to python ``local`` for a suite."""
-        tables = (self.scope, self.var_batched)
-        saved = [table.get(name) for table in tables]
+        saved = self.scope.get(name)
         self.scope[name] = local
-        self.var_batched[name] = varying
         try:
             yield
         finally:
-            for table, old in zip(tables, saved):
-                if old is None:
-                    table.pop(name, None)
-                else:
-                    table[name] = old
+            if saved is None:
+                self.scope.pop(name, None)
+            else:
+                self.scope[name] = saved
 
     # -- small utilities ----------------------------------------------------
 
@@ -1033,11 +959,10 @@ class _Emitter:
         return f"np.concatenate(({', '.join(parts)},))[{indices}]"
 
     def _emit_Let(self, e: E.Let) -> str:
-        varying = self.batched(e.value)
         value = self.emit(e.value)
         local = self.fresh("v")
         self.line(f"{local} = {value}")
-        with self.bind(e.name, local, varying):
+        with self.bind(e.name, local):
             return self.emit(e.body)
 
     def _emit_Load(self, e: E.Load) -> str:
@@ -1128,7 +1053,9 @@ class _Emitter:
                 settled = _settled(entry.isa, e)
             args, exact = ["_arena"], ["False", "False"]
             for i, a in enumerate(e.args):
-                if isinstance(a, E.StringImm):
+                if id(a) in self.hoisted:  # read from its preheader stack
+                    args.append(self.hoisted[id(a)])
+                elif isinstance(a, E.StringImm):
                     args.append(source or self.buf_obj(a.value))
                 elif i in slots:
                     widened = ""
@@ -1164,17 +1091,14 @@ class _Emitter:
     def _settled_mac(self, isa, dims, e: E.Call, args, exact) -> str:
         """``isa``'s exact core straight on shaped operands, for a MAC
         whose ``(m, n, k)`` is legal and constant (:func:`_settled`):
-        checked here, once.  A hoisted operand reads its preheader stack
-        (:attr:`hoisted`), shaped and exact already, unless that is
-        None: then its tile is cut as ever."""
+        checked here, once.  A hoisted operand's read of its preheader
+        stack (:attr:`hoisted`) is shaped and exact already."""
         (m, n, k), g, isa_c, operands = dims, isa.group, self.const(isa), []
         for a, text, flag, (rows, cols) in zip(
             e.args[1:3], args[2:4], exact, ((m, k), (k // g, g * n))
         ):
-            text = f"{isa_c}.shaped({text}, {rows}, {cols}, {flag})"
-            if id(a) in self.hoisted:
-                stack, read = self.hoisted[id(a)]
-                text = f"({read} if {stack} is not None else {text})"
+            if id(a) not in self.hoisted:
+                text = f"{isa_c}.shaped({text}, {rows}, {cols}, {flag})"
             operands.append(text)
         out = (
             f"{self.const(isa.mac_core)}(_tiles({args[1]}, {m}, {n}),"
@@ -1188,9 +1112,8 @@ class _Emitter:
         """``step`` when per-lane ``base`` is provably ``bases[0] + step *
         lane``: affine in lane variables whose grid values are affine in
         the lane."""
-        varying = {name for name, v in self.var_batched.items() if v}
         try:
-            coefs = _constant_coefs(base, varying)
+            coefs = _constant_coefs(base, self.varying)
             lanes = [c * self.lane_index[n] for n, c in coefs.items() if c]
             steps = np.diff(sum(lanes))
         except (CodegenError, KeyError, ValueError):  # not affine in lanes
@@ -1209,7 +1132,7 @@ class _Emitter:
             return "bf16 is stored as float32"
         if not direct:
             return "not a direct load"
-        dtype = self._alloc_dtypes.get(a.args[0].value)
+        dtype = self.allocated.get(a.args[0].value)
         if dtype is not None and dtype.to_numpy() != isa.narrow:
             return f"buffer is {dtype}"
         return "narrow"
@@ -1293,7 +1216,7 @@ class _Emitter:
 
     def _env_dict(self, e: E.Expr) -> str:
         entries = []
-        for name in sorted(free_variables(e)):
+        for name in sorted(e.free_vars):
             local = self.scope.get(name)
             if local is None:
                 local = self._emit_Variable(E.Variable(name))
@@ -1319,7 +1242,7 @@ class _Emitter:
         self.emit_stmt(stmt.body)
 
     def _exec_Evaluate(self, stmt: S.Evaluate) -> None:
-        if not any(True for _ in _expr_calls(stmt.value)):
+        if not any(isinstance(n, E.Call) for n in _expr_nodes(stmt.value)):
             return  # pure expression, no effect
         self.copy_views = _has_impure_call(stmt.value)
         code = self.emit(stmt.value)
@@ -1344,8 +1267,7 @@ class _Emitter:
             # bare self-copy: avoid overlapping-view assignment hazards
             value = f"np.array({value})"
         if stmt.name in self.allocated:
-            dtype = self._alloc_dtypes.get(stmt.name)
-            if dtype is not None and dtype.code is TypeCode.BFLOAT:
+            if self.allocated[stmt.name].code is TypeCode.BFLOAT:
                 value = f"_bf16({value})"
         else:
             value = f"{self.store_wrap(stmt.name)}({value})"
@@ -1405,99 +1327,101 @@ class _Emitter:
         it, all of constant bounds.  Each tile operand its MACs read
         from an input the kernel never writes, and each weight shuffle
         its scratch tiles carry, becomes one stack over every iteration,
-        built in the preheader; the iterations read it.  A stack that
-        fails its run-time range check is None, and that operand's
-        iterations cut their tiles (and fill their scratch) as ever — so
-        they raise where they always have, after the same partial
-        writes.  Records one :attr:`loops` row per loop of the nest.
-        False (nothing hoisted): one row, for ``stmt``, which the caller
-        emits plain; each inner loop is analysed on its own when emitted.
+        built in the preheader; the iterations read it with ``[ix]``.
+        Where a stack's one view cannot be built, its ``[ix]`` cuts that
+        iteration's tile as the per-tile loop does (see
+        :class:`~repro.targets.isa.PerIteration`) — so it raises where it
+        always has, after the same partial writes.  Records one
+        :attr:`loops` row per loop of the nest.  False (nothing
+        hoisted): one row, for ``stmt``, which the caller emits plain;
+        each inner loop is decided on its own when emitted.
         """
-        facts = _NestFacts()
-        facts.visit(stmt.body)
-        if not facts.intrinsics:
+        rows = self.facts.rows(stmt)
+        if not rows.calls:
             return False  # not a block loop
-
-        def constant(loop: S.For) -> bool:
-            return isinstance(loop.min_expr, E.IntImm) and isinstance(
-                loop.extent, E.IntImm
-            )
-
-        nest, first = [stmt], len(self.loops)
+        nest, first, saved = [stmt], len(self.loops), dict(self.hoisted)
         stacks, reasons = [], ["symbolic loop bounds"]
-        if constant(stmt):
+        if _constant(stmt):
             while (
                 isinstance(nest[-1].body, S.For)
                 and nest[-1].body.kind in (ForKind.SERIAL, ForKind.UNROLLED)
-                and constant(nest[-1].body)
+                and _constant(nest[-1].body)
             ):
                 nest.append(nest[-1].body)
             xs = [self.fresh("x") for _ in nest]
-            stacks, reasons = self._plan_stacks(nest, xs, facts)
+            stacks, reasons = self._plan_stacks(nest, xs, rows)
         status = "; ".join(reasons) or "nothing to hoist"
         if stacks:
-            hoisted = f"hoisted: {', '.join(s[2] for s in stacks)}"
-            status = "; ".join([hoisted] + reasons)
-            saved = dict(self.hoisted), dict(self.elided)
-            for local, expr, _, reads, scratch in stacks:
-                self.line(f"{local} = {expr}")
-                self.hoisted.update(reads)
-                self.elided.update(dict.fromkeys(scratch, local))
+            status = "; ".join([f"hoisted: {', '.join(stacks)}"] + reasons)
             self._emit_loops(nest, xs)
-            self.hoisted, self.elided = saved
+        self.hoisted = saved
         self.loops[first:first] = [
-            (loop.name, loop.extent.value if constant(loop)
-             else print_expr(loop.extent), f"serial, {status}")
+            _row(loop, f"serial, {status}")
             for loop in (nest if stacks else nest[:1])
         ]
         return bool(stacks)
 
-    def _plan_stacks(self, nest: List[S.For], xs, facts: _NestFacts) -> tuple:
-        """The preheader stacks of a serial nest with loop variables
-        ``xs`` — ``(local, expression, label, {id(MAC operand): (local,
-        its per-iteration read)}, ids of the Allocates it replaces)``
-        each —
-        and why each other read-only MAC operand stays per tile."""
+    def _plan_stacks(self, nest: List[S.For], xs, rows: _Rows) -> tuple:
+        """Bind the preheader stacks of a serial nest with loop variables
+        ``xs`` and facts ``rows``, and their reads in :attr:`hoisted`;
+        returns their labels, and why each other read-only MAC operand
+        stays per tile."""
         ix = ", ".join(
             x if not loop.min_expr.value else f"{x} - {loop.min_expr.value}"
             for x, loop in zip(xs, nest)
         )
+        bound = {name for _, name, _ in rows.bound}
+        fills = {
+            a.name: (a, _window_fill(a)) for a in rows.allocs if _window_fill(a)
+        }
         stacks, reasons, scratch = [], [], {}
-        for mac in facts.macs:
-            isa = REGISTRY[mac.name].isa
-            dims = _settled(isa, mac)
+        for mac in rows.calls:
+            entry = REGISTRY[mac.name]
+            if entry.role != "mac":
+                continue
+            dims = _settled(entry.isa, mac)
             if dims is None:
                 reasons.append("MAC shape not settled")
                 continue
-            (m, n, k), g = dims, isa.group
+            (m, n, k), g = dims, entry.isa.group
             for a, shape in zip(mac.args[1:3], ((m, k), (k // g, g * n))):
-                name = a.args[0].value if _direct_load(isa, a) else None
-                if name in facts.scratch:
-                    scratch.setdefault(name, []).append((a, shape, isa))
+                name = a.args[0].value if _direct_load(entry.isa, a) else None
+                if name in fills:
+                    scratch.setdefault(name, []).append((a, shape, entry.isa))
                 elif name is not None and name not in self.written:
                     try:
-                        stacks.append(self._tile_stack(isa, a, shape, nest, facts, ix))
+                        stacks.append(self._tile_stack(
+                            entry.isa, a, shape, nest, bound, ix
+                        ))
                     except CodegenError as exc:
                         reasons.append(f"{name}: {exc}")
         for name, loads in scratch.items():
             try:
-                stacks.append(self._shuffle_stack(name, loads, nest, facts, ix))
+                # written by its Allocate and fill alone, read by these
+                # MAC operands alone
+                if (rows.written.count(name), rows.loaded.count(name)) != (
+                    2, len(loads)
+                ):
+                    raise CodegenError("scratch is read other than by MAC operands")
+                stacks.append(
+                    self._shuffle_stack(*fills[name], loads, nest, bound, ix)
+                )
             except CodegenError as exc:
                 reasons.append(f"{name}: {exc}")
         return stacks, reasons
 
-    def _tile_stack(self, isa, load: E.Call, shape, nest, facts, ix) -> tuple:
-        """One strided view over every iteration's tile of a read-only
-        MAC input (see :func:`repro.targets.isa.tile_view`), built when
-        the input is widened exact; each iteration copies its tile."""
+    def _tile_stack(self, isa, load: E.Call, shape, nest, bound, ix) -> tuple:
+        """Every iteration's tile of a read-only MAC input at once
+        (:meth:`~repro.targets.isa.TileISA.stack`); each iteration
+        copies its own."""
         base, stride, *dims = load.args[1:5]
         if tuple(getattr(d, "value", None) for d in dims) != shape:
             raise CodegenError("tile shape is not the MAC operand's")
         names = {loop.name for loop in nest}
         if self.batched(stride) or not names.isdisjoint(stride.free_vars):
             raise CodegenError("row stride varies")
-        _invariant(stride, names, facts.bound)
-        first, outer = self._iterations(base, nest, facts.bound)
+        _invariant(stride, names, bound)
+        first, outer = self._iterations(base, nest, bound)
         if self.batched(base):  # per-lane bases, as a (bases, step) pair
             step = None
             if load.args[0].value not in self.stacked:
@@ -1507,21 +1431,19 @@ class _Emitter:
             first = f"({first}, {step})"
         source, exact = self._widen(isa, load)
         local = self.fresh("h")
-        expr = (
-            f"_stack({source}, {first}, {self.emit(stride)}, {shape[0]},"
-            f" {shape[1]}, {outer}) if {exact} else None"
+        self.line(
+            f"{local} = {self.const(isa)}.stack(_arena, {source}, {exact},"
+            f" {first}, {self.emit(stride)}, {shape[0]}, {shape[1]}, {outer})"
         )
-        label = f"{load.args[0].value} tile stack"
-        return local, expr, label, {id(load): (local, f"{local}[{ix}].copy()")}, ()
+        self.hoisted[id(load)] = f"{local}[{ix}].copy()"
+        return f"{load.args[0].value} tile stack"
 
-    def _shuffle_stack(self, name: str, loads, nest, facts, ix) -> tuple:
-        """The MAC operands the window shuffle filling scratch ``name``
-        makes, for every iteration at once (:func:`~repro.hardboiled.
-        intrinsics.window_stack`); the scratch Allocate then goes."""
-        alloc, call = facts.scratch[name]
+    def _shuffle_stack(self, alloc, call, loads, nest, bound, ix) -> tuple:
+        """The MAC operands the window shuffle ``call`` filling scratch
+        ``alloc`` makes, for every iteration at once (:func:`~repro.
+        hardboiled.intrinsics.window_stack`): each iteration binds its
+        own in place of the scratch's take, fill and give."""
         src, base, *geometry = call.args[:6]
-        if facts.refs[name] != 2 + len(loads):
-            raise CodegenError("scratch is read other than by MAC operands")
         if not all(isinstance(x, E.IntImm) for x in geometry):
             raise CodegenError("symbolic shuffle geometry")
         rows, cols, taps, param = (x.value for x in geometry)
@@ -1538,19 +1460,20 @@ class _Emitter:
                 and lrows.value * lcols.value == rows * cols
             ):
                 raise CodegenError("scratch is not read whole")
-        first, outer = self._iterations(base, nest, facts.bound)
-        local = self.fresh("h")
+        first, outer = self._iterations(base, nest, bound)
+        local, tile = self.fresh("h"), self.fresh("t")
         core = self.const(
             partial(_shuffles.window_stack, _window(call))
         )
-        expr = (
-            f"{core}(_arena, {self.const(isa)},"
+        self.line(
+            f"{local} = {core}(_arena, {self.const(isa)},"
             f" {self.const(alloc.dtype.element_of())},"
             f" {self.buf_obj(src.value)}, {first}, {outer}, {rows}, {cols},"
             f" {taps}, {param})"
         )
-        texts = {id(load): (local, f"{local}[{ix}]") for load, *_ in loads}
-        return local, expr, f"{src.value} shuffle stack", texts, (id(alloc),)
+        self.hoisted.update((id(load), tile) for load, *_ in loads)
+        self.hoisted[id(alloc)] = f"{tile} = {local}[{ix}]"
+        return f"{src.value} shuffle stack"
 
     def _iterations(self, base: E.Expr, nest, bound) -> tuple:
         """``base`` at the nest's first iteration, and its ``(count,
@@ -1586,16 +1509,9 @@ class _Emitter:
         is recorded in :attr:`loops`, and the caller emits the Python
         loop (whose inner block loops then get their own attempt).
         """
-
-        def row(loop: S.For, status: str) -> tuple:
-            extent = loop.extent
-            if isinstance(extent, E.IntImm):
-                return (loop.name, extent.value, status)
-            return (loop.name, print_expr(extent), status)
-
         if self.lead is not None:
             # a value carries one leading axis: the batch, or outer lanes
-            self.loops.append(row(stmt, "leading axis already taken"))
+            self.loops.append(_row(stmt, "leading axis already taken"))
             return False
         nest = [stmt]
         while (
@@ -1620,9 +1536,9 @@ class _Emitter:
                     value.clear()
                     value.update(contents)
                 setattr(self, key, value)
-            self.loops.append(row(stmt, str(exc)))
+            self.loops.append(_row(stmt, str(exc)))
             return False
-        self.loops[first:first] = [row(loop, "lanes") for loop in nest]
+        self.loops[first:first] = [_row(loop, "lanes") for loop in nest]
         return True
 
     def _emit_lanes(self, nest: List[S.For]) -> None:
@@ -1638,18 +1554,15 @@ class _Emitter:
         """
         dims: Dict[str, int] = {}
         for loop in nest:
-            if not (
-                isinstance(loop.min_expr, E.IntImm)
-                and isinstance(loop.extent, E.IntImm)
-            ):
+            if not _constant(loop):
                 raise CodegenError("symbolic loop bounds")
             dims[loop.name] = loop.extent.value
         total = math.prod(dims.values())
         if total < 2:
             raise CodegenError("fewer than two iterations")
         body = nest[-1].body
-        self.proved = _prove_lanes(dims, body)
-        self.stacked = _batched_allocations(body, (), dims)
+        self.proved = _prove_lanes(dims, self.facts, nest[-1])
+        self.varying, self.stacked = self.facts.varying(nest[-1], dims)
         chunk = self.fresh("l")
         self.line(f"for {chunk} in range(0, {total}, _LANES):")
         with self.block(), ExitStack() as bound:
@@ -1662,24 +1575,24 @@ class _Emitter:
                 self.line(
                     f"{var} = {self.const(index)}[{chunk}:{chunk} + _LANES]"
                 )
-                bound.enter_context(self.bind(loop.name, var, True))
+                bound.enter_context(self.bind(loop.name, var))
             self.lead = self.fresh("n")
             self.line(f"{self.lead} = len({var})")
             self.emit_stmt(body)
-        self.lead, self.stacked, self.proved = None, frozenset(), None
+        self.lead, self.proved = None, None
+        self.varying = self.stacked = frozenset()
         self.lane_index.clear()
 
     def _exec_LetStmt(self, stmt: S.LetStmt) -> None:
-        varying = self.batched(stmt.value)
         local = self.fresh("v")
         # a let may hold a view of a buffer its body writes: snapshot
         # it, as the interpreter's value is
         loads = {n.name for n in _expr_nodes(stmt.value) if isinstance(n, E.Load)}
-        self.copy_views = bool(loads) and not loads.isdisjoint(_written(stmt.body))
+        self.copy_views = not loads.isdisjoint(self.facts.rows(stmt).written)
         value = self.emit(stmt.value)
         self.copy_views = False
         self.line(f"{local} = {value}")
-        with self.bind(stmt.name, local, varying):
+        with self.bind(stmt.name, local):
             self.emit_stmt(stmt.body)
 
     def _exec_IfThenElse(self, stmt: S.IfThenElse) -> None:
@@ -1693,50 +1606,36 @@ class _Emitter:
             with self.block():
                 self.emit_stmt(stmt.else_case)
 
-    @contextmanager
-    def _unless(self, stack: Optional[str]):
-        """A suite that runs only while preheader ``stack`` is None (an
-        unconditional one without a stack)."""
-        if stack is None:
-            yield
-            return
-        self.line(f"if {stack} is None:")
-        with self.block():
-            yield
-
     def _exec_Allocate(self, stmt: S.Allocate) -> None:
-        # a shuffle scratch a stack replaces is taken, filled and given
-        # back only when that stack is None
-        stack = self.elided.get(id(stmt))
-        body = list(stmt.body.stmts) if stack else [stmt.body]
         if any(self.batched(e) for e in stmt.extents):
             raise CodegenError("batched allocation extents")
         name = stmt.name
-        was_allocated = name in self.allocated
-        self.allocated.add(name)
-        saved_dtype = self._alloc_dtypes.get(name)
-        self._alloc_dtypes[name] = stmt.dtype.element_of()
-        obj = self.buf_obj(name)
-        data = self.buf_data(name)
-        saved = self.fresh("s")
-        extents = ", ".join(self.emit(e) for e in stmt.extents)
-        dtype = self.const(stmt.dtype.element_of())
-        memtype = self.const(stmt.memory_type)
-        take = f"_arena, {name!r}, {dtype}, ({extents},), {memtype}"
-        if name in self.stacked:
-            take = f"_take_b({take}, {self.lead})"
+        saved_dtype = self.allocated.get(name)
+        self.allocated[name] = stmt.dtype.element_of()
+        read = self.hoisted.get(id(stmt))
+        if read is not None:
+            # a shuffle scratch: its stack's operand for this iteration,
+            # in place of the take, the fill and the give
+            self.line(read)
+            for part in stmt.body.stmts[1:]:
+                self.emit_stmt(part)
         else:
-            take = f"_take({take})"
-        with self._unless(stack):
+            obj = self.buf_obj(name)
+            data = self.buf_data(name)
+            saved = self.fresh("s")
+            extents = ", ".join(self.emit(e) for e in stmt.extents)
+            dtype = self.const(stmt.dtype.element_of())
+            memtype = self.const(stmt.memory_type)
+            take = f"_arena, {name!r}, {dtype}, ({extents},), {memtype}"
+            if name in self.stacked:
+                take = f"_take_b({take}, {self.lead})"
+            else:
+                take = f"_take({take})"
             self.line(f"{saved} = buffers.get({name!r})")
             self.line(f"{obj} = {take}")
             self.line(f"buffers[{name!r}] = {obj}")
             self.line(f"{data} = {obj}.data")
-            if stack:
-                self.emit_stmt(body.pop(0))
-        for part in body:
-            self.emit_stmt(part)
-        with self._unless(stack):
+            self.emit_stmt(stmt.body)
             self.line(f"_give(_arena, {obj})")
             self.line(f"if {saved} is None:")
             with self.block():
@@ -1746,12 +1645,10 @@ class _Emitter:
                 self.line(f"buffers[{name!r}] = {saved}")
                 self.line(f"{obj} = {saved}")
                 self.line(f"{data} = {saved}.data")
-        if not was_allocated:
-            self.allocated.discard(name)
         if saved_dtype is None:
-            self._alloc_dtypes.pop(name, None)
+            del self.allocated[name]
         else:
-            self._alloc_dtypes[name] = saved_dtype
+            self.allocated[name] = saved_dtype
 
     # -- assembly ------------------------------------------------------------
 
@@ -1775,6 +1672,12 @@ class _Emitter:
             ["def _kernel(buffers, env, _interp, _arena):"] + preamble + body
         )
 
+    def kernel(self, key: str, label: str = "kernel") -> "CompiledKernel":
+        return _load_kernel(
+            self.source(), self.globals, key, self.needs_interp, self.loops,
+            self.macs, label,
+        )
+
 
 #: helper functions available inside every kernel
 _HELPER_GLOBALS = {
@@ -1788,7 +1691,6 @@ _HELPER_GLOBALS = {
     "_idx": _idx,
     "_cast_f": _cast_f,
     "_cast_i": _cast_i,
-    "_Buffer": Buffer,
     "_store_wrap": _store_wrap,
     "_take": _take,
     "_give": _give,
@@ -1799,7 +1701,6 @@ _HELPER_GLOBALS = {
     "_take_b": _take,
     "_LANES": _LANES,
     "_tiles": _tiles,
-    "_stack": tile_view,
     "_gather": tile_gather,
     "_scatter": tile_scatter,
 }
@@ -1893,14 +1794,7 @@ def compile_stmt(stmt: S.Stmt, key: str = "") -> CompiledKernel:
     emitter = _Emitter(stmt)
     try:
         emitter.emit_stmt(stmt)
-        return _load_kernel(
-            emitter.source(),
-            emitter.globals,
-            key,
-            emitter.needs_interp,
-            emitter.loops,
-            emitter.macs,
-        )
+        return emitter.kernel(key)
     except CodegenError:
         def fallback(buffers, env, interp, arena):
             interp.run(stmt, env)
@@ -1913,29 +1807,6 @@ def compile_stmt(stmt: S.Stmt, key: str = "") -> CompiledKernel:
 # -- batch-axis compilation ----------------------------------------------------
 
 
-class _BatchedEmitter(_Emitter):
-    """Emits a batch-axis kernel for a fixed set of stacked buffers.
-
-    Stacked buffers hold ``[B, size]`` data and all their accesses gain
-    a leading batch axis (``data[:, index]``); the kernels are
-    *B-agnostic* — one compiled kernel serves every batch size of the
-    bucket.  Shared state (weights, shuffle operands, tile grids, loop
-    nests) is emitted exactly as the scalar emitter would — the batch
-    axis is the one leading axis, so block loops stay Python loops.
-    Constructs whose control flow or addressing would depend on
-    per-request data raise :class:`CodegenError`; there is no
-    interpreter fallback — the caller falls back to the looped
-    per-request path instead.
-    """
-
-    def __init__(self, stmt: S.Stmt, stacked) -> None:
-        super().__init__(stmt)
-        self.stacked = frozenset(stacked)
-        # the batch size, bound in the preamble like any env variable;
-        # only _take_b needs it (value helpers read array shapes)
-        self.lead = self.env_locals["batch.size"] = "_B"
-
-
 def compile_batched_stmt(
     stmt: S.Stmt, stacked, key: str = ""
 ) -> CompiledKernel:
@@ -1944,9 +1815,14 @@ def compile_batched_stmt(
     ``stacked`` names the external buffers that carry a leading batch
     dimension — the per-request inputs and the output; internal
     Allocates are widened automatically when any value stored into them
-    is per-request (:func:`_batched_allocations`).  The kernel runs on
-    ``StackedBuffer``s for the stacked names, plain ``Buffer``s for the
-    shared ones, and ``env['batch.size']``; it is B-agnostic.
+    is per-request (:meth:`KernelFacts.varying`).  Every access to a
+    stacked buffer gains the batch axis (``data[:, index]``); shared
+    state (weights, shuffle operands, tile grids, loop nests) is
+    emitted exactly as :func:`compile_stmt` would, and since the batch
+    is the one leading axis, block loops stay Python loops.  The kernel
+    runs on ``StackedBuffer``s for the stacked names, plain ``Buffer``s
+    for the shared ones, and ``env['batch.size']``; it is B-agnostic:
+    one kernel serves every batch size of a bucket.
 
     Unlike :func:`compile_stmt` there is **no** interpreter fallback:
     a construct the batched emitter cannot express (per-request control
@@ -1954,18 +1830,13 @@ def compile_batched_stmt(
     constructor, unknown intrinsics) raises :class:`CodegenError`, and
     the caller falls back to the looped per-request path.
     """
-    all_stacked = _batched_allocations(stmt, frozenset(stacked))
-    emitter = _BatchedEmitter(stmt, all_stacked)
+    emitter = _Emitter(stmt)
+    emitter.varying, emitter.stacked = emitter.facts.varying(None, (), stacked)
+    # the batch size, bound in the preamble like any env variable; only
+    # _take_b needs it (value helpers read array shapes)
+    emitter.lead = emitter.env_locals["batch.size"] = "_B"
     emitter.emit_stmt(stmt)
-    return _load_kernel(
-        emitter.source(),
-        emitter.globals,
-        key,
-        False,
-        emitter.loops,
-        emitter.macs,
-        label="batched-kernel",
-    )
+    return emitter.kernel(key, "batched-kernel")
 
 
 # -- kernel (de)serialization --------------------------------------------------
@@ -1995,7 +1866,9 @@ def compile_batched_stmt(
 #: v8: serial block loops read preheader stacks (``_stack``, window
 #:     shuffle stacks); settled MACs call the core; literal broadcasts
 #:     are constants; two-level ramps load and store as tile views
-KERNEL_FORMAT_VERSION = 8
+#: v9: a stack is never None (``TileISA.stack``, window stacks: a
+#:     ``PerIteration`` where no view fits); one read per operand
+KERNEL_FORMAT_VERSION = 9
 
 
 def serialize_kernel(kernel: CompiledKernel) -> Optional[dict]:

@@ -41,9 +41,6 @@ class Counters:
     def add_store(self, level: str, nbytes: int) -> None:
         self.store_bytes[level] = self.store_bytes.get(level, 0) + nbytes
 
-    def total_load_bytes(self) -> int:
-        return sum(self.load_bytes.values())
-
     def total_store_bytes(self) -> int:
         return sum(self.store_bytes.values())
 

@@ -41,14 +41,3 @@ def is_bfloat16_exact(values: np.ndarray) -> np.ndarray:
     f32 = np.asarray(values, dtype=np.float32)
     bits = f32.view(np.uint32)
     return (bits & 0xFFFF) == 0
-
-
-def bfloat16_ulp(value: float) -> float:
-    """The distance to the next representable bf16 above ``value``."""
-    f32 = np.float32(value)
-    bits = f32.view(np.uint32) if isinstance(f32, np.ndarray) else np.array(
-        [f32], dtype=np.float32
-    ).view(np.uint32)
-    step = np.uint32(0x10000)
-    upper = (bits + step).view(np.float32)
-    return float(upper[0] - f32)

@@ -31,12 +31,6 @@ class DeviceSpec:
     #: fp16 ratio via :meth:`int8_rate`
     int8_macs_per_s: float = 0.0
 
-    def tensor_flops_per_s(self) -> float:
-        return 2.0 * self.tensor_macs_per_s
-
-    def cuda_flops_per_s(self) -> float:
-        return 2.0 * self.cuda_macs_per_s
-
     def int8_rate(self) -> float:
         """int8 MAC throughput; every listed device doubles fp16."""
         return self.int8_macs_per_s or 2.0 * self.tensor_macs_per_s

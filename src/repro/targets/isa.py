@@ -118,6 +118,23 @@ def tile_scatter(arena, data, base, stride, rows, cols, values):
         data[:, tile_grid(arena, base, stride, rows, cols)] = values
 
 
+class PerIteration:
+    """A serial nest's stack whose one view cannot be built, indexed as
+    that view is: ``[ix]`` is ``cut(base)`` at iteration ``ix`` of the
+    ``(count, step)`` axes of ``outer`` — the per-tile loop's own work,
+    raising (or wrapping) where it does, after the same writes."""
+
+    def __init__(self, cut: Callable, base, outer) -> None:
+        self.cut, self.base, self.outer = cut, base, outer
+
+    def __getitem__(self, ix):
+        ix = ix if type(ix) is tuple else (ix,)
+        shift = sum(i * step for i, (_, step) in zip(ix, self.outer))
+        if type(self.base) is tuple:  # per-lane ``(bases, step)``
+            return self.cut((self.base[0] + shift, self.base[1]))
+        return self.cut(self.base + shift)
+
+
 #: private, anonymous, and pre-faulted where the platform can (one
 #: system call rather than a page fault per page: -8% B=32 time)
 _MAP_FLAGS = (
@@ -262,6 +279,25 @@ class TileISA:
         data = buf if exact else buf.data
         tile = tile_gather(arena, data, base, stride, rows, cols)
         return tile if exact else self.loaded(tile, mac_operand)
+
+    def stack(self, arena, source, exact, base, stride, rows, cols, outer):
+        """Every iteration's MAC operand tile of a serial nest over a
+        read-only input (:meth:`widen`'s ``source, exact``), ``[ix]``
+        each: one strided view (:func:`tile_view`) when ``exact`` and in
+        range — a read copies its tile, which the core must see
+        C-contiguous — else a :class:`PerIteration` that loads and
+        :meth:`shaped` each tile as the per-tile loop does."""
+        if exact:
+            view = tile_view(source, base, stride, rows, cols, outer)
+            if view is not None:
+                return view
+        return PerIteration(
+            lambda at: self.shaped(
+                self.load(arena, source, at, stride, rows, cols, True),
+                rows, cols, exact,
+            ),
+            base, outer,
+        )
 
     def shaped(self, tile, rows, cols, exact=False):
         """A flat MAC operand as the core's ``[..., rows, cols]`` matrix,

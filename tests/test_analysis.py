@@ -19,6 +19,7 @@ afford to gate every restore through it by default.
 import dataclasses
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -38,7 +39,7 @@ from repro.analysis import (
     verify_ir,
 )
 from repro.analysis.lint_rules import lint_family
-from repro.analysis.sweep import FIG6_APPS, analyze_app
+from repro.analysis.sweep import FIG6_APPS, _analyze
 from repro.eqsat.ematch import CompiledQuery
 from repro.eqsat.pattern import PApp, PLit, PVar
 from repro.eqsat.rules import GuardAtom, rewrite
@@ -462,20 +463,20 @@ class TestLintKernelsMutations:
         + "    b0 = buffers['A']\n"
         + "    b1 = buffers['K']\n"
         + "    w0, e0 = isa.widen(b0)\n"
-        + "    _h1 = _stack(w0, 0, 8, 16, 16, ((4, 8), )) if e0 else None\n"
+        + "    _h1 = isa.stack(_arena, w0, e0, 0, 8, 16, 16, ((4, 8), ))\n"
         + "    _h2 = _C4(_arena, isa, dtype, b1, 0, ((4, 8), ), 16, 8, 8, 1)\n"
-        + "    if _h1 is not None and _h2 is not None:\n"
-        + "        for x0 in range(0, 4):\n"
+        + "    for x0 in range(0, 4):\n"
+        + "        _t3 = _h2[x0]\n"
         + "{write}"
-        + "            acc = _C5(_tiles(acc, 16, 16), _h1[x0].copy(), _h2[x0])\n"
+        + "        acc = _C5(_tiles(acc, 16, 16), _h1[x0].copy(), _t3)\n"
     )
 
     @pytest.mark.parametrize(
         "write, culprit",
         [
-            ("            d0[0:16] = 1.0\n", "_h1"),
-            ("            _C6(_arena, b1, 0, 8, 8, 8, t)\n", "_h2"),
-            ("            _C3[0:16] = 0.0\n", "_C3"),
+            ("        d0[0:16] = 1.0\n", "_h1"),
+            ("        _C6(_arena, b1, 0, 8, 8, 8, t)\n", "_h2"),
+            ("        _C3[0:16] = 0.0\n", "_C3"),
         ],
         ids=["tile-stack", "shuffle-stack", "constant"],
     )
@@ -596,6 +597,12 @@ def test_waiver_parse_and_apply():
 # -- clean run: the fig-6 suite produces zero findings -------------------------
 
 
+#: every fig-6 kernel's ``loops`` / ``macs`` rows, as ``python -m
+#: repro.analysis kernels --fig6`` prints them: a change to what the
+#: emitter decides shows here, string for string
+KERNEL_ROWS = Path(__file__).with_name("kernel_rows_fig6.txt")
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize(
     "module,params",
@@ -604,8 +611,13 @@ def test_waiver_parse_and_apply():
 )
 def test_fig6_clean(module, params, variant):
     name = module.__name__.rsplit(".", 1)[-1]
-    findings = analyze_app(name, params, variant)
+    findings, label, kernel = _analyze(name, params, variant)
     assert findings == [], "\n".join(str(f) for f in findings)
+    rows = [f"loop {label}: {v} x{n}: {s}" for v, n, s in kernel.loops] + [
+        f"mac {label}: {i}: A {a}, B {b}" for i, a, b in kernel.macs
+    ]
+    golden = KERNEL_ROWS.read_text().splitlines()
+    assert rows == [r for r in golden if r.split(":")[0].endswith(f" {label}")]
 
 
 def test_fig6_table_matches_conftest():

@@ -33,6 +33,7 @@ from repro.apps import (
     recursive_filter,
     resample,
 )
+from repro.hardboiled.intrinsics import ShuffleError
 from repro.ir import (
     LT,
     Allocate,
@@ -1062,8 +1063,9 @@ class TestMacOperands:
             block_loop("x", 3, body, ForKind.SERIAL), frozenset(arrays)
         )
         assert batched.macs == (("wmma.mma.sync", WIDENED, WIDENED),)
-        # both operands reach the core with their exact flags
-        exact = r"shaped\(_C\d+\(.*?\), \d+, \d+, _e\d+\)"
+        # both operands reach the core with their exact flags, through
+        # the stacks their serial loop reads
+        exact = r"\.stack\(_arena, _w\d+, _e\d+, "
         assert len(re.findall(exact, batched.source)) == 2
         # a small batch is widened on the heap, a large one into a
         # mapping of its own (unmapped with the array)
@@ -1245,7 +1247,7 @@ class TestSerialHoisting:
         assert kernel.loops == (
             ("x", 3, "serial, hoisted: A tile stack, B tile stack"),
         )
-        assert kernel.source.count("_stack(") == 2
+        assert kernel.source.count(".stack(") == 2
         for name in arrays:
             assert_same_bytes(compiled[name], interpreted[name])
 
@@ -1276,6 +1278,86 @@ class TestSerialHoisting:
         assert_same_bytes(got["out"].data, two["out"].data)
         assert not got["out"].data[2 * TILE:].any()
 
+    def test_a_window_off_the_weights_raises_after_the_same_writes(
+        self, rng
+    ):
+        """The third iteration's Toeplitz window runs off a 20-tap ``K``:
+        the window stack shuffles each window alone, and the kernel
+        stores the first two tiles and raises the interpreter's
+        ShuffleError at the third."""
+        x = Variable("x")
+        base = make_mul(x, IntImm(TILE))
+        shuffle = intrinsic(
+            Float(16, TILE), "ConvolutionShuffle", StringImm("K"),
+            make_mul(x, IntImm(8)), IntImm(16), IntImm(16), IntImm(8),
+            IntImm(1),
+        )
+        body = Allocate(
+            "hb_tmp0", Float(16), (IntImm(TILE),), MemoryType.STACK,
+            Block((
+                Store("hb_tmp0", ramp(IntImm(0), TILE), shuffle),
+                wmma_store(
+                    "out", base,
+                    wmma_mma(
+                        wmma_load("a", "A", base),
+                        wmma_load("b", "hb_tmp0", IntImm(0)),
+                    ),
+                ),
+            )),
+        )
+        stmt = block_loop("x", 3, body, ForKind.SERIAL)
+        kernel = compile_stmt(stmt)
+        assert kernel.loops == (
+            ("x", 3, "serial, hoisted: A tile stack, K shuffle stack"),
+        )
+        a = rng.standard_normal(3 * TILE)
+
+        def buffers():
+            return {
+                "A": Buffer.from_numpy("A", a.astype(np.float16), Float(16)),
+                "K": Buffer.from_numpy(
+                    "K", np.arange(20, dtype=np.float16), Float(16)
+                ),
+                "out": Buffer.from_numpy("out", np.zeros(3 * TILE, np.float32)),
+            }
+
+        compiled, interpreted = buffers(), buffers()
+        with pytest.raises(ShuffleError, match="'K'"):
+            kernel(compiled, {})
+        with pytest.raises(ShuffleError, match="'K'"):
+            Interpreter(interpreted).run(stmt, {})
+        assert_same_bytes(compiled["out"].data, interpreted["out"].data)
+        assert compiled["out"].data[: 2 * TILE].any()
+        assert not compiled["out"].data[2 * TILE:].any()
+
+    def test_a_stack_over_an_input_not_widened_exact(self, rng):
+        """A float32 ``A`` is not float16-exact: its stack cuts and
+        rounds each iteration's tile as the per-tile loop does, per
+        request (B=1) and under the batch axis (B=3)."""
+        arrays = self.arrays(rng, A=(np.float32, Float(32)), B=self.F16)
+        stmt = block_loop("x", 3, self.body(), ForKind.SERIAL)
+        assert compile_stmt(stmt).loops == (
+            ("x", 3, "serial, hoisted: A tile stack, B tile stack"),
+        )
+        run_four_ways(self.body(), arrays, batch=3)
+
+    @pytest.mark.parametrize(
+        "label", sorted(MUST_TAKE_LANES) + sorted(SERIAL_APPS)
+    )
+    def test_each_hoisted_operand_is_one_expression(self, label):
+        """No kernel of the benchmark catalog tests a stack for None."""
+        app = build_app(label)
+        pipe = app.compile()
+        data = next(iter(app.inputs)).name
+        kernels = [
+            pipe.plan(backend="compile").kernel,
+            compile_batched_stmt(
+                pipe.lowered.stmt, {data, pipe.output_name}
+            ),
+        ]
+        for kernel in kernels:
+            assert not re.search(r"_h\d+ is (not )?None", kernel.source)
+
     def test_a_buffer_the_body_writes_is_not_stacked(self, rng):
         base = make_mul(Variable("x"), IntImm(TILE))
         body = Block((
@@ -1290,7 +1372,7 @@ class TestSerialHoisting:
                 block_loop("x", 3, body, ForKind.SERIAL), arrays
             )
         assert kernel.loops == (("x", 3, "serial, hoisted: B tile stack"),)
-        assert kernel.source.count("_stack(") == 1
+        assert kernel.source.count(".stack(") == 1
         for name in arrays:
             assert_same_bytes(compiled[name], interpreted[name])
 

@@ -253,7 +253,8 @@ def facts(node):
     """Every cached fact of every node of the subtree, read (and so
     stored) in one go."""
     return [
-        (n.free_vars, n.size, n.type if isinstance(n, ir.Expr) else None)
+        (n.free_vars, n.size, n.type if isinstance(n, ir.Expr) else None,
+         n.buffers if isinstance(n, ir.Expr) else None)
         for n in walk(node)
     ]
 
@@ -338,8 +339,8 @@ Y2VylIhotWjmdWJlLg==
 
 
 class TestNodeFacts:
-    """Cached facts (``type``, ``free_vars``, ``size``) are right, and
-    invisible to everything that looks at a node's *fields*."""
+    """Cached facts (``type``, ``free_vars``, ``size``, ``buffers``) are
+    right, and invisible to everything that looks at a node's *fields*."""
 
     def test_specimens_cover_every_concrete_class(self):
         def concrete(cls):
@@ -359,6 +360,12 @@ class TestNodeFacts:
             reference.visit(n)
             assert n.free_vars == reference.free
             assert n.size == expr_size(n) == sum(1 for _ in walk(n))
+            if isinstance(n, ir.Expr):  # loads and buffer-name arguments
+                assert n.buffers == {
+                    m.name if isinstance(m, ir.Load) else m.value
+                    for m in walk(n)
+                    if isinstance(m, (ir.Load, ir.StringImm))
+                }
 
     @pytest.mark.parametrize("index", range(len(specimens())))
     def test_reading_facts_is_invisible(self, index):

@@ -140,9 +140,9 @@ class TestRoundTrip:
         np.testing.assert_array_equal(cold_out, warm.run())
 
     def test_cached_node_facts_stay_out_of_the_artifact(self, tmp_path):
-        """Selection and codegen read ``type``/``free_vars``/``size`` on
-        the statement they store; none of it may reach the disk, and a
-        restored statement answers the same questions."""
+        """Selection and codegen read ``type``/``free_vars``/``size``/
+        ``buffers`` on the statement they store; none of it may reach
+        the disk, and a restored statement answers the same questions."""
 
         def walk(node):
             yield node
@@ -164,7 +164,7 @@ class TestRoundTrip:
         )
         live = pipe.lowered.stmt
         expected = answers(live)
-        assert stored_facts(live) == {"size", "free_vars", "type"}
+        assert stored_facts(live) == {"size", "free_vars", "type", "buffers"}
         (digest,) = store.digests()
         path = store.path_for(digest)
         with open(path, "rb") as handle:
@@ -265,13 +265,15 @@ class TestInvalidation:
         kernel, a v5 kernel as it really sits on disk (its globals name
         a ``_bv_*`` core that is gone, so it does not even unpickle), or
         a v6 kernel (every MAC input converted per tile, no ``.widen``
-        preamble, no exact flags on its MACs), or a v7 kernel (its
-        serial loops re-derive every tile and shuffle per iteration)."""
+        preamble, no exact flags on its MACs), a v7 kernel (its serial
+        loops re-derive every tile and shuffle per iteration), or a v8
+        kernel (its stacks may be None, and it calls a ``_stack``
+        helper that is gone)."""
         from repro.runtime.codegen import KERNEL_FORMAT_VERSION
 
-        assert KERNEL_FORMAT_VERSION == 8
+        assert KERNEL_FORMAT_VERSION == 9
         for stale_format in (
-            KERNEL_FORMAT_VERSION + 1, 3, 4, 5, 6, 7, "stranded",
+            KERNEL_FORMAT_VERSION + 1, 3, 4, 5, 6, 7, 8, "stranded",
         ):
             root = tmp_path / f"v{stale_format}"
             app = small_app()

@@ -627,9 +627,10 @@ def test_a_window_stack_is_its_per_iteration_operands(isa, dtype, rng):
     by row, what each iteration's shuffle stored into a ``dtype``
     scratch, loaded back and handed to the MAC makes of it; it is
     memoised on the weights' bytes, so weights written in place miss;
-    a window off the end refuses the stack."""
+    with a window off the end, each iteration shuffles its own window,
+    and the one off the end raises the interpreter's error type."""
     from repro.hardboiled.intrinsics import (
-        toeplitz_from_kernel, window_shuffle, window_stack,
+        ShuffleError, toeplitz_from_kernel, window_shuffle, window_stack,
     )
     from repro.runtime.plan import BufferArena
 
@@ -638,21 +639,24 @@ def test_a_window_stack_is_its_per_iteration_operands(isa, dtype, rng):
         data=with_f16(rng, 40),
     )
     outer, geometry = ((4, 8),), (16, 8, 8, 1)
+
+    def operand(base):
+        scratch = np.empty(128, dtype.to_numpy())
+        values = window_shuffle(
+            toeplitz_from_kernel, None, weights, base, *geometry
+        )
+        if dtype == BFloat(16):
+            values = round_to_bfloat16(values)
+        scratch[...] = values
+        return isa.shaped(isa.loaded(scratch, True), 16, 8)
+
     arena = BufferArena()
     got = window_stack(
         toeplitz_from_kernel, arena, isa, dtype, weights, 2, outer, *geometry
     )
     assert got.shape == (4, 16, 8) and not got.flags.writeable
     for i in range(4):
-        scratch = np.empty(128, dtype.to_numpy())
-        values = window_shuffle(
-            toeplitz_from_kernel, None, weights, 2 + 8 * i, *geometry
-        )
-        if dtype == BFloat(16):
-            values = round_to_bfloat16(values)
-        scratch[...] = values
-        want = isa.shaped(isa.loaded(scratch, True), 16, 8)
-        assert_same_bytes(got[i], want)
+        assert_same_bytes(got[i], operand(2 + 8 * i))
     again = window_stack(
         toeplitz_from_kernel, arena, isa, dtype, weights, 2, outer, *geometry
     )
@@ -662,9 +666,14 @@ def test_a_window_stack_is_its_per_iteration_operands(isa, dtype, rng):
         toeplitz_from_kernel, arena, isa, dtype, weights, 2, outer, *geometry
     )
     assert changed is not got and arena.memo_misses == 2
-    assert window_stack(
+    # the last window, 33..41, runs off a 40-tap buffer
+    per_iteration = window_stack(
         toeplitz_from_kernel, arena, isa, dtype, weights, 9, outer, *geometry
-    ) is None  # the last window, 33..41, runs off a 40-tap buffer
+    )
+    for i in range(3):
+        assert_same_bytes(per_iteration[i], operand(9 + 8 * i))
+    with pytest.raises(ShuffleError, match="leaves 'K'"):
+        per_iteration[3]
 
 
 def with_f16(rng, size):

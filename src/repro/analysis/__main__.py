@@ -12,7 +12,8 @@ Sections:
 ``--fig6`` widens the app set from the quick pair to the full fig-6
 suite.  The ``kernels`` section first prints the intrinsic registry
 (name, accelerator, role, purity — the cores a kernel may call), then
-each kernel's loop report:
+each kernel's loop report (the batched kernel's rows under the label
+``<app>[<variant>]/batched``):
 which data-parallel loops run as one lane-vectorised pass, and why the
 others stayed Python loops; and one row per MAC call site: whether each
 of A and B is ``widened once per call`` (an input the kernel only
@@ -82,10 +83,12 @@ def main(argv=None) -> int:
         # statements and the kernel lint on their emitted source
         for name, params in FIG6_APPS if args.fig6 else QUICK_APPS:
             for variant in VARIANTS:
-                found, label, kernel = _analyze(name, params, variant)
+                found, label, *kernels = _analyze(name, params, variant)
                 findings.extend(found)
-                loops.extend((label,) + row for row in kernel.loops)
-                macs.extend((label,) + row for row in kernel.macs)
+                for suffix, kernel in zip(("", "/batched"), kernels):
+                    if kernel is not None:
+                        loops.extend((label + suffix,) + r for r in kernel.loops)
+                        macs.extend((label + suffix,) + r for r in kernel.macs)
 
     if args.json:
         print(

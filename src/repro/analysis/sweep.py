@@ -7,9 +7,9 @@ variant), verify the tensorized IR, compile the scalar kernel and lint
 its source against the plan's published env, then attempt the
 batch-axis kernel and lint that too.  ``sweep`` fans it over an app
 list; the clean-run self-test is built on it.  The CLI walks the same
-table through ``_analyze``, which also hands back each scalar kernel,
-and prints its ``CompiledKernel.loops`` and ``.macs`` reports next to the
-findings.
+table through ``_analyze``, which also hands back each scalar and
+batched kernel, and prints their ``CompiledKernel.loops`` and ``.macs``
+reports next to the findings.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ def analyze_app(
 
 
 def _analyze(module_name: str, params: Optional[Dict], variant: str):
-    """:func:`analyze_app`, plus the app's label and scalar kernel."""
+    """:func:`analyze_app`, plus the app's label, its scalar kernel and
+    its batched kernel (None: the split is unbatchable)."""
     import importlib
 
     from ..hardboiled import TileExtractor, select_instructions
@@ -126,7 +127,9 @@ def _analyze(module_name: str, params: Optional[Dict], variant: str):
         )
     )
 
-    stacked = frozenset(buffers)
+    # the serving split: the first input varies per request, the rest
+    # are weights every request shares
+    stacked = frozenset((next(iter(buffers)), output.name))
     try:
         batched = compile_batched_stmt(lowered.stmt, stacked)
     except CodegenError:
@@ -140,7 +143,7 @@ def _analyze(module_name: str, params: Optional[Dict], variant: str):
                 context=f"{label}/bkernel",
             )
         )
-    return findings, label, kernel
+    return findings, label, kernel, batched
 
 
 def sweep(

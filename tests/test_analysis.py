@@ -597,10 +597,17 @@ def test_waiver_parse_and_apply():
 # -- clean run: the fig-6 suite produces zero findings -------------------------
 
 
-#: every fig-6 kernel's ``loops`` / ``macs`` rows, as ``python -m
+#: every fig-6 kernel's ``loops`` / ``macs`` rows, per-request and
+#: batched (first input and output stacked, as served), as ``python -m
 #: repro.analysis kernels --fig6`` prints them: a change to what the
 #: emitter decides shows here, string for string
 KERNEL_ROWS = Path(__file__).with_name("kernel_rows_fig6.txt")
+
+
+def kernel_rows(label, kernel):
+    return [f"loop {label}: {v} x{n}: {s}" for v, n, s in kernel.loops] + [
+        f"mac {label}: {i}: A {a}, B {b}" for i, a, b in kernel.macs
+    ]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -611,13 +618,14 @@ KERNEL_ROWS = Path(__file__).with_name("kernel_rows_fig6.txt")
 )
 def test_fig6_clean(module, params, variant):
     name = module.__name__.rsplit(".", 1)[-1]
-    findings, label, kernel = _analyze(name, params, variant)
+    findings, label, kernel, batched = _analyze(name, params, variant)
     assert findings == [], "\n".join(str(f) for f in findings)
-    rows = [f"loop {label}: {v} x{n}: {s}" for v, n, s in kernel.loops] + [
-        f"mac {label}: {i}: A {a}, B {b}" for i, a, b in kernel.macs
-    ]
     golden = KERNEL_ROWS.read_text().splitlines()
-    assert rows == [r for r in golden if r.split(":")[0].endswith(f" {label}")]
+    for label, kernel in ((label, kernel), (f"{label}/batched", batched)):
+        rows = kernel_rows(label, kernel)
+        assert rows == [
+            r for r in golden if r.split(":")[0].endswith(f" {label}")
+        ]
 
 
 def test_fig6_table_matches_conftest():
@@ -665,7 +673,7 @@ def test_kernels_section_says_why_a_mac_operand_is_widened(
     )
     monkeypatch.setattr(cli, "QUICK_APPS", (("seeded", {}),))
     monkeypatch.setattr(
-        cli, "_analyze", lambda name, params, variant: ([], name, seeded)
+        cli, "_analyze", lambda name, params, variant: ([], name, seeded, None)
     )
     assert cli.main(["kernels"]) == 0
     assert (

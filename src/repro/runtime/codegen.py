@@ -65,6 +65,11 @@ class CodegenError(RuntimeError):
     """Raised when a statement cannot be compiled (emitter falls back)."""
 
 
+class _PerTile(CodegenError):
+    """A lane nest under the batch would leave a read-only MAC operand
+    per tile; its batch-only emission stacks it once per call."""
+
+
 # -- runtime helpers injected into every kernel's globals ----------------------
 #
 # The vector-semantics cores (ramp_value, broadcast_value, as_vector,
@@ -685,17 +690,26 @@ class _Emitter:
         #: inside a statement that may mutate buffers mid-expression
         self.copy_views = False
         #: python local holding the leading axis' length while one is
-        #: live (a lane loop's chunk, a batched kernel's ``_B``)
+        #: live: a lane loop's chunk ``N``, a batched kernel's ``_B``,
+        #: or, for a lane loop under the batch, ``B × N`` — one axis,
+        #: batch-major (row ``b·N + lane``)
         self.lead: Optional[str] = None
-        #: buffers holding ``[lead, size]`` data: every access gains
+        #: buffers holding ``[rows, size]`` data: every access gains
         #: the leading axis (``data[:, index]``); the variables that
         #: vary along it (:meth:`KernelFacts.varying`)
         self.stacked: frozenset = frozenset()
         self.varying: frozenset = frozenset()
         #: inside a lane loop: shared buffer -> lanes_disjoint terms of
-        #: its per-lane store.  None elsewhere — a batched kernel's
-        #: leading axis is the batch, which addresses nothing per row
+        #: its per-lane store.  None elsewhere — the batch alone
+        #: addresses nothing per row
         self.proved: Optional[Dict[str, tuple]] = None
+        #: a lane loop under the batch: the ``(variables, buffers)``
+        #: varying along the lanes, and along the batch (a lane-private
+        #: ``[B·N, size]`` buffer in both); ``requests``, the stacked
+        #: buffers holding one ``[B, size]`` request per row, which
+        #: per-lane bases read and write as ``[B, N, ...]`` tiles
+        self.merged: Optional[tuple] = None
+        self.requests: frozenset = frozenset()
         #: (variable, extent, status) per data-parallel loop ("lanes" |
         #: why not) and per serial block loop (what was hoisted | why not)
         self.loops: List[tuple] = []
@@ -797,7 +811,32 @@ class _Emitter:
         method = getattr(self, f"_emit_{type(e).__name__}", None)
         if method is None:
             raise CodegenError(f"cannot compile {type(e).__name__}")
+        if self.merged is not None:
+            self._meets(e)
         return method(e)
+
+    def _axes(self, e: E.Expr) -> tuple:
+        """Does ``e`` vary along the lanes, and along the batch, of a
+        ``B × N`` axis?"""
+        if self.merged is None:
+            return False, False
+        return tuple(_varies(e, *roots) for roots in self.merged)
+
+    def _meets(self, e: E.Expr) -> None:
+        """Under the ``B × N`` axis every varying value has ``B·N``
+        rows: refuse one with ``B`` rows, or ``N`` rows where it meets
+        ``B·N`` — save a tile load's per-lane base into a request
+        buffer, which the core reads as ``[B, N, ...]``."""
+        lanes, batch = self._axes(e)
+        if batch and not lanes:
+            raise CodegenError("a value varies along the batch only")
+        if not batch or isinstance(e, (E.Let, E.Load)):
+            return
+        parts = e.children()
+        if isinstance(e, E.Call) and role_of(e.name) == "load":
+            parts = parts[2:]
+        if any(self._axes(x) == (True, False) for x in parts):
+            raise CodegenError("a lane-only value meets a batch-varying value")
 
     def emit_vector(self, e: E.Expr) -> str:
         """Emit ``e`` guaranteed to evaluate to a 1-D array."""
@@ -922,7 +961,7 @@ class _Emitter:
         if e.base.type.lanes == 1 and e.stride.type.lanes == 1:
             base = self.emit(e.base)
             if base_b:  # per-lane bases: an [N, count] index block
-                self._per_lane("ramp addressing")
+                self._per_lane("ramp addressing", e.base)
                 base = f"_vec_b({base})"
             if isinstance(e.stride, E.IntImm):
                 steps = self.const(np.arange(e.count) * e.stride.value)
@@ -972,7 +1011,7 @@ class _Emitter:
         if self.batched(idx):
             if lead:
                 raise CodegenError("varying index into a stacked buffer")
-            self._per_lane("(data-dependent) load index")
+            self._per_lane("(data-dependent) load index", idx)
             # per-lane gather out of a shared buffer
             return f"{data}[_idx({self.emit(idx)})]"
         if idx.type.lanes == 1:
@@ -1165,16 +1204,17 @@ class _Emitter:
             store = role == "store"
             if any(arg_b[2:-1] if store else arg_b[2:]):
                 raise CodegenError("varying tile geometry")
-            if buf_stacked:
-                if arg_b[1]:
-                    raise CodegenError("varying base into a stacked buffer")
-            elif arg_b[1]:
-                self._per_lane("tile addressing")
-                if store:
-                    self._certify(buf.value, self.buf_obj(buf.value))
-                return self._lane_step(e.args[1])
-            elif store and arg_b[-1]:
+            if store and not buf_stacked and (
+                self._axes(e.args[-1])[1] or arg_b[-1] and not arg_b[1]
+            ):
                 raise CodegenError(f"{name} of batched tile into shared buffer")
+            if arg_b[1]:
+                if buf_stacked and buf.value not in self.requests:
+                    raise CodegenError("varying base into a stacked buffer")
+                self._per_lane("tile addressing", e.args[1])
+                if store:
+                    self._certify(buf.value, self.buf_obj(buf.value), None)
+                return self._lane_step(e.args[1])
         elif role == "mac":
             if any(arg_b[3:]):
                 raise CodegenError("batched matmul geometry")
@@ -1192,23 +1232,26 @@ class _Emitter:
         # what is left is ``to_mem``: the identity, whatever it is handed
         return None
 
-    def _per_lane(self, what: str) -> None:
-        """Gate an address that varies along the leading axis on that
-        axis being a lane loop's: its proof has shown no lane stores
-        what another loads.  The batch axis has no such proof, and a
-        request that addresses by its own data stays with the looped
-        per-request path."""
+    def _per_lane(self, what: str, address) -> None:
+        """Gate ``address``, which varies along the leading axis, on
+        that axis being a lane loop's: its proof has shown no lane
+        stores what another loads.  The batch axis has no such proof,
+        and a request that addresses by its own data stays with the
+        looped per-request path."""
         if self.proved is None:
             raise CodegenError(f"batched {what}")
+        if address is not None and self._axes(address)[1]:
+            raise CodegenError("a base that varies along the batch")
 
-    def _certify(self, name: str, local: str) -> None:
-        """Gate a per-lane address stored through ``local`` into shared
-        buffer ``name`` on its disjointness proof.
+    def _certify(self, name: str, local: str, address) -> None:
+        """Gate a per-lane ``address`` stored through ``local`` into
+        shared (or request) buffer ``name`` on its disjointness proof
+        — the batch rows of a request buffer are disjoint as ever.
 
         The certificate line is a bare constant — compiled away, but
         kept in the source for ``lint_kernels`` to re-check.
         """
-        self._per_lane("store index")
+        self._per_lane("store index", address)
         terms = self.proved.get(name)
         if terms is None:
             raise CodegenError(f"varying store address into shared {name!r}")
@@ -1254,10 +1297,13 @@ class _Emitter:
         varying = self.batched(stmt.index)
         if varying and lead:
             raise CodegenError("varying index into a stacked buffer")
-        if not varying and not lead and self.batched(stmt.value):
+        lanes, batch = self._axes(stmt.value)
+        if not lead and (batch or not varying and self.batched(stmt.value)):
             raise CodegenError(
                 f"batched store into shared buffer {stmt.name!r}"
             )
+        if lead and lanes and not batch:
+            raise CodegenError("a lane-only value meets a batch-varying value")
         self.copy_views = _has_impure_call(stmt.value) or _has_impure_call(
             stmt.index
         )
@@ -1273,7 +1319,7 @@ class _Emitter:
             value = f"{self.store_wrap(stmt.name)}({value})"
         idx = stmt.index
         if varying:  # per-lane scatter into a shared buffer
-            self._certify(stmt.name, data)
+            self._certify(stmt.name, data, idx)
             target = None
         elif idx.type.lanes == 1:
             target = self.emit(idx)
@@ -1350,6 +1396,10 @@ class _Emitter:
                 nest.append(nest[-1].body)
             xs = [self.fresh("x") for _ in nest]
             stacks, reasons = self._plan_stacks(nest, xs, rows)
+        if reasons and self.merged is not None:
+            # a tile per iteration and request: the batch-only kernel
+            # stacks it once per call instead
+            raise _PerTile(f"under the batch: {'; '.join(reasons)}")
         status = "; ".join(reasons) or "nothing to hoist"
         if stacks:
             status = "; ".join([f"hoisted: {', '.join(stacks)}"] + reasons)
@@ -1422,20 +1472,24 @@ class _Emitter:
             raise CodegenError("row stride varies")
         _invariant(stride, names, bound)
         first, outer = self._iterations(base, nest, bound)
+        read, name = "", load.args[0].value
         if self.batched(base):  # per-lane bases, as a (bases, step) pair
             step = None
-            if load.args[0].value not in self.stacked:
+            if name not in self.stacked or name in self.requests:
+                self._per_lane("tile addressing", base)
                 step = self._lane_step(base)
             if step is None:
                 raise CodegenError("per-lane bases not affine in the lane")
             first = f"({first}, {step})"
+            if name in self.requests:  # [B, N, ...] tiles: one B·N axis
+                read = f".reshape(-1, {shape[0]}, {shape[1]})"
         source, exact = self._widen(isa, load)
         local = self.fresh("h")
         self.line(
             f"{local} = {self.const(isa)}.stack(_arena, {source}, {exact},"
             f" {first}, {self.emit(stride)}, {shape[0]}, {shape[1]}, {outer})"
         )
-        self.hoisted[id(load)] = f"{local}[{ix}].copy()"
+        self.hoisted[id(load)] = f"{local}[{ix}].copy(){read}"
         return f"{load.args[0].value} tile stack"
 
     def _shuffle_stack(self, alloc, call, loads, nest, bound, ix) -> tuple:
@@ -1507,10 +1561,12 @@ class _Emitter:
         Speculative: on any obstacle — in the legality proof or in the
         emission of the body — the emitter is rolled back, the reason
         is recorded in :attr:`loops`, and the caller emits the Python
-        loop (whose inner block loops then get their own attempt).
+        loop (whose inner block loops then get their own attempt).  A
+        nest the batch would leave per tile (:class:`_PerTile`) is
+        emitted here as the batch-only kernel's loops, whole.
         """
-        if self.lead is not None:
-            # a value carries one leading axis: the batch, or outer lanes
+        if self.proved is not None:
+            # the leading axis is outer lanes' already
             self.loops.append(_row(stmt, "leading axis already taken"))
             return False
         nest = [stmt]
@@ -1536,6 +1592,10 @@ class _Emitter:
                     value.clear()
                     value.update(contents)
                 setattr(self, key, value)
+            if isinstance(exc, _PerTile):
+                self.loops.extend(_row(loop, str(exc)) for loop in nest)
+                self._emit_loops(nest)
+                return True
             self.loops.append(_row(stmt, str(exc)))
             return False
         self.loops[first:first] = [_row(loop, "lanes") for loop in nest]
@@ -1551,6 +1611,8 @@ class _Emitter:
         that does not depend on a loop variable — weights, memoised
         shuffle operands, inner serial loops — is emitted as ever.  A
         grid wider than ``_LANES`` runs in chunks of that many lanes.
+        Under the batch the axis is ``B × N``, row ``b·N + lane``: a
+        value varying along it has ``B·N`` rows (see :meth:`_meets`).
         """
         dims: Dict[str, int] = {}
         for loop in nest:
@@ -1560,9 +1622,17 @@ class _Emitter:
         total = math.prod(dims.values())
         if total < 2:
             raise CodegenError("fewer than two iterations")
-        body = nest[-1].body
+        body, outer = nest[-1].body, (self.lead, self.varying, self.stacked)
         self.proved = _prove_lanes(dims, self.facts, nest[-1])
-        self.varying, self.stacked = self.facts.varying(nest[-1], dims)
+        lanes = self.facts.varying(nest[-1], dims)
+        if self.lead is not None:
+            batch = self.facts.varying(nest[-1], self.varying, self.stacked)
+            inner = {a.name for a in self.facts.rows(nest[-1]).allocs}
+            private = (lanes[1] | batch[1]) & inner
+            self.requests = self.stacked - inner
+            self.merged = tuple((n, b | private) for n, b in (lanes, batch))
+            lanes = (a | b for a, b in zip(*self.merged))
+        self.varying, self.stacked = lanes
         chunk = self.fresh("l")
         self.line(f"for {chunk} in range(0, {total}, _LANES):")
         with self.block(), ExitStack() as bound:
@@ -1577,10 +1647,12 @@ class _Emitter:
                 )
                 bound.enter_context(self.bind(loop.name, var))
             self.lead = self.fresh("n")
-            self.line(f"{self.lead} = len({var})")
+            batch = f" * {outer[0]}" if outer[0] else ""
+            self.line(f"{self.lead} = len({var}){batch}")
             self.emit_stmt(body)
-        self.lead, self.proved = None, None
-        self.varying = self.stacked = frozenset()
+        self.lead, self.varying, self.stacked = outer
+        self.proved = self.merged = None
+        self.requests = frozenset()
         self.lane_index.clear()
 
     def _exec_LetStmt(self, stmt: S.LetStmt) -> None:

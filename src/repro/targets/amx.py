@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bfloat16 import round_to_bfloat16
-from .isa import TileISA, register_isa
+from .isa import TileISA, accumulate, register_isa
 
 #: architectural limits (Sapphire Rapids AMX)
 MAX_ROWS = 16
@@ -100,7 +100,7 @@ def _tdp_exact(c: np.ndarray, a: np.ndarray, b_vnni: np.ndarray):
         raise AMXError(
             f"TDPBF16PS shape mismatch: A {a.shape} vs B {b.shape}"
         )
-    return np.asarray(c, dtype=np.float32) + a @ b
+    return accumulate(c, a @ b)
 
 
 ISA = TileISA(

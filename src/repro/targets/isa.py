@@ -95,27 +95,43 @@ def tile_gather(arena, data, base, stride, rows, cols):
     else the index gather, raising (or wrapping) as it always has."""
     view = tile_view(data, base, stride, rows, cols)
     if view is not None:  # one copy: fresh, C-contiguous
-        return view.copy().reshape(view.shape[:-2] + (rows * cols,))
-    idx = tile_grid(arena, base, stride, rows, cols)
-    # a branch, not ``data[..., idx]``: the ellipsis spelling costs a
-    # fancy-index gather two to three times over
-    return data[idx] if data.ndim == 1 else data[:, idx]
+        tile = view.copy().reshape(view.shape[:-2] + (rows * cols,))
+    else:
+        idx = tile_grid(arena, base, stride, rows, cols)
+        # a branch, not ``data[..., idx]``: the ellipsis spelling costs
+        # a fancy-index gather two to three times over
+        tile = data[idx] if data.ndim == 1 else data[:, idx]
+    # a stacked buffer at per-lane bases: ``[B, N, ...]``, one B·N axis
+    return tile.reshape(-1, rows * cols) if tile.ndim == 3 else tile
 
 
 def tile_scatter(arena, data, base, stride, rows, cols, values):
     """Store flat ``values`` at the tile(s) at ``base``: through the
     strided view where it is in range and no two elements share an
     address (rows apart; lanes by the ``(bases, step)`` pair's
-    lanes-disjoint proof), else the index scatter."""
+    lanes-disjoint proof), else the index scatter.  Into a stacked
+    buffer at per-lane bases, ``B·N`` rows of values land as ``[B, N,
+    ...]``; a shared tile broadcasts along the batch."""
     view = None
     if rows == 1 or abs(stride) >= cols:
         view = tile_view(data, base, stride, rows, cols)
-    if view is not None:  # a shared tile broadcasts along the batch
-        view[...] = values.reshape(values.shape[:-1] + (rows, cols))
+    if view is not None:
+        view[...] = values.reshape((-1,) + view.shape[1:])
     elif data.ndim == 1:
         data[tile_grid(arena, base, stride, rows, cols)] = values
     else:
-        data[:, tile_grid(arena, base, stride, rows, cols)] = values
+        grid = tile_grid(arena, base, stride, rows, cols)
+        data[:, grid] = values.reshape((-1,) + grid.shape)
+
+
+def accumulate(c, product):
+    """A float32 MAC core's ``c + product``, summed into ``product``
+    where it has the result's shape.  Not ``+``: from 256 KiB up numpy
+    adds into the temporary with the operands swapped, and a NaN's sign
+    would follow the size of the leading axis; and a fresh sum of that
+    size costs a page fault per 4 KiB."""
+    out = product if product.ndim >= np.ndim(c) else None
+    return np.add(np.asarray(c, dtype=np.float32), product, out=out)
 
 
 class PerIteration:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .isa import TileISA, register_isa
+from .isa import TileISA, accumulate, register_isa
 
 #: fp16 WMMA fragment shapes (m, n, k)
 SUPPORTED_SHAPES = {(16, 16, 16), (32, 8, 16), (8, 32, 16)}
@@ -55,7 +55,7 @@ def _fp16_operand(x: np.ndarray) -> np.ndarray:
 
 def _mma_exact(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """C + A @ B on operands already through :func:`_fp16_operand`."""
-    return np.asarray(c, dtype=np.float32) + a @ b
+    return accumulate(c, a @ b)
 
 
 def mma_sync(

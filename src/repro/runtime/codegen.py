@@ -66,8 +66,7 @@ class CodegenError(RuntimeError):
 
 
 class _PerTile(CodegenError):
-    """A lane nest under the batch would leave a read-only MAC operand
-    per tile; its batch-only emission stacks it once per call."""
+    """Lanes under the batch would leave a MAC input per tile."""
 
 
 # -- runtime helpers injected into every kernel's globals ----------------------
@@ -172,7 +171,7 @@ def _cast_i(value, np_dtype):
 #
 # Values at run time are either *shared* (scalar, or ``[lanes]``) or
 # *batched* (``[B]`` for a batched scalar, ``[B, lanes]`` for a batched
-# vector).  A ``[B]`` batched scalar and a ``[lanes]`` vector are both
+# vector; ``B·N`` rows in a lane pass under the batch).  A ``[B]`` batched scalar and a ``[lanes]`` vector are both
 # 1-D and cannot be told apart at run time, so the emitter decides
 # statically (``_Emitter.batched``) which twin to call.  (Tensor intrinsics
 # need none: their cores read the axis off their operands.)
@@ -705,9 +704,8 @@ class _Emitter:
         self.proved: Optional[Dict[str, tuple]] = None
         #: a lane loop under the batch: the ``(variables, buffers)``
         #: varying along the lanes, and along the batch (a lane-private
-        #: ``[B·N, size]`` buffer in both); ``requests``, the stacked
-        #: buffers holding one ``[B, size]`` request per row, which
-        #: per-lane bases read and write as ``[B, N, ...]`` tiles
+        #: ``[B·N, size]`` buffer along both); ``requests``: the stacked
+        #: buffers holding ``[B, size]``, one request per row
         self.merged: Optional[tuple] = None
         self.requests: frozenset = frozenset()
         #: (variable, extent, status) per data-parallel loop ("lanes" |
@@ -1890,11 +1888,14 @@ def compile_batched_stmt(
     is per-request (:meth:`KernelFacts.varying`).  Every access to a
     stacked buffer gains the batch axis (``data[:, index]``); shared
     state (weights, shuffle operands, tile grids, loop nests) is
-    emitted exactly as :func:`compile_stmt` would, and since the batch
-    is the one leading axis, block loops stay Python loops.  The kernel
-    runs on ``StackedBuffer``s for the stacked names, plain ``Buffer``s
-    for the shared ones, and ``env['batch.size']``; it is B-agnostic:
-    one kernel serves every batch size of a bucket.
+    emitted exactly as :func:`compile_stmt` would.  A block nest runs
+    as one lane pass whose leading axis is ``B × N``, batch-major (see
+    :meth:`_Emitter._emit_lanes`), or — where that axis cannot carry a
+    value, or would leave a read-only MAC operand per tile — as Python
+    loops.  The kernel runs on ``StackedBuffer``s for the stacked
+    names, plain ``Buffer``s for the shared ones, and
+    ``env['batch.size']``; it is B-agnostic: one kernel serves every
+    batch size of a bucket.
 
     Unlike :func:`compile_stmt` there is **no** interpreter fallback:
     a construct the batched emitter cannot express (per-request control
@@ -1940,7 +1941,10 @@ def compile_batched_stmt(
 #:     are constants; two-level ramps load and store as tile views
 #: v9: a stack is never None (``TileISA.stack``, window stacks: a
 #:     ``PerIteration`` where no view fits); one read per operand
-KERNEL_FORMAT_VERSION = 9
+#: v10: batched kernels lane-vectorise block loops over one ``B × N``
+#:     axis (``_n = len(_x) * _B``; request-buffer stacks read as
+#:     ``[ix].copy().reshape(-1, r, c)``)
+KERNEL_FORMAT_VERSION = 10
 
 
 def serialize_kernel(kernel: CompiledKernel) -> Optional[dict]:

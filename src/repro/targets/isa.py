@@ -16,11 +16,14 @@ compiled driver (:mod:`repro.runtime.codegen`) calls the cores straight
 from emitted source with already-evaluated values, unchecked.
 
 Every core accepts an optional *leading axis* — the batch of a batched
-kernel or the lanes of a vectorised block loop — and tells it from the
-values alone: a stacked buffer holds ``[B, size]`` data, a vector of
-per-lane bases yields an ``[N, rows*cols]`` index grid, a varying tile
-is ``[N, rows*cols]``.  Each leading-axis row is bit-identical to the
-call without the axis (``tests/test_target_cores.py``).
+kernel, the lanes of a vectorised block loop, or both as one ``B × N``
+axis, batch-major — and tells it from the values alone: a stacked
+buffer holds ``[B, size]`` data, a vector of per-lane bases yields an
+``[N, rows*cols]`` index grid, a varying tile is ``[N, rows*cols]``,
+and a stacked buffer at per-lane bases reads and writes ``[B·N, ...]``
+rows (``tile_gather`` / ``tile_scatter``).  Each leading-axis row is
+bit-identical to the call without the axis
+(``tests/test_target_cores.py``).
 
 :data:`REGISTRY` is the one table of tensor intrinsics; what the
 emitter and the analyses ask about one ("is this a store?", "which
@@ -125,11 +128,10 @@ def tile_scatter(arena, data, base, stride, rows, cols, values):
 
 
 def accumulate(c, product):
-    """A float32 MAC core's ``c + product``, summed into ``product``
-    where it has the result's shape.  Not ``+``: from 256 KiB up numpy
-    adds into the temporary with the operands swapped, and a NaN's sign
-    would follow the size of the leading axis; and a fresh sum of that
-    size costs a page fault per 4 KiB."""
+    """A float32 MAC core's ``c + product``, into ``product`` where it
+    has the result's shape.  Not ``+``: from 256 KiB up numpy adds into
+    the temporary with operands swapped (a NaN's sign would follow the
+    leading axis' size), and a fresh sum costs a page fault per 4 KiB."""
     out = product if product.ndim >= np.ndim(c) else None
     return np.add(np.asarray(c, dtype=np.float32), product, out=out)
 

@@ -433,6 +433,37 @@ class TestLintKernelsMutations:
         )
         assert lint_kernel_source(src) == []
 
+    #: a lane loop under the batch: one ``B × N`` axis, a per-lane tile
+    #: store into the stacked output (one request per row)
+    MERGED_REGION = (
+        KERNEL_HEADER
+        + "    b0 = buffers['output']\n"
+        + "    _B = env['batch.size']\n"
+        + "    for l0 in range(0, 16, _LANES):\n"
+        + "        x0 = table[l0:l0 + _LANES]\n"
+        + "        n0 = len(x0) * _B\n"
+        + "        t0 = _take_b(_arena, 'acc', None, (256,), None, n0)\n"
+        + "        d1 = t0.data\n"
+        + "        d1[:, 0:256] = 1.0\n"
+        + "{certificate}"
+        + "        _C1(_arena, b0, ((256 * x0), 256), 16, 16, 16,"
+        + " np.array(d1[:, 0:256]))\n"
+        + "        _give(_arena, t0)\n"
+    )
+
+    def test_merged_axis_store_without_its_proof(self):
+        src = self.MERGED_REGION.format(certificate="")
+        findings = lint_kernel_source(src, batched=True)
+        assert checks(findings) == {"kernels.lane-store"}
+        assert "through b0" in findings[0].message
+
+    def test_certified_merged_axis_store_is_clean(self):
+        src = self.MERGED_REGION.format(
+            certificate="        ('lanes-disjoint', 'b0',"
+            " ((16, 16), (1, 16), (256, 16)))\n"
+        )
+        assert lint_kernel_source(src, batched=True) == []
+
     WIDENED = (
         KERNEL_HEADER
         + "    d0 = buffers['A'].data\n"

@@ -26,6 +26,7 @@ from conftest import (
     SIMPLE_APP_IDS,
     SIMPLE_APPS,
     VARIANTS,
+    assert_same_bytes,
     build_requests,
     build_vector_pipeline,
     make_vector_input,
@@ -33,42 +34,69 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_codegen_parity import TILE, wmma_load, wmma_mma, wmma_store
+
+from repro.ir import For, ForKind, IntImm, Variable
+from repro.ir.builders import make_mul
+from repro.ir.types import Float
 from repro.lowering import lower
+from repro.runtime.buffer import Buffer, StackedBuffer
+from repro.runtime.codegen import compile_batched_stmt, compile_stmt
 from repro.runtime.executor import CompiledPipeline
 from repro.runtime.plan import BatchingUnsupported
 from repro.service import FaultPlan, FaultSpec, Server, faults
 
 pytestmark = pytest.mark.batched
 
-#: compiled pipelines are expensive (equality saturation); build each
-#: app+variant once and share it across every B parametrization
-_PIPELINES = {}
+class Shared:
+    """What every test here may share: compiled pipelines (equality
+    saturation is expensive) per app + variant, and the interpreter's
+    output per request (the seeded ``rng`` fixture draws the same
+    leading requests for every batch size, so a B=2 case reuses the
+    B=5 case's references)."""
 
+    def __init__(self):
+        self.pipelines, self.references = {}, {}
 
-def compiled_app(module, params, variant=None):
-    """``(app, pipeline)`` for an app module + variant, or a bare
-    builder callable (the int8 apps) when ``variant`` is None."""
-    key = (getattr(module, "__name__", repr(module)), variant,
-           tuple(sorted(params.items())))
-    if key not in _PIPELINES:
-        app = (
-            module.build(variant, **params)
-            if variant is not None
-            else module(**params)
+    def app(self, module, params, variant=None):
+        """``(app, pipeline)`` for an app module + variant, or a bare
+        builder callable (the int8 apps) when ``variant`` is None."""
+        key = (getattr(module, "__name__", repr(module)), variant,
+               tuple(sorted(params.items())))
+        if key not in self.pipelines:
+            app = (
+                module.build(variant, **params)
+                if variant is not None
+                else module(**params)
+            )
+            app.backend = "compile"
+            self.pipelines[key] = (app, app.compile())
+        return self.pipelines[key]
+
+    def reference(self, pipe, request):
+        """``pipe``'s interpreter output for ``request``, run once."""
+        key = (id(pipe),) + tuple(
+            (getattr(k, "name", k), np.asarray(v).tobytes())
+            for k, v in request.items()
         )
-        app.backend = "compile"
-        _PIPELINES[key] = (app, app.compile())
-    return _PIPELINES[key]
+        if key not in self.references:
+            self.references[key] = pipe.run(request, backend="interpret")
+        return self.references[key]
+
+    def parity(self, pipe, requests):
+        """(a) interpreter == (b) looped compiled == (c) batched,
+        bitwise."""
+        batched = pipe.run_many(requests, batch_axis=True)
+        looped = pipe.run_many(requests, batch_axis=False, workers=1)
+        for out_b, out_l, request in zip(batched, looped, requests):
+            reference = self.reference(pipe, request)
+            np.testing.assert_array_equal(out_l, reference)
+            np.testing.assert_array_equal(out_b, reference)
 
 
-def assert_three_way_parity(pipe, requests):
-    """(a) interpreter == (b) looped compiled == (c) batched, bitwise."""
-    batched = pipe.run_many(requests, batch_axis=True)
-    looped = pipe.run_many(requests, batch_axis=False, workers=1)
-    for out_b, out_l, request in zip(batched, looped, requests):
-        reference = pipe.run(request, backend="interpret")
-        np.testing.assert_array_equal(out_l, reference)
-        np.testing.assert_array_equal(out_b, reference)
+@pytest.fixture(scope="module")
+def shared():
+    return Shared()
 
 
 class TestAppParity:
@@ -79,36 +107,38 @@ class TestAppParity:
     @pytest.mark.parametrize(
         "module,params", SIMPLE_APPS, ids=SIMPLE_APP_IDS
     )
-    def test_batched_parity(self, module, params, variant, batch, rng):
-        app, pipe = compiled_app(module, params, variant)
-        assert_three_way_parity(pipe, build_requests(app, batch, rng))
+    def test_batched_parity(
+        self, shared, module, params, variant, batch, rng
+    ):
+        app, pipe = shared.app(module, params, variant)
+        shared.parity(pipe, build_requests(app, batch, rng))
 
     @pytest.mark.parametrize(
         "module,params", SIMPLE_APPS, ids=SIMPLE_APP_IDS
     )
-    def test_large_batch(self, module, params, rng):
-        app, pipe = compiled_app(module, params, "tensor")
+    def test_large_batch(self, shared, module, params, rng):
+        app, pipe = shared.app(module, params, "tensor")
         requests = build_requests(app, 16, rng)
         batched = pipe.run_many(requests, batch_axis=True)
         for out, request in zip(batched, requests):
             np.testing.assert_array_equal(
-                out, pipe.run(request, backend="interpret")
+                out, shared.reference(pipe, request)
             )
 
     @pytest.mark.parametrize("batch", [1, 3, 8], ids=lambda b: f"B{b}")
     @pytest.mark.parametrize(
         "builder,params", INT8_APPS, ids=INT8_APP_IDS
     )
-    def test_int8_parity(self, builder, params, batch, rng):
+    def test_int8_parity(self, shared, builder, params, batch, rng):
         """dp4a: int8 truncation and int32 wraparound are elementwise,
         so batching must preserve them exactly."""
-        app, pipe = compiled_app(builder, params)
-        assert_three_way_parity(pipe, build_requests(app, batch, rng))
+        app, pipe = shared.app(builder, params)
+        shared.parity(pipe, build_requests(app, batch, rng))
 
-    def test_int8_wraparound_values_survive_batching(self, rng):
+    def test_int8_wraparound_values_survive_batching(self, shared, rng):
         """Inputs at the int8 extremes: accumulator wraparound must be
         identical whether requests run alone or stacked."""
-        app, pipe = compiled_app(INT8_APPS[0][0], INT8_APPS[0][1])
+        app, pipe = shared.app(INT8_APPS[0][0], INT8_APPS[0][1])
         params = list(app.inputs.items())
         requests = []
         for _ in range(4):
@@ -122,26 +152,150 @@ class TestAppParity:
                 else:
                     request[param.name] = array
             requests.append(request)
-        assert_three_way_parity(pipe, requests)
+        shared.parity(pipe, requests)
 
-    def test_batched_path_actually_used(self, rng):
+    def test_batched_path_actually_used(self, shared, rng):
         """The parity above must not silently test the fallback."""
         from repro.apps import conv1d
 
-        app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
+        app, pipe = shared.app(conv1d, {"taps": 16, "rows": 1}, "tensor")
         pipe.run_many(build_requests(app, 4, rng), batch_axis=True)
         stats = pipe._default_plan.stats()
         assert stats["runs"] >= 1
         assert stats["batched_requests"] >= 4
 
 
+def data_split(app, pipe):
+    """The stacked names of a bucket whose first input varies."""
+    return frozenset((next(iter(app.inputs)).name, pipe.output_name))
+
+
+def mac_nest(lanes, w_per_lane):
+    """``out[x] = A[x] . W`` over ``lanes`` block lanes, one WMMA tile
+    each; ``W``'s tile at each lane's base too, or else at 0."""
+    base = make_mul(Variable("x"), IntImm(TILE))
+    w_base = base if w_per_lane else IntImm(0)
+    body = wmma_store(
+        "out", base,
+        wmma_mma(wmma_load("a", "A", base), wmma_load("b", "W", w_base)),
+    )
+    return For("x", IntImm(0), IntImm(lanes), ForKind.GPU_BLOCK, body)
+
+
+def run_both(stmt, batch, rng, lanes, a_size):
+    """``stmt``'s batched kernel (``A`` and ``out`` stacked, ``W``
+    shared) on ``batch`` requests, and its per-request kernel on each
+    request alone: ``(batched out rows, per-request outs, errors)``,
+    ``out`` starting at -1 and each error the exception type raised."""
+    f16 = Float(16)
+    a = rng.standard_normal((batch, a_size)).astype(np.float16)
+    w = rng.standard_normal(lanes * TILE).astype(np.float16)
+    out = np.full((batch, lanes * TILE), -1.0, np.float32)
+    errors = []
+
+    def run(kernel, buffers, env):
+        try:
+            kernel(buffers, env)
+            errors.append(None)
+        except Exception as exc:  # noqa: BLE001 - compared by type
+            errors.append(type(exc))
+
+    stacked = {
+        name: StackedBuffer(
+            name, dtype, (data.shape[1],), is_external=True, batch=batch,
+            data=data.copy(),
+        )
+        for name, data, dtype in (("A", a, f16), ("out", out, Float(32)))
+    }
+    stacked["W"] = Buffer.from_numpy("W", w, dtype=f16)
+    run(compile_batched_stmt(stmt, frozenset({"A", "out"})), stacked,
+        {"batch.size": batch})
+    single, alone = compile_stmt(stmt), []
+    for b in range(batch):
+        buffers = {
+            "A": Buffer.from_numpy("A", a[b], dtype=f16),
+            "W": Buffer.from_numpy("W", w, dtype=f16),
+            "out": Buffer.from_numpy("out", out[b].copy()),
+        }
+        run(single, buffers, {})
+        alone.append(buffers["out"].data)
+    return stacked["out"].data, alone, errors
+
+
+class TestLanesUnderTheBatch:
+    """A batched kernel runs a block nest as one pass over a ``B × N``
+    leading axis (row ``b·N + lane``); where that axis cannot carry a
+    value, the nest keeps the batch-only kernel's Python loops."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 32], ids=lambda b: f"B{b}")
+    @pytest.mark.parametrize("taps", [8, 56])
+    def test_conv1d_block_grid_is_one_pass(self, shared, taps, batch, rng):
+        from repro.apps import conv1d
+
+        app, pipe = shared.app(conv1d, {"taps": taps, "rows": 1}, "tensor")
+        requests = build_requests(app, batch, rng)
+        plan = pipe.plan()
+        batched = pipe.run_many(requests, batch_axis=True)
+        for got, request in zip(batched, requests):
+            assert_same_bytes(got, plan.run(request))
+        loops = pipe.kernel(data_split(app, pipe)).loops
+        assert loops[0] == ("output.s0.x", 16, "lanes")
+
+    def test_lane_only_shared_tile_rolls_back(self, rng):
+        """``W``'s tile varies along the lanes alone (``[N, ...]``) and
+        meets ``A``'s, which varies along both (``[B·N, ...]``)."""
+        stmt = mac_nest(4, w_per_lane=True)
+        kernel = compile_batched_stmt(stmt, frozenset({"A", "out"}))
+        assert kernel.loops == (
+            ("x", 4, "a lane-only value meets a batch-varying value"),
+        )
+        assert compile_stmt(stmt).loops == (("x", 4, "lanes"),)
+        batched, alone, errors = run_both(stmt, 3, rng, 4, 4 * TILE)
+        assert errors == [None] * 4
+        for row, want in zip(batched, alone):
+            assert_same_bytes(row, want)
+
+    def test_out_of_range_tile_fails_as_per_request(self, rng):
+        """The last lane's ``A`` tile leaves the buffer by 8 elements:
+        the batched kernel raises what each request's own kernel
+        raises, after the same writes — the first pass of ``_LANES``
+        lanes, not the failing one."""
+        lanes = 80
+        stmt = mac_nest(lanes, w_per_lane=False)
+        kernel = compile_batched_stmt(stmt, frozenset({"A", "out"}))
+        assert kernel.loops == (("x", lanes, "lanes"),)
+        batched, alone, errors = run_both(
+            stmt, 3, rng, lanes, lanes * TILE - 8
+        )
+        assert errors == [IndexError] * 4
+        for row, want in zip(batched, alone):
+            assert_same_bytes(row, want)
+            assert (row[:64 * TILE] != -1).all()
+            assert (row[64 * TILE:] == -1).all()
+
+    def test_conv2d_keeps_its_batch_only_loops(self, shared):
+        """Lanes would leave ``I2``'s tile per iteration and request
+        (its per-lane bases are not affine in the lane); the batch-only
+        loops stack it once per call."""
+        from repro.apps import conv2d
+
+        app, pipe = shared.app(
+            conv2d, {"taps": 16, "width": 512, "rows": 4}, "tensor"
+        )
+        loops = pipe.kernel(data_split(app, pipe)).loops
+        reason = "under the batch: I2: per-lane bases not affine in the lane"
+        assert loops[:2] == (
+            ("output2.s0.y", 4, reason), ("output2.s0.x", 2, reason)
+        )
+
+
 class TestKernelReuse:
     """One B-agnostic kernel serves every batch size."""
 
-    def test_batch_size_change_does_not_rebind(self, rng):
+    def test_batch_size_change_does_not_rebind(self, shared, rng):
         from repro.apps import conv1d
 
-        app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
+        app, pipe = shared.app(conv1d, {"taps": 16, "rows": 1}, "tensor")
         plan = pipe.plan()
         kernels = set()
         for batch in (2, 5, 1, 16):
@@ -150,15 +304,15 @@ class TestKernelReuse:
             kernels.add(id(plan._stacked.kernel))
             for out, request in zip(outs, requests):
                 np.testing.assert_array_equal(
-                    out, pipe.run(request, backend="interpret")
+                    out, shared.reference(pipe, request)
                 )
         assert plan.stats()["rebinds"] == 1
         assert len(kernels) == 1
 
-    def test_batched_kernel_is_cached_and_negative_cached(self):
+    def test_batched_kernel_is_cached_and_negative_cached(self, shared):
         from repro.apps import conv1d
 
-        app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
+        app, pipe = shared.app(conv1d, {"taps": 16, "rows": 1}, "tensor")
         names = [p.name for p in app.inputs]
         data_split = frozenset([names[0], pipe.output_name])
         first = pipe.kernel(data_split)
@@ -170,10 +324,10 @@ class TestKernelReuse:
         assert pipe.kernel(weights_split) is None
         assert weights_split in pipe._unbatchable
 
-    def test_out_parameter(self, rng):
+    def test_out_parameter(self, shared, rng):
         from repro.apps import conv1d
 
-        app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
+        app, pipe = shared.app(conv1d, {"taps": 16, "rows": 1}, "tensor")
         plan = pipe.plan()
         requests = build_requests(app, 3, rng)
         expected = plan.run_batch(requests)
@@ -183,13 +337,13 @@ class TestKernelReuse:
             assert np.shares_memory(row, res)
             np.testing.assert_array_equal(row, exp)
 
-    def test_singletons_and_buckets_share_one_plan(self, rng):
+    def test_singletons_and_buckets_share_one_plan(self, shared, rng):
         """One plan, two binding slots, one arena: alternating B=1 and
         B=8 binds each slot once, and the shared weights' shuffle
         operands are built once for both paths."""
         from repro.apps import conv1d
 
-        app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
+        app, pipe = shared.app(conv1d, {"taps": 16, "rows": 1}, "tensor")
         requests = build_requests(app, 8, rng)
         plan = pipe.plan()
         for _ in range(3):
@@ -208,12 +362,12 @@ class TestKernelReuse:
         assert stats["memo_misses"] == singles.stats()["memo_misses"]
         assert stats["memo_entries"] == singles.stats()["memo_entries"]
 
-    def test_failed_bucket_drops_both_slots(self, rng):
+    def test_failed_bucket_drops_both_slots(self, shared, rng):
         """The one failure rule: a failed batch-axis run leaves no bound
         state and no arena behind, on either slot."""
         from repro.apps import conv1d
 
-        app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
+        app, pipe = shared.app(conv1d, {"taps": 16, "rows": 1}, "tensor")
         requests = build_requests(app, 4, rng)
         plan = pipe.plan()
         plan.run(requests[0])
@@ -266,28 +420,28 @@ class TestRoutingFallback:
                 out, pipe.run(request, backend="interpret")
             )
 
-    def test_per_request_weights_fall_back(self, rng):
+    def test_per_request_weights_fall_back(self, shared, rng):
         from repro.apps import conv1d
 
-        app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
+        app, pipe = shared.app(conv1d, {"taps": 16, "rows": 1}, "tensor")
         # vary every input: the weights feed a shuffle constructor, so
         # the bucket is unbatchable — looped fallback, still bitwise
         requests = build_requests(app, 3, rng, vary=len(app.inputs))
         results = pipe.run_many(requests)
         for out, request in zip(results, requests):
             np.testing.assert_array_equal(
-                out, pipe.run(request, backend="interpret")
+                out, shared.reference(pipe, request)
             )
         with pytest.raises(BatchingUnsupported):
             pipe.run_many(requests, batch_axis=True)
 
-    def test_none_requests_reuse_app_inputs(self):
+    def test_none_requests_reuse_app_inputs(self, shared):
         # App.run_many substitutes the app's bundled inputs for None
         # entries — same dict object per request, so everything is
         # shared and the all-shared kernel variant serves the bucket
         from repro.apps import conv1d
 
-        app, _ = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
+        app, _ = shared.app(conv1d, {"taps": 16, "rows": 1}, "tensor")
         expected = app.run()
         for out in app.run_many([None, None]):
             np.testing.assert_array_equal(out, expected)
@@ -311,10 +465,10 @@ class TestDataDependentAddressing:
 
 
 class TestServerBatched:
-    def test_server_routes_through_batched_kernel(self, rng):
+    def test_server_routes_through_batched_kernel(self, shared, rng):
         from repro.apps import conv1d
 
-        app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
+        app, pipe = shared.app(conv1d, {"taps": 16, "rows": 1}, "tensor")
         requests = build_requests(app, 6, rng)
         with Server(pipe, workers=2) as server:
             batched = server.run_many(requests)
@@ -378,7 +532,7 @@ class TestHypothesisSweeps:
 
     @settings(max_examples=12, deadline=None)
     @given(batch=st.integers(1, 6), seed=st.integers(0, 2**16))
-    def test_vector_pipeline_parity(self, batch, seed):
+    def test_vector_pipeline_parity(self, shared, batch, seed):
         inp, f = build_vector_pipeline()
         pipe = CompiledPipeline(lower(f), backend="compile")
         rng = np.random.default_rng(seed)
@@ -386,18 +540,18 @@ class TestHypothesisSweeps:
             {inp: rng.standard_normal(64).astype(np.float32)}
             for _ in range(batch)
         ]
-        assert_three_way_parity(pipe, requests)
+        shared.parity(pipe, requests)
 
     @settings(max_examples=8, deadline=None)
     @given(batch=st.integers(1, 5), seed=st.integers(0, 2**16))
-    def test_accelerator_app_parity(self, batch, seed):
+    def test_accelerator_app_parity(self, shared, batch, seed):
         from repro.apps import conv1d
 
-        app, pipe = compiled_app(conv1d, {"taps": 16, "rows": 1}, "tensor")
+        app, pipe = shared.app(conv1d, {"taps": 16, "rows": 1}, "tensor")
         rng = np.random.default_rng(seed)
         requests = build_requests(app, batch, rng)
         batched = pipe.run_many(requests, batch_axis=True)
         for out, request in zip(batched, requests):
             np.testing.assert_array_equal(
-                out, pipe.run(request, backend="interpret")
+                out, shared.reference(pipe, request)
             )

@@ -266,14 +266,15 @@ class TestInvalidation:
         a ``_bv_*`` core that is gone, so it does not even unpickle), or
         a v6 kernel (every MAC input converted per tile, no ``.widen``
         preamble, no exact flags on its MACs), a v7 kernel (its serial
-        loops re-derive every tile and shuffle per iteration), or a v8
+        loops re-derive every tile and shuffle per iteration), a v8
         kernel (its stacks may be None, and it calls a ``_stack``
-        helper that is gone)."""
+        helper that is gone), or a v9 kernel (its batched block loops
+        run one Python iteration per lane)."""
         from repro.runtime.codegen import KERNEL_FORMAT_VERSION
 
-        assert KERNEL_FORMAT_VERSION == 9
+        assert KERNEL_FORMAT_VERSION == 10
         for stale_format in (
-            KERNEL_FORMAT_VERSION + 1, 3, 4, 5, 6, 7, 8, "stranded",
+            KERNEL_FORMAT_VERSION + 1, 3, 4, 5, 6, 7, 8, 9, "stranded",
         ):
             root = tmp_path / f"v{stale_format}"
             app = small_app()

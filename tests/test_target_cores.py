@@ -358,6 +358,13 @@ class TestRoleCores:
                 one(stacked_buffer(dtype, data), 11),
                 np.stack([one(row, 11) for row in rows]),
             )
+            # both, as one B·N axis: row b·N + lane is request b's tile
+            # at that lane's base (index gather, and strided view)
+            for bases in (BASES, AFFINE):
+                assert_same_bytes(
+                    one(stacked_buffer(dtype, data), bases),
+                    np.concatenate([one(row, bases) for row in rows]),
+                )
 
     def test_store(self, isa, rng):
         """Into the accumulator's own type and, for the float ISAs, a
@@ -398,6 +405,21 @@ class TestRoleCores:
                     np.stack(
                         [one(flat_buffer(dtype, blank), 11, t) for t in rows]
                     ),
+                )
+            # B·N rows of tiles at per-lane bases: row b·N + lane lands
+            # in request b (index scatter, and strided view)
+            requests = (tiles, tiles[::-1])
+            for bases in (lanes, (np.arange(4) * 20, 20)):
+                got = one(
+                    stacked_buffer(dtype, np.tile(blank, (2, 1))),
+                    bases, np.concatenate(requests),
+                )
+                assert_same_bytes(
+                    got,
+                    np.stack([
+                        one(flat_buffer(dtype, blank), bases, t)
+                        for t in requests
+                    ]),
                 )
 
     def test_fill(self, isa):

@@ -171,9 +171,10 @@ def _cast_i(value, np_dtype):
 #
 # Values at run time are either *shared* (scalar, or ``[lanes]``) or
 # *batched* (``[B]`` for a batched scalar, ``[B, lanes]`` for a batched
-# vector; ``B·N`` rows in a lane pass under the batch).  A ``[B]`` batched scalar and a ``[lanes]`` vector are both
-# 1-D and cannot be told apart at run time, so the emitter decides
-# statically (``_Emitter.batched``) which twin to call.  (Tensor intrinsics
+# vector; ``B·N`` rows in a lane pass under the batch).  A ``[B]``
+# batched scalar and a ``[lanes]`` vector are both 1-D and cannot be
+# told apart at run time, so the emitter decides statically
+# (``_Emitter.batched``) which twin to call.  (Tensor intrinsics
 # need none: their cores read the axis off their operands.)
 
 
@@ -814,8 +815,7 @@ class _Emitter:
         return method(e)
 
     def _axes(self, e: E.Expr) -> tuple:
-        """Does ``e`` vary along the lanes, and along the batch, of a
-        ``B × N`` axis?"""
+        """Does ``e`` vary along the lanes, and the batch, of ``B × N``?"""
         if self.merged is None:
             return False, False
         return tuple(_varies(e, *roots) for roots in self.merged)

@@ -12,8 +12,7 @@ Sections:
 ``--fig6`` widens the app set from the quick pair to the full fig-6
 suite.  The ``kernels`` section first prints the intrinsic registry
 (name, accelerator, role, purity — the cores a kernel may call), then
-each kernel's loop report (the batched kernel's rows under the label
-``<app>[<variant>]/batched``):
+each kernel's loop report (a batched one's as ``<app>[<v>]/batched``):
 which data-parallel loops run as one lane-vectorised pass, and why the
 others stayed Python loops; and one row per MAC call site: whether each
 of A and B is ``widened once per call`` (an input the kernel only
@@ -85,10 +84,10 @@ def main(argv=None) -> int:
             for variant in VARIANTS:
                 found, label, *kernels = _analyze(name, params, variant)
                 findings.extend(found)
-                for suffix, kernel in zip(("", "/batched"), kernels):
+                for tag, kernel in zip(("", "/batched"), kernels):
                     if kernel is not None:
-                        loops.extend((label + suffix,) + r for r in kernel.loops)
-                        macs.extend((label + suffix,) + r for r in kernel.macs)
+                        loops.extend((label + tag,) + r for r in kernel.loops)
+                        macs.extend((label + tag,) + r for r in kernel.macs)
 
     if args.json:
         print(

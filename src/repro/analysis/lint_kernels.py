@@ -29,7 +29,8 @@ checks the invariants the emitter is supposed to maintain:
     batched path; any other read raises ``KeyError`` at serve time.
 ``kernels.lane-store``
     Inside a lane region (``for _ in range(0, N, _LANES):`` — a block
-    loop emitted as one array pass) every store into a buffer bound
+    loop emitted as one array pass; under the batch, ``range(0, N, _w)``
+    with ``_w = max(1, _ROWS // _B)``) every store into a buffer bound
     outside the region must carry its disjointness certificate, the
     bare ``('lanes-disjoint', local, terms)`` constant the emitter
     writes next to it, and the terms must re-check
@@ -414,6 +415,12 @@ def _lint_lane_stores(tree: ast.AST, context: str) -> List[Finding]:
     from ..runtime.codegen import lanes_disjoint
 
     findings: List[Finding] = []
+    widths = {"_LANES"} | {  # a pass of lanes under the batch
+        getattr(node.targets[0], "id", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and "_ROWS" in map(_call_root, ast.walk(node.value))
+    }
     for region in ast.walk(tree):
         if not (
             isinstance(region, ast.For)
@@ -421,7 +428,7 @@ def _lint_lane_stores(tree: ast.AST, context: str) -> List[Finding]:
             and _call_root(region.iter.func) == "range"
             and len(region.iter.args) == 3
             and isinstance(region.iter.args[2], ast.Name)
-            and region.iter.args[2].id == "_LANES"
+            and region.iter.args[2].id in widths
         ):
             continue
         bound = {"buffers"}  # the kernel's own name table, not a buffer

@@ -50,8 +50,7 @@ def analyze_app(
 
 
 def _analyze(module_name: str, params: Optional[Dict], variant: str):
-    """:func:`analyze_app`, plus the app's label, its scalar kernel and
-    its batched kernel (None: the split is unbatchable)."""
+    """:func:`analyze_app`, plus the label, scalar and batched kernels."""
     import importlib
 
     from ..hardboiled import TileExtractor, select_instructions
@@ -127,8 +126,7 @@ def _analyze(module_name: str, params: Optional[Dict], variant: str):
         )
     )
 
-    # the serving split: the first input varies per request, the rest
-    # are weights every request shares
+    # as served: the first input per request, the weights shared
     stacked = frozenset((next(iter(buffers)), output.name))
     try:
         batched = compile_batched_stmt(lowered.stmt, stacked)

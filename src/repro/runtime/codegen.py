@@ -66,7 +66,7 @@ class CodegenError(RuntimeError):
 
 
 class _PerTile(CodegenError):
-    """Lanes under the batch would leave a MAC input per tile."""
+    """Lanes under the batch would leave a read-only MAC input per tile."""
 
 
 # -- runtime helpers injected into every kernel's globals ----------------------
@@ -170,12 +170,12 @@ def _cast_i(value, np_dtype):
 # every app.
 #
 # Values at run time are either *shared* (scalar, or ``[lanes]``) or
-# *batched* (``[B]`` for a batched scalar, ``[B, lanes]`` for a batched
-# vector; ``B·N`` rows in a lane pass under the batch).  A ``[B]``
-# batched scalar and a ``[lanes]`` vector are both 1-D and cannot be
-# told apart at run time, so the emitter decides statically
-# (``_Emitter.batched``) which twin to call.  (Tensor intrinsics
-# need none: their cores read the axis off their operands.)
+# *batched* (``[B]`` — ``[B·N]`` in a lane pass — for a batched scalar,
+# ``[B, lanes]`` for a batched vector).  A ``[B]`` batched scalar and a
+# ``[lanes]`` vector are both 1-D and cannot be told apart at run time,
+# so the emitter decides statically (``_Emitter.batched``) which twin to
+# call.  (Tensor intrinsics need none: their cores read the axis off
+# their operands.)
 
 
 def _vec_b(x):
@@ -503,6 +503,9 @@ _LANE_KINDS = (ForKind.GPU_BLOCK, ForKind.PARALLEL)
 #: lanes per array pass — bounds every lane-private ``[N, size]`` slab
 #: and gather temporary, however large the block grid is
 _LANES = 64
+#: rows (``B × lanes``, one lane at least) per pass under the batch: 512
+#: held +10% peak RSS on the sweep, 128 the same time within noise
+_ROWS = 128
 
 
 def lanes_disjoint(terms) -> bool:
@@ -690,9 +693,8 @@ class _Emitter:
         #: inside a statement that may mutate buffers mid-expression
         self.copy_views = False
         #: python local holding the leading axis' length while one is
-        #: live: a lane loop's chunk ``N``, a batched kernel's ``_B``,
-        #: or, for a lane loop under the batch, ``B × N`` — one axis,
-        #: batch-major (row ``b·N + lane``)
+        #: live: a lane loop's chunk ``N``, a batched kernel's ``_B``, or
+        #: both as one ``B × N`` axis (row ``b·N + lane``)
         self.lead: Optional[str] = None
         #: buffers holding ``[rows, size]`` data: every access gains
         #: the leading axis (``data[:, index]``); the variables that
@@ -703,10 +705,9 @@ class _Emitter:
         #: its per-lane store.  None elsewhere — the batch alone
         #: addresses nothing per row
         self.proved: Optional[Dict[str, tuple]] = None
-        #: a lane loop under the batch: the ``(variables, buffers)``
-        #: varying along the lanes, and along the batch (a lane-private
-        #: ``[B·N, size]`` buffer along both); ``requests``: the stacked
-        #: buffers holding ``[B, size]``, one request per row
+        #: under the batch, in a lane loop: the ``(variables, buffers)``
+        #: varying along the lanes, and the batch (lane-private ones both);
+        #: ``requests``: stacked buffers of ``[B, size]``, a request a row
         self.merged: Optional[tuple] = None
         self.requests: frozenset = frozenset()
         #: (variable, extent, status) per data-parallel loop ("lanes" |
@@ -821,19 +822,16 @@ class _Emitter:
         return tuple(_varies(e, *roots) for roots in self.merged)
 
     def _meets(self, e: E.Expr) -> None:
-        """Under the ``B × N`` axis every varying value has ``B·N``
-        rows: refuse one with ``B`` rows, or ``N`` rows where it meets
-        ``B·N`` — save a tile load's per-lane base into a request
-        buffer, which the core reads as ``[B, N, ...]``."""
+        """Refuse a value with ``B`` rows, or ``N`` rows meeting ``B·N``
+        — save a tile load's per-lane base into a request buffer, which
+        the core reads as ``[B, N, ...]``."""
         lanes, batch = self._axes(e)
         if batch and not lanes:
             raise CodegenError("a value varies along the batch only")
         if not batch or isinstance(e, (E.Let, E.Load)):
             return
-        parts = e.children()
-        if isinstance(e, E.Call) and role_of(e.name) == "load":
-            parts = parts[2:]
-        if any(self._axes(x) == (True, False) for x in parts):
+        skip = 2 if isinstance(e, E.Call) and role_of(e.name) == "load" else 0
+        if any(self._axes(x) == (True, False) for x in e.children()[skip:]):
             raise CodegenError("a lane-only value meets a batch-varying value")
 
     def emit_vector(self, e: E.Expr) -> str:
@@ -1243,8 +1241,7 @@ class _Emitter:
 
     def _certify(self, name: str, local: str, address) -> None:
         """Gate a per-lane ``address`` stored through ``local`` into
-        shared (or request) buffer ``name`` on its disjointness proof
-        — the batch rows of a request buffer are disjoint as ever.
+        shared (or request) buffer ``name`` on its disjointness proof.
 
         The certificate line is a bare constant — compiled away, but
         kept in the source for ``lint_kernels`` to re-check.
@@ -1395,8 +1392,6 @@ class _Emitter:
             xs = [self.fresh("x") for _ in nest]
             stacks, reasons = self._plan_stacks(nest, xs, rows)
         if reasons and self.merged is not None:
-            # a tile per iteration and request: the batch-only kernel
-            # stacks it once per call instead
             raise _PerTile(f"under the batch: {'; '.join(reasons)}")
         status = "; ".join(reasons) or "nothing to hoist"
         if stacks:
@@ -1559,9 +1554,8 @@ class _Emitter:
         Speculative: on any obstacle — in the legality proof or in the
         emission of the body — the emitter is rolled back, the reason
         is recorded in :attr:`loops`, and the caller emits the Python
-        loop (whose inner block loops then get their own attempt).  A
-        nest the batch would leave per tile (:class:`_PerTile`) is
-        emitted here as the batch-only kernel's loops, whole.
+        loop (whose inner block loops then get their own attempt) — or,
+        for a :class:`_PerTile` nest, emits the batch-only loops whole.
         """
         if self.proved is not None:
             # the leading axis is outer lanes' already
@@ -1609,8 +1603,7 @@ class _Emitter:
         that does not depend on a loop variable — weights, memoised
         shuffle operands, inner serial loops — is emitted as ever.  A
         grid wider than ``_LANES`` runs in chunks of that many lanes.
-        Under the batch the axis is ``B × N``, row ``b·N + lane``: a
-        value varying along it has ``B·N`` rows (see :meth:`_meets`).
+        Under the batch it is ``B × N`` rows (see :meth:`_meets`).
         """
         dims: Dict[str, int] = {}
         for loop in nest:
@@ -1631,8 +1624,11 @@ class _Emitter:
             self.merged = tuple((n, b | private) for n, b in (lanes, batch))
             lanes = (a | b for a, b in zip(*self.merged))
         self.varying, self.stacked = lanes
-        chunk = self.fresh("l")
-        self.line(f"for {chunk} in range(0, {total}, _LANES):")
+        chunk, width, times = self.fresh("l"), "_LANES", ""
+        if outer[0]:
+            width, times = self.fresh("w"), f" * {outer[0]}"
+            self.line(f"{width} = max(1, _ROWS // {outer[0]})")
+        self.line(f"for {chunk} in range(0, {total}, {width}):")
         with self.block(), ExitStack() as bound:
             lane, inner = np.arange(total), total
             for loop in nest:
@@ -1641,12 +1637,11 @@ class _Emitter:
                 self.lane_index[loop.name] = index
                 var = self.fresh("x")
                 self.line(
-                    f"{var} = {self.const(index)}[{chunk}:{chunk} + _LANES]"
+                    f"{var} = {self.const(index)}[{chunk}:{chunk} + {width}]"
                 )
                 bound.enter_context(self.bind(loop.name, var))
             self.lead = self.fresh("n")
-            batch = f" * {outer[0]}" if outer[0] else ""
-            self.line(f"{self.lead} = len({var}){batch}")
+            self.line(f"{self.lead} = len({var}){times}")
             self.emit_stmt(body)
         self.lead, self.varying, self.stacked = outer
         self.proved = self.merged = None
@@ -1770,6 +1765,7 @@ _HELPER_GLOBALS = {
     "_cat_b": _cat_b,
     "_take_b": _take,
     "_LANES": _LANES,
+    "_ROWS": _ROWS,
     "_tiles": _tiles,
     "_gather": tile_gather,
     "_scatter": tile_scatter,
@@ -1888,14 +1884,11 @@ def compile_batched_stmt(
     is per-request (:meth:`KernelFacts.varying`).  Every access to a
     stacked buffer gains the batch axis (``data[:, index]``); shared
     state (weights, shuffle operands, tile grids, loop nests) is
-    emitted exactly as :func:`compile_stmt` would.  A block nest runs
-    as one lane pass whose leading axis is ``B × N``, batch-major (see
-    :meth:`_Emitter._emit_lanes`), or — where that axis cannot carry a
-    value, or would leave a read-only MAC operand per tile — as Python
-    loops.  The kernel runs on ``StackedBuffer``s for the stacked
-    names, plain ``Buffer``s for the shared ones, and
-    ``env['batch.size']``; it is B-agnostic: one kernel serves every
-    batch size of a bucket.
+    emitted exactly as :func:`compile_stmt` would, and a block nest as
+    one lane pass over ``B × N`` rows where it can (``_emit_lanes``).
+    The kernel runs on ``StackedBuffer``s for the stacked names, plain
+    ``Buffer``s for the shared ones, and ``env['batch.size']``; it is
+    B-agnostic: one kernel serves every batch size of a bucket.
 
     Unlike :func:`compile_stmt` there is **no** interpreter fallback:
     a construct the batched emitter cannot express (per-request control

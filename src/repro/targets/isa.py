@@ -17,12 +17,11 @@ from emitted source with already-evaluated values, unchecked.
 
 Every core accepts an optional *leading axis* — the batch of a batched
 kernel, the lanes of a vectorised block loop, or both as one ``B × N``
-axis, batch-major — and tells it from the values alone: a stacked
-buffer holds ``[B, size]`` data, a vector of per-lane bases yields an
-``[N, rows*cols]`` index grid, a varying tile is ``[N, rows*cols]``,
-and a stacked buffer at per-lane bases reads and writes ``[B·N, ...]``
-rows (``tile_gather`` / ``tile_scatter``).  Each leading-axis row is
-bit-identical to the call without the axis
+axis — and tells it from the values alone: a stacked buffer holds
+``[B, size]`` data, a vector of per-lane bases yields an ``[N,
+rows*cols]`` index grid (at which a stacked buffer reads and writes
+``[B·N, ...]`` rows, batch-major), a varying tile is ``[N, rows*cols]``.
+Each leading-axis row is bit-identical to the call without the axis
 (``tests/test_target_cores.py``).
 
 :data:`REGISTRY` is the one table of tensor intrinsics; what the
@@ -112,26 +111,29 @@ def tile_scatter(arena, data, base, stride, rows, cols, values):
     """Store flat ``values`` at the tile(s) at ``base``: through the
     strided view where it is in range and no two elements share an
     address (rows apart; lanes by the ``(bases, step)`` pair's
-    lanes-disjoint proof), else the index scatter.  Into a stacked
-    buffer at per-lane bases, ``B·N`` rows of values land as ``[B, N,
-    ...]``; a shared tile broadcasts along the batch."""
+    lanes-disjoint proof), else the index scatter.  A shared tile
+    broadcasts along the batch; ``B·N`` rows land as ``[B, N, ...]``."""
     view = None
     if rows == 1 or abs(stride) >= cols:
         view = tile_view(data, base, stride, rows, cols)
     if view is not None:
-        view[...] = values.reshape((-1,) + view.shape[1:])
+        tiles = values.reshape(values.shape[:-1] + (rows, cols))
+        if tiles.ndim == 3 and view.ndim == 4:
+            tiles = tiles.reshape((-1,) + view.shape[1:])
+        view[...] = tiles
     elif data.ndim == 1:
         data[tile_grid(arena, base, stride, rows, cols)] = values
     else:
         grid = tile_grid(arena, base, stride, rows, cols)
-        data[:, grid] = values.reshape((-1,) + grid.shape)
+        if values.ndim == 2 and grid.ndim == 2:
+            values = values.reshape((-1,) + grid.shape)
+        data[:, grid] = values
 
 
 def accumulate(c, product):
-    """A float32 MAC core's ``c + product``, into ``product`` where it
-    has the result's shape.  Not ``+``: from 256 KiB up numpy adds into
-    the temporary with operands swapped (a NaN's sign would follow the
-    leading axis' size), and a fresh sum costs a page fault per 4 KiB."""
+    """A float32 MAC core's ``c + product``, into ``product`` where the
+    shapes allow.  ``+`` would, from 256 KiB up, swap the operands (and
+    a NaN's sign), and a fresh sum costs a page fault per 4 KiB."""
     out = product if product.ndim >= np.ndim(c) else None
     return np.add(np.asarray(c, dtype=np.float32), product, out=out)
 

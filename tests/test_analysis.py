@@ -439,8 +439,9 @@ class TestLintKernelsMutations:
         KERNEL_HEADER
         + "    b0 = buffers['output']\n"
         + "    _B = env['batch.size']\n"
-        + "    for l0 in range(0, 16, _LANES):\n"
-        + "        x0 = table[l0:l0 + _LANES]\n"
+        + "    w0 = max(1, _ROWS // _B)\n"
+        + "    for l0 in range(0, 16, w0):\n"
+        + "        x0 = table[l0:l0 + w0]\n"
         + "        n0 = len(x0) * _B\n"
         + "        t0 = _take_b(_arena, 'acc', None, (256,), None, n0)\n"
         + "        d1 = t0.data\n"

@@ -36,9 +36,8 @@ from hypothesis import strategies as st
 
 from test_codegen_parity import TILE, wmma_load, wmma_mma, wmma_store
 
-from repro.ir import For, ForKind, IntImm, Variable
-from repro.ir.builders import make_mul
-from repro.ir.types import Float
+from repro.ir import Block, Float, For, ForKind, IntImm, Variable
+from repro.ir.builders import const, intrinsic, make_mul
 from repro.lowering import lower
 from repro.runtime.buffer import Buffer, StackedBuffer
 from repro.runtime.codegen import compile_batched_stmt, compile_stmt
@@ -170,27 +169,32 @@ def data_split(app, pipe):
     return frozenset((next(iter(app.inputs)).name, pipe.output_name))
 
 
-def mac_nest(lanes, w_per_lane):
+def mac_nest(lanes, w_per_lane, first=None):
     """``out[x] = A[x] . W`` over ``lanes`` block lanes, one WMMA tile
-    each; ``W``'s tile at each lane's base too, or else at 0."""
+    each; ``W``'s tile at each lane's base too, or else at 0.  With
+    ``first``, a fill tile is stored into buffer ``first`` ahead of it,
+    at the same lane's base."""
     base = make_mul(Variable("x"), IntImm(TILE))
     w_base = base if w_per_lane else IntImm(0)
     body = wmma_store(
         "out", base,
         wmma_mma(wmma_load("a", "A", base), wmma_load("b", "W", w_base)),
     )
+    if first is not None:
+        fill = intrinsic(
+            Float(32, TILE), "wmma.fill.sync", IntImm(16), IntImm(16),
+            const(0.5, Float(32)),
+        )
+        body = Block((wmma_store(first, base, fill), body))
     return For("x", IntImm(0), IntImm(lanes), ForKind.GPU_BLOCK, body)
 
 
-def run_both(stmt, batch, rng, lanes, a_size):
-    """``stmt``'s batched kernel (``A`` and ``out`` stacked, ``W``
-    shared) on ``batch`` requests, and its per-request kernel on each
-    request alone: ``(batched out rows, per-request outs, errors)``,
-    ``out`` starting at -1 and each error the exception type raised."""
-    f16 = Float(16)
-    a = rng.standard_normal((batch, a_size)).astype(np.float16)
-    w = rng.standard_normal(lanes * TILE).astype(np.float16)
-    out = np.full((batch, lanes * TILE), -1.0, np.float32)
+def run_both(stmt, arrays, batch):
+    """``stmt``'s batched kernel over ``batch`` requests — ``arrays``
+    maps a name to ``(data, dtype)``, stacked where ``data`` is ``[B,
+    size]`` — and its per-request kernel on each request alone:
+    ``(batched arrays, per-request arrays, errors)``, each error the
+    exception type raised (None: none)."""
     errors = []
 
     def run(kernel, buffers, env):
@@ -199,27 +203,46 @@ def run_both(stmt, batch, rng, lanes, a_size):
             errors.append(None)
         except Exception as exc:  # noqa: BLE001 - compared by type
             errors.append(type(exc))
+        return {name: buf.data for name, buf in buffers.items()}
 
-    stacked = {
+    stacked = {name for name, (data, _) in arrays.items() if data.ndim == 2}
+    buffers = {
         name: StackedBuffer(
             name, dtype, (data.shape[1],), is_external=True, batch=batch,
             data=data.copy(),
         )
-        for name, data, dtype in (("A", a, f16), ("out", out, Float(32)))
+        if name in stacked
+        else Buffer.from_numpy(name, data, dtype=dtype)
+        for name, (data, dtype) in arrays.items()
     }
-    stacked["W"] = Buffer.from_numpy("W", w, dtype=f16)
-    run(compile_batched_stmt(stmt, frozenset({"A", "out"})), stacked,
-        {"batch.size": batch})
-    single, alone = compile_stmt(stmt), []
-    for b in range(batch):
-        buffers = {
-            "A": Buffer.from_numpy("A", a[b], dtype=f16),
-            "W": Buffer.from_numpy("W", w, dtype=f16),
-            "out": Buffer.from_numpy("out", out[b].copy()),
-        }
-        run(single, buffers, {})
-        alone.append(buffers["out"].data)
-    return stacked["out"].data, alone, errors
+    kernel = compile_batched_stmt(stmt, frozenset(stacked))
+    batched = run(kernel, buffers, {"batch.size": batch})
+    single = compile_stmt(stmt)
+    alone = [
+        run(single, {
+            name: Buffer.from_numpy(
+                name, data[b] if name in stacked else data, dtype=dtype
+            )
+            for name, (data, dtype) in arrays.items()
+        }, {})
+        for b in range(batch)
+    ]
+    return batched, alone, errors
+
+
+def mac_arrays(rng, batch, lanes, a_size, *outs):
+    """``A`` (``a_size`` float16 per request), shared ``W``, and each
+    float32 output in ``outs`` per request, starting at -1."""
+    f16 = Float(16)
+    arrays = {
+        "A": (rng.standard_normal((batch, a_size)).astype(np.float16), f16),
+        "W": (rng.standard_normal(lanes * TILE).astype(np.float16), f16),
+    }
+    for name in outs:
+        arrays[name] = (
+            np.full((batch, lanes * TILE), -1.0, np.float32), Float(32)
+        )
+    return arrays
 
 
 class TestLanesUnderTheBatch:
@@ -250,28 +273,32 @@ class TestLanesUnderTheBatch:
             ("x", 4, "a lane-only value meets a batch-varying value"),
         )
         assert compile_stmt(stmt).loops == (("x", 4, "lanes"),)
-        batched, alone, errors = run_both(stmt, 3, rng, 4, 4 * TILE)
+        batched, alone, errors = run_both(
+            stmt, mac_arrays(rng, 3, 4, 4 * TILE, "out"), 3
+        )
         assert errors == [None] * 4
-        for row, want in zip(batched, alone):
-            assert_same_bytes(row, want)
+        for b, want in enumerate(alone):
+            assert_same_bytes(batched["out"][b], want["out"])
 
     def test_out_of_range_tile_fails_as_per_request(self, rng):
-        """The last lane's ``A`` tile leaves the buffer by 8 elements:
-        the batched kernel raises what each request's own kernel
-        raises, after the same writes — the first pass of ``_LANES``
-        lanes, not the failing one."""
-        lanes = 80
-        stmt = mac_nest(lanes, w_per_lane=False)
-        kernel = compile_batched_stmt(stmt, frozenset({"A", "out"}))
-        assert kernel.loops == (("x", lanes, "lanes"),)
-        batched, alone, errors = run_both(
-            stmt, 3, rng, lanes, lanes * TILE - 8
+        """The last lane's ``A`` tile leaves the buffer by 8 elements,
+        after every lane has stored its ``first`` tile: the batched
+        kernel raises what each request's own kernel raises, after the
+        same writes (one pass covers the grid in both: ``B·N`` rows
+        within ``_ROWS``, ``N`` lanes within ``_LANES``)."""
+        lanes = 16
+        stmt = mac_nest(lanes, w_per_lane=False, first="first")
+        split = frozenset({"A", "out", "first"})
+        assert compile_batched_stmt(stmt, split).loops == (
+            ("x", lanes, "lanes"),
         )
+        arrays = mac_arrays(rng, 3, lanes, lanes * TILE - 8, "out", "first")
+        batched, alone, errors = run_both(stmt, arrays, 3)
         assert errors == [IndexError] * 4
-        for row, want in zip(batched, alone):
-            assert_same_bytes(row, want)
-            assert (row[:64 * TILE] != -1).all()
-            assert (row[64 * TILE:] == -1).all()
+        for b, want in enumerate(alone):
+            for name in ("out", "first"):
+                assert_same_bytes(batched[name][b], want[name])
+            assert (want["first"] == 0.5).all() and (want["out"] == -1).all()
 
     def test_conv2d_keeps_its_batch_only_loops(self, shared):
         """Lanes would leave ``I2``'s tile per iteration and request

@@ -406,21 +406,26 @@ class TestRoleCores:
                         [one(flat_buffer(dtype, blank), 11, t) for t in rows]
                     ),
                 )
-            # B·N rows of tiles at per-lane bases: row b·N + lane lands
-            # in request b (index scatter, and strided view)
-            requests = (tiles, tiles[::-1])
+            # at per-lane bases, B·N rows of tiles (row b·N + lane lands
+            # in request b), N rows, or one tile every request shares
+            # (index scatter, and strided view)
             for bases in (lanes, (np.arange(4) * 20, 20)):
-                got = one(
-                    stacked_buffer(dtype, np.tile(blank, (2, 1))),
-                    bases, np.concatenate(requests),
-                )
-                assert_same_bytes(
-                    got,
-                    np.stack([
-                        one(flat_buffer(dtype, blank), bases, t)
-                        for t in requests
-                    ]),
-                )
+                for requests, values in (
+                    ((tiles, tiles[::-1]), np.concatenate((tiles, tiles[::-1]))),
+                    ((tiles, tiles), tiles),
+                    ((tiles[:1],) * 2, tiles[0]),
+                ):
+                    got = one(
+                        stacked_buffer(dtype, np.tile(blank, (2, 1))),
+                        bases, values,
+                    )
+                    assert_same_bytes(
+                        got,
+                        np.stack([
+                            one(flat_buffer(dtype, blank), bases, t)
+                            for t in requests
+                        ]),
+                    )
 
     def test_fill(self, isa):
         values = np.array([0, -3, 7, 7])

@@ -66,7 +66,8 @@ class CodegenError(RuntimeError):
 
 
 class _PerTile(CodegenError):
-    """Lanes under the batch would leave a read-only MAC input per tile."""
+    """Lanes under the batch would read a MAC input per tile, or gather
+    it by index: the nest keeps the batch-only loops, whole."""
 
 
 # -- runtime helpers injected into every kernel's globals ----------------------
@@ -648,6 +649,9 @@ def _prove_lanes(dims: Dict[str, int], facts, loop: S.For) -> Dict[str, tuple]:
     return proved
 
 
+_NOT_AFFINE = "per-lane bases not affine in the lane"
+
+
 def _constant(loop: S.For) -> bool:
     return isinstance(loop.min_expr, E.IntImm) and isinstance(
         loop.extent, E.IntImm
@@ -692,9 +696,8 @@ class _Emitter:
         self.needs_interp = False
         #: inside a statement that may mutate buffers mid-expression
         self.copy_views = False
-        #: python local holding the leading axis' length while one is
-        #: live: a lane loop's chunk ``N``, a batched kernel's ``_B``, or
-        #: both as one ``B × N`` axis (row ``b·N + lane``)
+        #: python local holding the leading axis' length while one is live:
+        #: lanes ``N``, the batch ``_B``, or ``B × N`` (row ``b·N + lane``)
         self.lead: Optional[str] = None
         #: buffers holding ``[rows, size]`` data: every access gains
         #: the leading axis (``data[:, index]``); the variables that
@@ -1210,7 +1213,10 @@ class _Emitter:
                 self._per_lane("tile addressing", e.args[1])
                 if store:
                     self._certify(buf.value, self.buf_obj(buf.value), None)
-                return self._lane_step(e.args[1])
+                step = self._lane_step(e.args[1])
+                if step is None and buf.value in self.requests:
+                    raise _PerTile(f"under the batch: {buf.value}: {_NOT_AFFINE}")
+                return step
         elif role == "mac":
             if any(arg_b[3:]):
                 raise CodegenError("batched matmul geometry")
@@ -1467,12 +1473,10 @@ class _Emitter:
         first, outer = self._iterations(base, nest, bound)
         read, name = "", load.args[0].value
         if self.batched(base):  # per-lane bases, as a (bases, step) pair
-            step = None
-            if name not in self.stacked or name in self.requests:
-                self._per_lane("tile addressing", base)
-                step = self._lane_step(base)
+            private = name in self.stacked and name not in self.requests
+            step = None if private else self._lane_step(base)
             if step is None:
-                raise CodegenError("per-lane bases not affine in the lane")
+                raise CodegenError(_NOT_AFFINE)
             first = f"({first}, {step})"
             if name in self.requests:  # [B, N, ...] tiles: one B·N axis
                 read = f".reshape(-1, {shape[0]}, {shape[1]})"
@@ -1554,8 +1558,7 @@ class _Emitter:
         Speculative: on any obstacle — in the legality proof or in the
         emission of the body — the emitter is rolled back, the reason
         is recorded in :attr:`loops`, and the caller emits the Python
-        loop (whose inner block loops then get their own attempt) — or,
-        for a :class:`_PerTile` nest, emits the batch-only loops whole.
+        loop (whose inner block loops then get their own attempt).
         """
         if self.proved is not None:
             # the leading axis is outer lanes' already
@@ -1603,7 +1606,6 @@ class _Emitter:
         that does not depend on a loop variable — weights, memoised
         shuffle operands, inner serial loops — is emitted as ever.  A
         grid wider than ``_LANES`` runs in chunks of that many lanes.
-        Under the batch it is ``B × N`` rows (see :meth:`_meets`).
         """
         dims: Dict[str, int] = {}
         for loop in nest:

@@ -17,12 +17,11 @@ from emitted source with already-evaluated values, unchecked.
 
 Every core accepts an optional *leading axis* — the batch of a batched
 kernel, the lanes of a vectorised block loop, or both as one ``B × N``
-axis — and tells it from the values alone: a stacked buffer holds
-``[B, size]`` data, a vector of per-lane bases yields an ``[N,
-rows*cols]`` index grid (at which a stacked buffer reads and writes
-``[B·N, ...]`` rows, batch-major), a varying tile is ``[N, rows*cols]``.
-Each leading-axis row is bit-identical to the call without the axis
-(``tests/test_target_cores.py``).
+axis — and tells it from the values alone: a stacked buffer holds ``[B,
+size]`` data, a vector of per-lane bases yields an ``[N, rows*cols]``
+index grid (into a stacked buffer, ``B·N`` rows), a varying tile is
+``[N, rows*cols]``.  Each leading-axis row is bit-identical to the call
+without the axis (``tests/test_target_cores.py``).
 
 :data:`REGISTRY` is the one table of tensor intrinsics; what the
 emitter and the analyses ask about one ("is this a store?", "which

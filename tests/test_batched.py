@@ -300,20 +300,23 @@ class TestLanesUnderTheBatch:
                 assert_same_bytes(batched[name][b], want[name])
             assert (want["first"] == 0.5).all() and (want["out"] == -1).all()
 
-    def test_conv2d_keeps_its_batch_only_loops(self, shared):
-        """Lanes would leave ``I2``'s tile per iteration and request
-        (its per-lane bases are not affine in the lane); the batch-only
-        loops stack it once per call."""
-        from repro.apps import conv2d
-
-        app, pipe = shared.app(
-            conv2d, {"taps": 16, "width": 512, "rows": 4}, "tensor"
+    @pytest.mark.parametrize(
+        "name,operand", [("conv2d", "I2"), ("upsample", "Iu")]
+    )
+    def test_keeps_its_batch_only_loops(self, shared, name, operand):
+        """Lanes would leave the input's tile per iteration and request
+        (conv2d) or gather it by index (upsample: its row stride is
+        symbolic), its per-lane bases not affine in the lane; the
+        batch-only loops stack it once per call, or view each tile."""
+        module, params = next(
+            (m, p) for m, p in SIMPLE_APPS if m.__name__.endswith(name)
         )
-        loops = pipe.kernel(data_split(app, pipe)).loops
-        reason = "under the batch: I2: per-lane bases not affine in the lane"
-        assert loops[:2] == (
-            ("output2.s0.y", 4, reason), ("output2.s0.x", 2, reason)
-        )
+        app, pipe = shared.app(module, params, "tensor")
+        reason = f"under the batch: {operand}: per-lane bases not affine"
+        rows = pipe.kernel(data_split(app, pipe)).loops[:2]
+        assert [status for *_, status in rows] == [
+            reason + " in the lane"
+        ] * 2
 
 
 class TestKernelReuse:

@@ -1487,7 +1487,7 @@ class _Emitter:
             f" {first}, {self.emit(stride)}, {shape[0]}, {shape[1]}, {outer})"
         )
         self.hoisted[id(load)] = f"{local}[{ix}].copy(){read}"
-        return f"{load.args[0].value} tile stack"
+        return f"{name} tile stack"
 
     def _shuffle_stack(self, alloc, call, loads, nest, bound, ix) -> tuple:
         """The MAC operands the window shuffle ``call`` filling scratch

@@ -5,8 +5,9 @@ pipeline — lower, verify the lowered IR, saturate every accelerator
 store and check its e-graph's invariants, select instructions (tensor
 variant), verify the tensorized IR, compile the scalar kernel and lint
 its source against the plan's published env, then attempt the
-batch-axis kernel and lint that too.  ``sweep`` fans it over an app
-list; the clean-run self-test is built on it.  The CLI walks the same
+batch-axis kernels (every buffer stacked; as served) and lint those.
+``sweep`` fans it over an app list; the clean-run self-test is built
+on it.  The CLI walks the same
 table through ``_analyze``, which also hands back each scalar and
 batched kernel, and prints their ``CompiledKernel.loops`` and ``.macs``
 reports next to the findings.
@@ -126,21 +127,19 @@ def _analyze(module_name: str, params: Optional[Dict], variant: str):
         )
     )
 
-    # as served: the first input per request, the weights shared
-    stacked = frozenset((next(iter(buffers)), output.name))
-    try:
-        batched = compile_batched_stmt(lowered.stmt, stacked)
-    except CodegenError:
-        batched = None  # unbatchable split: the looped path serves it
-    if batched is not None:
-        findings.extend(
-            lint_kernel(
-                batched,
-                published_env=published,
-                batched=True,
-                context=f"{label}/bkernel",
-            )
-        )
+    # every buffer stacked, then as served (the kernel handed back):
+    # the first input per request, the weights shared
+    served = frozenset((next(iter(buffers)), output.name))
+    for stacked in (frozenset(buffers), served):
+        try:
+            batched = compile_batched_stmt(lowered.stmt, stacked)
+        except CodegenError:
+            batched = None  # unbatchable split: the looped path serves it
+            continue
+        findings.extend(lint_kernel(
+            batched, published_env=published, batched=True,
+            context=f"{label}/bkernel",
+        ))
     return findings, label, kernel, batched
 
 

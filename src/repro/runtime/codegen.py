@@ -171,12 +171,11 @@ def _cast_i(value, np_dtype):
 # every app.
 #
 # Values at run time are either *shared* (scalar, or ``[lanes]``) or
-# *batched* (``[B]`` — ``[B·N]`` in a lane pass — for a batched scalar,
+# *batched* (``[B]``, ``[B·N]`` in a lane pass, for a batched scalar;
 # ``[B, lanes]`` for a batched vector).  A ``[B]`` batched scalar and a
 # ``[lanes]`` vector are both 1-D and cannot be told apart at run time,
 # so the emitter decides statically (``_Emitter.batched``) which twin to
-# call.  (Tensor intrinsics need none: their cores read the axis off
-# their operands.)
+# call.  (Tensor intrinsics need none: they read the axis off operands.)
 
 
 def _vec_b(x):
@@ -1203,16 +1202,14 @@ class _Emitter:
             store = role == "store"
             if any(arg_b[2:-1] if store else arg_b[2:]):
                 raise CodegenError("varying tile geometry")
-            if store and not buf_stacked and (
-                self._axes(e.args[-1])[1] or arg_b[-1] and not arg_b[1]
-            ):
-                raise CodegenError(f"{name} of batched tile into shared buffer")
+            if store:
+                self._lands(buf.value, e.args[-1], arg_b[1])
             if arg_b[1]:
                 if buf_stacked and buf.value not in self.requests:
                     raise CodegenError("varying base into a stacked buffer")
                 self._per_lane("tile addressing", e.args[1])
                 if store:
-                    self._certify(buf.value, self.buf_obj(buf.value), None)
+                    self._certify(buf.value, self.buf_obj(buf.value))
                 step = self._lane_step(e.args[1])
                 if step is None and buf.value in self.requests:
                     raise _PerTile(f"under the batch: {buf.value}: {_NOT_AFFINE}")
@@ -1234,6 +1231,17 @@ class _Emitter:
         # what is left is ``to_mem``: the identity, whatever it is handed
         return None
 
+    def _lands(self, name: str, value: E.Expr, per_lane: bool) -> None:
+        """Refuse a store whose value has rows ``name`` lacks: batch- or
+        (at one address) lane-varying into a shared buffer; lane-only into
+        ``B·N`` stacked rows (a request's per-lane tiles take it)."""
+        lanes, batch = self._axes(value)
+        if name not in self.stacked:
+            if batch or not per_lane and self.batched(value):
+                raise CodegenError(f"batched store into shared buffer {name!r}")
+        elif lanes and not batch and not per_lane:
+            raise CodegenError("a lane-only value meets a batch-varying value")
+
     def _per_lane(self, what: str, address) -> None:
         """Gate ``address``, which varies along the leading axis, on
         that axis being a lane loop's: its proof has shown no lane
@@ -1242,17 +1250,16 @@ class _Emitter:
         looped per-request path."""
         if self.proved is None:
             raise CodegenError(f"batched {what}")
-        if address is not None and self._axes(address)[1]:
+        if self._axes(address)[1]:
             raise CodegenError("a base that varies along the batch")
 
-    def _certify(self, name: str, local: str, address) -> None:
-        """Gate a per-lane ``address`` stored through ``local`` into
-        shared (or request) buffer ``name`` on its disjointness proof.
+    def _certify(self, name: str, local: str) -> None:
+        """Gate a per-lane address (past :meth:`_per_lane`) stored through
+        ``local`` into shared or request buffer ``name`` on its proof.
 
         The certificate line is a bare constant — compiled away, but
         kept in the source for ``lint_kernels`` to re-check.
         """
-        self._per_lane("store index", address)
         terms = self.proved.get(name)
         if terms is None:
             raise CodegenError(f"varying store address into shared {name!r}")
@@ -1298,13 +1305,7 @@ class _Emitter:
         varying = self.batched(stmt.index)
         if varying and lead:
             raise CodegenError("varying index into a stacked buffer")
-        lanes, batch = self._axes(stmt.value)
-        if not lead and (batch or not varying and self.batched(stmt.value)):
-            raise CodegenError(
-                f"batched store into shared buffer {stmt.name!r}"
-            )
-        if lead and lanes and not batch:
-            raise CodegenError("a lane-only value meets a batch-varying value")
+        self._lands(stmt.name, stmt.value, varying)
         self.copy_views = _has_impure_call(stmt.value) or _has_impure_call(
             stmt.index
         )
@@ -1320,7 +1321,8 @@ class _Emitter:
             value = f"{self.store_wrap(stmt.name)}({value})"
         idx = stmt.index
         if varying:  # per-lane scatter into a shared buffer
-            self._certify(stmt.name, data, idx)
+            self._per_lane("store index", idx)
+            self._certify(stmt.name, data)
             target = None
         elif idx.type.lanes == 1:
             target = self.emit(idx)

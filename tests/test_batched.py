@@ -36,7 +36,9 @@ from hypothesis import strategies as st
 
 from test_codegen_parity import TILE, wmma_load, wmma_mma, wmma_store
 
-from repro.ir import Block, Float, For, ForKind, IntImm, Variable
+from repro.ir import (
+    Allocate, Block, Float, For, ForKind, IntImm, MemoryType, Variable,
+)
 from repro.ir.builders import const, intrinsic, make_mul
 from repro.lowering import lower
 from repro.runtime.buffer import Buffer, StackedBuffer
@@ -74,7 +76,8 @@ class Shared:
 
     def reference(self, pipe, request):
         """``pipe``'s interpreter output for ``request``, run once."""
-        key = (id(pipe),) + tuple(
+        # the pipe itself, kept alive: a dead pipe's id() may be reused
+        key = (pipe,) + tuple(
             (getattr(k, "name", k), np.asarray(v).tobytes())
             for k, v in request.items()
         )
@@ -268,6 +271,33 @@ class TestLanesUnderTheBatch:
         """``W``'s tile varies along the lanes alone (``[N, ...]``) and
         meets ``A``'s, which varies along both (``[B·N, ...]``)."""
         stmt = mac_nest(4, w_per_lane=True)
+        kernel = compile_batched_stmt(stmt, frozenset({"A", "out"}))
+        assert kernel.loops == (
+            ("x", 4, "a lane-only value meets a batch-varying value"),
+        )
+        assert compile_stmt(stmt).loops == (("x", 4, "lanes"),)
+        batched, alone, errors = run_both(
+            stmt, mac_arrays(rng, 3, 4, 4 * TILE, "out"), 3
+        )
+        assert errors == [None] * 4
+        for b, want in enumerate(alone):
+            assert_same_bytes(batched["out"][b], want["out"])
+
+    def test_lane_only_scratch_tile_rolls_back(self, rng):
+        """A scratch allocated in the nest holds ``B·N`` rows; the
+        lane-only ``W`` tile stored into it (``[N, ...]``) would not
+        fill them, so the nest keeps the batch-only loops."""
+        base = make_mul(Variable("x"), IntImm(TILE))
+        scratch = Allocate(
+            "s", Float(16), (IntImm(TILE),), MemoryType.STACK,
+            Block((
+                wmma_store("s", IntImm(0), wmma_load("b", "W", base)),
+                wmma_store("out", base, wmma_mma(
+                    wmma_load("a", "A", base), wmma_load("b", "s", IntImm(0))
+                )),
+            )),
+        )
+        stmt = For("x", IntImm(0), IntImm(4), ForKind.GPU_BLOCK, scratch)
         kernel = compile_batched_stmt(stmt, frozenset({"A", "out"}))
         assert kernel.loops == (
             ("x", 4, "a lane-only value meets a batch-varying value"),

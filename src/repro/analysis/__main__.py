@@ -10,7 +10,7 @@ Sections:
 
 ``--all`` (also the default with no sections) runs everything.
 ``--fig6`` widens the app set from the quick pair to the full fig-6
-suite.  The ``kernels`` section first prints the intrinsic registry
+suite and the benchmark catalog's other kernels (``PINNED_KERNELS``).  The ``kernels`` section first prints the intrinsic registry
 (name, accelerator, role, purity — the cores a kernel may call), then
 each kernel's loop report (a batched one's as ``<app>[<v>]/batched``):
 which data-parallel loops run as one lane-vectorised pass, and why the
@@ -33,7 +33,7 @@ from .findings import Finding, errors, format_findings, warnings
 from .lint_concurrency import lint_concurrency
 from .lint_kernels import lint_order, registry_rows
 from .lint_rules import lint_rules
-from .sweep import FIG6_APPS, QUICK_APPS, VARIANTS, _analyze
+from .sweep import FIG6_APPS, PINNED_KERNELS, QUICK_APPS, VARIANTS, _analyze
 
 
 def main(argv=None) -> int:
@@ -80,14 +80,20 @@ def main(argv=None) -> int:
     if sections & {"ir", "kernels"}:
         # one sweep covers both: verify_ir on the lowered/tensorized
         # statements and the kernel lint on their emitted source
-        for name, params in FIG6_APPS if args.fig6 else QUICK_APPS:
-            for variant in VARIANTS:
-                found, label, *kernels = _analyze(name, params, variant)
-                findings.extend(found)
-                for tag, kernel in zip(("", "/batched"), kernels):
-                    if kernel is not None:
-                        loops.extend((label + tag,) + r for r in kernel.loops)
-                        macs.extend((label + tag,) + r for r in kernel.macs)
+        apps = [
+            (name, params, variant)
+            for name, params in (FIG6_APPS if args.fig6 else QUICK_APPS)
+            for variant in VARIANTS
+        ]
+        if args.fig6:
+            apps += [(n, p, v, b, label) for label, n, b, v, p in PINNED_KERNELS]
+        for name, params, variant, *pinned in apps:
+            found, label, *kernels = _analyze(name, params, variant, *pinned)
+            findings.extend(found)
+            for tag, kernel in zip(("", "/batched"), kernels):
+                if kernel is not None:
+                    loops.extend((label + tag,) + r for r in kernel.loops)
+                    macs.extend((label + tag,) + r for r in kernel.macs)
 
     if args.json:
         print(

@@ -40,6 +40,20 @@ FIG6_APPS: Sequence[Tuple[str, Dict]] = (
 
 VARIANTS = ("cuda", "tensor")
 
+#: the benchmark catalog's kernels outside the fig-6 suite, whose rows
+#: ``--fig6`` prints (and the golden file pins) too: ``(label, module,
+#: builder, variant or None, params)``
+PINNED_KERNELS: Sequence[Tuple[str, str, str, Optional[str], Dict]] = (
+    ("resample.build_pass[tensor]", "resample", "build_pass", "tensor",
+     {"in_size": 256, "out_size": 57, "columns": 32}),
+    ("matmul.build_amx", "matmul", "build_amx", None, {}),
+    ("matmul.build_amx[vnni]", "matmul", "build_amx", None,
+     {"layout": "vnni"}),
+    ("matmul.build_int8", "matmul", "build_int8", None, {"tiles": 2}),
+    ("conv_layer.build_int8", "conv_layer", "build_int8", None,
+     {"width": 16, "rows": 1}),
+)
+
 
 def analyze_app(
     module_name: str,
@@ -50,8 +64,16 @@ def analyze_app(
     return _analyze(module_name, params, variant)[0]
 
 
-def _analyze(module_name: str, params: Optional[Dict], variant: str):
-    """:func:`analyze_app`, plus the label, scalar and batched kernels."""
+def _analyze(
+    module_name: str,
+    params: Optional[Dict],
+    variant: Optional[str],
+    builder: str = "build",
+    label: str = "",
+):
+    """:func:`analyze_app`, plus the label, scalar and batched kernels;
+    ``builder`` names the app's build function (a ``None`` variant is
+    not passed: AMX and DP4A builders take none)."""
     import importlib
 
     from ..hardboiled import TileExtractor, select_instructions
@@ -66,8 +88,9 @@ def _analyze(module_name: str, params: Optional[Dict], variant: str):
     from ..runtime.plan import bind_inputs, stride_env
 
     module = importlib.import_module(f"repro.apps.{module_name}")
-    app = module.build(variant, **(params or {}))
-    label = f"{module_name}[{variant}]"
+    variants = () if variant is None else (variant,)
+    app = getattr(module, builder)(*variants, **(params or {}))
+    label = label or f"{module_name}[{variant}]"
     findings: List[Finding] = []
 
     lowered = lower(app.output)
@@ -79,7 +102,7 @@ def _analyze(module_name: str, params: Optional[Dict], variant: str):
             context=label,
         )
     )
-    if variant == "tensor":
+    if variant != "cuda":
         # every store's saturated e-graph must come out sound
         extractor = TileExtractor(lowered)
         for kind, store in extractor.prepared_stores():

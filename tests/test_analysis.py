@@ -39,7 +39,7 @@ from repro.analysis import (
     verify_ir,
 )
 from repro.analysis.lint_rules import lint_family
-from repro.analysis.sweep import FIG6_APPS, _analyze
+from repro.analysis.sweep import FIG6_APPS, PINNED_KERNELS, _analyze
 from repro.eqsat.ematch import CompiledQuery
 from repro.eqsat.pattern import PApp, PLit, PVar
 from repro.eqsat.rules import GuardAtom, rewrite
@@ -656,6 +656,26 @@ def test_fig6_clean(module, params, variant):
     for label, kernel in ((label, kernel), (f"{label}/batched", batched)):
         rows = kernel_rows(label, kernel)
         assert rows == [
+            r for r in golden if r.split(":")[0].endswith(f" {label}")
+        ]
+
+
+@pytest.mark.parametrize(
+    "label,module,builder,variant,params",
+    PINNED_KERNELS,
+    ids=[pinned[0] for pinned in PINNED_KERNELS],
+)
+def test_pinned_kernels_clean(label, module, builder, variant, params):
+    """The benchmark catalog's kernels outside the fig-6 suite — the
+    resample pass, both AMX layouts and the two DP4A apps — lint clean,
+    and their rows are golden too."""
+    findings, label, kernel, batched = _analyze(
+        module, params, variant, builder, label
+    )
+    assert findings == [], "\n".join(str(f) for f in findings)
+    golden = KERNEL_ROWS.read_text().splitlines()
+    for label, kernel in ((label, kernel), (f"{label}/batched", batched)):
+        assert kernel_rows(label, kernel) == [
             r for r in golden if r.split(":")[0].endswith(f" {label}")
         ]
 

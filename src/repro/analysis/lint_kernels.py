@@ -37,6 +37,11 @@ checks the invariants the emitter is supposed to maintain:
     (:func:`repro.runtime.codegen.lanes_disjoint`).  A lane store
     without one means lanes may overwrite each other in an order the
     serial loop never would.
+``kernels.unordered-fold``
+    ``np.add.reduce``, ``np.sum`` or ``.sum(...)`` without an integer
+    ``dtype``: a fold in numpy's order (pairwise), which rounds a float
+    value unlike the loop it replaces.  DP4A's wrapping int32 fold is
+    the ``_wrapsum`` helper.
 ``kernels.stale-widen``
     A MAC input widened once per call (``_w, _e = <isa>.widen(_b)`` in
     the preamble) must be a buffer the kernel never writes — by
@@ -312,6 +317,14 @@ def lint_kernel_source(
                     )
                 )
 
+        # -- unordered folds -------------------------------------------------
+        if isinstance(node, ast.Call) and _unordered_fold(node):
+            findings.append(Finding(
+                "kernels.unordered-fold", ERROR, f"{context}:{node.lineno}",
+                f"{ast.unparse(node.func)}(...) sums in numpy's order, not the loop's",
+                "fold float values in loop order; an int32 sum is _wrapsum",
+            ))
+
         # -- unordered iteration ---------------------------------------------
         what = _unordered_iteration(node, ())
         if what is not None:
@@ -391,6 +404,15 @@ def lint_kernel_source(
                 )
             )
     return findings
+
+
+def _unordered_fold(call: ast.Call) -> bool:
+    """A sum whose order numpy picks, its ``dtype`` not an integer."""
+    func = ast.unparse(call.func)
+    dtype = [ast.unparse(k.value) for k in call.keywords if k.arg == "dtype"]
+    return (func in ("np.add.reduce", "np.sum") or func.endswith(".sum")) and not (
+        dtype and dtype[0].startswith(("np.int", "np.uint"))
+    )
 
 
 def _stored_through(node: ast.AST) -> Optional[str]:

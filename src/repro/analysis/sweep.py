@@ -64,13 +64,7 @@ def analyze_app(
     return _analyze(module_name, params, variant)[0]
 
 
-def _analyze(
-    module_name: str,
-    params: Optional[Dict],
-    variant: Optional[str],
-    builder: str = "build",
-    label: str = "",
-):
+def _analyze(module_name, params, variant, builder="build", label=""):
     """:func:`analyze_app`, plus the label, scalar and batched kernels;
     ``builder`` names the app's build function (a ``None`` variant is
     not passed: AMX and DP4A builders take none)."""

@@ -32,10 +32,10 @@ import numpy as np
 
 from ..ir import expr as E
 from ..ir.types import TypeCode
-from ..runtime.interpreter import memory_level
+from ..runtime.interpreter import EvalError, memory_level
 from ..targets.bfloat16 import round_to_bfloat16
 from ..targets.isa import (
-    PerIteration, check_bounds, named_buffer, register, tile_view,
+    PerIteration, check_bounds, named_buffer, register, tile_rows, tile_view,
 )
 
 
@@ -44,17 +44,18 @@ class ShuffleError(RuntimeError):
 
 
 def kway_interleave(tile: np.ndarray, k: int) -> np.ndarray:
-    """Interleave groups of ``k`` rows element-wise: (R, C) -> (R/k, k*C).
+    """Interleave groups of ``k`` rows element-wise: (..., R, C) ->
+    (..., R/k, k*C).
 
     ``out[p, k*j + t] == tile[k*p + t, j]`` — for ``k = 2`` this is the
     VNNI layout of AMX's B operand.
     """
-    rows, cols = tile.shape
+    rows, cols = tile.shape[-2:]
     if rows % k != 0:
         raise ShuffleError(f"KWayInterleave: {rows} rows not divisible by {k}")
-    out = np.empty((rows // k, cols * k), dtype=tile.dtype)
+    out = np.empty(tile.shape[:-2] + (rows // k, cols * k), dtype=tile.dtype)
     for t in range(k):
-        out[:, t::k] = tile[t::k, :]
+        out[..., t::k] = tile[..., t::k, :]
     return out
 
 
@@ -125,6 +126,15 @@ def _memo(arena, build, source: np.ndarray, *geometry):
 def interleave(arena, k, rows, cols, tile):
     matrix = np.asarray(tile, dtype=np.float32).reshape(rows, cols)
     return _memo(arena, kway_interleave, matrix, k)
+
+
+def interleave_stack(arena, isa, dtype, k, data, bases, stride, rows, cols):
+    """``KWayInterleave`` of the ``[rows, cols]`` tiles of ``data`` at
+    every one of ``bases`` (:func:`~repro.targets.isa.tile_rows`: one
+    that leaves ``data`` raises the interpreter's load error) at once,
+    as the MAC operands a ``dtype`` scratch tile makes of them."""
+    tiles = tile_rows(data, bases, stride, rows, cols, EvalError)
+    return _operands(isa, dtype, kway_interleave(tiles.astype(np.float32), k))
 
 
 def window_shuffle(build, arena, buf, base, rows, cols, taps, param):

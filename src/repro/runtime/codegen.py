@@ -55,7 +55,8 @@ from ..hardboiled import intrinsics as _shuffles
 from ..targets import amx as _amx, dp4a as _dp4a, wmma as _wmma  # noqa: F401
 from ..targets.bfloat16 import round_to_bfloat16
 from ..targets.isa import (
-    REGISTRY, _tiles, role_of, tile_gather, tile_scatter,
+    REGISTRY, PerIteration, _tiles, role_of, tile_bases,
+    tile_gather, tile_scatter, wrapping_sum,
 )
 from .buffer import Buffer, StackedBuffer
 from .interpreter import as_vector, broadcast_value, ramp_value, reduce_groups
@@ -219,6 +220,14 @@ def _cat_b(parts):
     return np.concatenate(arrays, axis=1)
 
 
+def _whole(stack, counts):
+    """A window stack as one ``[R, rows, cols]`` array (a ``PerIteration``
+    raises at the first window that leaves its buffer)."""
+    if isinstance(stack, PerIteration):
+        stack = np.stack([stack[ix] for ix in np.ndindex(*counts)])
+    return stack.reshape((-1,) + stack.shape[-2:])
+
+
 # -- intrinsics ----------------------------------------------------------------
 #
 # The interpreter dispatches intrinsic Calls through drivers that
@@ -293,15 +302,14 @@ def _window(e: E.Expr) -> Optional[Callable]:
     return None
 
 
-def _window_fill(a: S.Allocate) -> Optional[E.Call]:
-    """The window shuffle that fills scratch ``a`` whole as its first
-    statement, else None."""
+def _fill(a: S.Allocate) -> Optional[E.Expr]:
+    """The value that fills scratch ``a`` whole as its first statement,
+    else None."""
     head = a.body.stmts[0] if isinstance(a.body, S.Block) else None
     idx = getattr(head, "index", None)
     if (
         isinstance(head, S.Store)
         and head.name == a.name
-        and _window(head.value) is not None
         and all(isinstance(e, E.IntImm) for e in a.extents)
         and isinstance(idx, E.Ramp)
         and idx.count == math.prod(e.value for e in a.extents)
@@ -309,6 +317,40 @@ def _window_fill(a: S.Allocate) -> Optional[E.Call]:
     ):
         return head.value
     return None
+
+
+def _tile_geometry(idx: E.Expr) -> Optional[tuple]:
+    """``(base, stride, rows, cols)`` of a dense ramp index (one row) or
+    a two-level one, ``ramp(ramp(base, 1, cols), x(stride), rows)``,
+    with scalar ``base`` and ``stride``; else None."""
+    stride, rows = E.IntImm(0), 1
+    if isinstance(idx, E.Ramp) and isinstance(idx.stride, E.Broadcast):
+        idx, stride, rows = idx.base, idx.stride.value, idx.count
+    if (
+        isinstance(idx, E.Ramp)
+        and idx.base.type.lanes == stride.type.lanes == 1
+        and isinstance(idx.stride, E.IntImm)
+        and idx.stride.value == 1
+    ):
+        return idx.base, stride, rows, idx.count
+    return None
+
+
+def _statements(stmt: S.Stmt):
+    """Every statement of ``stmt``, itself first."""
+    stack = [stmt]
+    while stack:
+        stmt = stack.pop()
+        yield stmt
+        stack.extend(c for c in stmt.children() if isinstance(c, S.Stmt))
+
+
+#: a reduce loop's op -> its row's name and the op as the loop emits it
+_FOLDS = {
+    E.Max: ("max", "np.maximum({}, {})"),
+    E.Min: ("min", "np.minimum({}, {})"),
+    E.Add: ("+", "({} + {})"),
+}
 
 
 def _invariant(e: E.Expr, names, bound: Set[str]) -> None:
@@ -507,6 +549,9 @@ _LANES = 64
 #: rows (``B × lanes``, one lane at least) per pass under the batch: 512
 #: held +10% peak RSS on the sweep, 128 the same time within noise
 _ROWS = 128
+#: elements of an operand stack per stacked-product pass (one iteration
+#: at least): below 128 KiB of float32, so no pass maps memory of its own
+_STACK = 32767
 
 
 def lanes_disjoint(terms) -> bool:
@@ -1032,23 +1077,15 @@ class _Emitter:
         return code
 
     def _two_level(self, idx: E.Expr) -> Optional[str]:
-        """``base, stride, rows, cols`` of a two-level dense ramp index —
-        ``ramp(ramp(base, 1, cols), xcols(stride), rows)`` with scalar
-        ``base`` and ``stride`` — for :func:`~repro.targets.isa.
+        """``base, stride, rows, cols`` of a two-level dense ramp index
+        (:func:`_tile_geometry`) for :func:`~repro.targets.isa.
         tile_gather` / :func:`~repro.targets.isa.tile_scatter`; else
         None."""
-        inner = idx.base if isinstance(idx, E.Ramp) else None
-        if not (
-            isinstance(inner, E.Ramp)
-            and inner.base.type.lanes == 1
-            and isinstance(inner.stride, E.IntImm)
-            and inner.stride.value == 1
-            and isinstance(idx.stride, E.Broadcast)
-            and idx.stride.value.type.lanes == 1
-        ):
+        geometry = _tile_geometry(idx)
+        if geometry is None or not isinstance(idx.base, E.Ramp):
             return None
-        base, stride = self.emit(inner.base), self.emit(idx.stride.value)
-        return f"{base}, {stride}, {idx.count}, {inner.count}"
+        base, stride, rows, cols = geometry
+        return f"{self.emit(base)}, {self.emit(stride)}, {rows}, {cols}"
 
     def _try_slice(self, idx: E.Expr) -> Optional[str]:
         """A basic-slice spelling for a scalar-base, const-stride ramp.
@@ -1341,8 +1378,13 @@ class _Emitter:
         self.line(f"{data}[{lead}{target}] = {value}")
         self.copy_views = False
 
+    #: how :meth:`_exec_For` runs a loop, in order: the first strategy
+    #: that takes it emits it and writes its :attr:`loops` rows; what
+    #: none takes is a native ``for``
+    _STRATEGIES = ("_try_lanes", "_try_fold", "_try_stacked", "_try_hoist")
+
     def _exec_For(self, stmt: S.For) -> None:
-        if stmt.kind in _LANE_KINDS and self._try_lanes(stmt):
+        if any(getattr(self, name)(stmt) for name in self._STRATEGIES):
             return
         if self.batched(stmt.min_expr) or self.batched(stmt.extent):
             raise CodegenError("batched loop bounds")
@@ -1353,8 +1395,25 @@ class _Emitter:
             self.line(f"{var} = {lo}")
             with self.bind(stmt.name, var):
                 self.emit_stmt(stmt.body)
-        elif stmt.kind in _LANE_KINDS or not self._try_hoist(stmt):
+        else:
             self._emit_loops([stmt])
+
+    @staticmethod
+    def _serial(loop: S.For) -> bool:
+        return loop.kind not in _LANE_KINDS and loop.kind is not ForKind.GPU_LANE
+
+    @staticmethod
+    def _nest(stmt: S.For) -> List[S.For]:
+        """``stmt`` and the serial loops of constant bounds perfectly
+        nested in it."""
+        nest = [stmt]
+        while (
+            isinstance(nest[-1].body, S.For)
+            and nest[-1].body.kind in (ForKind.SERIAL, ForKind.UNROLLED)
+            and _constant(nest[-1].body)
+        ):
+            nest.append(nest[-1].body)
+        return nest
 
     def _emit_loops(self, nest: List[S.For], xs=()) -> None:
         """Native ``for`` loops over perfectly nested ``nest`` (loop
@@ -1387,17 +1446,12 @@ class _Emitter:
         each inner loop is decided on its own when emitted.
         """
         rows = self.facts.rows(stmt)
-        if not rows.calls:
+        if not self._serial(stmt) or not rows.calls:
             return False  # not a block loop
         nest, first, saved = [stmt], len(self.loops), dict(self.hoisted)
         stacks, reasons = [], ["symbolic loop bounds"]
         if _constant(stmt):
-            while (
-                isinstance(nest[-1].body, S.For)
-                and nest[-1].body.kind in (ForKind.SERIAL, ForKind.UNROLLED)
-                and _constant(nest[-1].body)
-            ):
-                nest.append(nest[-1].body)
+            nest = self._nest(stmt)
             xs = [self.fresh("x") for _ in nest]
             stacks, reasons = self._plan_stacks(nest, xs, rows)
         status = "; ".join(reasons) or "nothing to hoist"
@@ -1411,6 +1465,172 @@ class _Emitter:
         ]
         return bool(stacks)
 
+    def _try_stacked(self, stmt: S.For) -> bool:
+        """A serial MAC reduction nest as stacked products
+        (:meth:`_emit_product`), rows ``serial, stacked product``; False,
+        no row, where :meth:`_try_hoist` is to decide the nest."""
+        if not self._serial(stmt) or self.merged is not None or not _constant(stmt):
+            return False
+        nest = self._nest(stmt)
+        if self._speculate(self._emit_product, nest):
+            return False
+        self.loops.extend(_row(loop, "serial, stacked product") for loop in nest)
+        return True
+
+    def _emit_product(self, nest: List[S.For]) -> None:
+        """A nest whose one settled MAC accumulates into a kernel
+        allocation, ``acc[a] = mac(acc[a], A, B)`` (inside a ``TileExpand``
+        / ``TileCompact`` pair or not; ``a`` may follow the innermost
+        loops, a disjoint tile each), its body doing nothing else but fill
+        scratch operands, in passes of at most ``_STACK`` operand elements:
+        every iteration's A and B at once — one bounds-checked gather over
+        their bases (``TileISA.gathered``), an interleave or window stack —
+        one ``TileISA.product`` over the leading ``[R, ...]`` axis, and the
+        fold in loop order: ``isa.accumulate``'s ``np.add(c, p, out=p)``
+        per iteration for float32, one ``_wrapsum`` for DP4A (wrapping
+        addition is associative).  Raises unless an iteration would gather
+        at bases not affine in the lane, load a buffer the kernel writes
+        (before the nest), or pack a scratch operand."""
+        rows = self.facts.rows(nest[0])
+        macs = [c for c in rows.calls if role_of(c.name) == "mac"]
+        isa = REGISTRY[macs[0].name].isa if len(macs) == 1 else None
+        if isa is None or _settled(isa, macs[0]) is None:
+            raise CodegenError("not one settled MAC")
+        mac, (m, n, k), g = macs[0], _settled(isa, macs[0]), isa.group
+        names, bound = {x.name for x in nest}, {name for _, name, _ in rows.bound}
+        scratch = {a.name: a for a in rows.allocs}
+        body = list(_statements(nest[-1].body))
+        stores = [x for x in body if isinstance(x, S.Store)]
+        c = mac.args[0]
+        expand = c if getattr(c, "name", None) == "TileExpand" else None
+        c = c.args[0] if expand else c
+        acc = [x for x in stores if x.name == getattr(c, "name", None)]
+        acc = acc[0] if len(acc) == 1 and isinstance(c, E.Load) else None
+        value = getattr(acc, "value", None)
+        compact = value if getattr(value, "name", None) == "TileCompact" else None
+        dtype = self.allocated.get(getattr(c, "name", None))
+        relayout = expand is compact is None or (
+            expand and compact and isa.acc is np.float32
+            and compact.args[1:] == expand.args[:0:-1]
+            and all(isinstance(x, E.IntImm) for x in expand.args[1:])
+        )
+        if not (
+            acc is not None and acc.index == c.index and relayout
+            and (compact.args[0] if compact else value) is mac
+            and dtype is not None and dtype.code is not TypeCode.BFLOAT
+            and dtype.to_numpy() == np.dtype(isa.acc) and c.name not in scratch
+            and all(
+                isinstance(x, (S.Block, S.ProducerConsumer, S.Store, S.Allocate))
+                or isinstance(x, S.For) and x.kind is ForKind.GPU_LANE for x in body
+            )
+            and len(stores) == 1 + len(scratch) and all(map(_fill, scratch.values()))
+            and sorted(rows.written) == sorted([c.name] + 2 * list(scratch))
+            and all(x.extent.value > 0 for x in nest)
+        ):
+            raise CodegenError("the body does more than accumulate")
+        base, stride, t_rows, t_cols = _tile_geometry(acc.index) or (None,) * 4
+        coefs = _constant_coefs(base, names) if isinstance(stride, E.IntImm) else {}
+        follows = [x for x in nest if coefs.get(x.name)]
+        red = nest[: len(nest) - len(follows)]
+        size = m * n // expand.args[2].value * expand.args[1].value if expand else m * n
+        if not isinstance(stride, E.IntImm) or t_rows * t_cols != size or (
+            red + follows != nest or self.batched(base) or not lanes_disjoint(
+                [(coefs[x.name], x.extent.value) for x in follows]
+                + [(stride.value, t_rows), (1, t_cols)]
+            )
+        ):
+            raise CodegenError("accumulator is not one tile per inner iteration")
+        lead, stacks, work = c.name in self.stacked, [], False
+        for a, shape in zip(mac.args[1:3], ((m, k), (k // g, g * n))):
+            if not _direct_load(isa, a) or shape != tuple(
+                getattr(d, "value", None) for d in a.args[3:5]
+            ):
+                raise CodegenError("operand is not a tile load of the MAC's shape")
+            name = a.args[0].value
+            fill = _fill(scratch[name]) if name in scratch else None
+            if name in scratch and rows.loaded.count(name) != 1:
+                raise CodegenError(f"{name} is read other than by one operand")
+            if _window(fill):
+                local, _ = self._shuffle_stack(scratch[name], fill, [(a, shape, isa)], nest, bound)
+                self.line(f"{local} = _whole({local}, {tuple(x.extent.value for x in nest)})")
+                stacks.append((f"{local}[{{}}]", False))
+                continue
+            if fill is not None:  # a pack: the interleave of a read-only tile
+                if getattr(fill, "name", None) != "KWayInterleave":
+                    raise CodegenError(f"{name} is not an interleave")
+                group, p_rows, p_cols, load = (getattr(x, "value", x) for x in fill.args)
+                at, step, *tile = _tile_geometry(getattr(load, "index", fill)) or (0,) * 4
+                if tile != [p_rows, p_cols] or not isinstance(group, int) or (
+                    shape != (p_rows // group, group * p_cols)
+                    or a.args[1:3] != (E.IntImm(0), a.args[4])
+                ):
+                    raise CodegenError(f"{name} is not an interleave read whole")
+                core = (
+                    f"{self.const(_shuffles.interleave_stack)}(_arena, {self.const(isa)},"
+                    f" {self.const(scratch[name].dtype.element_of())}, {group},"
+                    f" {self.buf_data(load.name)}"
+                )
+                name, work = load.name, True
+            else:  # a tile; an input the kernel never writes is widened once
+                (at, step), (p_rows, p_cols) = a.args[1:3], shape
+                written = name in self.written
+                source, exact = (self.buf_obj(name), False) if written else self._widen(isa, a)
+                core = f"{self.const(isa)}.gathered(_arena, {source}, {exact}"
+                work |= written or self.batched(at) and self._lane_step(at) is None
+            if name in rows.written or self.batched(step) or not names.isdisjoint(step.free_vars):
+                raise CodegenError(f"{name} is written in the nest")
+            if name in self.stacked and self.proved is not None:
+                raise CodegenError(f"{name} is lane-private")
+            _invariant(step, names, bound)
+            first, outer = self._iterations(at, nest, bound)
+            bases = self.fresh("h")
+            self.line(f"{bases} = _bases({first}, {outer})")
+            stacks.append((
+                f"{core}, {bases}[{{}}], {self.emit(step)}, {p_rows}, {p_cols})",
+                self.batched(at) or name in self.stacked,
+            ))
+        if not work or any(varies and not lead for _, varies in stacks):
+            raise CodegenError("nothing per iteration")
+        self.allocated.update((x.name, x.dtype.element_of()) for x in scratch.values())
+        self.macs.append((mac.name, *(self._operand_width(isa, a) for a in mac.args[1:3])))
+        for name in scratch:
+            del self.allocated[name]
+        first, outer = self._iterations(base, follows, bound)
+        isa_c, view, width, r, tiles, p, q = self.const(isa), *map(self.fresh, "awrcpq")
+        self.line(
+            f"{view} = {isa_c}.accumulator({self.buf_data(c.name)}, {first},"
+            f" {stride.value}, {t_rows}, {t_cols}, {outer})"
+        )
+        many = math.prod(x.extent.value for x in follows)
+        lead_rows = f" // {self.lead}" if lead else ""
+        self.line(f"{width} = max(1, {_STACK // (many * max(m * k, k * n))}{lead_rows})")
+        part = f"{r} * {many}:({r} + {width}) * {many}" if many > 1 else f"{r}:{r} + {width}"
+        operands = [t.format(part) + ("" if v or not lead else "[:, None]") for t, v in stacks]
+        product = f"{isa_c}.product({', '.join(operands)})"
+        passes = f"for {r} in range(0, {math.prod(x.extent.value for x in red)}, {width}):"
+        if isa.acc is np.int32:  # wrapping addition is associative
+            self.line(passes)
+            self.line(f"    {p} = {product}.reshape((-1,) + {view}.shape)")
+            self.line(f"    np.add({view}, _wrapsum({p}), out={view})")
+            return
+        lanes, init = f"{view}.shape[:-2]", f"np.array({view})"
+        if expand:
+            init = (
+                f"{self.const(REGISTRY[expand.name].core)}(_arena, {init}.reshape("
+                f"{lanes} + (-1,)), {expand.args[1].value}, {expand.args[2].value})"
+            )
+        self.line(f"{tiles} = {init}.reshape({lanes} + ({m}, {n}))")
+        self.line(passes)
+        self.line(f"    {p} = {product}.reshape((-1,) + {tiles}.shape)")
+        self.line(f"    for {q} in {p}:")
+        self.line(f"        {tiles} = np.add({tiles}, {q}, out={q})")
+        if compact:
+            tiles = (
+                f"{self.const(REGISTRY[compact.name].core)}(_arena, {tiles}.reshape("
+                f"{lanes} + (-1,)), {compact.args[1].value}, {compact.args[2].value})"
+            )
+        self.line(f"{view}[...] = {tiles}.reshape({view}.shape)")
+
     def _plan_stacks(self, nest: List[S.For], xs, rows: _Rows) -> tuple:
         """Bind the preheader stacks of a serial nest with loop variables
         ``xs`` and facts ``rows``, and their reads in :attr:`hoisted`;
@@ -1422,7 +1642,7 @@ class _Emitter:
         )
         bound = {name for _, name, _ in rows.bound}
         fills = {
-            a.name: (a, _window_fill(a)) for a in rows.allocs if _window_fill(a)
+            a.name: (a, _fill(a)) for a in rows.allocs if _window(_fill(a))
         }
         stacks, reasons, scratch = [], [], {}
         for mac in rows.calls:
@@ -1453,9 +1673,10 @@ class _Emitter:
                     2, len(loads)
                 ):
                     raise CodegenError("scratch is read other than by MAC operands")
-                stacks.append(
-                    self._shuffle_stack(*fills[name], loads, nest, bound, ix)
-                )
+                local, tile = self._shuffle_stack(*fills[name], loads, nest, bound)
+                self.hoisted.update((id(load), tile) for load, *_ in loads)
+                self.hoisted[id(fills[name][0])] = f"{tile} = {local}[{ix}]"
+                stacks.append(f"{fills[name][1].args[0].value} shuffle stack")
             except CodegenError as exc:
                 reasons.append(f"{name}: {exc}")
         return stacks, reasons
@@ -1490,11 +1711,13 @@ class _Emitter:
         self.hoisted[id(load)] = f"{local}[{ix}].copy(){read}"
         return f"{name} tile stack"
 
-    def _shuffle_stack(self, alloc, call, loads, nest, bound, ix) -> tuple:
+    def _shuffle_stack(self, alloc, call, loads, nest, bound) -> tuple:
         """The MAC operands the window shuffle ``call`` filling scratch
         ``alloc`` makes, for every iteration at once (:func:`~repro.
-        hardboiled.intrinsics.window_stack`): each iteration binds its
-        own in place of the scratch's take, fill and give."""
+        hardboiled.intrinsics.window_stack`), bound to a preheader local;
+        returns it and a fresh local for one iteration's operand (which
+        a hoisted nest binds in place of the scratch's take, fill and
+        give)."""
         src, base, *geometry = call.args[:6]
         if not all(isinstance(x, E.IntImm) for x in geometry):
             raise CodegenError("symbolic shuffle geometry")
@@ -1523,9 +1746,7 @@ class _Emitter:
             f" {self.buf_obj(src.value)}, {first}, {outer}, {rows}, {cols},"
             f" {taps}, {param})"
         )
-        self.hoisted.update((id(load), tile) for load, *_ in loads)
-        self.hoisted[id(alloc)] = f"{tile} = {local}[{ix}]"
-        return f"{src.value} shuffle stack"
+        return local, tile
 
     def _iterations(self, base: E.Expr, nest, bound) -> tuple:
         """``base`` at the nest's first iteration, and its ``(count,
@@ -1561,6 +1782,8 @@ class _Emitter:
         is recorded in :attr:`loops`, and the caller emits the Python
         loop (whose inner block loops then get their own attempt).
         """
+        if stmt.kind not in _LANE_KINDS:
+            return False
         if self.proved is not None:
             # the leading axis is outer lanes' already
             self.loops.append(_row(stmt, "leading axis already taken"))
@@ -1572,12 +1795,26 @@ class _Emitter:
         ):
             nest.append(nest[-1].body)
         first = len(self.loops)
+        exc = self._speculate(self._emit_lanes, nest)
+        if isinstance(exc, _PerTile):
+            self.loops.extend(_row(loop, str(exc)) for loop in nest)
+            self._emit_loops(nest)
+            return True
+        if exc is not None:
+            self.loops.append(_row(stmt, str(exc)))
+            return False
+        self.loops[first:first] = [_row(loop, "lanes") for loop in nest]
+        return True
+
+    def _speculate(self, emit, *args) -> Optional[CodegenError]:
+        """``emit(*args)``; on a :class:`CodegenError` the emitter is
+        rolled back to where it was, and the error returned."""
         saved = [
             (k, v, v.copy() if isinstance(v, (dict, list, set)) else None)
             for k, v in vars(self).items()
         ]
         try:
-            self._emit_lanes(nest)
+            emit(*args)
         except CodegenError as exc:
             # containers are restored in place: an enclosing ``bind`` or
             # ``_exec_Allocate`` undoes its own entry in the same object
@@ -1588,16 +1825,61 @@ class _Emitter:
                     value.clear()
                     value.update(contents)
                 setattr(self, key, value)
-            if isinstance(exc, _PerTile):
-                self.loops.extend(_row(loop, str(exc)) for loop in nest)
-                self._emit_loops(nest)
-                return True
-            self.loops.append(_row(stmt, str(exc)))
-            return False
-        self.loops[first:first] = [_row(loop, "lanes") for loop in nest]
-        return True
+            return exc
+        return None
 
-    def _emit_lanes(self, nest: List[S.For]) -> None:
+    def _try_fold(self, stmt: S.For) -> bool:
+        """A serial loop with no tensor intrinsic in its body as one lane
+        pass over its variable: a map (:meth:`_emit_lanes`), or a reduce
+        (:meth:`_emit_fold`).  Records its row either way."""
+        if not self._serial(stmt) or self.facts.rows(stmt).calls:
+            return False
+        body, first = stmt.body, len(self.loops)
+        acc = getattr(getattr(body, "value", None), "a", None)
+        fold = isinstance(body, S.Store) and isinstance(acc, E.Load) and (
+            acc.name, acc.index) == (body.name, body.index)
+        exc = CodegenError("leading axis already taken") if self.lead else (
+            self._speculate(self._emit_fold if fold else self._emit_lanes, [stmt])
+        )
+        status = exc or (f"reduce {_FOLDS[type(body.value)][0]}" if fold else "map")
+        self.loops.insert(first, _row(stmt, f"serial, {status}"))
+        return exc is None
+
+    def _emit_fold(self, nest: List[S.For]) -> None:
+        """A reduce ``acc[a] = op(acc[a], f(x))`` — ``op`` max, min or +,
+        ``a`` a slice free of ``x``, ``acc`` a float32 or integer
+        allocation, ``f`` reading no ``acc`` — as ``f`` stacked in a lane
+        pass, folded into ``acc`` row by row in loop order by the loop's
+        own op, and stored once after.  ``np.add.accumulate`` or ``np.
+        maximum.reduce`` would keep another NaN payload where two meet."""
+        store, x = nest[0].body, nest[0].name
+        value, idx, dtype = store.value, store.index, self.allocated.get(store.name)
+        if type(value) not in _FOLDS:
+            raise CodegenError(f"an update by {type(value).__name__} is not a fold")
+        if x in idx.free_vars or store.name in idx.buffers:
+            raise CodegenError("accumulator address follows the loop")
+        if store.name in value.b.buffers or x not in value.b.free_vars or (
+            value.b.type != value.a.type
+        ):
+            raise CodegenError("update is not a function of the loop alone")
+        if dtype is None or dtype.code is TypeCode.BFLOAT or idx.type.lanes > 1 and not (
+            _tile_geometry(idx) and idx.stride == E.IntImm(1)
+        ):
+            raise CodegenError("accumulator is not a slice of a float32 or integer allocation")
+        acc = self.fresh("a")
+        self.line(f"{acc} = {self.emit(value.a)}")
+
+        def fold():
+            rows, row = self.fresh("f"), self.fresh("q")
+            self.line(f"{rows} = {self.emit(value.b)}")
+            self.line(f"for {row} in {rows}:")
+            self.line(f"    {acc} = {_FOLDS[type(value)][1].format(acc, row)}")
+
+        self._emit_lanes(nest, fold)
+        with self.bind(f"{x}.fold", acc):
+            self._exec_Store(S.Store(store.name, idx, E.Variable(f"{x}.fold", value.type)))
+
+    def _emit_lanes(self, nest: List[S.For], emit=None) -> None:
         """One pass over the body of perfectly nested block loops.
 
         The nest's flattened iteration space becomes the leading axis:
@@ -1607,6 +1889,8 @@ class _Emitter:
         that does not depend on a loop variable — weights, memoised
         shuffle operands, inner serial loops — is emitted as ever.  A
         grid wider than ``_LANES`` runs in chunks of that many lanes.
+        ``emit``, given, emits the pass in place of the body, which then
+        may store nothing per lane.
         """
         dims: Dict[str, int] = {}
         for loop in nest:
@@ -1617,7 +1901,7 @@ class _Emitter:
         if total < 2:
             raise CodegenError("fewer than two iterations")
         body, outer = nest[-1].body, (self.lead, self.varying, self.stacked)
-        self.proved = _prove_lanes(dims, self.facts, nest[-1])
+        self.proved = {} if emit else _prove_lanes(dims, self.facts, nest[-1])
         lanes = self.facts.varying(nest[-1], dims)
         if self.lead is not None:
             batch = self.facts.varying(nest[-1], self.varying, self.stacked)
@@ -1645,7 +1929,10 @@ class _Emitter:
                 bound.enter_context(self.bind(loop.name, var))
             self.lead = self.fresh("n")
             self.line(f"{self.lead} = len({var}){times}")
-            self.emit_stmt(body)
+            if emit:
+                emit()
+            else:
+                self.emit_stmt(body)
         self.lead, self.varying, self.stacked = outer
         self.proved = self.merged = None
         self.requests = frozenset()
@@ -1772,6 +2059,9 @@ _HELPER_GLOBALS = {
     "_tiles": _tiles,
     "_gather": tile_gather,
     "_scatter": tile_scatter,
+    "_bases": tile_bases,
+    "_whole": _whole,
+    "_wrapsum": wrapping_sum,
 }
 
 
@@ -1940,7 +2230,10 @@ def compile_batched_stmt(
 #: v10: batched kernels lane-vectorise block loops over one ``B × N``
 #:     axis (``_n = len(_x) * _B``; request-buffer stacks read as
 #:     ``[ix].copy().reshape(-1, r, c)``)
-KERNEL_FORMAT_VERSION = 10
+#: v11: serial loops as array passes: maps and reduce folds over the
+#:     loop variable, stacked MAC products (``_bases``, ``_whole``,
+#:     ``_wrapsum``, ``TileISA.gathered`` / ``accumulator`` / ``product``)
+KERNEL_FORMAT_VERSION = 11
 
 
 def serialize_kernel(kernel: CompiledKernel) -> Optional[dict]:

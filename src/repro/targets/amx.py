@@ -95,12 +95,16 @@ def tdpbf16ps(
 
 def _tdp_exact(c: np.ndarray, a: np.ndarray, b_vnni: np.ndarray):
     """:func:`tdpbf16ps` on operands already bf16-rounded."""
+    return accumulate(c, _tdp_product(a, b_vnni))
+
+
+def _tdp_product(a: np.ndarray, b_vnni: np.ndarray) -> np.ndarray:
     b = vnni_unpack(b_vnni)
     if a.shape[-1] != b.shape[-2]:
         raise AMXError(
             f"TDPBF16PS shape mismatch: A {a.shape} vs B {b.shape}"
         )
-    return accumulate(c, a @ b)
+    return a @ b
 
 
 ISA = TileISA(
@@ -111,6 +115,7 @@ ISA = TileISA(
     group=2,
     operand=round_to_bfloat16,
     mac_core=_tdp_exact,
+    product=_tdp_product,
     counter="tensor_macs",
     mac_shapes=frozenset({(TDP_M, TDP_N, TDP_K)}),
     max_rows=MAX_ROWS,

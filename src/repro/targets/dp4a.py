@@ -115,6 +115,10 @@ def _int8_operand(x: np.ndarray) -> np.ndarray:
 
 def _dp4a_exact(c: np.ndarray, a: np.ndarray, b_vnni4: np.ndarray):
     """:func:`dp4a_mac` on operands already through :func:`_int8_operand`."""
+    return np.asarray(c, dtype=np.int32) + _dp4a_product(a, b_vnni4)
+
+
+def _dp4a_product(a: np.ndarray, b_vnni4: np.ndarray) -> np.ndarray:
     b = vnni4_unpack(b_vnni4)
     k = a.shape[-1]
     if k != b.shape[-2]:
@@ -126,7 +130,7 @@ def _dp4a_exact(c: np.ndarray, a: np.ndarray, b_vnni4: np.ndarray):
             f"dp4a_matmul depth {k} > {MAX_EXACT_K}: the float32 dot"
             " product would no longer be exact"
         )
-    return np.asarray(c, dtype=np.int32) + (a @ b).astype(np.int32)
+    return (a @ b).astype(np.int32)
 
 
 ISA = TileISA(
@@ -137,6 +141,7 @@ ISA = TileISA(
     group=K_GROUP,
     operand=_int8_operand,
     mac_core=_dp4a_exact,
+    product=_dp4a_product,
     counter="int8_macs",
     mac_shapes=frozenset({(DP_M, DP_N, DP_K)}),
     max_rows=MAX_ROWS,

@@ -129,6 +129,48 @@ def tile_scatter(arena, data, base, stride, rows, cols, values):
         data[:, grid] = values
 
 
+def tile_bases(base, outer):
+    """Each iteration's ``base`` (a scalar, or per-lane ``[N]`` bases,
+    bare or in their pair) plus ``i * step`` per ``(count, step)`` axis
+    of ``outer``, flattened in loop order: ``[R]`` or ``[R, N]``."""
+    shift = 0
+    for count, step in outer:
+        shift = np.add.outer(shift, np.arange(count) * step)
+    return np.add.outer(np.ravel(shift), base[0] if type(base) is tuple else base)
+
+
+def tile_rows(data, bases, stride, rows, cols, error):
+    """The ``[*bases.shape, rows, cols]`` tiles at ``bases`` as one gather
+    of a view holding a tile at every address, bounds-checked: one that
+    leaves ``data`` raises ``error``, as the interpreter's load does.  A
+    stacked ``[B, size]`` buffer puts its request axis second: ``[R, B,
+    ...]``, per-lane bases and requests as one ``B·N`` axis."""
+    reach = stride * (rows - 1)
+    above, span = max(0, -reach), abs(reach) + cols  # row 0 over the lowest
+    size, lo, hi = data.shape[-1], bases.min() - above, bases.max() - above
+    if lo < 0 or hi > size - span:
+        raise error(f"tile out of bounds: [{lo}, {hi + span - 1}] vs size {size}")
+    if not data.flags.c_contiguous:
+        data = np.ascontiguousarray(data)
+    item, lead = data.itemsize, data.shape[:-1]
+    windows = np.ndarray(
+        lead + (size - span + 1, rows, cols), data.dtype, data, above * item,
+        data.strides[:-1] + (item, stride * item, item),
+    )
+    at = bases - above if above else bases
+    if not lead:
+        return windows[at]
+    request = np.arange(lead[0]).reshape((1, -1) + (1,) * (at.ndim - 1))
+    tiles = windows[request, at[:, None]]
+    return tiles.reshape(tiles.shape[:1] + (-1, rows, cols))
+
+
+def wrapping_sum(products):
+    """The wrapping int32 sum over the leading axis: associative, so R
+    accumulations in loop order (DP4A's fold)."""
+    return np.add.reduce(products, axis=0, dtype=np.int32)
+
+
 def accumulate(c, product):
     """A float32 MAC core's ``c + product``, into ``product`` where the
     shapes allow.  ``+`` would, from 256 KiB up, swap the operands (and
@@ -161,17 +203,17 @@ _MAP_FLAGS = (
 )
 
 
-def _unheaped(shape):
-    """An uninitialised float32 array; from 128 KiB up, a mapping of its
+def _unheaped(shape, dtype=np.float32):
+    """An uninitialised array; from 128 KiB up, a mapping of its
     own, unmapped when the array dies.  A widened input lives one call:
     freed back to malloc it would raise glibc's dynamic mmap threshold,
     and the heap would then keep the pages of later transients
     (``peak_rss_mb`` +6% on ``apps``)."""
-    size = 4 * int(np.prod(shape))
+    size = np.dtype(dtype).itemsize * int(np.prod(shape))
     if size < 128 * 1024:
-        return np.empty(shape, np.float32)
+        return np.empty(shape, dtype)
     pages = mmap.mmap(-1, size, _MAP_FLAGS)
-    return np.frombuffer(pages, np.float32).reshape(shape)
+    return np.frombuffer(pages, dtype).reshape(shape)
 
 
 def _tiles(value, rows, cols):
@@ -210,6 +252,9 @@ class TileISA:
     #: the rank-polymorphic ``(c, a, b) -> c + a . b`` instruction, on
     #: operands already through ``operand``
     mac_core: Callable
+    #: its ``(a, b) -> a . b``, in the accumulator type: what ``mac_core``
+    #: adds to ``c``
+    product: Callable
     #: the :class:`Counters` field one MAC adds ``m * n * k`` to
     counter: str
     #: the ``(m, n, k)`` shapes the MAC instruction exists in
@@ -317,6 +362,23 @@ class TileISA:
             ),
             base, outer,
         )
+
+    def gathered(self, arena, source, exact, bases, stride, rows, cols):
+        """:func:`tile_rows` of a read-only input (:meth:`widen`'s
+        ``source, exact``), widened as :meth:`load` and :meth:`shaped`
+        widen one tile."""
+        tiles = tile_rows(
+            source if exact else source.data, bases, stride, rows, cols, self.error
+        )
+        return tiles if exact else self.operand(self.loaded(tiles, True))
+
+    def accumulator(self, data, base, stride, rows, cols, outer):
+        """:func:`tile_view` of a MAC nest's accumulator tiles, or this
+        accelerator's error, as the interpreter's load raises."""
+        view = tile_view(data, base, stride, rows, cols, outer)
+        if view is None:
+            raise self.error(f"{self.name} accumulator tile out of bounds")
+        return view
 
     def shaped(self, tile, rows, cols, exact=False):
         """A flat MAC operand as the core's ``[..., rows, cols]`` matrix,

@@ -73,6 +73,7 @@ ISA = TileISA(
     group=1,
     operand=_fp16_operand,
     mac_core=_mma_exact,
+    product=np.matmul,
     counter="tensor_macs",
     mac_shapes=frozenset(SUPPORTED_SHAPES),
     max_rows=None,  # fragments live in ordinary registers

@@ -323,6 +323,27 @@ class TestLintKernelsMutations:
         )
         assert lint_kernel_source(src) == []
 
+    def test_unordered_float_fold(self):
+        """A fold whose order numpy picks (here seeded as a stacked
+        nest's fold would be if written the short way) is flagged, each
+        spelling; an integer-typed sum and the wrapping int32 helper are
+        not."""
+        src = (
+            KERNEL_HEADER
+            + "    a = np.add.reduce(p, axis=0)\n"
+            + "    b = p.sum(axis=0)\n"
+            + "    c = np.sum(p, axis=0, dtype=np.float32)\n"
+        )
+        findings = lint_kernel_source(src)
+        assert checks(findings) == {"kernels.unordered-fold"}
+        assert len(findings) == 3
+        src = (
+            KERNEL_HEADER
+            + "    np.add(v, _wrapsum(p), out=v)\n"
+            + "    w = np.add.reduce(p, axis=0, dtype=np.int32)\n"
+        )
+        assert lint_kernel_source(src) == []
+
     def test_injected_wall_clock(self):
         src = (
             KERNEL_HEADER

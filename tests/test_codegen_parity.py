@@ -61,7 +61,11 @@ from repro.ir.builders import (
     intrinsic,
     make_add,
     make_broadcast,
+    make_max,
+    make_min,
+    make_mod,
     make_mul,
+    make_sub,
 )
 from repro.lowering import lower
 from repro.runtime import Buffer, Interpreter
@@ -69,6 +73,7 @@ from repro.runtime.buffer import StackedBuffer
 from repro.runtime.interpreter import EvalError
 from repro.runtime.codegen import (
     _LANES,
+    KernelFacts,
     KERNEL_FORMAT_VERSION,
     WIDENED,
     compile_batched_stmt,
@@ -319,9 +324,11 @@ class TestLaneLoops:
 
     def assert_falls_back(self, stmt, arrays, reason, env=None, var="x"):
         kernel, interpreted, compiled = run_both(stmt, arrays, env)
-        [row] = [r for r in kernel.loops if r[0] == var]
+        row = next(r for r in kernel.loops if r[0] == var)  # the outer one
         assert reason in row[2], kernel.loops
-        assert "_LANES" not in kernel.source
+        # the one lane pass an inner serial loop may still take is its map
+        maps = [s for *_, s in kernel.loops if s == "serial, map"]
+        assert kernel.source.count("_LANES):") == len(maps)
         for name in arrays:
             np.testing.assert_array_equal(compiled[name], interpreted[name])
 
@@ -606,9 +613,13 @@ class TestLaneLoops:
         stmt, arrays, disjoint = data.draw(block_nests())
         kernel, interpreted, compiled = run_both(stmt, arrays)
         np.testing.assert_array_equal(compiled["out"], interpreted["out"])
-        statuses = block_rows(kernel)
-        if disjoint and "fewer than two iterations" not in statuses:
-            assert statuses == {"lanes"}, kernel.loops
+        statuses, taken = block_rows(kernel), "lanes"
+        if stmt.kind is ForKind.SERIAL:  # a map: the outer loop's own row
+            taken = "serial, map"
+            statuses = {s for v, _, s in kernel.loops if v == stmt.name}
+            disjoint &= not KernelFacts(stmt).whole.calls  # no intrinsic
+        if disjoint and not any("fewer than two" in s for s in statuses):
+            assert statuses == {taken}, kernel.loops
 
 
 ROWS, COLS = 2, 4
@@ -626,11 +637,14 @@ ELEMENT_TYPES = {
 @st.composite
 def block_nests(draw):
     """A small block nest: 1-2 data-parallel dims (extents 1-5), a
-    private accumulator, an optional serial reduction loop, ramp or
-    tile loads and stores, in one of four element types.  The output
-    layout is drawn either provably disjoint or arbitrary (typically
-    overlapping), so both the lane path and the fallback are hit."""
-    kind = draw(st.sampled_from([ForKind.GPU_BLOCK, ForKind.PARALLEL]))
+    private accumulator, an optional serial reduction loop (an add, max
+    or min fold), ramp or tile loads and stores, in one of four element
+    types.  The output layout is drawn either provably disjoint or
+    arbitrary (typically overlapping), so both the lane path and the
+    fallback are hit.  The dims may be serial loops instead: a map when
+    disjoint, and the reduction loop then a reduce when they are not."""
+    kind = draw(st.sampled_from([ForKind.GPU_BLOCK, ForKind.PARALLEL, ForKind.SERIAL]))
+    fold = draw(st.sampled_from([make_add, make_max, make_min]))
     extents = draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))
     names = ["y", "x"][-len(extents):]
     element = draw(st.sampled_from(sorted(ELEMENT_TYPES)))
@@ -686,7 +700,7 @@ def block_nests(draw):
         loaded = make_mul(loaded, make_broadcast(weight, WIDTH))
     acc = ramp(IntImm(0), WIDTH)
     acc_load = Load(acc_type.with_lanes(WIDTH), "acc", acc)
-    update = Store("acc", acc, make_add(acc_load, loaded))
+    update = Store("acc", acc, fold(acc_load, loaded) if reduce else make_add(acc_load, loaded))
     if reduce:
         update = For("r", IntImm(0), IntImm(reduce), ForKind.SERIAL, update)
 
@@ -1467,6 +1481,237 @@ class TestSerialHoisting:
             if isinstance(v, np.ndarray) and v.dtype == np.float32
         ]
         assert not constant.flags.writeable
+
+
+# -- serial loops as array passes -----------------------------------------------
+#
+# A serial loop with no tensor intrinsic runs as one lane pass over its
+# variable when it is a map, or a max / min / + reduce folded row by row
+# in loop order; anything else stays a loop and its row says why.  A
+# serial MAC nest that would gather or pack per iteration runs as
+# stacked products.  The interpreter is the serial oracle, in raw bytes.
+
+#: accumulator lanes (not a multiple of the SIMD width: NaN payloads in
+#: the tail go through numpy's other loop) and iterations of a fold
+LANES, DEPTH = 20, 37
+
+
+def serial(name, extent, body, lo=0):
+    return For(name, IntImm(lo), IntImm(extent), ForKind.SERIAL, body)
+
+
+def f32_vector(name, index, lanes=LANES):
+    return Load(Float(32, lanes), name, index)
+
+
+def fold_nest(update, width=LANES):
+    """``acc = init``; ``for x: acc = update(acc, inp[x + DEPTH * j])``;
+    ``out = acc``, ``width`` lanes (one: scalars)."""
+    x = Variable("x")
+    lanes = ramp(IntImm(0), width) if width > 1 else IntImm(0)
+    acc = f32_vector("acc", lanes, width)
+    row = f32_vector("inp", ramp(x, width, DEPTH) if width > 1 else x, width)
+    return Allocate(
+        "acc", Float(32), (IntImm(width),), MemoryType.STACK,
+        Block((
+            Store("acc", lanes, f32_vector("init", lanes, width)),
+            serial("x", DEPTH, Store("acc", lanes, update(acc, row))),
+            Store("out", lanes, acc),
+        )),
+    )
+
+
+def specials_f32(rng, size, payloads=True):
+    """float32 data, a third of it the special patterns: NaNs of every
+    payload and sign meet in every fold (without ``payloads``, every
+    NaN is the one quiet NaN)."""
+    pool = F32_SPECIALS.view(np.float32)
+    if not payloads:
+        pool = np.append(pool[~np.isnan(pool)], np.float32("nan"))
+    data = rng.standard_normal(size).astype(np.float32)
+    pick = rng.random(size) < 0.3
+    data[pick] = rng.choice(pool, size=pick.sum())
+    return data
+
+
+class TestSerialFolds:
+    def arrays(self, rng):
+        return {
+            "inp": (specials_f32(rng, LANES * DEPTH), Float(32)),
+            "init": (specials_f32(rng, LANES), Float(32)),
+            "out": f32_out(LANES),
+        }
+
+    @pytest.mark.parametrize("width", [LANES, 1], ids=["vector", "scalar"])
+    @pytest.mark.parametrize(
+        "update,op", [(make_max, "max"), (make_min, "min"), (make_add, "+")]
+    )
+    def test_a_reduce_folds_in_loop_order(self, update, op, width, rng):
+        with np.errstate(all="ignore"):
+            kernel, interpreted, compiled = run_both(
+                fold_nest(update, width), self.arrays(rng)
+            )
+        assert kernel.loops == (("x", DEPTH, f"serial, reduce {op}"),)
+        assert "_LANES):" in kernel.source
+        for name in interpreted:
+            assert_same_bytes(compiled[name], interpreted[name])
+
+    @staticmethod
+    def scaled_rows(kind, rng, payloads):
+        x = Variable("x")
+        rows = ramp(make_mul(x, IntImm(LANES)), LANES)
+        scale = make_broadcast(Load(Float(32), "init", x), LANES)
+        stmt = For("x", IntImm(0), IntImm(DEPTH), kind, Store(
+            "out", rows, make_mul(f32_vector("inp", rows), scale)
+        ))
+        arrays = {
+            "inp": (specials_f32(rng, LANES * DEPTH, payloads), Float(32)),
+            "init": (specials_f32(rng, DEPTH, payloads), Float(32)),
+            "out": f32_out(LANES * DEPTH),
+        }
+        with np.errstate(all="ignore"):
+            kernel, interpreted, compiled = run_both(stmt, arrays)
+        return kernel, compiled["out"], interpreted["out"]
+
+    def test_a_map_is_one_pass(self, rng):
+        kernel, got, want = self.scaled_rows(ForKind.SERIAL, rng, False)
+        assert kernel.loops == (("x", DEPTH, "serial, map"),)
+        assert "lanes-disjoint" in kernel.source
+        assert_same_bytes(got, want)
+
+    @pytest.mark.xfail(
+        reason="numpy picks between two NaN operands by SIMD position: an"
+        " element in the tail of a row's op can sit in the body of a lane"
+        " pass's, so its NaN payload may differ — block loops alike"
+    )
+    @pytest.mark.parametrize("kind", [ForKind.SERIAL, ForKind.GPU_BLOCK])
+    def test_a_pass_may_pick_another_nan_payload(self, kind, rng):
+        kernel, got, want = self.scaled_rows(kind, rng, True)
+        assert "_LANES):" in kernel.source
+        assert_same_bytes(got, want)
+
+    def stays_a_loop(self, stmt, arrays, reason):
+        kernel, interpreted, compiled = run_both(stmt, arrays)
+        assert [s for v, _, s in kernel.loops if v == "x"] == [f"serial, {reason}"]
+        assert "_LANES" not in kernel.source
+        for name in interpreted:
+            assert_same_bytes(compiled[name], interpreted[name])
+
+    def test_a_scan_stays_a_loop(self, rng):
+        """recursive_filter's recurrence: each iteration reads what the
+        one before wrote."""
+        x = Variable("x")
+        before = Load(Float(32), "out", make_sub(x, IntImm(1)))
+        stmt = serial("x", DEPTH - 1, Store(
+            "out", x,
+            make_add(make_mul(before, const(0.5, Float(32))), Load(Float(32), "inp", x)),
+        ), lo=1)
+        arrays = {
+            "inp": (rng.standard_normal(DEPTH).astype(np.float32), Float(32)),
+            "out": f32_out(DEPTH),
+        }
+        self.stays_a_loop(stmt, arrays, "body loads 'out', which another lane stores")
+
+    def test_an_accumulator_that_follows_the_loop_stays_a_loop(self, rng):
+        x = Variable("x")
+        at = make_mod(x, IntImm(4))
+        update = make_add(Load(Float(32), "acc", at), Load(Float(32), "inp", x))
+        stmt = Allocate(
+            "acc", Float(32), (IntImm(4),), MemoryType.STACK,
+            Block((
+                Store("acc", ramp(IntImm(0), 4), f32_vector("init", ramp(IntImm(0), 4), 4)),
+                serial("x", DEPTH, Store("acc", at, update)),
+                Store("out", ramp(IntImm(0), 4), f32_vector("acc", ramp(IntImm(0), 4), 4)),
+            )),
+        )
+        arrays = {
+            "inp": (rng.standard_normal(DEPTH).astype(np.float32), Float(32)),
+            "init": (rng.standard_normal(4).astype(np.float32), Float(32)),
+            "out": f32_out(4),
+        }
+        self.stays_a_loop(stmt, arrays, "accumulator address follows the loop")
+
+    def test_a_subtracting_update_stays_a_loop(self, rng):
+        with np.errstate(all="ignore"):
+            self.stays_a_loop(
+                fold_nest(make_sub), self.arrays(rng), "an update by Sub is not a fold"
+            )
+
+
+def out_of_range(app, data):
+    """``app``'s tensorized statement and its buffers with input ``data``
+    two outer rows short: the last tiles its MAC nest reads run off."""
+    from repro.hardboiled import select_instructions
+    from repro.runtime.plan import bind_inputs, stride_env
+
+    lowered = select_instructions(lower(app.output), strict=True)[0]
+    inputs = {k: (v[:-2] if k.name == data else v) for k, v in app.inputs.items()}
+    buffers, _ = bind_inputs(inputs)
+    extents = lowered.realizations[app.output.name].extents
+    buffers[app.output.name] = Buffer(
+        app.output.name, app.output.dtype.element_of(),
+        tuple(e.value for e in extents), is_external=True,
+    )
+    return lowered.stmt, buffers, stride_env(buffers)
+
+
+class TestStackedProducts:
+    """An out-of-range last tile: the stacked nest raises the
+    interpreter's error type before the fold, and leaves every external
+    buffer as the per-tile loop does when it raises (the gather's
+    IndexError) at that tile."""
+
+    @pytest.mark.parametrize(
+        "label,data,batch",
+        [("int8_conv_layer", "Iq", 1), ("int8_conv_layer", "Iq", 3),
+         ("int8_conv_layer", "Iq", 32), ("conv2d", "I2", 1)],
+    )
+    def test_an_out_of_range_last_tile(self, label, data, batch, monkeypatch):
+        from benchmarks.perf.catalog import WORKLOADS
+        from repro.runtime.codegen import _Emitter
+
+        [program] = [p for p in WORKLOADS["apps"].programs if p.name == label]
+        stmt, buffers, env = out_of_range(program.job.build_app(), data)
+        error = DP4AError if label.startswith("int8") else wmma.WMMAError
+        with pytest.raises(error, match="out of bounds"):
+            Interpreter(dict(buffers)).run(stmt, dict(env))
+        out = list(buffers)[-1]  # the output, bound last
+
+        def run(kernel):
+            fresh = {}
+            for name, buf in buffers.items():
+                array = buf.data
+                if batch > 1 and name in (data, out):
+                    fresh[name] = StackedBuffer(
+                        name, buf.dtype, buf.extents, is_external=True,
+                        batch=batch, data=np.stack([array] * batch),
+                    )
+                else:
+                    fresh[name] = Buffer(
+                        name, buf.dtype, buf.extents, is_external=True,
+                        data=array.copy(),
+                    )
+            with pytest.raises(Exception) as raised:
+                kernel(fresh, {**env, "batch.size": batch})
+            return raised.type, {n: b.data for n, b in fresh.items()}
+
+        def compile_():
+            if batch == 1:
+                return compile_stmt(stmt)
+            return compile_batched_stmt(stmt, {data, out})
+
+        kernel = compile_()
+        assert any(s == "serial, stacked product" for *_, s in kernel.loops)
+        got, after = run(kernel)
+        monkeypatch.setattr(_Emitter, "_STRATEGIES", tuple(
+            s for s in _Emitter._STRATEGIES if s != "_try_stacked"
+        ))
+        loop = compile_()
+        assert not any(s == "serial, stacked product" for *_, s in loop.loops)
+        raised, left = run(loop)
+        assert (got, raised) == (error, IndexError)
+        for name in buffers:  # the kernels' own allocations left aside
+            assert_same_bytes(after[name], left[name])
 
 
 class TestTwoLevelRamps:

@@ -4,6 +4,8 @@ routing."""
 
 import os
 
+import re
+
 import numpy as np
 import pytest
 from conftest import stranded_v5
@@ -195,7 +197,7 @@ class TestDiskTier:
         [path] = kernel_files(tmp_path)
         with open(path, "rb") as handle:
             data = bytearray(handle.read())
-        at = data.index(b" * _C0)") + 1  # ``x * 2.0``: 2.0 is a constant
+        at = re.search(rb" \* _C\d+\)", data).start() + 1  # ``x * 2.0``: a constant
         data[at] = ord("+")
         with open(path, "wb") as handle:
             handle.write(bytes(data))

@@ -268,13 +268,14 @@ class TestInvalidation:
         preamble, no exact flags on its MACs), a v7 kernel (its serial
         loops re-derive every tile and shuffle per iteration), a v8
         kernel (its stacks may be None, and it calls a ``_stack``
-        helper that is gone), or a v9 kernel (its batched block loops
-        run one Python iteration per lane)."""
+        helper that is gone), a v9 kernel (its batched block loops
+        run one Python iteration per lane), or a v10 kernel (its serial
+        MAC nests and softmax loops run one Python iteration each)."""
         from repro.runtime.codegen import KERNEL_FORMAT_VERSION
 
-        assert KERNEL_FORMAT_VERSION == 10
+        assert KERNEL_FORMAT_VERSION == 11
         for stale_format in (
-            KERNEL_FORMAT_VERSION + 1, 3, 4, 5, 6, 7, 8, 9, "stranded",
+            KERNEL_FORMAT_VERSION + 1, 3, 4, 5, 6, 7, 8, 9, 10, "stranded",
         ):
             root = tmp_path / f"v{stale_format}"
             app = small_app()

@@ -40,7 +40,7 @@ from repro.targets.dp4a import (
     vnni4_pack,
     vnni4_unpack,
 )
-from repro.targets.isa import REGISTRY, tile_grid, tile_view
+from repro.targets.isa import REGISTRY, tile_grid, tile_view, wrapping_sum
 from repro.targets.wmma import mma_sync
 
 #: leading batch axes an operand may carry (the lane / batch axis)
@@ -515,6 +515,89 @@ class TestRoleCores:
         tile = np.zeros(m * n * k, isa.acc)
         with pytest.raises(isa.error, match="m16n16k8"):
             isa.mac(None, tile, tile, tile, 16, 16, 8)
+
+
+#: iterations of a serial MAC nest the emitter stacks: matmul's and
+#: attention's 4, conv_layer's 9,
+#: conv2d's and downsample's 32, int8_conv_layer's 36
+DEPTHS = [4, 9, 32, 36]
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+@pytest.mark.parametrize("isa", ISAS, ids=ISA_IDS)
+def test_a_stacked_product_is_its_macs_in_loop_order(isa, depth, rng):
+    """``TileISA.product`` over an R-deep leading axis, folded as a
+    stacked nest folds it — ``np.add(c, p, out=p)`` per iteration for a
+    float32 core (``isa.accumulate``'s operand order), one
+    :func:`wrapping_sum` for DP4A — is R MAC calls in loop order, byte
+    for byte, on the special-value operands; at R = 32 the products
+    take 256 KiB and more."""
+    m, n, k = MAC_SHAPES[isa.name]
+    g, lanes = isa.group, 64 if depth == 32 else 3
+    dtype, make = OPERAND_BUFFERS[isa.name][0]
+    a = operand_data(rng, dtype, make, (depth, lanes, m * k))
+    b = operand_data(rng, dtype, make, (depth, k * n))
+    c = operand_data(
+        rng, Int(32) if isa.name == "dp4a" else Float(32),
+        None if isa.name == "dp4a" else f32_values, (lanes, m * n),
+    )
+    with np.errstate(all="ignore"):
+        want = c
+        for r in range(depth):
+            want = isa.mac(None, want, a[r], b[r], m, n, k)
+        products = isa.product(
+            isa.operand(a.reshape(depth, lanes, m, k)),
+            isa.operand(b.reshape(depth, 1, k // g, g * n)),
+        )
+        assert depth != 32 or products.nbytes >= 256 * 1024
+        if isa.acc is np.int32:
+            got = c.reshape(lanes, m, n) + wrapping_sum(products)
+        else:
+            got = np.array(c.reshape(lanes, m, n))
+            for p in products:
+                got = np.add(got, p, out=p)
+    assert_same_bytes(got.reshape(lanes, m * n), want)
+
+
+def test_a_wrapping_sum_is_the_adds_in_any_order(rng):
+    """int32 addition wraps, so it is associative: DP4A's one sum over
+    the leading axis is the R adds in loop order — at the extremes."""
+    extremes = np.array([2**31 - 1, -(2**31), -1, 1], np.int32)
+    products = rng.choice(extremes, size=(36, 16, 16))
+    with np.errstate(all="ignore"):
+        want = np.zeros((16, 16), np.int32)
+        for p in products:
+            want = want + p
+    assert_same_bytes(wrapping_sum(products), want)
+
+
+def test_which_folds_keep_the_loops_order(rng):
+    """What a reduce loop ``acc = op(acc, row)`` over vector rows may be
+    folded with, on rows with ``+-0``, ``+-inf``, subnormals, ``float32``
+    extremes and the negative quiet NaN (the one ``inf - inf`` makes):
+    over axis 0, ``np.add.accumulate`` and ``np.maximum`` /
+    ``np.minimum.reduce`` are the sequential calls, signs of zero and of
+    that NaN alike; ``np.add.reduce`` may sum pairwise.  Not checked,
+    because it does not hold: where NaNs of two payloads or signs meet,
+    numpy's choice between them depends on the call's SIMD position,
+    and a scalar accumulator's ``maximum.reduce`` returns a positive NaN
+    — so the emitter folds a reduce loop row by row with its own op."""
+    shape = (37, 20)
+    pool = F32_SPECIALS.view(np.float32)
+    nan = np.array([0xFFC00000], np.uint32).view(np.float32)
+    pool = np.append(pool[~np.isnan(pool)], nan)
+    for trial in range(20):
+        rows = (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 30)).astype(np.float32)
+        pick = rng.random(shape) < 0.2
+        rows[pick] = rng.choice(pool, size=pick.sum())
+        with np.errstate(all="ignore"):
+            for op in (np.add, np.maximum, np.minimum):
+                want = rows[0]
+                for row in rows[1:]:
+                    want = op(want, row)
+                fold = np.add.accumulate(rows, axis=0)[-1] if op is np.add \
+                    else op.reduce(rows, axis=0)
+                assert_same_bytes(np.asarray(fold), np.asarray(want))
 
 
 #: per-lane bases ``bases[0] + step * lane``, as the emitter passes them

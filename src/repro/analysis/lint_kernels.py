@@ -1,11 +1,11 @@
 """Static lint over codegen'd kernel source (scalar and batched).
 
 The compiled backend emits plain Python (``def _kernel(buffers, env,
-_interp, _arena)``); this lint parses that source with :mod:`ast` and
+_arena)``); this lint parses that source with :mod:`ast` and
 checks the invariants the emitter is supposed to maintain:
 
 ``kernels.arena-pairing``
-    Every ``X = _take(...)``/``_take_b(...)`` allocation must have a
+    Every ``X = _take(...)`` allocation must have a
     matching ``_give(_arena, X)`` release (and vice versa).  A dropped
     give is a silent arena leak — under steady-state serving the pool
     grows without bound.
@@ -69,7 +69,7 @@ from .findings import ERROR, Finding, apply_waivers, parse_waivers
 
 __all__ = ["lint_kernel", "lint_kernel_source", "lint_order", "registry_rows"]
 
-_TAKE_FUNCS = {"_take", "_take_b"}
+_TAKE_FUNC = "_take"
 _GIVE_FUNC = "_give"
 
 #: module roots whose mere mention makes a kernel nondeterministic
@@ -263,7 +263,7 @@ def lint_kernel_source(
             node.value, ast.Call
         ):
             root = _call_root(node.value.func)
-            if root in _TAKE_FUNCS and len(node.targets) == 1:
+            if root == _TAKE_FUNC and len(node.targets) == 1:
                 target = node.targets[0]
                 if isinstance(target, ast.Name):
                     taken[target.id] = node.lineno

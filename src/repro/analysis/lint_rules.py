@@ -32,9 +32,9 @@ action structure alone:
 ``rules.unknown-intrinsic``
     An action builds ``(Call <type> "<name>" ...)`` for a name that is
     neither in :data:`repro.targets.isa.REGISTRY` nor a math intrinsic.
-    Selection would succeed and the statement would compile — to a
-    kernel that hands the call to ``_interp._eval_Call``, which has no
-    handler for it either.
+    Selection would succeed, and the statement would compile to the
+    interpreter-fallback kernel, whose interpreter has no handler for
+    the name either.
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ def lint_rule(
                         site,
                         f"{what} emits a call to {name!r}, which is not a"
                         " registered intrinsic — the selected statement"
-                        " would compile to an interpreter-fallback call"
+                        " would compile to an interpreter-fallback kernel"
                         " with no handler behind it",
                         "fix the name, or register the intrinsic"
                         " (repro.targets.isa.register) with its"

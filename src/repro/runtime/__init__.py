@@ -7,7 +7,7 @@ tree-walking :class:`Interpreter` and the compiled NumPy backend in
 
 from .buffer import Buffer
 from .counters import Counters
-from .interpreter import INTRINSICS, Interpreter, memory_level, register_intrinsic
+from .interpreter import INTRINSICS, Interpreter, memory_level
 from .kernel_cache import DEFAULT_CACHE, KernelCache, fingerprint_stmt
 from .plan import BufferArena, ExecutionPlan
 
@@ -22,5 +22,4 @@ __all__ = [
     "KernelCache",
     "fingerprint_stmt",
     "memory_level",
-    "register_intrinsic",
 ]

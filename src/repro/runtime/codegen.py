@@ -19,9 +19,9 @@ source in which
   constructors, ...) call the one value-level core each has in
   :data:`repro.targets.isa.REGISTRY` — the function the interpreter's
   driver for that intrinsic ends in, and
-* anything the emitter does not recognize falls back to the
-  interpreter's handler for that node, so the compiled backend is
-  never *less* capable, only faster.
+* a statement holding anything the emitter does not recognize runs
+  on the interpreter whole (:func:`compile_stmt`'s fallback kernel),
+  so the compiled backend is never *less* capable, only faster.
 
 Each emitted operation mirrors the interpreter's NumPy semantics
 operation-for-operation (same dtypes, same rounding, same cast rules),
@@ -38,6 +38,7 @@ fingerprint of the lowered statement.
 from __future__ import annotations
 
 import math
+import re
 from contextlib import ExitStack, contextmanager
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
@@ -59,7 +60,9 @@ from ..targets.isa import (
     tile_gather, tile_scatter, wrapping_sum,
 )
 from .buffer import Buffer, StackedBuffer
-from .interpreter import as_vector, broadcast_value, ramp_value, reduce_groups
+from .interpreter import (
+    Interpreter, as_vector, broadcast_value, ramp_value, reduce_groups,
+)
 
 
 class CodegenError(RuntimeError):
@@ -125,7 +128,8 @@ def _idx(x):
 
 def _take(arena, name, dtype, extents, memory_type, batch=None):
     """Allocate scope entry: a fresh zeroed buffer, pooled when possible
-    — with ``batch`` (emitted as ``_take_b``), a ``[batch, size]`` one."""
+    — with ``batch`` (the live leading axis' rows), a ``[batch, size]``
+    one."""
     if arena is not None:
         return arena.take(name, dtype, extents, memory_type, batch)
     if batch is not None:
@@ -738,7 +742,6 @@ class _Emitter:
         self.ext_obj: List[str] = []
         #: injected globals (constants, helper functions)
         self.globals: Dict[str, object] = {}
-        self.needs_interp = False
         #: inside a statement that may mutate buffers mid-expression
         self.copy_views = False
         #: python local holding the leading axis' length while one is live:
@@ -1091,7 +1094,7 @@ class _Emitter:
         """A basic-slice spelling for a scalar-base, const-stride ramp.
 
         Returns the text between the brackets, or None.  The base is
-        hoisted to a temp so it is evaluated once.
+        evaluated once (:meth:`_once`).
         """
         if not isinstance(idx, E.Ramp):
             return None
@@ -1100,13 +1103,27 @@ class _Emitter:
         if not isinstance(idx.stride, E.IntImm) or idx.stride.value <= 0:
             return None
         stride = idx.stride.value
-        base = self.emit(idx.base)
-        temp = self.fresh("i")
-        self.line(f"{temp} = {base}")
-        if stride == 1:
-            return f"{temp}:{temp} + {idx.count}"
         stop = idx.count * stride - stride + 1
-        return f"{temp}:{temp} + {stop}:{stride}"
+        step = "" if stride == 1 else f":{stride}"
+        return f"{self._span(idx.base, stop)}{step}"
+
+    def _once(self, e: E.Expr) -> str:
+        """Scalar ``e`` as a literal or a local: one bound to a fresh
+        temp unless it is one already."""
+        value = self.emit(e)
+        if isinstance(e, (E.IntImm, E.Variable)):
+            return value
+        temp = self.fresh("i")
+        self.line(f"{temp} = {value}")
+        return temp
+
+    def _span(self, start: E.Expr, length, sep: str = ":") -> str:
+        """``start{sep}start + length`` (``length`` an int or emitted
+        text), folded where both are literals."""
+        lo = self._once(start)
+        if isinstance(start, E.IntImm) and isinstance(length, int):
+            return f"{lo}{sep}{start.value + length}"
+        return f"{lo}{sep}{lo} + {length}"
 
     def _emit_Call(
         self, e: E.Call, mac_operand: bool = False, source: str = ""
@@ -1115,43 +1132,40 @@ class _Emitter:
         if math_fn is not None:
             return f"{math_fn}({self.emit(e.args[0])})"
         entry, step = REGISTRY.get(e.name), None
+        if entry is None:  # the whole statement runs on the interpreter
+            raise CodegenError(f"intrinsic {e.name!r} has no kernel core")
         if self.lead is not None:
             step = self._check_leading_axis(e, entry)
-        if entry is not None:
-            slots, settled = {}, None
-            if entry.role == "mac":
-                widths = [self._operand_width(entry.isa, a) for a in e.args[1:3]]
-                self.macs.append((e.name, *widths))
-                slots = {
-                    i: w for i, w in enumerate(widths, 1) if w in ("narrow", WIDENED)
-                }
-                settled = _settled(entry.isa, e)
-            args, exact = ["_arena"], ["False", "False"]
-            for i, a in enumerate(e.args):
-                if id(a) in self.hoisted:  # read from its preheader stack
-                    args.append(self.hoisted[id(a)])
-                elif isinstance(a, E.StringImm):
-                    args.append(source or self.buf_obj(a.value))
-                elif i in slots:
-                    widened = ""
-                    if slots[i] == WIDENED:  # exact[i - 1]: A's, B's flag
-                        widened, exact[i - 1] = self._widen(entry.isa, a)
-                    args.append(self._emit_Call(a, True, widened))
-                elif i == 1 and step is not None:  # bases[0] + step * lane
-                    args.append(f"({self.emit(a)}, {step})")
-                else:
-                    args.append(self.emit(a))
-            if settled:
-                return self._settled_mac(entry.isa, settled, e, args, exact)
-            if mac_operand:
-                args.append("True")
-            if exact != ["False", "False"]:
-                args.extend(exact)
-            return f"{self.const(entry.core)}({', '.join(args)})"
-        # unknown intrinsic: hand the Call node to the interpreter
-        self.needs_interp = True
-        call = self.const(e)
-        return f"_interp._eval_Call({call}, {self._env_dict(e)})"
+        slots, settled = {}, None
+        if entry.role == "mac":
+            widths = [self._operand_width(entry.isa, a) for a in e.args[1:3]]
+            self.macs.append((e.name, *widths))
+            slots = {
+                i: w for i, w in enumerate(widths, 1) if w in ("narrow", WIDENED)
+            }
+            settled = _settled(entry.isa, e)
+        args, exact = ["_arena"], ["False", "False"]
+        for i, a in enumerate(e.args):
+            if id(a) in self.hoisted:  # read from its preheader stack
+                args.append(self.hoisted[id(a)])
+            elif isinstance(a, E.StringImm):
+                args.append(source or self.buf_obj(a.value))
+            elif i in slots:
+                widened = ""
+                if slots[i] == WIDENED:  # exact[i - 1]: A's, B's flag
+                    widened, exact[i - 1] = self._widen(entry.isa, a)
+                args.append(self._emit_Call(a, True, widened))
+            elif i == 1 and step is not None:  # bases[0] + step * lane
+                args.append(f"({self.emit(a)}, {step})")
+            else:
+                args.append(self.emit(a))
+        if settled:
+            return self._settled_mac(entry.isa, settled, e, args, exact)
+        if mac_operand:
+            args.append("True")
+        if exact != ["False", "False"]:
+            args.extend(exact)
+        return f"{self.const(entry.core)}({', '.join(args)})"
 
     def _widen(self, isa, load: E.Call) -> tuple:
         """The preamble's ``(source, exact)`` locals: ``load``'s input
@@ -1224,9 +1238,6 @@ class _Emitter:
         bases proved ``bases[0] + step * lane`` (``_lane_step``).
         """
         name = e.name
-        if entry is None:
-            # the interpreter cannot evaluate over a leading axis
-            raise CodegenError(f"intrinsic {name!r} has no batched emission")
         arg_b = [
             (not isinstance(a, E.StringImm)) and self.batched(a)
             for a in e.args
@@ -1302,15 +1313,6 @@ class _Emitter:
         if terms is None:
             raise CodegenError(f"varying store address into shared {name!r}")
         self.line(repr(("lanes-disjoint", local, terms)))
-
-    def _env_dict(self, e: E.Expr) -> str:
-        entries = []
-        for name in sorted(e.free_vars):
-            local = self.scope.get(name)
-            if local is None:
-                local = self._emit_Variable(E.Variable(name))
-            entries.append(f"{name!r}: {local}")
-        return "{" + ", ".join(entries) + "}"
 
     def _emit_StringImm(self, e: E.StringImm) -> str:
         raise CodegenError("string immediate outside an intrinsic call")
@@ -1389,11 +1391,9 @@ class _Emitter:
         if self.batched(stmt.min_expr) or self.batched(stmt.extent):
             raise CodegenError("batched loop bounds")
         if stmt.kind is ForKind.GPU_LANE:
-            # warp-collective body: executes once (see the interpreter)
-            var, lo = self.fresh("x"), self.fresh("i")
-            self.line(f"{lo} = {self.emit(stmt.min_expr)}")
-            self.line(f"{var} = {lo}")
-            with self.bind(stmt.name, var):
+            # warp-collective body: executes once (see the interpreter),
+            # at the loop's minimum
+            with self.bind(stmt.name, self._once(stmt.min_expr)):
                 self.emit_stmt(stmt.body)
         else:
             self._emit_loops([stmt])
@@ -1421,10 +1421,9 @@ class _Emitter:
         with ExitStack() as scope:
             for i, loop in enumerate(nest):
                 var = xs[i] if xs else self.fresh("x")
-                lo = self.fresh("i")
-                self.line(f"{lo} = {self.emit(loop.min_expr)}")
-                extent = self.emit(loop.extent)
-                self.line(f"for {var} in range({lo}, {lo} + {extent}):")
+                extent = loop.extent
+                extent = extent.value if isinstance(extent, E.IntImm) else self.emit(extent)
+                self.line(f"for {var} in range({self._span(loop.min_expr, extent, ', ')}):")
                 scope.enter_context(self.block())
                 scope.enter_context(self.bind(loop.name, var))
             self.emit_stmt(nest[-1].body)
@@ -1929,10 +1928,13 @@ class _Emitter:
                 bound.enter_context(self.bind(loop.name, var))
             self.lead = self.fresh("n")
             self.line(f"{self.lead} = len({var}){times}")
+            count = len(self.lines)
             if emit:
                 emit()
             else:
                 self.emit_stmt(body)
+            if not re.search(rf"\b{self.lead}\b", "\n".join(self.lines[count:])):
+                del self.lines[count - 1]  # no row count read
         self.lead, self.varying, self.stacked = outer
         self.proved = self.merged = None
         self.requests = frozenset()
@@ -1965,7 +1967,11 @@ class _Emitter:
         if any(self.batched(e) for e in stmt.extents):
             raise CodegenError("batched allocation extents")
         name = stmt.name
-        saved_dtype = self.allocated.get(name)
+        # the body reads ``name`` through locals of its own: an enclosing
+        # binding (an Allocate of the same name, an external buffer)
+        # keeps its locals, untouched
+        tables = (self.allocated, self.obj_locals, self.data_locals)
+        outer = [table.pop(name, None) for table in tables]
         self.allocated[name] = stmt.dtype.element_of()
         read = self.hoisted.get(id(stmt))
         if read is not None:
@@ -1976,34 +1982,21 @@ class _Emitter:
                 self.emit_stmt(part)
         else:
             obj = self.buf_obj(name)
-            data = self.buf_data(name)
-            saved = self.fresh("s")
             extents = ", ".join(self.emit(e) for e in stmt.extents)
             dtype = self.const(stmt.dtype.element_of())
             memtype = self.const(stmt.memory_type)
-            take = f"_arena, {name!r}, {dtype}, ({extents},), {memtype}"
-            if name in self.stacked:
-                take = f"_take_b({take}, {self.lead})"
-            else:
-                take = f"_take({take})"
-            self.line(f"{saved} = buffers.get({name!r})")
-            self.line(f"{obj} = {take}")
-            self.line(f"buffers[{name!r}] = {obj}")
-            self.line(f"{data} = {obj}.data")
+            rows = f", {self.lead}" if name in self.stacked else ""
+            self.line(
+                f"{obj} = _take(_arena, {name!r}, {dtype}, ({extents},),"
+                f" {memtype}{rows})"
+            )
+            self.line(f"{self.buf_data(name)} = {obj}.data")
             self.emit_stmt(stmt.body)
             self.line(f"_give(_arena, {obj})")
-            self.line(f"if {saved} is None:")
-            with self.block():
-                self.line(f"buffers.pop({name!r}, None)")
-            self.line("else:")
-            with self.block():
-                self.line(f"buffers[{name!r}] = {saved}")
-                self.line(f"{obj} = {saved}")
-                self.line(f"{data} = {saved}.data")
-        if saved_dtype is None:
-            del self.allocated[name]
-        else:
-            self.allocated[name] = saved_dtype
+        for table, local in zip(tables, outer):
+            table.pop(name, None)
+            if local is not None:
+                table[name] = local
 
     # -- assembly ------------------------------------------------------------
 
@@ -2024,13 +2017,12 @@ class _Emitter:
             preamble.append(f"    {local} = env[{name!r}]")
         body = self.lines or ["    pass"]
         return "\n".join(
-            ["def _kernel(buffers, env, _interp, _arena):"] + preamble + body
+            ["def _kernel(buffers, env, _arena):"] + preamble + body
         )
 
     def kernel(self, key: str, label: str = "kernel") -> "CompiledKernel":
         return _load_kernel(
-            self.source(), self.globals, key, self.needs_interp, self.loops,
-            self.macs, label,
+            self.source(), self.globals, key, self.loops, self.macs, label
         )
 
 
@@ -2053,7 +2045,6 @@ _HELPER_GLOBALS = {
     "_bcast_b": _bcast_b,
     "_vred_b": _vred_b,
     "_cat_b": _cat_b,
-    "_take_b": _take,
     "_LANES": _LANES,
     "_ROWS": _ROWS,
     "_tiles": _tiles,
@@ -2073,7 +2064,6 @@ class CompiledKernel:
         fn: Callable,
         source: Optional[str],
         key: str,
-        needs_interp: bool,
         is_fallback: bool = False,
         globals_map: Optional[Dict[str, object]] = None,
         loops: Tuple[tuple, ...] = (),
@@ -2082,7 +2072,6 @@ class CompiledKernel:
         self.fn = fn
         self.source = source
         self.key = key
-        self.needs_interp = needs_interp
         self.is_fallback = is_fallback
         #: emitter-injected constants (offset tables, dtypes, intrinsic
         #: cores) — retained so the kernel can be serialized to disk
@@ -2102,21 +2091,13 @@ class CompiledKernel:
     def __call__(
         self, buffers: Dict[str, Buffer], env: dict, arena=None
     ) -> None:
-        interp = None
-        if self.needs_interp:
-            from .interpreter import Interpreter
-
-            interp = Interpreter({}, None)
-            # share the live dict so Allocate/intrinsics see one world
-            interp.buffers = buffers
-        self.fn(buffers, env, interp, arena)
+        self.fn(buffers, env, arena)
 
 
 def _load_kernel(
     source: str,
     globals_map: Dict[str, object],
     key: str,
-    needs_interp: bool,
     loops,
     macs,
     label: str = "kernel",
@@ -2136,7 +2117,6 @@ def _load_kernel(
         namespace["_kernel"],
         source,
         key,
-        needs_interp,
         globals_map=globals_map,
         loops=loops,
         macs=macs,
@@ -2155,12 +2135,10 @@ def compile_stmt(stmt: S.Stmt, key: str = "") -> CompiledKernel:
         emitter.emit_stmt(stmt)
         return emitter.kernel(key)
     except CodegenError:
-        def fallback(buffers, env, interp, arena):
-            interp.run(stmt, env)
+        def fallback(buffers, env, arena):
+            Interpreter(buffers, None).run(stmt, env)
 
-        return CompiledKernel(
-            fallback, None, key, needs_interp=True, is_fallback=True
-        )
+        return CompiledKernel(fallback, None, key, is_fallback=True)
 
 
 # -- batch-axis compilation ----------------------------------------------------
@@ -2192,7 +2170,7 @@ def compile_batched_stmt(
     emitter = _Emitter(stmt)
     emitter.varying, emitter.stacked = emitter.facts.varying(None, (), stacked)
     # the batch size, bound in the preamble like any env variable; only
-    # _take_b needs it (value helpers read array shapes)
+    # a stacked _take needs it (value helpers read array shapes)
     emitter.lead = emitter.env_locals["batch.size"] = "_B"
     emitter.emit_stmt(stmt)
     return emitter.kernel(key, "batched-kernel")
@@ -2233,7 +2211,10 @@ def compile_batched_stmt(
 #: v11: serial loops as array passes: maps and reduce folds over the
 #:     loop variable, stacked MAC products (``_bases``, ``_whole``,
 #:     ``_wrapsum``, ``TileISA.gathered`` / ``accumulator`` / ``product``)
-KERNEL_FORMAT_VERSION = 11
+#: v12: no interpreter hook (``def _kernel(buffers, env, _arena)``): an
+#:     allocation never enters ``buffers``, a stacked one is one
+#:     ``_take(..., rows)``; no ``needs_interp`` in the payload
+KERNEL_FORMAT_VERSION = 12
 
 
 def serialize_kernel(kernel: CompiledKernel) -> Optional[dict]:
@@ -2245,7 +2226,6 @@ def serialize_kernel(kernel: CompiledKernel) -> Optional[dict]:
         "key": kernel.key,
         "source": kernel.source,
         "globals": kernel.globals_map,
-        "needs_interp": kernel.needs_interp,
         "loops": kernel.loops,
         "macs": kernel.macs,
     }
@@ -2266,7 +2246,6 @@ def deserialize_kernel(payload: dict) -> CompiledKernel:
         payload["source"],
         payload["globals"],
         payload["key"],
-        payload["needs_interp"],
         payload["loops"],
         payload["macs"],
     )

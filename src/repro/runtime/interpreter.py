@@ -31,16 +31,6 @@ IntrinsicHandler = Callable[["Interpreter", E.Call, dict], object]
 INTRINSICS: Dict[str, IntrinsicHandler] = {}
 
 
-def register_intrinsic(name: str):
-    """Class-level registry hook used by the target simulators."""
-
-    def decorator(fn: IntrinsicHandler) -> IntrinsicHandler:
-        INTRINSICS[name] = fn
-        return fn
-
-    return decorator
-
-
 def memory_level(buffer: Buffer) -> str:
     """Traffic-accounting level for a buffer.
 

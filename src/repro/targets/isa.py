@@ -90,15 +90,32 @@ def tile_view(data, base, stride, rows, cols, outer=()):
     )
 
 
-def tile_gather(arena, data, base, stride, rows, cols):
+def _checked_grid(arena, data, base, stride, rows, cols, error):
+    """:func:`tile_grid` for the index gather / scatter into ``data``.
+    Given ``error``, a tile that leaves ``data`` raises it, as the
+    interpreter's tile load and store do; without, numpy's indexing
+    raises IndexError (or wraps a negative index), as a plain IR load's
+    does.  The bounds are the bases' (a handful, read as Python ints:
+    a reduction over the grid costs as much as the gather)."""
+    if error is not None and rows * cols:
+        at = base[0] if type(base) is tuple else base
+        at = at.ravel().tolist() if isinstance(at, np.ndarray) else [at]
+        reach, size = stride * (rows - 1), data.shape[-1]
+        lo, hi = min(at) + min(0, reach), max(at) + max(0, reach) + cols - 1
+        if lo < 0 or hi >= size:
+            raise error(f"tile out of bounds: [{lo}, {hi}] vs size {size}")
+    return tile_grid(arena, base, stride, rows, cols)
+
+
+def tile_gather(arena, data, base, stride, rows, cols, error=None):
     """The tile(s) at ``base`` (see :func:`tile_view`) as a fresh flat
     ``[..., rows*cols]`` copy: of the strided view where it is in range,
-    else the index gather, raising (or wrapping) as it always has."""
+    else the index gather (:func:`_checked_grid`)."""
     view = tile_view(data, base, stride, rows, cols)
     if view is not None:  # one copy: fresh, C-contiguous
         tile = view.copy().reshape(view.shape[:-2] + (rows * cols,))
     else:
-        idx = tile_grid(arena, base, stride, rows, cols)
+        idx = _checked_grid(arena, data, base, stride, rows, cols, error)
         # a branch, not ``data[..., idx]``: the ellipsis spelling costs
         # a fancy-index gather two to three times over
         tile = data[idx] if data.ndim == 1 else data[:, idx]
@@ -106,12 +123,13 @@ def tile_gather(arena, data, base, stride, rows, cols):
     return tile.reshape(-1, rows * cols) if tile.ndim == 3 else tile
 
 
-def tile_scatter(arena, data, base, stride, rows, cols, values):
+def tile_scatter(arena, data, base, stride, rows, cols, values, error=None):
     """Store flat ``values`` at the tile(s) at ``base``: through the
     strided view where it is in range and no two elements share an
     address (rows apart; lanes by the ``(bases, step)`` pair's
-    lanes-disjoint proof), else the index scatter.  A shared tile
-    broadcasts along the batch; ``B·N`` rows land as ``[B, N, ...]``."""
+    lanes-disjoint proof), else the index scatter (:func:`_checked_grid`).
+    A shared tile broadcasts along the batch; ``B·N`` rows land as
+    ``[B, N, ...]``."""
     view = None
     if rows == 1 or abs(stride) >= cols:
         view = tile_view(data, base, stride, rows, cols)
@@ -121,9 +139,9 @@ def tile_scatter(arena, data, base, stride, rows, cols, values):
             tiles = tiles.reshape((-1,) + view.shape[1:])
         view[...] = tiles
     elif data.ndim == 1:
-        data[tile_grid(arena, base, stride, rows, cols)] = values
+        data[_checked_grid(arena, data, base, stride, rows, cols, error)] = values
     else:
-        grid = tile_grid(arena, base, stride, rows, cols)
+        grid = _checked_grid(arena, data, base, stride, rows, cols, error)
         if values.ndim == 2 and grid.ndim == 2:
             values = values.reshape((-1,) + grid.shape)
         data[:, grid] = values
@@ -341,7 +359,7 @@ class TileISA:
     def load(self, arena, buf, base, stride, rows, cols, mac_operand=False):
         exact = isinstance(buf, np.ndarray)  # a :meth:`widen` source
         data = buf if exact else buf.data
-        tile = tile_gather(arena, data, base, stride, rows, cols)
+        tile = tile_gather(arena, data, base, stride, rows, cols, self.error)
         return tile if exact else self.loaded(tile, mac_operand)
 
     def stack(self, arena, source, exact, base, stride, rows, cols, outer):
@@ -403,7 +421,7 @@ class TileISA:
         values = np.asarray(tile, dtype=data.dtype)
         if buf.dtype.code is TypeCode.BFLOAT:
             values = round_to_bfloat16(values)
-        tile_scatter(arena, data, base, stride, rows, cols, values)
+        tile_scatter(arena, data, base, stride, rows, cols, values, self.error)
         return self.acc(0)
 
 

@@ -12,6 +12,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro import frontend as hl
 from repro.apps import (
@@ -23,6 +24,11 @@ from repro.apps import (
     matmul,
     upsample,
 )
+
+#: a failing generated example prints its ``@reproduce_failure`` blob, so
+#: it can be replayed once the example database that held it is gone
+settings.register_profile("repro", print_blob=True)
+settings.load_profile("repro")
 
 #: (module, build kwargs) for every single-stage fig-6 app at test size;
 #: build with ``module.build(variant, **params)``, variant in VARIANTS

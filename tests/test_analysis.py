@@ -298,7 +298,7 @@ class TestLintRulesMutations:
 
 # -- generated-kernel lint -----------------------------------------------------
 
-KERNEL_HEADER = "def _kernel(buffers, env, _interp, _arena):\n"
+KERNEL_HEADER = "def _kernel(buffers, env, _arena):\n"
 
 
 class TestLintKernelsMutations:
@@ -429,7 +429,7 @@ class TestLintKernelsMutations:
         + "    d0 = buffers['out'].data\n"
         + "    for l0 in range(0, 16, _LANES):\n"
         + "        x0 = table[l0:l0 + _LANES]\n"
-        + "        t0 = _take_b(_arena, 'acc', None, (8,), None, len(x0))\n"
+        + "        t0 = _take(_arena, 'acc', None, (8,), None, len(x0))\n"
         + "        d1 = t0.data\n"
         + "        d1[:, 0:8] = 1.0\n"
         + "{certificate}"
@@ -464,7 +464,7 @@ class TestLintKernelsMutations:
         + "    for l0 in range(0, 16, w0):\n"
         + "        x0 = table[l0:l0 + w0]\n"
         + "        n0 = len(x0) * _B\n"
-        + "        t0 = _take_b(_arena, 'acc', None, (256,), None, n0)\n"
+        + "        t0 = _take(_arena, 'acc', None, (256,), None, n0)\n"
         + "        d1 = t0.data\n"
         + "        d1[:, 0:256] = 1.0\n"
         + "{certificate}"

@@ -46,6 +46,7 @@ from repro.runtime.codegen import compile_batched_stmt, compile_stmt
 from repro.runtime.executor import CompiledPipeline
 from repro.runtime.plan import BatchingUnsupported
 from repro.service import FaultPlan, FaultSpec, Server, faults
+from repro.targets import wmma
 
 pytestmark = pytest.mark.batched
 
@@ -297,9 +298,10 @@ class TestLanesUnderTheBatch:
     def test_out_of_range_tile_fails_as_per_request(self, rng):
         """The last lane's ``A`` tile leaves the buffer by 8 elements,
         after every lane has stored its ``first`` tile: the batched
-        kernel raises what each request's own kernel raises, after the
-        same writes (one pass covers the grid in both: ``B·N`` rows
-        within ``_ROWS``, ``N`` lanes within ``_LANES``)."""
+        kernel raises what each request's own kernel raises — the
+        interpreter's WMMAError — after the same writes (one pass covers
+        the grid in both: ``B·N`` rows within ``_ROWS``, ``N`` lanes
+        within ``_LANES``)."""
         lanes = 16
         stmt = mac_nest(lanes, w_per_lane=False, first="first")
         split = frozenset({"A", "out", "first"})
@@ -308,7 +310,7 @@ class TestLanesUnderTheBatch:
         )
         arrays = mac_arrays(rng, 3, lanes, lanes * TILE - 8, "out", "first")
         batched, alone, errors = run_both(stmt, arrays, 3)
-        assert errors == [IndexError] * 4
+        assert errors == [wmma.WMMAError] * 4
         for b, want in enumerate(alone):
             for name in ("out", "first"):
                 assert_same_bytes(batched[name][b], want[name])

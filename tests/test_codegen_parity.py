@@ -7,7 +7,9 @@ zero tolerance.  These tests also pin down that real Python/NumPy
 kernels were emitted (no silent interpreter fallback).
 """
 
+import ast
 import functools
+import importlib
 import re
 
 import numpy as np
@@ -73,6 +75,7 @@ from repro.runtime.buffer import StackedBuffer
 from repro.runtime.interpreter import EvalError
 from repro.runtime.codegen import (
     _LANES,
+    CodegenError,
     KernelFacts,
     KERNEL_FORMAT_VERSION,
     WIDENED,
@@ -83,6 +86,7 @@ from repro.runtime.codegen import (
 )
 from repro.runtime.executor import CompiledPipeline, RequestError
 from repro.runtime.kernel_cache import KernelCache
+from repro.runtime.plan import BufferArena
 from repro.targets import wmma
 from repro.targets.amx import AMXError
 from repro.targets.dp4a import DP4AError
@@ -153,14 +157,182 @@ class TestRealKernelsEmitted:
         kernel = cache.get(app.compile().lowered)
         assert not kernel.is_fallback
         assert kernel.source is not None
-        # the cuda variant is pure vector code: no interpreter at all
-        if variant == "cuda":
-            assert not kernel.needs_interp
 
     def test_compiled_output_matches_reference(self):
         # and the compiled path is still *correct*, not just self-consistent
         app = matmul.build("tensor", n=64)
         app.verify(backend="compile")
+
+
+def dead_locals(source: str) -> list:
+    """The locals a kernel assigns and never reads."""
+    stored, read = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            (stored if isinstance(node.ctx, ast.Store) else read).add(node.id)
+    return sorted(stored - read)
+
+
+def table_traffic(source: str) -> list:
+    """Every use of ``buffers`` in a kernel but a ``buffers[name]`` read:
+    a store into it, a ``.pop`` or ``.get``."""
+    nodes = list(ast.walk(ast.parse(source)))
+    reads = {
+        id(n.value) for n in nodes
+        if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Load)
+    }
+    return [
+        ast.unparse(n) for n in nodes
+        if getattr(n, "id", None) == "buffers" and id(n) not in reads
+    ]
+
+
+def _catalog_builds():
+    """``(label, module, builder, variant, params)`` of every benchmark
+    catalog program, both workloads, and of the pinned kernels."""
+    from benchmarks.perf.catalog import WORKLOADS
+
+    from repro.analysis.sweep import PINNED_KERNELS
+
+    for workload in WORKLOADS.values():
+        for program in workload.programs:
+            job = program.job
+            yield (
+                f"{workload.name}/{program.name}", job.app, job.builder,
+                job.variant, dict(job.params),
+            )
+    yield from PINNED_KERNELS
+
+
+CATALOG_BUILDS = list(_catalog_builds())
+
+
+class TestKernelsEmitOnlyWhatRuns:
+    """Every kernel of the catalog — per request, and batched with every
+    buffer stacked and as served — is plain NumPy: it reads ``buffers``
+    and never writes it (an allocation lives in locals), takes no
+    interpreter, and binds no local it does not read."""
+
+    @pytest.mark.parametrize(
+        "label,module,builder,variant,params", CATALOG_BUILDS,
+        ids=[build[0] for build in CATALOG_BUILDS],
+    )
+    def test_catalog(self, label, module, builder, variant, params):
+        make = getattr(importlib.import_module(f"repro.apps.{module}"), builder)
+        app = make(*(() if variant is None else (variant,)), **params)
+        stmt = app.compile().lowered.stmt
+        names = [param.name for param in app.inputs] + [app.output.name]
+        kernels = [compile_stmt(stmt)]
+        for stacked in (set(names), {names[0], names[-1]}):
+            try:
+                kernels.append(compile_batched_stmt(stmt, stacked))
+            except CodegenError:  # an unbatchable split: the looped path
+                assert stacked != {names[0], names[-1]}
+        for kernel in kernels:
+            source = kernel.source
+            assert source.startswith("def _kernel(buffers, env, _arena):")
+            assert table_traffic(source) == [], source
+            assert "_interp" not in source and "_take_b" not in source
+            assert dead_locals(source) == [], source
+
+
+class TestAllocateScopes:
+    """What an emitted kernel does without a buffer table: an
+    intrinsic with no kernel core runs the statement on the interpreter
+    whole, and an Allocate's name reads its own allocation inside it and
+    the enclosing binding after it, as in the interpreter."""
+
+    F32x8 = Float(32, 8)
+
+    def test_an_unregistered_intrinsic_runs_on_the_interpreter(self):
+        stmt = Store(
+            "out", ramp(IntImm(0), 8),
+            intrinsic(self.F32x8, "no.such.intrinsic", IntImm(1)),
+        )
+        kernel = compile_stmt(stmt)
+        assert kernel.is_fallback and kernel.source is None
+        for run in (kernel, lambda b, env: Interpreter(b).run(stmt, env)):
+            out = {"out": Buffer.from_numpy("out", np.zeros(8, np.float32))}
+            with pytest.raises(EvalError, match="no intrinsic handler"):
+                run(out, {})
+        with pytest.raises(CodegenError, match="no kernel core"):
+            compile_batched_stmt(stmt, {"out"})
+
+    def load(self, name, at):
+        return Load(self.F32x8, name, ramp(IntImm(at), 8))
+
+    def nested(self):
+        """``t`` inside ``t``: the inner one starts zeroed, and the outer
+        one reads as it was once the inner one is gone."""
+        scratch = lambda body: Allocate(
+            "t", Float(32), (IntImm(8),), MemoryType.STACK, body
+        )
+        return scratch(Block((
+            Store("t", ramp(IntImm(0), 8), self.load("in", 0)),
+            scratch(Block((
+                Store("out", ramp(IntImm(0), 8), self.load("t", 0)),
+                Store("t", ramp(IntImm(0), 8), self.load("in", 8)),
+                Store("out", ramp(IntImm(8), 8), self.load("t", 0)),
+            ))),
+            Store("out", ramp(IntImm(16), 8), self.load("t", 0)),
+        )))
+
+    def shadowing(self):
+        """An allocation named like the external ``in``, between two
+        reads of ``in`` itself."""
+        return Block((
+            Store("out", ramp(IntImm(0), 8), self.load("in", 0)),
+            Allocate("in", Float(32), (IntImm(8),), MemoryType.STACK, Block((
+                Store("out", ramp(IntImm(8), 8), self.load("in", 0)),
+                Store("in", ramp(IntImm(0), 8), self.load("out", 0)),
+                Store("out", ramp(IntImm(16), 8), self.load("in", 0)),
+            ))),
+            Store("out", ramp(IntImm(24), 8), self.load("in", 8)),
+        ))
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("case", ["nested", "shadowing"])
+    def test_bitwise_equal_to_the_interpreter(self, rng, case, batch):
+        stmt = getattr(self, case)()
+        requests = [
+            {"in": specials_f32(rng, 16), "out": np.zeros(32, np.float32)}
+            for _ in range(batch)
+        ]
+        expected = []
+        for request in requests:
+            buffers = {
+                name: Buffer.from_numpy(name, array.copy())
+                for name, array in request.items()
+            }
+            Interpreter(buffers).run(stmt, {})
+            expected.append(buffers["out"].data)
+        if batch == 1:
+            kernel, env = compile_stmt(stmt), {}
+
+            def buffers():
+                return {
+                    name: Buffer.from_numpy(name, array.copy())
+                    for name, array in requests[0].items()
+                }
+        else:
+            kernel = compile_batched_stmt(stmt, {"in", "out"})
+            env = {"batch.size": batch}
+
+            def buffers():
+                return {
+                    name: StackedBuffer(
+                        name, Float(32), (array.size,), is_external=True,
+                        batch=batch, data=np.stack([r[name] for r in requests]),
+                    )
+                    for name, array in requests[0].items()
+                }
+        assert not kernel.is_fallback and table_traffic(kernel.source) == []
+        arena = BufferArena()  # the second run recycles the first's
+        for pool in (None, arena, arena):
+            got = buffers()
+            kernel(got, env, pool)
+            for row, want in zip(got["out"].data.reshape(batch, -1), expected):
+                assert_same_bytes(row, want)
 
 
 class TestInputKeyParity:
@@ -298,6 +470,10 @@ def f32_out(size):
     return (np.zeros(size, np.float32), Float(32))
 
 
+#: a stacked allocation: a ``_take`` of the live leading axis' rows
+STACKED_TAKE = re.compile(r"_take\(.*, (_B|_n\d+)\)$", re.M)
+
+
 def block_rows(kernel) -> set:
     """The statuses of a kernel's data-parallel loop rows (its serial
     block loops' rows say ``"serial, ..."``)."""
@@ -317,8 +493,9 @@ class TestLaneLoops:
     def test_serial_kernels_are_untouched(self, label):
         kernel = four_way(build_app(label))
         assert block_rows(kernel) == set()
-        for lane_construct in ("_LANES", "_take_b", "lanes-disjoint"):
+        for lane_construct in ("_LANES", "lanes-disjoint"):
             assert lane_construct not in kernel.source
+        assert not STACKED_TAKE.search(kernel.source)
 
     # -- one negative case per fallback reason ------------------------------
 
@@ -999,7 +1176,7 @@ class TestMacOperands:
         )
         kernel = run_four_ways(body, self.arrays(rng, A=self.F16, B=self.F16))
         assert kernel.macs == (("wmma.mma.sync", WIDENED, "narrow"),)
-        assert ("_take_b(" in kernel.source) == private
+        assert bool(STACKED_TAKE.search(kernel.source)) == private
 
     def test_dp4a_operands(self, rng):
         x = Variable("x")
@@ -1270,7 +1447,7 @@ class TestSerialHoisting:
     ):
         """A holds two tiles, so the third iteration's load runs off its
         end: the stack is refused, the per-tile loop stores the first two
-        tiles and raises the gather's IndexError at the third."""
+        tiles and raises the interpreter's WMMAError at the third."""
         arrays = self.arrays(rng, A=self.F16, B=self.F16)
         arrays["A"] = (arrays["A"][0][: 2 * TILE], arrays["A"][1])
 
@@ -1284,13 +1461,42 @@ class TestSerialHoisting:
         assert "hoisted" in kernel.loops[0][2]
         got, two = buffers(), buffers()
         with np.errstate(all="ignore"):
-            with pytest.raises(IndexError, match="out of bounds"):
+            with pytest.raises(wmma.WMMAError, match="out of bounds"):
                 kernel(got, {})
             Interpreter(two).run(
                 block_loop("x", 2, self.body(), ForKind.SERIAL), {}
             )
         assert_same_bytes(got["out"].data, two["out"].data)
         assert not got["out"].data[2 * TILE:].any()
+
+    @pytest.mark.parametrize("side", ["load", "store"])
+    def test_a_negative_base_raises_the_interpreters_error(self, rng, side):
+        """A tile that starts below its buffer raises the accelerator's
+        error on both backends and stores nothing, where numpy's index
+        would wrap round to the buffer's end."""
+        arrays = self.arrays(rng, A=self.F16, B=self.F16)
+        below, zero = IntImm(-1), IntImm(0)
+        load_at, store_at = (below, zero) if side == "load" else (zero, below)
+        stmt = wmma_store(
+            "out", store_at,
+            wmma_mma(wmma_load("a", "A", load_at), wmma_load("b", "B", zero)),
+        )
+        kernel = compile_stmt(stmt)
+        assert not kernel.is_fallback
+
+        def interpret(buffers, env):
+            Interpreter(buffers).run(stmt, env)
+
+        for run in (kernel, interpret):
+            got = {
+                name: Buffer.from_numpy(name, array.copy(), dtype=dtype)
+                for name, (array, dtype) in arrays.items()
+            }
+            with np.errstate(all="ignore"), pytest.raises(
+                wmma.WMMAError, match="out of bounds"
+            ):
+                run(got, {})
+            assert not got["out"].data.any()
 
     def test_a_window_off_the_weights_raises_after_the_same_writes(
         self, rng
@@ -1658,8 +1864,8 @@ def out_of_range(app, data):
 class TestStackedProducts:
     """An out-of-range last tile: the stacked nest raises the
     interpreter's error type before the fold, and leaves every external
-    buffer as the per-tile loop does when it raises (the gather's
-    IndexError) at that tile."""
+    buffer as the per-tile loop does when it raises (the same type) at
+    that tile."""
 
     @pytest.mark.parametrize(
         "label,data,batch",
@@ -1709,7 +1915,7 @@ class TestStackedProducts:
         loop = compile_()
         assert not any(s == "serial, stacked product" for *_, s in loop.loops)
         raised, left = run(loop)
-        assert (got, raised) == (error, IndexError)
+        assert got is raised is error
         for name in buffers:  # the kernels' own allocations left aside
             assert_same_bytes(after[name], left[name])
 

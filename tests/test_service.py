@@ -269,13 +269,15 @@ class TestInvalidation:
         loops re-derive every tile and shuffle per iteration), a v8
         kernel (its stacks may be None, and it calls a ``_stack``
         helper that is gone), a v9 kernel (its batched block loops
-        run one Python iteration per lane), or a v10 kernel (its serial
-        MAC nests and softmax loops run one Python iteration each)."""
+        run one Python iteration per lane), a v10 kernel (its serial
+        MAC nests and softmax loops run one Python iteration each), or a
+        v11 kernel (it takes an ``_interp`` argument that kernels no
+        longer get)."""
         from repro.runtime.codegen import KERNEL_FORMAT_VERSION
 
-        assert KERNEL_FORMAT_VERSION == 11
+        assert KERNEL_FORMAT_VERSION == 12
         for stale_format in (
-            KERNEL_FORMAT_VERSION + 1, 3, 4, 5, 6, 7, 8, 9, 10, "stranded",
+            KERNEL_FORMAT_VERSION + 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, "stranded",
         ):
             root = tmp_path / f"v{stale_format}"
             app = small_app()

@@ -40,7 +40,14 @@ from repro.targets.dp4a import (
     vnni4_pack,
     vnni4_unpack,
 )
-from repro.targets.isa import REGISTRY, tile_grid, tile_view, wrapping_sum
+from repro.targets.isa import (
+    REGISTRY,
+    tile_gather,
+    tile_grid,
+    tile_scatter,
+    tile_view,
+    wrapping_sum,
+)
 from repro.targets.wmma import mma_sync
 
 #: leading batch axes an operand may carry (the lane / batch axis)
@@ -663,26 +670,39 @@ class TestTileViews:
                 )
 
     def test_out_of_range_raises_what_the_gather_raises(self, isa, rng):
+        """Off the view, the bare gather and scatter raise numpy's
+        IndexError (a two-level IR load's); the ISA's load and store
+        raise its error, as the interpreter does, and write nothing."""
         data = rng.standard_normal(SIZE).astype(np.float32)
-        buf = flat_buffer(Float(32), data)
-        # highest address one past the end: a scalar base, a lane stack
-        for base in (SIZE - 2 * STRIDE - COLS + 1, (np.array([0, 40, 80]), 40)):
+        buf = flat_buffer(Float(32), data.copy())
+        # highest address one past the end: a scalar base, a lane stack;
+        # a negative base, which the bare gather wraps round
+        for base in (
+            SIZE - 2 * STRIDE - COLS + 1, (np.array([0, 40, 80]), 40), -3,
+        ):
             assert tile_view(data, base, STRIDE, ROWS, COLS) is None
             idx = tile_grid(None, base, STRIDE, ROWS, COLS)
-            with pytest.raises(IndexError) as want:
-                data[idx]
-            with pytest.raises(IndexError) as got:
+            if base == -3:
+                assert_same_bytes(
+                    tile_gather(None, data, base, STRIDE, ROWS, COLS),
+                    data[idx],
+                )
+            else:
+                with pytest.raises(IndexError) as want:
+                    data[idx]
+                with pytest.raises(IndexError) as got:
+                    tile_gather(None, data, base, STRIDE, ROWS, COLS)
+                assert str(got.value) == str(want.value)
+                with pytest.raises(IndexError):
+                    tile_scatter(
+                        None, data.copy(), base, STRIDE, ROWS, COLS,
+                        np.zeros(idx.shape, np.float32),
+                    )
+            with pytest.raises(isa.error, match="out of bounds"):
                 isa.load(None, buf, base, STRIDE, ROWS, COLS)
-            assert str(got.value) == str(want.value)
-            with pytest.raises(IndexError) as got:
+            with pytest.raises(isa.error, match="out of bounds"):
                 isa.store(None, buf, base, STRIDE, ROWS, COLS, np.zeros(15))
-            assert str(got.value) == str(want.value)
-        # a negative base wraps in the gather, and still does
-        assert tile_view(data, -3, STRIDE, ROWS, COLS) is None
-        assert_same_bytes(
-            isa.load(None, buf, -3, STRIDE, ROWS, COLS),
-            isa.loaded(data[tile_grid(None, -3, STRIDE, ROWS, COLS)]),
-        )
+            assert_same_bytes(buf.data, data)
 
     def test_a_loop_stack_is_its_iterations_views(self, isa, rng):
         """``outer`` axes stack a serial nest's iterations in one view:

@@ -26,7 +26,7 @@ Intrinsic signatures:
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -222,14 +222,24 @@ def _interp_values(core, interp, call: E.Call, env):
     return core(None, *values)
 
 
+@lru_cache(maxsize=256)
+def _window_steps(taps: int) -> np.ndarray:
+    """``arange(taps)``, one read-only array per window length."""
+    steps = np.arange(taps)
+    steps.flags.writeable = False
+    return steps
+
+
 def _interp_window(build, interp, call: E.Call, env):
     """The checked coefficient-window reader both shuffles share."""
     buf = named_buffer(interp, call, ShuffleError)
-    base, rows, cols, taps, param = (
-        interp.eval_int(a, env) for a in call.args[1:6]
-    )
-    idx = base + np.arange(taps)
-    check_bounds(call, buf, idx, ShuffleError)
+    args, eval_int = call.args, interp.eval_int
+    base, rows = eval_int(args[1], env), eval_int(args[2], env)
+    cols, taps = eval_int(args[3], env), eval_int(args[4], env)
+    param = eval_int(args[5], env)
+    if taps > 0:
+        check_bounds(call, buf, base, base + taps - 1, ShuffleError)
+    idx = _window_steps(taps) + base
     kernel = buf.gather(idx)
     interp.counters.add_load(
         memory_level(buf), idx.size * buf.dtype.bytes_per_lane()

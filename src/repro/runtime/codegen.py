@@ -38,6 +38,7 @@ fingerprint of the lowered statement.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from contextlib import ExitStack, contextmanager
 from functools import partial
@@ -700,6 +701,22 @@ def _prove_lanes(dims: Dict[str, int], facts, loop: S.For) -> Dict[str, tuple]:
 
 _NOT_AFFINE = "per-lane bases not affine in the lane"
 
+#: an emitted integer literal
+_INT = re.compile(r"-?\d+")
+
+#: integer operators a kernel applies to two literals as Python does,
+#: so the emitter applies them itself (not by zero: that raises at run)
+_LITERAL_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "//": operator.floordiv, "%": operator.mod,
+}
+
+#: the nodes of a value that depends on loop and let variables alone:
+#: within one suite, one temp holds it (:meth:`_Emitter._once`)
+_INDEX_NODES = (
+    E.IntImm, E.Variable, E.Add, E.Sub, E.Mul, E.Div, E.Mod, E.Min, E.Max,
+)
+
 
 def _constant(loop: S.For) -> bool:
     return isinstance(loop.min_expr, E.IntImm) and isinstance(
@@ -779,6 +796,9 @@ class _Emitter:
         self.hoisted: Dict[int, str] = {}
         #: in a lane loop: lane variable -> its value per lane of the grid
         self.lane_index: Dict[str, np.ndarray] = {}
+        #: emitted index arithmetic -> (its temp, the indent of the suite
+        #: binding it), while that suite is open (:meth:`_once`)
+        self.temps: Dict[str, Tuple[str, int]] = {}
 
     def batched(self, e: E.Expr) -> bool:
         """Does ``e`` vary along the live leading axis (if any)?"""
@@ -824,6 +844,10 @@ class _Emitter:
                 if len(emitter.lines) == self.mark:
                     emitter.line("pass")
                 emitter.indent -= 1
+                temps = emitter.temps
+                for text in [t for t, (_, at) in temps.items()
+                             if at > emitter.indent]:
+                    del temps[text]
 
         return _Block()
 
@@ -939,6 +963,11 @@ class _Emitter:
 
     def _binary(self, e, op: str) -> str:
         a, b = self._operands(e.a, e.b)
+        fold = _LITERAL_OPS.get(op)
+        if fold and _INT.fullmatch(a) and _INT.fullmatch(b) and (
+            op in "+-*" or int(b)
+        ):
+            return repr(fold(int(a), int(b)))
         return f"({a} {op} {b})"
 
     def _pointwise(self, fn: str, *operands: E.Expr) -> str:
@@ -1108,21 +1137,28 @@ class _Emitter:
         return f"{self._span(idx.base, stop)}{step}"
 
     def _once(self, e: E.Expr) -> str:
-        """Scalar ``e`` as a literal or a local: one bound to a fresh
-        temp unless it is one already."""
+        """Scalar ``e`` as a literal or a local: one bound to a temp
+        unless it is one already.  Index arithmetic (:data:`_INDEX_NODES`)
+        has one temp per suite: a second use, there or in a suite it
+        encloses, reads the first's."""
         value = self.emit(e)
-        if isinstance(e, (E.IntImm, E.Variable)):
+        if isinstance(e, (E.IntImm, E.Variable)) or _INT.fullmatch(value):
             return value
+        index = all(isinstance(n, _INDEX_NODES) for n in _expr_nodes(e))
+        if index and value in self.temps:
+            return self.temps[value][0]
         temp = self.fresh("i")
         self.line(f"{temp} = {value}")
+        if index:
+            self.temps[value] = (temp, self.indent)
         return temp
 
     def _span(self, start: E.Expr, length, sep: str = ":") -> str:
         """``start{sep}start + length`` (``length`` an int or emitted
         text), folded where both are literals."""
         lo = self._once(start)
-        if isinstance(start, E.IntImm) and isinstance(length, int):
-            return f"{lo}{sep}{start.value + length}"
+        if _INT.fullmatch(lo) and isinstance(length, int):
+            return f"{lo}{sep}{int(lo) + length}"
         return f"{lo}{sep}{lo} + {length}"
 
     def _emit_Call(

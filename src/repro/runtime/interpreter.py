@@ -13,7 +13,7 @@ simulators populate at import time.
 
 from __future__ import annotations
 
-import math
+from functools import lru_cache
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -37,16 +37,21 @@ def memory_level(buffer: Buffer) -> str:
     External buffers and heap intermediates (compute_root stages) live in
     DRAM; stack intermediates (compute_at tiles) live in L1/local memory.
     """
-    if buffer.memory_type in (
+    return _level(buffer.memory_type, buffer.is_external)
+
+
+@lru_cache(maxsize=None)  # a handful of keys: memory types x two
+def _level(memory_type: MemoryType, is_external: bool) -> str:
+    if memory_type in (
         MemoryType.AMX_TILE,
         MemoryType.WMMA_ACCUMULATOR,
         MemoryType.DP4A_ACCUMULATOR,
         MemoryType.REGISTER,
     ):
         return "reg"
-    if buffer.memory_type is MemoryType.GPU_SHARED:
+    if memory_type is MemoryType.GPU_SHARED:
         return "shared"
-    if buffer.is_external or buffer.memory_type is MemoryType.HEAP:
+    if is_external or memory_type is MemoryType.HEAP:
         return "dram"
     return "l1"
 
@@ -102,15 +107,39 @@ def reduce_groups(value: np.ndarray, result_lanes: int) -> np.ndarray:
     return groups.sum(axis=1, dtype=groups.dtype)
 
 
-def tile_index(base, stride, rows: int, cols: int) -> np.ndarray:
-    """Flat indices of a rows x cols tile at ``base`` with a row stride.
+class _Handlers(dict):
+    """Node class -> the :class:`Interpreter` method ``prefix + class
+    name``, entered the first time the class is seen: a visit costs one
+    dict lookup.  An unknown class raises ``cannot <verb> <class>`` and
+    is not entered."""
 
-    The addressing scheme every tile/fragment load-store intrinsic uses
-    (AMX ``tile_load``/``tile_store``, WMMA ``wmma.load/store.*.sync``).
-    """
-    return (
-        base + np.arange(rows)[:, None] * stride + np.arange(cols)
-    ).ravel()
+    def __init__(self, prefix: str, verb: str) -> None:
+        super().__init__()
+        self.prefix, self.verb = prefix, verb
+
+    def __missing__(self, cls: type):
+        handler = getattr(Interpreter, self.prefix + cls.__name__, None)
+        if handler is None:
+            raise EvalError(f"cannot {self.verb} {cls.__name__}")
+        self[cls] = handler
+        return handler
+
+
+_EVAL = _Handlers("_eval_", "evaluate")
+_EXEC = _Handlers("_exec_", "execute")
+
+
+def _bounded(idx, buf: Buffer, what: str, name: str) -> np.ndarray:
+    """``idx`` as a 1-D int64 array, checked against ``buf`` by its
+    lowest and highest entry."""
+    idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
+    lo, hi = idx.min(), idx.max()
+    if lo < 0 or hi >= buf.size:
+        raise EvalError(
+            f"{what} out of bounds on {name!r}: index range "
+            f"[{lo}, {hi}], size {buf.size}"
+        )
+    return idx
 
 
 class Interpreter:
@@ -134,17 +163,16 @@ class Interpreter:
     # -- expression evaluation -------------------------------------------------
 
     def eval_expr(self, e: E.Expr, env: dict):
-        method = getattr(self, f"_eval_{type(e).__name__}", None)
-        if method is None:
-            raise EvalError(f"cannot evaluate {type(e).__name__}")
-        return method(e, env)
+        return _EVAL[type(e)](self, e, env)
 
     def eval_vector(self, e: E.Expr, env: dict) -> np.ndarray:
         """Evaluate and normalize to a 1-D numpy array of ``e.lanes``."""
-        return as_vector(self.eval_expr(e, env), e.type.lanes)
+        return as_vector(_EVAL[type(e)](self, e, env), e.type.lanes)
 
     def eval_int(self, e: E.Expr, env: dict) -> int:
-        value = self.eval_expr(e, env)
+        if type(e) is E.IntImm:
+            return int(e.value)
+        value = _EVAL[type(e)](self, e, env)
         if isinstance(value, np.ndarray):
             if value.size != 1:
                 raise EvalError(f"expected scalar, got vector of {value.size}")
@@ -176,9 +204,8 @@ class Interpreter:
             self.counters.int_ops += e.type.lanes
 
     def _binary_operands(self, e, env):
-        a = self.eval_expr(e.a, env)
-        b = self.eval_expr(e.b, env)
-        return a, b
+        a, b = e.a, e.b
+        return _EVAL[type(a)](self, a, env), _EVAL[type(b)](self, b, env)
 
     def _eval_Add(self, e, env):
         a, b = self._binary_operands(e, env)
@@ -310,13 +337,7 @@ class Interpreter:
 
     def _eval_Load(self, e: E.Load, env):
         buf = self.buffer(e.name)
-        idx = self.eval_expr(e.index, env)
-        idx_arr = np.atleast_1d(np.asarray(idx, dtype=np.int64))
-        if np.any(idx_arr < 0) or np.any(idx_arr >= buf.size):
-            raise EvalError(
-                f"load out of bounds on {e.name!r}: index range "
-                f"[{idx_arr.min()}, {idx_arr.max()}], size {buf.size}"
-            )
+        idx_arr = _bounded(self.eval_expr(e.index, env), buf, "load", e.name)
         values = buf.gather(idx_arr)
         self.counters.add_load(
             memory_level(buf), idx_arr.size * buf.dtype.bytes_per_lane()
@@ -343,24 +364,16 @@ class Interpreter:
     # -- statements ---------------------------------------------------------------
 
     def exec_stmt(self, stmt: S.Stmt, env: dict) -> None:
-        method = getattr(self, f"_exec_{type(stmt).__name__}", None)
-        if method is None:
-            raise EvalError(f"cannot execute {type(stmt).__name__}")
-        method(stmt, env)
+        _EXEC[type(stmt)](self, stmt, env)
 
     def _exec_Store(self, stmt: S.Store, env) -> None:
         buf = self.buffer(stmt.name)
         idx = self.eval_expr(stmt.index, env)
-        idx_arr = np.atleast_1d(np.asarray(idx, dtype=np.int64))
         value = self.eval_expr(stmt.value, env)
+        idx_arr = _bounded(idx, buf, "store", stmt.name)
         value_arr = np.atleast_1d(np.asarray(value))
         if value_arr.size == 1 and idx_arr.size > 1:
             value_arr = np.full(idx_arr.size, value_arr[0])
-        if np.any(idx_arr < 0) or np.any(idx_arr >= buf.size):
-            raise EvalError(
-                f"store out of bounds on {stmt.name!r}: index range "
-                f"[{idx_arr.min()}, {idx_arr.max()}], size {buf.size}"
-            )
         buf.scatter(idx_arr, value_arr.astype(buf.data.dtype, copy=False))
         self.counters.add_store(
             memory_level(buf), idx_arr.size * buf.dtype.bytes_per_lane()

@@ -26,8 +26,6 @@ allocates and re-derives per call:
   are recycled through a free-list instead of constructing a fresh
   zeroed :class:`Buffer` per loop iteration — a reused buffer is
   re-zeroed, so semantics are identical to a fresh allocation;
-* tile-addressing index grids (``tile_index`` arithmetic) are cached
-  per ``(stride, rows, cols)`` geometry;
 * weight-derived shuffle operands (the Toeplitz matrix of
   ``ConvolutionShuffle``, the multiphase matrix of
   ``MultiphaseShuffle``, ``KWayInterleave`` re-layouts) are memoized
@@ -59,7 +57,7 @@ from ..ir.types import DataType, TypeCode
 from ..targets.bfloat16 import round_to_bfloat16
 from .buffer import Buffer, StackedBuffer
 from .faultpoints import fire
-from .interpreter import Interpreter, tile_index
+from .interpreter import Interpreter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .codegen import CompiledKernel
@@ -175,7 +173,7 @@ class BufferArena:
 
     Passed to compiled kernels, which route every ``Allocate`` through
     :meth:`take`/:meth:`give` and every cacheable intrinsic through
-    :meth:`tile_grid`/:meth:`memo`.  ``None`` (the default when running
+    :meth:`memo`.  ``None`` (the default when running
     without a plan) makes kernels fall back to fresh allocations and
     uncached rebuilds — the exact pre-arena behavior.
 
@@ -185,7 +183,6 @@ class BufferArena:
     def __init__(self, memo_maxsize: int = 256) -> None:
         self.memo_maxsize = memo_maxsize
         self._free: Dict[tuple, List[Buffer]] = {}
-        self._grids: Dict[Tuple[int, int, int], np.ndarray] = {}
         self._memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self.buffer_allocs = 0
         self.buffer_reuses = 0
@@ -244,14 +241,6 @@ class BufferArena:
 
     # -- derived-operand caches ---------------------------------------------
 
-    def tile_grid(self, stride: int, rows: int, cols: int) -> np.ndarray:
-        """The flat index grid of a ``rows x cols`` tile at base 0."""
-        key = (stride, rows, cols)
-        grid = self._grids.get(key)
-        if grid is None:
-            grid = self._grids[key] = tile_index(0, stride, rows, cols)
-        return grid
-
     def memo(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
         """Value-keyed LRU memo for derived operands (treated immutable).
 
@@ -279,7 +268,6 @@ class BufferArena:
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
             "pooled_buffers": sum(len(p) for p in self._free.values()),
-            "cached_grids": len(self._grids),
             "memo_entries": len(self._memo),
         }
 

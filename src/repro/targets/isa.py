@@ -33,19 +33,30 @@ from __future__ import annotations
 import importlib
 import mmap
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..ir import expr as E
 from ..ir.types import TypeCode
-from ..runtime.interpreter import INTRINSICS, memory_level, tile_index
+from ..runtime.interpreter import INTRINSICS, memory_level
 from .bfloat16 import round_to_bfloat16
 
 
+@lru_cache(maxsize=256)
+def base_grid(stride: int, rows: int, cols: int) -> np.ndarray:
+    """Flat indices of a ``rows x cols`` tile at base 0 with a row
+    stride — the addressing every tile load / store intrinsic uses —
+    one read-only grid per geometry."""
+    grid = (np.arange(rows)[:, None] * stride + np.arange(cols)).ravel()
+    grid.flags.writeable = False
+    return grid
+
+
 def tile_grid(arena, base, stride, rows, cols):
-    """``tile_index`` with the base-0 grid cached per geometry.
+    """Flat indices of the tile at ``base``: its :func:`base_grid`
+    plus ``base``.
 
     A ``[N]`` vector of per-lane bases (bare, or in a :func:`tile_view`
     pair) yields the ``[N, rows*cols]`` stack of the lanes' index grids.
@@ -54,9 +65,7 @@ def tile_grid(arena, base, stride, rows, cols):
         base = base[0]
     if isinstance(base, np.ndarray) and base.ndim:
         base = base[:, None]
-    if arena is None:
-        return tile_index(0, stride, rows, cols) + base
-    return arena.tile_grid(stride, rows, cols) + base
+    return base_grid(stride, rows, cols) + base
 
 
 def tile_view(data, base, stride, rows, cols, outer=()):
@@ -493,24 +502,29 @@ def named_buffer(interp, call: E.Call, error: type):
     return interp.buffer(name.value)
 
 
-def check_bounds(call: E.Call, buf, idx: np.ndarray, error: type) -> None:
-    if np.any(idx < 0) or np.any(idx >= buf.size):
+def check_bounds(call: E.Call, buf, lo: int, hi: int, error: type) -> None:
+    """Raise ``error`` unless ``buf`` holds indices ``lo`` to ``hi``."""
+    if lo < 0 or hi >= buf.size:
         raise error(
             f"{call.name} out of bounds on {buf.name!r}:"
-            f" [{idx.min()}, {idx.max()}] vs size {buf.size}"
+            f" [{lo}, {hi}] vs size {buf.size}"
         )
 
 
 def _tile_address(isa: TileISA, interp, call: E.Call, env, check_shape):
+    """The named buffer and the checked flat indices of the call's tile;
+    its bounds are its corners', so an empty tile is never checked."""
     buf = named_buffer(interp, call, isa.error)
     args, eval_int = call.args, interp.eval_int
     base, stride = eval_int(args[1], env), eval_int(args[2], env)
     rows, cols = eval_int(args[3], env), eval_int(args[4], env)
     if check_shape:
         isa.check_tile(rows, cols, buf.dtype.bytes_per_lane())
-    idx = tile_index(base, stride, rows, cols)
-    check_bounds(call, buf, idx, isa.error)
-    return buf, idx
+    if rows > 0 and cols > 0:
+        reach = stride * (rows - 1)
+        lo, hi = base + min(0, reach), base + max(0, reach) + cols - 1
+        check_bounds(call, buf, lo, hi, isa.error)
+    return buf, base_grid(stride, rows, cols) + base
 
 
 def _interp_fill(isa: TileISA, interp, call: E.Call, env):

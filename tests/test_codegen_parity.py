@@ -187,6 +187,35 @@ def table_traffic(source: str) -> list:
     ]
 
 
+def repeated_work(source: str) -> list:
+    """Arithmetic a kernel could have done once: an operation on two
+    integer literals, and an index temp (``_i<n> = ...``) bound again to
+    the same value in its suite or a suite the first one encloses."""
+    repeats = [
+        ast.unparse(n) for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.BinOp)
+        and all(isinstance(x, ast.Constant) and type(x.value) is int
+                for x in (n.left, n.right))
+    ]
+
+    def suite(body, bound):
+        bound = set(bound)
+        for stmt in body:
+            if (isinstance(stmt, ast.Assign)
+                    and re.fullmatch(r"_i\d+", ast.unparse(stmt.targets[0]))):
+                value = ast.unparse(stmt.value)
+                if value in bound:
+                    repeats.append(ast.unparse(stmt))
+                bound.add(value)
+            for field in ("body", "orelse"):
+                inner = getattr(stmt, field, None)
+                if isinstance(inner, list):
+                    suite(inner, bound)
+
+    suite(ast.parse(source).body, ())
+    return repeats
+
+
 def _catalog_builds():
     """``(label, module, builder, variant, params)`` of every benchmark
     catalog program, both workloads, and of the pinned kernels."""
@@ -211,7 +240,8 @@ class TestKernelsEmitOnlyWhatRuns:
     """Every kernel of the catalog — per request, and batched with every
     buffer stacked and as served — is plain NumPy: it reads ``buffers``
     and never writes it (an allocation lives in locals), takes no
-    interpreter, and binds no local it does not read."""
+    interpreter, binds no local it does not read, and computes no index
+    twice in a suite nor any literal arithmetic."""
 
     @pytest.mark.parametrize(
         "label,module,builder,variant,params", CATALOG_BUILDS,
@@ -234,6 +264,7 @@ class TestKernelsEmitOnlyWhatRuns:
             assert table_traffic(source) == [], source
             assert "_interp" not in source and "_take_b" not in source
             assert dead_locals(source) == [], source
+            assert repeated_work(source) == [], source
 
 
 class TestAllocateScopes:

@@ -1,5 +1,7 @@
 """Tests for the IR interpreter, buffers, and counters."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from repro.ir import (
     make_ramp,
 )
 from repro.runtime import Buffer, Counters, Interpreter
+from repro.runtime.interpreter import EvalError
 
 
 def make_interp(**buffers):
@@ -122,6 +125,50 @@ class TestExprEval:
         e = Cast(BFloat(16), Variable("v", Float(32)))
         out = interp.eval_expr(e, {"v": np.float32(1.00001)})
         assert out == np.float32(1.0)
+
+
+class TestBoundsParity:
+    """A plain load or store is checked by its lowest and highest index:
+    the same error type and ``[lo, hi]`` text as a check of every lane
+    (scalar and vector index, below and past the buffer)."""
+
+    @staticmethod
+    def interp():
+        return make_interp(A=Buffer.from_numpy("A", np.zeros(8, np.float32)))
+
+    @pytest.mark.parametrize(
+        "index,span",
+        [
+            (Ramp(IntImm(6), IntImm(1), 4), "[6, 9]"),
+            (Ramp(IntImm(-1), IntImm(2), 4), "[-1, 5]"),
+            (Ramp(IntImm(9), IntImm(-3), 4), "[0, 9]"),
+            (IntImm(8), "[8, 8]"),
+            (IntImm(-1), "[-1, -1]"),
+        ],
+    )
+    def test_out_of_range(self, index, span):
+        lanes = index.type.lanes
+        text = f"out of bounds on 'A': index range {span}, size 8"
+        load = Load(Float(32, lanes), "A", index)
+        with pytest.raises(EvalError, match=re.escape(f"load {text}")):
+            self.interp().eval_expr(load, {})
+        store = Store("A", index, Broadcast(FloatImm(1.0), lanes)
+                      if lanes > 1 else FloatImm(1.0))
+        interp = self.interp()
+        with pytest.raises(EvalError, match=re.escape(f"store {text}")):
+            interp.run(store)
+        assert not interp.buffers["A"].data.any()
+
+    @pytest.mark.parametrize(
+        "index",
+        [Ramp(IntImm(4), IntImm(1), 4), Ramp(IntImm(7), IntImm(-1), 8)],
+    )
+    def test_last_in_range(self, index):
+        interp = self.interp()
+        lanes = index.type.lanes
+        interp.run(Store("A", index, Broadcast(FloatImm(2.0), lanes)))
+        load = Load(Float(32, lanes), "A", index)
+        np.testing.assert_array_equal(interp.eval_expr(load, {}), 2.0)
 
 
 class TestStmtExec:

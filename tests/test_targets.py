@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ir import Call, Float, IntImm, StringImm, Variable
+from repro.ir import Call, Float, IntImm, Load, Ramp, StringImm, Variable
 from repro.runtime import Buffer, Interpreter
 from repro.targets.amx import (
     AMXError,
@@ -219,6 +219,76 @@ class TestWMMA:
         assert interp.counters.tensor_macs == 32 * 8 * 16
 
 
+class TestTileBounds:
+    """A tile load or store is checked by its corners — ``[base +
+    min(0, reach), base + max(0, reach) + cols - 1]``, ``reach = stride *
+    (rows - 1)`` — with the accelerator's error and the same ``[lo,
+    hi]`` text as a check of every element; an empty tile is never
+    checked.  The buffer holds 64 elements: a 4 x 8 tile at row stride
+    16 spans 56 of them, so base 8 is the last in range."""
+
+    ISAS = [
+        ("tile_load", "tile_store", AMXError),
+        ("wmma.load.a.sync", "wmma.store.d.sync", WMMAError),
+    ]
+
+    @staticmethod
+    def run(name, base, stride, rows=4, cols=8):
+        interp = Interpreter({"A": Buffer("A", Float(32), (64,))})
+        address = (
+            StringImm("A"), IntImm(base), IntImm(stride), IntImm(rows),
+            IntImm(cols),
+        )
+        if "load" in name:
+            return interp.eval_expr(call(name, *address), {}), interp
+        size = rows * cols
+        if size:
+            interp.buffers["T"] = Buffer.from_numpy("T", np.ones(size, "f4"))
+            index = Ramp(IntImm(0), IntImm(1), size)
+            value = Load(Float(32, size), "T", index)
+        else:
+            value = call("tile_zero", IntImm(rows), IntImm(cols))
+        interp.eval_expr(call(name, *address, value), {})
+        return interp.buffers["A"].data, interp
+
+    @pytest.mark.parametrize("load,store,error", ISAS)
+    @pytest.mark.parametrize(
+        "base,stride,span",
+        [
+            (9, 16, "[9, 64]"),
+            (-1, 16, "[-1, 54]"),
+            (47, -16, "[-1, 54]"),
+            (57, -16, "[9, 64]"),
+        ],
+    )
+    def test_out_of_range(self, load, store, error, base, stride, span):
+        for name in (load, store):
+            with pytest.raises(error) as raised:
+                self.run(name, base, stride)
+            assert type(raised.value) is error
+            assert str(raised.value) == (
+                f"{name} out of bounds on 'A': {span} vs size 64"
+            )
+
+    @pytest.mark.parametrize("load,store,error", ISAS)
+    @pytest.mark.parametrize("base,stride", [(8, 16), (0, 16), (48, -16)])
+    def test_last_in_range(self, load, store, error, base, stride):
+        data, interp = self.run(store, base, stride)
+        assert data.sum() == 32
+        tile, interp = self.run(load, base, stride)
+        assert tile.shape == (32,)
+        assert interp.counters.load_bytes["dram"] == 32 * 4
+
+    @pytest.mark.parametrize("load,store,error", ISAS)
+    @pytest.mark.parametrize("rows,cols", [(0, 8), (4, 0)])
+    def test_an_empty_tile_is_not_checked(self, load, store, error, rows,
+                                          cols):
+        tile, _ = self.run(load, 1000, 16, rows, cols)
+        assert tile.size == 0
+        data, _ = self.run(store, -1000, 16, rows, cols)
+        assert not data.any()
+
+
 class TestShuffles:
     def test_kway_interleave_is_vnni_for_k2(self):
         b = np.arange(32, dtype=np.float32).reshape(8, 4)
@@ -297,6 +367,34 @@ class TestShuffles:
         for base in (-2, 6):
             with pytest.raises(ShuffleError, match="out of bounds on 'K'"):
                 run(base)
+
+    @pytest.mark.parametrize(
+        "base,taps,span",
+        [(-2, 4, "[-2, 1]"), (5, 4, "[5, 8]"), (-1, 10, "[-1, 8]")],
+    )
+    def test_a_window_is_checked_by_its_ends(self, base, taps, span):
+        """A window's bounds are ``[base, base + taps - 1]``, in the
+        same text as a check of every coefficient; an empty one is
+        never checked."""
+        def run(base, taps):
+            interp = Interpreter(
+                {"K": Buffer.from_numpy("K", np.ones(8, np.float32))}
+            )
+            return interp.eval_expr(
+                call(
+                    "ConvolutionShuffle", StringImm("K"), IntImm(base),
+                    IntImm(8), IntImm(4), IntImm(taps), IntImm(1),
+                ),
+                {},
+            )
+
+        with pytest.raises(ShuffleError) as raised:
+            run(base, taps)
+        assert str(raised.value) == (
+            f"ConvolutionShuffle out of bounds on 'K': {span} vs size 8"
+        )
+        assert run(4, 4).reshape(8, 4)[:4].trace() == 4
+        assert not run(100, 0).any()
 
 
 class TestDevices:

@@ -10,8 +10,6 @@ schedule of §III-D.2).
 
 import pytest
 
-from repro import frontend as hl
-from repro.eqsat import rewrite
 from repro.hardboiled import select_instructions
 from repro.hardboiled.rules_axiomatic import axiomatic_rules
 from repro.lowering import lower

@@ -3,11 +3,14 @@
 This is the engine as it stood before it became incremental: every
 round snapshots the whole e-graph into a by-head index
 (:class:`LegacyMatcher`), re-matches every rule against the entire graph
-(re-deriving every old match — a class holding several same-head nodes
-even re-yields its matches once per node), and re-applies everything it
-finds.  It shares nothing with ``repro.eqsat.rules.RuleEngine`` beyond
-the e-graph and the rule data types, so it is what the engine's results
-are held to: ``tests/test_eqsat_engine.py`` runs both over every
+with recursive generators over bindings dicts (re-deriving every old
+match — a class holding several same-head nodes even re-yields its
+matches once per node), and re-applies everything it finds by
+instantiating the action patterns under those dicts
+(:func:`apply_actions`).  It shares nothing with
+``repro.eqsat.rules.RuleEngine`` beyond the e-graph, the rule data types
+and the primitive operators' arithmetic, so it is what the engine's
+results are held to: ``tests/test_eqsat_engine.py`` runs both over every
 accelerator store of the 18-program benchmark catalog, and
 ``benchmarks/bench_eqsat_speed.py`` races them.  Keep its semantics
 frozen.
@@ -16,36 +19,46 @@ frozen.
 from __future__ import annotations
 
 import time
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.eqsat.egraph import EGraph
-from repro.eqsat.ematch import Bindings, MatchError, eval_value
-from repro.eqsat.pattern import PApp, PLit, Pattern, PVar
+from repro.eqsat.ematch import Bindings, MatchError, _apply_prim
+from repro.eqsat.language import ENode
+from repro.eqsat.pattern import PRIMITIVE_OPS, PApp, PLit, Pattern, PVar
 from repro.eqsat.rules import (
     Atom,
+    FactAction,
     GuardAtom,
+    LetAction,
     RelAtom,
     Rule,
     RunStats,
     TermAtom,
-    apply_actions,
+    UnionAction,
 )
 from repro.eqsat.schedule import ScheduleStats
+
+
+def nodes_by_head(egraph: EGraph) -> Dict[object, List[Tuple[int, ENode]]]:
+    """A fresh snapshot of (class, node) by head, over canonical classes."""
+    index: Dict[object, List[Tuple[int, ENode]]] = {}
+    for eclass_id, eclass in egraph.classes.items():
+        for node in eclass.nodes:
+            index.setdefault(node.head, []).append((eclass_id, node))
+    return index
 
 
 class LegacyMatcher:
     """The original snapshot matcher, duplicate yields and all.
 
-    The maintained :class:`repro.eqsat.ematch.Matcher` deduplicates
-    ``match_anywhere`` results (one of this PR-era engine's fixes); the
-    old engine did not, and its cost profile depended on re-expanding
-    every duplicate through the query join, so the frozen copy lives
-    here.
+    The old engine did not deduplicate ``match_anywhere`` results, and
+    its cost profile depended on re-expanding every duplicate through
+    the query join.
     """
 
     def __init__(self, egraph: EGraph) -> None:
         self.egraph = egraph
-        self.index = egraph.nodes_by_head()
+        self.index = nodes_by_head(egraph)
 
     def match_in_class(
         self, pattern: Pattern, eclass_id: int, bindings: Bindings
@@ -92,11 +105,71 @@ class LegacyMatcher:
                 for out in self.match_in_class(pattern, eclass_id, bindings):
                     yield eclass_id, out
             return
-        for eclass_id in self.egraph.eclass_ids():
+        for eclass_id in list(self.egraph.classes):
             if eclass_id not in self.egraph.classes:
                 continue
             for out in self.match_in_class(pattern, eclass_id, bindings):
                 yield self.egraph.find(eclass_id), out
+
+
+def eval_value(egraph: EGraph, pattern: Pattern, bindings: Bindings):
+    """Evaluate a computational pattern to a Python value, or None."""
+    if isinstance(pattern, PLit):
+        return pattern.value
+    if isinstance(pattern, PVar):
+        eclass = bindings.get(pattern.name)
+        if eclass is None:
+            return None
+        return egraph.literal_value(eclass)
+    if isinstance(pattern, PApp) and pattern.head in PRIMITIVE_OPS:
+        values = [eval_value(egraph, a, bindings) for a in pattern.args]
+        if any(v is None for v in values):
+            return None
+        return _apply_prim(pattern.head, values)
+    return None
+
+
+def instantiate(egraph: EGraph, pattern: Pattern, bindings: Bindings) -> int:
+    """Build (or look up) the e-class for a pattern under bindings.
+
+    Primitive-op applications are folded into literals; structural heads
+    become new e-nodes.
+    """
+    if isinstance(pattern, PVar):
+        eclass = bindings.get(pattern.name)
+        if eclass is None:
+            raise MatchError(f"unbound variable {pattern.name!r} in action")
+        return egraph.find(eclass)
+    if isinstance(pattern, PLit):
+        return egraph.add_literal(pattern.kind, pattern.value)
+    if pattern.head in PRIMITIVE_OPS:
+        value = eval_value(egraph, pattern, bindings)
+        if value is None:
+            raise MatchError(
+                f"cannot evaluate primitive {pattern} — non-literal operand"
+            )
+        kind = "i64" if isinstance(value, int) else "f64"
+        return egraph.add_literal(kind, value)
+    args = tuple(instantiate(egraph, a, bindings) for a in pattern.args)
+    return egraph.add_node(ENode(pattern.head, args))
+
+
+def apply_actions(egraph: EGraph, rule: Rule, bindings: Bindings) -> None:
+    """Apply a rule's actions for one match, by instantiating each
+    action pattern under a copy of its bindings."""
+    env = dict(bindings)
+    for action in rule.actions:
+        if isinstance(action, LetAction):
+            env[action.name] = instantiate(egraph, action.pattern, env)
+        elif isinstance(action, UnionAction):
+            a = instantiate(egraph, action.a, env)
+            b = instantiate(egraph, action.b, env)
+            egraph.union(a, b)
+        elif isinstance(action, FactAction):
+            row = tuple(instantiate(egraph, p, env) for p in action.args)
+            egraph.assert_fact(action.name, row)
+        else:
+            raise MatchError(f"unknown action {action!r}")
 
 
 def _match_query(

@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 
 from repro.perfmodel import PerfModel, TimeBreakdown, format_table
-from repro.targets.device import RTX4070S
 
 
 def measure(app, device) -> TimeBreakdown:

@@ -29,7 +29,7 @@ import numpy as np
 from .. import frontend as hl
 from ..linalg import homogeneous_response, recursive_filter_serial, sla_decompose
 from ..runtime import Counters
-from ..runtime.executor import CompiledPipeline, realize
+from ..runtime.executor import CompiledPipeline
 from ..lowering import lower
 from ..hardboiled import select_instructions
 

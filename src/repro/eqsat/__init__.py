@@ -9,10 +9,7 @@ from .ematch import (
     Bindings,
     CompiledQuery,
     MatchError,
-    Matcher,
     compile_query,
-    eval_value,
-    instantiate,
     run_query,
 )
 from .extract import (
@@ -27,7 +24,6 @@ from .pattern import PApp, PLit, PVar, Pattern, parse_pattern, pattern_vars
 from .rules import (
     Action,
     Atom,
-    BackoffScheduler,
     FactAction,
     GuardAtom,
     LetAction,

@@ -44,7 +44,7 @@ True
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterator, KeysView, List, Optional, Tuple
+from typing import Dict, KeysView, List, Optional, Tuple
 
 from .language import ENode, Head, Term
 
@@ -373,24 +373,8 @@ class EGraph:
 
     # -- queries -------------------------------------------------------------------
 
-    def eclass_ids(self) -> Iterator[int]:
-        return iter(list(self.classes.keys()))
-
     def nodes_of(self, eclass_id: int) -> Dict[ENode, None]:
         return self.classes[self.find(eclass_id)].nodes
-
-    def nodes_by_head(self) -> Dict[Head, List[Tuple[int, ENode]]]:
-        """Index of (class, node) by head, over canonical classes.
-
-        This builds a fresh snapshot on every call; it exists for the
-        legacy matcher and for debugging.  The incremental engine uses
-        :meth:`head_entries` instead.
-        """
-        index: Dict[Head, List[Tuple[int, ENode]]] = defaultdict(list)
-        for eclass_id, eclass in self.classes.items():
-            for node in eclass.nodes:
-                index[node.head].append((eclass_id, node))
-        return index
 
     def literal_value(self, eclass_id: int) -> Optional[object]:
         """The payload if this class contains a literal node."""

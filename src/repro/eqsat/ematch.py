@@ -1,39 +1,38 @@
 """E-matching: finding all assignments of pattern variables to e-classes.
 
-Two matchers live here:
-
-* :class:`Matcher` — the original snapshot matcher (nodes grouped by
-  head, recursive generators).  It remains the reference implementation
-  and the API used by tests and interactive exploration; its
-  ``match_anywhere`` deduplicates ``(eclass, bindings)`` pairs.
-* :class:`CompiledQuery` — a whole rule query (term atoms, relation
-  atoms, guards) lowered **once** into a flat sequence of
-  scan/bind/compare/check instructions executed over a register array.
-  Variables become register slots, repeated variables become compare
-  instructions, and no per-binding dicts are copied while backtracking.
-  Each delta-safe query also compiles once per atom into an *anchored*
-  re-ordering of the same join that starts at that atom, so
-  ``rules.RuleEngine`` can drive a rule from just the e-nodes and
-  relation rows that changed (incremental passes) as well as from the
-  e-graph's persistent head index (full passes).
+A whole rule query (term atoms, relation atoms, guards) is lowered
+**once** into a :class:`CompiledQuery`: a flat sequence of
+scan/bind/compare/check instructions executed over a register array.
+Variables become register slots, repeated variables become compare
+instructions, and no per-binding dicts are copied while backtracking.
+Each delta-safe query also compiles once per atom into an *anchored*
+re-ordering of the same join that starts at that atom, so
+``rules.RuleEngine`` can drive a rule from just the e-nodes and relation
+rows that changed (incremental passes) as well as from the e-graph's
+persistent head index (full passes).  :func:`run_query` runs one query
+once over the whole e-graph.
 
 Bindings map variable names to e-class ids.  Primitive arithmetic
 (``*``, ``%``, ...) is evaluated over literal payloads, both in guards
-and when instantiating action patterns.
+and when instantiating action patterns (``rules.CompiledActions``).
 
-Match a pattern against a small e-graph and fold a primitive over the
-bound literals:
+Match a pattern against a small e-graph, and bind a variable to a
+primitive folded over the bound literals:
 
->>> from repro.eqsat import EGraph, I, Matcher, T, parse_one, parse_pattern
->>> from repro.eqsat.ematch import eval_value
+>>> from repro.eqsat import EGraph, GuardAtom, I, T, TermAtom
+>>> from repro.eqsat import compile_query, parse_one, parse_pattern, run_query
 >>> eg = EGraph()
 >>> root = eg.add_term(T("Add", I(2), I(3)))
->>> pat = parse_pattern(parse_one("(Add ?a ?b)"))
->>> matcher = Matcher(eg)
->>> ((where, bindings),) = matcher.match_anywhere(pat, {})
->>> where == root
+>>> def pat(text):
+...     return parse_pattern(parse_one(text))
+>>> query = compile_query([
+...     TermAtom("e", pat("(Add a b)")),
+...     GuardAtom("=", (pat("c"), pat("(* a b)"))),
+... ])
+>>> (bindings,) = run_query(eg, query)
+>>> bindings["e"] == root
 True
->>> eval_value(eg, parse_pattern(parse_one("(* ?a ?b)")), bindings)
+>>> eg.literal_value(bindings["c"])
 6
 """
 
@@ -41,10 +40,9 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .egraph import EGraph
-from .language import ENode
 from .pattern import (
     PRIMITIVE_OPS,
     PApp,
@@ -59,109 +57,6 @@ Bindings = Dict[str, int]
 
 class MatchError(RuntimeError):
     pass
-
-
-class Matcher:
-    """Matches patterns against one e-graph snapshot."""
-
-    def __init__(self, egraph: EGraph) -> None:
-        self.egraph = egraph
-        self.index = egraph.nodes_by_head()
-
-    # -- structural matching -------------------------------------------------
-
-    def match_in_class(
-        self, pattern: Pattern, eclass_id: int, bindings: Bindings
-    ) -> Iterator[Bindings]:
-        """All ways ``pattern`` matches inside the given e-class."""
-        egraph = self.egraph
-        eclass_id = egraph.find(eclass_id)
-        if isinstance(pattern, PVar):
-            bound = bindings.get(pattern.name)
-            if bound is not None:
-                if egraph.find(bound) == eclass_id:
-                    yield bindings
-                return
-            new = dict(bindings)
-            new[pattern.name] = eclass_id
-            yield new
-            return
-        if isinstance(pattern, PLit):
-            value = egraph.literal_value(eclass_id)
-            if value is not None and value == pattern.value:
-                yield bindings
-            return
-        # PApp over an operator head
-        for node in list(egraph.nodes_of(eclass_id)):
-            if node.head != pattern.head or len(node.args) != len(pattern.args):
-                continue
-            yield from self._match_args(pattern.args, node.args, bindings, 0)
-
-    def _match_args(self, patterns, arg_ids, bindings, i) -> Iterator[Bindings]:
-        if i == len(patterns):
-            yield bindings
-            return
-        for partial in self.match_in_class(patterns[i], arg_ids[i], bindings):
-            yield from self._match_args(patterns, arg_ids, partial, i + 1)
-
-    def match_anywhere(
-        self, pattern: Pattern, bindings: Bindings
-    ) -> Iterator[tuple]:
-        """Yield unique ``(eclass_id, bindings)`` matches over the graph.
-
-        A class holding several same-head nodes used to yield the full
-        per-class match set once *per node*; duplicates are now folded.
-        """
-        seen = set()
-
-        def emit(eclass_id: int, out: Bindings):
-            key = (eclass_id, tuple(sorted(out.items())))
-            if key in seen:
-                return False
-            seen.add(key)
-            return True
-
-        if isinstance(pattern, PVar) and pattern.name in bindings:
-            root = self.egraph.find(bindings[pattern.name])
-            yield root, bindings
-            return
-        if isinstance(pattern, PApp):
-            for eclass_id, _node in self.index.get(pattern.head, ()):  # noqa: B007
-                eclass_id = self.egraph.find(eclass_id)
-                for out in self.match_in_class(pattern, eclass_id, bindings):
-                    if emit(eclass_id, out):
-                        yield eclass_id, out
-            return
-        # bare variable or literal: enumerate all classes
-        for eclass_id in self.egraph.eclass_ids():
-            if eclass_id not in self.egraph.classes:
-                continue
-            for out in self.match_in_class(pattern, eclass_id, bindings):
-                root = self.egraph.find(eclass_id)
-                if emit(root, out):
-                    yield root, out
-
-    # -- primitive evaluation ---------------------------------------------------
-
-    def eval_value(self, pattern: Pattern, bindings: Bindings):
-        """Evaluate a computational pattern to a Python value, or None."""
-        return eval_value(self.egraph, pattern, bindings)
-
-
-def eval_value(egraph: EGraph, pattern: Pattern, bindings):
-    if isinstance(pattern, PLit):
-        return pattern.value
-    if isinstance(pattern, PVar):
-        eclass = bindings.get(pattern.name)
-        if eclass is None:
-            return None
-        return egraph.literal_value(eclass)
-    if isinstance(pattern, PApp) and pattern.head in PRIMITIVE_OPS:
-        values = [eval_value(egraph, a, bindings) for a in pattern.args]
-        if any(v is None for v in values):
-            return None
-        return _apply_prim(pattern.head, values)
-    return None
 
 
 def _floor_or_true_div(a, b):
@@ -192,31 +87,6 @@ def _apply_prim(op: str, values):
     if fn is None:
         raise MatchError(f"unknown primitive {op!r}")
     return functools.reduce(fn, values)
-
-
-def instantiate(egraph: EGraph, pattern: Pattern, bindings: Bindings) -> int:
-    """Build (or look up) the e-class for a pattern under bindings.
-
-    Primitive-op applications are folded into literals; structural heads
-    become new e-nodes.
-    """
-    if isinstance(pattern, PVar):
-        eclass = bindings.get(pattern.name)
-        if eclass is None:
-            raise MatchError(f"unbound variable {pattern.name!r} in action")
-        return egraph.find(eclass)
-    if isinstance(pattern, PLit):
-        return egraph.add_literal(pattern.kind, pattern.value)
-    if pattern.head in PRIMITIVE_OPS:
-        value = eval_value(egraph, pattern, bindings)
-        if value is None:
-            raise MatchError(
-                f"cannot evaluate primitive {pattern} — non-literal operand"
-            )
-        kind = "i64" if isinstance(value, int) else "f64"
-        return egraph.add_literal(kind, value)
-    args = tuple(instantiate(egraph, a, bindings) for a in pattern.args)
-    return egraph.add_node(ENode(pattern.head, args))
 
 
 # -- compiled pattern programs -------------------------------------------------
@@ -593,8 +463,9 @@ _COMPARISON_FNS = {
 
 
 def value_fn(pattern: Pattern, slots: Dict[str, int]):
-    """A computational pattern as ``fn(regs, egraph) -> value or None``:
-    :func:`eval_value` over register slots, resolved once."""
+    """A computational pattern as ``fn(regs, egraph) -> value or None``,
+    over register slots resolved once: a literal's payload, a bound
+    variable's literal payload, or a primitive folded over those."""
     if isinstance(pattern, PLit):
         return lambda regs, eg, value=pattern.value: value
     if isinstance(pattern, PVar) and pattern.name in slots:
@@ -830,27 +701,20 @@ def _step(ins: tuple, nxt):
     return step
 
 
-def run_query(
-    egraph: EGraph,
-    query: CompiledQuery,
-    on_match: Optional[Callable[[List[int]], None]] = None,
-) -> Optional[List[Bindings]]:
-    """Execute a compiled query over the whole (rebuilt) e-graph.
+def run_query(egraph: EGraph, query: CompiledQuery) -> List[Bindings]:
+    """Execute a compiled query over the whole (rebuilt) e-graph: one
+    bindings dict per match.
 
-    A convenience wrapper for one-shot callers (``find_matches``,
-    tests).  With ``on_match`` given it is called with the live register
-    array per match (read, don't keep); otherwise a list of bindings
-    dicts is returned.
+    A convenience wrapper for one-shot callers (``rules.find_matches``,
+    tests); the saturation engine drives the executors itself.
     """
     if egraph.worklist or egraph._stale_ids:
         egraph.rebuild()
-    results: Optional[List[Bindings]] = None
-    if on_match is None:
-        results = []
-        var_slots = query.var_slots
+    results: List[Bindings] = []
+    var_slots = query.var_slots
 
-        def on_match(regs):  # noqa: F811 — default collector
-            results.append({name: regs[s] for name, s in var_slots.items()})
+    def on_match(regs):
+        results.append({name: regs[s] for name, s in var_slots.items()})
 
     executor = query.executor
     executor.run(

@@ -8,7 +8,7 @@ hashcons to the same e-class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Tuple, Union
 
 Head = Union[str, Tuple[str, object]]

@@ -22,11 +22,12 @@ the e-graph's persistent head index (full pass) or only from the e-nodes
 and relation rows that changed since the last pass, each tried at the
 query atoms it can occupy (delta pass, exact for rules that pass the
 static safety analysis).  Matches are deduplicated on canonical variable
-bindings before application, and a :class:`BackoffScheduler` temporarily
-banishes rules whose match counts explode (egg's backoff design).  The
-engine is persistent: keeping one engine across calls (as ``run_phased``
-does) carries the cursor and dedup tables forward, so later passes only
-pay for what changed.
+bindings before application, and applied through each rule's
+:class:`CompiledActions`: closures built once over the query's register
+slots.  Every rule runs every round, as the paper's schedule
+(:mod:`.schedule`) asks.  The engine is persistent: keeping one engine
+across calls (as ``run_phased`` does) carries the cursor and dedup
+tables forward, so later passes only pay for what changed.
 """
 
 from __future__ import annotations
@@ -41,11 +42,9 @@ from .ematch import (
     Bindings,
     CompiledQuery,
     MatchError,
-    Matcher,
     compile_query,
     entry_traits,
     first_candidates,
-    instantiate,
     run_query,
     value_fn,
 )
@@ -139,40 +138,19 @@ def rewrite(
     return Rule(name, query, [UnionAction(root, rhs)])
 
 
-def find_matches(matcher: Matcher, rule: Rule) -> List[Bindings]:
+def find_matches(egraph: EGraph, rule: Rule) -> List[Bindings]:
     """All distinct binding sets for one rule (a full pass)."""
-    return run_query(matcher.egraph, rule.compiled())
+    return run_query(egraph, rule.compiled())
 
 
 # -- applying actions ----------------------------------------------------------
 
 
-def apply_actions(egraph: EGraph, rule: Rule, bindings: Bindings) -> None:
-    _apply_actions_env(egraph, rule, dict(bindings))
-
-
-def _apply_actions_env(egraph: EGraph, rule: Rule, env: Bindings) -> None:
-    """Apply actions into ``env`` directly (the caller owns the dict)."""
-    for action in rule.actions:
-        if isinstance(action, LetAction):
-            env[action.name] = instantiate(egraph, action.pattern, env)
-        elif isinstance(action, UnionAction):
-            a = instantiate(egraph, action.a, env)
-            b = instantiate(egraph, action.b, env)
-            egraph.union(a, b)
-        elif isinstance(action, FactAction):
-            row = tuple(instantiate(egraph, p, env) for p in action.args)
-            egraph.assert_fact(action.name, row)
-        else:
-            raise MatchError(f"unknown action {action!r}")
-
-
 class CompiledActions:
     """A rule's actions lowered against its query's register slots.
 
-    Instead of instantiating action patterns by recursive dispatch over a
-    bindings dict per match, the engine snapshots the matcher's register
-    array and runs these pre-built closures over it.  Let-bound names get
+    Per match, the engine snapshots the matcher's register array and
+    runs these pre-built closures over it.  Let-bound names get
     slots past the query's registers.  The closures take the e-graph as
     an argument, so one compilation (cached on the rule) serves every
     engine and e-graph.
@@ -274,51 +252,6 @@ class RunStats:
     full_rounds: int = 0
     #: duplicate matches dropped before application
     dedup_dropped: int = 0
-    #: rule name -> rounds skipped while banned by the backoff scheduler
-    banned_rounds: Dict[str, int] = field(default_factory=dict)
-
-
-class BackoffScheduler:
-    """egg-style rule backoff: rules whose per-round match count exceeds
-    an exponentially growing threshold are banished for an exponentially
-    growing number of rounds.
-
-    The default ``match_limit`` is generous on purpose: backoff should
-    only engage on genuinely exploding rules, never change results on
-    well-behaved workloads (a banished rule's matches are recovered after
-    the ban because the engine's per-rule watermarks are left untouched
-    while it sleeps).
-    """
-
-    def __init__(self, match_limit: int = 4096, ban_length: int = 4) -> None:
-        self.match_limit = match_limit
-        self.ban_length = ban_length
-        self._banned_until: Dict[int, int] = {}
-        self._times_banned: Dict[int, int] = {}
-
-    def banned(self, rule_index: int, round_index: int) -> bool:
-        return round_index < self._banned_until.get(rule_index, -1)
-
-    def record(self, rule_index: int, n_matches: int, round_index: int) -> bool:
-        """Record a rule's match count; True if the rule is banned now
-        (its matches this round must be dropped, to be rediscovered after
-        the ban)."""
-        times = self._times_banned.get(rule_index, 0)
-        threshold = self.match_limit << times
-        if n_matches > threshold:
-            ban = self.ban_length << times
-            self._times_banned[rule_index] = times + 1
-            self._banned_until[rule_index] = round_index + 1 + ban
-            return True
-        return False
-
-    def any_banned(self, round_index: int) -> bool:
-        return any(
-            round_index < until for until in self._banned_until.values()
-        )
-
-    def unban_all(self) -> None:
-        self._banned_until.clear()
 
 
 class RuleEngine:
@@ -339,23 +272,14 @@ class RuleEngine:
     to what is reachable from it.
     """
 
-    def __init__(
-        self,
-        egraph: EGraph,
-        rules: Sequence[Rule],
-        scheduler: Optional[BackoffScheduler] = None,
-    ) -> None:
+    def __init__(self, egraph: EGraph, rules: Sequence[Rule]) -> None:
         self.egraph = egraph
         self.rules = list(rules)
         self.programs = [rule.compiled() for rule in self.rules]
         self.actions = [rule.compiled_actions() for rule in self.rules]
-        self.scheduler = scheduler
         self.seen: List[Set[tuple]] = [set() for _ in self.rules]
-        self.round = 0
         #: where the rules have matched up to; None before the first pass
         self.cursor: Optional[Tuple[int, int]] = None
-        #: rule index -> its own cursor, for rules a ban left behind
-        self._lagging: Dict[int, Optional[Tuple[int, int]]] = {}
         #: (head, arity) / relation name -> ({trait: [(rule index,
         #: executor)]}, probes): the anchored programs to run on a
         #: changed e-node / row that has the trait (None: on any), and
@@ -374,20 +298,16 @@ class RuleEngine:
                 if trait is not None:
                     probes.setdefault(trait[:2], set()).add(trait[2])
 
-    def _match(self, cursor, end, only: Optional[int], found) -> int:
+    def _match(self, end, found) -> int:
         """Collect, into ``found[rule index][key]``, the register
-        snapshot of every match not applied before — of all rules that
-        keep the engine's cursor, or just of rule ``only`` — among what
-        changed since ``cursor`` (among everything, if that is None).
-        Returns how many matches it enumerated in vain."""
+        snapshot of every match not applied before among what changed
+        between the engine's cursor and ``end`` (among everything, before
+        the first pass).  Returns how many matches it enumerated in
+        vain."""
         egraph = self.egraph
         programs = self.programs
-        lagging = self._lagging
         dropped = 0
         emitters: Dict[int, object] = {}
-
-        def wanted(idx):
-            return idx not in lagging if only is None else idx == only
 
         def collect(idx, executor, candidates):
             on_match = emitters.get(idx)
@@ -406,11 +326,11 @@ class RuleEngine:
                 emitters[idx] = on_match
             executor.run(egraph, candidates, on_match)
 
-        if cursor is None:
+        if self.cursor is None:
             everything = range(len(programs))
         else:
             everything = self._full_only
-            nodes, rows = egraph.changed_since(cursor, end)
+            nodes, rows = egraph.changed_since(self.cursor, end)
             for table, changed in (
                 (self._on_nodes, nodes),
                 (self._on_rows, rows),
@@ -425,21 +345,17 @@ class RuleEngine:
                     having[None] = entries
                     for trait, candidates in having.items():
                         for idx, executor in anchors.get(trait, ()):
-                            if wanted(idx):
-                                collect(idx, executor, candidates)
+                            collect(idx, executor, candidates)
         for idx in everything:
-            if wanted(idx):
-                executor = programs[idx].executor
-                candidates = first_candidates(egraph, executor.first)
-                if candidates:
-                    collect(idx, executor, candidates)
+            executor = programs[idx].executor
+            candidates = first_candidates(egraph, executor.first)
+            if candidates:
+                collect(idx, executor, candidates)
         return dropped
 
     def run(self, iterations: int = 1) -> RunStats:
         """Run up to ``iterations`` match-apply-rebuild rounds."""
         egraph = self.egraph
-        scheduler = self.scheduler
-        lagging = self._lagging
         stats = RunStats()
         start = time.perf_counter()
         if egraph.worklist or egraph._stale_ids:
@@ -454,33 +370,11 @@ class RuleEngine:
             t_match = time.perf_counter()
             #: rule index -> {dedup key: register snapshot}
             found: Dict[int, Dict[tuple, List[int]]] = {}
-            stats.dedup_dropped += self._match(self.cursor, end, None, found)
+            stats.dedup_dropped += self._match(end, found)
             if self.cursor is None:
                 stats.full_rounds += 1
             else:
                 stats.delta_rounds += 1
-            # rules a ban left behind catch up from their own cursor
-            awake = [
-                idx for idx in lagging if not scheduler.banned(idx, self.round)
-            ]
-            for idx in awake:
-                found[idx] = {}
-                stats.dedup_dropped += self._match(
-                    lagging[idx], end, idx, found
-                )
-            for idx, fresh in found.items():
-                if scheduler is not None and scheduler.record(
-                    idx, len(fresh), self.round
-                ):
-                    # banned: drop this round's matches and keep the
-                    # rule's cursor so they are rediscovered after the ban
-                    fresh.clear()
-                    lagging.setdefault(idx, self.cursor)
-                elif idx in lagging:
-                    del lagging[idx]
-            for idx in lagging:
-                name = self.rules[idx].name
-                stats.banned_rounds[name] = stats.banned_rounds.get(name, 0) + 1
             self.cursor = end
             # apply in (rule, key) order, so what a round does to the
             # e-graph does not depend on how it enumerated its matches
@@ -506,12 +400,7 @@ class RuleEngine:
             stats.apply_seconds += t_rebuild - t_apply
             egraph.rebuild()
             stats.rebuild_seconds += time.perf_counter() - t_rebuild
-            self.round += 1
             if egraph.version == version_before:
-                if lagging:
-                    # saturated only because rules slept: wake them up
-                    scheduler.unban_all()
-                    continue
                 stats.saturated = True
                 break
         stats.seconds = time.perf_counter() - start
@@ -519,25 +408,17 @@ class RuleEngine:
 
 
 def run_rules(
-    egraph: EGraph,
-    rules: Sequence[Rule],
-    iterations: int = 1,
-    scheduler: Optional[BackoffScheduler] = None,
+    egraph: EGraph, rules: Sequence[Rule], iterations: int = 1
 ) -> RunStats:
     """Run ``iterations`` rounds: match all rules, apply, rebuild."""
-    return RuleEngine(egraph, rules, scheduler=scheduler).run(iterations)
+    return RuleEngine(egraph, rules).run(iterations)
 
 
 def saturate(
-    egraph: EGraph,
-    rules: Sequence[Rule],
-    max_iterations: int = 64,
-    scheduler: Optional[BackoffScheduler] = None,
+    egraph: EGraph, rules: Sequence[Rule], max_iterations: int = 64
 ) -> RunStats:
     """Run until no rule changes the e-graph (or the iteration cap)."""
-    if scheduler is None:
-        scheduler = BackoffScheduler()
-    return RuleEngine(egraph, rules, scheduler=scheduler).run(max_iterations)
+    return RuleEngine(egraph, rules).run(max_iterations)
 
 
 # -- parsing egglog-ish rule text ------------------------------------------------

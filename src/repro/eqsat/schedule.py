@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .egraph import EGraph
-from .rules import BackoffScheduler, Rule, RuleEngine, RunStats
+from .rules import Rule, RuleEngine, RunStats
 
 
 @dataclass
@@ -81,15 +81,12 @@ def run_phased(
     supporting_rules: Sequence[Rule],
     iterations: int = 4,
     saturate_limit: int = 64,
-    scheduler: Optional[BackoffScheduler] = None,
 ) -> ScheduleStats:
     """The paper's schedule: N x (saturate supporting; run main once)."""
     stats = ScheduleStats()
     start = time.perf_counter()
     main_engine = RuleEngine(egraph, main_rules)
-    supporting_engine = RuleEngine(
-        egraph, supporting_rules, scheduler=scheduler or BackoffScheduler()
-    )
+    supporting_engine = RuleEngine(egraph, supporting_rules)
     for _ in range(iterations):
         stats.outer_iterations += 1
         stats.supporting_stats.append(supporting_engine.run(saturate_limit))

@@ -17,7 +17,7 @@ argument is the fastest-varying dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..ir import (
@@ -30,7 +30,6 @@ from ..ir import (
     MemoryType,
     Variable,
     free_variables,
-    substitute,
 )
 from .var import RDom, RVAR_REGISTRY as _RVAR_REGISTRY, RVar, Var, to_expr, unique_name
 

@@ -25,7 +25,6 @@ from ..ir import (
     LT,
     NE,
     Add,
-    BFloat,
     Broadcast,
     Call,
     CallType,
@@ -34,9 +33,7 @@ from ..ir import (
     Div,
     Evaluate,
     Expr,
-    Float,
     FloatImm,
-    Int,
     IntImm,
     Load,
     Max,
@@ -50,7 +47,6 @@ from ..ir import (
     StringImm,
     Sub,
     TypeCode,
-    UInt,
     Variable,
     VectorReduce,
 )

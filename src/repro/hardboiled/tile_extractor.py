@@ -32,7 +32,6 @@ from ..ir import (
     Allocate,
     Block,
     Call,
-    Evaluate,
     Expr,
     For,
     ForKind,

@@ -19,7 +19,6 @@ from .expr import (
     LT,
     NE,
     Add,
-    And,
     Broadcast,
     Call,
     CallType,
@@ -28,18 +27,13 @@ from .expr import (
     Expr,
     FloatImm,
     IntImm,
-    Let,
-    Load,
     Max,
     Min,
     Mod,
     Mul,
-    Not,
-    Or,
     Ramp,
     Select,
     Sub,
-    Variable,
     VectorReduce,
 )
 from .types import BOOL, DataType, Float, Int, promote

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Tuple, Union
 
-from .types import BOOL, DataType, Float, Int, TypeCode, promote
+from .types import BOOL, DataType, Float, Int, promote
 
 ScalarValue = Union[int, float, bool]
 

@@ -10,11 +10,10 @@ exact bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..ir import (
     Add,
-    Broadcast,
     Call,
     CallType,
     Cast,

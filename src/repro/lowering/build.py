@@ -9,7 +9,7 @@ Store/Load nodes using each realization's region and strides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir import (
@@ -17,7 +17,6 @@ from ..ir import (
     Block,
     Call,
     CallType,
-    DataType,
     Expr,
     For,
     IntImm,
@@ -37,7 +36,7 @@ from ..ir import (
 )
 from ..ir.visitor import IRMutator, IRVisitor
 from ..frontend.func import Func, Stage
-from .bounds import Interval, interval_of, required_regions
+from .bounds import Interval, required_regions
 
 
 class LoweringError(RuntimeError):
@@ -77,8 +76,6 @@ class RealizationInfo:
 
 
 def _collect_called_funcs(expr) -> List[Func]:
-    from ..frontend.func import Func as FuncClass
-
     found: List[Func] = []
 
     class V(IRVisitor):

@@ -32,7 +32,6 @@ from ..ir import (
     Shuffle,
     Stmt,
     Sub,
-    VectorReduce,
     builders,
 )
 from ..ir.visitor import IRMutator

@@ -54,7 +54,6 @@ from ..ir import (
     VectorReduce,
     as_int,
     is_const,
-    make_add,
 )
 from ..ir.visitor import IRMutator
 

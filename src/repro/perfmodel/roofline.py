@@ -16,7 +16,7 @@ where crossovers fall) comes from the counters alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..runtime.counters import Counters
 from ..targets.device import DeviceSpec

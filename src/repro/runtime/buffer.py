@@ -7,7 +7,6 @@ is fastest-varying, so conversion reverses the shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np

@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..lowering.pipeline import Lowered
 from ..runtime.kernel_cache import fingerprint_stmt

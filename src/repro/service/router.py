@@ -96,6 +96,8 @@ __all__ = ["Router", "job_fingerprint", "shape_signature"]
 _NEVER = float("inf")  # a deadline that time alone never reaches
 #: what made a bucket due (per-bucket ``flush_reasons`` in stats)
 _FLUSH_REASONS = ("idle", "full", "interval", "closing")
+#: per-bucket completion latencies kept for the p50/p99 estimate
+_LATENCY_WINDOW = 2048
 #: per-bucket counters that :meth:`Router.stats` also totals
 _LEDGER = ("submitted", "completed", "failed", "rejected", "shed", "expired")
 
@@ -151,16 +153,16 @@ class _Bucket:
         "next_expiry",
     )
 
-    def __init__(self, key: tuple, job_key: str, window: int) -> None:
+    def __init__(self, key: tuple, job_key: str) -> None:
         self.key = key
         self.job_key = job_key
         self.lanes: Tuple[Deque[_Request], ...] = (deque(), deque())
-        #: the last ``window`` completion latencies (seconds), a ring
-        #: indexed by ``completed``.  Allocated once: the ledger that
+        #: the last ``_LATENCY_WINDOW`` completion latencies (seconds), a
+        #: ring indexed by ``completed``.  Allocated once: the ledger that
         #: fills it runs on a pool's supervisor thread, where a growing
         #: container would scatter long-lived blocks among that thread's
         #: short-lived reply buffers and keep their freed heap resident.
-        self.latencies = np.zeros(window)
+        self.latencies = np.zeros(_LATENCY_WINDOW)
         self.submitted = 0
         self.completed = 0
         self.failed = 0
@@ -274,12 +276,9 @@ class Router:
     record_events:
         Forwarded to every pool: keep per-request lifecycle event logs
         (see :meth:`WorkerPool.event_log`) for invariant checking.
-    transport / fault_plan / retries / heartbeat_interval /
-    hang_grace / max_restarts / mp_context:
+    transport / fault_plan / retries / hang_grace / max_restarts /
+    mp_context:
         Forwarded to every :class:`WorkerPool` (see there).
-    latency_window:
-        Per-bucket latency samples kept for the p50/p99 estimate
-        (default 2048, at least 1).
     """
 
     #: submit() priority classes, in flush order
@@ -298,11 +297,9 @@ class Router:
         fault_plan: Optional[FaultPlan] = None,
         deadline: Optional[float] = None,
         retries: int = 2,
-        heartbeat_interval: float = 0.05,
         hang_grace: Optional[float] = None,
         max_restarts: int = 16,
         mp_context=None,
-        latency_window: int = 2048,
         bucket_cap: Optional[int] = None,
         shed_target: Optional[float] = None,
         shed_interval: float = 0.1,
@@ -324,8 +321,6 @@ class Router:
             raise ValueError("shed_interval must be > 0")
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        if latency_window < 1:
-            raise ValueError("latency_window must be >= 1")
         self.workers = int(workers)
         self.max_batch = int(max_batch)
         self.flush_interval = float(flush_interval)
@@ -339,7 +334,6 @@ class Router:
             if max_inflight is not None
             else self.workers * self.max_batch * 2
         )
-        self.latency_window = int(latency_window)
 
         self._jobs: Dict[str, CompileJob] = {}
         self._pools: Dict[str, WorkerPool] = {}
@@ -355,7 +349,6 @@ class Router:
                 cache_dir=cache_dir,
                 fault_plan=fault_plan,
                 retries=retries,
-                heartbeat_interval=heartbeat_interval,
                 hang_grace=hang_grace,
                 max_restarts=max_restarts,
                 transport=transport,
@@ -494,9 +487,7 @@ class Router:
             bucket = self._buckets.get(bucket_key)
             if bucket is None:
                 bucket = _Bucket(
-                    bucket_key + (self._pools[job_key].backend,),
-                    job_key,
-                    self.latency_window,
+                    bucket_key + (self._pools[job_key].backend,), job_key
                 )
                 self._buckets[bucket_key] = bucket
             if (

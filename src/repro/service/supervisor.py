@@ -97,6 +97,9 @@ from .serve import (
 )
 from . import shm as shm_transport
 
+#: worker heartbeat period (seconds)
+_HEARTBEAT_INTERVAL = 0.05
+
 
 class WorkerCrashed(RuntimeError):
     """A worker process died while (or before) serving a request."""
@@ -199,7 +202,6 @@ def _worker_main(
     backend: str,
     cache_dir: Optional[str],
     fault_plan: Optional[FaultPlan],
-    heartbeat_interval: float,
 ) -> None:
     """Entry point of one worker process.
 
@@ -238,7 +240,7 @@ def _worker_main(
     stop_beat = threading.Event()
 
     def beat() -> None:
-        while not stop_beat.wait(heartbeat_interval):
+        while not stop_beat.wait(_HEARTBEAT_INTERVAL):
             try:
                 send(("hb",))
             except SystemExit:
@@ -447,10 +449,9 @@ class WorkerPool:
     retries:
         Extra dispatches allowed per request (default 2).  Applies to
         worker crashes, deadline kills, and in-worker exceptions alike.
-    retry_base_delay / retry_max_delay:
-        Exponential-backoff envelope between dispatches; the actual
-        delay is ``min(max, base * 2**(attempt-1)) * (0.5 + 0.5 *
-        jitter)`` with deterministic per-request jitter.
+        Dispatches are spaced by exponential backoff: ``min(0.25, 0.02 *
+        2**(attempt-1)) * (0.5 + 0.5 * jitter)`` seconds, with
+        deterministic per-request jitter.
     deadline:
         Default per-request wall-clock *budget* in seconds, measured
         from submission; ``None`` disables.  Overridable per
@@ -467,9 +468,9 @@ class WorkerPool:
         events (``("dispatch"|"complete"|"fail"|"expire", rid, ...)``)
         readable via :meth:`event_log` — the chaos harness uses it to
         check at-most-once and exactly-one-terminal-outcome.
-    heartbeat_interval:
-        Worker heartbeat period; staleness beyond ``hang_grace``
-        (default ``max(1s, 10x interval)``) kills the worker.
+    hang_grace:
+        Workers heartbeat every 0.05 s; staleness beyond ``hang_grace``
+        seconds (default ``max(1s, 10x that period)``) kills the worker.
     max_pending:
         Admission bound on queued+in-flight requests; a full pool
         raises :class:`~repro.service.serve.RejectedError`.
@@ -489,6 +490,8 @@ class WorkerPool:
     """
 
     _POLL = 0.02  # supervisor loop granularity (seconds)
+    _RETRY_BASE_DELAY = 0.02  # first retry backoff (seconds)
+    _RETRY_MAX_DELAY = 0.25  # backoff ceiling (seconds)
     _INIT_STRIKE_LIMIT = 3
     _RING_SLOTS = 2  # one frame in flight + one being written
 
@@ -500,10 +503,7 @@ class WorkerPool:
         cache_dir: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
         retries: int = 2,
-        retry_base_delay: float = 0.02,
-        retry_max_delay: float = 0.25,
         deadline: Optional[float] = None,
-        heartbeat_interval: float = 0.05,
         hang_grace: Optional[float] = None,
         max_pending: Optional[int] = None,
         max_restarts: int = 16,
@@ -528,14 +528,11 @@ class WorkerPool:
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.fault_plan = fault_plan
         self.retries = int(retries)
-        self.retry_base_delay = float(retry_base_delay)
-        self.retry_max_delay = float(retry_max_delay)
         self.deadline = deadline
-        self.heartbeat_interval = float(heartbeat_interval)
         self.hang_grace = (
             float(hang_grace)
             if hang_grace is not None
-            else max(1.0, 10.0 * self.heartbeat_interval)
+            else max(1.0, 10.0 * _HEARTBEAT_INTERVAL)
         )
         self.max_pending = max_pending
         self.max_restarts = int(max_restarts)
@@ -606,7 +603,6 @@ class WorkerPool:
                 self.backend,
                 self.cache_dir,
                 self.fault_plan,
-                self.heartbeat_interval,
             ),
             daemon=True,
             name=f"repro-worker-{wid}.{incarnation}",
@@ -905,8 +901,8 @@ class WorkerPool:
 
     def _backoff(self, request: _Request) -> float:
         base = min(
-            self.retry_max_delay,
-            self.retry_base_delay * (2 ** max(0, request.attempts - 1)),
+            self._RETRY_MAX_DELAY,
+            self._RETRY_BASE_DELAY * (2 ** max(0, request.attempts - 1)),
         )
         return base * (0.5 + 0.5 * _jitter_fraction(request.id, request.attempts))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.eqsat import EGraph, ENode, F, I, Sym, T, Term
+from repro.eqsat import EGraph, ENode, F, I, Sym, T
 
 
 def add(egraph, head, *args):

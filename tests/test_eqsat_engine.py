@@ -3,7 +3,7 @@
 Covers the engine mechanics the end-to-end suites only exercise
 implicitly: match deduplication, delta-vs-full equivalence (against the
 full-rematch oracle in ``benchmarks/eqsat_oracle.py``, on every
-accelerator store of the benchmark catalog), backoff banning, rebuild
+accelerator store of the benchmark catalog), fixpoint saturation, rebuild
 congruence repair under chained unions, ``run_phased`` early saturation
 exit, extraction memoization and tie-breaking, and the timing breakdown
 counters.
@@ -20,13 +20,11 @@ from benchmarks.eqsat_oracle import (
 from conftest import catalog_stores
 
 from repro.eqsat import (
-    BackoffScheduler,
     CostModel,
     EGraph,
     FactAction,
     GuardAtom,
     I,
-    Matcher,
     RelAtom,
     Rule,
     RuleEngine,
@@ -57,26 +55,6 @@ def pat(text: str):
 
 
 class TestMatchDedup:
-    def test_match_anywhere_dedups_same_head_classes(self):
-        """A class holding several same-head nodes must not re-yield the
-        whole per-class match set once per node (the old behaviour)."""
-        eg = EGraph()
-        a = eg.add_term(T("Wrap", Sym("a")))
-        b = eg.add_term(T("Wrap", Sym("b")))
-        eg.union(a, b)
-        eg.rebuild()
-        # the merged class now holds two Wrap nodes
-        assert len(eg.nodes_of(a)) == 2
-        matches = list(Matcher(eg).match_anywhere(pat("(Wrap x)"), {}))
-        assert len(matches) == len(set(
-            (c, tuple(sorted(bs.items()))) for c, bs in matches
-        ))
-        # the legacy matcher shows the duplicate-yield behaviour
-        legacy = list(LegacyMatcher(eg).match_anywhere(pat("(Wrap x)"), {}))
-        assert len(legacy) > len(set(
-            (c, tuple(sorted(bs.items()))) for c, bs in legacy
-        ))
-
     def test_find_matches_distinct(self):
         eg = EGraph()
         a = eg.add_term(T("Wrap", Sym("a")))
@@ -84,7 +62,7 @@ class TestMatchDedup:
         eg.union(a, b)
         eg.rebuild()
         rule = rewrite("unwrap", pat("(Wrap x)"), pat("x"))
-        found = find_matches(Matcher(eg), rule)
+        found = find_matches(eg, rule)
         keys = {tuple(sorted(m.items())) for m in found}
         assert len(found) == len(keys) == 2
 
@@ -169,33 +147,19 @@ class TestDeltaMatching:
         assert eg.lookup_term(I(1)) == eg.find(root)
 
 
-class TestBackoff:
-    def test_exploding_rule_is_banned_and_recovers(self):
+class TestSaturate:
+    def test_swap_rule_reaches_the_fixpoint(self):
+        """A rule that matches every pair every round still saturates:
+        once each swapped pair exists, a round changes nothing."""
         eg = EGraph()
         for i in range(8):
             eg.add_term(T("Pair", Sym(f"a{i}"), Sym(f"b{i}")))
         swap = rewrite("swap", pat("(Pair x y)"), pat("(Pair y x)"))
-        scheduler = BackoffScheduler(match_limit=4, ban_length=2)
-        stats = saturate(eg, [swap], max_iterations=32, scheduler=scheduler)
-        # the rule exceeded its limit at least once...
-        assert stats.banned_rounds.get("swap", 0) >= 1
-        # ...but the run still reaches the true fixpoint
+        stats = saturate(eg, [swap], max_iterations=32)
         assert stats.saturated
         for i in range(8):
             swapped = eg.lookup_term(T("Pair", Sym(f"b{i}"), Sym(f"a{i}")))
             assert swapped is not None
-
-    def test_scheduler_state(self):
-        scheduler = BackoffScheduler(match_limit=2, ban_length=3)
-        assert not scheduler.banned(0, 0)
-        assert scheduler.record(0, 5, 0)  # 5 > 2: banned
-        assert scheduler.banned(0, 1) and scheduler.banned(0, 3)
-        assert not scheduler.banned(0, 4)
-        # second ban doubles the threshold and the ban length
-        assert not scheduler.record(0, 4, 5)  # 4 <= 2<<1
-        assert scheduler.record(0, 9, 5)
-        scheduler.unban_all()
-        assert not scheduler.any_banned(6)
 
 
 class TestRebuildCongruence:

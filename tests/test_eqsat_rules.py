@@ -6,7 +6,6 @@ from repro.eqsat import (
     EGraph,
     GuardAtom,
     I,
-    PApp,
     PLit,
     PVar,
     RelAtom,
@@ -16,11 +15,9 @@ from repro.eqsat import (
     TermAtom,
     UnionAction,
     FactAction,
-    LetAction,
     Term,
     extract_best,
     find_matches,
-    Matcher,
     parse_program,
     parse_pattern,
     rewrite,
@@ -41,7 +38,7 @@ class TestMatching:
         eg = EGraph()
         eg.add_term(T("Add", I(1), I(2)))
         rule = rewrite("comm", pat("(Add x y)"), pat("(Add y x)"))
-        matches = find_matches(Matcher(eg), rule)
+        matches = find_matches(eg, rule)
         assert len(matches) == 1
 
     def test_literal_pattern_filters(self):
@@ -49,14 +46,14 @@ class TestMatching:
         eg.add_term(T("Mul", Sym("a"), I(2)))
         eg.add_term(T("Mul", Sym("a"), I(3)))
         rule = rewrite("times2", pat("(Mul x 2)"), pat("x"))
-        assert len(find_matches(Matcher(eg), rule)) == 1
+        assert len(find_matches(eg, rule)) == 1
 
     def test_nonlinear_pattern(self):
         eg = EGraph()
         eg.add_term(T("Div", Sym("a"), Sym("a")))
         eg.add_term(T("Div", Sym("a"), Sym("b")))
         rule = rewrite("self_div", pat("(Div x x)"), pat("x"))
-        assert len(find_matches(Matcher(eg), rule)) == 1
+        assert len(find_matches(eg, rule)) == 1
 
     def test_nested_pattern(self):
         eg = EGraph()
@@ -64,7 +61,7 @@ class TestMatching:
         rule = rewrite(
             "assoc", pat("(Div (Mul a n) n)"), pat("(Mul a (Div n n))")
         )
-        assert len(find_matches(Matcher(eg), rule)) == 1
+        assert len(find_matches(eg, rule)) == 1
 
 
 class TestGuards:
@@ -78,7 +75,7 @@ class TestGuards:
             pat("(Wide v l)"),
             when=[GuardAtom(">", (PVar("l"), PLit("i64", 1)))],
         )
-        assert len(find_matches(Matcher(eg), rule)) == 1
+        assert len(find_matches(eg, rule)) == 1
 
     def test_modulo_guard(self):
         eg = EGraph()
@@ -92,8 +89,8 @@ class TestGuards:
             ],
             [UnionAction(PVar("e"), pat("(Divisible a b)"))],
         )
-        assert len(find_matches(Matcher(EGraph()), rule)) == 0
-        assert len(find_matches(Matcher(eg), rule)) == 1
+        assert len(find_matches(EGraph(), rule)) == 0
+        assert len(find_matches(eg, rule)) == 1
 
     def test_binding_guard_computes_literal(self):
         # (= product (* a b)) with product unbound binds it to a*b

@@ -18,7 +18,6 @@ from repro.service.faults import (
     CircuitBreaker,
     FaultPlan,
     FaultSpec,
-    InjectedAllocFailure,
     InjectedKernelError,
 )
 from repro.service.fingerprint import ArtifactKey

@@ -1,5 +1,12 @@
 """Tests for HARDBOILED: encoding, axioms, and end-to-end selection."""
 
+import functools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,16 +14,13 @@ from repro import frontend as hl
 from repro.eqsat import (
     EGraph,
     I,
-    Matcher,
     Sym,
     T,
     extract_best,
-    find_matches,
     run_phased,
 )
 from repro.hardboiled import (
     SelectionError,
-    amx_rules,
     axiomatic_rules,
     compile_tensorized,
     contains_movement,
@@ -27,7 +31,6 @@ from repro.hardboiled import (
     hardboiled_cost_model,
     select_instructions,
     supporting_rules,
-    wmma_rules,
 )
 from repro.hardboiled.encode import Encoder, movement_wrapper
 from repro.ir import (
@@ -36,7 +39,6 @@ from repro.ir import (
     Broadcast,
     Call,
     Cast,
-    Evaluate,
     Float,
     ForKind,
     IntImm,
@@ -346,6 +348,8 @@ class TestCUDAOnlyUntouched:
         assert tz.stmt == lo.stmt
 
 
+SELECTION_GOLDEN = Path(__file__).with_name("selection_digest.json")
+
 #: compile the 18-program benchmark catalog and print, per program, what
 #: selection decided: run in a child so the hash seed can be chosen
 _CATALOG_DIGEST = """
@@ -379,19 +383,12 @@ print(json.dumps(out, sort_keys=True))
 """
 
 
-def test_selection_does_not_depend_on_the_hash_seed():
-    """Two processes with different ``PYTHONHASHSEED`` must select the
-    same code for every catalog program: same statement fingerprint,
-    same kernel source, same e-graph sizes and match counts.  (Set
-    iteration order used to reach the extractor's tie-breaks.)"""
-    import json
-    import os
-    import subprocess
-    import sys
-
+@functools.lru_cache(maxsize=None)
+def _catalog_digests(seeds):
+    """``_CATALOG_DIGEST``'s output, one child process per hash seed."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     children = []
-    for seed in ("0", "1"):
+    for seed in seeds:
         env = dict(os.environ, PYTHONHASHSEED=seed)
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
@@ -411,10 +408,47 @@ def test_selection_does_not_depend_on_the_hash_seed():
         out, err = child.communicate(timeout=120)
         assert child.returncode == 0, err
         digests.append(json.loads(out))
-    first, second = digests
+    return digests
+
+
+def _selection_rows(digest):
+    """A digest without its kernel-source hashes: what selection decided,
+    and nothing codegen decides."""
+    return {
+        name: {k: v for k, v in program.items() if k != "kernel"}
+        for name, program in digest.items()
+    }
+
+
+def test_selection_does_not_depend_on_the_hash_seed():
+    """Two processes with different ``PYTHONHASHSEED`` must select the
+    same code for every catalog program: same statement fingerprint,
+    same kernel source, same e-graph sizes and match counts.  (Set
+    iteration order used to reach the extractor's tie-breaks.)"""
+    first, second = _catalog_digests(("0", "1"))
     assert len(first) == 18
     assert all(
         row[2] for program in first.values() for row in program["stores"]
     )
     for name in first:
         assert first[name] == second[name], name
+
+
+def test_selection_matches_the_golden():
+    """Every catalog program's selected statement, eqsat counts and
+    per-store rows equal ``selection_digest.json``.  Regenerate it (only
+    for an intended change of selection) with ``PYTHONPATH=src:. python
+    tests/test_hardboiled.py``."""
+    first, _ = _catalog_digests(("0", "1"))
+    rows = _selection_rows(first)
+    golden = json.loads(SELECTION_GOLDEN.read_text())
+    assert sorted(rows) == sorted(golden)
+    for name in golden:
+        assert rows[name] == golden[name], name
+
+
+if __name__ == "__main__":
+    (digest,) = _catalog_digests(("0",))
+    SELECTION_GOLDEN.write_text(
+        json.dumps(_selection_rows(digest), indent=1, sort_keys=True) + "\n"
+    )

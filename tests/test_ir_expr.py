@@ -17,7 +17,6 @@ from repro.ir import (
     Float,
     IntImm,
     Int,
-    BFloat,
     Load,
     Mul,
     Ramp,
@@ -35,7 +34,6 @@ from repro.ir import (
     make_mod,
     make_mul,
     make_ramp,
-    make_sub,
     print_expr,
     print_stmt,
     substitute,

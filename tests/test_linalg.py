@@ -17,7 +17,6 @@ from repro.linalg import (
     fast_dct_flop_count,
     hoppe_tiled_filter,
     idct2,
-    idct_matrix,
     lanczos,
     recursive_filter_serial,
     resample_2d,

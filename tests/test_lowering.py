@@ -10,9 +10,7 @@ from repro.ir import (
     Allocate,
     Broadcast,
     IntImm,
-    Load,
     Ramp,
-    Store,
     Variable,
     VectorReduce,
     collect_stores,

@@ -19,7 +19,6 @@ from repro.apps import dct_denoise, matmul, recursive_filter, resample
 from repro.ir import (
     Add,
     Broadcast,
-    Cast,
     Expr,
     Float,
     IntImm,
@@ -28,7 +27,6 @@ from repro.ir import (
     Mul,
     Ramp,
     Variable,
-    print_expr,
 )
 from repro.ir.types import BFloat, Int
 from repro.lowering import lower

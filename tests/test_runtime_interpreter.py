@@ -25,9 +25,7 @@ from repro.ir import (
     Store,
     Variable,
     VectorReduce,
-    make_add,
     make_mul,
-    make_ramp,
 )
 from repro.runtime import Buffer, Counters, Interpreter
 from repro.runtime.interpreter import EvalError

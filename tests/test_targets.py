@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ir import Call, Float, IntImm, Load, Ramp, StringImm, Variable
+from repro.ir import Call, Float, IntImm, Load, Ramp, StringImm
 from repro.runtime import Buffer, Interpreter
 from repro.targets.amx import (
     AMXError,

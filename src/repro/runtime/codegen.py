@@ -1218,11 +1218,12 @@ class _Emitter:
         whose ``(m, n, k)`` is legal and constant (:func:`_settled`):
         checked here, once.  A hoisted operand's read of its preheader
         stack (:attr:`hoisted`) is shaped and exact already."""
-        (m, n, k), g, isa_c, operands = dims, isa.group, self.const(isa), []
+        (m, n, k), g, isa_c, operands = dims, isa.group, None, []
         for a, text, flag, (rows, cols) in zip(
             e.args[1:3], args[2:4], exact, ((m, k), (k // g, g * n))
         ):
             if id(a) not in self.hoisted:
+                isa_c = isa_c or self.const(isa)
                 text = f"{isa_c}.shaped({text}, {rows}, {cols}, {flag})"
             operands.append(text)
         out = (

@@ -216,6 +216,12 @@ def repeated_work(source: str) -> list:
     return repeats
 
 
+def unread_globals(kernel) -> list:
+    """The names of ``kernel``'s injected globals its source never reads."""
+    read = set(re.findall(r"\b_C\d+\b", kernel.source))
+    return [name for name in kernel.globals_map if name not in read]
+
+
 def _catalog_builds():
     """``(label, module, builder, variant, params)`` of every benchmark
     catalog program, both workloads, and of the pinned kernels."""
@@ -240,8 +246,9 @@ class TestKernelsEmitOnlyWhatRuns:
     """Every kernel of the catalog — per request, and batched with every
     buffer stacked and as served — is plain NumPy: it reads ``buffers``
     and never writes it (an allocation lives in locals), takes no
-    interpreter, binds no local it does not read, and computes no index
-    twice in a suite nor any literal arithmetic."""
+    interpreter, binds no local and injects no constant it does not
+    read, and computes no index twice in a suite nor any literal
+    arithmetic."""
 
     @pytest.mark.parametrize(
         "label,module,builder,variant,params", CATALOG_BUILDS,
@@ -265,6 +272,7 @@ class TestKernelsEmitOnlyWhatRuns:
             assert "_interp" not in source and "_take_b" not in source
             assert dead_locals(source) == [], source
             assert repeated_work(source) == [], source
+            assert unread_globals(kernel) == [], source
 
 
 class TestAllocateScopes:

@@ -37,6 +37,7 @@ fingerprint of the lowered statement.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 import re
@@ -68,12 +69,6 @@ from .interpreter import (
 
 class CodegenError(RuntimeError):
     """Raised when a statement cannot be compiled (emitter falls back)."""
-
-
-class _PerTile(CodegenError):
-    """Lanes under the batch would gather a request tile by index; the
-    batch-only loops stack or view it (B=32, 2-core x86: conv2d 8.7 ms,
-    12.5 on lanes; downsample 14.3, 18.2): the nest keeps them, whole."""
 
 
 # -- runtime helpers injected into every kernel's globals ----------------------
@@ -724,20 +719,35 @@ def _constant(loop: S.For) -> bool:
     )
 
 
+def _serial(loop: S.For) -> bool:
+    return loop.kind not in _LANE_KINDS and loop.kind is not ForKind.GPU_LANE
+
+
 def _row(loop: S.For, status: str) -> tuple:
-    """``loop``'s :attr:`CompiledKernel.loops` row."""
+    """``loop``'s :attr:`CompiledKernel.loops` row; a serial loop's
+    status reads ``serial, <status>``."""
     extent = loop.extent
     extent = extent.value if isinstance(extent, E.IntImm) else print_expr(extent)
-    return (loop.name, extent, status)
+    return (loop.name, extent, f"serial, {status}" if _serial(loop) else status)
 
 
 # -- the emitter ---------------------------------------------------------------
 
 
-class _Emitter:
-    """Walks a lowered statement and produces Python kernel source."""
+#: what a fork starts empty and :meth:`_Emitter.adopt` appends
+_APPENDED = ("lines", "loops", "macs", "ext_data", "ext_obj")
+#: what a fork copies and :meth:`_Emitter.adopt` takes back, in place (a
+#: scope open around the fork restores its own entry in the same object)
+_ADOPTED = ("env_locals", "data_locals", "obj_locals", "wrap_locals", "globals", "widened", "temps")
+#: what a fork copies and drops with itself
+_FORKED = ("scope", "allocated", "hoisted")
 
-    def __init__(self, stmt: S.Stmt) -> None:
+
+class _Emitter:
+    """Walks a lowered statement and produces Python kernel source; with
+    ``stacked`` (external buffer names), a batched kernel's."""
+
+    def __init__(self, stmt: S.Stmt, stacked=None) -> None:
         self.lines: List[str] = []
         self.indent = 1
         self.counter = 0
@@ -799,23 +809,51 @@ class _Emitter:
         #: emitted index arithmetic -> (its temp, the indent of the suite
         #: binding it), while that suite is open (:meth:`_once`)
         self.temps: Dict[str, Tuple[str, int]] = {}
+        if stacked is not None:  # the batch is the leading axis
+            self.varying, self.stacked = self.facts.varying(None, (), stacked)
+            # the batch size, bound in the preamble like any env variable;
+            # only a stacked _take needs it (value helpers read array shapes)
+            self.lead = self.env_locals["batch.size"] = "_B"
+
+    def fork(self) -> "_Emitter":
+        """A copy to emit into: :meth:`adopt` takes what it emits, else
+        it is dropped and this emitter is as it was."""
+        fork = copy.copy(self)
+        for name in _APPENDED:
+            setattr(fork, name, [])
+        for name in _ADOPTED + _FORKED:
+            setattr(fork, name, dict(getattr(self, name)))
+        return fork
+
+    def adopt(self, fork: "_Emitter") -> None:
+        """Take ``fork``'s lines, name counter, constants, buffer locals,
+        widened inputs, MAC rows and loop rows as this emitter's own."""
+        self.counter = fork.counter
+        for name in _APPENDED:
+            getattr(self, name).extend(getattr(fork, name))
+        for name in _ADOPTED:
+            table = getattr(self, name)
+            table.clear()
+            table.update(getattr(fork, name))
 
     def batched(self, e: E.Expr) -> bool:
         """Does ``e`` vary along the live leading axis (if any)?"""
         return self.lead is not None and _varies(e, self.varying, self.stacked)
 
     @contextmanager
-    def bind(self, name: str, local: str):
-        """Scope IR variable ``name`` to python ``local`` for a suite."""
-        saved = self.scope.get(name)
-        self.scope[name] = local
+    def bind(self, name: str, local, table: Optional[dict] = None):
+        """Scope IR variable ``name`` to python ``local`` for a suite —
+        or, in ``table``, ``name``'s entry to ``local`` (None: unset)."""
+        table = self.scope if table is None else table
+        saved = table.pop(name, None)
+        if local is not None:
+            table[name] = local
         try:
             yield
         finally:
-            if saved is None:
-                self.scope.pop(name, None)
-            else:
-                self.scope[name] = saved
+            table.pop(name, None)
+            if saved is not None:
+                table[name] = saved
 
     # -- small utilities ----------------------------------------------------
 
@@ -1298,7 +1336,7 @@ class _Emitter:
                     self._certify(buf.value, self.buf_obj(buf.value))
                 step = self._lane_step(e.args[1])
                 if step is None and buf.value in self.requests:
-                    raise _PerTile(f"under the batch: {buf.value}: {_NOT_AFFINE}")
+                    raise CodegenError(f"under the batch: {buf.value}: {_NOT_AFFINE}")
                 return step
         elif role == "mac":
             if any(arg_b[3:]):
@@ -1417,14 +1455,30 @@ class _Emitter:
         self.line(f"{data}[{lead}{target}] = {value}")
         self.copy_views = False
 
-    #: how :meth:`_exec_For` runs a loop, in order: the first strategy
-    #: that takes it emits it and writes its :attr:`loops` rows; what
-    #: none takes is a native ``for``
+    #: how :meth:`_exec_For` runs a loop, in order: a strategy does not
+    #: apply (None, its emitter untouched), refuses (raises the reason),
+    #: or emits a nest headed by the loop and returns ``(nest, status)``
     _STRATEGIES = ("_try_lanes", "_try_fold", "_try_stacked", "_try_hoist")
 
     def _exec_For(self, stmt: S.For) -> None:
-        if any(getattr(self, name)(stmt) for name in self._STRATEGIES):
-            return
+        """Each strategy runs on a fork, the first that takes ``stmt``
+        adopted, with a :attr:`loops` row per loop of its nest ahead of
+        its body's rows.  What none takes is a native ``for``, its row
+        the reason of the last strategy that applied, if one did."""
+        fork, reason = self.fork(), None
+        for name in self._STRATEGIES:
+            try:
+                taken = getattr(fork, name)(stmt)
+            except CodegenError as exc:
+                fork, reason = self.fork(), str(exc)
+                continue
+            if taken is not None:
+                nest, status = taken
+                self.loops.extend(_row(loop, status) for loop in nest)
+                self.adopt(fork)
+                return
+        if reason is not None:
+            self.loops.append(_row(stmt, reason))
         if self.batched(stmt.min_expr) or self.batched(stmt.extent):
             raise CodegenError("batched loop bounds")
         if stmt.kind is ForKind.GPU_LANE:
@@ -1434,10 +1488,6 @@ class _Emitter:
                 self.emit_stmt(stmt.body)
         else:
             self._emit_loops([stmt])
-
-    @staticmethod
-    def _serial(loop: S.For) -> bool:
-        return loop.kind not in _LANE_KINDS and loop.kind is not ForKind.GPU_LANE
 
     @staticmethod
     def _nest(stmt: S.For) -> List[S.For]:
@@ -1465,7 +1515,7 @@ class _Emitter:
                 scope.enter_context(self.bind(loop.name, var))
             self.emit_stmt(nest[-1].body)
 
-    def _try_hoist(self, stmt: S.For) -> bool:
+    def _try_hoist(self, stmt: S.For) -> Optional[tuple]:
         """Emit a serial block loop nest with its per-call work hoisted.
 
         The nest is ``stmt`` and the serial loops perfectly nested in
@@ -1476,42 +1526,35 @@ class _Emitter:
         Where a stack's one view cannot be built, its ``[ix]`` cuts that
         iteration's tile as the per-tile loop does (see
         :class:`~repro.targets.isa.PerIteration`) — so it raises where it
-        always has, after the same partial writes.  Records one
-        :attr:`loops` row per loop of the nest.  False (nothing
-        hoisted): one row, for ``stmt``, which the caller emits plain;
-        each inner loop is decided on its own when emitted.
+        always has, after the same partial writes.  With nothing to
+        hoist, the nest is ``stmt`` alone, a plain loop: each inner loop
+        is decided on its own when emitted.
         """
         rows = self.facts.rows(stmt)
-        if not self._serial(stmt) or not rows.calls:
-            return False  # not a block loop
-        nest, first, saved = [stmt], len(self.loops), dict(self.hoisted)
-        stacks, reasons = [], ["symbolic loop bounds"]
-        if _constant(stmt):
-            nest = self._nest(stmt)
-            xs = [self.fresh("x") for _ in nest]
-            stacks, reasons = self._plan_stacks(nest, xs, rows)
-        status = "; ".join(reasons) or "nothing to hoist"
-        if stacks:
-            status = "; ".join([f"hoisted: {', '.join(stacks)}"] + reasons)
-            self._emit_loops(nest, xs)
-        self.hoisted = saved
-        self.loops[first:first] = [
-            _row(loop, f"serial, {status}")
-            for loop in (nest if stacks else nest[:1])
-        ]
-        return bool(stacks)
-
-    def _try_stacked(self, stmt: S.For) -> bool:
-        """A serial MAC reduction nest as stacked products
-        (:meth:`_emit_product`), rows ``serial, stacked product``; False,
-        no row, where :meth:`_try_hoist` is to decide the nest."""
-        if not self._serial(stmt) or self.merged is not None or not _constant(stmt):
-            return False
+        if not _serial(stmt) or not rows.calls:
+            return None  # not a block loop
+        if not _constant(stmt):
+            raise CodegenError("symbolic loop bounds")
         nest = self._nest(stmt)
-        if self._speculate(self._emit_product, nest):
-            return False
-        self.loops.extend(_row(loop, "serial, stacked product") for loop in nest)
-        return True
+        xs = [self.fresh("x") for _ in nest]
+        stacks, reasons = self._plan_stacks(nest, xs, rows)
+        if not stacks:
+            self._emit_loops([stmt])
+            return [stmt], "; ".join(reasons) or "nothing to hoist"
+        self._emit_loops(nest, xs)
+        return nest, "; ".join([f"hoisted: {', '.join(stacks)}"] + reasons)
+
+    def _try_stacked(self, stmt: S.For) -> Optional[tuple]:
+        """A serial MAC reduction nest as stacked products
+        (:meth:`_emit_product`), rows ``serial, stacked product``; it
+        applies only where :meth:`_try_hoist` does, which decides the
+        nest it refuses."""
+        if not _serial(stmt) or not self.facts.rows(stmt).calls or (
+                self.merged is not None or not _constant(stmt)):
+            return None
+        nest = self._nest(stmt)
+        self._emit_product(nest)
+        return nest, "stacked product"
 
     def _emit_product(self, nest: List[S.For]) -> None:
         """A nest whose one settled MAC accumulates into a kernel
@@ -1629,8 +1672,6 @@ class _Emitter:
             raise CodegenError("nothing per iteration")
         self.allocated.update((x.name, x.dtype.element_of()) for x in scratch.values())
         self.macs.append((mac.name, *(self._operand_width(isa, a) for a in mac.args[1:3])))
-        for name in scratch:
-            del self.allocated[name]
         first, outer = self._iterations(base, follows, bound)
         isa_c, view, width, r, tiles, p, q = self.const(isa), *map(self.fresh, "awrcpq")
         self.line(
@@ -1810,76 +1851,41 @@ class _Emitter:
             first = self.emit(base)
         return first, f"({axes})"
 
-    def _try_lanes(self, stmt: S.For) -> bool:
-        """Emit a data-parallel loop nest as one lane-vectorised pass.
-
-        Speculative: on any obstacle — in the legality proof or in the
-        emission of the body — the emitter is rolled back, the reason
-        is recorded in :attr:`loops`, and the caller emits the Python
-        loop (whose inner block loops then get their own attempt).
-        """
+    def _try_lanes(self, stmt: S.For) -> Optional[tuple]:
+        """A data-parallel loop nest as one lane-vectorised pass
+        (:meth:`_emit_lanes`), rows ``lanes``.  Refused — on any obstacle
+        in the legality proof or in the emission of the body — the loop
+        runs as a Python loop, whose inner block loops then get their
+        own attempt."""
         if stmt.kind not in _LANE_KINDS:
-            return False
+            return None
         if self.proved is not None:
-            # the leading axis is outer lanes' already
-            self.loops.append(_row(stmt, "leading axis already taken"))
-            return False
+            raise CodegenError("leading axis already taken")  # outer lanes'
         nest = [stmt]
         while (
             isinstance(nest[-1].body, S.For)
             and nest[-1].body.kind in _LANE_KINDS
         ):
             nest.append(nest[-1].body)
-        first = len(self.loops)
-        exc = self._speculate(self._emit_lanes, nest)
-        if isinstance(exc, _PerTile):
-            self.loops.extend(_row(loop, str(exc)) for loop in nest)
-            self._emit_loops(nest)
-            return True
-        if exc is not None:
-            self.loops.append(_row(stmt, str(exc)))
-            return False
-        self.loops[first:first] = [_row(loop, "lanes") for loop in nest]
-        return True
+        self._emit_lanes(nest)
+        return nest, "lanes"
 
-    def _speculate(self, emit, *args) -> Optional[CodegenError]:
-        """``emit(*args)``; on a :class:`CodegenError` the emitter is
-        rolled back to where it was, and the error returned."""
-        saved = [
-            (k, v, v.copy() if isinstance(v, (dict, list, set)) else None)
-            for k, v in vars(self).items()
-        ]
-        try:
-            emit(*args)
-        except CodegenError as exc:
-            # containers are restored in place: an enclosing ``bind`` or
-            # ``_exec_Allocate`` undoes its own entry in the same object
-            for key, value, contents in saved:
-                if isinstance(contents, list):
-                    value[:] = contents
-                elif contents is not None:
-                    value.clear()
-                    value.update(contents)
-                setattr(self, key, value)
-            return exc
-        return None
-
-    def _try_fold(self, stmt: S.For) -> bool:
+    def _try_fold(self, stmt: S.For) -> Optional[tuple]:
         """A serial loop with no tensor intrinsic in its body as one lane
         pass over its variable: a map (:meth:`_emit_lanes`), or a reduce
-        (:meth:`_emit_fold`).  Records its row either way."""
-        if not self._serial(stmt) or self.facts.rows(stmt).calls:
-            return False
-        body, first = stmt.body, len(self.loops)
+        (:meth:`_emit_fold`)."""
+        if not _serial(stmt) or self.facts.rows(stmt).calls:
+            return None
+        if self.lead:
+            raise CodegenError("leading axis already taken")
+        body = stmt.body
         acc = getattr(getattr(body, "value", None), "a", None)
-        fold = isinstance(body, S.Store) and isinstance(acc, E.Load) and (
-            acc.name, acc.index) == (body.name, body.index)
-        exc = CodegenError("leading axis already taken") if self.lead else (
-            self._speculate(self._emit_fold if fold else self._emit_lanes, [stmt])
-        )
-        status = exc or (f"reduce {_FOLDS[type(body.value)][0]}" if fold else "map")
-        self.loops.insert(first, _row(stmt, f"serial, {status}"))
-        return exc is None
+        if isinstance(body, S.Store) and isinstance(acc, E.Load) and (
+            acc.name, acc.index) == (body.name, body.index):
+            self._emit_fold([stmt])
+            return [stmt], f"reduce {_FOLDS[type(body.value)][0]}"
+        self._emit_lanes([stmt])
+        return [stmt], "map"
 
     def _emit_fold(self, nest: List[S.For]) -> None:
         """A reduce ``acc[a] = op(acc[a], f(x))`` — ``op`` max, min or +,
@@ -1905,11 +1911,11 @@ class _Emitter:
         acc = self.fresh("a")
         self.line(f"{acc} = {self.emit(value.a)}")
 
-        def fold():
-            rows, row = self.fresh("f"), self.fresh("q")
-            self.line(f"{rows} = {self.emit(value.b)}")
-            self.line(f"for {row} in {rows}:")
-            self.line(f"    {acc} = {_FOLDS[type(value)][1].format(acc, row)}")
+        def fold(lane):
+            rows, row = lane.fresh("f"), lane.fresh("q")
+            lane.line(f"{rows} = {lane.emit(value.b)}")
+            lane.line(f"for {row} in {rows}:")
+            lane.line(f"    {acc} = {_FOLDS[type(value)][1].format(acc, row)}")
 
         self._emit_lanes(nest, fold)
         with self.bind(f"{x}.fold", acc):
@@ -1925,8 +1931,9 @@ class _Emitter:
         that does not depend on a loop variable — weights, memoised
         shuffle operands, inner serial loops — is emitted as ever.  A
         grid wider than ``_LANES`` runs in chunks of that many lanes.
-        ``emit``, given, emits the pass in place of the body, which then
-        may store nothing per lane.
+        The pass is emitted on a fork that holds the lane state, then
+        adopted.  ``emit``, given, emits the pass on that fork in place
+        of the body, which then may store nothing per lane.
         """
         dims: Dict[str, int] = {}
         for loop in nest:
@@ -1936,46 +1943,41 @@ class _Emitter:
         total = math.prod(dims.values())
         if total < 2:
             raise CodegenError("fewer than two iterations")
-        body, outer = nest[-1].body, (self.lead, self.varying, self.stacked)
-        self.proved = {} if emit else _prove_lanes(dims, self.facts, nest[-1])
+        lane = self.fork()
+        lane.proved = {} if emit else _prove_lanes(dims, self.facts, nest[-1])
         lanes = self.facts.varying(nest[-1], dims)
         if self.lead is not None:
             batch = self.facts.varying(nest[-1], self.varying, self.stacked)
             inner = {a.name for a in self.facts.rows(nest[-1]).allocs}
             private = (lanes[1] | batch[1]) & inner
-            self.requests = self.stacked - inner
-            self.merged = tuple((n, b | private) for n, b in (lanes, batch))
-            lanes = (a | b for a, b in zip(*self.merged))
-        self.varying, self.stacked = lanes
-        chunk, width, times = self.fresh("l"), "_LANES", ""
-        if outer[0]:
-            width, times = self.fresh("w"), f" * {outer[0]}"
-            self.line(f"{width} = max(1, _ROWS // {outer[0]})")
-        self.line(f"for {chunk} in range(0, {total}, {width}):")
-        with self.block(), ExitStack() as bound:
-            lane, inner = np.arange(total), total
+            lane.requests = self.stacked - inner
+            lane.merged = tuple((n, b | private) for n, b in (lanes, batch))
+            lanes = (a | b for a, b in zip(*lane.merged))
+        lane.varying, lane.stacked = lanes
+        chunk, width, times = lane.fresh("l"), "_LANES", ""
+        if self.lead:
+            width, times = lane.fresh("w"), f" * {self.lead}"
+            lane.line(f"{width} = max(1, _ROWS // {self.lead})")
+        lane.line(f"for {chunk} in range(0, {total}, {width}):")
+        with lane.block(), ExitStack() as bound:
+            lane.lane_index, rank, inner = {}, np.arange(total), total
             for loop in nest:
                 inner //= dims[loop.name]
-                index = (lane // inner) % dims[loop.name] + loop.min_expr.value
-                self.lane_index[loop.name] = index
-                var = self.fresh("x")
-                self.line(
-                    f"{var} = {self.const(index)}[{chunk}:{chunk} + {width}]"
-                )
-                bound.enter_context(self.bind(loop.name, var))
-            self.lead = self.fresh("n")
-            self.line(f"{self.lead} = len({var}){times}")
-            count = len(self.lines)
+                index = (rank // inner) % dims[loop.name] + loop.min_expr.value
+                lane.lane_index[loop.name] = index
+                var = lane.fresh("x")
+                lane.line(f"{var} = {lane.const(index)}[{chunk}:{chunk} + {width}]")
+                bound.enter_context(lane.bind(loop.name, var))
+            lane.lead = lane.fresh("n")
+            lane.line(f"{lane.lead} = len({var}){times}")
+            count = len(lane.lines)
             if emit:
-                emit()
+                emit(lane)
             else:
-                self.emit_stmt(body)
-            if not re.search(rf"\b{self.lead}\b", "\n".join(self.lines[count:])):
-                del self.lines[count - 1]  # no row count read
-        self.lead, self.varying, self.stacked = outer
-        self.proved = self.merged = None
-        self.requests = frozenset()
-        self.lane_index.clear()
+                lane.emit_stmt(nest[-1].body)
+            if not re.search(rf"\b{lane.lead}\b", "\n".join(lane.lines[count:])):
+                del lane.lines[count - 1]  # no row count read
+        self.adopt(lane)
 
     def _exec_LetStmt(self, stmt: S.LetStmt) -> None:
         local = self.fresh("v")
@@ -2003,21 +2005,23 @@ class _Emitter:
     def _exec_Allocate(self, stmt: S.Allocate) -> None:
         if any(self.batched(e) for e in stmt.extents):
             raise CodegenError("batched allocation extents")
-        name = stmt.name
+        name, read = stmt.name, self.hoisted.get(id(stmt))
         # the body reads ``name`` through locals of its own: an enclosing
         # binding (an Allocate of the same name, an external buffer)
         # keeps its locals, untouched
-        tables = (self.allocated, self.obj_locals, self.data_locals)
-        outer = [table.pop(name, None) for table in tables]
-        self.allocated[name] = stmt.dtype.element_of()
-        read = self.hoisted.get(id(stmt))
-        if read is not None:
-            # a shuffle scratch: its stack's operand for this iteration,
-            # in place of the take, the fill and the give
-            self.line(read)
-            for part in stmt.body.stmts[1:]:
-                self.emit_stmt(part)
-        else:
+        with ExitStack() as scope:
+            for table, local in (
+                (self.allocated, stmt.dtype.element_of()),
+                (self.obj_locals, None), (self.data_locals, None),
+            ):
+                scope.enter_context(self.bind(name, local, table))
+            if read is not None:
+                # a shuffle scratch: its stack's operand for this
+                # iteration, in place of the take, the fill and the give
+                self.line(read)
+                for part in stmt.body.stmts[1:]:
+                    self.emit_stmt(part)
+                return
             obj = self.buf_obj(name)
             extents = ", ".join(self.emit(e) for e in stmt.extents)
             dtype = self.const(stmt.dtype.element_of())
@@ -2030,10 +2034,6 @@ class _Emitter:
             self.line(f"{self.buf_data(name)} = {obj}.data")
             self.emit_stmt(stmt.body)
             self.line(f"_give(_arena, {obj})")
-        for table, local in zip(tables, outer):
-            table.pop(name, None)
-            if local is not None:
-                table[name] = local
 
     # -- assembly ------------------------------------------------------------
 
@@ -2204,11 +2204,7 @@ def compile_batched_stmt(
     constructor, unknown intrinsics) raises :class:`CodegenError`, and
     the caller falls back to the looped per-request path.
     """
-    emitter = _Emitter(stmt)
-    emitter.varying, emitter.stacked = emitter.facts.varying(None, (), stacked)
-    # the batch size, bound in the preamble like any env variable; only
-    # a stacked _take needs it (value helpers read array shapes)
-    emitter.lead = emitter.env_locals["batch.size"] = "_B"
+    emitter = _Emitter(stmt, stacked)
     emitter.emit_stmt(stmt)
     return emitter.kernel(key, "batched-kernel")
 

@@ -260,7 +260,8 @@ def mac_arrays(rng, batch, lanes, a_size, *outs):
 class TestLanesUnderTheBatch:
     """A batched kernel runs a block nest as one pass over a ``B × N``
     leading axis (row ``b·N + lane``); where that axis cannot carry a
-    value, the nest keeps the batch-only kernel's Python loops."""
+    value, the loop stays a Python loop and the block loops inside it
+    get their own pass."""
 
     @pytest.mark.parametrize("batch", [1, 3, 32], ids=lambda b: f"B{b}")
     @pytest.mark.parametrize("taps", [8, 56])
@@ -317,22 +318,28 @@ class TestLanesUnderTheBatch:
             assert (want["first"] == 0.5).all() and (want["out"] == -1).all()
 
     @pytest.mark.parametrize(
-        "name,operand", [("conv2d", "I2"), ("upsample", "Iu")]
+        "name,operand", [("conv2d", "I2"), ("downsample", "Id"), ("upsample", "Iu")]
     )
-    def test_keeps_its_batch_only_loops(self, shared, name, operand):
-        """Lanes would leave the input's tile per iteration and request
-        (conv2d) or gather it by index (upsample: its row stride is
-        symbolic), its per-lane bases not affine in the lane; the
-        batch-only loops stack it once per call, or view each tile."""
+    def test_inner_loop_takes_the_lanes(self, shared, name, operand, rng):
+        """Lanes over the whole nest would gather the input's tile by
+        index (upsample: its row stride is symbolic), its per-lane bases
+        not affine in the lane: the outer ``y`` loop says so and stays a
+        Python loop, and the inner ``x`` loop is one pass over ``B × N``
+        rows, bitwise equal to each request's own kernel."""
         module, params = next(
             (m, p) for m, p in SIMPLE_APPS if m.__name__.endswith(name)
         )
         app, pipe = shared.app(module, params, "tensor")
-        reason = f"under the batch: {operand}: per-lane bases not affine"
+        reason = f"under the batch: {operand}: per-lane bases not affine in the lane"
         rows = pipe.kernel(data_split(app, pipe)).loops[:2]
-        assert [status for *_, status in rows] == [
-            reason + " in the lane"
-        ] * 2
+        assert [(v.rsplit(".", 1)[1], s) for v, _, s in rows] == [
+            ("y", reason), ("x", "lanes"),
+        ]
+        requests = build_requests(app, 5, rng)
+        plan = pipe.plan()
+        batched = pipe.run_many(requests, batch_axis=True)
+        for got, request in zip(batched, requests):
+            assert_same_bytes(got, plan.run(request))
 
 
 class TestKernelReuse:

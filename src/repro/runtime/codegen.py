@@ -37,7 +37,6 @@ fingerprint of the lowered statement.
 
 from __future__ import annotations
 
-import copy
 import math
 import operator
 import re
@@ -795,7 +794,7 @@ class _Emitter:
         #: operand reaches the core in its buffer's narrow elements,
         #: else why it is widened first (see ``_operand_width``)
         self.macs: List[tuple] = []
-        #: shared, never changed (a rolled-back lane attempt keeps it)
+        #: shared by every fork, never changed
         self.facts = KernelFacts(stmt)
         self.written = frozenset(self.facts.whole.written)
         #: (isa, buffer) -> (source, exact, preamble line) (``_widen``)
@@ -818,11 +817,11 @@ class _Emitter:
     def fork(self) -> "_Emitter":
         """A copy to emit into: :meth:`adopt` takes what it emits, else
         it is dropped and this emitter is as it was."""
-        fork = copy.copy(self)
-        for name in _APPENDED:
-            setattr(fork, name, [])
-        for name in _ADOPTED + _FORKED:
-            setattr(fork, name, dict(getattr(self, name)))
+        state = dict(self.__dict__)
+        state.update((name, []) for name in _APPENDED)
+        state.update((name, dict(state[name])) for name in _ADOPTED + _FORKED)
+        fork = object.__new__(_Emitter)
+        fork.__dict__ = state
         return fork
 
     def adopt(self, fork: "_Emitter") -> None:
@@ -869,25 +868,19 @@ class _Emitter:
     def line(self, text: str) -> None:
         self.lines.append("    " * self.indent + text)
 
+    @contextmanager
     def block(self):
-        """Context manager for an indented suite; emits ``pass`` if empty."""
-        emitter = self
-
-        class _Block:
-            def __enter__(self):
-                self.mark = len(emitter.lines)
-                emitter.indent += 1
-
-            def __exit__(self, *exc):
-                if len(emitter.lines) == self.mark:
-                    emitter.line("pass")
-                emitter.indent -= 1
-                temps = emitter.temps
-                for text in [t for t, (_, at) in temps.items()
-                             if at > emitter.indent]:
-                    del temps[text]
-
-        return _Block()
+        """An indented suite; emits ``pass`` if empty."""
+        mark = len(self.lines)
+        self.indent += 1
+        try:
+            yield
+        finally:
+            if len(self.lines) == mark:
+                self.line("pass")
+            self.indent -= 1
+            for text in [t for t, (_, at) in self.temps.items() if at > self.indent]:
+                del self.temps[text]
 
     # -- buffer locals ------------------------------------------------------
 
@@ -1670,6 +1663,7 @@ class _Emitter:
             ))
         if not work or any(varies and not lead for _, varies in stacks):
             raise CodegenError("nothing per iteration")
+        # the scratch dtypes the MAC row reads; the strategy's fork drops them
         self.allocated.update((x.name, x.dtype.element_of()) for x in scratch.values())
         self.macs.append((mac.name, *(self._operand_width(isa, a) for a in mac.args[1:3])))
         first, outer = self._iterations(base, follows, bound)

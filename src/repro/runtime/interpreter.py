@@ -72,9 +72,18 @@ def _np_dtype(dtype: DataType):
 # the backends' bit-for-bit parity contract hold by construction.
 
 
+@lru_cache(maxsize=None)
+def _steps(count: int) -> np.ndarray:
+    """``np.arange(count)``, one read-only array per count: a ramp only
+    multiplies it, so no caller ever holds or writes it."""
+    steps = np.arange(count)
+    steps.flags.writeable = False
+    return steps
+
+
 def ramp_value(base, stride, count: int):
     """``ramp(base, stride, count)`` over scalar or vector base/stride."""
-    steps = np.arange(count)
+    steps = _steps(count)
     if isinstance(base, np.ndarray) or isinstance(stride, np.ndarray):
         base = np.atleast_1d(np.asarray(base))
         stride = np.atleast_1d(np.asarray(stride))

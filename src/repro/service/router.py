@@ -276,8 +276,7 @@ class Router:
     record_events:
         Forwarded to every pool: keep per-request lifecycle event logs
         (see :meth:`WorkerPool.event_log`) for invariant checking.
-    transport / fault_plan / retries / hang_grace / max_restarts /
-    mp_context:
+    transport / fault_plan / retries / hang_grace / max_restarts:
         Forwarded to every :class:`WorkerPool` (see there).
     """
 
@@ -299,7 +298,6 @@ class Router:
         retries: int = 2,
         hang_grace: Optional[float] = None,
         max_restarts: int = 16,
-        mp_context=None,
         bucket_cap: Optional[int] = None,
         shed_target: Optional[float] = None,
         shed_interval: float = 0.1,
@@ -353,7 +351,6 @@ class Router:
                 max_restarts=max_restarts,
                 transport=transport,
                 batch_max=self.max_batch,
-                mp_context=mp_context,
                 record_events=record_events,
             )
 

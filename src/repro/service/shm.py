@@ -85,6 +85,8 @@ _MAGIC = 0x53524E47  # "SRNG"
 FREE, WRITING, READY, READING = 0, 1, 2, 3
 
 _ALIGN = 64
+#: size of the segment :func:`available` creates to probe the host
+_PROBE_BYTES = 1024
 
 
 def _align(n: int, to: int = _ALIGN) -> int:
@@ -175,12 +177,12 @@ def leaked_segments() -> List[str]:
     return leaked
 
 
-def available(probe_bytes: int = 1024) -> bool:
+def available() -> bool:
     """Whether a shared-memory segment can actually be created here."""
     try:
         from multiprocessing import shared_memory
 
-        segment = shared_memory.SharedMemory(create=True, size=probe_bytes)
+        segment = shared_memory.SharedMemory(create=True, size=_PROBE_BYTES)
     except Exception:
         return False
     try:

@@ -32,7 +32,7 @@ Reads are **hardened** for serving-tier robustness:
   the ``quarantined`` counter in :class:`StoreStats` proves it
   happened;
 * transient IO errors are retried a bounded number of times
-  (``io_attempts``, short linear backoff) before the lookup degrades to
+  (:data:`IO_ATTEMPTS`, short linear backoff) before the lookup degrades to
   a miss — a flaky network mount costs a retry, not a cold compile.
 
 Every read/write passes the ``store.read`` / ``store.write`` fault
@@ -148,6 +148,9 @@ ARTIFACT_FORMAT_VERSION = 3
 #: subdirectory of the store root holding rejected payloads
 QUARANTINE_DIRNAME = "quarantine"
 
+#: reads of a payload before a transient IO error degrades it to a miss
+IO_ATTEMPTS = 3
+
 
 @dataclass
 class CompileArtifact:
@@ -209,20 +212,14 @@ class StoreStats:
 class ArtifactStore:
     """A content-addressed, multi-process-safe artifact directory.
 
-    ``io_attempts``/``io_retry_delay`` bound the retry loop around
-    transient read errors (a flaky mount): each failed attempt sleeps
-    ``io_retry_delay * attempt`` before retrying, and exhaustion
+    :data:`IO_ATTEMPTS` and ``io_retry_delay`` bound the retry loop
+    around transient read errors (a flaky mount): each failed attempt
+    sleeps ``io_retry_delay * attempt`` before retrying, and exhaustion
     degrades the lookup to a miss.
     """
 
-    def __init__(
-        self,
-        root: str,
-        io_attempts: int = 3,
-        io_retry_delay: float = 0.01,
-    ) -> None:
+    def __init__(self, root: str, io_retry_delay: float = 0.01) -> None:
         self.root = str(root)
-        self.io_attempts = max(1, int(io_attempts))
         self.io_retry_delay = float(io_retry_delay)
         os.makedirs(self.root, exist_ok=True)
         self.stats = StoreStats()
@@ -243,11 +240,11 @@ class ArtifactStore:
         """Read ``path`` with bounded retry on transient IO errors.
 
         ``FileNotFoundError`` propagates immediately (a plain miss);
-        any other ``OSError`` is retried up to ``io_attempts`` times
+        any other ``OSError`` is retried up to :data:`IO_ATTEMPTS` times
         with a short linear backoff, then re-raised.
         """
         last: Optional[OSError] = None
-        for attempt in range(self.io_attempts):
+        for attempt in range(IO_ATTEMPTS):
             try:
                 fire("store.read", path=path)
                 with open(path, "rb") as handle:
@@ -256,7 +253,7 @@ class ArtifactStore:
                 raise
             except OSError as exc:
                 last = exc
-                if attempt + 1 < self.io_attempts:
+                if attempt + 1 < IO_ATTEMPTS:
                     self.stats.io_retries += 1
                     time.sleep(self.io_retry_delay * (attempt + 1))
         assert last is not None

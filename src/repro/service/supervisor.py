@@ -99,6 +99,8 @@ from . import shm as shm_transport
 
 #: worker heartbeat period (seconds)
 _HEARTBEAT_INTERVAL = 0.05
+#: worker processes' start method (None: the platform's default)
+_START_METHOD = None
 
 
 class WorkerCrashed(RuntimeError):
@@ -484,9 +486,6 @@ class WorkerPool:
     batch_max:
         Largest batch one dispatch may carry (:meth:`submit_many`
         chunks above it).
-    mp_context:
-        Multiprocessing start-method name (``"fork"``/``"spawn"``) or
-        context object; default is the platform default.
     """
 
     _POLL = 0.02  # supervisor loop granularity (seconds)
@@ -509,7 +508,6 @@ class WorkerPool:
         max_restarts: int = 16,
         transport: str = "auto",
         batch_max: int = 32,
-        mp_context=None,
         record_events: bool = False,
     ) -> None:
         if workers < 1:
@@ -545,10 +543,7 @@ class WorkerPool:
         if transport == "auto" and not shm_transport.available():
             transport = "pipe"
         self.transport = transport
-        if isinstance(mp_context, str):
-            self._ctx = multiprocessing.get_context(mp_context)
-        else:
-            self._ctx = mp_context or multiprocessing.get_context()
+        self._ctx = multiprocessing.get_context(_START_METHOD)
 
         self._mu = threading.Lock()
         #: queued batches, each served by one dispatch
